@@ -39,7 +39,7 @@ def _trend_config(head: str, seed: int, aux: str = "none", alpha: float = 0.5):
     )
 
 
-def run_trend_suite(threads: int = 1, progress=None) -> list:
+def run_trend_suite(progress=None) -> list:
     """Run the three directional checks; returns (name, passed, detail) rows.
 
     Results are cached per (head, aux, alpha, seed) cell so the alpha sweep
@@ -52,7 +52,7 @@ def run_trend_suite(threads: int = 1, progress=None) -> list:
         if key not in cache:
             if progress is not None:
                 progress(f"running {head}{'+' + aux if aux != 'none' else ''} alpha={alpha} seed={seed}")
-            results = run_single(_trend_config(head, seed, aux, alpha), threads=threads)
+            results = run_single(_trend_config(head, seed, aux, alpha))
             cache[key] = results["final"]["mean"]
         return cache[key]
 

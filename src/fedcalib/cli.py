@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .bench import run_trend_suite
-from .config import load_config, parse_config
+from .config import parse_config, read_config_json
 from .errors import ConfigError, FormatError, NumericError
 from .numerics import RngStream
 from .partition import heterogeneity_stats
@@ -36,12 +36,8 @@ EXIT_IO = 5
 
 
 def _load(args):
-    if args.config is None:
-        payload = {}
-    else:
-        load_config(args.config)  # surface schema errors with the file's path
-        payload = json.loads(Path(args.config).read_text())
-    if args.seed is not None:
+    payload = {} if args.config is None else read_config_json(args.config)
+    if args.seed is not None and isinstance(payload, dict):
         payload["seed"] = args.seed
     return parse_config(payload)
 
@@ -69,7 +65,7 @@ def _cmd_partition(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load(args)
-    run_experiment(config, out_dir=args.out_dir, threads=args.threads)
+    run_experiment(config, out_dir=args.out_dir)
     print(f"wrote results under {args.out_dir}")
     return EXIT_OK
 
@@ -85,7 +81,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_bench(args) -> int:
     progress = (lambda msg: print(f"  .. {msg}", file=sys.stderr)) if args.verbose else None
-    rows = run_trend_suite(threads=args.threads, progress=progress)
+    rows = run_trend_suite(progress=progress)
     failed = 0
     for name, passed, detail in rows:
         print(f"{'PASS' if passed else 'FAIL'}  {name}  [{detail}]")
@@ -105,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the config seed")
         if needs_out:
             p.add_argument("--out-dir", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for client training")
 
     p_part = sub.add_parser("partition", help="emit and audit a partition plan")
     common(p_part)
@@ -125,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(fn=_cmd_report)
 
     p_bench = sub.add_parser("bench", help="run the directional trend suite")
-    p_bench.add_argument("--threads", type=int, default=1)
     p_bench.add_argument("--verbose", action="store_true")
     p_bench.set_defaults(fn=_cmd_bench)
 

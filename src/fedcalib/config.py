@@ -371,18 +371,22 @@ def parse_config(payload: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read and validate a JSON experiment config file."""
+def read_config_json(path):
+    """Read a JSON experiment config file without validating its schema."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
-        payload = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    return parse_config(payload)
+
+
+def load_config(path) -> ExperimentConfig:
+    """Read and validate a JSON experiment config file."""
+    return parse_config(read_config_json(path))
 
 
 def config_echo(config: ExperimentConfig) -> dict:

@@ -2,9 +2,11 @@
 
 One round proceeds as broadcast -> local training on sampled participants
 -> aggregation -> broadcast -> personalized evaluation of all clients.
-Every client draws from a stream derived from (seed, round, client id), so
-the round outcome is independent of client execution order and of how many
-workers run the clients.
+Clients run one after another on a single model per run: each participant
+starts by loading the broadcast vector, so clients differ only in their
+data, their trainable vector and their FedDyn dual. Every client draws from
+a stream derived from (seed, round, client id), so the round outcome is
+independent of client execution order.
 
 Aggregation strategies:
 
@@ -22,7 +24,6 @@ the weighted average and break determinism.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,10 +83,9 @@ class AggregatorConfig:
 
 @dataclass
 class ClientState:
-    """One client's data views, private model clone, and optimizer extras."""
+    """One client's data views and optimizer extras."""
 
     client_id: int
-    model: DualEncoderModel
     train_x: np.ndarray
     train_y: np.ndarray
     test_x: np.ndarray
@@ -119,6 +119,7 @@ class RoundRecord:
     global_vector: np.ndarray
     client_reports: list  # CalibrationReport | None per client
     excluded_clients: list  # clients skipped for having no test data
+    mean: dict  # unweighted client mean of each report scalar
     drift_mean: float
     drift_std: float
 
@@ -135,6 +136,7 @@ def sample_participants(num_clients: int, rate: float, rng: RngStream) -> np.nda
 
 
 def local_train(
+    model: DualEncoderModel,
     client: ClientState,
     global_vector: np.ndarray,
     fed_config: FederationConfig,
@@ -149,7 +151,6 @@ def local_train(
     one. FedProx adds ``mu * (w - w_global)`` to each step's gradient;
     FedDyn adds ``-h_n + alpha * (w - w_global)``.
     """
-    model = client.model
     if global_vector.size != model.trainable_size():
         raise TransportError(
             f"broadcast vector has {global_vector.size} entries, client expects {model.trainable_size()}"
@@ -183,30 +184,6 @@ def local_train(
             model.load_trainable(w - lr * g)
             steps += 1
     return model.trainable_vector(), steps
-
-
-def local_objective(
-    client: ClientState,
-    vector: np.ndarray,
-    global_vector: np.ndarray,
-    agg_config: AggregatorConfig,
-    loss_spec: LossSpec,
-) -> float:
-    """Full-set local objective at ``vector``, dropout off, penalties included."""
-    from .losses import total_loss
-
-    model = client.model
-    model.load_trainable(vector)
-    logits = model.forward(client.train_x)
-    probs = softmax_rows(logits)
-    value = total_loss(ProbBatch(probs, client.train_y), loss_spec).total
-    if agg_config.kind == "fedprox":
-        diff = vector - global_vector
-        value += 0.5 * agg_config.mu_prox * float(diff @ diff)
-    elif agg_config.kind == "feddyn":
-        diff = vector - global_vector
-        value += -float(client.dual @ vector) + 0.5 * agg_config.alpha_dyn * float(diff @ diff)
-    return value
 
 
 def _weighted_sum(coeffs, vectors, anchor_coeff=0.0, anchor=None):
@@ -271,35 +248,32 @@ def aggregate(
     return mean_theta - server.dual_mean / agg_config.alpha_dyn
 
 
-def _client_map(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def evaluate_client(client: ClientState, bins: int, scheme: str, temperature: float = 1.0):
+def evaluate_client(
+    model: DualEncoderModel, client: ClientState, bins: int, scheme: str, temperature: float = 1.0
+):
     """Personalized evaluation on the client's local test view."""
     if len(client.test_y) == 0:
         return None
-    logits = client.model.forward(client.test_x)
+    logits = model.forward(client.test_x)
     probs = softmax_rows(logits / temperature)
     return calibration_report(ProbBatch(probs, client.test_y), bins, scheme)
 
 
-def client_logits(client: ClientState) -> LogitBatch | None:
+def client_logits(model: DualEncoderModel, client: ClientState) -> LogitBatch | None:
     if len(client.test_y) == 0:
         return None
-    return LogitBatch(client.model.forward(client.test_x), client.test_y)
+    return LogitBatch(model.forward(client.test_x), client.test_y)
 
 
-def personalized_evaluate(clients: list, bins: int = 15, scheme: str = "equal_width", workers: int = 1) -> dict:
+def personalized_evaluate(
+    model: DualEncoderModel, clients: list, bins: int = 15, scheme: str = "equal_width"
+) -> dict:
     """Per-client reports plus their unweighted average across clients.
 
     Clients without test data are excluded from the average and listed
     under ``excluded``.
     """
-    reports = _client_map(lambda c: evaluate_client(c, bins, scheme), clients, workers)
+    reports = [evaluate_client(model, c, bins, scheme) for c in clients]
     included = [r for r in reports if r is not None]
     excluded = [c.client_id for c, r in zip(clients, reports) if r is None]
     if not included:
@@ -317,7 +291,9 @@ def personalized_evaluate(clients: list, bins: int = 15, scheme: str = "equal_wi
     }
 
 
-def evaluate_base_new(clients: list, bins: int = 15, scheme: str = "equal_width", workers: int = 1) -> dict:
+def evaluate_base_new(
+    model: DualEncoderModel, clients: list, bins: int = 15, scheme: str = "equal_width"
+) -> dict:
     """Base/new breakdown for the base-to-new setting, plus harmonic means."""
 
     def one(client):
@@ -327,11 +303,11 @@ def evaluate_base_new(clients: list, bins: int = 15, scheme: str = "equal_width"
                 out[part_name] = None
                 continue
             x, y = part
-            probs = softmax_rows(client.model.forward(x))
+            probs = softmax_rows(model.forward(x))
             out[part_name] = calibration_report(ProbBatch(probs, y), bins, scheme)
         return out
 
-    per_client = _client_map(one, clients, workers)
+    per_client = [one(c) for c in clients]
     result = {"per_client": per_client}
     for part_name in ("base", "new"):
         rs = [pc[part_name] for pc in per_client if pc[part_name] is not None]
@@ -352,6 +328,7 @@ def evaluate_base_new(clients: list, bins: int = 15, scheme: str = "equal_width"
 
 
 def run_round(
+    model: DualEncoderModel,
     server: ServerState,
     clients: list,
     fed_config: FederationConfig,
@@ -361,60 +338,56 @@ def run_round(
     base_stream: RngStream,
     bins: int = 15,
     scheme: str = "equal_width",
-    workers: int = 1,
 ) -> RoundRecord:
     """One full communication round; deterministic in (config, seed)."""
-    n = len(clients)
-    participants = sample_participants(
-        n, fed_config.participation_rate, base_stream.child("participants", round_index)
+    sampled = sample_participants(
+        len(clients), fed_config.participation_rate, base_stream.child("participants", round_index)
     )
+    participants = [int(c) for c in sampled]
     global_before = server.global_vector
 
-    def train_one(client_id: int):
-        client = clients[client_id]
-        rng = base_stream.child("local", round_index, client_id)
+    updates, drifts = [], []
+    for cid in participants:
+        client = clients[cid]
+        rng = base_stream.child("local", round_index, cid)
         vector, steps = local_train(
-            client, global_before, fed_config, agg_config, loss_spec, rng, round_index
+            model, client, global_before, fed_config, agg_config, loss_spec, rng, round_index
         )
-        _, drift = weight_drift(client.model, server.zero_shot_reference)
-        return vector, client.train_size, steps, drift
-
-    results = _client_map(train_one, [int(c) for c in participants], workers)
-    updates = [(vec, d, steps) for vec, d, steps, _ in results]
-    drifts = np.array([drift for _, _, _, drift in results])
+        _, drift = weight_drift(model, server.zero_shot_reference)
+        updates.append((vector, client.train_size, steps))
+        drifts.append(drift)
+    drifts = np.array(drifts)
 
     new_global = aggregate(updates, global_before, agg_config, server)
     server.global_vector = new_global
 
     if agg_config.kind == "feddyn":
-        for (vec, _, _, _), cid in zip(results, participants):
-            client = clients[int(cid)]
+        for (vec, _, _), cid in zip(updates, participants):
+            client = clients[cid]
             client.dual = client.dual - agg_config.alpha_dyn * (vec - global_before)
 
-    for client in clients:
-        client.model.load_trainable(new_global)
-
-    evaluation = personalized_evaluate(clients, bins, scheme, workers)
+    model.load_trainable(new_global)
+    evaluation = personalized_evaluate(model, clients, bins, scheme)
     return RoundRecord(
         round_index=round_index,
-        participants=[int(c) for c in participants],
+        participants=participants,
         global_vector=new_global,
         client_reports=evaluation["per_client"],
         excluded_clients=evaluation["excluded"],
+        mean=evaluation["mean"],
         drift_mean=float(drifts.mean()),
         drift_std=float(drifts.std()),
     )
 
 
-def build_clients(data_views: list, template: DualEncoderModel) -> list:
-    """Clone the initialized model for each (train, test[, base, new]) view."""
+def build_clients(data_views: list, model: DualEncoderModel) -> list:
+    """Client state for each (train, test[, base, new]) view, duals sized to ``model``."""
     clients = []
-    size = template.trainable_size()
+    size = model.trainable_size()
     for cid, view in enumerate(data_views):
         clients.append(
             ClientState(
                 client_id=cid,
-                model=template.clone(),
                 train_x=view["train_x"],
                 train_y=view["train_y"],
                 test_x=view["test_x"],
@@ -427,11 +400,11 @@ def build_clients(data_views: list, template: DualEncoderModel) -> list:
     return clients
 
 
-def init_server(template: DualEncoderModel, num_clients: int) -> ServerState:
-    vec = template.trainable_vector()
+def init_server(model: DualEncoderModel, num_clients: int) -> ServerState:
+    vec = model.trainable_vector()
     return ServerState(
         global_vector=vec,
         num_clients=num_clients,
-        zero_shot_reference=template.param_set(),
+        zero_shot_reference=model.param_set(),
         dual_mean=np.zeros(vec.size),
     )

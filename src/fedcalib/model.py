@@ -127,17 +127,6 @@ class ParamSet:
     def names(self) -> list:
         return list(self.entries.keys())
 
-    def copy(self) -> "ParamSet":
-        return ParamSet(
-            entries={k: v.copy() for k, v in self.entries.items()},
-            shapes=dict(self.shapes),
-        )
-
-    def structurally_equal(self, other: "ParamSet") -> bool:
-        return self.names() == other.names() and all(
-            self.shapes[k] == other.shapes[k] for k in self.shapes
-        )
-
 
 class DualEncoderModel:
     """Model instance: two encoder stacks, prototypes, and one trainable head."""
@@ -235,17 +224,6 @@ class DualEncoderModel:
             chunk = vector[offset : offset + ref.size]
             ref[...] = chunk.reshape(ref.shape)
             offset += ref.size
-
-    def clone(self) -> "DualEncoderModel":
-        """Independent deep copy; the sanctioned way to parallelize clients."""
-        m = DualEncoderModel(
-            self.config,
-            _copy.deepcopy(self.image_stack),
-            _copy.deepcopy(self.text_stack),
-            self.prototypes.copy(),
-            None if self.prompt is None else self.prompt.copy(),
-        )
-        return m
 
     # -- forward / backward ---------------------------------------------------
 
@@ -477,22 +455,6 @@ def zero_shot_init(
 
     prompt = np.zeros((config.prompt_length, config.embed_dim)) if head == "prompt" else None
     return DualEncoderModel(config, image_stack, text_stack, protos, prompt)
-
-
-def identity_model(prototypes: np.ndarray, logit_scale: float = 1.0, head_kind: str = "zero_shot") -> DualEncoderModel:
-    """Single identity layer per encoder; handy for hand-checkable tests."""
-    protos = np.asarray(prototypes, dtype=np.float64)
-    c, d = protos.shape
-    config = ModelConfig(
-        embed_dim=d,
-        class_count=c,
-        encoder_widths=(d,),
-        head_kind=head_kind,
-        logit_scale=logit_scale,
-        lora_dropout=0.0,
-    )
-    eye = [(np.eye(d), np.zeros(d)), (np.eye(d), np.zeros(d))]
-    return zero_shot_init(config, protos, RngStream(0), encoder_weights=eye)
 
 
 def weight_drift(model: DualEncoderModel, reference: ParamSet) -> tuple:

@@ -1,11 +1,11 @@
 """End-to-end experiment orchestration and results emission.
 
 ``run_experiment`` builds the dataset, partitions it per the configured
-setting, initializes the clients from one zero-shot model, runs the
-communication rounds, and assembles a results dictionary that serializes
-to a canonical JSON ResultsFile. Re-running the same config reproduces
-every numeric field byte for byte; wall-clock metadata lives in a ``meta``
-section that comparisons strip.
+setting, initializes one zero-shot model that every client trains in turn,
+runs the communication rounds, and assembles a results dictionary that
+serializes to a canonical JSON ResultsFile. Re-running the same config
+reproduces every numeric field byte for byte; wall-clock metadata lives in
+a ``meta`` section that comparisons strip.
 
 The dataset is authoritative for embedding dimension and class count; the
 model section adopts them.
@@ -26,7 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import ReliabilityBins, reliability_csv, reliability_svg
+from .calibration import (
+    ReliabilityBins,
+    TemperatureScaler,
+    apply_temperature,
+    calibration_report,
+    reliability_csv,
+    reliability_svg,
+)
 from .config import ExperimentConfig, config_echo, expand_sweep, _dataclass_kwargs
 from .datagen import generate_synthetic, load_embeddings
 from .federation import (
@@ -48,8 +55,6 @@ from .partition import (
     heterogeneity_stats,
     sort_and_partition,
 )
-
-from .calibration import TemperatureScaler, apply_temperature, calibration_report
 
 
 def build_data(config: ExperimentConfig, rng: RngStream):
@@ -120,9 +125,9 @@ def _bins_from_dict(payload: dict) -> ReliabilityBins:
     )
 
 
-def _temperature_rows(clients, temperatures, bins, scheme) -> list:
+def _temperature_rows(model, clients, temperatures, bins, scheme) -> list:
     """Per-tau client-averaged metrics on the final model."""
-    logit_batches = [client_logits(c) for c in clients]
+    logit_batches = [client_logits(model, c) for c in clients]
     rows = []
     for tau in temperatures:
         scaler = TemperatureScaler(float(tau))
@@ -140,16 +145,16 @@ def _temperature_rows(clients, temperatures, bins, scheme) -> list:
     return rows
 
 
-def run_single(config: ExperimentConfig, threads: int = 1) -> dict:
+def run_single(config: ExperimentConfig) -> dict:
     """Run one (non-sweep) experiment and return its results dictionary."""
     started = time.time()
     rng = RngStream(config.seed)
     data, text_protos = build_data(config, rng.child("data"))
     plan = build_plan(config, data, rng.child("partition"))
     model_config = _reconcile_model(config, data)
-    template = zero_shot_init(model_config, text_protos, rng.child("init"))
-    clients = build_clients(client_views(data, plan, config.setting), template)
-    server = init_server(template, plan.num_clients)
+    model = zero_shot_init(model_config, text_protos, rng.child("init"))
+    clients = build_clients(client_views(data, plan, config.setting), model)
+    server = init_server(model, plan.num_clients)
 
     bins, scheme = config.metrics.bins, config.metrics.scheme
     round_stream = rng.child("rounds")
@@ -157,14 +162,9 @@ def run_single(config: ExperimentConfig, threads: int = 1) -> dict:
     drift_series = []
     for t in range(config.federation.rounds):
         record = run_round(
-            server, clients, config.federation, config.aggregator, config.loss,
-            t, round_stream, bins=bins, scheme=scheme, workers=threads,
+            model, server, clients, config.federation, config.aggregator, config.loss,
+            t, round_stream, bins=bins, scheme=scheme,
         )
-        included = [r for r in record.client_reports if r is not None]
-        mean = {
-            key: float(np.mean([r.scalars()[key] for r in included]))
-            for key in included[0].scalars()
-        }
         round_rows.append(
             {
                 "round": t,
@@ -172,7 +172,7 @@ def run_single(config: ExperimentConfig, threads: int = 1) -> dict:
                 "excluded": record.excluded_clients,
                 "drift_mean": record.drift_mean,
                 "drift_std": record.drift_std,
-                "mean": mean,
+                "mean": record.mean,
                 "per_client": [None if r is None else _report_dict(r) for r in record.client_reports],
                 "global_vector_sha256": hashlib.sha256(record.global_vector.tobytes()).hexdigest(),
                 "global_vector_l2": float(np.linalg.norm(record.global_vector)),
@@ -180,7 +180,7 @@ def run_single(config: ExperimentConfig, threads: int = 1) -> dict:
         )
         drift_series.append({"round": t, "mean": record.drift_mean, "std": record.drift_std})
 
-    final_eval = personalized_evaluate(clients, bins, scheme, workers=threads)
+    final_eval = personalized_evaluate(model, clients, bins, scheme)
     final: dict = {
         "mean": final_eval["mean"],
         "per_client": [None if r is None else _report_dict(r) for r in final_eval["per_client"]],
@@ -188,7 +188,7 @@ def run_single(config: ExperimentConfig, threads: int = 1) -> dict:
         "pooled_bins": _bins_dict(final_eval["pooled_bins"]),
     }
     if config.setting == "base_to_new":
-        bn = evaluate_base_new(clients, bins, scheme, workers=threads)
+        bn = evaluate_base_new(model, clients, bins, scheme)
         final["base"] = bn["base"]
         final["new"] = bn["new"]
         final["harmonic_mean"] = bn["harmonic_mean"]
@@ -205,14 +205,11 @@ def run_single(config: ExperimentConfig, threads: int = 1) -> dict:
         "drift_series": drift_series,
         "final": final,
         "final_global_vector": server.global_vector.tolist(),
-        "meta": {
-            "wall_clock_seconds": time.time() - started,
-            "threads": threads,
-        },
+        "meta": {"wall_clock_seconds": time.time() - started},
     }
     if config.metrics.temperatures:
         results["temperature_sweep"] = _temperature_rows(
-            clients, config.metrics.temperatures, bins, scheme
+            model, clients, config.metrics.temperatures, bins, scheme
         )
     return results
 
@@ -284,7 +281,7 @@ def _write_all(payload_by_path: dict) -> None:
         raise
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
+def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     """Run a config (expanding sweeps) and optionally write its outputs.
 
     Returns the results dict for a plain config, or a dict with a
@@ -292,7 +289,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1) -> 
     """
     points = expand_sweep(config)
     if len(points) == 1 and not points[0][0]:
-        results = run_single(config, threads=threads)
+        results = run_single(config)
         if out_dir is not None:
             base = Path(out_dir)
             _write_all({base / name: payload for name, payload in render_outputs(results).items()})
@@ -302,7 +299,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1) -> 
     payloads = {}
     base = Path(out_dir) if out_dir is not None else None
     for index, (point, sub_config) in enumerate(points):
-        results = run_single(sub_config, threads=threads)
+        results = run_single(sub_config)
         results["sweep_point"] = point
         all_results.append(results)
         if base is not None:

@@ -39,6 +39,13 @@ class TestRunVerb:
         assert b["config"]["seed"] == 6
         assert a["final_global_vector"] != b["final_global_vector"]
 
+    def test_negative_seed_override_exit_code(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path)
+        code = main(["run", "--config", str(cfg), "--seed", "-1", "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"model": {"lora_rank": 0}}))
@@ -88,14 +95,14 @@ class TestReportVerb:
 class TestBenchVerb:
     def test_bench_prints_pass_lines(self, capsys, monkeypatch):
         rows = [("ordering holds", True, "a 1 vs 2"), ("other ordering", True, "b")]
-        monkeypatch.setattr("fedcalib.cli.run_trend_suite", lambda threads, progress=None: rows)
+        monkeypatch.setattr("fedcalib.cli.run_trend_suite", lambda progress=None: rows)
         assert main(["bench"]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.count("PASS") == 2
 
     def test_bench_fail_exit_code(self, capsys, monkeypatch):
         rows = [("ordering holds", False, "a 2 vs 1")]
-        monkeypatch.setattr("fedcalib.cli.run_trend_suite", lambda threads, progress=None: rows)
+        monkeypatch.setattr("fedcalib.cli.run_trend_suite", lambda progress=None: rows)
         assert main(["bench"]) == 1
         assert "FAIL" in capsys.readouterr().out
 

@@ -1,28 +1,29 @@
 """Tests for the round engine: sampling, local SGD, aggregation, evaluation."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from fedcalib.calibration import ProbBatch
 from fedcalib.errors import ConfigError, InvalidInputError, TransportError
 from fedcalib.federation import (
     AggregatorConfig,
-    ClientState,
     FederationConfig,
-    RoundRecord,
     ServerState,
     aggregate,
     build_clients,
     evaluate_base_new,
+    evaluate_client,
     init_server,
-    local_objective,
     local_train,
     personalized_evaluate,
     run_round,
     sample_participants,
 )
-from fedcalib.losses import LossSpec
+from fedcalib.losses import LossSpec, total_loss
 from fedcalib.model import ModelConfig, zero_shot_init
-from fedcalib.numerics import RngStream, l2_normalize_rows
+from fedcalib.numerics import RngStream, l2_normalize_rows, softmax_rows
 
 
 def make_blob_views(num_clients, d=8, c=4, per_client=24, test_per_client=12, seed=0):
@@ -49,10 +50,24 @@ def make_federation(num_clients, head="lora_both", seed=0, dropout=0.0, logit_sc
     cfg = ModelConfig(
         embed_dim=8, class_count=4, head_kind=head, lora_dropout=dropout, logit_scale=logit_scale
     )
-    template = zero_shot_init(cfg, protos, RngStream(seed, 777))
-    clients = build_clients(views, template)
-    server = init_server(template, num_clients)
-    return server, clients
+    model = zero_shot_init(cfg, protos, RngStream(seed, 777))
+    clients = build_clients(views, model)
+    server = init_server(model, num_clients)
+    return model, server, clients
+
+
+def local_objective(model, client, vector, global_vector, agg_config, loss_spec):
+    """Full-set local objective at ``vector``, dropout off, penalties included."""
+    model.load_trainable(vector)
+    probs = softmax_rows(model.forward(client.train_x))
+    value = total_loss(ProbBatch(probs, client.train_y), loss_spec).total
+    if agg_config.kind == "fedprox":
+        diff = vector - global_vector
+        value += 0.5 * agg_config.mu_prox * float(diff @ diff)
+    elif agg_config.kind == "feddyn":
+        diff = vector - global_vector
+        value += -float(client.dual @ vector) + 0.5 * agg_config.alpha_dyn * float(diff @ diff)
+    return value
 
 
 class TestSampleParticipants:
@@ -84,26 +99,26 @@ class TestSampleParticipants:
 
 class TestLocalTrain:
     def test_zero_epochs_returns_global_unchanged(self):
-        server, clients = make_federation(1)
+        model, server, clients = make_federation(1)
         fed = FederationConfig(local_epochs=0)
         vec, steps = local_train(
-            clients[0], server.global_vector, fed, AggregatorConfig(), LossSpec(), RngStream(6)
+            model, clients[0], server.global_vector, fed, AggregatorConfig(), LossSpec(), RngStream(6)
         )
         assert steps == 0
         assert vec.tobytes() == server.global_vector.tobytes()
 
     def test_single_step_matches_hand_sgd(self):
-        server, clients = make_federation(1, per_client=8)
+        model, server, clients = make_federation(1, per_client=8)
         client = clients[0]
         fed = FederationConfig(batch_size=8, local_epochs=1, learning_rate=1e-3)
         rng_id = RngStream(7, 100)
         vec, steps = local_train(
-            client, server.global_vector, fed, AggregatorConfig(), LossSpec(),
+            model, client, server.global_vector, fed, AggregatorConfig(), LossSpec(),
             rng_id, round_index=5,
         )
         assert steps == 1
-        # replay by hand on a fresh clone with the same derived streams
-        probe = client.model.clone()
+        # replay by hand on a fresh copy with the same derived streams
+        probe = copy.deepcopy(model)
         probe.load_trainable(server.global_vector)
         order = RngStream(7, 100).child("shuffle", 0).permutation(8)
         probe.forward(client.train_x[order], train=True)
@@ -112,27 +127,27 @@ class TestLocalTrain:
         assert vec.tobytes() == expected.tobytes()
 
     def test_warmup_lr_on_round_zero(self):
-        server, clients = make_federation(1, per_client=8)
+        model, server, clients = make_federation(1, per_client=8)
         fed = FederationConfig(batch_size=8, learning_rate=1e-3, warmup_lr=1e-5)
         v0, _ = local_train(
-            clients[0], server.global_vector, fed, AggregatorConfig(), LossSpec(),
+            model, clients[0], server.global_vector, fed, AggregatorConfig(), LossSpec(),
             RngStream(8), round_index=0,
         )
         step0 = np.linalg.norm(v0 - server.global_vector)
         v1, _ = local_train(
-            clients[0], server.global_vector, fed, AggregatorConfig(), LossSpec(),
+            model, clients[0], server.global_vector, fed, AggregatorConfig(), LossSpec(),
             RngStream(8), round_index=1,
         )
         step1 = np.linalg.norm(v1 - server.global_vector)
         assert step0 == pytest.approx(step1 * 1e-2, rel=1e-9)
 
     def test_fedprox_shrinks_toward_global_monotonically(self):
-        server, clients = make_federation(1, per_client=24)
+        model, server, clients = make_federation(1, per_client=24)
         fed = FederationConfig(batch_size=8, local_epochs=3)
         dists = []
         for mu in (0.01, 1.0, 100.0):
             vec, _ = local_train(
-                clients[0], server.global_vector, fed,
+                model, clients[0], server.global_vector, fed,
                 AggregatorConfig("fedprox", mu_prox=mu), LossSpec(),
                 RngStream(9, 5), round_index=2,
             )
@@ -140,26 +155,26 @@ class TestLocalTrain:
         assert dists[0] > dists[1] > dists[2]
 
     def test_fedprox_objective_dominates_plain(self):
-        server, clients = make_federation(1)
+        model, server, clients = make_federation(1)
         client = clients[0]
         prox = AggregatorConfig("fedprox", mu_prox=0.5)
         plain = AggregatorConfig("fedavg")
         g = server.global_vector
-        at_global_prox = local_objective(client, g.copy(), g, prox, LossSpec())
-        at_global_plain = local_objective(client, g.copy(), g, plain, LossSpec())
+        at_global_prox = local_objective(model, client, g.copy(), g, prox, LossSpec())
+        at_global_plain = local_objective(model, client, g.copy(), g, plain, LossSpec())
         assert at_global_prox == pytest.approx(at_global_plain, abs=1e-15)
         rng = RngStream(10)
         for _ in range(5):
             w = g + rng.normal(g.size) * 0.1
-            assert local_objective(client, w, g, prox, LossSpec()) > local_objective(
-                client, w, g, plain, LossSpec()
+            assert local_objective(model, client, w, g, prox, LossSpec()) > local_objective(
+                model, client, w, g, plain, LossSpec()
             )
 
     def test_length_mismatch_rejected(self):
-        server, clients = make_federation(1)
+        model, server, clients = make_federation(1)
         with pytest.raises(TransportError):
             local_train(
-                clients[0], np.zeros(3), FederationConfig(), AggregatorConfig(),
+                model, clients[0], np.zeros(3), FederationConfig(), AggregatorConfig(),
                 LossSpec(), RngStream(11),
             )
 
@@ -265,109 +280,108 @@ class TestAggregate:
 
 
 class TestRunRound:
-    def _records_equal(self, a: RoundRecord, b: RoundRecord) -> bool:
-        if a.participants != b.participants or a.excluded_clients != b.excluded_clients:
-            return False
-        if a.global_vector.tobytes() != b.global_vector.tobytes():
-            return False
-        if (a.drift_mean, a.drift_std) != (b.drift_mean, b.drift_std):
-            return False
-        for ra, rb in zip(a.client_reports, b.client_reports):
-            if (ra is None) != (rb is None):
-                return False
-            if ra is not None and ra.scalars() != rb.scalars():
-                return False
-        return True
-
     def test_single_client_round_is_local_training(self):
-        server, clients = make_federation(1, seed=20)
+        model, server, clients = make_federation(1, seed=20)
         fed = FederationConfig(batch_size=8, participation_rate=1.0)
-        probe = clients[0].model.clone()
-        probe_state = ClientState(
-            client_id=0, model=probe, train_x=clients[0].train_x, train_y=clients[0].train_y,
-            test_x=clients[0].test_x, test_y=clients[0].test_y, dual=np.zeros(server.global_vector.size),
-        )
         expected, _ = local_train(
-            probe_state, server.global_vector.copy(), fed, AggregatorConfig(), LossSpec(),
-            RngStream(0, 0).child("local", 0, 0), round_index=0,
+            copy.deepcopy(model), clients[0], server.global_vector.copy(), fed, AggregatorConfig(),
+            LossSpec(), RngStream(0, 0).child("local", 0, 0), round_index=0,
         )
         record = run_round(
-            server, clients, fed, AggregatorConfig(), LossSpec(), 0, RngStream(0, 0)
+            model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, RngStream(0, 0)
         )
         assert record.global_vector.tobytes() == expected.tobytes()
 
     def test_serial_matches_parallel(self):
-        for workers in (2, 8):
-            server_a, clients_a = make_federation(6, seed=21, dropout=0.25)
-            server_b, clients_b = make_federation(6, seed=21, dropout=0.25)
-            fed = FederationConfig(batch_size=8, participation_rate=0.5)
-            for t in range(3):
-                ra = run_round(server_a, clients_a, fed, AggregatorConfig(), LossSpec(),
-                               t, RngStream(42), workers=1)
-                rb = run_round(server_b, clients_b, fed, AggregatorConfig(), LossSpec(),
-                               t, RngStream(42), workers=workers)
-                assert self._records_equal(ra, rb)
+        # every client trains and is evaluated on one shared model, so any
+        # state one client leaves behind would change another's result
+        model, server, clients = make_federation(6, seed=21, dropout=0.25)
+        fed = FederationConfig(batch_size=8, participation_rate=0.5)
+        agg = AggregatorConfig()
+        stream = RngStream(42)
+        for t in range(3):
+            global_before = server.global_vector
+            record = run_round(model, server, clients, fed, agg, LossSpec(), t, stream)
+            # (a) replaying the participants in reverse order on the same
+            # model aggregates to the same bytes
+            updates = {}
+            for cid in reversed(record.participants):
+                vec, steps = local_train(
+                    model, clients[cid], global_before, fed, agg, LossSpec(),
+                    stream.child("local", t, cid), round_index=t,
+                )
+                updates[cid] = (vec, clients[cid].train_size, steps)
+            replay = aggregate(
+                [updates[cid] for cid in record.participants], global_before, agg,
+                ServerState(global_before, len(clients), None),
+            )
+            assert replay.tobytes() == record.global_vector.tobytes()
+            # (b) each report equals one from a fresh model holding the round's vector
+            fresh, _, _ = make_federation(6, seed=21, dropout=0.25)
+            fresh.load_trainable(record.global_vector)
+            for client, got in zip(clients, record.client_reports):
+                assert evaluate_client(fresh, client, 15, "equal_width").scalars() == got.scalars()
 
     def test_round_reports_cover_all_clients(self):
-        server, clients = make_federation(5, seed=22)
+        model, server, clients = make_federation(5, seed=22)
         fed = FederationConfig(batch_size=8, participation_rate=0.4)
-        record = run_round(server, clients, fed, AggregatorConfig(), LossSpec(), 0, RngStream(1))
+        record = run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, RngStream(1))
         assert len(record.participants) == 2
         assert len(record.client_reports) == 5
         assert all(r is not None for r in record.client_reports)
 
     def test_drift_zero_before_any_training(self):
-        server, clients = make_federation(3, seed=23)
+        model, server, clients = make_federation(3, seed=23)
         fed = FederationConfig(batch_size=8, local_epochs=0)
-        record = run_round(server, clients, fed, AggregatorConfig(), LossSpec(), 0, RngStream(2))
+        record = run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, RngStream(2))
         assert record.drift_mean == 0.0
         assert record.drift_std == 0.0
 
     def test_feddyn_round_updates_client_duals(self):
-        server, clients = make_federation(2, seed=24)
+        model, server, clients = make_federation(2, seed=24)
         fed = FederationConfig(batch_size=8)
-        run_round(server, clients, fed, AggregatorConfig("feddyn"), LossSpec(), 0, RngStream(3))
+        run_round(model, server, clients, fed, AggregatorConfig("feddyn"), LossSpec(), 0, RngStream(3))
         assert any(np.linalg.norm(c.dual) > 0 for c in clients)
 
 
 class TestPersonalizedEvaluate:
     def test_identical_clients_average_equals_single(self):
-        server, clients = make_federation(3, seed=25)
+        model, server, clients = make_federation(3, seed=25)
         # same test view for all
         for c in clients[1:]:
             c.test_x = clients[0].test_x
             c.test_y = clients[0].test_y
-        out = personalized_evaluate(clients)
+        out = personalized_evaluate(model, clients)
         single = out["per_client"][0].scalars()
         for key, value in out["mean"].items():
             assert value == pytest.approx(single[key], abs=1e-12)
 
     def test_mean_accuracy_of_opposite_clients(self):
-        server, clients = make_federation(2, seed=26)
+        model, server, clients = make_federation(2, seed=26)
         # force client 0 all-correct and client 1 all-wrong labels
-        logits = clients[0].model.forward(clients[0].test_x)
+        logits = model.forward(clients[0].test_x)
         preds = logits.argmax(axis=1)
         clients[0].test_y = preds.copy()
-        logits1 = clients[1].model.forward(clients[1].test_x)
+        logits1 = model.forward(clients[1].test_x)
         clients[1].test_y = (logits1.argmax(axis=1) + 1) % 4
-        out = personalized_evaluate(clients)
+        out = personalized_evaluate(model, clients)
         assert out["mean"]["accuracy"] == pytest.approx(0.5)
 
     def test_empty_test_view_excluded_with_flag(self):
-        server, clients = make_federation(3, seed=27)
+        model, server, clients = make_federation(3, seed=27)
         clients[1].test_x = np.zeros((0, 8))
         clients[1].test_y = np.zeros(0, dtype=np.int64)
-        out = personalized_evaluate(clients)
+        out = personalized_evaluate(model, clients)
         assert out["excluded"] == [1]
         assert out["per_client"][1] is None
 
     def test_base_new_breakdown_with_harmonic_mean(self):
-        server, clients = make_federation(2, seed=28)
+        model, server, clients = make_federation(2, seed=28)
         for c in clients:
             half = len(c.test_y) // 2
             c.test_base = (c.test_x[:half], c.test_y[:half])
             c.test_new = (c.test_x[half:], c.test_y[half:])
-        out = evaluate_base_new(clients)
+        out = evaluate_base_new(model, clients)
         assert out["base"] is not None and out["new"] is not None
         hm = out["harmonic_mean"]["accuracy"]
         b, n = out["base"]["accuracy"], out["new"]["accuracy"]

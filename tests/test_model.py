@@ -1,5 +1,7 @@
 """Tests for the dual-encoder model: init, forward, gradients, transport."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from fedcalib.model import (
     LoraAdapter,
     ModelConfig,
     effective_weight,
-    identity_model,
     weight_drift,
     zero_shot_init,
 )
@@ -40,6 +41,22 @@ def build(head="lora_both", d=8, c=4, seed=1, dropout=0.0, **kw):
     cfg = small_config(head, d, c, dropout, **kw)
     protos = random_prototypes(d, c, seed)
     return zero_shot_init(cfg, protos, RngStream(seed))
+
+
+def identity_model(prototypes, logit_scale=1.0, head_kind="zero_shot"):
+    """Single identity layer per encoder; handy for hand-checkable tests."""
+    protos = np.asarray(prototypes, dtype=np.float64)
+    c, d = protos.shape
+    config = ModelConfig(
+        embed_dim=d,
+        class_count=c,
+        encoder_widths=(d,),
+        head_kind=head_kind,
+        logit_scale=logit_scale,
+        lora_dropout=0.0,
+    )
+    eye = [(np.eye(d), np.zeros(d)), (np.eye(d), np.zeros(d))]
+    return zero_shot_init(config, protos, RngStream(0), encoder_weights=eye)
 
 
 class TestZeroShotInit:
@@ -197,7 +214,7 @@ class TestForward:
 
 class TestBackward:
     def _loss_of_vector(self, model, vec, x, labels, spec):
-        probe = model.clone()
+        probe = copy.deepcopy(model)
         probe.load_trainable(vec)
         probe.forward(x, train=True)
         from fedcalib.calibration import ProbBatch
