@@ -149,26 +149,114 @@ class TemperatureScaler:
             raise InvalidInputError(f"temperature must be positive, got {self.temperature}")
 
 
-def _bin_index_equal_width(confidence: np.ndarray, bins: int) -> np.ndarray:
-    """Map confidences to 0-based equal-width bin indices, interval ((g-1)/G, g/G]."""
-    idx = np.ceil(confidence * bins).astype(np.int64) - 1
-    return np.clip(idx, 0, bins - 1)
+def _check_binning(bins: int, scheme: str) -> None:
+    if bins < 1:
+        raise InvalidInputError(f"bin count must be at least 1, got {bins}")
+    if scheme not in ("equal_width", "equal_mass"):
+        raise InvalidInputError(f"unknown binning scheme {scheme!r}")
 
 
-def _bin_index_equal_mass(confidence: np.ndarray, bins: int) -> np.ndarray:
-    """Rank samples by confidence and cut into G near-equal-count groups.
+def _segment_bins(batch: ProbBatch, sizes, bins: int, scheme: str):
+    """Bin statistics of each consecutive row segment of ``batch``.
 
-    The first ``n mod G`` groups get one extra sample; ties are broken by
-    sample order (stable sort) so the assignment is deterministic.
+    Returns the per-row segment index, the per-row hit vector (1.0 where
+    the argmax is the label) and ``segments x bins`` arrays of counts, mean
+    accuracy and mean confidence (0.0 in empty bins). Each array is one
+    ``np.bincount`` over the key ``segment * bins + bin``.
+
+    Equal-width bin ``g`` covers ((g-1)/G, g/G]. Equal-mass bins rank the
+    rows of a segment by confidence, ties in row order, and cut the ranks
+    into G near-equal groups; the first ``size mod G`` groups take one
+    extra row.
     """
-    n = confidence.shape[0]
-    order = np.argsort(confidence, kind="stable")
-    base, extra = divmod(n, bins)
-    sizes = np.full(bins, base, dtype=np.int64)
-    sizes[:extra] += 1
-    idx = np.empty(n, dtype=np.int64)
-    idx[order] = np.repeat(np.arange(bins), sizes)
-    return idx
+    _check_binning(bins, scheme)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.sum() != batch.n:
+        raise InvalidInputError("segment sizes must be positive and sum to the batch size")
+    g = sizes.size
+    seg = np.repeat(np.arange(g), sizes)
+    conf = batch.confidences()
+    hits = (batch.predictions() == batch.labels).astype(np.float64)
+    if scheme == "equal_width":
+        idx = np.clip(np.ceil(conf * bins).astype(np.int64) - 1, 0, bins - 1)
+    else:
+        # lexsort is stable and the segments are consecutive, so position in
+        # sorted order minus the segment start is the rank within the segment
+        rank = np.empty(batch.n, dtype=np.int64)
+        rank[np.lexsort((conf, seg))] = np.arange(batch.n) - (np.cumsum(sizes) - sizes)[seg]
+        base, extra = sizes[seg] // bins, sizes[seg] % bins
+        cut = extra * (base + 1)
+        idx = np.where(rank < cut, rank // (base + 1), extra + (rank - cut) // np.maximum(base, 1))
+    key = seg * bins + idx
+    counts = np.bincount(key, minlength=g * bins).reshape(g, bins)
+    acc_sum = np.bincount(key, weights=hits, minlength=g * bins).reshape(g, bins)
+    conf_sum = np.bincount(key, weights=conf, minlength=g * bins).reshape(g, bins)
+    nonempty = counts > 0
+    acc = np.zeros((g, bins))
+    confm = np.zeros((g, bins))
+    acc[nonempty] = acc_sum[nonempty] / counts[nonempty]
+    confm[nonempty] = conf_sum[nonempty] / counts[nonempty]
+    return seg, hits, counts, acc, confm
+
+
+def _gap_metrics(counts: np.ndarray, accuracy: np.ndarray, confidence: np.ndarray):
+    """ECE, MCE and ACE along the last (bin) axis.
+
+    ECE is the count-weighted mean |accuracy - confidence|; MCE and ACE are
+    the largest and the unweighted mean gap over non-empty bins. Empty bins
+    hold accuracy = confidence = 0, so their gap is 0.
+    """
+    gaps = np.abs(accuracy - confidence)
+    ece = np.sum(counts / counts.sum(axis=-1, keepdims=True) * gaps, axis=-1)
+    mce = gaps.max(axis=-1)
+    ace = gaps.sum(axis=-1) / (counts > 0).sum(axis=-1)
+    return ece, mce, ace
+
+
+def _squared_errors(batch: ProbBatch) -> np.ndarray:
+    """Per-row squared distance between the probability row and the one-hot label."""
+    err = batch.probs.copy()
+    err[np.arange(batch.n), batch.labels] -= 1.0
+    return np.sum(np.square(err, out=err), axis=1)
+
+
+def _true_log_probs(batch: ProbBatch) -> np.ndarray:
+    """Per-row log of the (clamped) probability of the true class."""
+    return np.log(np.maximum(batch.probs[np.arange(batch.n), batch.labels], PROB_CLAMP))
+
+
+def segmented_reports(batch: ProbBatch, sizes, bins: int = 15, scheme: str = "equal_width") -> list:
+    """One ``CalibrationReport`` per consecutive segment of ``batch``.
+
+    ``sizes`` lists the row count of each segment in order; segments are
+    non-empty and together cover the batch. Every per-segment statistic is
+    one ``np.bincount`` over a segment key, so the cost is that of one
+    report on the whole batch.
+    """
+    seg, hits, counts, acc, confm = _segment_bins(batch, sizes, bins, scheme)
+    sizes = counts.sum(axis=1)
+    g = sizes.size
+    ece, mce, ace = _gap_metrics(counts, acc, confm)
+    accuracy = np.bincount(seg, weights=hits, minlength=g) / sizes
+    brier = np.bincount(seg, weights=_squared_errors(batch), minlength=g) / sizes
+    nll = -np.bincount(seg, weights=_true_log_probs(batch), minlength=g) / sizes
+    return [
+        CalibrationReport(
+            accuracy=float(accuracy[i]),
+            ece=float(ece[i]),
+            mce=float(mce[i]),
+            ace=float(ace[i]),
+            brier=float(brier[i]),
+            nll=float(nll[i]),
+            bins=ReliabilityBins(scheme=scheme, counts=counts[i], accuracy=acc[i], confidence=confm[i]),
+        )
+        for i in range(g)
+    ]
+
+
+def calibration_report(batch: ProbBatch, bins: int = 15, scheme: str = "equal_width") -> CalibrationReport:
+    """Compute the full metric suite on one probability batch."""
+    return segmented_reports(batch, [batch.n], bins, scheme)[0]
 
 
 def bin_predictions(batch: ProbBatch, bins: int, scheme: str = "equal_width") -> ReliabilityBins:
@@ -177,83 +265,29 @@ def bin_predictions(batch: ProbBatch, bins: int, scheme: str = "equal_width") ->
     Empty bins are kept with count 0 (and zero statistics) rather than
     dropped, so diagrams always render a full axis.
     """
-    if bins < 1:
-        raise InvalidInputError(f"bin count must be at least 1, got {bins}")
-    if scheme not in ("equal_width", "equal_mass"):
-        raise InvalidInputError(f"unknown binning scheme {scheme!r}")
-    conf = batch.confidences()
-    correct = (batch.predictions() == batch.labels).astype(np.float64)
-    if scheme == "equal_width":
-        idx = _bin_index_equal_width(conf, bins)
-    else:
-        idx = _bin_index_equal_mass(conf, bins)
-    counts = np.bincount(idx, minlength=bins)
-    acc_sum = np.bincount(idx, weights=correct, minlength=bins)
-    conf_sum = np.bincount(idx, weights=conf, minlength=bins)
-    nonempty = counts > 0
-    acc = np.zeros(bins)
-    confm = np.zeros(bins)
-    acc[nonempty] = acc_sum[nonempty] / counts[nonempty]
-    confm[nonempty] = conf_sum[nonempty] / counts[nonempty]
-    return ReliabilityBins(scheme=scheme, counts=counts, accuracy=acc, confidence=confm)
+    _, _, counts, acc, confm = _segment_bins(batch, [batch.n], bins, scheme)
+    return ReliabilityBins(scheme=scheme, counts=counts[0], accuracy=acc[0], confidence=confm[0])
 
 
 def expected_calibration_error(bins: ReliabilityBins) -> float:
     """Sample-weighted mean |accuracy - confidence| over bins."""
-    n = bins.counts.sum()
-    if n == 0:
+    if bins.counts.sum() == 0:
         raise InvalidInputError("cannot compute ECE of empty bins")
-    gaps = np.abs(bins.accuracy - bins.confidence)
-    return float(np.sum(bins.counts / n * gaps))
-
-
-def maximum_calibration_error(bins: ReliabilityBins) -> float:
-    """Largest |accuracy - confidence| over non-empty bins."""
-    nonempty = bins.counts > 0
-    if not np.any(nonempty):
-        raise InvalidInputError("cannot compute MCE of empty bins")
-    gaps = np.abs(bins.accuracy - bins.confidence)
-    return float(gaps[nonempty].max())
-
-
-def average_calibration_error(bins: ReliabilityBins) -> float:
-    """Unweighted mean |accuracy - confidence| over non-empty bins."""
-    nonempty = bins.counts > 0
-    if not np.any(nonempty):
-        raise InvalidInputError("cannot compute ACE of empty bins")
-    gaps = np.abs(bins.accuracy - bins.confidence)
-    return float(gaps[nonempty].mean())
+    return float(_gap_metrics(bins.counts, bins.accuracy, bins.confidence)[0])
 
 
 def brier_score(batch: ProbBatch) -> float:
     """Full-vector mean squared error against one-hot labels; range [0, 2]."""
-    onehot = np.zeros_like(batch.probs)
-    onehot[np.arange(batch.n), batch.labels] = 1.0
-    return float(np.sum((batch.probs - onehot) ** 2) / batch.n)
+    return float(np.mean(_squared_errors(batch)))
 
 
 def negative_log_likelihood(batch: ProbBatch) -> float:
     """Mean -log of the probability assigned to the true class."""
-    p_true = batch.probs[np.arange(batch.n), batch.labels]
-    return float(-np.mean(np.log(np.maximum(p_true, PROB_CLAMP))))
+    return float(-np.mean(_true_log_probs(batch)))
 
 
 def accuracy_score(batch: ProbBatch) -> float:
     return float(np.mean(batch.predictions() == batch.labels))
-
-
-def calibration_report(batch: ProbBatch, bins: int = 15, scheme: str = "equal_width") -> CalibrationReport:
-    """Compute the full metric suite on one probability batch."""
-    rb = bin_predictions(batch, bins, scheme)
-    return CalibrationReport(
-        accuracy=accuracy_score(batch),
-        ece=expected_calibration_error(rb),
-        mce=maximum_calibration_error(rb),
-        ace=average_calibration_error(rb),
-        brier=brier_score(batch),
-        nll=negative_log_likelihood(batch),
-        bins=rb,
-    )
 
 
 def apply_temperature(logits: LogitBatch, scaler: TemperatureScaler) -> ProbBatch:

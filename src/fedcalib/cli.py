@@ -96,11 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p):
         p.add_argument("--config", help="experiment config JSON (defaults apply if omitted)")
         p.add_argument("--seed", type=int, help="override the config seed")
-        if needs_out:
-            p.add_argument("--out-dir", required=True, help="output directory")
+        p.add_argument("--out-dir", required=True, help="output directory")
 
     p_part = sub.add_parser("partition", help="emit and audit a partition plan")
     common(p_part)

@@ -8,6 +8,12 @@ data, their trainable vector and their FedDyn dual. Every client draws from
 a stream derived from (seed, round, client id), so the round outcome is
 independent of client execution order.
 
+Every client holds the same global vector after broadcast, so evaluation
+forwards the test views of consecutive clients together, in blocks of at
+most ``EVAL_BLOCK_ROWS`` rows, and splits the metrics by client with
+``calibration.segmented_reports``. Each client's metrics keep the
+definitions of ``calibration.calibration_report`` on its own view.
+
 Aggregation strategies:
 
 - ``fedavg`` / ``fedprox``  sample-count weighted average of participant
@@ -29,13 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calibration import (
-    LogitBatch,
-    ProbBatch,
-    calibration_report,
-    harmonic_mean,
-    pool_bins,
-)
+from .calibration import LogitBatch, ProbBatch, harmonic_mean, pool_bins, segmented_reports
 from .errors import ConfigError, InvalidInputError, NumericError, TransportError
 from .losses import LossSpec
 from .model import DualEncoderModel, ParamSet, weight_drift
@@ -248,45 +248,70 @@ def aggregate(
     return mean_theta - server.dual_mean / agg_config.alpha_dyn
 
 
-def evaluate_client(
-    model: DualEncoderModel, client: ClientState, bins: int, scheme: str, temperature: float = 1.0
-):
-    """Personalized evaluation on the client's local test view."""
-    if len(client.test_y) == 0:
-        return None
-    logits = model.forward(client.test_x)
-    probs = softmax_rows(logits / temperature)
-    return calibration_report(ProbBatch(probs, client.test_y), bins, scheme)
+EVAL_BLOCK_ROWS = 256  # caps the transient memory of one evaluation forward
 
 
-def client_logits(model: DualEncoderModel, client: ClientState) -> LogitBatch | None:
-    if len(client.test_y) == 0:
-        return None
-    return LogitBatch(model.forward(client.test_x), client.test_y)
+def _is_empty(view) -> bool:
+    return view is None or len(view[1]) == 0
+
+
+def blocked_logits(model: DualEncoderModel, views: list) -> tuple:
+    """Logits of the non-empty ``(x, y)`` views, with one forward per block.
+
+    Consecutive views are joined into blocks of at most ``EVAL_BLOCK_ROWS``
+    rows; a larger view is forwarded alone. Returns the ``LogitBatch`` of
+    the non-empty views concatenated in order and their row counts, or
+    ``(None, [])`` when every view is empty or ``None``.
+    """
+    kept = [v for v in views if not _is_empty(v)]
+    if not kept:
+        return None, []
+    blocks, block, rows = [], [], 0
+    for x, _ in kept:
+        if block and rows + len(x) > EVAL_BLOCK_ROWS:
+            blocks.append(model.forward(np.concatenate(block)))
+            block, rows = [], 0
+        block.append(x)
+        rows += len(x)
+    blocks.append(model.forward(np.concatenate(block)))
+    labels = np.concatenate([y for _, y in kept])
+    return LogitBatch(np.concatenate(blocks), labels), [len(y) for _, y in kept]
+
+
+def _view_reports(model: DualEncoderModel, views: list, bins: int, scheme: str) -> list:
+    """One report per view (``None`` for an empty view) from one segmented pass."""
+    logits, sizes = blocked_logits(model, views)
+    if logits is None:
+        return [None] * len(views)
+    batch = ProbBatch(softmax_rows(logits.logits), logits.labels)
+    reports = iter(segmented_reports(batch, sizes, bins, scheme))
+    return [None if _is_empty(v) else next(reports) for v in views]
+
+
+def client_mean(reports: list) -> dict:
+    """Unweighted mean of each report scalar across clients."""
+    return {
+        key: float(np.mean([r.scalars()[key] for r in reports])) for key in reports[0].scalars()
+    }
 
 
 def personalized_evaluate(
     model: DualEncoderModel, clients: list, bins: int = 15, scheme: str = "equal_width"
 ) -> dict:
-    """Per-client reports plus their unweighted average across clients.
+    """Per-client reports on each local test view plus their unweighted mean.
 
     Clients without test data are excluded from the average and listed
     under ``excluded``.
     """
-    reports = [evaluate_client(model, c, bins, scheme) for c in clients]
+    reports = _view_reports(model, [(c.test_x, c.test_y) for c in clients], bins, scheme)
     included = [r for r in reports if r is not None]
     excluded = [c.client_id for c, r in zip(clients, reports) if r is None]
     if not included:
         raise InvalidInputError("every client has an empty test view")
-    mean_scalars = {
-        key: float(np.mean([r.scalars()[key] for r in included]))
-        for key in included[0].scalars()
-    }
-    pooled = pool_bins([r.bins for r in included])
     return {
-        "mean": mean_scalars,
+        "mean": client_mean(included),
         "per_client": reports,
-        "pooled_bins": pooled,
+        "pooled_bins": pool_bins([r.bins for r in included]),
         "excluded": excluded,
     }
 
@@ -295,28 +320,12 @@ def evaluate_base_new(
     model: DualEncoderModel, clients: list, bins: int = 15, scheme: str = "equal_width"
 ) -> dict:
     """Base/new breakdown for the base-to-new setting, plus harmonic means."""
-
-    def one(client):
-        out = {}
-        for part_name, part in (("base", client.test_base), ("new", client.test_new)):
-            if part is None or len(part[1]) == 0:
-                out[part_name] = None
-                continue
-            x, y = part
-            probs = softmax_rows(model.forward(x))
-            out[part_name] = calibration_report(ProbBatch(probs, y), bins, scheme)
-        return out
-
-    per_client = [one(c) for c in clients]
-    result = {"per_client": per_client}
-    for part_name in ("base", "new"):
-        rs = [pc[part_name] for pc in per_client if pc[part_name] is not None]
-        if rs:
-            result[part_name] = {
-                key: float(np.mean([r.scalars()[key] for r in rs])) for key in rs[0].scalars()
-            }
-        else:
-            result[part_name] = None
+    base = _view_reports(model, [c.test_base for c in clients], bins, scheme)
+    new = _view_reports(model, [c.test_new for c in clients], bins, scheme)
+    result = {"per_client": [{"base": b, "new": n} for b, n in zip(base, new)]}
+    for part_name, reports in (("base", base), ("new", new)):
+        included = [r for r in reports if r is not None]
+        result[part_name] = client_mean(included) if included else None
     if result["base"] and result["new"]:
         result["harmonic_mean"] = {
             key: harmonic_mean(result["base"][key], result["new"][key])

@@ -30,15 +30,16 @@ from .calibration import (
     ReliabilityBins,
     TemperatureScaler,
     apply_temperature,
-    calibration_report,
     reliability_csv,
     reliability_svg,
+    segmented_reports,
 )
 from .config import ExperimentConfig, config_echo, expand_sweep, _dataclass_kwargs
 from .datagen import generate_synthetic, load_embeddings
 from .federation import (
+    blocked_logits,
     build_clients,
-    client_logits,
+    client_mean,
     evaluate_base_new,
     init_server,
     personalized_evaluate,
@@ -126,22 +127,13 @@ def _bins_from_dict(payload: dict) -> ReliabilityBins:
 
 
 def _temperature_rows(model, clients, temperatures, bins, scheme) -> list:
-    """Per-tau client-averaged metrics on the final model."""
-    logit_batches = [client_logits(model, c) for c in clients]
+    """Per-tau client-averaged metrics on the final model, from one blocked forward."""
+    logits, sizes = blocked_logits(model, [(c.test_x, c.test_y) for c in clients])
     rows = []
     for tau in temperatures:
-        scaler = TemperatureScaler(float(tau))
-        reports = []
-        for lb in logit_batches:
-            if lb is None:
-                continue
-            scaled = apply_temperature(lb, scaler)
-            reports.append(calibration_report(scaled, bins, scheme))
-        mean = {
-            key: float(np.mean([r.scalars()[key] for r in reports]))
-            for key in reports[0].scalars()
-        }
-        rows.append({"temperature": float(tau), "mean": mean})
+        scaled = apply_temperature(logits, TemperatureScaler(float(tau)))
+        reports = segmented_reports(scaled, sizes, bins, scheme)
+        rows.append({"temperature": float(tau), "mean": client_mean(reports)})
     return rows
 
 

@@ -22,19 +22,32 @@ def random_prob_batch(rng: RngStream, max_n: int = 200, max_c: int = 10):
     return probs, labels
 
 
-def naive_bins(probs, labels, num_bins):
-    """Equal-width binning by max probability, interval ((g-1)/G, g/G]."""
+def naive_bins(probs, labels, num_bins, scheme="equal_width"):
+    """Binning by max probability: equal-width, interval ((g-1)/G, g/G], or
+    equal-mass, G rank groups of near-equal size with the n mod G extra
+    samples in the lowest groups and ties kept in sample order."""
     n, _ = probs.shape
-    members = [[] for _ in range(num_bins)]
+    samples = []
     for i in range(n):
         conf = max(probs[i])
         best = 0
         for c in range(len(probs[i])):
             if probs[i][c] > probs[i][best]:
                 best = c
-        g = math.ceil(conf * num_bins) - 1
-        g = min(max(g, 0), num_bins - 1)
-        members[g].append((conf, 1.0 if best == labels[i] else 0.0))
+        samples.append((conf, 1.0 if best == labels[i] else 0.0))
+    members = [[] for _ in range(num_bins)]
+    if scheme == "equal_width":
+        for conf, hit in samples:
+            g = math.ceil(conf * num_bins) - 1
+            g = min(max(g, 0), num_bins - 1)
+            members[g].append((conf, hit))
+    else:
+        ranked = sorted(range(n), key=lambda i: (samples[i][0], i))
+        start = 0
+        for g in range(num_bins):
+            size = n // num_bins + (1 if g < n % num_bins else 0)
+            members[g] = [samples[i] for i in ranked[start : start + size]]
+            start += size
     stats = []
     for g in range(num_bins):
         if members[g]:
@@ -46,26 +59,26 @@ def naive_bins(probs, labels, num_bins):
     return stats
 
 
-def naive_ece(probs, labels, num_bins):
+def naive_ece(probs, labels, num_bins, scheme="equal_width"):
     n = len(labels)
     total = 0.0
-    for count, acc, conf in naive_bins(probs, labels, num_bins):
+    for count, acc, conf in naive_bins(probs, labels, num_bins, scheme):
         if count:
             total += (count / n) * abs(acc - conf)
     return total
 
 
-def naive_mce(probs, labels, num_bins):
+def naive_mce(probs, labels, num_bins, scheme="equal_width"):
     worst = 0.0
-    for count, acc, conf in naive_bins(probs, labels, num_bins):
+    for count, acc, conf in naive_bins(probs, labels, num_bins, scheme):
         if count:
             worst = max(worst, abs(acc - conf))
     return worst
 
 
-def naive_ace(probs, labels, num_bins):
+def naive_ace(probs, labels, num_bins, scheme="equal_width"):
     gaps = []
-    for count, acc, conf in naive_bins(probs, labels, num_bins):
+    for count, acc, conf in naive_bins(probs, labels, num_bins, scheme):
         if count:
             gaps.append(abs(acc - conf))
     return sum(gaps) / len(gaps)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcalib.calibration import (
     LogitBatch,
@@ -22,6 +24,7 @@ from fedcalib.calibration import (
     reliability_csv,
     reliability_rows,
     reliability_svg,
+    segmented_reports,
     temperature_sweep,
 )
 from fedcalib.errors import InvalidInputError
@@ -30,6 +33,7 @@ from fedcalib.numerics import RngStream, softmax_rows
 from oracles import (
     naive_accuracy,
     naive_ace,
+    naive_bins,
     naive_brier,
     naive_ece,
     naive_mce,
@@ -246,6 +250,89 @@ class TestTemperature:
         assert [tau for tau, _ in rows] == [0.5, 1.0, 2.0]
         accs = {rep.accuracy for _, rep in rows}
         assert len(accs) == 1  # argmax invariance
+
+
+SCHEMES = ("equal_width", "equal_mass")
+
+
+def prob_rows(seed, n, c=5, tied=False):
+    """n probability rows and labels; ``tied`` draws rows from four fixed
+    vectors, so confidences repeat."""
+    rng = RngStream(seed)
+    if tied:
+        table = softmax_rows(RngStream(seed, 1).normal(4 * c).reshape(4, c))
+        probs = table[(rng.u64(n) % np.uint64(4)).astype(np.int64)]
+    else:
+        probs = softmax_rows(rng.normal(n * c).reshape(n, c) * 2.0)
+    labels = (rng.u64(n) % np.uint64(c)).astype(np.int64)
+    return probs, labels
+
+
+def split_rows(probs, labels, sizes):
+    bounds = np.cumsum([0, *sizes])
+    return [(probs[a:b], labels[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+class TestSegmentedReports:
+    def assert_matches_oracle(self, probs, labels, sizes, bins, scheme):
+        reports = segmented_reports(ProbBatch(probs, labels), sizes, bins, scheme)
+        assert len(reports) == len(sizes)
+        for rep, (p, y) in zip(reports, split_rows(probs, labels, sizes)):
+            assert rep.bins.counts.tolist() == [count for count, _, _ in naive_bins(p, y, bins, scheme)]
+            assert abs(rep.ece - naive_ece(p, y, bins, scheme)) <= 1e-12
+            assert abs(rep.mce - naive_mce(p, y, bins, scheme)) <= 1e-12
+            assert abs(rep.ace - naive_ace(p, y, bins, scheme)) <= 1e-12
+            assert abs(rep.brier - naive_brier(p, y)) <= 1e-12
+            assert abs(rep.nll - naive_nll(p, y)) <= 1e-12
+            assert abs(rep.accuracy - naive_accuracy(p, y)) <= 1e-12
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_one_row_segments(self, scheme):
+        probs, labels = prob_rows(80, 30)
+        self.assert_matches_oracle(probs, labels, [1] * 30, 15, scheme)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_segments_smaller_than_bin_count(self, scheme):
+        sizes = [3, 14, 1, 9, 15, 16, 40]
+        probs, labels = prob_rows(81, sum(sizes))
+        self.assert_matches_oracle(probs, labels, sizes, 15, scheme)
+
+    @pytest.mark.parametrize("bins", [1, 4, 15])
+    def test_equal_mass_confidence_ties(self, bins):
+        sizes = [7, 1, 3, 20, 2, 33]
+        probs, labels = prob_rows(82, sum(sizes), tied=True)
+        self.assert_matches_oracle(probs, labels, sizes, bins, "equal_mass")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=15),
+        bins=st.sampled_from([1, 3, 15]),
+        scheme=st.sampled_from(SCHEMES),
+        tied=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_segmentations_match_per_segment_reports(self, sizes, bins, scheme, tied, seed):
+        # calibration_report is the one-segment case of the same code, so the
+        # oracles are the independent reference; the per-segment reports check
+        # that no statistic leaks across segment boundaries
+        probs, labels = prob_rows(seed, sum(sizes), tied=tied)
+        self.assert_matches_oracle(probs, labels, sizes, bins, scheme)
+        reports = segmented_reports(ProbBatch(probs, labels), sizes, bins, scheme)
+        for rep, (p, y) in zip(reports, split_rows(probs, labels, sizes)):
+            ref = calibration_report(ProbBatch(p, y), bins, scheme)
+            assert np.array_equal(rep.bins.counts, ref.bins.counts)
+            assert np.allclose(rep.bins.accuracy, ref.bins.accuracy, rtol=0, atol=1e-12)
+            assert np.allclose(rep.bins.confidence, ref.bins.confidence, rtol=0, atol=1e-12)
+            for key, value in ref.scalars().items():
+                assert abs(rep.scalars()[key] - value) <= 1e-12, key
+
+    def test_rejects_sizes_that_do_not_cover_the_batch(self):
+        batch = ProbBatch(*prob_rows(83, 6))
+        for sizes in ([2, 3], [2, 5], [3, 0, 3], []):
+            with pytest.raises(InvalidInputError):
+                segmented_reports(batch, sizes)
+        with pytest.raises(InvalidInputError):
+            segmented_reports(batch, [6], scheme="quantile")
 
 
 class TestHarmonicMean:

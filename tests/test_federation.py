@@ -5,7 +5,13 @@ import copy
 import numpy as np
 import pytest
 
-from fedcalib.calibration import ProbBatch
+from fedcalib.calibration import (
+    LogitBatch,
+    ProbBatch,
+    TemperatureScaler,
+    apply_temperature,
+    calibration_report,
+)
 from fedcalib.errors import ConfigError, InvalidInputError, TransportError
 from fedcalib.federation import (
     AggregatorConfig,
@@ -13,8 +19,8 @@ from fedcalib.federation import (
     ServerState,
     aggregate,
     build_clients,
+    EVAL_BLOCK_ROWS,
     evaluate_base_new,
-    evaluate_client,
     init_server,
     local_train,
     personalized_evaluate,
@@ -24,10 +30,15 @@ from fedcalib.federation import (
 from fedcalib.losses import LossSpec, total_loss
 from fedcalib.model import ModelConfig, zero_shot_init
 from fedcalib.numerics import RngStream, l2_normalize_rows, softmax_rows
+from fedcalib.runner import _temperature_rows
 
 
 def make_blob_views(num_clients, d=8, c=4, per_client=24, test_per_client=12, seed=0):
-    """Per-client gaussian-blob views around shared class prototypes."""
+    """Per-client gaussian-blob views around shared class prototypes.
+
+    ``test_per_client`` is one test-view size for all clients or a list of
+    per-client sizes.
+    """
     protos = l2_normalize_rows(RngStream(seed, 12345).normal(c * d).reshape(c, d))
     rng = RngStream(seed, 54321)
 
@@ -37,10 +48,12 @@ def make_blob_views(num_clients, d=8, c=4, per_client=24, test_per_client=12, se
         x = l2_normalize_rows(protos[labels] + noise)
         return x, labels
 
+    if isinstance(test_per_client, int):
+        test_per_client = [test_per_client] * num_clients
     views = []
-    for _ in range(num_clients):
+    for test_rows in test_per_client:
         tx, ty = block(per_client)
-        vx, vy = block(test_per_client)
+        vx, vy = block(test_rows)
         views.append({"train_x": tx, "train_y": ty, "test_x": vx, "test_y": vy})
     return protos, views
 
@@ -316,11 +329,12 @@ class TestRunRound:
                 ServerState(global_before, len(clients), None),
             )
             assert replay.tobytes() == record.global_vector.tobytes()
-            # (b) each report equals one from a fresh model holding the round's vector
+            # (b) the reports equal those of a fresh model holding the round's vector
             fresh, _, _ = make_federation(6, seed=21, dropout=0.25)
             fresh.load_trainable(record.global_vector)
-            for client, got in zip(clients, record.client_reports):
-                assert evaluate_client(fresh, client, 15, "equal_width").scalars() == got.scalars()
+            expected = personalized_evaluate(fresh, clients, 15, "equal_width")["per_client"]
+            for want, got in zip(expected, record.client_reports, strict=True):
+                assert want.scalars() == got.scalars()
 
     def test_round_reports_cover_all_clients(self):
         model, server, clients = make_federation(5, seed=22)
@@ -387,6 +401,128 @@ class TestPersonalizedEvaluate:
         b, n = out["base"]["accuracy"], out["new"]["accuracy"]
         expected = 0.0 if (b == 0 and n == 0) else 2 * b * n / (b + n)
         assert hm == pytest.approx(expected)
+
+
+def per_client_reference(model, views, bins=15, scheme="equal_width"):
+    """One forward and one calibration_report per non-empty (x, y) view."""
+    return [
+        None if view is None or len(view[1]) == 0
+        else calibration_report(ProbBatch(softmax_rows(model.forward(view[0])), view[1]), bins, scheme)
+        for view in views
+    ]
+
+
+def assert_reports_close(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+            continue
+        assert np.array_equal(g.bins.counts, w.bins.counts)
+        for key, value in w.scalars().items():
+            assert abs(g.scalars()[key] - value) <= 1e-12, key
+
+
+def count_forwards(model):
+    """Wrap ``model.forward`` on the instance; returns the list of row counts per call."""
+    calls = []
+    original = model.forward
+
+    def counted(x, *args, **kwargs):
+        calls.append(len(x))
+        return original(x, *args, **kwargs)
+
+    model.forward = counted
+    return calls
+
+
+def held_out_views(clients):
+    return [(c.test_x, c.test_y) for c in clients]
+
+
+class TestBlockedEvaluation:
+    def trained_federation(self, sizes, seed=30):
+        model, server, clients = make_federation(len(sizes), seed=seed, test_per_client=sizes)
+        fed = FederationConfig(batch_size=8)
+        run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 1, RngStream(seed))
+        return model, clients
+
+    @pytest.mark.parametrize("scheme", ["equal_width", "equal_mass"])
+    def test_empty_views_in_the_middle(self, scheme):
+        model, clients = self.trained_federation([5, 0, 9, 0, 0, 1, 12])
+        out = personalized_evaluate(model, clients, 15, scheme)
+        assert out["excluded"] == [1, 3, 4]
+        assert_reports_close(out["per_client"], per_client_reference(model, held_out_views(clients), 15, scheme))
+
+    @pytest.mark.parametrize(
+        "sizes, blocks",
+        [
+            # a view over the block size goes alone, between small ones
+            ([3, 300, 4, 5], [3, 300, 9]),
+            # views that would cross the block boundary start the next block
+            ([250, 10, 1, 255, 2], [250, 11, 255, 2]),
+            # an exact fit closes the block
+            ([200, 56, 1], [256, 1]),
+        ],
+    )
+    def test_block_boundaries(self, sizes, blocks):
+        assert EVAL_BLOCK_ROWS == 256  # the cases are cut for this block size
+        model, clients = self.trained_federation(sizes)
+        want = per_client_reference(model, held_out_views(clients))
+        calls = count_forwards(model)
+        out = personalized_evaluate(model, clients)
+        assert calls == blocks
+        assert_reports_close(out["per_client"], want)
+
+    def test_one_forward_for_twelve_small_clients(self):
+        model, clients = self.trained_federation([1 + i % 10 for i in range(12)])
+        calls = count_forwards(model)
+        personalized_evaluate(model, clients)
+        assert len(calls) == 1
+
+    def test_base_new_parts_match_per_client(self):
+        model, clients = self.trained_federation([8, 6, 9, 4])
+        for c in clients:
+            half = len(c.test_y) // 2
+            c.test_base = (c.test_x[:half], c.test_y[:half])
+            c.test_new = (c.test_x[half:], c.test_y[half:])
+        clients[1].test_new = (clients[1].test_x[:0], clients[1].test_y[:0])
+        clients[2].test_base = None
+        out = evaluate_base_new(model, clients, 15, "equal_mass")
+        for part in ("base", "new"):
+            want = per_client_reference(model, [getattr(c, f"test_{part}") for c in clients], 15, "equal_mass")
+            assert_reports_close([pc[part] for pc in out["per_client"]], want)
+            for key, value in out[part].items():
+                expected = np.mean([w.scalars()[key] for w in want if w is not None])
+                assert abs(value - expected) <= 1e-12
+        assert out["per_client"][1]["new"] is None
+        assert out["per_client"][2]["base"] is None
+
+    def test_base_new_with_an_empty_part_everywhere(self):
+        model, clients = self.trained_federation([4, 5])
+        for c in clients:
+            c.test_base = (c.test_x, c.test_y)
+            c.test_new = (c.test_x[:0], c.test_y[:0])
+        out = evaluate_base_new(model, clients)
+        assert out["new"] is None and out["harmonic_mean"] is None
+        assert_reports_close([pc["base"] for pc in out["per_client"]],
+                             per_client_reference(model, held_out_views(clients)))
+
+    def test_temperature_rows_match_per_client(self):
+        model, clients = self.trained_federation([7, 0, 300, 3])
+        temperatures = [0.5, 1.0, 2.0]
+        rows = _temperature_rows(model, clients, temperatures, 10, "equal_mass")
+        assert [row["temperature"] for row in rows] == temperatures
+        for row, tau in zip(rows, temperatures):
+            reports = [
+                calibration_report(
+                    apply_temperature(LogitBatch(model.forward(c.test_x), c.test_y), TemperatureScaler(tau)),
+                    10, "equal_mass",
+                )
+                for c in clients if len(c.test_y)
+            ]
+            for key, value in row["mean"].items():
+                assert abs(value - np.mean([r.scalars()[key] for r in reports])) <= 1e-12
 
 
 class TestConfigValidation:
