@@ -38,7 +38,7 @@ import numpy as np
 from .calibration import LogitBatch, ProbBatch, harmonic_mean, pool_bins, segmented_reports
 from .errors import ConfigError, InvalidInputError, NumericError, TransportError
 from .losses import LossSpec
-from .model import DualEncoderModel, ParamSet, weight_drift
+from .model import DualEncoderModel, weight_drift
 from .numerics import RngStream, softmax_rows
 
 AGGREGATOR_KINDS = ("fedavg", "fedprox", "feddyn", "fednova")
@@ -106,7 +106,6 @@ class ServerState:
 
     global_vector: np.ndarray
     num_clients: int
-    zero_shot_reference: ParamSet
     dual_mean: np.ndarray | None = None
 
 
@@ -149,18 +148,16 @@ def local_train(
 
     The first round uses the warm-up learning rate, later rounds the main
     one. FedProx adds ``mu * (w - w_global)`` to each step's gradient;
-    FedDyn adds ``-h_n + alpha * (w - w_global)``.
+    FedDyn adds ``-h_n + alpha * (w - w_global)``. The steps update the
+    model's flat vector ``theta`` in place.
     """
-    if global_vector.size != model.trainable_size():
-        raise TransportError(
-            f"broadcast vector has {global_vector.size} entries, client expects {model.trainable_size()}"
-        )
     model.load_trainable(global_vector)
     n = client.train_size
     if fed_config.local_epochs == 0 or n == 0 or model.trainable_size() == 0:
         return model.trainable_vector(), 0
 
     lr = fed_config.warmup_lr if round_index == 0 else fed_config.learning_rate
+    w = model.theta
     steps = 0
     for epoch in range(fed_config.local_epochs):
         order = rng.child("shuffle", epoch).permutation(n)
@@ -169,19 +166,18 @@ def local_train(
             x = client.train_x[batch_ix]
             y = client.train_y[batch_ix]
             model.forward(x, train=True, rng=rng.child("dropout", epoch, steps))
-            loss, grads = model.backward(y, loss_spec)
+            loss, g = model.backward(y, loss_spec)
             if not np.isfinite(loss.total):
                 raise NumericError(
                     f"non-finite loss on client {client.client_id}, "
                     f"round {round_index}, step {steps}"
                 )
-            g = model.grad_vector(grads)
-            w = model.trainable_vector()
             if agg_config.kind == "fedprox":
-                g = g + agg_config.mu_prox * (w - global_vector)
+                g += agg_config.mu_prox * (w - global_vector)
             elif agg_config.kind == "feddyn":
-                g = g - client.dual + agg_config.alpha_dyn * (w - global_vector)
-            model.load_trainable(w - lr * g)
+                g -= client.dual
+                g += agg_config.alpha_dyn * (w - global_vector)
+            w -= lr * g
             steps += 1
     return model.trainable_vector(), steps
 
@@ -362,7 +358,7 @@ def run_round(
         vector, steps = local_train(
             model, client, global_before, fed_config, agg_config, loss_spec, rng, round_index
         )
-        _, drift = weight_drift(model, server.zero_shot_reference)
+        _, drift = weight_drift(model)
         updates.append((vector, client.train_size, steps))
         drifts.append(drift)
     drifts = np.array(drifts)
@@ -411,9 +407,4 @@ def build_clients(data_views: list, model: DualEncoderModel) -> list:
 
 def init_server(model: DualEncoderModel, num_clients: int) -> ServerState:
     vec = model.trainable_vector()
-    return ServerState(
-        global_vector=vec,
-        num_clients=num_clients,
-        zero_shot_reference=model.param_set(),
-        dual_mean=np.zeros(vec.size),
-    )
+    return ServerState(global_vector=vec, num_clients=num_clients, dual_mean=np.zeros(vec.size))

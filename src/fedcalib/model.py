@@ -21,9 +21,17 @@ An adapter adds ``scale * A @ B`` to its frozen weight matrix; ``B`` starts
 at zero so training begins exactly at the zero-shot predictions. Dropout
 regularizes only the adapter input path, never the frozen path.
 
+The trainable parameters live in one flat float64 vector ``theta``, the
+vector that clients send to the server. Its layout: the prompt; else each
+adapted layer's ``A`` then ``B``, image stack first; else each layer's
+bias, image stack first. The prompt, adapter and bitfit bias arrays are
+reshaped views into ``theta``, bound once at construction (and again in a
+deep copy), so transport is one copy in or out.
+
 ``backward`` computes analytic gradients through softmax, cosine
-normalization, the dense stacks, and the adapter factorization; it is
-verified against central finite differences in the test suite.
+normalization, the dense stacks, and the adapter factorization into a
+``grad`` buffer with the layout of ``theta``; it is verified against
+central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -90,6 +98,8 @@ class LoraAdapter:
     rank: int
     scale: float
     dropout_rate: float
+    down_grad: np.ndarray | None = None  # gradient slots, bound by the model
+    up_grad: np.ndarray | None = None
 
     def delta(self) -> np.ndarray:
         return self.scale * (self.down @ self.up)
@@ -101,6 +111,7 @@ class DenseLayer:
     bias: np.ndarray  # (out,)
     activation: str  # "relu" | "none"
     adapter: LoraAdapter | None = None
+    bias_grad: np.ndarray | None = None  # gradient slot of a trainable bias
 
 
 def effective_weight(weight: np.ndarray, adapter: LoraAdapter | None) -> np.ndarray:
@@ -117,17 +128,6 @@ def effective_weight(weight: np.ndarray, adapter: LoraAdapter | None) -> np.ndar
     return weight + adapter.delta()
 
 
-@dataclass
-class ParamSet:
-    """Named flat parameter arrays with shape metadata; deterministic order."""
-
-    entries: dict  # name -> 1-D float64 array
-    shapes: dict  # name -> tuple
-
-    def names(self) -> list:
-        return list(self.entries.keys())
-
-
 class DualEncoderModel:
     """Model instance: two encoder stacks, prototypes, and one trainable head."""
 
@@ -137,125 +137,98 @@ class DualEncoderModel:
         self.text_stack = text_stack
         self.prototypes = prototypes  # (C x d) frozen text-side class inputs
         self.prompt = prompt  # (M x d) or None
+        self.prompt_grad = None
         self._cache = None
+        self._bind()
 
-    # -- parameter bookkeeping ------------------------------------------------
+    def __deepcopy__(self, memo):
+        # a deep-copied view no longer aliases its copied base, so bind again
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        clone.__dict__ = _copy.deepcopy(self.__dict__, memo)
+        clone._bind()
+        return clone
 
-    def _stacks(self):
-        return (("img", self.image_stack), ("txt", self.text_stack))
+    # -- parameter transport --------------------------------------------------
 
-    def param_set(self) -> ParamSet:
-        entries, shapes = {}, {}
-        for stack_name, stack in self._stacks():
-            for i, layer in enumerate(stack):
-                base = f"{stack_name}.{i}"
-                entries[f"{base}.W"] = layer.weight.ravel().copy()
-                shapes[f"{base}.W"] = layer.weight.shape
-                entries[f"{base}.b"] = layer.bias.ravel().copy()
-                shapes[f"{base}.b"] = layer.bias.shape
-                if layer.adapter is not None:
-                    entries[f"{base}.A"] = layer.adapter.down.ravel().copy()
-                    shapes[f"{base}.A"] = layer.adapter.down.shape
-                    entries[f"{base}.B"] = layer.adapter.up.ravel().copy()
-                    shapes[f"{base}.B"] = layer.adapter.up.shape
-        if self.prompt is not None:
-            entries["prompt"] = self.prompt.ravel().copy()
-            shapes["prompt"] = self.prompt.shape
-        return ParamSet(entries=entries, shapes=shapes)
-
-    def trainable_names(self) -> list:
+    def _trainable_slots(self) -> list:
+        """(owner, attribute) of every trainable array, in transport order."""
         head = self.config.head_kind
-        names = []
+        layers = [*self.image_stack, *self.text_stack]
         if head == "prompt":
-            names.append("prompt")
-        elif head in ("lora_vision", "lora_both", "lora_text"):
-            for stack_name, stack in self._stacks():
-                if stack_name == "img" and head == "lora_text":
-                    continue
-                if stack_name == "txt" and head == "lora_vision":
-                    continue
-                for i, layer in enumerate(stack):
-                    names.append(f"{stack_name}.{i}.A")
-                    names.append(f"{stack_name}.{i}.B")
-        elif head == "bitfit":
-            for stack_name, stack in self._stacks():
-                for i in range(len(stack)):
-                    names.append(f"{stack_name}.{i}.b")
-        return names
+            return [(self, "prompt")]
+        if head == "bitfit":
+            return [(layer, "bias") for layer in layers]
+        adapters = [layer.adapter for layer in layers if layer.adapter is not None]
+        return [(ad, part) for ad in adapters for part in ("down", "up")]
 
-    def _param_ref(self, name: str) -> np.ndarray:
-        """Live array behind a parameter name (not a copy)."""
-        if name == "prompt":
-            if self.prompt is None:
-                raise UsageError("model has no prompt head")
-            return self.prompt
-        stack_name, idx, kind = name.split(".")
-        stack = self.image_stack if stack_name == "img" else self.text_stack
-        layer = stack[int(idx)]
-        if kind == "W":
-            return layer.weight
-        if kind == "b":
-            return layer.bias
-        if layer.adapter is None:
-            raise UsageError(f"layer {name} carries no adapter")
-        return layer.adapter.down if kind == "A" else layer.adapter.up
+    def _bind(self) -> None:
+        """Copy the trainable arrays into ``theta`` and rebind them as its views."""
+        slots = self._trainable_slots()
+        size = sum(getattr(owner, attr).size for owner, attr in slots)
+        self.theta, self.grad = np.zeros(size), np.zeros(size)
+        offset = 0
+        for owner, attr in slots:
+            value = getattr(owner, attr)
+            end = offset + value.size
+            self.theta[offset:end] = value.ravel()
+            setattr(owner, attr, self.theta[offset:end].reshape(value.shape))
+            setattr(owner, f"{attr}_grad", self.grad[offset:end].reshape(value.shape))
+            offset = end
 
     def trainable_size(self) -> int:
-        return sum(self._param_ref(n).size for n in self.trainable_names())
+        return self.theta.size
 
     def trainable_vector(self) -> np.ndarray:
-        """Flatten all trainable entries into one transport vector."""
-        names = self.trainable_names()
-        if not names:
-            return np.zeros(0)
-        return np.concatenate([self._param_ref(n).ravel() for n in names])
+        """A copy of the transport vector ``theta``."""
+        return self.theta.copy()
 
     def load_trainable(self, vector: np.ndarray) -> None:
-        """Inverse of ``trainable_vector``; rejects length mismatches."""
+        """Copy a transport vector into ``theta``; rejects length mismatches."""
         vector = np.asarray(vector, dtype=np.float64)
-        expected = self.trainable_size()
-        if vector.ndim != 1 or vector.size != expected:
+        if vector.shape != self.theta.shape:
             raise TransportError(
-                f"trainable vector has {vector.size} entries, model expects {expected}"
+                f"trainable vector has {vector.size} entries, model expects {self.theta.size}"
             )
-        offset = 0
-        for name in self.trainable_names():
-            ref = self._param_ref(name)
-            chunk = vector[offset : offset + ref.size]
-            ref[...] = chunk.reshape(ref.shape)
-            offset += ref.size
+        self.theta[...] = vector
 
     # -- forward / backward ---------------------------------------------------
 
     def _stack_forward(self, stack_name, stack, x, train, rng):
-        """Run one encoder stack, caching what backward needs."""
-        layers = []
+        """Run one encoder stack; in training, also keep what backward needs.
+
+        Returns the stack output and, per layer in training (else an empty
+        list), the layer output, the adapter input after dropout and the
+        dropout mask (``None`` without an adapter or without dropout). Each
+        layer adds its bias and adapter term and applies its relu in place,
+        so an evaluation forward holds at most two layers' activations.
+        """
+        records = []
         a = x
         for i, layer in enumerate(stack):
-            record = {"inp": a}
+            a_drop = mask = None
             # overflow here surfaces as the NumericError below, not a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                z = a @ layer.weight.T + layer.bias
+                z = a @ layer.weight.T
+                z += layer.bias
                 ad = layer.adapter
                 if ad is not None:
+                    a_drop = a
                     if train and ad.dropout_rate > 0.0:
                         if rng is None:
                             raise UsageError("training forward with dropout requires an RngStream")
                         keep = 1.0 - ad.dropout_rate
                         mask = (rng.random(a.size).reshape(a.shape) < keep) / keep
                         a_drop = a * mask
-                        record["mask"] = mask
-                    else:
-                        a_drop = a
-                        record["mask"] = None
-                    record["inp_drop"] = a_drop
-                    z = z + ad.scale * (a_drop @ ad.up.T) @ ad.down.T
-            record["pre"] = z
+                    z += ad.scale * (a_drop @ ad.up.T) @ ad.down.T
             if not np.all(np.isfinite(z)):
                 raise NumericError(f"non-finite activation in {stack_name} layer {i}")
-            a = np.maximum(z, 0.0) if layer.activation == "relu" else z
-            layers.append(record)
-        return a, layers
+            if layer.activation == "relu":
+                np.maximum(z, 0.0, out=z)
+            if train:
+                records.append((z, a_drop, mask))
+            a = z
+        return a, records
 
     def _text_input(self):
         t = self.prototypes
@@ -292,37 +265,31 @@ class DualEncoderModel:
                 "v_norms": v_norms,
                 "t_norms": t_norms,
                 "logits": logits,
-                "n": x.shape[0],
             }
         else:
             self._cache = None
         return logits
 
-    def _stack_backward(self, stack_name, stack, cache, delta, grads):
+    def _stack_backward(self, stack, records, delta):
         """Backpropagate ``delta`` (d loss / d stack output) through a stack.
 
-        Fills adapter/bias gradients for trainable entries and returns the
-        gradient with respect to the stack input.
+        Writes the bias and adapter gradients into their slots of ``grad``
+        and returns the gradient with respect to the stack input.
         """
-        trainable = set(self.trainable_names())
-        for i in reversed(range(len(stack))):
-            layer = stack[i]
-            record = cache[i]
+        for layer, (out, a_drop, mask) in zip(reversed(stack), reversed(records)):
             if layer.activation == "relu":
-                delta = delta * (record["pre"] > 0)
-            name = f"{stack_name}.{i}"
-            if f"{name}.b" in trainable:
-                grads[f"{name}.b"] = delta.sum(axis=0)
+                # out > 0 exactly where the pre-activation is > 0
+                delta = delta * (out > 0)
+            if layer.bias_grad is not None:
+                layer.bias_grad[...] = delta.sum(axis=0)
             ad = layer.adapter
             back = delta @ layer.weight
             if ad is not None:
-                a_drop = record["inp_drop"]
-                if f"{name}.A" in trainable:
-                    grads[f"{name}.A"] = ad.scale * (delta.T @ (a_drop @ ad.up.T))
-                    grads[f"{name}.B"] = ad.scale * ((delta @ ad.down).T @ a_drop)
+                ad.down_grad[...] = ad.scale * (delta.T @ (a_drop @ ad.up.T))
+                ad.up_grad[...] = ad.scale * ((delta @ ad.down).T @ a_drop)
                 adapter_back = ad.scale * ((delta @ ad.down) @ ad.up)
-                if record["mask"] is not None:
-                    adapter_back = adapter_back * record["mask"]
+                if mask is not None:
+                    adapter_back = adapter_back * mask
                 back = back + adapter_back
             delta = back
         return delta
@@ -331,8 +298,8 @@ class DualEncoderModel:
         """Gradients of the training objective for every trainable entry.
 
         Requires a cached training forward for the same batch. Returns
-        ``(LossValue, grads)`` where grads maps trainable names to arrays;
-        frozen entries have no slot at all.
+        ``(LossValue, gradient)``, the gradient a copy of ``grad`` in the
+        layout of ``theta``.
         """
         if self._cache is None:
             raise UsageError("backward requires a preceding forward(train=True)")
@@ -354,22 +321,13 @@ class DualEncoderModel:
         dfv = (du - np.sum(du * u, axis=1, keepdims=True) * u) / cache["v_norms"]
         dft = (dw - np.sum(dw * w, axis=1, keepdims=True) * w) / cache["t_norms"]
 
-        grads: dict = {}
-        self._stack_backward("img", self.image_stack, cache["img"], dfv, grads)
-        d_text_input = self._stack_backward("txt", self.text_stack, cache["txt"], dft, grads)
+        self._stack_backward(self.image_stack, cache["img"], dfv)
+        d_text_input = self._stack_backward(self.text_stack, cache["txt"], dft)
         if self.config.head_kind == "prompt":
             # the context mean is added to every class prototype, and each
             # of the M vectors contributes 1/M of the mean
-            mean_grad = d_text_input.sum(axis=0) / self.prompt.shape[0]
-            grads["prompt"] = np.tile(mean_grad, (self.prompt.shape[0], 1))
-        return loss, grads
-
-    def grad_vector(self, grads: dict) -> np.ndarray:
-        """Flatten a gradient dict into transport order."""
-        names = self.trainable_names()
-        if not names:
-            return np.zeros(0)
-        return np.concatenate([np.asarray(grads[n]).ravel() for n in names])
+            self.prompt_grad[...] = d_text_input.sum(axis=0) / self.prompt.shape[0]
+        return loss, self.grad.copy()
 
 
 def _init_stack(dims, rng: RngStream):
@@ -457,25 +415,18 @@ def zero_shot_init(
     return DualEncoderModel(config, image_stack, text_stack, protos, prompt)
 
 
-def weight_drift(model: DualEncoderModel, reference: ParamSet) -> tuple:
-    """Mean |effective weight - reference weight| per adapted layer.
+def weight_drift(model: DualEncoderModel) -> tuple:
+    """Mean |effective weight - frozen weight| per adapted layer.
 
     Returns ``(per_layer, aggregate)`` where ``per_layer`` maps layer names
-    to mean absolute entry drift and ``aggregate`` averages over adapted
-    layers (0.0 when the head has no adapters).
+    (``img.0.W``) to mean absolute entry drift and ``aggregate`` averages
+    over adapted layers (0.0 when the head has no adapters).
     """
     per_layer = {}
-    for stack_name, stack in model._stacks():
+    for stack_name, stack in (("img", model.image_stack), ("txt", model.text_stack)):
         for i, layer in enumerate(stack):
-            if layer.adapter is None:
-                continue
-            name = f"{stack_name}.{i}.W"
-            if name not in reference.entries:
-                raise InvalidInputError(f"reference ParamSet lacks entry {name}")
-            ref = reference.entries[name].reshape(reference.shapes[name])
-            if ref.shape != layer.weight.shape:
-                raise InvalidInputError(f"reference shape mismatch on {name}")
-            eff = effective_weight(layer.weight, layer.adapter)
-            per_layer[name] = float(np.mean(np.abs(eff - ref)))
+            if layer.adapter is not None:
+                eff = effective_weight(layer.weight, layer.adapter)
+                per_layer[f"{stack_name}.{i}.W"] = float(np.mean(np.abs(eff - layer.weight)))
     aggregate = float(np.mean(list(per_layer.values()))) if per_layer else 0.0
     return per_layer, aggregate

@@ -127,8 +127,7 @@ def test_criterion_03_gradient_checks():
         labels = (rng.u64(6) % np.uint64(4)).astype(np.int64)
         spec = LossSpec("none") if i % 2 == 0 else LossSpec("mdca", aux_weight=1.0)
         model.forward(x, train=True)
-        _, grads = model.backward(labels, spec)
-        analytic = model.grad_vector(grads)
+        _, analytic = model.backward(labels, spec)
         vec = model.trainable_vector()
         fd = np.zeros_like(vec)
         for j in range(vec.size):
@@ -151,7 +150,7 @@ def test_criterion_03_gradient_checks():
         _, grads_ce = model.backward(labels, LossSpec("none"))
         model.forward(x, train=True)
         _, grads_tot = model.backward(labels, LossSpec("dca", aux_weight=1.0))
-        dca_part = model.grad_vector(grads_tot) - model.grad_vector(grads_ce)
+        dca_part = grads_tot - grads_ce
 
         vec = model.trainable_vector()
         probs0 = softmax_rows(copy.deepcopy(model).forward(x))
@@ -223,8 +222,8 @@ def test_criterion_04_aggregation_identities():
             (rng.normal(size), 1 + int(rng.u64(1)[0] % 50), steps) for _ in range(k)
         ]
         prev = rng.normal(size)
-        avg = aggregate(updates, prev, AggregatorConfig("fedavg"), ServerState(prev, k, None))
-        nova = aggregate(updates, prev, AggregatorConfig("fednova"), ServerState(prev, k, None))
+        avg = aggregate(updates, prev, AggregatorConfig("fedavg"), ServerState(prev, k))
+        nova = aggregate(updates, prev, AggregatorConfig("fednova"), ServerState(prev, k))
         assert avg.tobytes() == nova.tobytes()
 
     # (c) fedavg weights sum to 1 within 1e-12 for all participant subsets
@@ -268,7 +267,7 @@ def test_criterion_05_determinism_serial_vs_parallel():
                                      cfg.aggregator, cfg.loss, stream.child("local", t, cid), t)
             updates[cid] = (vec, clients[cid].train_size, steps)
         replay = aggregate([updates[cid] for cid in record.participants], global_before,
-                           cfg.aggregator, ServerState(global_before, len(clients), None))
+                           cfg.aggregator, ServerState(global_before, len(clients)))
         assert replay.tobytes() == record.global_vector.tobytes()
         # (b) every client's report equals one from a freshly initialised
         # model loaded with the round's global vector
@@ -344,7 +343,7 @@ def test_criterion_07_lora_structure_after_training():
     lora = zero_shot_init(model_cfg, protos, RngStream(cfg.seed).child("init"))
     x = data.embeddings[data.test_indices()]
     assert zs.forward(x).tobytes() == lora.forward(x).tobytes()
-    _, drift0 = weight_drift(lora, lora.param_set())
+    _, drift0 = weight_drift(lora)
     assert drift0 == 0.0
 
     # rank structure after 50 rounds of federated training

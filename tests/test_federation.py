@@ -135,8 +135,8 @@ class TestLocalTrain:
         probe.load_trainable(server.global_vector)
         order = RngStream(7, 100).child("shuffle", 0).permutation(8)
         probe.forward(client.train_x[order], train=True)
-        _, grads = probe.backward(client.train_y[order], LossSpec())
-        expected = probe.trainable_vector() - 1e-3 * probe.grad_vector(grads)
+        _, grad = probe.backward(client.train_y[order], LossSpec())
+        expected = probe.trainable_vector() - 1e-3 * grad
         assert vec.tobytes() == expected.tobytes()
 
     def test_warmup_lr_on_round_zero(self):
@@ -207,18 +207,18 @@ class TestAggregate:
         vec = rng.normal(20)
         prev = rng.normal(20)
         for kind in ("fedavg", "fedprox", "fednova"):
-            server = ServerState(prev.copy(), 1, None, np.zeros(20))
+            server = ServerState(prev.copy(), 1, np.zeros(20))
             out = aggregate([(vec, 7, 3)], prev, AggregatorConfig(kind), server)
             assert out.tobytes() == vec.tobytes()
         # feddyn is an identity only when the client returns the global
         # vector unchanged (its server dual correction is by design nonzero
         # whenever clients move)
-        server = ServerState(prev.copy(), 1, None, np.zeros(20))
+        server = ServerState(prev.copy(), 1, np.zeros(20))
         out = aggregate([(prev.copy(), 7, 3)], prev, AggregatorConfig("feddyn"), server)
         assert np.allclose(out, prev, atol=1e-15)
 
     def test_two_client_weighted_mean(self):
-        server = ServerState(np.zeros(1), 2, None, np.zeros(1))
+        server = ServerState(np.zeros(1), 2, np.zeros(1))
         out = aggregate(
             [(np.array([0.0]), 1, 1), (np.array([4.0]), 3, 1)],
             np.zeros(1), AggregatorConfig("fedavg"), server,
@@ -233,8 +233,8 @@ class TestAggregate:
             steps = 1 + int(rng.u64(1)[0] % 7)
             updates = self._random_updates(rng, k, size, equal_steps=steps)
             prev = rng.normal(size)
-            avg = aggregate(updates, prev, AggregatorConfig("fedavg"), ServerState(prev, k, None))
-            nova = aggregate(updates, prev, AggregatorConfig("fednova"), ServerState(prev, k, None))
+            avg = aggregate(updates, prev, AggregatorConfig("fedavg"), ServerState(prev, k))
+            nova = aggregate(updates, prev, AggregatorConfig("fednova"), ServerState(prev, k))
             assert avg.tobytes() == nova.tobytes()
 
     def test_fednova_zero_step_client_is_safe(self):
@@ -245,7 +245,7 @@ class TestAggregate:
         moved = rng.normal(6)
         out = aggregate(
             [(prev.copy(), 4, 0), (moved, 4, 3)],
-            prev, AggregatorConfig("fednova"), ServerState(prev, 2, None),
+            prev, AggregatorConfig("fednova"), ServerState(prev, 2),
         )
         assert np.all(np.isfinite(out))
 
@@ -253,8 +253,8 @@ class TestAggregate:
         rng = RngStream(14)
         updates = [(rng.normal(10), 5, 1), (rng.normal(10), 5, 9)]
         prev = rng.normal(10)
-        avg = aggregate(updates, prev, AggregatorConfig("fedavg"), ServerState(prev, 2, None))
-        nova = aggregate(updates, prev, AggregatorConfig("fednova"), ServerState(prev, 2, None))
+        avg = aggregate(updates, prev, AggregatorConfig("fedavg"), ServerState(prev, 2))
+        nova = aggregate(updates, prev, AggregatorConfig("fednova"), ServerState(prev, 2))
         assert not np.allclose(avg, nova)
 
     def test_fedavg_weights_sum_to_one(self):
@@ -268,7 +268,7 @@ class TestAggregate:
     def test_feddyn_server_rule(self):
         # hand-computed: h <- h - a*(mean - prev)*(k/N); out = mean - h/a
         prev = np.array([1.0, 1.0])
-        server = ServerState(prev.copy(), 4, None, np.zeros(2))
+        server = ServerState(prev.copy(), 4, np.zeros(2))
         vecs = [np.array([2.0, 0.0]), np.array([4.0, 2.0])]
         out = aggregate(
             [(vecs[0], 1, 1), (vecs[1], 1, 1)], prev, AggregatorConfig("feddyn", alpha_dyn=0.5), server
@@ -279,7 +279,7 @@ class TestAggregate:
         assert np.allclose(out, mean - h / 0.5)
 
     def test_mismatched_lengths_rejected(self):
-        server = ServerState(np.zeros(3), 2, None, np.zeros(3))
+        server = ServerState(np.zeros(3), 2, np.zeros(3))
         with pytest.raises(TransportError):
             aggregate(
                 [(np.zeros(3), 1, 1), (np.zeros(4), 1, 1)],
@@ -287,7 +287,7 @@ class TestAggregate:
             )
 
     def test_empty_updates_rejected(self):
-        server = ServerState(np.zeros(3), 2, None, np.zeros(3))
+        server = ServerState(np.zeros(3), 2, np.zeros(3))
         with pytest.raises(InvalidInputError):
             aggregate([], np.zeros(3), AggregatorConfig(), server)
 
@@ -326,7 +326,7 @@ class TestRunRound:
                 updates[cid] = (vec, clients[cid].train_size, steps)
             replay = aggregate(
                 [updates[cid] for cid in record.participants], global_before, agg,
-                ServerState(global_before, len(clients), None),
+                ServerState(global_before, len(clients)),
             )
             assert replay.tobytes() == record.global_vector.tobytes()
             # (b) the reports equal those of a fresh model holding the round's vector

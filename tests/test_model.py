@@ -43,6 +43,16 @@ def build(head="lora_both", d=8, c=4, seed=1, dropout=0.0, **kw):
     return zero_shot_init(cfg, protos, RngStream(seed))
 
 
+def state_bytes(model):
+    """Bytes of every array the forward reads, frozen and trainable."""
+    arrays = [model.prototypes] if model.prompt is None else [model.prototypes, model.prompt]
+    for layer in (*model.image_stack, *model.text_stack):
+        arrays += [layer.weight, layer.bias]
+        if layer.adapter is not None:
+            arrays += [layer.adapter.down, layer.adapter.up]
+    return [a.tobytes() for a in arrays]
+
+
 def identity_model(prototypes, logit_scale=1.0, head_kind="zero_shot"):
     """Single identity layer per encoder; handy for hand-checkable tests."""
     protos = np.asarray(prototypes, dtype=np.float64)
@@ -61,11 +71,10 @@ def identity_model(prototypes, logit_scale=1.0, head_kind="zero_shot"):
 
 class TestZeroShotInit:
     def test_same_seed_bit_identical(self):
-        a = build("lora_both", seed=3).param_set()
-        b = build("lora_both", seed=3).param_set()
-        assert a.names() == b.names()
-        for name in a.names():
-            assert a.entries[name].tobytes() == b.entries[name].tobytes()
+        a = build("lora_both", seed=3)
+        b = build("lora_both", seed=3)
+        assert state_bytes(a) == state_bytes(b)
+        assert a.trainable_vector().tobytes() == b.trainable_vector().tobytes()
 
     def test_lora_defaults(self):
         m = build("lora_both")
@@ -228,8 +237,7 @@ class TestBackward:
         x = rng.normal(6 * model.config.embed_dim).reshape(6, model.config.embed_dim)
         labels = (rng.u64(6) % np.uint64(model.config.class_count)).astype(np.int64)
         model.forward(x, train=True)
-        _, grads = model.backward(labels, spec)
-        analytic = model.grad_vector(grads)
+        _, analytic = model.backward(labels, spec)
         vec = model.trainable_vector()
         h = 1e-4
         fd = np.zeros_like(vec)
@@ -259,9 +267,11 @@ class TestBackward:
         model = build("lora_both", seed=42)
         x = RngStream(43).normal(3 * 8).reshape(3, 8)
         model.forward(x, train=True)
-        _, grads = model.backward(np.array([0, 1, 2]), LossSpec("none"))
-        assert set(grads.keys()) == set(model.trainable_names())
-        assert not any(".W" in k for k in grads)
+        _, grad = model.backward(np.array([0, 1, 2]), LossSpec("none"))
+        # only the adapters have slots: 2 stacks x 2 layers x (A + B)
+        per_stack = 16 * 2 + 2 * 8 + 8 * 2 + 2 * 16
+        assert model.trainable_size() == 2 * per_stack
+        assert grad.shape == (model.trainable_size(),)
 
     def test_backward_without_forward_rejected(self):
         model = build()
@@ -275,21 +285,30 @@ class TestBackward:
         model = zero_shot_init(cfg, protos, RngStream(45))
         x = RngStream(46).normal(2 * 8).reshape(2, 8)
         model.forward(x, train=True)
-        loss, grads = model.backward(np.array([0, 0]), LossSpec("none"))
+        loss, grad = model.backward(np.array([0, 0]), LossSpec("none"))
         assert loss.total == 0.0
-        assert np.all(model.grad_vector(grads) == 0.0)
+        assert np.all(grad == 0.0)
+
+    def test_returned_gradient_survives_next_backward(self):
+        rng = RngStream(47)
+        for head in ("prompt", "lora_text", "lora_vision", "lora_both", "bitfit"):
+            model = build(head, seed=48, logit_scale=10.0)
+            model.forward(rng.normal(4 * 8).reshape(4, 8), train=True)
+            _, first = model.backward(np.array([0, 1, 2, 3]), LossSpec("none"))
+            kept = first.copy()
+            model.forward(rng.normal(4 * 8).reshape(4, 8), train=True)
+            _, second = model.backward(np.array([3, 2, 1, 0]), LossSpec("none"))
+            assert first.tobytes() == kept.tobytes(), head
+            assert not np.array_equal(first, second), head
 
 
 class TestTransport:
     def test_roundtrip_bit_identical(self):
         for head in ("prompt", "lora_both", "bitfit"):
             m = build(head, seed=50)
-            before = m.param_set()
-            vec = m.trainable_vector()
-            m.load_trainable(vec)
-            after = m.param_set()
-            for name in before.names():
-                assert before.entries[name].tobytes() == after.entries[name].tobytes()
+            before = state_bytes(m)
+            m.load_trainable(m.trainable_vector())
+            assert state_bytes(m) == before
 
     def test_prompt_length_counting(self):
         cfg = ModelConfig(embed_dim=4, class_count=2, head_kind="prompt", prompt_length=1)
@@ -323,32 +342,65 @@ class TestTransport:
         m.load_trainable(vec + 0.05)
         assert not np.array_equal(m.forward(x), base)
 
+    def test_layout_is_the_documented_order(self):
+        # prompt; else A then B of each adapted layer; else each bias;
+        # image stack first
+        for head in ("prompt", "lora_text", "lora_vision", "lora_both", "bitfit"):
+            m = build(head, seed=55)
+            m.load_trainable(RngStream(56).normal(m.trainable_size()))
+            img, txt = m.image_stack, m.text_stack
+            if head == "prompt":
+                expected = [m.prompt]
+            elif head == "bitfit":
+                expected = [img[0].bias, img[1].bias, txt[0].bias, txt[1].bias]
+            else:
+                expected = []
+                if head != "lora_text":
+                    expected += [img[0].adapter.down, img[0].adapter.up, img[1].adapter.down, img[1].adapter.up]
+                if head != "lora_vision":
+                    expected += [txt[0].adapter.down, txt[0].adapter.up, txt[1].adapter.down, txt[1].adapter.up]
+            vec = m.trainable_vector()
+            offset = 0
+            for array in expected:
+                assert np.array_equal(vec[offset : offset + array.size], array.ravel()), head
+                offset += array.size
+            assert offset == vec.size, head
+
+    def test_load_into_deep_copy_leaves_original(self):
+        x = RngStream(57).normal(3 * 8).reshape(3, 8)
+        for head in ("prompt", "lora_text", "lora_vision", "lora_both", "bitfit"):
+            m = build(head, seed=58)
+            before, base = state_bytes(m), m.forward(x)
+            probe = copy.deepcopy(m)
+            probe.load_trainable(m.trainable_vector() + 0.05)
+            assert not np.array_equal(probe.forward(x), base), head
+            assert state_bytes(m) == before, head
+            assert m.forward(x).tobytes() == base.tobytes(), head
+
 
 class TestWeightDrift:
     def test_untrained_adapter_zero_drift(self):
         m = build("lora_both", seed=60)
-        ref = m.param_set()
-        per_layer, agg = weight_drift(m, ref)
+        per_layer, agg = weight_drift(m)
         assert agg == 0.0
         assert all(v == 0.0 for v in per_layer.values())
 
     def test_known_delta(self):
         m = identity_model(np.eye(2), head_kind="lora_both")
-        ref = m.param_set()
-        # force delta entries of +-0.1 on the first image layer
+        # force delta entries of +-0.1 on the first image layer (rank 2,
+        # so the second rank component is zeroed)
         ad = m.image_stack[0].adapter
-        ad.down = np.array([[1.0], [-1.0]])
-        ad.up = np.array([[0.1, 0.1]]) / ad.scale
-        per_layer, _ = weight_drift(m, ref)
+        ad.down[...] = [[1.0, 0.0], [-1.0, 0.0]]
+        ad.up[...] = np.array([[0.1, 0.1], [0.0, 0.0]]) / ad.scale
+        per_layer, _ = weight_drift(m)
         assert per_layer["img.0.W"] == pytest.approx(0.1)
 
     def test_drift_respects_frobenius_bound(self):
         m = build("lora_both", seed=61)
-        ref = m.param_set()
         rng = RngStream(62)
         vec = m.trainable_vector() + rng.normal(m.trainable_size()) * 0.2
         m.load_trainable(vec)
-        per_layer, _ = weight_drift(m, ref)
+        per_layer, _ = weight_drift(m)
         for stack_name, stack in (("img", m.image_stack), ("txt", m.text_stack)):
             for i, layer in enumerate(stack):
                 ad = layer.adapter
@@ -358,5 +410,5 @@ class TestWeightDrift:
 
     def test_no_adapter_head_zero_aggregate(self):
         m = build("prompt")
-        per_layer, agg = weight_drift(m, m.param_set())
+        per_layer, agg = weight_drift(m)
         assert per_layer == {} and agg == 0.0
