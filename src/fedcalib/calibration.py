@@ -34,45 +34,50 @@ TEMP_REFINE_TOL = 1e-4
 
 @dataclass(frozen=True)
 class ProbBatch:
-    """Per-sample predicted probability vectors plus true labels."""
+    """Per-sample predicted probability vectors plus true labels.
 
-    probs: np.ndarray  # n x C, rows on the simplex
-    labels: np.ndarray  # n class indices
+    The training losses also take a stack of K clients' batches, each of n
+    rows, with a leading client axis; the metrics take one n x C batch.
+    """
+
+    probs: np.ndarray  # n x C (or K x n x C), rows on the simplex
+    labels: np.ndarray  # n (or K x n) class indices
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
-        if probs.ndim != 2 or probs.shape[0] == 0 or probs.shape[1] == 0:
-            raise InvalidInputError("probs must be a non-empty n x C matrix")
-        if labels.shape != (probs.shape[0],):
+        if probs.ndim not in (2, 3) or 0 in probs.shape:
+            raise InvalidInputError("probs must be a non-empty n x C matrix or K x n x C stack")
+        if labels.shape != probs.shape[:-1]:
             raise InvalidInputError("labels must have one entry per row of probs")
         if not np.all(np.isfinite(probs)):
             raise InvalidInputError("probs contains non-finite entries")
-        row_sums = probs.sum(axis=1)
+        row_sums = probs.sum(axis=-1)
         if np.any(np.abs(row_sums - 1.0) > 1e-9):
             raise InvalidInputError("probability rows must sum to 1 within 1e-9")
         if np.any(probs < 0):
             raise InvalidInputError("probs contains negative entries")
-        if labels.min() < 0 or labels.max() >= probs.shape[1]:
+        if labels.min() < 0 or labels.max() >= probs.shape[-1]:
             raise InvalidInputError("label out of range for class count")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
-        return self.probs.shape[0]
+        """Rows per batch."""
+        return self.probs.shape[-2]
 
     @property
     def class_count(self) -> int:
-        return self.probs.shape[1]
+        return self.probs.shape[-1]
 
     def confidences(self) -> np.ndarray:
-        return self.probs.max(axis=1)
+        return self.probs.max(axis=-1)
 
     def predictions(self) -> np.ndarray:
         # np.argmax breaks ties toward the lowest index, which is the
         # deterministic tie rule used everywhere in this package
-        return self.probs.argmax(axis=1)
+        return self.probs.argmax(axis=-1)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,15 @@ class TransportError(FedCalibError, ValueError):
 
 
 class NumericError(FedCalibError, ArithmeticError):
-    """A non-finite value appeared where finite math is required."""
+    """A non-finite value appeared where finite math is required.
+
+    ``rows`` lists the batches of a client stack (indices along its leading
+    axis) in which the value appeared, when the raiser knows them.
+    """
+
+    def __init__(self, message: str, rows=()):
+        super().__init__(message)
+        self.rows = tuple(int(r) for r in rows)
 
 
 class FormatError(FedCalibError, ValueError):

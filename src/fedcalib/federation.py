@@ -2,11 +2,13 @@
 
 One round proceeds as broadcast -> local training on sampled participants
 -> aggregation -> broadcast -> personalized evaluation of all clients.
-Clients run one after another on a single model per run: each participant
-starts by loading the broadcast vector, so clients differ only in their
-data, their trainable vector and their FedDyn dual. Every client draws from
-a stream derived from (seed, round, client id), so the round outcome is
-independent of client execution order.
+A round's participants train in lockstep on the run's single model: at
+each local step, the participants whose minibatches have the same row
+count run one stacked forward and backward, each with its own row of a
+K x P parameter matrix (see ``model``). Clients differ only in their data,
+their trainable vector and their FedDyn dual, and every client draws from
+a stream derived from (seed, round, client id), so each client's update is
+the one it would compute alone, whatever the grouping or the order.
 
 Every client holds the same global vector after broadcast, so evaluation
 forwards the test views of consecutive clients together, in blocks of at
@@ -123,6 +125,9 @@ class RoundRecord:
     drift_std: float
 
 
+STACK_ROWS = 192  # caps the transient memory of one stacked training step
+
+
 def sample_participants(num_clients: int, rate: float, rng: RngStream) -> np.ndarray:
     """Uniform without-replacement sample of max(1, round(rate * N)) clients."""
     if num_clients < 1:
@@ -132,6 +137,100 @@ def sample_participants(num_clients: int, rate: float, rng: RngStream) -> np.nda
     k = max(1, int(np.floor(rate * num_clients + 0.5)))
     k = min(k, num_clients)
     return rng.choice(num_clients, k)
+
+
+def train_participants(
+    model: DualEncoderModel,
+    clients: list,
+    global_vector: np.ndarray,
+    fed_config: FederationConfig,
+    agg_config: AggregatorConfig,
+    loss_spec: LossSpec,
+    rngs: list,
+    round_index: int = 0,
+) -> list:
+    """Local SGD of several clients in lockstep; one (vector, steps) per client.
+
+    Every client starts from the broadcast vector and runs its own epochs:
+    its shuffle per epoch from ``rngs[i].child("shuffle", epoch)`` and its
+    dropout per step from ``rngs[i].child("dropout", epoch, step)``. At each
+    step, the clients whose minibatch has the same row count share one
+    stacked forward and backward (split into near-equal stacks of at most
+    ``STACK_ROWS`` rows); a ragged last batch joins a smaller stack, and a
+    client out of batches drops out. Nothing is padded: BLAS results depend
+    on the row count, so a padded batch would not give the same bits as the
+    client's batch alone. The first round uses the warm-up
+    learning rate, later rounds the main one. FedProx adds
+    ``mu * (w - w_global)`` to each step's gradient; FedDyn adds
+    ``-h_n + alpha * (w - w_global)``, each with the client's own ``w`` and
+    dual ``h_n``. So a client's result does not depend on the other clients.
+    The model is left holding the last client's final vector.
+    """
+    model.load_trainable(global_vector)
+    vectors = np.tile(global_vector, (len(clients), 1))
+    size = fed_config.batch_size
+    batches = [-(-c.train_size // size) if model.trainable_size() else 0 for c in clients]
+    total_steps = [fed_config.local_epochs * b for b in batches]
+    lr = fed_config.warmup_lr if round_index == 0 else fed_config.learning_rate
+    duals = np.stack([c.dual for c in clients]) if agg_config.kind == "feddyn" and clients else None
+    orders = [None] * len(clients)
+    for step in range(max(total_steps, default=0)):
+        groups: dict = {}
+        for i, client in enumerate(clients):
+            if step < total_steps[i]:
+                epoch, b = divmod(step, batches[i])
+                if b == 0:
+                    orders[i] = rngs[i].child("shuffle", epoch).permutation(client.train_size)
+                rows = orders[i][b * size : (b + 1) * size]
+                groups.setdefault(len(rows), []).append((i, rows, rngs[i].child("dropout", epoch, step)))
+        for rows, group in groups.items():
+            for members in _stacks(group, rows):
+                ids = [i for i, _, _ in members]
+                model.load_trainable(vectors[ids])
+                g = _stacked_gradient(model, clients, members, loss_spec, round_index, step)
+                w = model.theta
+                if agg_config.kind == "fedprox":
+                    g += agg_config.mu_prox * (w - global_vector)
+                elif agg_config.kind == "feddyn":
+                    g -= duals[ids]
+                    g += agg_config.alpha_dyn * (w - global_vector)
+                w -= lr * g
+                vectors[ids] = w
+    if clients:
+        model.load_trainable(vectors[-1])
+    return [(vector, steps) for vector, steps in zip(vectors, total_steps)]
+
+
+def _stacks(group: list, rows: int) -> list:
+    """Split a group with ``rows``-row batches into stacks of near-equal size
+    with at most ``STACK_ROWS`` rows each (one client each if its batch is larger)."""
+    count = -(-len(group) * rows // STACK_ROWS)  # ceil: the stacks needed
+    per = -(-len(group) // count)
+    return [group[start : start + per] for start in range(0, len(group), per)]
+
+
+def _stacked_gradient(model, clients, members, loss_spec, round_index, step) -> np.ndarray:
+    """K x P loss gradient of one stacked step; ``members`` are (client index, rows, dropout stream).
+
+    A non-finite activation or loss raises ``NumericError`` naming the
+    client it belongs to, the round and the step.
+    """
+    stack = [clients[i] for i, _, _ in members]
+    x = np.array([c.train_x[rows] for c, (_, rows, _) in zip(stack, members)])
+    y = np.array([c.train_y[rows] for c, (_, rows, _) in zip(stack, members)])
+    try:
+        model.forward(x, train=True, rng=[stream for _, _, stream in members])
+        loss, g = model.backward(y, loss_spec)
+    except NumericError as err:
+        raise _client_error(str(err), stack, err.rows or range(len(stack)), round_index, step) from err
+    if not np.all(np.isfinite(loss.total)):
+        raise _client_error("non-finite loss", stack, np.flatnonzero(~np.isfinite(loss.total)), round_index, step)
+    return g
+
+
+def _client_error(message: str, stack: list, rows, round_index: int, step: int) -> NumericError:
+    names = ", ".join(str(stack[r].client_id) for r in rows)
+    return NumericError(f"{message} on client {names}, round {round_index}, step {step}")
 
 
 def local_train(
@@ -144,42 +243,13 @@ def local_train(
     rng: RngStream,
     round_index: int = 0,
 ) -> tuple:
-    """Run local SGD epochs from the broadcast vector; returns (vector, steps).
+    """Run one client's local SGD epochs from the broadcast vector; returns (vector, steps).
 
-    The first round uses the warm-up learning rate, later rounds the main
-    one. FedProx adds ``mu * (w - w_global)`` to each step's gradient;
-    FedDyn adds ``-h_n + alpha * (w - w_global)``. The steps update the
-    model's flat vector ``theta`` in place.
+    The one-client case of ``train_participants``.
     """
-    model.load_trainable(global_vector)
-    n = client.train_size
-    if fed_config.local_epochs == 0 or n == 0 or model.trainable_size() == 0:
-        return model.trainable_vector(), 0
-
-    lr = fed_config.warmup_lr if round_index == 0 else fed_config.learning_rate
-    w = model.theta
-    steps = 0
-    for epoch in range(fed_config.local_epochs):
-        order = rng.child("shuffle", epoch).permutation(n)
-        for start in range(0, n, fed_config.batch_size):
-            batch_ix = order[start : start + fed_config.batch_size]
-            x = client.train_x[batch_ix]
-            y = client.train_y[batch_ix]
-            model.forward(x, train=True, rng=rng.child("dropout", epoch, steps))
-            loss, g = model.backward(y, loss_spec)
-            if not np.isfinite(loss.total):
-                raise NumericError(
-                    f"non-finite loss on client {client.client_id}, "
-                    f"round {round_index}, step {steps}"
-                )
-            if agg_config.kind == "fedprox":
-                g += agg_config.mu_prox * (w - global_vector)
-            elif agg_config.kind == "feddyn":
-                g -= client.dual
-                g += agg_config.alpha_dyn * (w - global_vector)
-            w -= lr * g
-            steps += 1
-    return model.trainable_vector(), steps
+    return train_participants(
+        model, [client], global_vector, fed_config, agg_config, loss_spec, [rng], round_index
+    )[0]
 
 
 def _weighted_sum(coeffs, vectors, anchor_coeff=0.0, anchor=None):
@@ -351,15 +421,15 @@ def run_round(
     participants = [int(c) for c in sampled]
     global_before = server.global_vector
 
+    trained = train_participants(
+        model, [clients[cid] for cid in participants], global_before, fed_config, agg_config,
+        loss_spec, [base_stream.child("local", round_index, cid) for cid in participants], round_index,
+    )
     updates, drifts = [], []
-    for cid in participants:
-        client = clients[cid]
-        rng = base_stream.child("local", round_index, cid)
-        vector, steps = local_train(
-            model, client, global_before, fed_config, agg_config, loss_spec, rng, round_index
-        )
+    for cid, (vector, steps) in zip(participants, trained):
+        model.load_trainable(vector)
         _, drift = weight_drift(model)
-        updates.append((vector, client.train_size, steps))
+        updates.append((vector, clients[cid].train_size, steps))
         drifts.append(drift)
     drifts = np.array(drifts)
 

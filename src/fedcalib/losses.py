@@ -9,6 +9,9 @@ spurious gradient).
 
 All gradients here are taken with respect to the predicted probabilities;
 the softmax chain is applied downstream by the model's backward pass.
+Every loss takes one batch or a stack of K clients' batches of equal size
+(a leading client axis) and keeps each client's own batch means, so a
+client's slice of a stacked loss equals the loss of its batch alone.
 """
 
 from __future__ import annotations
@@ -39,12 +42,36 @@ class LossSpec:
 
 @dataclass(frozen=True)
 class LossValue:
-    """Total objective with its parts and the gradient w.r.t. probabilities."""
+    """Total objective with its parts and the gradient w.r.t. probabilities.
 
-    total: float
-    ce_part: float
-    aux_part: float
-    grad_wrt_probs: np.ndarray  # batch x C
+    For a stack of K batches, each nonzero part is an array with one entry
+    per client, that client's own batch mean.
+    """
+
+    total: float | np.ndarray
+    ce_part: float | np.ndarray
+    aux_part: float | np.ndarray
+    grad_wrt_probs: np.ndarray  # batch x C (K x batch x C for a stack)
+
+
+def _true_class_entries(batch: ProbBatch) -> tuple:
+    """(row, class) index of each true-class entry, probabilities seen as rows x C."""
+    labels = batch.labels.ravel()
+    return np.arange(labels.size), labels
+
+
+def _true_class(batch: ProbBatch) -> np.ndarray:
+    """Each row's true-class probability, shaped like the labels."""
+    flat = batch.probs.reshape(-1, batch.class_count)
+    return flat[_true_class_entries(batch)].reshape(batch.labels.shape)
+
+
+def _at_true_class(batch: ProbBatch, values) -> np.ndarray:
+    """Zeros shaped like the probabilities, ``values`` (one per row, or one
+    for all) on the true-class entries."""
+    grad = np.zeros_like(batch.probs)
+    grad.reshape(-1, batch.class_count)[_true_class_entries(batch)] = np.ravel(values)
+    return grad
 
 
 def ce_loss(batch: ProbBatch) -> LossValue:
@@ -54,46 +81,35 @@ def ce_loss(batch: ProbBatch) -> LossValue:
     (using the clamped value, so saturated rows stay finite) and 0 elsewhere.
     """
     m = batch.n
-    p_true = np.maximum(batch.probs[np.arange(m), batch.labels], PROB_CLAMP)
-    value = float(-np.mean(np.log(p_true)))
-    grad = np.zeros_like(batch.probs)
-    grad[np.arange(m), batch.labels] = -1.0 / (m * p_true)
+    p_true = np.maximum(_true_class(batch), PROB_CLAMP)
+    value = -np.mean(np.log(p_true), axis=-1)
+    grad = _at_true_class(batch, -1.0 / (m * p_true))
     return LossValue(total=value, ce_part=value, aux_part=0.0, grad_wrt_probs=grad)
-
-
-def _sign(x: float) -> float:
-    if x > 0:
-        return 1.0
-    if x < 0:
-        return -1.0
-    return 0.0
 
 
 def dca_loss(batch: ProbBatch) -> LossValue:
     """|mean correctness - mean true-class confidence| over the minibatch."""
     m = batch.n
     correct = (batch.predictions() == batch.labels).astype(np.float64)
-    s = batch.probs[np.arange(m), batch.labels]
-    gap = float(correct.mean() - s.mean())
-    value = abs(gap)
-    sign = _sign(gap)
-    grad = np.zeros_like(batch.probs)
-    # correctness indicators are constants; only s carries gradient
-    grad[np.arange(m), batch.labels] = -sign / m
+    s = _true_class(batch)
+    gap = correct.mean(axis=-1) - s.mean(axis=-1)
+    value = np.abs(gap)
+    # sign(0) = 0; correctness indicators are constants, only s carries gradient
+    sign = np.sign(gap)
+    grad = _at_true_class(batch, np.repeat(-sign / m, m))
     return LossValue(total=value, ce_part=0.0, aux_part=value, grad_wrt_probs=grad)
 
 
 def mdca_loss(batch: ProbBatch) -> LossValue:
     """Class-wise confidence/accuracy gap, averaged over all classes."""
-    m, num_classes = batch.probs.shape
+    m, num_classes = batch.probs.shape[-2:]
     if num_classes < 2:
         raise InvalidInputError("mdca requires at least 2 classes")
-    onehot = np.zeros_like(batch.probs)
-    onehot[np.arange(m), batch.labels] = 1.0
-    gaps = onehot.mean(axis=0) - batch.probs.mean(axis=0)  # per class j
-    value = float(np.mean(np.abs(gaps)))
+    onehot = _at_true_class(batch, 1.0)
+    gaps = onehot.mean(axis=-2) - batch.probs.mean(axis=-2)  # per class j
+    value = np.mean(np.abs(gaps), axis=-1)
     signs = np.sign(gaps)
-    grad = np.tile(-signs / (num_classes * m), (m, 1))
+    grad = (-signs / (num_classes * m))[..., None, :].repeat(m, axis=-2)
     return LossValue(total=value, ce_part=0.0, aux_part=value, grad_wrt_probs=grad)
 
 

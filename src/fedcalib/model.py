@@ -21,17 +21,29 @@ An adapter adds ``scale * A @ B`` to its frozen weight matrix; ``B`` starts
 at zero so training begins exactly at the zero-shot predictions. Dropout
 regularizes only the adapter input path, never the frozen path.
 
-The trainable parameters live in one flat float64 vector ``theta``, the
-vector that clients send to the server. Its layout: the prompt; else each
-adapted layer's ``A`` then ``B``, image stack first; else each layer's
-bias, image stack first. The prompt, adapter and bitfit bias arrays are
-reshaped views into ``theta``, bound once at construction (and again in a
-deep copy), so transport is one copy in or out.
+The trainable parameters live in one float64 array ``theta``: the P-entry
+vector that clients send to the server, or a K x P matrix with one such
+row per client when K clients train in lockstep. The layout of a row: the
+prompt; else each adapted layer's ``A`` then ``B``, image stack first; else
+each layer's bias, image stack first. The prompt, adapter and bitfit bias
+arrays are reshaped views into ``theta`` with a leading client axis (K = 1
+for a vector), bound at construction, again in a deep copy and whenever
+``load_trainable`` changes the number of rows, so transport is one copy in
+or out.
+
+``forward`` takes one batch (n x d) or a stack of K clients' batches of
+equal size (K x n x d). Every activation carries the leading client axis,
+and client k's rows meet only row k of each trainable array, through
+stacked ``np.matmul``, so a client's slice of a stacked forward and
+backward is the computation of its batch alone. A stack whose input and
+weights are the same for every client (the text stack of a head that does
+not train it) runs once with a leading axis of 1.
 
 ``backward`` computes analytic gradients through softmax, cosine
 normalization, the dense stacks, and the adapter factorization into a
-``grad`` buffer with the layout of ``theta``; it is verified against
-central finite differences in the test suite.
+``grad`` buffer shaped like ``theta``; it is verified against central
+finite differences in the test suite. It backpropagates only through the
+stacks that hold trainable entries or feed the prompt.
 """
 
 from __future__ import annotations
@@ -93,8 +105,8 @@ class ModelConfig:
 class LoraAdapter:
     """Low-rank update ``scale * A @ B`` attached to one dense layer."""
 
-    down: np.ndarray  # A, (out x rank)
-    up: np.ndarray  # B, (rank x in)
+    down: np.ndarray  # A, (out x rank); (K x out x rank) once bound to a model
+    up: np.ndarray  # B, (rank x in); (K x rank x in) once bound to a model
     rank: int
     scale: float
     dropout_rate: float
@@ -108,24 +120,78 @@ class LoraAdapter:
 @dataclass
 class DenseLayer:
     weight: np.ndarray  # (out x in), frozen
-    bias: np.ndarray  # (out,)
+    bias: np.ndarray  # (out,); (K x 1 x out) when trainable and bound
     activation: str  # "relu" | "none"
     adapter: LoraAdapter | None = None
     bias_grad: np.ndarray | None = None  # gradient slot of a trainable bias
 
 
 def effective_weight(weight: np.ndarray, adapter: LoraAdapter | None) -> np.ndarray:
-    """Frozen weight plus the adapter's low-rank update."""
+    """Frozen weight plus the adapter's low-rank update (one per client row)."""
     if adapter is None:
         return weight
     m, n = weight.shape
-    if adapter.down.shape[0] != m or adapter.up.shape[1] != n:
+    if adapter.down.shape[-2] != m or adapter.up.shape[-1] != n:
         raise InvalidInputError(
             f"adapter shapes {adapter.down.shape}x{adapter.up.shape} do not chain with weight {weight.shape}"
         )
-    if adapter.down.shape[1] != adapter.up.shape[0]:
+    if adapter.down.shape[-1] != adapter.up.shape[-2]:
         raise InvalidInputError("adapter factor inner dimensions disagree")
     return weight + adapter.delta()
+
+
+def _drop(x: np.ndarray, kept: np.ndarray, adapter: LoraAdapter, out=None) -> np.ndarray:
+    """Inverted dropout: ``x`` zeroed where not ``kept``, else scaled by 1 / keep.
+
+    ``(x * kept) * (1 / keep)`` gives the same bits as ``x * (kept / keep)``:
+    a kept entry is multiplied by the same rounded 1 / keep, and a dropped
+    one is a zero of the sign of ``x`` either way.
+    """
+    out = np.multiply(x, kept, out=out)
+    out *= 1.0 / (1.0 - adapter.dropout_rate)
+    return out
+
+
+def _through_normalization(upstream: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """d/dv of v / |v| applied to ``upstream``, row-wise, given v / |v| and |v|."""
+    return (upstream - np.sum(upstream * unit, axis=-1, keepdims=True) * unit) / norms
+
+
+def _layer_backward(layer: DenseLayer, record: tuple, delta: np.ndarray, input_grad: bool):
+    """One layer of ``_stack_backward``: writes the layer's gradient slots and
+    returns the gradient w.r.t. its input (``None`` unless ``input_grad``).
+
+    Overwrites ``delta``. Each temporary is released as soon as it is used,
+    because a stack of K clients makes every one of them K times larger.
+    """
+    out, a, kept = record
+    if layer.activation == "relu":
+        # out > 0 exactly where the pre-activation is > 0
+        delta *= out > 0
+    if layer.bias_grad is not None:
+        layer.bias_grad[...] = delta.sum(axis=-2, keepdims=True)
+    ad = layer.adapter
+    if ad is None:
+        return delta @ layer.weight if input_grad else None
+    a_drop = a if kept is None else _drop(a, kept, ad)
+    ad.down_grad[...] = ad.scale * (delta.mT @ (a_drop @ ad.up.mT))
+    delta_down = delta @ ad.down
+    ad.up_grad[...] = ad.scale * (delta_down.mT @ a_drop)
+    if not input_grad:
+        return None
+    del a_drop
+    adapter_back = delta_down @ ad.up
+    adapter_back *= ad.scale
+    if kept is not None:
+        _drop(adapter_back, kept, ad, out=adapter_back)
+    back = delta @ layer.weight
+    back += adapter_back
+    return back
+
+
+# heads whose image / text stack holds trainable entries or feeds the prompt
+_IMAGE_TRAINED = ("lora_vision", "lora_both", "bitfit")
+_TEXT_TRAINED = ("prompt", "lora_text", "lora_both", "bitfit")
 
 
 class DualEncoderModel:
@@ -136,77 +202,96 @@ class DualEncoderModel:
         self.image_stack = image_stack
         self.text_stack = text_stack
         self.prototypes = prototypes  # (C x d) frozen text-side class inputs
-        self.prompt = prompt  # (M x d) or None
+        self.prompt = prompt  # (M x d) or None; (K x M x d) once bound
         self.prompt_grad = None
         self._cache = None
-        self._bind()
+        self._slots = self._trainable_slots()
+        values = [getattr(owner, attr).ravel() for owner, attr, _ in self._slots]
+        self._bind(np.concatenate(values) if values else np.zeros(0))
 
     def __deepcopy__(self, memo):
         # a deep-copied view no longer aliases its copied base, so bind again
         clone = object.__new__(type(self))
         memo[id(self)] = clone
         clone.__dict__ = _copy.deepcopy(self.__dict__, memo)
-        clone._bind()
+        clone._bind(clone.theta)
         return clone
 
     # -- parameter transport --------------------------------------------------
 
     def _trainable_slots(self) -> list:
-        """(owner, attribute) of every trainable array, in transport order."""
+        """(owner, attribute, per-client shape) of every trainable array, in transport order."""
         head = self.config.head_kind
         layers = [*self.image_stack, *self.text_stack]
         if head == "prompt":
-            return [(self, "prompt")]
+            return [(self, "prompt", self.prompt.shape)]
         if head == "bitfit":
-            return [(layer, "bias") for layer in layers]
+            # (1 x out) per client, so that a bias broadcasts over batch rows
+            return [(layer, "bias", (1, layer.bias.size)) for layer in layers]
         adapters = [layer.adapter for layer in layers if layer.adapter is not None]
-        return [(ad, part) for ad in adapters for part in ("down", "up")]
+        return [(ad, part, getattr(ad, part).shape) for ad in adapters for part in ("down", "up")]
 
-    def _bind(self) -> None:
-        """Copy the trainable arrays into ``theta`` and rebind them as its views."""
-        slots = self._trainable_slots()
-        size = sum(getattr(owner, attr).size for owner, attr in slots)
-        self.theta, self.grad = np.zeros(size), np.zeros(size)
+    def _bind(self, theta: np.ndarray) -> None:
+        """Make ``theta`` the trainable state and rebind the arrays as its views.
+
+        ``theta`` is one transport vector (P,) or a K x P matrix, one row per
+        client of a stack. Every trainable array becomes a (K x ...) view of
+        its slice of the rows (K = 1 for a vector), and its gradient slot the
+        same view of a ``grad`` buffer shaped like ``theta``.
+        """
+        self.theta, self.grad = theta, np.zeros_like(theta)
+        rows = theta if theta.ndim == 2 else theta[None]
+        grad_rows = self.grad if theta.ndim == 2 else self.grad[None]
         offset = 0
-        for owner, attr in slots:
-            value = getattr(owner, attr)
-            end = offset + value.size
-            self.theta[offset:end] = value.ravel()
-            setattr(owner, attr, self.theta[offset:end].reshape(value.shape))
-            setattr(owner, f"{attr}_grad", self.grad[offset:end].reshape(value.shape))
+        for owner, attr, shape in self._slots:
+            end = offset + int(np.prod(shape))
+            setattr(owner, attr, rows[:, offset:end].reshape(len(rows), *shape))
+            setattr(owner, f"{attr}_grad", grad_rows[:, offset:end].reshape(len(rows), *shape))
             offset = end
 
     def trainable_size(self) -> int:
-        return self.theta.size
+        """Entries P of one client's transport vector."""
+        return self.theta.shape[-1]
 
     def trainable_vector(self) -> np.ndarray:
-        """A copy of the transport vector ``theta``."""
+        """A copy of ``theta``: the transport vector, or one row per client of a stack."""
         return self.theta.copy()
 
-    def load_trainable(self, vector: np.ndarray) -> None:
-        """Copy a transport vector into ``theta``; rejects length mismatches."""
-        vector = np.asarray(vector, dtype=np.float64)
-        if vector.shape != self.theta.shape:
-            raise TransportError(
-                f"trainable vector has {vector.size} entries, model expects {self.theta.size}"
-            )
-        self.theta[...] = vector
+    def load_trainable(self, values: np.ndarray) -> None:
+        """Copy a transport vector, or a K x P stack of them, into ``theta``.
+
+        Rejects rows whose length is not P. A stack of K rows binds the
+        trainable arrays with a leading client axis of K, for a stacked
+        ``forward``; a vector binds one row.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        size = self.trainable_size()
+        empty_stack = values.ndim == 2 and len(values) == 0
+        if values.ndim not in (1, 2) or values.shape[-1] != size or empty_stack:
+            raise TransportError(f"trainable values of shape {values.shape} do not hold rows of {size} entries")
+        if values.shape != self.theta.shape:
+            self._bind(np.empty_like(values))
+        self.theta[...] = values
 
     # -- forward / backward ---------------------------------------------------
 
-    def _stack_forward(self, stack_name, stack, x, train, rng):
-        """Run one encoder stack; in training, also keep what backward needs.
+    def _stack_forward(self, stack_name, stack, x, train, streams):
+        """Run one encoder stack on a (K x rows x in) stack of inputs.
 
-        Returns the stack output and, per layer in training (else an empty
-        list), the layer output, the adapter input after dropout and the
-        dropout mask (``None`` without an adapter or without dropout). Each
-        layer adds its bias and adapter term and applies its relu in place,
-        so an evaluation forward holds at most two layers' activations.
+        A leading axis of 1 serves every client when the stack's input and
+        parameters are shared. Returns the stack output and, per layer in
+        training (else an empty list), the layer output, the layer input and
+        the boolean dropout mask of the adapter input (``None`` without an
+        adapter or without dropout). Client k's mask is drawn from
+        ``streams[k]``. Each layer adds its bias and adapter term and applies
+        its relu in place, so an evaluation forward holds at most two layers'
+        activations. A record keeps a layer's output only where backward
+        reads it (through the relu), and its input only by reference.
         """
         records = []
         a = x
         for i, layer in enumerate(stack):
-            a_drop = mask = None
+            kept = None
             # overflow here surfaces as the NumericError below, not a warning
             with np.errstate(over="ignore", invalid="ignore"):
                 z = a @ layer.weight.T
@@ -215,118 +300,132 @@ class DualEncoderModel:
                 if ad is not None:
                     a_drop = a
                     if train and ad.dropout_rate > 0.0:
-                        if rng is None:
+                        if any(rng is None for rng in streams):
                             raise UsageError("training forward with dropout requires an RngStream")
-                        keep = 1.0 - ad.dropout_rate
-                        mask = (rng.random(a.size).reshape(a.shape) < keep) / keep
-                        a_drop = a * mask
-                    z += ad.scale * (a_drop @ ad.up.T) @ ad.down.T
+                        kept = RngStream.bernoulli_rows(streams, a[0].size, 1.0 - ad.dropout_rate)
+                        kept = kept.reshape(len(streams), *a.shape[1:])
+                        a_drop = _drop(a, kept, ad)
+                    z += ad.scale * (a_drop @ ad.up.mT) @ ad.down.mT
             if not np.all(np.isfinite(z)):
-                raise NumericError(f"non-finite activation in {stack_name} layer {i}")
+                bad = ~np.isfinite(z).reshape(len(z), -1).all(axis=1)
+                raise NumericError(f"non-finite activation in {stack_name} layer {i}", np.flatnonzero(bad))
             if layer.activation == "relu":
                 np.maximum(z, 0.0, out=z)
             if train:
-                records.append((z, a_drop, mask))
+                # backward reads a layer's output only through its relu
+                records.append((z if layer.activation == "relu" else None, a, kept))
             a = z
         return a, records
 
-    def _text_input(self):
-        t = self.prototypes
-        if self.config.head_kind == "prompt":
-            t = t + self.prompt.mean(axis=0)
+    def _text_input(self, k: int) -> np.ndarray:
+        """Text-stack input: (K x C x d) when the text side differs per client, else (1 x C x d)."""
+        t = self.prototypes[None]
+        head = self.config.head_kind
+        if head == "prompt":
+            return t + self.prompt.mean(axis=1)[:, None, :]
+        if head in _TEXT_TRAINED:
+            return t.repeat(k, axis=0)
         return t
 
-    def forward(self, embeddings: np.ndarray, train: bool = False, rng: RngStream | None = None) -> np.ndarray:
+    def forward(self, embeddings: np.ndarray, train: bool = False, rng: RngStream | list | None = None) -> np.ndarray:
         """Logit matrix (batch x C) of scaled cosine similarities.
 
-        In training mode the adapter-input dropout is live (driven by
-        ``rng``) and the forward state is cached for ``backward``.
+        ``embeddings`` is one batch (n x d), or a stack of K clients' batches
+        (K x n x d) that gives K x n x C logits; a stack needs K parameter
+        rows loaded (``load_trainable``), and client k's batch meets only
+        row k. In training mode the adapter-input dropout is live, drawn from
+        ``rng`` (a sequence of K streams for a stack), and the forward state
+        is cached for ``backward``.
         """
+        self._cache = None  # frees the previous step's records before this forward builds its own
         x = np.asarray(embeddings, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.config.embed_dim:
-            raise InvalidInputError(
-                f"embeddings must be (n x {self.config.embed_dim}), got {x.shape}"
-            )
-        fv, img_cache = self._stack_forward("img", self.image_stack, x, train, rng)
-        ft, txt_cache = self._stack_forward("txt", self.text_stack, self._text_input(), train, rng)
-        v_norms = np.linalg.norm(fv, axis=1, keepdims=True)
-        t_norms = np.linalg.norm(ft, axis=1, keepdims=True)
-        if np.any(v_norms == 0) or np.any(t_norms == 0):
-            raise NumericError("zero-norm encoder output; cannot take cosine")
+        d = self.config.embed_dim
+        if x.ndim not in (2, 3) or x.shape[-1] != d:
+            raise InvalidInputError(f"embeddings must be (n x {d}) or (K x n x {d}), got {x.shape}")
+        stacked = x.ndim == 3
+        xs = x if stacked else x[None]
+        k = len(self.theta) if self.theta.ndim == 2 else 1
+        if len(xs) != k:
+            raise UsageError(f"a stack of {len(xs)} batches needs {len(xs)} parameter rows, the model holds {k}")
+        streams = list(rng) if stacked and rng is not None else [rng] * k
+        if len(streams) != k:
+            raise UsageError(f"a stack of {k} batches needs {k} streams, got {len(streams)}")
+        head = self.config.head_kind
+        fv, img_records = self._stack_forward(
+            "img", self.image_stack, xs, train and head in _IMAGE_TRAINED, streams
+        )
+        ft, txt_records = self._stack_forward(
+            "txt", self.text_stack, self._text_input(k), train and head in _TEXT_TRAINED, streams
+        )
+        v_norms = np.linalg.norm(fv, axis=-1, keepdims=True)
+        t_norms = np.linalg.norm(ft, axis=-1, keepdims=True)
+        zero = (v_norms == 0).any(axis=(1, 2)) | (t_norms == 0).any(axis=(1, 2))
+        if zero.any():
+            rows = np.flatnonzero(np.broadcast_to(zero, (k,)))
+            raise NumericError("zero-norm encoder output; cannot take cosine", rows)
         u = fv / v_norms
         w = ft / t_norms
-        logits = self.config.logit_scale * (u @ w.T)
+        logits = self.config.logit_scale * (u @ w.mT)
+        if not stacked:
+            logits = logits[0]
         if train:
             self._cache = {
-                "img": img_cache,
-                "txt": txt_cache,
+                "img": img_records,
+                "txt": txt_records,
                 "u": u,
                 "w": w,
                 "v_norms": v_norms,
                 "t_norms": t_norms,
                 "logits": logits,
             }
-        else:
-            self._cache = None
         return logits
 
-    def _stack_backward(self, stack, records, delta):
+    def _stack_backward(self, stack, records, delta, input_grad):
         """Backpropagate ``delta`` (d loss / d stack output) through a stack.
 
-        Writes the bias and adapter gradients into their slots of ``grad``
-        and returns the gradient with respect to the stack input.
+        Writes the bias and adapter gradients into their slots of ``grad``.
+        Returns the gradient with respect to the stack input when
+        ``input_grad`` is set, else ``None`` without computing it.
         """
-        for layer, (out, a_drop, mask) in zip(reversed(stack), reversed(records)):
-            if layer.activation == "relu":
-                # out > 0 exactly where the pre-activation is > 0
-                delta = delta * (out > 0)
-            if layer.bias_grad is not None:
-                layer.bias_grad[...] = delta.sum(axis=0)
-            ad = layer.adapter
-            back = delta @ layer.weight
-            if ad is not None:
-                ad.down_grad[...] = ad.scale * (delta.T @ (a_drop @ ad.up.T))
-                ad.up_grad[...] = ad.scale * ((delta @ ad.down).T @ a_drop)
-                adapter_back = ad.scale * ((delta @ ad.down) @ ad.up)
-                if mask is not None:
-                    adapter_back = adapter_back * mask
-                back = back + adapter_back
-            delta = back
+        for i in reversed(range(len(stack))):
+            delta = _layer_backward(stack[i], records[i], delta, input_grad=i > 0 or input_grad)
         return delta
 
     def backward(self, labels: np.ndarray, loss_spec: LossSpec) -> tuple:
         """Gradients of the training objective for every trainable entry.
 
-        Requires a cached training forward for the same batch. Returns
-        ``(LossValue, gradient)``, the gradient a copy of ``grad`` in the
-        layout of ``theta``.
+        Requires a cached training forward for the same batch (labels n, or
+        K x n for a stack). Returns ``(LossValue, gradient)``, the gradient a
+        copy of ``grad`` shaped like ``theta``: each client's gradient uses
+        only its own batch and parameter row. Only the stacks that hold
+        trainable entries, or feed the prompt, are backpropagated.
         """
         if self._cache is None:
             raise UsageError("backward requires a preceding forward(train=True)")
         cache = self._cache
+        logits = cache["logits"]
         labels = np.asarray(labels, dtype=np.int64)
-        probs = softmax_rows(cache["logits"])
+        probs = softmax_rows(logits.reshape(-1, logits.shape[-1])).reshape(logits.shape)
         loss = total_loss(ProbBatch(probs, labels), loss_spec)
 
-        g = loss.grad_wrt_probs
+        u, w = cache["u"], cache["w"]
+        g = loss.grad_wrt_probs.reshape(len(u), -1, logits.shape[-1])
+        probs = probs.reshape(g.shape)
         # softmax Jacobian, row-wise: dL/dz = p * (g - <g, p>)
-        gz = probs * (g - np.sum(g * probs, axis=1, keepdims=True))
+        gz = probs * (g - np.sum(g * probs, axis=-1, keepdims=True))
 
         scale = self.config.logit_scale
-        du = scale * (gz @ cache["w"])  # (n x d)
-        dw = scale * (gz.T @ cache["u"])  # (C x d)
-
-        # through row normalization: d/dv of v/|v| applied to upstream du
-        u, w = cache["u"], cache["w"]
-        dfv = (du - np.sum(du * u, axis=1, keepdims=True) * u) / cache["v_norms"]
-        dft = (dw - np.sum(dw * w, axis=1, keepdims=True) * w) / cache["t_norms"]
-
-        self._stack_backward(self.image_stack, cache["img"], dfv)
-        d_text_input = self._stack_backward(self.text_stack, cache["txt"], dft)
-        if self.config.head_kind == "prompt":
-            # the context mean is added to every class prototype, and each
-            # of the M vectors contributes 1/M of the mean
-            self.prompt_grad[...] = d_text_input.sum(axis=0) / self.prompt.shape[0]
+        head = self.config.head_kind
+        if head in _IMAGE_TRAINED:
+            dfv = _through_normalization(scale * (gz @ w), u, cache["v_norms"])  # (K x n x d)
+            self._stack_backward(self.image_stack, cache["img"], dfv, input_grad=False)
+        if head in _TEXT_TRAINED:
+            dft = _through_normalization(scale * (gz.mT @ u), w, cache["t_norms"])  # (K x C x d)
+            d_text_input = self._stack_backward(self.text_stack, cache["txt"], dft, input_grad=head == "prompt")
+            if head == "prompt":
+                # the context mean is added to every class prototype, and each
+                # of the M vectors contributes 1/M of the mean
+                self.prompt_grad[...] = (d_text_input.sum(axis=1) / self.prompt.shape[1])[:, None, :]
         return loss, self.grad.copy()
 
 

@@ -48,9 +48,16 @@ def _mix64(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _S30)) * _NP_MIX1
-    z = (z ^ (z >> _S27)) * _NP_MIX2
-    return z ^ (z >> _S31)
+    """SplitMix64 finalizer over a uint64 array, computed in place in ``z``."""
+    shifted = z >> _S30
+    z ^= shifted
+    z *= _NP_MIX1
+    np.right_shift(z, _S27, out=shifted)
+    z ^= shifted
+    z *= _NP_MIX2
+    np.right_shift(z, _S31, out=shifted)
+    z ^= shifted
+    return z
 
 
 def _encode_part(part) -> int:
@@ -109,6 +116,25 @@ class RngStream:
     def random(self, n: int) -> np.ndarray:
         """Uniform doubles in [0, 1) with 53-bit resolution."""
         return (self.u64(n) >> _S11).astype(np.float64) * _INV_2_53
+
+    @staticmethod
+    def bernoulli_rows(streams: list, n: int, p: float) -> np.ndarray:
+        """Boolean rows, one per stream: row k is ``streams[k].random(n) < p``.
+
+        Bit for bit, and each stream advances by ``n`` draws as in
+        ``random``; the draws of all streams run as one array.
+        """
+        # key + (counter + 1 + j) * GOLDEN, split into a per-stream and a
+        # per-draw term; uint64 arithmetic wraps, so the split is exact
+        offsets = [(s._key + (s._counter + 1) * _GOLDEN) & _MASK64 for s in streams]
+        for s in streams:
+            s._counter += n
+        z = np.array(offsets, dtype=np.uint64)[:, None] + np.arange(n, dtype=np.uint64) * _NP_GOLDEN
+        z = _mix64_array(z)
+        z >>= _S11
+        # a draw is m * 2**-53 for the integer m = z >> 11 < 2**53, so it is
+        # below p exactly when m is below ceil(p * 2**53)
+        return z < np.uint64(math.ceil(p * (1 << 53)))
 
     def random_open(self, n: int) -> np.ndarray:
         """Uniform doubles in (0, 1]; safe as a log() argument."""

@@ -113,3 +113,52 @@ def naive_accuracy(probs, labels):
         if best == labels[i]:
             hits += 1
     return hits / n
+
+
+def _argmax(row):
+    best = 0
+    for c in range(len(row)):
+        if row[c] > row[best]:
+            best = c
+    return best
+
+
+def naive_ce_loss(probs, labels):
+    """(value, gradient w.r.t. probs) of the mean clamped cross-entropy."""
+    n, c = probs.shape
+    value = 0.0
+    grad = [[0.0] * c for _ in range(n)]
+    for i in range(n):
+        p = max(probs[i][labels[i]], 1e-12)
+        value -= math.log(p) / n
+        grad[i][labels[i]] = -1.0 / (n * p)
+    return value, np.array(grad)
+
+
+def naive_dca_loss(probs, labels):
+    """(value, gradient) of |mean correctness - mean true-class probability|,
+    the sign of the gap held fixed (sign(0) = 0)."""
+    n, c = probs.shape
+    correct = sum(1.0 for i in range(n) if _argmax(probs[i]) == labels[i]) / n
+    confidence = sum(probs[i][labels[i]] for i in range(n)) / n
+    gap = correct - confidence
+    sign = 1.0 if gap > 0 else (-1.0 if gap < 0 else 0.0)
+    grad = [[0.0] * c for _ in range(n)]
+    for i in range(n):
+        grad[i][labels[i]] = -sign / n
+    return abs(gap), np.array(grad)
+
+
+def naive_mdca_loss(probs, labels):
+    """(value, gradient) of the class-wise gap |mean 1[y = j] - mean p_j|
+    averaged over the classes j, each sign held fixed."""
+    n, c = probs.shape
+    value = 0.0
+    grad = [[0.0] * c for _ in range(n)]
+    for j in range(c):
+        gap = sum(1.0 for i in range(n) if labels[i] == j) / n - sum(probs[i][j] for i in range(n)) / n
+        value += abs(gap) / c
+        sign = 1.0 if gap > 0 else (-1.0 if gap < 0 else 0.0)
+        for i in range(n):
+            grad[i][j] = -sign / (c * n)
+    return value, np.array(grad)

@@ -236,8 +236,9 @@ def test_criterion_04_aggregation_identities():
 
 
 def test_criterion_05_determinism_serial_vs_parallel():
-    # every client trains and is evaluated on one shared model per run, so
-    # the risk to determinism is state leaking from one client to the next
+    # a round's participants train in lockstep on one shared model per run,
+    # so the risks to determinism are state leaking from one client to the
+    # next and a client's result depending on the stack it trained in
     start = time.monotonic()
     payload = {
         "seed": 20,
@@ -259,16 +260,25 @@ def test_criterion_05_determinism_serial_vs_parallel():
         global_before = server.global_vector
         record = run_round(model, server, clients, cfg.federation, cfg.aggregator, cfg.loss,
                            t, stream, bins=bins, scheme=scheme)
-        # (a) the participants replayed in reverse order on the same model,
-        # each from its own stream, aggregate to the same bytes
-        updates = {}
+        # (a) each participant replayed alone from its own stream, in reverse
+        # order on the same model and on a freshly initialised model: both
+        # replays agree byte for byte, aggregate to the same global bytes
+        # and give the round's drifts
+        updates, drifts = {}, {}
         for cid in reversed(record.participants):
             vec, steps = local_train(model, clients[cid], global_before, cfg.federation,
                                      cfg.aggregator, cfg.loss, stream.child("local", t, cid), t)
+            alone = zero_shot_init(model_cfg, protos, RngStream(cfg.seed).child("init"))
+            vec_alone, steps_alone = local_train(alone, clients[cid], global_before, cfg.federation,
+                                                 cfg.aggregator, cfg.loss, stream.child("local", t, cid), t)
+            assert vec.tobytes() == vec_alone.tobytes() and steps == steps_alone
             updates[cid] = (vec, clients[cid].train_size, steps)
+            drifts[cid] = weight_drift(alone)[1]
         replay = aggregate([updates[cid] for cid in record.participants], global_before,
                            cfg.aggregator, ServerState(global_before, len(clients)))
         assert replay.tobytes() == record.global_vector.tobytes()
+        drift = np.array([drifts[cid] for cid in record.participants])
+        assert (record.drift_mean, record.drift_std) == (float(drift.mean()), float(drift.std()))
         # (b) every client's report equals one from a freshly initialised
         # model loaded with the round's global vector
         fresh = zero_shot_init(model_cfg, protos, RngStream(cfg.seed).child("init"))
@@ -286,8 +296,8 @@ def test_criterion_05_determinism_serial_vs_parallel():
     assert first["final_global_vector"] == record.global_vector.tolist()
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"runtime {elapsed:.2f}s exceeds 60s"
-    report(5, "shared model: replayed updates, fresh-model reports and repeated runs "
-           "byte-identical", f"{elapsed:.1f}s")
+    report(5, "lockstep training on a shared model: updates replayed alone, fresh-model "
+           "reports and repeated runs byte-identical", f"{elapsed:.1f}s")
 
 
 def _balanced_dataset(samples_per_class, class_count):

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from fedcalib.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_OK, main
+from fedcalib import runner
+from fedcalib.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_NUMERIC, EXIT_OK, main
 
 
 def write_tiny_config(tmp_path, **extra):
@@ -63,6 +64,22 @@ class TestRunVerb:
         code = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_FORMAT
         assert "format error" in capsys.readouterr().err
+
+    def test_non_finite_training_data_exit_code(self, tmp_path, capsys, monkeypatch):
+        original = runner.client_views
+
+        def poisoned(*args):
+            views = original(*args)
+            views[1]["train_x"] = views[1]["train_x"].copy()
+            views[1]["train_x"][0, 0] = float("nan")
+            return views
+
+        monkeypatch.setattr(runner, "client_views", poisoned)
+        cfg = write_tiny_config(tmp_path)
+        code = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numeric error" in err and "on client 1, round 0, step" in err
 
 
 class TestPartitionVerb:

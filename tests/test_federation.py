@@ -12,7 +12,7 @@ from fedcalib.calibration import (
     apply_temperature,
     calibration_report,
 )
-from fedcalib.errors import ConfigError, InvalidInputError, TransportError
+from fedcalib.errors import ConfigError, InvalidInputError, NumericError, TransportError
 from fedcalib.federation import (
     AggregatorConfig,
     FederationConfig,
@@ -26,9 +26,10 @@ from fedcalib.federation import (
     personalized_evaluate,
     run_round,
     sample_participants,
+    train_participants,
 )
 from fedcalib.losses import LossSpec, total_loss
-from fedcalib.model import ModelConfig, zero_shot_init
+from fedcalib.model import HEAD_KINDS, ModelConfig, weight_drift, zero_shot_init
 from fedcalib.numerics import RngStream, l2_normalize_rows, softmax_rows
 from fedcalib.runner import _temperature_rows
 
@@ -36,8 +37,8 @@ from fedcalib.runner import _temperature_rows
 def make_blob_views(num_clients, d=8, c=4, per_client=24, test_per_client=12, seed=0):
     """Per-client gaussian-blob views around shared class prototypes.
 
-    ``test_per_client`` is one test-view size for all clients or a list of
-    per-client sizes.
+    ``per_client`` and ``test_per_client`` are one train- or test-view size
+    for all clients or a list of per-client sizes.
     """
     protos = l2_normalize_rows(RngStream(seed, 12345).normal(c * d).reshape(c, d))
     rng = RngStream(seed, 54321)
@@ -48,11 +49,13 @@ def make_blob_views(num_clients, d=8, c=4, per_client=24, test_per_client=12, se
         x = l2_normalize_rows(protos[labels] + noise)
         return x, labels
 
+    if isinstance(per_client, int):
+        per_client = [per_client] * num_clients
     if isinstance(test_per_client, int):
         test_per_client = [test_per_client] * num_clients
     views = []
-    for test_rows in test_per_client:
-        tx, ty = block(per_client)
+    for train_rows, test_rows in zip(per_client, test_per_client, strict=True):
+        tx, ty = block(train_rows)
         vx, vy = block(test_rows)
         views.append({"train_x": tx, "train_y": ty, "test_x": vx, "test_y": vy})
     return protos, views
@@ -81,6 +84,32 @@ def local_objective(model, client, vector, global_vector, agg_config, loss_spec)
         diff = vector - global_vector
         value += -float(client.dual @ vector) + 0.5 * agg_config.alpha_dyn * float(diff @ diff)
     return value
+
+
+def sequential_local_train(model, client, global_vector, fed_config, agg_config, loss_spec, rng, round_index=0):
+    """Plain local SGD of one client, one unstacked forward and backward per
+    minibatch: the reference that lockstep training must reproduce."""
+    model.load_trainable(global_vector)
+    n = client.train_size
+    if fed_config.local_epochs == 0 or n == 0 or model.trainable_size() == 0:
+        return model.trainable_vector(), 0
+    lr = fed_config.warmup_lr if round_index == 0 else fed_config.learning_rate
+    w = model.theta
+    steps = 0
+    for epoch in range(fed_config.local_epochs):
+        order = rng.child("shuffle", epoch).permutation(n)
+        for start in range(0, n, fed_config.batch_size):
+            batch_ix = order[start : start + fed_config.batch_size]
+            model.forward(client.train_x[batch_ix], train=True, rng=rng.child("dropout", epoch, steps))
+            _, g = model.backward(client.train_y[batch_ix], loss_spec)
+            if agg_config.kind == "fedprox":
+                g += agg_config.mu_prox * (w - global_vector)
+            elif agg_config.kind == "feddyn":
+                g -= client.dual
+                g += agg_config.alpha_dyn * (w - global_vector)
+            w -= lr * g
+            steps += 1
+    return model.trainable_vector(), steps
 
 
 class TestSampleParticipants:
@@ -335,6 +364,60 @@ class TestRunRound:
             expected = personalized_evaluate(fresh, clients, 15, "equal_width")["per_client"]
             for want, got in zip(expected, record.client_reports, strict=True):
                 assert want.scalars() == got.scalars()
+
+    @pytest.mark.parametrize("aux", ["none", "dca", "mdca"])
+    @pytest.mark.parametrize("kind", ["fedavg", "fedprox", "feddyn", "fednova"])
+    @pytest.mark.parametrize("head", HEAD_KINDS)
+    def test_lockstep_round_equals_each_client_alone(self, head, kind, aux):
+        # with batches of 8, the clients' steps mix full batches with ragged
+        # tails of 5, 8 (exact fit), 5 and 1 rows; client 3 holds no rows
+        sizes = [21, 13, 8, 0, 5, 17]
+        model, server, clients = make_federation(len(sizes), head=head, seed=32, dropout=0.25, per_client=sizes)
+        fed = FederationConfig(batch_size=8, local_epochs=2, learning_rate=0.05, warmup_lr=0.01)
+        agg = AggregatorConfig(kind, mu_prox=0.3, alpha_dyn=0.2)
+        spec = LossSpec(aux, aux_weight=0.5)
+        stream = RngStream(33)
+        for t in range(2):
+            before, dual_mean = server.global_vector, server.dual_mean.copy()
+            duals = [c.dual.copy() for c in clients]
+            probe = copy.deepcopy(model)
+            alone = []
+            for cid, client in enumerate(clients):
+                vec, steps = sequential_local_train(
+                    probe, client, before, fed, agg, spec, stream.child("local", t, cid), t
+                )
+                alone.append((vec, steps, weight_drift(probe)[1]))
+            want_steps = [0 if head == "zero_shot" else 2 * -(-n // 8) for n in sizes]
+            assert [steps for _, steps, _ in alone] == want_steps
+
+            streams = [stream.child("local", t, cid) for cid in range(len(clients))]
+            lockstep = train_participants(copy.deepcopy(model), clients, before, fed, agg, spec, streams, t)
+            for (vec, steps), (want, want_steps, _) in zip(lockstep, alone, strict=True):
+                assert vec.tobytes() == want.tobytes()
+                assert steps == want_steps
+
+            record = run_round(model, server, clients, fed, agg, spec, t, stream)
+            updates = [(vec, c.train_size, steps) for (vec, steps, _), c in zip(alone, clients)]
+            want = aggregate(updates, before, agg, ServerState(before, len(clients), dual_mean))
+            assert record.global_vector.tobytes() == want.tobytes()
+            drifts = np.array([drift for _, _, drift in alone])
+            assert (record.drift_mean, record.drift_std) == (float(drifts.mean()), float(drifts.std()))
+            for client, dual, (vec, _, _) in zip(clients, duals, alone):
+                want_dual = dual - agg.alpha_dyn * (vec - before) if kind == "feddyn" else dual
+                assert client.dual.tobytes() == want_dual.tobytes()
+
+    def test_non_finite_client_in_a_stack_names_client_round_and_step(self):
+        model, server, clients = make_federation(5, seed=34, per_client=16)
+        fed = FederationConfig(batch_size=8)
+        stream = RngStream(35)
+        run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, stream)
+        # all five clients share each 8-row step, so client 3 fails inside a stack
+        clients[3].train_x = clients[3].train_x.copy()
+        clients[3].train_x[11, 2] = np.nan
+        order = stream.child("local", 1, 3).child("shuffle", 0).permutation(16)
+        step = int(np.flatnonzero(order == 11)[0]) // 8
+        with pytest.raises(NumericError, match=rf"on client 3, round 1, step {step}$"):
+            run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 1, stream)
 
     def test_round_reports_cover_all_clients(self):
         model, server, clients = make_federation(5, seed=22)

@@ -10,7 +10,7 @@ from fedcalib.errors import InvalidInputError
 from fedcalib.losses import LossSpec, ce_loss, dca_loss, mdca_loss, total_loss
 from fedcalib.numerics import RngStream
 
-from oracles import random_prob_batch
+from oracles import naive_ce_loss, naive_dca_loss, naive_mdca_loss, random_prob_batch
 
 
 def batch(probs, labels):
@@ -179,6 +179,67 @@ class TestMdcaLoss:
     def test_rejects_single_class(self):
         with pytest.raises(InvalidInputError):
             mdca_loss(batch([[1.0]], [0]))
+
+
+def random_stack(rng, k, n, c):
+    """K batches of n probability rows over c classes, with labels."""
+    raw = rng.normal(k * n * c).reshape(k, n, c) * 2.0
+    probs = np.exp(raw - raw.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    labels = (rng.u64(k * n) % np.uint64(c)).astype(np.int64).reshape(k, n)
+    return probs, labels
+
+
+class TestStackedLosses:
+    """Every loss on a stack of K batches keeps each client's own batch means."""
+
+    LOSSES = [(ce_loss, naive_ce_loss), (dca_loss, naive_dca_loss), (mdca_loss, naive_mdca_loss)]
+
+    @pytest.mark.parametrize("loss, oracle", LOSSES)
+    @pytest.mark.parametrize("k, n, c", [(1, 1, 2), (1, 7, 3), (4, 1, 5), (5, 9, 4), (10, 32, 20)])
+    def test_every_slice_matches_the_oracle(self, loss, oracle, k, n, c):
+        probs, labels = random_stack(RngStream(88, k * 1000 + n), k, n, c)
+        stacked = loss(ProbBatch(probs, labels))
+        assert np.shape(stacked.total) == (k,)
+        assert stacked.grad_wrt_probs.shape == (k, n, c)
+        for i in range(k):
+            value, grad = oracle(probs[i], labels[i])
+            assert abs(stacked.total[i] - value) <= 1e-12
+            assert np.max(np.abs(stacked.grad_wrt_probs[i] - grad)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["none", "dca", "mdca"])
+    def test_slices_equal_the_batch_alone_bit_for_bit(self, kind):
+        probs, labels = random_stack(RngStream(89), 6, 12, 7)
+        # one slice whose DCA gap is exactly 0, so sign(0) is covered
+        probs[2] = 0.0
+        probs[2, :, :2] = 0.5
+        labels[2] = np.repeat([0, 1], 6)
+        stacked = total_loss(ProbBatch(probs, labels), LossSpec(kind))
+        for i in range(len(probs)):
+            alone = total_loss(ProbBatch(probs[i], labels[i]), LossSpec(kind))
+            assert isinstance(alone.total, float)
+            for part in ("total", "ce_part", "aux_part"):
+                got = np.broadcast_to(getattr(stacked, part), (len(probs),))[i]
+                assert np.float64(got).tobytes() == np.float64(getattr(alone, part)).tobytes(), part
+            assert stacked.grad_wrt_probs[i].tobytes() == alone.grad_wrt_probs.tobytes()
+
+    def test_oracles_match_single_batches(self):
+        rng = RngStream(90)
+        for _ in range(20):
+            probs, labels = random_prob_batch(rng, max_n=25)
+            b = ProbBatch(probs, labels)
+            for loss, oracle in self.LOSSES:
+                value, grad = oracle(probs, labels)
+                got = loss(b)
+                assert abs(got.total - value) <= 1e-12
+                assert np.max(np.abs(got.grad_wrt_probs - grad)) <= 1e-12
+
+    def test_stack_labels_must_match_rows(self):
+        probs, labels = random_stack(RngStream(91), 3, 4, 5)
+        with pytest.raises(InvalidInputError):
+            ProbBatch(probs, labels[:, :3])
+        with pytest.raises(InvalidInputError):
+            ProbBatch(probs, labels.ravel())
 
 
 class TestTotalLoss:

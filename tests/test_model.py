@@ -302,6 +302,87 @@ class TestBackward:
             assert not np.array_equal(first, second), head
 
 
+class TestClientStack:
+    """A stack of K clients' batches equals each client's batch alone, bit for bit."""
+
+    @pytest.mark.parametrize("head", ["prompt", "lora_text", "lora_vision", "lora_both", "bitfit"])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_stack_equals_each_client_alone(self, head, k):
+        m = build(head, seed=70, dropout=0.25, logit_scale=10.0)
+        rng = RngStream(71)
+        size = m.trainable_size()
+        thetas = m.trainable_vector() + rng.normal(k * size).reshape(k, size) * 0.1
+        x = rng.normal(k * 5 * 8).reshape(k, 5, 8)
+        y = (rng.u64(k * 5) % np.uint64(4)).astype(np.int64).reshape(k, 5)
+        stacked = copy.deepcopy(m)
+        stacked.load_trainable(thetas)
+        assert stacked.trainable_vector().tobytes() == thetas.tobytes()
+        logits = stacked.forward(x, train=True, rng=[RngStream(72, i) for i in range(k)])
+        loss, grad = stacked.backward(y, LossSpec("mdca"))
+        assert logits.shape == (k, 5, 4) and grad.shape == (k, size)
+        for i in range(k):
+            m.load_trainable(thetas[i])
+            alone = m.forward(x[i], train=True, rng=RngStream(72, i))
+            loss_i, grad_i = m.backward(y[i], LossSpec("mdca"))
+            assert logits[i].tobytes() == alone.tobytes()
+            assert grad[i].tobytes() == grad_i.tobytes()
+            assert np.float64(loss.total[i]).tobytes() == np.float64(loss_i.total).tobytes()
+
+    def test_views_carry_the_client_axis(self):
+        m = build("lora_both", seed=73)
+        size = m.trainable_size()
+        m.load_trainable(np.arange(3 * size, dtype=float).reshape(3, size))
+        ad = m.image_stack[0].adapter
+        assert ad.down.shape == (3, 16, 2) and ad.up.shape == (3, 2, 8)
+        assert np.shares_memory(ad.down, m.theta) and np.shares_memory(ad.down_grad, m.grad)
+        assert ad.down[1, 0, 0] == size  # row 1 starts at entry P
+        m.load_trainable(np.zeros(size))
+        assert ad.down.shape == (1, 16, 2) and m.trainable_vector().shape == (size,)
+        with pytest.raises(TransportError):
+            m.load_trainable(np.zeros((2, size + 1)))
+        with pytest.raises(TransportError):
+            m.load_trainable(np.zeros((0, size)))
+
+    def test_stack_size_must_match_parameter_rows(self):
+        m = build("lora_both", seed=74)
+        m.load_trainable(np.tile(m.trainable_vector(), (2, 1)))
+        with pytest.raises(UsageError):
+            m.forward(np.zeros((3, 4, 8)))
+        with pytest.raises(UsageError):
+            m.forward(np.zeros((4, 8)))
+        m.forward(np.zeros((2, 4, 8)) + 0.1)
+
+    def test_non_finite_input_names_its_stack_row(self):
+        m = build("lora_both", seed=75)
+        m.load_trainable(np.tile(m.trainable_vector(), (4, 1)))
+        x = RngStream(76).normal(4 * 3 * 8).reshape(4, 3, 8)
+        x[2, 1, 5] = np.inf
+        with pytest.raises(NumericError) as info:
+            m.forward(x)
+        assert info.value.rows == (2,)
+
+    @pytest.mark.parametrize(
+        "head, layers", [("prompt", 2), ("lora_text", 2), ("lora_vision", 2), ("lora_both", 4), ("bitfit", 4)]
+    )
+    def test_backward_runs_only_stacks_with_trainable_entries(self, head, layers, monkeypatch):
+        import fedcalib.model as model_module
+
+        calls = []
+        original = model_module._layer_backward
+
+        def counted(layer, record, delta, input_grad):
+            calls.append(input_grad)
+            return original(layer, record, delta, input_grad)
+
+        monkeypatch.setattr(model_module, "_layer_backward", counted)
+        m = build(head, seed=77)
+        m.forward(RngStream(78).normal(3 * 8).reshape(3, 8), train=True)
+        m.backward(np.array([0, 1, 2]), LossSpec("none"))
+        assert len(calls) == layers
+        # only the prompt reads a gradient w.r.t. a stack's input
+        assert calls.count(False) == (0 if head == "prompt" else layers // 2)
+
+
 class TestTransport:
     def test_roundtrip_bit_identical(self):
         for head in ("prompt", "lora_both", "bitfit"):

@@ -45,6 +45,29 @@ class TestRngStream:
         chunks = np.concatenate([a.u64(3), a.u64(4), a.u64(13)])
         assert np.array_equal(chunks, RngStream(5, 5).u64(20))
 
+    @pytest.mark.parametrize("p", [0.75, 0.5, 1e-3, 1.0, 0.1 + 0.2])
+    def test_bernoulli_rows_match_each_stream(self, p):
+        # streams at different counters, large seeds and ids (u64 wrap-around)
+        for n in (0, 1, 5, 4096):
+            streams = [RngStream(2**64 - 1 - i, 2**63 + 7 * i) for i in range(5)]
+            replay = [RngStream(2**64 - 1 - i, 2**63 + 7 * i) for i in range(5)]
+            for a, b, skip in zip(streams, replay, (0, 3, 0, 11, 1)):
+                a.random(skip)
+                b.random(skip)
+            rows = RngStream.bernoulli_rows(streams, n, p)
+            assert rows.shape == (5, n) and rows.dtype == bool
+            for row, stream in zip(rows, replay):
+                assert np.array_equal(row, stream.random(n) < p)
+            # every stream advanced by exactly n draws
+            assert [s.u64(2).tobytes() for s in streams] == [s.u64(2).tobytes() for s in replay]
+
+    def test_bernoulli_threshold_is_exact_at_a_draw(self):
+        # p equal to a stream's first draw: that draw is not below p, and the
+        # next representable p above it is
+        u = RngStream(6, 6).random(1)[0]
+        assert not RngStream.bernoulli_rows([RngStream(6, 6)], 1, u)[0, 0]
+        assert RngStream.bernoulli_rows([RngStream(6, 6)], 1, np.nextafter(u, 1.0))[0, 0]
+
     def test_uniform_range(self):
         u = RngStream(1).random(100000)
         assert u.min() >= 0.0 and u.max() < 1.0
