@@ -37,7 +37,11 @@ and client k's rows meet only row k of each trainable array, through
 stacked ``np.matmul``, so a client's slice of a stacked forward and
 backward is the computation of its batch alone. A stack whose input and
 weights are the same for every client (the text stack of a head that does
-not train it) runs once with a leading axis of 1.
+not train it) runs once with a leading axis of 1; the text stack's first
+frozen product ``prototypes @ W.T`` is made once per model. A training
+forward draws all adapted layers' dropout masks, image layers then text
+layers, in one ``bernoulli_rows`` call and records per layer where its relu
+is positive, the dropped adapter input, its mask and ``a_drop @ B.T``.
 
 ``backward`` computes analytic gradients through softmax, cosine
 normalization, the dense stacks, and the adapter factorization into a
@@ -161,26 +165,25 @@ def _layer_backward(layer: DenseLayer, record: tuple, delta: np.ndarray, input_g
     """One layer of ``_stack_backward``: writes the layer's gradient slots and
     returns the gradient w.r.t. its input (``None`` unless ``input_grad``).
 
-    Overwrites ``delta``. Each temporary is released as soon as it is used,
+    ``record`` is the layer's record from ``_stack_forward``, whose dropped
+    input and rank-r product are reused. Overwrites ``delta`` and a dropped
+    input the forward made. Each temporary is released as soon as it is used,
     because a stack of K clients makes every one of them K times larger.
     """
-    out, a, kept = record
-    if layer.activation == "relu":
-        # out > 0 exactly where the pre-activation is > 0
-        delta *= out > 0
+    positive, a_drop, kept, a_up = record
+    if positive is not None:
+        delta *= positive
     if layer.bias_grad is not None:
         layer.bias_grad[...] = delta.sum(axis=-2, keepdims=True)
     ad = layer.adapter
     if ad is None:
         return delta @ layer.weight if input_grad else None
-    a_drop = a if kept is None else _drop(a, kept, ad)
-    ad.down_grad[...] = ad.scale * (delta.mT @ (a_drop @ ad.up.mT))
+    ad.down_grad[...] = ad.scale * (delta.mT @ a_up)
     delta_down = delta @ ad.down
     ad.up_grad[...] = ad.scale * (delta_down.mT @ a_drop)
     if not input_grad:
         return None
-    del a_drop
-    adapter_back = delta_down @ ad.up
+    adapter_back = np.matmul(delta_down, ad.up, out=None if kept is None else a_drop)
     adapter_back *= ad.scale
     if kept is not None:
         _drop(adapter_back, kept, ad, out=adapter_back)
@@ -205,6 +208,7 @@ class DualEncoderModel:
         self.prompt = prompt  # (M x d) or None; (K x M x d) once bound
         self.prompt_grad = None
         self._cache = None
+        self._text_first = prototypes @ text_stack[0].weight.T  # shared by every head but the prompt
         self._slots = self._trainable_slots()
         values = [getattr(owner, attr).ravel() for owner, attr, _ in self._slots]
         self._bind(np.concatenate(values) if values else np.zeros(0))
@@ -275,57 +279,61 @@ class DualEncoderModel:
 
     # -- forward / backward ---------------------------------------------------
 
-    def _stack_forward(self, stack_name, stack, x, train, streams):
+    def _stack_forward(self, stack_name, stack, x, train, masks, first=None):
         """Run one encoder stack on a (K x rows x in) stack of inputs.
 
         A leading axis of 1 serves every client when the stack's input and
-        parameters are shared. Returns the stack output and, per layer in
-        training (else an empty list), the layer output, the layer input and
-        the boolean dropout mask of the adapter input (``None`` without an
-        adapter or without dropout). Client k's mask is drawn from
-        ``streams[k]``. Each layer adds its bias and adapter term and applies
-        its relu in place, so an evaluation forward holds at most two layers'
-        activations. A record keeps a layer's output only where backward
-        reads it (through the relu), and its input only by reference.
+        parameters are shared. ``first``, if given, is the first layer's
+        frozen product ``x @ W.T``. An adapted layer in training takes its
+        adapter-input mask from ``masks`` (none without dropout). Returns the
+        stack output and, per layer in training (else an empty list), the
+        record ``(positive, a_drop, kept, a_up)``: ``out > 0`` under a relu,
+        the dropped adapter input, its mask and ``a_drop @ up.mT`` (``None``
+        where they do not apply). Each layer adds its bias and adapter term
+        and applies its relu in place, so an evaluation forward holds at most
+        two layers' activations.
         """
         records = []
         a = x
         for i, layer in enumerate(stack):
-            kept = None
+            kept = a_drop = a_up = None
             # overflow here surfaces as the NumericError below, not a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                z = a @ layer.weight.T
+                z = a @ layer.weight.T if i or first is None else first
                 z += layer.bias
                 ad = layer.adapter
                 if ad is not None:
-                    a_drop = a
-                    if train and ad.dropout_rate > 0.0:
-                        if any(rng is None for rng in streams):
-                            raise UsageError("training forward with dropout requires an RngStream")
-                        kept = RngStream.bernoulli_rows(streams, a[0].size, 1.0 - ad.dropout_rate)
-                        kept = kept.reshape(len(streams), *a.shape[1:])
-                        a_drop = _drop(a, kept, ad)
-                    z += ad.scale * (a_drop @ ad.up.mT) @ ad.down.mT
-            if not np.all(np.isfinite(z)):
+                    kept = next(masks, None) if train else None
+                    a_drop = a if kept is None else _drop(a, kept, ad)
+                    a_up = a_drop @ ad.up.mT
+                    z += ad.scale * a_up @ ad.down.mT
+                # one sum is finite only if every entry is; the exact scan runs on failure
+                finite = np.isfinite(z.sum()) or np.isfinite(z).all()
+            if not finite:
                 bad = ~np.isfinite(z).reshape(len(z), -1).all(axis=1)
                 raise NumericError(f"non-finite activation in {stack_name} layer {i}", np.flatnonzero(bad))
             if layer.activation == "relu":
                 np.maximum(z, 0.0, out=z)
             if train:
                 # backward reads a layer's output only through its relu
-                records.append((z if layer.activation == "relu" else None, a, kept))
+                records.append((z > 0 if layer.activation == "relu" else None, a_drop, kept, a_up))
             a = z
         return a, records
 
-    def _text_input(self, k: int) -> np.ndarray:
-        """Text-stack input: (K x C x d) when the text side differs per client, else (1 x C x d)."""
-        t = self.prototypes[None]
-        head = self.config.head_kind
-        if head == "prompt":
-            return t + self.prompt.mean(axis=1)[:, None, :]
-        if head in _TEXT_TRAINED:
-            return t.repeat(k, axis=0)
-        return t
+    def _dropout_masks(self, streams, stacks):
+        """Iterator of the (K x rows x in) adapter-input masks of the trained
+        ``(layers, rows)`` stacks, image stack first; empty without dropout.
+        Client k's masks are row k of one ``bernoulli_rows`` draw, cut in
+        layer order, so each is the draw of its layer after those before it.
+        """
+        shapes = [(rows, ly.weight.shape[1]) for layers, rows in stacks for ly in layers if ly.adapter is not None]
+        if not shapes or self.config.lora_dropout == 0.0:
+            return iter(())
+        if any(rng is None for rng in streams):
+            raise UsageError("training forward with dropout requires an RngStream")
+        ends = np.cumsum([r * c for r, c in shapes])
+        kept = RngStream.bernoulli_rows(streams, int(ends[-1]), 1.0 - self.config.lora_dropout)
+        return iter([kept[:, e - r * c : e].reshape(len(streams), r, c) for e, (r, c) in zip(ends, shapes)])
 
     def forward(self, embeddings: np.ndarray, train: bool = False, rng: RngStream | list | None = None) -> np.ndarray:
         """Logit matrix (batch x C) of scaled cosine similarities.
@@ -351,33 +359,32 @@ class DualEncoderModel:
         if len(streams) != k:
             raise UsageError(f"a stack of {k} batches needs {k} streams, got {len(streams)}")
         head = self.config.head_kind
-        fv, img_records = self._stack_forward(
-            "img", self.image_stack, xs, train and head in _IMAGE_TRAINED, streams
-        )
-        ft, txt_records = self._stack_forward(
-            "txt", self.text_stack, self._text_input(k), train and head in _TEXT_TRAINED, streams
-        )
+        train_img, train_txt = train and head in _IMAGE_TRAINED, train and head in _TEXT_TRAINED
+        # only a prompt makes the text input differ per client; else layer 0's product is cached
+        text, first = self.prototypes[None], None
+        if head == "prompt":
+            text = text + self.prompt.mean(axis=1)[:, None, :]
+        else:
+            first = np.repeat(self._text_first[None], k if head in _TEXT_TRAINED else 1, axis=0)
+        trained = [(self.image_stack, xs.shape[1])] if train_img else []
+        trained += [(self.text_stack, text.shape[1])] if train_txt else []
+        masks = self._dropout_masks(streams, trained)
+        fv, img_records = self._stack_forward("img", self.image_stack, xs, train_img, masks)
+        ft, txt_records = self._stack_forward("txt", self.text_stack, text, train_txt, masks, first)
         v_norms = np.linalg.norm(fv, axis=-1, keepdims=True)
         t_norms = np.linalg.norm(ft, axis=-1, keepdims=True)
         zero = (v_norms == 0).any(axis=(1, 2)) | (t_norms == 0).any(axis=(1, 2))
         if zero.any():
             rows = np.flatnonzero(np.broadcast_to(zero, (k,)))
             raise NumericError("zero-norm encoder output; cannot take cosine", rows)
-        u = fv / v_norms
-        w = ft / t_norms
+        u = np.divide(fv, v_norms, out=fv)  # both are this forward's own arrays
+        w = np.divide(ft, t_norms, out=ft)
         logits = self.config.logit_scale * (u @ w.mT)
         if not stacked:
             logits = logits[0]
         if train:
-            self._cache = {
-                "img": img_records,
-                "txt": txt_records,
-                "u": u,
-                "w": w,
-                "v_norms": v_norms,
-                "t_norms": t_norms,
-                "logits": logits,
-            }
+            self._cache = dict(img=img_records, txt=txt_records, u=u, w=w, v_norms=v_norms, t_norms=t_norms,
+                               logits=logits)
         return logits
 
     def _stack_backward(self, stack, records, delta, input_grad):
@@ -394,11 +401,12 @@ class DualEncoderModel:
     def backward(self, labels: np.ndarray, loss_spec: LossSpec) -> tuple:
         """Gradients of the training objective for every trainable entry.
 
-        Requires a cached training forward for the same batch (labels n, or
-        K x n for a stack). Returns ``(LossValue, gradient)``, the gradient a
-        copy of ``grad`` shaped like ``theta``: each client's gradient uses
-        only its own batch and parameter row. Only the stacks that hold
-        trainable entries, or feed the prompt, are backpropagated.
+        Uses up the cached training forward for the same batch (labels n, or
+        K x n for a stack); a second backward needs a new forward. Returns
+        ``(LossValue, gradient)``, the gradient a copy of ``grad`` shaped like
+        ``theta``: each client's gradient uses only its own batch and
+        parameter row. Only the stacks that hold trainable entries, or feed
+        the prompt, are backpropagated.
         """
         if self._cache is None:
             raise UsageError("backward requires a preceding forward(train=True)")
@@ -416,9 +424,6 @@ class DualEncoderModel:
 
         scale = self.config.logit_scale
         head = self.config.head_kind
-        if head in _IMAGE_TRAINED:
-            dfv = _through_normalization(scale * (gz @ w), u, cache["v_norms"])  # (K x n x d)
-            self._stack_backward(self.image_stack, cache["img"], dfv, input_grad=False)
         if head in _TEXT_TRAINED:
             dft = _through_normalization(scale * (gz.mT @ u), w, cache["t_norms"])  # (K x C x d)
             d_text_input = self._stack_backward(self.text_stack, cache["txt"], dft, input_grad=head == "prompt")
@@ -426,7 +431,11 @@ class DualEncoderModel:
                 # the context mean is added to every class prototype, and each
                 # of the M vectors contributes 1/M of the mean
                 self.prompt_grad[...] = (d_text_input.sum(axis=1) / self.prompt.shape[1])[:, None, :]
-        return loss, self.grad.copy()
+        if head in _IMAGE_TRAINED:
+            dfv = _through_normalization(scale * (gz @ w), u, cache["v_norms"])  # (K x n x d)
+            self._stack_backward(self.image_stack, cache["img"], dfv, input_grad=False)
+        grad, self._cache = self.grad.copy(), None  # backward overwrites records it no longer reads
+        return loss, grad
 
 
 def _init_stack(dims, rng: RngStream):

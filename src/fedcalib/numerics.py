@@ -15,6 +15,7 @@ reproduces byte-identical samples.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 
@@ -65,9 +66,17 @@ def _encode_part(part) -> int:
     if isinstance(part, (int, np.integer)):
         return int(part) & _MASK64
     if isinstance(part, str):
-        digest = hashlib.blake2b(part.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "little")
+        return _hash_str(part)
     raise InvalidInputError(f"stream path components must be int or str, got {type(part).__name__}")
+
+
+@functools.lru_cache(maxsize=1024)  # a few names ("dropout", "shuffle", ...) recur in every derivation
+def _hash_str(part: str) -> int:
+    return int.from_bytes(hashlib.blake2b(part.encode("utf-8"), digest_size=8).digest(), "little")
+
+
+_golden_steps = np.zeros(0, dtype=np.uint64)  # arange(n) * GOLDEN for the longest n drawn so far
+_DRAW_BLOCK = 1 << 14  # uint64 entries per block of a bernoulli_rows draw
 
 
 def derive_id(*parts) -> int:
@@ -122,19 +131,29 @@ class RngStream:
         """Boolean rows, one per stream: row k is ``streams[k].random(n) < p``.
 
         Bit for bit, and each stream advances by ``n`` draws as in
-        ``random``; the draws of all streams run as one array.
+        ``random``; the draws of all streams run together, in column blocks.
         """
         # key + (counter + 1 + j) * GOLDEN, split into a per-stream and a
         # per-draw term; uint64 arithmetic wraps, so the split is exact
         offsets = [(s._key + (s._counter + 1) * _GOLDEN) & _MASK64 for s in streams]
         for s in streams:
             s._counter += n
-        z = np.array(offsets, dtype=np.uint64)[:, None] + np.arange(n, dtype=np.uint64) * _NP_GOLDEN
-        z = _mix64_array(z)
-        z >>= _S11
-        # a draw is m * 2**-53 for the integer m = z >> 11 < 2**53, so it is
-        # below p exactly when m is below ceil(p * 2**53)
-        return z < np.uint64(math.ceil(p * (1 << 53)))
+        # a draw m * 2**-53 (m = z >> 11) is below p exactly when m < t = ceil(p * 2**53),
+        # that is when z < t << 11; every draw is below a t of 2**53 or more
+        t = math.ceil(p * (1 << 53))
+        if t >= 1 << 53:
+            return np.ones((len(streams), n), dtype=bool)
+        global _golden_steps
+        if len(_golden_steps) < n:
+            _golden_steps = np.arange(n, dtype=np.uint64) * _NP_GOLDEN
+        kept = np.empty((len(streams), n), dtype=bool)
+        base = np.array(offsets, dtype=np.uint64)[:, None]
+        width = max(1, _DRAW_BLOCK // max(1, len(streams)))
+        for start in range(0, n, width):
+            stop = min(n, start + width)
+            z = _mix64_array(base + _golden_steps[start:stop])
+            np.less(z, np.uint64(t << 11), out=kept[:, start:stop])
+        return kept
 
     def random_open(self, n: int) -> np.ndarray:
         """Uniform doubles in (0, 1]; safe as a log() argument."""

@@ -162,3 +162,30 @@ def naive_mdca_loss(probs, labels):
         for i in range(n):
             grad[i][j] = -sign / (c * n)
     return value, np.array(grad)
+
+
+def naive_train_logits(model, x, streams):
+    """Training-mode logits of a stack of K batches ``x`` (K x n x d), client by
+    client and layer by layer.
+
+    Every layer is recomputed from scratch as ``a @ W.T`` on client k's own
+    parameter row, and each adapted layer draws its dropout mask in turn,
+    image stack first, as ``streams[k].random(size) < keep``.
+    """
+    keep = 1.0 - model.config.lora_dropout
+    out = []
+    for k, stream in enumerate(streams):
+        features = []
+        for stack, a in ((model.image_stack, x[k]), (model.text_stack, model.prototypes)):
+            for layer in stack:
+                bias = layer.bias[k] if layer.bias.ndim == 3 else layer.bias
+                z = a @ layer.weight.T + bias
+                ad = layer.adapter
+                if ad is not None:
+                    kept = stream.random(a.size).reshape(a.shape) < keep if keep < 1.0 else True
+                    a_drop = (a * kept) * (1.0 / keep)
+                    z = z + (ad.scale * (a_drop @ ad.up[k].T)) @ ad.down[k].T
+                a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+            features.append(a / np.linalg.norm(a, axis=-1, keepdims=True))
+        out.append(model.config.logit_scale * (features[0] @ features[1].T))
+    return np.array(out)

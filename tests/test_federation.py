@@ -20,6 +20,7 @@ from fedcalib.federation import (
     aggregate,
     build_clients,
     EVAL_BLOCK_ROWS,
+    STACK_ROWS,
     evaluate_base_new,
     init_server,
     local_train,
@@ -405,6 +406,23 @@ class TestRunRound:
             for client, dual, (vec, _, _) in zip(clients, duals, alone):
                 want_dual = dual - agg.alpha_dyn * (vec - before) if kind == "feddyn" else dual
                 assert client.dual.tobytes() == want_dual.tobytes()
+
+    def test_full_stack_equals_each_client_alone(self):
+        # eight clients with 32-row batches fill one stack of STACK_ROWS rows
+        model, server, clients = make_federation(8, seed=36, dropout=0.25, per_client=64)
+        fed = FederationConfig(batch_size=32, learning_rate=0.05, warmup_lr=0.01)
+        agg, spec, stream = AggregatorConfig(), LossSpec("mdca", aux_weight=0.5), RngStream(37)
+        alone = [
+            sequential_local_train(copy.deepcopy(model), c, server.global_vector, fed, agg, spec,
+                                   stream.child("local", 0, c.client_id))
+            for c in clients
+        ]
+        rows = count_forwards(model)
+        streams = [stream.child("local", 0, c.client_id) for c in clients]
+        lockstep = train_participants(model, clients, server.global_vector, fed, agg, spec, streams)
+        assert rows == [8, 8] and 8 * 32 == STACK_ROWS
+        for (vec, steps), (want, want_steps) in zip(lockstep, alone, strict=True):
+            assert vec.tobytes() == want.tobytes() and steps == want_steps == 2
 
     def test_non_finite_client_in_a_stack_names_client_round_and_step(self):
         model, server, clients = make_federation(5, seed=34, per_client=16)

@@ -21,6 +21,7 @@ from fedcalib.model import (
     zero_shot_init,
 )
 from fedcalib.numerics import RngStream, l2_normalize_rows, softmax_rows
+from oracles import naive_train_logits
 
 
 def small_config(head="lora_both", d=8, c=4, dropout=0.0, **kw):
@@ -327,6 +328,19 @@ class TestClientStack:
             assert logits[i].tobytes() == alone.tobytes()
             assert grad[i].tobytes() == grad_i.tobytes()
             assert np.float64(loss.total[i]).tobytes() == np.float64(loss_i.total).tobytes()
+
+    @pytest.mark.parametrize("head", ["lora_text", "lora_vision", "lora_both", "bitfit"])
+    def test_training_forward_matches_naive_oracle(self, head):
+        # the oracle draws each adapted layer's mask in turn and recomputes the
+        # text stack's first frozen product for every client
+        m = build(head, seed=79, dropout=0.25, logit_scale=10.0)
+        rng = RngStream(80)
+        size = m.trainable_size()
+        m.load_trainable(m.trainable_vector() + rng.normal(3 * size).reshape(3, size) * 0.1)
+        x = rng.normal(3 * 5 * 8).reshape(3, 5, 8)
+        logits = m.forward(x, train=True, rng=[RngStream(81, i) for i in range(3)])
+        want = naive_train_logits(m, x, [RngStream(81, i) for i in range(3)])
+        assert logits.tobytes() == want.tobytes()
 
     def test_views_carry_the_client_axis(self):
         m = build("lora_both", seed=73)
