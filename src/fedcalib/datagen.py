@@ -50,16 +50,18 @@ class SyntheticSpec:
     train_fraction: float = 0.8
 
     def __post_init__(self):
-        if self.class_count < 1 or self.dim < 2:
-            raise ConfigError("need at least 1 class and dimension 2")
+        if self.class_count < 1:
+            raise ConfigError(f"class_count must be >= 1, got {self.class_count}")
+        if self.dim < 2:
+            raise ConfigError(f"dim must be >= 2, got {self.dim}")
         if self.samples_per_class < 1:
-            raise ConfigError("samples_per_class must be positive")
-        if self.noise_sigma <= 0:
-            raise ConfigError(f"noise sigma must be positive, got {self.noise_sigma}")
+            raise ConfigError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
+        if not self.noise_sigma > 0:
+            raise ConfigError(f"noise_sigma must be positive, got {self.noise_sigma}")
         if self.domain_count < 1:
-            raise ConfigError("domain_count must be at least 1")
+            raise ConfigError(f"domain_count must be >= 1, got {self.domain_count}")
         if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError("train_fraction must be in (0, 1)")
+            raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
 
 def _domain_rotation(dim: int, rng: RngStream) -> list:

@@ -57,15 +57,17 @@ class FederationConfig:
 
     def __post_init__(self):
         if self.rounds < 1:
-            raise ConfigError("rounds must be at least 1")
+            raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
         if self.local_epochs < 0:
-            raise ConfigError("local_epochs must be non-negative")
+            raise ConfigError(f"local_epochs must be >= 0, got {self.local_epochs}")
         if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
-        if self.learning_rate <= 0 or self.warmup_lr <= 0:
-            raise ConfigError("learning rates must be positive")
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not self.warmup_lr > 0:
+            raise ConfigError(f"warmup_lr must be positive, got {self.warmup_lr}")
         if not 0.0 < self.participation_rate <= 1.0:
-            raise ConfigError("participation_rate must be in (0, 1]")
+            raise ConfigError(f"participation_rate must be in (0, 1], got {self.participation_rate}")
 
 
 @dataclass(frozen=True)
@@ -76,11 +78,11 @@ class AggregatorConfig:
 
     def __post_init__(self):
         if self.kind not in AGGREGATOR_KINDS:
-            raise ConfigError(f"aggregator must be one of {AGGREGATOR_KINDS}, got {self.kind!r}")
-        if self.kind == "fedprox" and self.mu_prox <= 0:
-            raise ConfigError("fedprox requires mu_prox > 0")
-        if self.kind == "feddyn" and self.alpha_dyn <= 0:
-            raise ConfigError("feddyn requires alpha_dyn > 0")
+            raise ConfigError(f"kind must be one of {AGGREGATOR_KINDS}, got {self.kind!r}")
+        if not self.mu_prox > 0:
+            raise ConfigError(f"mu_prox must be positive, got {self.mu_prox}")
+        if not self.alpha_dyn > 0:
+            raise ConfigError(f"alpha_dyn must be positive, got {self.alpha_dyn}")
 
 
 @dataclass

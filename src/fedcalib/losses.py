@@ -36,7 +36,7 @@ class LossSpec:
     def __post_init__(self):
         if self.aux_kind not in AUX_KINDS:
             raise InvalidInputError(f"aux_kind must be one of {AUX_KINDS}, got {self.aux_kind!r}")
-        if self.aux_weight < 0:
+        if not self.aux_weight >= 0:
             raise InvalidInputError(f"aux_weight must be non-negative, got {self.aux_weight}")
 
 

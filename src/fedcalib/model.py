@@ -75,7 +75,7 @@ HEAD_KINDS = ("zero_shot", "prompt", "lora_text", "lora_vision", "lora_both", "b
 class ModelConfig:
     embed_dim: int = 64
     class_count: int = 20
-    encoder_widths: tuple = ()  # hidden widths; () means the default (2d,)
+    encoder_widths: tuple[int, ...] = ()  # hidden widths; () means the default (2d,)
     head_kind: str = "zero_shot"
     lora_rank: int = 2
     lora_alpha: float | None = None  # None means 1/rank
@@ -86,16 +86,22 @@ class ModelConfig:
     def __post_init__(self):
         if self.head_kind not in HEAD_KINDS:
             raise ConfigError(f"head_kind must be one of {HEAD_KINDS}, got {self.head_kind!r}")
-        if self.embed_dim < 1 or self.class_count < 1:
-            raise ConfigError("embed_dim and class_count must be positive")
+        if self.embed_dim < 1:
+            raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        if self.class_count < 1:
+            raise ConfigError(f"class_count must be >= 1, got {self.class_count}")
+        if not all(w >= 1 for w in self.encoder_widths):
+            raise ConfigError(f"encoder_widths must be positive, got {list(self.encoder_widths)}")
         if self.lora_rank < 1:
-            raise ConfigError(f"lora rank must be at least 1, got {self.lora_rank}")
+            raise ConfigError(f"lora_rank must be >= 1, got {self.lora_rank}")
+        if self.lora_alpha is not None and not self.lora_alpha > 0:
+            raise ConfigError(f"lora_alpha must be positive or null, got {self.lora_alpha}")
         if not 0.0 <= self.lora_dropout < 1.0:
-            raise ConfigError(f"lora dropout must be in [0, 1), got {self.lora_dropout}")
-        if self.logit_scale <= 0:
+            raise ConfigError(f"lora_dropout must be in [0, 1), got {self.lora_dropout}")
+        if not self.logit_scale > 0:
             raise ConfigError(f"logit_scale must be positive, got {self.logit_scale}")
         if self.prompt_length < 1:
-            raise ConfigError(f"prompt_length must be at least 1, got {self.prompt_length}")
+            raise ConfigError(f"prompt_length must be >= 1, got {self.prompt_length}")
 
     @property
     def lora_scale(self) -> float:

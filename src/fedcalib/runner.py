@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .calibration import (
     reliability_svg,
     segmented_reports,
 )
-from .config import ExperimentConfig, config_echo, expand_sweep, _dataclass_kwargs
+from .config import ExperimentConfig, config_echo, expand_sweep
 from .datagen import generate_synthetic, load_embeddings
 from .federation import (
     blocked_logits,
@@ -98,10 +99,7 @@ def client_views(data: LabeledDataset, plan: PartitionPlan, setting: str) -> lis
 
 
 def _reconcile_model(config: ExperimentConfig, data: LabeledDataset) -> ModelConfig:
-    kw = _dataclass_kwargs(config.model)
-    kw["embed_dim"] = data.dim
-    kw["class_count"] = data.class_count
-    return ModelConfig(**kw)
+    return replace(config.model, embed_dim=data.dim, class_count=data.class_count)
 
 
 def _report_dict(report) -> dict:
@@ -186,7 +184,7 @@ def run_single(config: ExperimentConfig) -> dict:
         final["harmonic_mean"] = bn["harmonic_mean"]
 
     results = {
-        "config": config_echo(config),
+        "config": config_echo(replace(config, model=model_config)),
         "method": config.method_name(),
         "plan": {
             "histograms": plan.histograms.tolist(),

@@ -1,6 +1,8 @@
 """Tests for the experiment config schema, defaults, and sweep expansion."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -173,3 +175,161 @@ class TestSweep:
             parse_config({"sweep": {"participation": [1.5]}})
         with pytest.raises(ConfigError, match="unknown key 'sweep.sigma'"):
             parse_config({"sweep": {"sigma": [0.1]}})
+
+
+# One row per bound, type error and sweep axis: (payload, JSON path the error names).
+REJECTIONS = [
+    # field bounds
+    ([], "config"),
+    ({"seed": -1}, "seed"),
+    ({"setting": "offline"}, "setting"),
+    ({"model": {"embed_dim": 0}}, "model.embed_dim"),
+    ({"model": {"class_count": 0}}, "model.class_count"),
+    ({"model": {"encoder_widths": [64, 0]}}, "model.encoder_widths"),
+    ({"model": {"head_kind": "mlp"}}, "model.head_kind"),
+    ({"model": {"lora_rank": 0}}, "model.lora_rank"),
+    ({"model": {"lora_alpha": 0}}, "model.lora_alpha"),
+    ({"model": {"lora_alpha": -0.5}}, "model.lora_alpha"),
+    ({"model": {"lora_dropout": 1.0}}, "model.lora_dropout"),
+    ({"model": {"lora_dropout": -0.1}}, "model.lora_dropout"),
+    ({"model": {"logit_scale": 0}}, "model.logit_scale"),
+    ({"model": {"prompt_length": 0}}, "model.prompt_length"),
+    ({"federation": {"rounds": 0}}, "federation.rounds"),
+    ({"federation": {"local_epochs": -1}}, "federation.local_epochs"),
+    ({"federation": {"batch_size": 0}}, "federation.batch_size"),
+    ({"federation": {"learning_rate": 0}}, "federation.learning_rate"),
+    ({"federation": {"warmup_lr": -1e-5}}, "federation.warmup_lr"),
+    ({"federation": {"participation_rate": 0}}, "federation.participation_rate"),
+    ({"federation": {"participation_rate": 1.5}}, "federation.participation_rate"),
+    ({"aggregator": {"kind": "fedsgd"}}, "aggregator.kind"),
+    ({"aggregator": {"mu_prox": 0}}, "aggregator.mu_prox"),
+    ({"aggregator": {"kind": "fedprox", "mu_prox": 0}}, "aggregator.mu_prox"),
+    ({"aggregator": {"alpha_dyn": -1}}, "aggregator.alpha_dyn"),
+    ({"aggregator": {"kind": "feddyn", "alpha_dyn": 0}}, "aggregator.alpha_dyn"),
+    ({"loss": {"aux_kind": "focal"}}, "loss.aux_kind"),
+    ({"loss": {"aux_weight": -1}}, "loss.aux_weight"),
+    ({"partition": {"kind": "iid"}}, "partition.kind"),
+    ({"partition": {"alpha": 0}}, "partition.alpha"),
+    ({"partition": {"kind": "sort_partition", "alpha": -1}}, "partition.alpha"),
+    ({"partition": {"num_clients": 0}}, "partition.num_clients"),
+    ({"partition": {"classes_per_client": 0}}, "partition.classes_per_client"),
+    ({"partition": {"clients_per_domain": 0}}, "partition.clients_per_domain"),
+    ({"metrics": {"bins": 0}}, "metrics.bins"),
+    ({"metrics": {"scheme": "quantile"}}, "metrics.scheme"),
+    ({"metrics": {"temperatures": [1.0, 0]}}, "metrics.temperatures"),
+    ({"data": {"synthetic": {"class_count": 0}}}, "data.synthetic.class_count"),
+    ({"data": {"synthetic": {"dim": 1}}}, "data.synthetic.dim"),
+    ({"data": {"synthetic": {"samples_per_class": 0}}}, "data.synthetic.samples_per_class"),
+    ({"data": {"synthetic": {"noise_sigma": 0}}}, "data.synthetic.noise_sigma"),
+    ({"data": {"synthetic": {"domain_count": 0}}}, "data.synthetic.domain_count"),
+    ({"data": {"synthetic": {"train_fraction": 0}}}, "data.synthetic.train_fraction"),
+    ({"data": {"synthetic": {"train_fraction": 1}}}, "data.synthetic.train_fraction"),
+    # NaN (which json.loads accepts) fails every bound
+    ({"federation": {"learning_rate": float("nan")}}, "federation.learning_rate"),
+    ({"model": {"logit_scale": float("nan")}}, "model.logit_scale"),
+    ({"data": {"synthetic": {"noise_sigma": float("nan")}}}, "data.synthetic.noise_sigma"),
+    # type errors
+    ({"seed": True}, "seed"),
+    ({"federation": {"rounds": True}}, "federation.rounds"),
+    ({"federation": {"learning_rate": True}}, "federation.learning_rate"),
+    ({"model": {"lora_alpha": False}}, "model.lora_alpha"),
+    ({"model": {"lora_rank": 1.5}}, "model.lora_rank"),
+    ({"partition": {"num_clients": 2.0}}, "partition.num_clients"),
+    ({"federation": {"learning_rate": "0.1"}}, "federation.learning_rate"),
+    ({"model": {"logit_scale": "big"}}, "model.logit_scale"),
+    ({"model": {"head_kind": 3}}, "model.head_kind"),
+    ({"model": {"lora_rank": None}}, "model.lora_rank"),
+    ({"federation": {"learning_rate": None}}, "federation.learning_rate"),
+    ({"metrics": {"scheme": None}}, "metrics.scheme"),
+    ({"model": {"encoder_widths": 64}}, "model.encoder_widths"),
+    ({"metrics": {"temperatures": 1.0}}, "metrics.temperatures"),
+    ({"model": {"encoder_widths": [64, "a"]}}, "model.encoder_widths"),
+    ({"model": {"encoder_widths": [64, True]}}, "model.encoder_widths"),
+    ({"model": {"encoder_widths": [1.5]}}, "model.encoder_widths"),
+    ({"metrics": {"temperatures": [1.0, "x"]}}, "metrics.temperatures"),
+    ({"metrics": {"temperatures": [True]}}, "metrics.temperatures"),
+    ({"model": []}, "model"),
+    ({"data": {"synthetic": 3}}, "data.synthetic"),
+    # unknown keys
+    ({"federation": {"epochs": 1}}, "federation.epochs"),
+    ({"data": {"synthetic": {"sigma": 0.1}}}, "data.synthetic.sigma"),
+    # sweep axes
+    ({"sweep": {"alpha": 0.5}}, "sweep.alpha"),
+    ({"sweep": {"alpha": [0.5, 0]}}, "sweep.alpha"),
+    ({"sweep": {"alpha": ["a"]}}, "sweep.alpha"),
+    ({"sweep": {"alpha": [True]}}, "sweep.alpha"),
+    ({"sweep": {"rounds": []}}, "sweep.rounds"),
+    ({"sweep": {"rounds": [0]}}, "sweep.rounds"),
+    ({"sweep": {"rounds": [1.5]}}, "sweep.rounds"),
+    ({"sweep": {"rank": [2, 0]}}, "sweep.rank"),
+    ({"sweep": {"rank": [None]}}, "sweep.rank"),
+    ({"sweep": {"head_kind": ["prompt", "mlp"]}}, "sweep.head_kind"),
+    ({"sweep": {"head_kind": [3]}}, "sweep.head_kind"),
+    ({"sweep": {"participation": [0]}}, "sweep.participation"),
+    ({"sweep": {"participation": [1.5]}}, "sweep.participation"),
+    ({"sweep": {"sigma": [0.1]}}, "sweep.sigma"),
+]
+
+
+class TestRejectionTable:
+    @pytest.mark.parametrize(
+        "payload,path", REJECTIONS, ids=[f"{path}:{json.dumps(p)}" for p, path in REJECTIONS]
+    )
+    def test_rejected_with_json_path(self, payload, path):
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            parse_config(payload)
+
+    @pytest.mark.parametrize("loss", [{"aux_kind": "focal"}, {"aux_weight": -1}])
+    def test_loss_section_error_exits_config(self, tmp_path, capsys, loss):
+        from fedcalib.cli import EXIT_CONFIG, main
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"loss": loss}))
+        assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "loss." in capsys.readouterr().err
+
+
+class TestNullableAndDiscardedFields:
+    """Values that are in range although they look odd: null and a discarded embed_dim."""
+
+    def test_lora_alpha_null_means_one_over_rank(self):
+        cfg = parse_config({"model": {"lora_alpha": None, "lora_rank": 4}})
+        assert cfg.model.lora_alpha is None
+        assert cfg.model.lora_scale == pytest.approx(0.25)
+
+    def test_embed_dim_one_accepted(self):
+        # the data's dimension replaces it before a model is built
+        assert parse_config({"model": {"embed_dim": 1}}).model.embed_dim == 1
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+class TestDocumentedAndShippedConfigs:
+    def test_readme_configuration_block_is_the_defaults(self):
+        readme = (REPO / "README.md").read_text()
+        block = readme.split("## Configuration", 1)[1].split("```jsonc", 1)[1].split("```", 1)[0]
+        payload = json.loads(re.sub(r"//.*", "", block))
+        assert parse_config(payload) == parse_config({})
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted(REPO.glob("configs/*.json")) + sorted(REPO.glob("perfbench/workloads/*.json")),
+        ids=lambda p: f"{p.parent.name}/{p.name}",
+    )
+    def test_echo_is_a_fixed_point(self, path):
+        echo = config_echo(load_config(path))
+        assert config_echo(parse_config(echo)) == echo
+
+    def test_alpha_sweep_keeps_integer_values_in_derived_seeds(self):
+        cfg = load_config(REPO / "configs" / "alpha_sweep.json")
+        assert config_echo(cfg)["sweep"]["alpha"] == [0.01, 0.1, 0.5, 1, 100]
+        points = expand_sweep(cfg)
+        assert [json.dumps(point) for point, _ in points] == [
+            '{"alpha": 0.01}', '{"alpha": 0.1}', '{"alpha": 0.5}', '{"alpha": 1}', '{"alpha": 100}'
+        ]
+        assert [sub.seed for _, sub in points] == [
+            465119521542864663, 1349451143231976295, 7072009171866943447,
+            600027817967928428, 3214385969514011561,
+        ]
+        assert [repr(sub.partition.alpha) for _, sub in points] == ["0.01", "0.1", "0.5", "1.0", "100.0"]

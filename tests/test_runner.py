@@ -54,6 +54,11 @@ class TestRunSingle:
         b = run_single(tiny_config())
         assert results_canonical_bytes(a) == results_canonical_bytes(b)
 
+    def test_config_echo_reports_built_model(self):
+        # the model adopts the data's dimension and class count, not the section's 64/20
+        model = run_single(tiny_config())["config"]["model"]
+        assert (model["embed_dim"], model["class_count"], model["encoder_widths"]) == (16, 5, [32])
+
     def test_seed_changes_results(self):
         a = run_single(tiny_config())
         b = run_single(tiny_config(seed=12))
