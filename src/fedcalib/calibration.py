@@ -264,35 +264,9 @@ def calibration_report(batch: ProbBatch, bins: int = 15, scheme: str = "equal_wi
     return segmented_reports(batch, [batch.n], bins, scheme)[0]
 
 
-def bin_predictions(batch: ProbBatch, bins: int, scheme: str = "equal_width") -> ReliabilityBins:
-    """Group samples by confidence and compute per-bin accuracy/confidence.
-
-    Empty bins are kept with count 0 (and zero statistics) rather than
-    dropped, so diagrams always render a full axis.
-    """
-    _, _, counts, acc, confm = _segment_bins(batch, [batch.n], bins, scheme)
-    return ReliabilityBins(scheme=scheme, counts=counts[0], accuracy=acc[0], confidence=confm[0])
-
-
-def expected_calibration_error(bins: ReliabilityBins) -> float:
-    """Sample-weighted mean |accuracy - confidence| over bins."""
-    if bins.counts.sum() == 0:
-        raise InvalidInputError("cannot compute ECE of empty bins")
-    return float(_gap_metrics(bins.counts, bins.accuracy, bins.confidence)[0])
-
-
-def brier_score(batch: ProbBatch) -> float:
-    """Full-vector mean squared error against one-hot labels; range [0, 2]."""
-    return float(np.mean(_squared_errors(batch)))
-
-
 def negative_log_likelihood(batch: ProbBatch) -> float:
     """Mean -log of the probability assigned to the true class."""
     return float(-np.mean(_true_log_probs(batch)))
-
-
-def accuracy_score(batch: ProbBatch) -> float:
-    return float(np.mean(batch.predictions() == batch.labels))
 
 
 def apply_temperature(logits: LogitBatch, scaler: TemperatureScaler) -> ProbBatch:
@@ -344,15 +318,6 @@ def fit_temperature(validation: LogitBatch) -> TemperatureScaler:
     candidates = [(float(_nll_at_temperature(validation, t)), float(t)) for t in (fitted, 1.0)]
     candidates.sort()
     return TemperatureScaler(candidates[0][1])
-
-
-def temperature_sweep(logits: LogitBatch, temperatures, bins: int = 15, scheme: str = "equal_width") -> list:
-    """ECE (plus the other metrics) at each user-given temperature."""
-    out = []
-    for tau in temperatures:
-        scaled = apply_temperature(logits, TemperatureScaler(float(tau)))
-        out.append((float(tau), calibration_report(scaled, bins, scheme)))
-    return out
 
 
 def harmonic_mean(base: float, new: float) -> float:

@@ -18,6 +18,9 @@ Precomputed embeddings can be ingested from two formats:
   file with header ``label,f0..f{d-1}`` (one row per class, in label order)
 
 Loaded rows are re-normalized to unit length, matching the synthetic path.
+A file whose content breaks its layout (a bad header or record, an
+unparsable or negative label, no data rows, a non-finite value) raises
+``FormatError`` naming the file.
 """
 
 from __future__ import annotations
@@ -139,26 +142,6 @@ _FPRO_MAGIC = b"FPRO"
 _FEMB_VERSION = 1
 
 
-def write_embeddings(path, embeddings: np.ndarray, labels: np.ndarray, domains: np.ndarray) -> None:
-    embeddings = np.asarray(embeddings, dtype=np.float32)
-    n, d = embeddings.shape
-    with open(path, "wb") as fh:
-        fh.write(_FEMB_MAGIC)
-        fh.write(struct.pack("<IIQ", _FEMB_VERSION, d, n))
-        for i in range(n):
-            fh.write(struct.pack("<II", int(labels[i]), int(domains[i])))
-            fh.write(embeddings[i].astype("<f4").tobytes())
-
-
-def write_prototypes(path, prototypes: np.ndarray) -> None:
-    prototypes = np.asarray(prototypes, dtype=np.float32)
-    c, d = prototypes.shape
-    with open(path, "wb") as fh:
-        fh.write(_FPRO_MAGIC)
-        fh.write(struct.pack("<II", d, c))
-        fh.write(prototypes.astype("<f4").tobytes())
-
-
 def _read_exact(fh, count: int, path, what: str) -> bytes:
     offset = fh.tell()
     blob = fh.read(count)
@@ -210,55 +193,48 @@ def read_prototypes(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _read_embedding_csv(path) -> tuple:
+def _read_csv(path, keys: list, what: str) -> tuple:
+    """Parse a CSV with header ``keys`` then ``f0..f{d-1}``.
+
+    Returns the integer ``keys`` columns (n x len(keys), non-negative) and
+    the n x d feature rows; a file without data rows is rejected.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise FormatError(f"{path}: empty file") from None
-        if len(header) < 3 or header[0] != "label" or header[1] != "domain":
-            raise FormatError(f"{path}: header must start with 'label,domain,f0,...'")
-        d = len(header) - 2
-        expected = ["label", "domain"] + [f"f{i}" for i in range(d)]
-        if header != expected:
-            raise FormatError(f"{path}: header columns must be {','.join(expected[:4])},...")
-        rows, labels, domains = [], [], []
+        k, d = len(keys), len(header) - len(keys)
+        if d < 1 or header != keys + [f"f{i}" for i in range(d)]:
+            raise FormatError(f"{path}: header must be '{','.join(keys)},f0,...,f{{d-1}}'")
+        ints, rows = [], []
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != d + 2:
-                raise FormatError(f"{path}: line {lineno} has {len(row)} fields, expected {d + 2}")
+            if len(row) != k + d:
+                raise FormatError(f"{path}: line {lineno} has {len(row)} fields, expected {k + d}")
             try:
-                labels.append(int(row[0]))
-                domains.append(int(row[1]))
-                rows.append([float(v) for v in row[2:]])
+                ints.append([int(v) for v in row[:k]])
+                rows.append([float(v) for v in row[k:]])
             except ValueError as exc:
                 raise FormatError(f"{path}: line {lineno}: {exc}") from None
-    return (
-        np.asarray(rows, dtype=np.float64),
-        np.asarray(labels, dtype=np.int64),
-        np.asarray(domains, dtype=np.int64),
-    )
+            if min(ints[-1]) < 0:
+                raise FormatError(f"{path}: line {lineno}: {' and '.join(keys)} must be non-negative")
+    if not rows:
+        raise FormatError(f"{path}: no {what} rows after the header")
+    return np.asarray(ints, dtype=np.int64), np.asarray(rows, dtype=np.float64)
+
+
+def _read_embedding_csv(path) -> tuple:
+    ints, rows = _read_csv(path, ["label", "domain"], "sample")
+    return rows, ints[:, 0], ints[:, 1]
 
 
 def _read_prototype_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        d = len(header) - 1
-        expected = ["label"] + [f"f{i}" for i in range(d)]
-        if d < 1 or header != expected:
-            raise FormatError(f"{path}: header must be 'label,f0,...,f{{d-1}}'")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != d + 1:
-                raise FormatError(f"{path}: line {lineno} has {len(row)} fields, expected {d + 1}")
-            if int(row[0]) != lineno - 2:
-                raise FormatError(f"{path}: line {lineno}: prototype rows must be in label order")
-            rows.append([float(v) for v in row[1:]])
-    return np.asarray(rows, dtype=np.float64)
+    labels, rows = _read_csv(path, ["label"], "prototype")
+    out_of_order = np.flatnonzero(labels[:, 0] != np.arange(len(rows)))
+    if out_of_order.size:
+        raise FormatError(f"{path}: line {out_of_order[0] + 2}: prototype rows must be in label order")
+    return rows
 
 
 def load_embeddings(train_path, test_path, prototypes_path) -> tuple:
@@ -283,6 +259,10 @@ def load_embeddings(train_path, test_path, prototypes_path) -> tuple:
         protos = _read_prototype_csv(prototypes_path)
     else:
         protos = read_prototypes(prototypes_path)
+    for path, values in ((train_path, tr_x), (test_path, te_x), (prototypes_path, protos)):
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad.size:
+            raise FormatError(f"{path}: non-finite value in row {bad[0]}")
     if protos.shape[1] != tr_x.shape[1]:
         raise FormatError(
             f"prototype dimension {protos.shape[1]} does not match sample dimension {tr_x.shape[1]}"
@@ -303,14 +283,3 @@ def load_embeddings(train_path, test_path, prototypes_path) -> tuple:
         is_train=np.concatenate([np.ones(len(tr_y), bool), np.zeros(len(te_y), bool)]),
     )
     return data, l2_normalize_rows(protos)
-
-
-def write_embedding_csv(path, embeddings: np.ndarray, labels: np.ndarray, domains: np.ndarray) -> None:
-    d = embeddings.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "domain"] + [f"f{i}" for i in range(d)])
-        for i in range(embeddings.shape[0]):
-            writer.writerow(
-                [int(labels[i]), int(domains[i])] + [f"{v:.8g}" for v in embeddings[i]]
-            )

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calibration import LogitBatch, ProbBatch, harmonic_mean, pool_bins, segmented_reports
+from .calibration import LogitBatch, ProbBatch, ReliabilityBins, harmonic_mean, pool_bins, segmented_reports
 from .errors import ConfigError, InvalidInputError, NumericError, TransportError
 from .losses import LossSpec
 from .model import DualEncoderModel, weight_drift
@@ -123,6 +123,7 @@ class RoundRecord:
     client_reports: list  # CalibrationReport | None per client
     excluded_clients: list  # clients skipped for having no test data
     mean: dict  # unweighted client mean of each report scalar
+    pooled_bins: ReliabilityBins  # pooled over the clients with test data
     drift_mean: float
     drift_std: float
 
@@ -235,25 +236,6 @@ def _stacked_gradient(model, clients, members, loss_spec, round_index, step) -> 
 def _client_error(message: str, stack: list, rows, round_index: int, step: int) -> NumericError:
     names = ", ".join(str(stack[r].client_id) for r in rows)
     return NumericError(f"{message} on client {names}, round {round_index}, step {step}")
-
-
-def local_train(
-    model: DualEncoderModel,
-    client: ClientState,
-    global_vector: np.ndarray,
-    fed_config: FederationConfig,
-    agg_config: AggregatorConfig,
-    loss_spec: LossSpec,
-    rng: RngStream,
-    round_index: int = 0,
-) -> tuple:
-    """Run one client's local SGD epochs from the broadcast vector; returns (vector, steps).
-
-    The one-client case of ``train_participants``.
-    """
-    return train_participants(
-        model, [client], global_vector, fed_config, agg_config, loss_spec, [rng], round_index
-    )[0]
 
 
 def _weighted_sum(coeffs, vectors, anchor_coeff=0.0, anchor=None):
@@ -454,6 +436,7 @@ def run_round(
         client_reports=evaluation["per_client"],
         excluded_clients=evaluation["excluded"],
         mean=evaluation["mean"],
+        pooled_bins=evaluation["pooled_bins"],
         drift_mean=float(drifts.mean()),
         drift_std=float(drifts.std()),
     )

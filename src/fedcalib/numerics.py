@@ -204,10 +204,6 @@ class RngStream:
         u = self.random_open(n)
         return base + np.log(u) / alpha
 
-    def gamma(self, alpha: float, n: int) -> np.ndarray:
-        """Gamma(alpha, 1) draws (may underflow to 0 for tiny alpha)."""
-        return np.exp(self.log_gamma(alpha, n))
-
     def permutation(self, n: int) -> np.ndarray:
         """Uniform permutation of range(n) via stable key sort."""
         return np.argsort(self.u64(n), kind="stable")
@@ -219,20 +215,8 @@ class RngStream:
         return np.sort(self.permutation(n)[:k])
 
 
-def stable_softmax(logits) -> np.ndarray:
-    """Softmax with max-subtraction; shift-invariant and overflow-proof."""
-    v = np.asarray(logits, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise InvalidInputError("softmax expects a non-empty 1-D vector")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError("softmax input contains non-finite entries")
-    shifted = v - v.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 def softmax_rows(logits) -> np.ndarray:
-    """Row-wise stable softmax for a 2-D logits matrix."""
+    """Row-wise softmax with max-subtraction; shift-invariant and overflow-proof."""
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] == 0 or z.shape[1] == 0:
         raise InvalidInputError("softmax_rows expects a non-empty 2-D matrix")
@@ -241,15 +225,6 @@ def softmax_rows(logits) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def l2_normalize(v) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm."""
-    x = np.asarray(v, dtype=np.float64)
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
-        raise DegenerateInputError("cannot normalize a zero vector")
-    return x / norm
 
 
 def l2_normalize_rows(m) -> np.ndarray:

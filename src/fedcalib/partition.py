@@ -98,18 +98,6 @@ class PartitionPlan:
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
-    @staticmethod
-    def from_json(text: str) -> "PartitionPlan":
-        payload = json.loads(text)
-        return PartitionPlan(
-            num_clients=payload["num_clients"],
-            class_count=payload["class_count"],
-            train_indices=[np.asarray(ix, dtype=np.int64) for ix in payload["train_indices"]],
-            test_indices=[np.asarray(ix, dtype=np.int64) for ix in payload["test_indices"]],
-            histograms=np.asarray(payload["histograms"], dtype=np.int64),
-            metadata=payload["metadata"],
-        )
-
 
 def _histograms(plan_train, labels, num_clients, class_count) -> np.ndarray:
     hist = np.zeros((num_clients, class_count), dtype=np.int64)

@@ -43,7 +43,6 @@ from .federation import (
     client_mean,
     evaluate_base_new,
     init_server,
-    personalized_evaluate,
     run_round,
 )
 from .model import ModelConfig, zero_shot_init
@@ -102,8 +101,8 @@ def _reconcile_model(config: ExperimentConfig, data: LabeledDataset) -> ModelCon
     return replace(config.model, embed_dim=data.dim, class_count=data.class_count)
 
 
-def _report_dict(report) -> dict:
-    return {k: float(v) for k, v in report.scalars().items()}
+def _report_dicts(reports: list) -> list:
+    return [None if r is None else {k: float(v) for k, v in r.scalars().items()} for r in reports]
 
 
 def _bins_dict(bins: ReliabilityBins) -> dict:
@@ -163,19 +162,19 @@ def run_single(config: ExperimentConfig) -> dict:
                 "drift_mean": record.drift_mean,
                 "drift_std": record.drift_std,
                 "mean": record.mean,
-                "per_client": [None if r is None else _report_dict(r) for r in record.client_reports],
+                "per_client": _report_dicts(record.client_reports),
                 "global_vector_sha256": hashlib.sha256(record.global_vector.tobytes()).hexdigest(),
                 "global_vector_l2": float(np.linalg.norm(record.global_vector)),
             }
         )
         drift_series.append({"round": t, "mean": record.drift_mean, "std": record.drift_std})
 
-    final_eval = personalized_evaluate(model, clients, bins, scheme)
+    # the last round evaluated the final global vector, which the model still holds
     final: dict = {
-        "mean": final_eval["mean"],
-        "per_client": [None if r is None else _report_dict(r) for r in final_eval["per_client"]],
-        "excluded": final_eval["excluded"],
-        "pooled_bins": _bins_dict(final_eval["pooled_bins"]),
+        "mean": dict(record.mean),
+        "per_client": _report_dicts(record.client_reports),
+        "excluded": list(record.excluded_clients),
+        "pooled_bins": _bins_dict(record.pooled_bins),
     }
     if config.setting == "base_to_new":
         bn = evaluate_base_new(model, clients, bins, scheme)
@@ -206,12 +205,6 @@ def run_single(config: ExperimentConfig) -> dict:
 
 def results_json(results: dict) -> str:
     return json.dumps(results, sort_keys=True, indent=2) + "\n"
-
-
-def results_canonical_bytes(results: dict) -> bytes:
-    """Serialization with volatile metadata stripped; the determinism surface."""
-    stripped = {k: v for k, v in results.items() if k != "meta"}
-    return json.dumps(stripped, sort_keys=True, indent=2).encode()
 
 
 def summary_csv(results_list) -> str:

@@ -1,0 +1,68 @@
+"""Writers and readers that only the tests need.
+
+The embedding-file writers produce the FEMB, FPRO and CSV layouts that
+``fedcalib.datagen`` documents and reads; ``plan_from_json`` parses what
+``PartitionPlan.to_json`` writes; ``results_canonical_bytes`` serializes a
+results dictionary without its volatile ``meta`` section, the bytes the
+determinism contract compares.
+"""
+
+import csv
+import json
+import struct
+
+import numpy as np
+
+from fedcalib.partition import PartitionPlan
+
+
+def write_embeddings(path, embeddings, labels, domains) -> None:
+    """FEMB: magic, u32 version 1, u32 dim, u64 count, then per record
+    u32 label, u32 domain and dim little-endian f32."""
+    embeddings = np.asarray(embeddings, dtype=np.float32)
+    n, d = embeddings.shape
+    with open(path, "wb") as fh:
+        fh.write(b"FEMB")
+        fh.write(struct.pack("<IIQ", 1, d, n))
+        for i in range(n):
+            fh.write(struct.pack("<II", int(labels[i]), int(domains[i])))
+            fh.write(embeddings[i].astype("<f4").tobytes())
+
+
+def write_prototypes(path, prototypes) -> None:
+    """FPRO: magic, u32 dim, u32 classes, then classes x dim little-endian f32."""
+    prototypes = np.asarray(prototypes, dtype=np.float32)
+    c, d = prototypes.shape
+    with open(path, "wb") as fh:
+        fh.write(b"FPRO")
+        fh.write(struct.pack("<II", d, c))
+        fh.write(prototypes.astype("<f4").tobytes())
+
+
+def write_embedding_csv(path, embeddings, labels, domains) -> None:
+    """Sample CSV with header ``label,domain,f0..f{d-1}``."""
+    d = embeddings.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["label", "domain"] + [f"f{i}" for i in range(d)])
+        for i in range(embeddings.shape[0]):
+            writer.writerow([int(labels[i]), int(domains[i])] + [f"{v:.8g}" for v in embeddings[i]])
+
+
+def plan_from_json(text: str) -> PartitionPlan:
+    """The plan that ``PartitionPlan.to_json`` serialized to ``text``."""
+    payload = json.loads(text)
+    return PartitionPlan(
+        num_clients=payload["num_clients"],
+        class_count=payload["class_count"],
+        train_indices=[np.asarray(ix, dtype=np.int64) for ix in payload["train_indices"]],
+        test_indices=[np.asarray(ix, dtype=np.int64) for ix in payload["test_indices"]],
+        histograms=np.asarray(payload["histograms"], dtype=np.int64),
+        metadata=payload["metadata"],
+    )
+
+
+def results_canonical_bytes(results: dict) -> bytes:
+    """Serialization with volatile metadata stripped; the determinism surface."""
+    stripped = {k: v for k, v in results.items() if k != "meta"}
+    return json.dumps(stripped, sort_keys=True, indent=2).encode()

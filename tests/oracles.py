@@ -59,13 +59,18 @@ def naive_bins(probs, labels, num_bins, scheme="equal_width"):
     return stats
 
 
-def naive_ece(probs, labels, num_bins, scheme="equal_width"):
-    n = len(labels)
+def naive_ece_of_bins(counts, accuracy, confidence):
+    """Count-weighted mean |accuracy - confidence| over (count, acc, conf) bins."""
+    n = sum(int(count) for count in counts)
     total = 0.0
-    for count, acc, conf in naive_bins(probs, labels, num_bins, scheme):
+    for count, acc, conf in zip(counts, accuracy, confidence):
         if count:
             total += (count / n) * abs(acc - conf)
     return total
+
+
+def naive_ece(probs, labels, num_bins, scheme="equal_width"):
+    return naive_ece_of_bins(*zip(*naive_bins(probs, labels, num_bins, scheme)))
 
 
 def naive_mce(probs, labels, num_bins, scheme="equal_width"):

@@ -16,7 +16,6 @@ from fedcalib.calibration import (
     LogitBatch,
     ProbBatch,
     TemperatureScaler,
-    accuracy_score,
     apply_temperature,
     calibration_report,
     fit_temperature,
@@ -30,9 +29,9 @@ from fedcalib.federation import (
     aggregate,
     build_clients,
     init_server,
-    local_train,
     personalized_evaluate,
     run_round,
+    train_participants,
 )
 from fedcalib.losses import LossSpec
 from fedcalib.model import ModelConfig, weight_drift, zero_shot_init
@@ -42,11 +41,11 @@ from fedcalib.runner import (
     build_data,
     build_plan,
     client_views,
-    results_canonical_bytes,
     run_single,
     _reconcile_model,
 )
 
+from fixtures import results_canonical_bytes
 from oracles import (
     naive_accuracy,
     naive_ace,
@@ -204,10 +203,10 @@ def _one_client_federation(seed=7):
 def test_criterion_04_aggregation_identities():
     # (a) single-client FedAvg is bit-identical to local training
     cfg, model, clients, server = _one_client_federation()
-    trained, steps = local_train(
-        model, clients[0], server.global_vector, cfg.federation, cfg.aggregator,
-        LossSpec(), RngStream(0).child("local", 0, 0), round_index=0,
-    )
+    trained, steps = train_participants(
+        model, [clients[0]], server.global_vector, cfg.federation, cfg.aggregator,
+        LossSpec(), [RngStream(0).child("local", 0, 0)], round_index=0,
+    )[0]
     out = aggregate([(trained, clients[0].train_size, steps)], server.global_vector,
                     AggregatorConfig("fedavg"), server)
     assert out.tobytes() == trained.tobytes()
@@ -266,11 +265,13 @@ def test_criterion_05_determinism_serial_vs_parallel():
         # and give the round's drifts
         updates, drifts = {}, {}
         for cid in reversed(record.participants):
-            vec, steps = local_train(model, clients[cid], global_before, cfg.federation,
-                                     cfg.aggregator, cfg.loss, stream.child("local", t, cid), t)
+            vec, steps = train_participants(model, [clients[cid]], global_before, cfg.federation,
+                                            cfg.aggregator, cfg.loss, [stream.child("local", t, cid)], t)[0]
             alone = zero_shot_init(model_cfg, protos, RngStream(cfg.seed).child("init"))
-            vec_alone, steps_alone = local_train(alone, clients[cid], global_before, cfg.federation,
-                                                 cfg.aggregator, cfg.loss, stream.child("local", t, cid), t)
+            vec_alone, steps_alone = train_participants(
+                alone, [clients[cid]], global_before, cfg.federation, cfg.aggregator, cfg.loss,
+                [stream.child("local", t, cid)], t,
+            )[0]
             assert vec.tobytes() == vec_alone.tobytes() and steps == steps_alone
             updates[cid] = (vec, clients[cid].train_size, steps)
             drifts[cid] = weight_drift(alone)[1]
@@ -383,9 +384,9 @@ def test_criterion_08_temperature_scaling():
         flips = rng.random(n) < 0.3
         labels[flips] = (rng.u64(n)[flips] % np.uint64(c)).astype(np.int64)
         lb = LogitBatch(logits, labels)
-        base_acc = accuracy_score(apply_temperature(lb, TemperatureScaler(1.0)))
+        base_acc = calibration_report(apply_temperature(lb, TemperatureScaler(1.0))).accuracy
         for tau in taus:
-            assert accuracy_score(apply_temperature(lb, TemperatureScaler(tau))) == base_acc
+            assert calibration_report(apply_temperature(lb, TemperatureScaler(tau))).accuracy == base_acc
         fitted = fit_temperature(lb)
         nll_fit = negative_log_likelihood(apply_temperature(lb, fitted))
         nll_one = negative_log_likelihood(apply_temperature(lb, TemperatureScaler(1.0)))

@@ -1,0 +1,65 @@
+"""The package keeps only API that runs: every public function, class and
+method is either used by the program itself or exported by ``fedcalib``."""
+
+import ast
+from pathlib import Path
+
+import fedcalib
+
+PACKAGE = Path(fedcalib.__file__).parent
+
+
+def parsed_modules() -> dict:
+    return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def public_definitions(modules: dict) -> list:
+    """(module, qualified name, bare name) of each public top-level function
+    or class and each public method of a top-level class."""
+    found = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            found.append((module, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        found.append((module, f"{node.name}.{item.name}", item.name))
+    return found
+
+
+def referenced_names(modules: dict) -> set:
+    """Every name used as a ``Name``, an ``Attribute`` or an import alias
+    outside ``__init__.py``."""
+    names = set()
+    for module, tree in modules.items():
+        if module == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_every_public_name_is_used_or_exported():
+    modules = parsed_modules()
+    used = referenced_names(modules)
+    exported = set(fedcalib.__all__)
+    unused = [
+        f"{module[:-3]}.{qualified}"
+        for module, qualified, bare in public_definitions(modules)
+        if bare not in used and qualified not in exported
+    ]
+    assert unused == []
+
+
+def test_scan_sees_the_package():
+    modules = parsed_modules()
+    assert {"runner.py", "federation.py", "calibration.py"} <= set(modules)
+    defined = {qualified for _, qualified, _ in public_definitions(modules)}
+    assert {"run_single", "RngStream.child", "DualEncoderModel.forward"} <= defined

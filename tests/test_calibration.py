@@ -11,12 +11,8 @@ from fedcalib.calibration import (
     LogitBatch,
     ProbBatch,
     TemperatureScaler,
-    accuracy_score,
     apply_temperature,
-    bin_predictions,
-    brier_score,
     calibration_report,
-    expected_calibration_error,
     fit_temperature,
     harmonic_mean,
     negative_log_likelihood,
@@ -25,7 +21,6 @@ from fedcalib.calibration import (
     reliability_rows,
     reliability_svg,
     segmented_reports,
-    temperature_sweep,
 )
 from fedcalib.errors import InvalidInputError
 from fedcalib.numerics import RngStream, softmax_rows
@@ -36,6 +31,7 @@ from oracles import (
     naive_bins,
     naive_brier,
     naive_ece,
+    naive_ece_of_bins,
     naive_mce,
     naive_nll,
     random_prob_batch,
@@ -67,14 +63,14 @@ class TestProbBatch:
 class TestBinPredictions:
     def test_single_sample(self):
         b = ProbBatch(np.array([[0.7, 0.3]]), np.array([0]))
-        rb = bin_predictions(b, 10)
+        rb = calibration_report(b, 10).bins
         nonempty = rb.counts > 0
         assert nonempty.sum() == 1
         assert rb.accuracy[nonempty][0] == 1.0
         assert rb.confidence[nonempty][0] == pytest.approx(0.7)
 
     def test_two_sample_single_bin(self):
-        rb = bin_predictions(two_sample_batch(), 1)
+        rb = calibration_report(two_sample_batch(), 1).bins
         assert rb.counts[0] == 2
         assert rb.accuracy[0] == pytest.approx(0.5)
         assert rb.confidence[0] == pytest.approx(0.7)
@@ -82,7 +78,7 @@ class TestBinPredictions:
     def test_boundary_confidence_goes_to_lower_bin(self):
         # conf exactly 0.1 with G = 10 belongs to bin 1, interval (0, 0.1]
         probs = np.full((1, 10), 0.1)
-        rb = bin_predictions(ProbBatch(probs, np.array([0])), 10)
+        rb = calibration_report(ProbBatch(probs, np.array([0])), 10).bins
         assert rb.counts[0] == 1
         assert rb.counts[1:].sum() == 0
 
@@ -90,20 +86,20 @@ class TestBinPredictions:
         rng = RngStream(30)
         for i in range(30):
             probs, labels = random_prob_batch(rng)
-            rb = bin_predictions(ProbBatch(probs, labels), 15)
+            rb = calibration_report(ProbBatch(probs, labels), 15).bins
             assert rb.counts.sum() == len(labels)
 
     def test_equal_mass_sizes(self):
         rng = RngStream(31)
         probs, labels = random_prob_batch(rng, max_n=103)
-        rb = bin_predictions(ProbBatch(probs, labels), 7, scheme="equal_mass")
+        rb = calibration_report(ProbBatch(probs, labels), 7, scheme="equal_mass").bins
         n = len(labels)
         assert rb.counts.sum() == n
         assert rb.counts.max() - rb.counts.min() <= 1
 
     def test_rejects_zero_bins(self):
         with pytest.raises(InvalidInputError):
-            bin_predictions(two_sample_batch(), 0)
+            calibration_report(two_sample_batch(), 0)
 
 
 class TestMetricsAgainstOracle:
@@ -126,7 +122,7 @@ class TestMetricsAgainstOracle:
 
     def test_uniform_binary_closed_form(self):
         batch = ProbBatch(np.array([[0.5, 0.5]]), np.array([1]))
-        assert brier_score(batch) == pytest.approx(0.5)
+        assert calibration_report(batch).brier == pytest.approx(0.5)
         assert negative_log_likelihood(batch) == pytest.approx(math.log(2.0))
 
     def test_oracle_equivalence_100_batches(self):
@@ -168,19 +164,19 @@ class TestMetricsAgainstOracle:
             labels = np.concatenate([labels, labels])
             n = 2
         cut = n // 2
-        whole = bin_predictions(ProbBatch(probs, labels), 15)
-        left = bin_predictions(ProbBatch(probs[:cut], labels[:cut]), 15)
-        right = bin_predictions(ProbBatch(probs[cut:], labels[cut:]), 15)
+        whole = calibration_report(ProbBatch(probs, labels), 15)
+        left = calibration_report(ProbBatch(probs[:cut], labels[:cut]), 15).bins
+        right = calibration_report(ProbBatch(probs[cut:], labels[cut:]), 15).bins
         pooled = pool_bins([left, right])
-        assert np.array_equal(pooled.counts, whole.counts)
-        assert expected_calibration_error(pooled) == pytest.approx(
-            expected_calibration_error(whole), abs=1e-12
+        assert np.array_equal(pooled.counts, whole.bins.counts)
+        assert naive_ece_of_bins(pooled.counts, pooled.accuracy, pooled.confidence) == pytest.approx(
+            whole.ece, abs=1e-12
         )
 
     def test_brier_range(self):
         # totally wrong confident prediction gives the maximum of 2
         batch = ProbBatch(np.array([[1.0, 0.0]]), np.array([1]))
-        assert brier_score(batch) == pytest.approx(2.0)
+        assert calibration_report(batch).brier == pytest.approx(2.0)
 
 
 class TestTemperature:
@@ -206,10 +202,10 @@ class TestTemperature:
 
     def test_accuracy_bit_equal_under_scaling(self):
         lb = self._random_logits(42)
-        base = accuracy_score(apply_temperature(lb, TemperatureScaler(1.0)))
+        base = calibration_report(apply_temperature(lb, TemperatureScaler(1.0))).accuracy
         for tau in (0.1, 0.5, 1.0, 2.0, 5.0):
             scaled = apply_temperature(lb, TemperatureScaler(tau))
-            assert accuracy_score(scaled) == base
+            assert calibration_report(scaled).accuracy == base
 
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(InvalidInputError):
@@ -246,9 +242,8 @@ class TestTemperature:
 
     def test_sweep_reports_per_tau(self):
         lb = self._random_logits(62)
-        rows = temperature_sweep(lb, [0.5, 1.0, 2.0])
-        assert [tau for tau, _ in rows] == [0.5, 1.0, 2.0]
-        accs = {rep.accuracy for _, rep in rows}
+        scaled = [apply_temperature(lb, TemperatureScaler(tau)) for tau in (0.5, 1.0, 2.0)]
+        accs = {calibration_report(batch).accuracy for batch in scaled}
         assert len(accs) == 1  # argmax invariance
 
 
@@ -353,23 +348,23 @@ class TestHarmonicMean:
 
 class TestReliabilityExport:
     def test_rows_match_bins(self):
-        rb = bin_predictions(two_sample_batch(), 1)
+        rb = calibration_report(two_sample_batch(), 1).bins
         rows = reliability_rows(rb)
         assert rows == [(0.5, 0.5, pytest.approx(0.7), 2)]
 
     def test_csv_header_and_shape(self):
-        rb = bin_predictions(two_sample_batch(), 5)
+        rb = calibration_report(two_sample_batch(), 5).bins
         text = reliability_csv(rb)
         lines = text.strip().split("\n")
         assert lines[0] == "bin_midpoint,accuracy,confidence,count"
         assert len(lines) == 6
 
     def test_svg_deterministic(self):
-        rb = bin_predictions(two_sample_batch(), 15)
+        rb = calibration_report(two_sample_batch(), 15).bins
         assert reliability_svg(rb) == reliability_svg(rb)
 
     def test_svg_renders_empty_bins(self):
-        rb = bin_predictions(two_sample_batch(), 15)
+        rb = calibration_report(two_sample_batch(), 15).bins
         svg = reliability_svg(rb)
         # one accuracy bar and one gap overlay per bin, empty or not
         assert svg.count("<rect") == 1 + 2 * 15

@@ -2,10 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from fedcalib import runner
 from fedcalib.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_NUMERIC, EXIT_OK, main
+from fedcalib.numerics import RngStream
+
+from fixtures import write_embedding_csv, write_embeddings, write_prototypes
 
 
 def write_tiny_config(tmp_path, **extra):
@@ -80,6 +84,87 @@ class TestRunVerb:
         assert code == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert "numeric error" in err and "on client 1, round 0, step" in err
+
+
+def write_embedding_set(tmp_path, fmt, bad_value=None):
+    """Train, test and prototype files of a 3-class, 4-dim set in ``fmt``
+    ("csv" or "bin"); ``bad_value`` = (file, row, column, value) is written
+    into that file's features."""
+    rng = RngStream(21)
+    d, c = 4, 3
+    features = {
+        "train": rng.normal(24 * d).reshape(24, d),
+        "test": rng.normal(12 * d).reshape(12, d),
+        "prototypes": rng.normal(c * d).reshape(c, d),
+    }
+    if bad_value is not None:
+        key, row, col, value = bad_value
+        features[key][row, col] = value
+    suffix = {"csv": (".csv", ".csv"), "bin": (".femb", ".fpro")}[fmt]
+    paths = {
+        "train": str(tmp_path / f"train{suffix[0]}"),
+        "test": str(tmp_path / f"test{suffix[0]}"),
+        "prototypes": str(tmp_path / f"prototypes{suffix[1]}"),
+    }
+    write = write_embedding_csv if fmt == "csv" else write_embeddings
+    for key in ("train", "test"):
+        n = len(features[key])
+        write(paths[key], features[key], np.arange(n) % c, np.zeros(n, dtype=np.int64))
+    if fmt == "csv":
+        with open(paths["prototypes"], "w") as fh:
+            fh.write("label," + ",".join(f"f{i}" for i in range(d)) + "\n")
+            for i, row in enumerate(features["prototypes"]):
+                fh.write(f"{i}," + ",".join(f"{v:.8g}" for v in row) + "\n")
+    else:
+        write_prototypes(paths["prototypes"], features["prototypes"])
+    return paths
+
+
+def replace_line(index, edit):
+    def rewrite(path):
+        lines = open(path).read().splitlines(keepends=True)
+        lines[index] = edit(lines[index])
+        open(path, "w").write("".join(lines))
+    return rewrite
+
+
+def keep_header_only(path):
+    header = open(path).readline()
+    open(path, "w").write(header)
+
+
+# (format, broken file, bad feature value (row, column, value), rewrite of the written file)
+MALFORMED_EMBEDDINGS = {
+    "prototype_csv_label_not_integer": (
+        "csv", "prototypes", None, replace_line(2, lambda line: "one" + line[1:])),
+    "prototype_csv_header_only": ("csv", "prototypes", None, keep_header_only),
+    "sample_csv_header_only": ("csv", "train", None, keep_header_only),
+    "sample_csv_negative_label": ("csv", "train", None, replace_line(3, lambda line: "-1" + line[1:])),
+    "sample_csv_nan_feature": ("csv", "test", (2, 1, float("nan")), None),
+    "femb_nan_feature": ("bin", "train", (5, 0, float("nan")), None),
+    "fpro_infinite_value": ("bin", "prototypes", (1, 3, float("inf")), None),
+}
+
+
+class TestMalformedEmbeddingFiles:
+    def run_on(self, tmp_path, paths):
+        cfg = write_tiny_config(tmp_path, data={"embedding_files": paths})
+        return main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_well_formed_set_runs(self, tmp_path, fmt):
+        assert self.run_on(tmp_path, write_embedding_set(tmp_path, fmt)) == EXIT_OK
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_EMBEDDINGS))
+    def test_malformed_content_exits_format(self, tmp_path, capsys, case):
+        fmt, key, bad_value, rewrite = MALFORMED_EMBEDDINGS[case]
+        paths = write_embedding_set(tmp_path, fmt, bad_value and (key, *bad_value))
+        if rewrite is not None:
+            rewrite(paths[key])
+        assert self.run_on(tmp_path, paths) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith(f"format error: {paths[key]}: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestPartitionVerb:

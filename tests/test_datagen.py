@@ -9,13 +9,12 @@ from fedcalib.datagen import (
     generate_synthetic,
     load_embeddings,
     read_embeddings,
-    write_embedding_csv,
-    write_embeddings,
-    write_prototypes,
 )
 from fedcalib.errors import ConfigError, FormatError
 from fedcalib.model import ModelConfig, zero_shot_init
 from fedcalib.numerics import RngStream, softmax_rows
+
+from fixtures import write_embedding_csv, write_embeddings, write_prototypes
 
 
 def zs_accuracy(data, protos, seed=0):

@@ -23,7 +23,6 @@ from fedcalib.federation import (
     STACK_ROWS,
     evaluate_base_new,
     init_server,
-    local_train,
     personalized_evaluate,
     run_round,
     sample_participants,
@@ -144,9 +143,9 @@ class TestLocalTrain:
     def test_zero_epochs_returns_global_unchanged(self):
         model, server, clients = make_federation(1)
         fed = FederationConfig(local_epochs=0)
-        vec, steps = local_train(
-            model, clients[0], server.global_vector, fed, AggregatorConfig(), LossSpec(), RngStream(6)
-        )
+        vec, steps = train_participants(
+            model, [clients[0]], server.global_vector, fed, AggregatorConfig(), LossSpec(), [RngStream(6)]
+        )[0]
         assert steps == 0
         assert vec.tobytes() == server.global_vector.tobytes()
 
@@ -155,10 +154,10 @@ class TestLocalTrain:
         client = clients[0]
         fed = FederationConfig(batch_size=8, local_epochs=1, learning_rate=1e-3)
         rng_id = RngStream(7, 100)
-        vec, steps = local_train(
-            model, client, server.global_vector, fed, AggregatorConfig(), LossSpec(),
-            rng_id, round_index=5,
-        )
+        vec, steps = train_participants(
+            model, [client], server.global_vector, fed, AggregatorConfig(), LossSpec(),
+            [rng_id], round_index=5,
+        )[0]
         assert steps == 1
         # replay by hand on a fresh copy with the same derived streams
         probe = copy.deepcopy(model)
@@ -172,15 +171,15 @@ class TestLocalTrain:
     def test_warmup_lr_on_round_zero(self):
         model, server, clients = make_federation(1, per_client=8)
         fed = FederationConfig(batch_size=8, learning_rate=1e-3, warmup_lr=1e-5)
-        v0, _ = local_train(
-            model, clients[0], server.global_vector, fed, AggregatorConfig(), LossSpec(),
-            RngStream(8), round_index=0,
-        )
+        v0, _ = train_participants(
+            model, [clients[0]], server.global_vector, fed, AggregatorConfig(), LossSpec(),
+            [RngStream(8)], round_index=0,
+        )[0]
         step0 = np.linalg.norm(v0 - server.global_vector)
-        v1, _ = local_train(
-            model, clients[0], server.global_vector, fed, AggregatorConfig(), LossSpec(),
-            RngStream(8), round_index=1,
-        )
+        v1, _ = train_participants(
+            model, [clients[0]], server.global_vector, fed, AggregatorConfig(), LossSpec(),
+            [RngStream(8)], round_index=1,
+        )[0]
         step1 = np.linalg.norm(v1 - server.global_vector)
         assert step0 == pytest.approx(step1 * 1e-2, rel=1e-9)
 
@@ -189,11 +188,11 @@ class TestLocalTrain:
         fed = FederationConfig(batch_size=8, local_epochs=3)
         dists = []
         for mu in (0.01, 1.0, 100.0):
-            vec, _ = local_train(
-                model, clients[0], server.global_vector, fed,
+            vec, _ = train_participants(
+                model, [clients[0]], server.global_vector, fed,
                 AggregatorConfig("fedprox", mu_prox=mu), LossSpec(),
-                RngStream(9, 5), round_index=2,
-            )
+                [RngStream(9, 5)], round_index=2,
+            )[0]
             dists.append(np.linalg.norm(vec - server.global_vector))
         assert dists[0] > dists[1] > dists[2]
 
@@ -216,10 +215,10 @@ class TestLocalTrain:
     def test_length_mismatch_rejected(self):
         model, server, clients = make_federation(1)
         with pytest.raises(TransportError):
-            local_train(
-                model, clients[0], np.zeros(3), FederationConfig(), AggregatorConfig(),
-                LossSpec(), RngStream(11),
-            )
+            train_participants(
+                model, [clients[0]], np.zeros(3), FederationConfig(), AggregatorConfig(),
+                LossSpec(), [RngStream(11)],
+            )[0]
 
 
 class TestAggregate:
@@ -326,10 +325,10 @@ class TestRunRound:
     def test_single_client_round_is_local_training(self):
         model, server, clients = make_federation(1, seed=20)
         fed = FederationConfig(batch_size=8, participation_rate=1.0)
-        expected, _ = local_train(
-            copy.deepcopy(model), clients[0], server.global_vector.copy(), fed, AggregatorConfig(),
-            LossSpec(), RngStream(0, 0).child("local", 0, 0), round_index=0,
-        )
+        expected, _ = train_participants(
+            copy.deepcopy(model), [clients[0]], server.global_vector.copy(), fed, AggregatorConfig(),
+            LossSpec(), [RngStream(0, 0).child("local", 0, 0)], round_index=0,
+        )[0]
         record = run_round(
             model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, RngStream(0, 0)
         )
@@ -349,10 +348,10 @@ class TestRunRound:
             # model aggregates to the same bytes
             updates = {}
             for cid in reversed(record.participants):
-                vec, steps = local_train(
-                    model, clients[cid], global_before, fed, agg, LossSpec(),
-                    stream.child("local", t, cid), round_index=t,
-                )
+                vec, steps = train_participants(
+                    model, [clients[cid]], global_before, fed, agg, LossSpec(),
+                    [stream.child("local", t, cid)], round_index=t,
+                )[0]
                 updates[cid] = (vec, clients[cid].train_size, steps)
             replay = aggregate(
                 [updates[cid] for cid in record.participants], global_before, agg,

@@ -9,13 +9,14 @@ from fedcalib.errors import ConfigError, InvalidInputError
 from fedcalib.numerics import RngStream
 from fedcalib.partition import (
     LabeledDataset,
-    PartitionPlan,
     base_to_new_split,
     dirichlet_partition,
     domain_partition,
     heterogeneity_stats,
     sort_and_partition,
 )
+
+from fixtures import plan_from_json
 
 
 def make_dataset(samples_per_class=40, class_count=10, domains=1, test_fraction=0.2, seed=0):
@@ -307,7 +308,7 @@ class TestPlanSerialization:
         data = make_dataset()
         plan = dirichlet_partition(data, 4, 0.5, RngStream(30, 50))
         text = plan.to_json()
-        back = PartitionPlan.from_json(text)
+        back = plan_from_json(text)
         assert back.num_clients == plan.num_clients
         assert np.array_equal(back.histograms, plan.histograms)
         for i in range(4):

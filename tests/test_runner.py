@@ -4,19 +4,22 @@ import json
 
 import pytest
 
+from fedcalib import runner
+from fedcalib.calibration import pool_bins
 from fedcalib.config import parse_config
 from fedcalib.runner import (
     build_data,
     build_plan,
     emit_report,
     load_results,
-    results_canonical_bytes,
     results_json,
     run_experiment,
     run_single,
     summary_csv,
 )
 from fedcalib.numerics import RngStream
+
+from fixtures import results_canonical_bytes
 
 
 def tiny_payload(**overrides):
@@ -69,7 +72,7 @@ class TestRunSingle:
         cfg = tiny_config(partition={"num_clients": 1}, federation={"rounds": 1})
         res = run_single(cfg)
 
-        from fedcalib.federation import build_clients, init_server, local_train
+        from fedcalib.federation import build_clients, init_server, train_participants
         from fedcalib.losses import LossSpec
         from fedcalib.model import zero_shot_init
         from fedcalib.runner import _reconcile_model, client_views
@@ -80,10 +83,10 @@ class TestRunSingle:
         model = zero_shot_init(_reconcile_model(cfg, data), protos, rng.child("init"))
         clients = build_clients(client_views(data, plan, cfg.setting), model)
         server = init_server(model, 1)
-        expected, _ = local_train(
-            model, clients[0], server.global_vector, cfg.federation, cfg.aggregator,
-            LossSpec(), rng.child("rounds").child("local", 0, 0), round_index=0,
-        )
+        expected, _ = train_participants(
+            model, [clients[0]], server.global_vector, cfg.federation, cfg.aggregator,
+            LossSpec(), [rng.child("rounds").child("local", 0, 0)], round_index=0,
+        )[0]
         assert res["final_global_vector"] == expected.tolist()
 
     def test_base_to_new_reports_harmonic_mean(self):
@@ -121,6 +124,43 @@ class TestRunSingle:
         assert [r["temperature"] for r in rows] == [0.5, 1.0, 2.0]
         accs = {round(r["mean"]["accuracy"], 12) for r in rows}
         assert len(accs) == 1  # temperature preserves accuracy
+
+
+class TestFinalIsLastRound:
+    """``final`` is the evaluation of the last round, not a second one."""
+
+    # (config overrides, clients without test data); alpha 0.1 leaves client 1 without any
+    CASES = {
+        "in_distribution": ({"partition": {"num_clients": 6, "alpha": 0.1}}, [1]),
+        "base_to_new": (
+            {
+                "setting": "base_to_new",
+                "partition": {"kind": "base_to_new", "num_clients": 2},
+                "data": {"synthetic": {"class_count": 6, "dim": 16, "samples_per_class": 20}},
+            },
+            [],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_final_equals_last_round(self, case, monkeypatch):
+        records = []
+        original = runner.run_round
+
+        def recording(*args, **kwargs):
+            records.append(original(*args, **kwargs))
+            return records[-1]
+
+        monkeypatch.setattr(runner, "run_round", recording)
+        overrides, excluded = self.CASES[case]
+        res = run_single(tiny_config(**overrides))
+        final, last = res["final"], res["rounds"][-1]
+        assert final["excluded"] == excluded
+        for key in ("per_client", "mean", "excluded"):
+            assert json.dumps(final[key], sort_keys=True) == json.dumps(last[key], sort_keys=True)
+        assert len(records) == len(res["rounds"])
+        included = [r.bins for r in records[-1].client_reports if r is not None]
+        assert final["pooled_bins"] == runner._bins_dict(pool_bins(included))
 
 
 class TestAggregatorsEndToEnd:
