@@ -16,7 +16,6 @@ Exit codes: 0 success, 2 configuration error, 3 data-format error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from .bench import run_trend_suite
 from .config import parse_config, read_config_json
 from .errors import ConfigError, FormatError, NumericError
 from .numerics import RngStream
-from .partition import heterogeneity_stats
+from .partition import canonical_json, heterogeneity_stats
 from .runner import build_data, build_plan, emit_report, load_results, run_experiment
 
 EXIT_OK = 0
@@ -58,7 +57,7 @@ def _cmd_partition(args) -> int:
         "train_sizes": [len(ix) for ix in plan.train_indices],
         "test_sizes": [len(ix) for ix in plan.test_indices],
     }
-    (out_dir / "plan_audit.json").write_text(json.dumps(audit, sort_keys=True, indent=2) + "\n")
+    (out_dir / "plan_audit.json").write_text(canonical_json(audit))
     print(f"wrote {out_dir / 'plan.json'} ({plan.num_clients} clients, {plan.total_assigned()} train samples)")
     return EXIT_OK
 

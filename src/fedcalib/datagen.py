@@ -19,8 +19,8 @@ Precomputed embeddings can be ingested from two formats:
 
 Loaded rows are re-normalized to unit length, matching the synthetic path.
 A file whose content breaks its layout (a bad header or record, an
-unparsable or negative label, no data rows, a non-finite value) raises
-``FormatError`` naming the file.
+unparsable or negative label, no data rows, a non-finite value, a row whose
+norm is zero or overflows) raises ``FormatError`` naming the file.
 """
 
 from __future__ import annotations
@@ -263,6 +263,12 @@ def load_embeddings(train_path, test_path, prototypes_path) -> tuple:
         bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
         if bad.size:
             raise FormatError(f"{path}: non-finite value in row {bad[0]}")
+        # a zero norm, or one that overflows, cannot be normalized to unit length
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(values, axis=1)
+        bad = np.flatnonzero(~((norms > 0) & np.isfinite(norms)))
+        if bad.size:
+            raise FormatError(f"{path}: row {bad[0]} has norm {norms[bad[0]]}, which cannot be normalized")
     if protos.shape[1] != tr_x.shape[1]:
         raise FormatError(
             f"prototype dimension {protos.shape[1]} does not match sample dimension {tr_x.shape[1]}"

@@ -19,12 +19,17 @@ field-standard construction): it conserves samples exactly and never
 assigns a sample twice. Test views mirror the realized train histogram of
 each client (largest-remainder apportionment per class), so personalized
 evaluation sees the same label mix a client was trained on.
+
+Dealing costs O(classes) passes, not classes x clients: one stable sort
+groups the indices by class, and once every class's per-client counts are
+drawn, one stable sort by owner client and one split deal all of them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -96,15 +101,25 @@ class PartitionPlan:
             "histograms": self.histograms.tolist(),
             "metadata": self.metadata,
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return canonical_json(payload)
+
+
+def canonical_json(payload) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, without the
+    list of every encoder chunk that ``json.dumps`` holds until its final
+    join: chunks are joined 4,096 at a time."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+    parts = []
+    while batch := list(islice(chunks, 4096)):
+        parts.append("".join(batch))
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _histograms(plan_train, labels, num_clients, class_count) -> np.ndarray:
-    hist = np.zeros((num_clients, class_count), dtype=np.int64)
-    for client, ix in enumerate(plan_train):
-        if len(ix):
-            hist[client] = np.bincount(labels[ix], minlength=class_count)
-    return hist
+    owner = np.repeat(np.arange(num_clients), [len(ix) for ix in plan_train])
+    keys = owner * class_count + labels[np.concatenate(plan_train)]
+    return np.bincount(keys, minlength=num_clients * class_count).reshape(num_clients, class_count)
 
 
 def _enforce_min_one(per_client: list, labels: np.ndarray) -> None:
@@ -157,45 +172,43 @@ def _apportion(total: int, weights: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _chunk_by_counts(indices: np.ndarray, counts: np.ndarray) -> list:
-    bounds = np.cumsum(counts)[:-1]
-    return [np.asarray(part, dtype=np.int64) for part in np.split(indices, bounds)]
+def _by_class(indices: np.ndarray, labels: np.ndarray, class_count: int) -> tuple:
+    """``indices`` grouped by label (stable within a class), and the class sizes."""
+    classes = labels[indices]
+    return indices[np.argsort(classes, kind="stable")], np.bincount(classes, minlength=class_count)
+
+
+def _group_by_owner(ordered: np.ndarray, piece_owners: np.ndarray, piece_sizes: np.ndarray, num_clients: int) -> list:
+    """Deal consecutive pieces of ``ordered`` to their owner clients.
+
+    Piece ``p`` is the next ``piece_sizes[p]`` entries and goes to client
+    ``piece_owners[p]``. Each client's array holds its pieces in piece
+    order; one stable sort by owner and one split do the dealing.
+    """
+    owner = np.repeat(piece_owners, piece_sizes)
+    bounds = np.cumsum(np.bincount(owner, minlength=num_clients))[:-1]
+    return np.split(ordered[np.argsort(owner, kind="stable")], bounds)
 
 
 def mirror_test_split(data: LabeledDataset, train_hist: np.ndarray, restrict: np.ndarray | None = None) -> list:
     """Distribute test samples so each client's test label mix mirrors its
     realized train histogram, class by class."""
-    num_clients = train_hist.shape[0]
     test_ix = data.test_indices() if restrict is None else restrict
-    test_labels = data.labels[test_ix]
-    per_client = [[] for _ in range(num_clients)]
-    for c in range(data.class_count):
-        class_test = test_ix[test_labels == c]
-        counts = _apportion(len(class_test), train_hist[:, c].astype(np.float64))
-        for client, part in enumerate(_chunk_by_counts(class_test, counts)):
-            if len(part):
-                per_client[client].append(part)
-    return [
-        np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64) for parts in per_client
-    ]
+    ordered, sizes = _by_class(test_ix, data.labels, data.class_count)
+    weights = train_hist.astype(np.float64)
+    counts = np.array([_apportion(int(sizes[c]), weights[:, c]) for c in range(data.class_count)])
+    num_clients = train_hist.shape[0]
+    return _group_by_owner(ordered, np.tile(np.arange(num_clients), data.class_count), counts.ravel(), num_clients)
 
 
 def _dirichlet_assign(data: LabeledDataset, indices: np.ndarray, num_clients: int, alpha: float, rng: RngStream) -> list:
     """Per-class Dirichlet share split of ``indices`` among clients."""
-    labels = data.labels
-    per_client = [[] for _ in range(num_clients)]
-    for c in range(data.class_count):
-        class_ix = indices[labels[indices] == c]
-        if len(class_ix) == 0:
-            continue
+    ordered, sizes = _by_class(indices, data.labels, data.class_count)
+    counts = np.zeros((data.class_count, num_clients), dtype=np.int64)
+    for c in np.flatnonzero(sizes):
         shares = dirichlet_sample(alpha, num_clients, rng.child("class", c))
-        counts = multinomial_split(len(class_ix), shares, rng.child("counts", c))
-        for client, part in enumerate(_chunk_by_counts(class_ix, counts)):
-            if len(part):
-                per_client[client].append(part)
-    return [
-        np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64) for parts in per_client
-    ]
+        counts[c] = multinomial_split(int(sizes[c]), shares, rng.child("counts", c))
+    return _group_by_owner(ordered, np.tile(np.arange(num_clients), data.class_count), counts.ravel(), num_clients)
 
 
 def dirichlet_partition(data: LabeledDataset, num_clients: int, alpha: float, rng: RngStream) -> PartitionPlan:
@@ -235,24 +248,19 @@ def sort_and_partition(data: LabeledDataset, num_clients: int, classes_per_clien
             f"{num_clients} clients x {classes_per_client} classes must be a multiple of {c} classes"
         )
     shards_per_class = total_shards // c
-    train_ix = data.train_indices()
-    labels = data.labels
-    shards = []
-    for cls in range(c):
-        class_ix = train_ix[labels[train_ix] == cls]
-        if len(class_ix) < shards_per_class:
-            raise ConfigError(
-                f"class {cls} has {len(class_ix)} train samples but needs {shards_per_class} shards"
-            )
-        base, extra = divmod(len(class_ix), shards_per_class)
-        counts = np.full(shards_per_class, base, dtype=np.int64)
-        counts[:extra] += 1
-        shards.extend(_chunk_by_counts(class_ix, counts))
-    per_client = []
-    for i in range(num_clients):
-        mine = [shards[i + t * num_clients] for t in range(classes_per_client)]
-        per_client.append(np.concatenate(mine))
-    hist = _histograms(per_client, labels, num_clients, c)
+    ordered, sizes = _by_class(data.train_indices(), data.labels, c)
+    short = np.flatnonzero(sizes < shards_per_class)
+    if short.size:
+        cls = int(short[0])
+        raise ConfigError(
+            f"class {cls} has {sizes[cls]} train samples but needs {shards_per_class} shards"
+        )
+    # class cls splits into near-equal shards cls * spc + j, dealt round-robin
+    base, extra = np.divmod(sizes, shards_per_class)
+    shard_sizes = base[:, None] + (np.arange(shards_per_class) < extra[:, None])
+    shard_owners = np.arange(total_shards) % num_clients
+    per_client = _group_by_owner(ordered, shard_owners, shard_sizes.ravel(), num_clients)
+    hist = _histograms(per_client, data.labels, num_clients, c)
     if not np.all((hist > 0).sum(axis=1) == classes_per_client):
         raise ConfigError("shard dealing did not give every client the requested class count")
     test = mirror_test_split(data, hist)
@@ -295,15 +303,10 @@ def base_to_new_split(data: LabeledDataset, num_clients: int, rng: RngStream) ->
     new_mask = np.isin(labels, new_classes)
     new_eval = test_ix[new_mask[test_ix]]
 
-    per_client_train, per_client_test, test_base, test_new = [], [], [], []
-    for classes in client_classes:
-        mask = np.isin(labels, classes)
-        mine_train = train_ix[mask[train_ix]]
-        mine_base_test = test_ix[mask[test_ix]]
-        per_client_train.append(mine_train)
-        test_base.append(mine_base_test)
-        test_new.append(new_eval)
-        per_client_test.append(np.concatenate([mine_base_test, new_eval]))
+    masks = [np.isin(labels, classes) for classes in client_classes]
+    per_client_train = [train_ix[mask[train_ix]] for mask in masks]
+    test_base = [test_ix[mask[test_ix]] for mask in masks]
+    per_client_test = [np.concatenate([mine, new_eval]) for mine in test_base]
 
     hist = _histograms(per_client_train, labels, num_clients, c)
     plan = PartitionPlan(
@@ -321,7 +324,7 @@ def base_to_new_split(data: LabeledDataset, num_clients: int, rng: RngStream) ->
         },
     )
     plan.metadata["test_base_indices"] = [ix.tolist() for ix in test_base]
-    plan.metadata["test_new_indices"] = [ix.tolist() for ix in test_new]
+    plan.metadata["test_new_indices"] = [new_eval.tolist()] * num_clients
     return plan, new_eval
 
 
@@ -335,11 +338,9 @@ def domain_partition(data: LabeledDataset, clients_per_domain: int, alpha: float
     if num_domains == 0:
         raise InvalidInputError("dataset has no samples")
     num_clients = num_domains * clients_per_domain
-    train_ix = data.train_indices()
-    per_client = [np.zeros(0, dtype=np.int64)] * num_clients
-    test = [np.zeros(0, dtype=np.int64)] * num_clients
+    train_ix, test_ix = data.train_indices(), data.test_indices()
     client_domain = np.repeat(np.arange(num_domains), clients_per_domain)
-    hist = np.zeros((num_clients, data.class_count), dtype=np.int64)
+    per_client, test = [], []
     for dom in range(num_domains):
         dom_train = train_ix[data.domains[train_ix] == dom]
         if len(dom_train) < clients_per_domain:
@@ -349,14 +350,9 @@ def domain_partition(data: LabeledDataset, clients_per_domain: int, alpha: float
         local = _dirichlet_assign(data, dom_train, clients_per_domain, alpha, rng.child("domain", dom))
         _enforce_min_one(local, data.labels)
         local_hist = _histograms(local, data.labels, clients_per_domain, data.class_count)
-        dom_test_all = data.test_indices()
-        dom_test = dom_test_all[data.domains[dom_test_all] == dom]
-        local_test = mirror_test_split(data, local_hist, restrict=dom_test)
-        for j in range(clients_per_domain):
-            client = dom * clients_per_domain + j
-            per_client[client] = local[j]
-            test[client] = local_test[j]
-            hist[client] = local_hist[j]
+        per_client += local
+        test += mirror_test_split(data, local_hist, restrict=test_ix[data.domains[test_ix] == dom])
+    hist = _histograms(per_client, data.labels, num_clients, data.class_count)
     return PartitionPlan(
         num_clients=num_clients,
         class_count=data.class_count,
@@ -372,14 +368,22 @@ def domain_partition(data: LabeledDataset, clients_per_domain: int, alpha: float
     )
 
 
-def heterogeneity_stats(plan: PartitionPlan) -> dict:
-    """Per-client class proportions, Shannon entropy, and class overlap."""
-    hist = plan.histograms.astype(np.float64)
+def _proportions(histograms: np.ndarray) -> np.ndarray:
+    hist = histograms.astype(np.float64)
     sizes = hist.sum(axis=1, keepdims=True)
-    props = np.divide(hist, sizes, out=np.zeros_like(hist), where=sizes > 0)
+    return np.divide(hist, sizes, out=np.zeros_like(hist), where=sizes > 0)
+
+
+def client_entropy(histograms: np.ndarray) -> np.ndarray:
+    """Shannon entropy of each client's train class proportions."""
+    props = _proportions(histograms)
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.where(props > 0, np.log(props), 0.0)
-    entropy = -np.sum(props * logs, axis=1)
-    support = plan.histograms > 0
-    overlap = support.astype(np.int64) @ support.astype(np.int64).T
-    return {"proportions": props, "entropy": entropy, "overlap": overlap}
+    return -np.sum(props * logs, axis=1)
+
+
+def heterogeneity_stats(plan: PartitionPlan) -> dict:
+    """Per-client class proportions, Shannon entropy, and the N x N count of
+    classes each pair of clients shares (for the ``partition`` audit)."""
+    hist, support = plan.histograms, (plan.histograms > 0).astype(np.int64)
+    return {"proportions": _proportions(hist), "entropy": client_entropy(hist), "overlap": support @ support.T}

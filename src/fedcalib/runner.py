@@ -15,6 +15,10 @@ convention, two decimals), and reliability diagrams for the final round.
 Sweep configs write one run directory per grid point plus a merged
 comparison CSV. All file payloads are built in memory before anything is
 written, and a failed write sweeps up whatever it had already put on disk.
+
+A run keeps one copy of the data: each split's rows are gathered once, in
+client order, every client view is a slice of that copy, and the dataset
+is dropped once the clients are built.
 """
 
 from __future__ import annotations
@@ -51,9 +55,10 @@ from .partition import (
     LabeledDataset,
     PartitionPlan,
     base_to_new_split,
+    canonical_json as results_json,
+    client_entropy,
     dirichlet_partition,
     domain_partition,
-    heterogeneity_stats,
     sort_and_partition,
 )
 
@@ -78,22 +83,25 @@ def build_plan(config: ExperimentConfig, data: LabeledDataset, rng: RngStream) -
 
 
 def client_views(data: LabeledDataset, plan: PartitionPlan, setting: str) -> list:
-    views = []
-    for cid in range(plan.num_clients):
-        tr = plan.train_indices[cid]
-        te = plan.test_indices[cid]
-        view = {
-            "train_x": data.embeddings[tr],
-            "train_y": data.labels[tr],
-            "test_x": data.embeddings[te],
-            "test_y": data.labels[te],
-        }
-        if setting == "base_to_new":
-            base_ix = np.asarray(plan.metadata["test_base_indices"][cid], dtype=np.int64)
-            new_ix = np.asarray(plan.metadata["test_new_indices"][cid], dtype=np.int64)
-            view["test_base"] = (data.embeddings[base_ix], data.labels[base_ix])
-            view["test_new"] = (data.embeddings[new_ix], data.labels[new_ix])
-        views.append(view)
+    """Per-client views, each a row slice of its split's one gathered copy.
+
+    In base-to-new a client's test view is its base-class rows, then the
+    new-class rows, of which every client shares one copy as ``test_new``."""
+    def gather(per_client):
+        ix = np.concatenate(per_client)
+        bounds = np.cumsum([len(part) for part in per_client])[:-1]
+        return zip(np.split(data.embeddings[ix], bounds), np.split(data.labels[ix], bounds))
+
+    views = [
+        {"train_x": tx, "train_y": ty, "test_x": ex, "test_y": ey}
+        for (tx, ty), (ex, ey) in zip(gather(plan.train_indices), gather(plan.test_indices))
+    ]
+    if setting == "base_to_new":
+        new_ix = np.asarray(plan.metadata["test_new_indices"][0], dtype=np.int64)
+        new_view = (data.embeddings[new_ix], data.labels[new_ix])
+        for view, base_ix in zip(views, plan.metadata["test_base_indices"]):
+            view["test_base"] = (view["test_x"][: len(base_ix)], view["test_y"][: len(base_ix)])
+            view["test_new"] = new_view
     return views
 
 
@@ -134,15 +142,22 @@ def _temperature_rows(model, clients, temperatures, bins, scheme) -> list:
     return rows
 
 
-def run_single(config: ExperimentConfig) -> dict:
-    """Run one (non-sweep) experiment and return its results dictionary."""
-    started = time.time()
-    rng = RngStream(config.seed)
+def _set_up(config: ExperimentConfig, rng: RngStream) -> tuple:
+    """Plan, reconciled model config, model and clients of one run; the
+    dataset is dropped on return, so the clients hold the run's only copy."""
     data, text_protos = build_data(config, rng.child("data"))
     plan = build_plan(config, data, rng.child("partition"))
     model_config = _reconcile_model(config, data)
     model = zero_shot_init(model_config, text_protos, rng.child("init"))
     clients = build_clients(client_views(data, plan, config.setting), model)
+    return plan, model_config, model, clients
+
+
+def run_single(config: ExperimentConfig) -> dict:
+    """Run one (non-sweep) experiment and return its results dictionary."""
+    started = time.time()
+    rng = RngStream(config.seed)
+    plan, model_config, model, clients = _set_up(config, rng)
     server = init_server(model, plan.num_clients)
 
     bins, scheme = config.metrics.bins, config.metrics.scheme
@@ -187,7 +202,7 @@ def run_single(config: ExperimentConfig) -> dict:
         "method": config.method_name(),
         "plan": {
             "histograms": plan.histograms.tolist(),
-            "client_entropy": heterogeneity_stats(plan)["entropy"].tolist(),
+            "client_entropy": client_entropy(plan.histograms).tolist(),
             "kind": plan.metadata.get("kind"),
         },
         "rounds": round_rows,
@@ -201,10 +216,6 @@ def run_single(config: ExperimentConfig) -> dict:
             model, clients, config.metrics.temperatures, bins, scheme
         )
     return results
-
-
-def results_json(results: dict) -> str:
-    return json.dumps(results, sort_keys=True, indent=2) + "\n"
 
 
 def summary_csv(results_list) -> str:

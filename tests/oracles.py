@@ -194,3 +194,15 @@ def naive_train_logits(model, x, streams):
             features.append(a / np.linalg.norm(a, axis=-1, keepdims=True))
         out.append(model.config.logit_scale * (features[0] @ features[1].T))
     return np.array(out)
+
+
+def naive_group_by_client(pieces, counts, num_clients):
+    """Each client's concatenation of its chunks, pieces in order: piece
+    ``p`` is cut with ``np.split`` into consecutive chunks of ``counts[p][k]``
+    entries, one per client ``k`` in id order."""
+    per_client = [[] for _ in range(num_clients)]
+    for piece, piece_counts in zip(pieces, counts):
+        for client, part in enumerate(np.split(piece, np.cumsum(piece_counts)[:-1])):
+            if len(part):
+                per_client[client].append(part)
+    return [np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64) for parts in per_client]

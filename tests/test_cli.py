@@ -89,7 +89,7 @@ class TestRunVerb:
 def write_embedding_set(tmp_path, fmt, bad_value=None):
     """Train, test and prototype files of a 3-class, 4-dim set in ``fmt``
     ("csv" or "bin"); ``bad_value`` = (file, row, column, value) is written
-    into that file's features."""
+    into that file's features (``column`` may be a slice)."""
     rng = RngStream(21)
     d, c = 4, 3
     features = {
@@ -143,6 +143,13 @@ MALFORMED_EMBEDDINGS = {
     "sample_csv_nan_feature": ("csv", "test", (2, 1, float("nan")), None),
     "femb_nan_feature": ("bin", "train", (5, 0, float("nan")), None),
     "fpro_infinite_value": ("bin", "prototypes", (1, 3, float("inf")), None),
+    # a row with norm 0, or one whose norm overflows, cannot be normalized
+    "sample_csv_zero_row": ("csv", "train", (4, slice(None), 0.0), None),
+    "sample_csv_norm_overflows": ("csv", "test", (3, 2, 1e200), None),
+    "femb_zero_row": ("bin", "test", (0, slice(None), 0.0), None),
+    # FEMB stores f32, so 1e200 is written as inf
+    "femb_value_beyond_float32": ("bin", "train", (7, 1, 1e200), None),
+    "prototype_csv_zero_row": ("csv", "prototypes", (2, slice(None), 0.0), None),
 }
 
 
@@ -156,6 +163,7 @@ class TestMalformedEmbeddingFiles:
         assert self.run_on(tmp_path, write_embedding_set(tmp_path, fmt)) == EXIT_OK
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_EMBEDDINGS))
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
     def test_malformed_content_exits_format(self, tmp_path, capsys, case):
         fmt, key, bad_value, rewrite = MALFORMED_EMBEDDINGS[case]
         paths = write_embedding_set(tmp_path, fmt, bad_value and (key, *bad_value))

@@ -278,6 +278,34 @@ class TestAggregate:
         )
         assert np.all(np.isfinite(out))
 
+    @pytest.mark.parametrize("kind", ["fedavg", "fedprox", "fednova"])
+    def test_identical_updates_return_that_vector(self, kind):
+        # k equal weights 1/k: the sequential weighted sum is exact for k = 1,
+        # 2 and 4; otherwise each of the k products and sums may round, so
+        # the result is within k ulps of the vector
+        rng = RngStream(141)
+        for k in range(1, 11):
+            for _ in range(20):
+                vec, prev = rng.normal(30), rng.normal(30)
+                d, a = 1 + int(rng.u64(1)[0] % 50), 1 + int(rng.u64(1)[0] % 9)
+                out = aggregate([(vec.copy(), d, a)] * k, prev, AggregatorConfig(kind), ServerState(prev, k))
+                if k in (1, 2, 4):
+                    assert out.tobytes() == vec.tobytes()
+                assert np.all(np.abs(out - vec) <= k * np.spacing(np.abs(vec)))
+
+    def test_fednova_zero_step_participants_count_one_step(self):
+        rng = RngStream(142)
+        prev, first, second = rng.normal(8), rng.normal(8), rng.normal(8)
+        out = aggregate(
+            [(first, 4, 0), (second, 4, 3)], prev, AggregatorConfig("fednova"), ServerState(prev, 2)
+        )
+        clamped = aggregate(
+            [(first, 4, 1), (second, 4, 3)], prev, AggregatorConfig("fednova"), ServerState(prev, 2)
+        )
+        assert out.tobytes() == clamped.tobytes()
+        # p = (1/2, 1/2), steps (1, 3): tau = 2, q = (1, 1/3), anchor 1 - 4/3
+        assert np.array_equal(out, (-1 / 3) * prev + 1.0 * first + (1 / 3) * second)
+
     def test_fednova_differs_on_unequal_steps(self):
         rng = RngStream(14)
         updates = [(rng.normal(10), 5, 1), (rng.normal(10), 5, 9)]

@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcalib.errors import ConfigError, InvalidInputError
-from fedcalib.numerics import RngStream
+from fedcalib.numerics import RngStream, dirichlet_sample, multinomial_split
 from fedcalib.partition import (
     LabeledDataset,
+    _apportion,
+    _enforce_min_one,
     base_to_new_split,
+    client_entropy,
     dirichlet_partition,
     domain_partition,
     heterogeneity_stats,
@@ -17,6 +22,7 @@ from fedcalib.partition import (
 )
 
 from fixtures import plan_from_json
+from oracles import naive_group_by_client
 
 
 def make_dataset(samples_per_class=40, class_count=10, domains=1, test_fraction=0.2, seed=0):
@@ -314,3 +320,133 @@ class TestPlanSerialization:
         for i in range(4):
             assert np.array_equal(back.train_indices[i], plan.train_indices[i])
         assert back.to_json() == text
+
+
+# Plain per-class, per-client references built on ``naive_group_by_client``;
+# the Dirichlet draws, ``_apportion`` and ``_enforce_min_one`` are shared
+# with the program, the grouping is not.
+
+
+def class_pieces(indices, labels, class_count):
+    return [indices[labels[indices] == c] for c in range(class_count)]
+
+
+def naive_histograms(per_client, labels, class_count):
+    return np.array([np.bincount(labels[ix], minlength=class_count) for ix in per_client])
+
+
+def reference_assign(data, indices, num_clients, alpha, rng):
+    pieces = class_pieces(indices, data.labels, data.class_count)
+    counts = [
+        multinomial_split(len(piece), dirichlet_sample(alpha, num_clients, rng.child("class", c)),
+                          rng.child("counts", c)) if len(piece) else np.zeros(num_clients, dtype=np.int64)
+        for c, piece in enumerate(pieces)
+    ]
+    per_client = naive_group_by_client(pieces, counts, num_clients)
+    _enforce_min_one(per_client, data.labels)
+    return per_client
+
+
+def reference_mirror(data, train, test_ix):
+    hist = naive_histograms(train, data.labels, data.class_count)
+    pieces = class_pieces(test_ix, data.labels, data.class_count)
+    counts = [_apportion(len(piece), hist[:, c].astype(np.float64)) for c, piece in enumerate(pieces)]
+    return naive_group_by_client(pieces, counts, len(train))
+
+
+def reference_sort(data, num_clients, classes_per_client):
+    spc = num_clients * classes_per_client // data.class_count
+    shards = []
+    for piece in class_pieces(data.train_indices(), data.labels, data.class_count):
+        base, extra = divmod(len(piece), spc)
+        shards += np.split(piece, np.cumsum([base + (j < extra) for j in range(spc)])[:-1])
+    # shard s goes whole to client s mod N
+    counts = [np.eye(num_clients, dtype=np.int64)[s % num_clients] * len(shard) for s, shard in enumerate(shards)]
+    train = naive_group_by_client(shards, counts, num_clients)
+    return train, reference_mirror(data, train, data.test_indices())
+
+
+def reference_domain(data, clients_per_domain, alpha, rng):
+    train_ix, test_ix = data.train_indices(), data.test_indices()
+    train, test = [], []
+    for dom in range(data.domain_count()):
+        local = reference_assign(data, train_ix[data.domains[train_ix] == dom], clients_per_domain,
+                                 alpha, rng.child("domain", dom))
+        train += local
+        test += reference_mirror(data, local, test_ix[data.domains[test_ix] == dom])
+    return train, test
+
+
+@st.composite
+def labeled_rows(draw, class_count, groups, min_train_per_group, min_per_class=0):
+    """Rows in a shuffled order: per group (domain), at least
+    ``min_train_per_group`` train rows, and in each of the ``class_count``
+    classes at least ``min_per_class`` train rows; classes may be empty."""
+    labels, domains, is_train = [], [], []
+    for dom in range(groups):
+        train = [c for c in range(class_count) for _ in range(min_per_class)]
+        extra = max(0, min_train_per_group - len(train))
+        train += draw(st.lists(st.integers(0, class_count - 1), min_size=extra, max_size=extra + 20))
+        test = draw(st.lists(st.integers(0, class_count - 1), max_size=15))
+        labels += train + test
+        domains += [dom] * (len(train) + len(test))
+        is_train += [True] * len(train) + [False] * len(test)
+    order = draw(st.permutations(range(len(labels))))
+    n = len(labels)
+    return LabeledDataset(np.zeros((n, 2)), np.array(labels, dtype=np.int64)[order],
+                          np.array(domains, dtype=np.int64)[order], class_count,
+                          np.array(is_train)[order])
+
+
+ALPHAS = st.sampled_from([0.01, 0.1, 0.5, 1.0, 100.0])
+
+
+class TestGroupingMatchesPerClassOracle:
+    """Each partition equals a plain per-class, per-client split loop, index
+    for index and in order, and conserves the train set."""
+
+    def check(self, plan, data, train, test):
+        train_ix = data.train_indices()
+        assert np.array_equal(np.sort(np.concatenate(plan.train_indices)), train_ix)
+        assert len(plan.train_indices) == len(train) == len(plan.test_indices) == len(test)
+        for got, want in zip(plan.train_indices + plan.test_indices, train + test):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+        assert np.array_equal(plan.histograms, naive_histograms(plan.train_indices, data.labels, data.class_count))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.integers(1, 8), ALPHAS, st.integers(0, 2**32))
+    def test_dirichlet(self, hyp, class_count, num_clients, alpha, seed):
+        data = hyp.draw(labeled_rows(class_count, 1, num_clients))
+        plan = dirichlet_partition(data, num_clients, alpha, RngStream(seed))
+        train = reference_assign(data, data.train_indices(), num_clients, alpha, RngStream(seed))
+        self.check(plan, data, train, reference_mirror(data, train, data.test_indices()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(1, 5), st.integers(1, 3), st.integers(1, 3), ALPHAS, st.integers(0, 2**32))
+    def test_domain(self, hyp, class_count, domains, clients_per_domain, alpha, seed):
+        data = hyp.draw(labeled_rows(class_count, domains, clients_per_domain))
+        plan = domain_partition(data, clients_per_domain, alpha, RngStream(seed))
+        self.check(plan, data, *reference_domain(data, clients_per_domain, alpha, RngStream(seed)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.integers(1, 3))
+    def test_sort(self, hyp, class_count, shards_per_class):
+        # N x classes_per_client = C x shards_per_class, and N >= shards_per_class
+        # keeps every client's shards in distinct classes
+        total = class_count * shards_per_class
+        classes_per_client = hyp.draw(st.sampled_from(
+            [k for k in range(1, class_count + 1) if total % k == 0 and total // k >= shards_per_class]))
+        num_clients = total // classes_per_client
+        data = hyp.draw(labeled_rows(class_count, 1, 0, min_per_class=shards_per_class))
+        plan = sort_and_partition(data, num_clients, classes_per_client)
+        self.check(plan, data, *reference_sort(data, num_clients, classes_per_client))
+
+
+class TestClientEntropy:
+    def test_matches_heterogeneity_stats_and_hand_values(self):
+        hist = np.array([[5, 0, 0], [2, 2, 0], [0, 0, 0], [1, 1, 1]])
+        entropy = client_entropy(hist)
+        assert np.allclose(entropy, [0.0, math.log(2), 0.0, math.log(3)], atol=1e-15)
+        plan = dirichlet_partition(make_dataset(), 6, 0.3, RngStream(4))
+        assert np.array_equal(client_entropy(plan.histograms), heterogeneity_stats(plan)["entropy"])

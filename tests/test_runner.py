@@ -1,6 +1,8 @@
 """Tests for experiment orchestration, results files, and report emission."""
 
 import json
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -221,6 +223,70 @@ class TestResultsSerialization:
 
     def test_empty_results_header_only(self):
         assert summary_csv([]) == "method,setting,acc,ece,mce,ace,brier,nll\n"
+
+
+class TestOneCopyOfTheData:
+    """Memory mechanism of a run, asserted without timings."""
+
+    @staticmethod
+    def big_results():
+        # about 200k encoder chunks, many times the join batch
+        return {"rows": [{"id": i, "value": i / 7, "tag": f"t{i}", "bins": [i, -i]} for i in range(20000)]}
+
+    def test_results_json_is_json_dumps(self):
+        res = self.big_results()
+        assert results_json(res) == json.dumps(res, sort_keys=True, indent=2) + "\n"
+
+    def test_results_json_peak_is_under_three_times_its_output(self):
+        res = self.big_results()
+        tracemalloc.start()
+        try:
+            text = results_json(res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(text)
+
+    def run_capturing_clients(self, monkeypatch, config):
+        """Clients as built, and whether the dataset was alive at round 0."""
+        clients, data_refs, alive_at_round_0 = [], [], []
+        build_clients, build_data, run_round = runner.build_clients, runner.build_data, runner.run_round
+
+        def capture_data(*args):
+            data, protos = build_data(*args)
+            data_refs.append(weakref.ref(data))
+            return data, protos
+
+        def capture_clients(*args):
+            clients.extend(build_clients(*args))
+            return clients
+
+        def check_round(*args, **kwargs):
+            alive_at_round_0.append(data_refs[0]() is not None)
+            return run_round(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "build_data", capture_data)
+        monkeypatch.setattr(runner, "build_clients", capture_clients)
+        monkeypatch.setattr(runner, "run_round", check_round)
+        run_single(config)
+        return clients, alive_at_round_0[0]
+
+    def test_client_views_share_one_gathered_copy_per_split(self, monkeypatch):
+        clients, data_alive = self.run_capturing_clients(monkeypatch, tiny_config())
+        assert not data_alive
+        for attr in ("train_x", "train_y", "test_x", "test_y"):
+            views = [getattr(c, attr) for c in clients]
+            assert views[0].base is not None
+            assert all(v.base is views[0].base for v in views)
+
+    def test_base_to_new_shares_the_new_class_view(self, monkeypatch):
+        config = tiny_config(setting="base_to_new", partition={"kind": "base_to_new"})
+        clients, data_alive = self.run_capturing_clients(monkeypatch, config)
+        assert not data_alive
+        assert all(c.test_new is clients[0].test_new for c in clients)
+        for c in clients:
+            assert c.test_base[0].base is c.test_x.base
+            assert len(c.test_base[1]) + len(c.test_new[1]) == len(c.test_y)
 
 
 class TestOutputsOnDisk:
