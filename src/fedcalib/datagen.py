@@ -105,30 +105,27 @@ def generate_synthetic(spec: SyntheticSpec, rng: RngStream) -> tuple:
         image_protos + TEXT_PERTURBATION_SCALE * spec.noise_sigma * text_noise
     )
 
-    blocks_x, blocks_y, blocks_dom, blocks_train = [], [], [], []
-    n_train = int(round(spec.train_fraction * spec.samples_per_class))
-    n_train = min(max(n_train, 1), spec.samples_per_class - 1) if spec.samples_per_class > 1 else 1
+    n = spec.samples_per_class
+    n_train = int(round(spec.train_fraction * n))
+    n_train = min(max(n_train, 1), n - 1) if n > 1 else 1
+    # one row block per (domain, class), in that order, each written once into its slice
+    x = np.empty((spec.domain_count * c * n, d))
     for dom in range(spec.domain_count):
         dom_rng = rng.child("domain", dom)
         planes = _domain_rotation(d, dom_rng.child("rotation"))
         shift = dom_rng.child("shift").normal(d, scale=DOMAIN_SHIFT_SCALE * spec.noise_sigma)
         for cls in range(c):
-            noise = rng.child("samples", dom, cls).normal(spec.samples_per_class * d)
-            raw = image_protos[cls] + spec.noise_sigma * noise.reshape(spec.samples_per_class, d)
-            raw = _apply_rotation(raw, planes) + shift
-            blocks_x.append(l2_normalize_rows(raw))
-            blocks_y.append(np.full(spec.samples_per_class, cls, dtype=np.int64))
-            blocks_dom.append(np.full(spec.samples_per_class, dom, dtype=np.int64))
-            tags = np.zeros(spec.samples_per_class, dtype=bool)
-            tags[:n_train] = True
-            blocks_train.append(tags)
+            noise = rng.child("samples", dom, cls).normal(n * d)
+            raw = image_protos[cls] + spec.noise_sigma * noise.reshape(n, d)
+            start = (dom * c + cls) * n
+            x[start : start + n] = l2_normalize_rows(_apply_rotation(raw, planes) + shift)
 
     data = LabeledDataset(
-        embeddings=np.vstack(blocks_x),
-        labels=np.concatenate(blocks_y),
-        domains=np.concatenate(blocks_dom),
+        embeddings=x,
+        labels=np.tile(np.repeat(np.arange(c, dtype=np.int64), n), spec.domain_count),
+        domains=np.repeat(np.arange(spec.domain_count, dtype=np.int64), c * n),
         class_count=c,
-        is_train=np.concatenate(blocks_train),
+        is_train=np.tile(np.arange(n) < n_train, spec.domain_count * c),
     )
     return data, text_protos
 
@@ -259,6 +256,7 @@ def load_embeddings(train_path, test_path, prototypes_path) -> tuple:
         protos = _read_prototype_csv(prototypes_path)
     else:
         protos = read_prototypes(prototypes_path)
+    sample_norms = []
     for path, values in ((train_path, tr_x), (test_path, te_x), (prototypes_path, protos)):
         bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
         if bad.size:
@@ -269,6 +267,7 @@ def load_embeddings(train_path, test_path, prototypes_path) -> tuple:
         bad = np.flatnonzero(~((norms > 0) & np.isfinite(norms)))
         if bad.size:
             raise FormatError(f"{path}: row {bad[0]} has norm {norms[bad[0]]}, which cannot be normalized")
+        sample_norms.append(norms)
     if protos.shape[1] != tr_x.shape[1]:
         raise FormatError(
             f"prototype dimension {protos.shape[1]} does not match sample dimension {tr_x.shape[1]}"
@@ -280,9 +279,12 @@ def load_embeddings(train_path, test_path, prototypes_path) -> tuple:
         raise FormatError(
             f"prototype file has {protos.shape[0]} classes but labels imply {class_count}"
         )
-    x = np.vstack([tr_x, te_x])
+    # one matrix for both splits, divided in place by the norms checked above (a row's own)
+    x = np.empty((len(tr_x) + len(te_x), tr_x.shape[1]))
+    x[: len(tr_x)], x[len(tr_x) :] = tr_x, te_x
+    x /= np.concatenate(sample_norms[:2])[:, None]
     data = LabeledDataset(
-        embeddings=l2_normalize_rows(x),
+        embeddings=x,
         labels=np.concatenate([tr_y, te_y]),
         domains=np.concatenate([tr_dom, te_dom]),
         class_count=class_count,

@@ -6,9 +6,10 @@ A round's participants train in lockstep on the run's single model: at
 each local step, the participants whose minibatches have the same row
 count run one stacked forward and backward, each with its own row of a
 K x P parameter matrix (see ``model``). Clients differ only in their data,
-their trainable vector and their FedDyn dual, and every client draws from
-a stream derived from (seed, round, client id), so each client's update is
-the one it would compute alone, whatever the grouping or the order.
+their trainable vector and, once they have taken part under feddyn, their
+dual. Every client draws from a stream derived from (seed, round, client
+id), so each client's update is the one it would compute alone, whatever
+the grouping or the order.
 
 Every client holds the same global vector after broadcast, so evaluation
 forwards the test views of consecutive clients together, in blocks of at
@@ -97,7 +98,8 @@ class ClientState:
     # base/new breakdown of the test view (base-to-new setting only)
     test_base: tuple | None = None
     test_new: tuple | None = None
-    dual: np.ndarray | None = None  # FedDyn h_n, trainable-vector shaped
+    # FedDyn h_n, trainable-vector shaped; None (read as zeros) until the client first takes part
+    dual: np.ndarray | None = None
 
     @property
     def train_size(self) -> int:
@@ -168,7 +170,8 @@ def train_participants(
     learning rate, later rounds the main one. FedProx adds
     ``mu * (w - w_global)`` to each step's gradient; FedDyn adds
     ``-h_n + alpha * (w - w_global)``, each with the client's own ``w`` and
-    dual ``h_n``. So a client's result does not depend on the other clients.
+    dual ``h_n`` (zeros while the client holds none). So a client's result
+    does not depend on the other clients.
     The model is left holding the last client's final vector.
     """
     model.load_trainable(global_vector)
@@ -177,7 +180,10 @@ def train_participants(
     batches = [-(-c.train_size // size) if model.trainable_size() else 0 for c in clients]
     total_steps = [fed_config.local_epochs * b for b in batches]
     lr = fed_config.warmup_lr if round_index == 0 else fed_config.learning_rate
-    duals = np.stack([c.dual for c in clients]) if agg_config.kind == "feddyn" and clients else None
+    duals = None
+    if agg_config.kind == "feddyn" and clients:
+        zero = np.zeros(global_vector.size)
+        duals = np.stack([zero if c.dual is None else c.dual for c in clients])
     orders = [None] * len(clients)
     for step in range(max(total_steps, default=0)):
         groups: dict = {}
@@ -425,7 +431,9 @@ def run_round(
     if agg_config.kind == "feddyn":
         for (vec, _, _), cid in zip(updates, participants):
             client = clients[cid]
-            client.dual = client.dual - agg_config.alpha_dyn * (vec - global_before)
+            # a first dual is 0.0 - t, the bits of zeros - t (-t would turn +0.0 into -0.0)
+            before = 0.0 if client.dual is None else client.dual
+            client.dual = before - agg_config.alpha_dyn * (vec - global_before)
 
     model.load_trainable(new_global)
     evaluation = personalized_evaluate(model, clients, bins, scheme)
@@ -442,24 +450,20 @@ def run_round(
     )
 
 
-def build_clients(data_views: list, model: DualEncoderModel) -> list:
-    """Client state for each (train, test[, base, new]) view, duals sized to ``model``."""
-    clients = []
-    size = model.trainable_size()
-    for cid, view in enumerate(data_views):
-        clients.append(
-            ClientState(
-                client_id=cid,
-                train_x=view["train_x"],
-                train_y=view["train_y"],
-                test_x=view["test_x"],
-                test_y=view["test_y"],
-                test_base=view.get("test_base"),
-                test_new=view.get("test_new"),
-                dual=np.zeros(size),
-            )
+def build_clients(data_views: list) -> list:
+    """Client state for each (train, test[, base, new]) view; no client holds a dual yet."""
+    return [
+        ClientState(
+            client_id=cid,
+            train_x=view["train_x"],
+            train_y=view["train_y"],
+            test_x=view["test_x"],
+            test_y=view["test_y"],
+            test_base=view.get("test_base"),
+            test_new=view.get("test_new"),
         )
-    return clients
+        for cid, view in enumerate(data_views)
+    ]
 
 
 def init_server(model: DualEncoderModel, num_clients: int) -> ServerState:

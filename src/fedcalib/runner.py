@@ -149,7 +149,7 @@ def _set_up(config: ExperimentConfig, rng: RngStream) -> tuple:
     plan = build_plan(config, data, rng.child("partition"))
     model_config = _reconcile_model(config, data)
     model = zero_shot_init(model_config, text_protos, rng.child("init"))
-    clients = build_clients(client_views(data, plan, config.setting), model)
+    clients = build_clients(client_views(data, plan, config.setting))
     return plan, model_config, model, clients
 
 

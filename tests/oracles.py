@@ -8,7 +8,9 @@ import math
 
 import numpy as np
 
-from fedcalib.numerics import RngStream
+from fedcalib.datagen import DOMAIN_SHIFT_SCALE, TEXT_PERTURBATION_SCALE, _apply_rotation, _domain_rotation
+from fedcalib.numerics import RngStream, l2_normalize_rows
+from fedcalib.partition import LabeledDataset
 
 
 def random_prob_batch(rng: RngStream, max_n: int = 200, max_c: int = 10):
@@ -206,3 +208,39 @@ def naive_group_by_client(pieces, counts, num_clients):
             if len(part):
                 per_client[client].append(part)
     return [np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64) for parts in per_client]
+
+
+def naive_generate_synthetic(spec, rng: RngStream):
+    """``datagen.generate_synthetic`` assembled block by block: each
+    (domain, class) block's rows, labels, domains and split tags go into
+    lists that are stacked at the end. It shares the rotation helpers and
+    the row normalization with the package; the assembly is what it pins."""
+    c, d = spec.class_count, spec.dim
+    image_protos = l2_normalize_rows(rng.child("protos").normal(c * d).reshape(c, d))
+    text_noise = rng.child("text-protos").normal(c * d).reshape(c, d)
+    text_protos = l2_normalize_rows(image_protos + TEXT_PERTURBATION_SCALE * spec.noise_sigma * text_noise)
+    blocks_x, blocks_y, blocks_dom, blocks_train = [], [], [], []
+    n_train = int(round(spec.train_fraction * spec.samples_per_class))
+    n_train = min(max(n_train, 1), spec.samples_per_class - 1) if spec.samples_per_class > 1 else 1
+    for dom in range(spec.domain_count):
+        dom_rng = rng.child("domain", dom)
+        planes = _domain_rotation(d, dom_rng.child("rotation"))
+        shift = dom_rng.child("shift").normal(d, scale=DOMAIN_SHIFT_SCALE * spec.noise_sigma)
+        for cls in range(c):
+            noise = rng.child("samples", dom, cls).normal(spec.samples_per_class * d)
+            raw = image_protos[cls] + spec.noise_sigma * noise.reshape(spec.samples_per_class, d)
+            raw = _apply_rotation(raw, planes) + shift
+            blocks_x.append(l2_normalize_rows(raw))
+            blocks_y.append(np.full(spec.samples_per_class, cls, dtype=np.int64))
+            blocks_dom.append(np.full(spec.samples_per_class, dom, dtype=np.int64))
+            tags = np.zeros(spec.samples_per_class, dtype=bool)
+            tags[:n_train] = True
+            blocks_train.append(tags)
+    data = LabeledDataset(
+        embeddings=np.vstack(blocks_x),
+        labels=np.concatenate(blocks_y),
+        domains=np.concatenate(blocks_dom),
+        class_count=c,
+        is_train=np.concatenate(blocks_train),
+    )
+    return data, text_protos

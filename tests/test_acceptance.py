@@ -195,7 +195,7 @@ def _one_client_federation(seed=7):
     data, protos = build_data(cfg, rng.child("data"))
     plan = build_plan(cfg, data, rng.child("partition"))
     model = zero_shot_init(_reconcile_model(cfg, data), protos, rng.child("init"))
-    clients = build_clients(client_views(data, plan, cfg.setting), model)
+    clients = build_clients(client_views(data, plan, cfg.setting))
     server = init_server(model, 1)
     return cfg, model, clients, server
 
@@ -251,7 +251,7 @@ def test_criterion_05_determinism_serial_vs_parallel():
     plan = build_plan(cfg, data, rng.child("partition"))
     model_cfg = _reconcile_model(cfg, data)
     model = zero_shot_init(model_cfg, protos, rng.child("init"))
-    clients = build_clients(client_views(data, plan, cfg.setting), model)
+    clients = build_clients(client_views(data, plan, cfg.setting))
     server = init_server(model, plan.num_clients)
     bins, scheme = cfg.metrics.bins, cfg.metrics.scheme
     stream = rng.child("rounds")

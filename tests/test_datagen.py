@@ -1,5 +1,7 @@
 """Tests for synthetic data generation and embedding-file ingestion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from fedcalib.model import ModelConfig, zero_shot_init
 from fedcalib.numerics import RngStream, softmax_rows
 
 from fixtures import write_embedding_csv, write_embeddings, write_prototypes
+from oracles import naive_generate_synthetic
 
 
 def zs_accuracy(data, protos, seed=0):
@@ -77,6 +80,36 @@ class TestGenerateSynthetic:
             means.append(data.embeddings[mask].mean(axis=0))
         assert np.linalg.norm(means[0] - means[1]) > 0.01
         assert np.linalg.norm(means[0] - means[2]) > 0.01
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SyntheticSpec(class_count=5, dim=16, samples_per_class=30, domain_count=3),
+            SyntheticSpec(class_count=3, dim=8, samples_per_class=1, domain_count=2),
+            SyntheticSpec(class_count=4, dim=8, samples_per_class=7, domain_count=4, train_fraction=0.3),
+        ],
+        ids=["three_domains", "one_sample_per_class", "four_domains_ragged_split"],
+    )
+    def test_matches_block_stacking_oracle(self, spec):
+        data, protos = generate_synthetic(spec, RngStream(6, 3))
+        want, want_protos = naive_generate_synthetic(spec, RngStream(6, 3))
+        for field in ("embeddings", "labels", "domains", "is_train"):
+            got, expected = getattr(data, field), getattr(want, field)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), field
+        assert protos.tobytes() == want_protos.tobytes()
+
+    def test_rows_are_written_once(self):
+        # block-wise stacking holds every block and the stacked matrix at once (about 2.1x)
+        spec = SyntheticSpec(class_count=20, dim=64, samples_per_class=100, domain_count=3)
+        generate_synthetic(spec, RngStream(7))  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            data, _ = generate_synthetic(spec, RngStream(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * data.embeddings.nbytes
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):

@@ -67,7 +67,7 @@ def make_federation(num_clients, head="lora_both", seed=0, dropout=0.0, logit_sc
         embed_dim=8, class_count=4, head_kind=head, lora_dropout=dropout, logit_scale=logit_scale
     )
     model = zero_shot_init(cfg, protos, RngStream(seed, 777))
-    clients = build_clients(views, model)
+    clients = build_clients(views)
     server = init_server(model, num_clients)
     return model, server, clients
 
@@ -82,7 +82,8 @@ def local_objective(model, client, vector, global_vector, agg_config, loss_spec)
         value += 0.5 * agg_config.mu_prox * float(diff @ diff)
     elif agg_config.kind == "feddyn":
         diff = vector - global_vector
-        value += -float(client.dual @ vector) + 0.5 * agg_config.alpha_dyn * float(diff @ diff)
+        dual = np.zeros(vector.size) if client.dual is None else client.dual
+        value += -float(dual @ vector) + 0.5 * agg_config.alpha_dyn * float(diff @ diff)
     return value
 
 
@@ -105,7 +106,7 @@ def sequential_local_train(model, client, global_vector, fed_config, agg_config,
             if agg_config.kind == "fedprox":
                 g += agg_config.mu_prox * (w - global_vector)
             elif agg_config.kind == "feddyn":
-                g -= client.dual
+                g -= np.zeros(g.size) if client.dual is None else client.dual
                 g += agg_config.alpha_dyn * (w - global_vector)
             w -= lr * g
             steps += 1
@@ -407,7 +408,7 @@ class TestRunRound:
         stream = RngStream(33)
         for t in range(2):
             before, dual_mean = server.global_vector, server.dual_mean.copy()
-            duals = [c.dual.copy() for c in clients]
+            duals = [None if c.dual is None else c.dual.copy() for c in clients]
             probe = copy.deepcopy(model)
             alone = []
             for cid, client in enumerate(clients):
@@ -431,8 +432,11 @@ class TestRunRound:
             drifts = np.array([drift for _, _, drift in alone])
             assert (record.drift_mean, record.drift_std) == (float(drifts.mean()), float(drifts.std()))
             for client, dual, (vec, _, _) in zip(clients, duals, alone):
-                want_dual = dual - agg.alpha_dyn * (vec - before) if kind == "feddyn" else dual
-                assert client.dual.tobytes() == want_dual.tobytes()
+                if kind == "feddyn":
+                    want_dual = (0.0 if dual is None else dual) - agg.alpha_dyn * (vec - before)
+                    assert client.dual.tobytes() == want_dual.tobytes()
+                else:
+                    assert client.dual is None
 
     def test_full_stack_equals_each_client_alone(self):
         # eight clients with 32-row batches fill one stack of STACK_ROWS rows
@@ -484,6 +488,37 @@ class TestRunRound:
         fed = FederationConfig(batch_size=8)
         run_round(model, server, clients, fed, AggregatorConfig("feddyn"), LossSpec(), 0, RngStream(3))
         assert any(np.linalg.norm(c.dual) > 0 for c in clients)
+
+    def test_lazy_duals_equal_eager_zero_duals(self):
+        # 3 of 10 clients take part in each of 4 rounds, so some take part twice and some
+        # never; the eager copy gives every client a zero dual up front, as a dense FedDyn would
+        model, server, clients = make_federation(10, seed=38, dropout=0.25, per_client=16)
+        eager_model, eager_server, eager_clients = make_federation(10, seed=38, dropout=0.25, per_client=16)
+        for client in eager_clients:
+            client.dual = np.zeros(eager_model.trainable_size())
+        fed = FederationConfig(batch_size=8, participation_rate=0.3, learning_rate=0.05, warmup_lr=0.01)
+        agg, spec, stream = AggregatorConfig("feddyn", alpha_dyn=0.2), LossSpec(), RngStream(39)
+        taken = []
+        for t in range(4):
+            record = run_round(model, server, clients, fed, agg, spec, t, stream)
+            ids = sample_participants(10, 0.3, stream.child("participants", t)).tolist()
+            assert ids == record.participants
+            before, updates = eager_server.global_vector, []
+            for cid in ids:
+                vec, steps = sequential_local_train(
+                    eager_model, eager_clients[cid], before, fed, agg, spec, stream.child("local", t, cid), t
+                )
+                updates.append((vec, eager_clients[cid].train_size, steps))
+            eager_server.global_vector = aggregate(updates, before, agg, eager_server)
+            for cid, (vec, _, _) in zip(ids, updates):
+                eager_clients[cid].dual = eager_clients[cid].dual - agg.alpha_dyn * (vec - before)
+            assert record.global_vector.tobytes() == eager_server.global_vector.tobytes()
+            for cid in ids:
+                assert clients[cid].dual.tobytes() == eager_clients[cid].dual.tobytes()
+            taken += ids
+        never = set(range(10)) - set(taken)
+        assert never and len(set(taken)) < len(taken)
+        assert all(clients[cid].dual is None for cid in never)
 
 
 class TestPersonalizedEvaluate:

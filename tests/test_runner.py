@@ -83,7 +83,7 @@ class TestRunSingle:
         data, protos = build_data(cfg, rng.child("data"))
         plan = build_plan(cfg, data, rng.child("partition"))
         model = zero_shot_init(_reconcile_model(cfg, data), protos, rng.child("init"))
-        clients = build_clients(client_views(data, plan, cfg.setting), model)
+        clients = build_clients(client_views(data, plan, cfg.setting))
         server = init_server(model, 1)
         expected, _ = train_participants(
             model, [clients[0]], server.global_vector, cfg.federation, cfg.aggregator,
@@ -270,6 +270,12 @@ class TestOneCopyOfTheData:
         monkeypatch.setattr(runner, "run_round", check_round)
         run_single(config)
         return clients, alive_at_round_0[0]
+
+    @pytest.mark.parametrize("kind", ["fedavg", "feddyn"])
+    def test_set_up_gives_no_client_a_dual(self, kind):
+        # a FedDyn dual is made when its client first takes part, whatever the aggregator
+        _, _, _, clients = runner._set_up(tiny_config(aggregator={"kind": kind}), RngStream(11))
+        assert clients and all(c.dual is None for c in clients)
 
     def test_client_views_share_one_gathered_copy_per_split(self, monkeypatch):
         clients, data_alive = self.run_capturing_clients(monkeypatch, tiny_config())
