@@ -19,8 +19,9 @@ Precomputed embeddings can be ingested from two formats:
 
 Loaded rows are re-normalized to unit length, matching the synthetic path.
 A file whose content breaks its layout (a bad header or record, an
-unparsable or negative label, no data rows, a non-finite value, a row whose
-norm is zero or overflows) raises ``FormatError`` naming the file.
+unparsable or negative label, no data rows or zero records, a non-finite
+value, a row whose norm is zero or overflows) raises ``FormatError`` naming
+the file.
 """
 
 from __future__ import annotations
@@ -158,6 +159,8 @@ def read_embeddings(path) -> tuple:
             raise FormatError(f"{path}: unsupported version {version} at byte 4")
         if d == 0:
             raise FormatError(f"{path}: zero dimension at byte 8")
+        if n == 0:
+            raise FormatError(f"{path}: zero records (count at byte 12)")
         labels = np.empty(n, dtype=np.int64)
         domains = np.empty(n, dtype=np.int64)
         rows = np.empty((n, d), dtype=np.float64)
@@ -272,9 +275,7 @@ def load_embeddings(train_path, test_path, prototypes_path) -> tuple:
         raise FormatError(
             f"prototype dimension {protos.shape[1]} does not match sample dimension {tr_x.shape[1]}"
         )
-    class_count = int(max(tr_y.max(initial=-1), te_y.max(initial=-1))) + 1
-    if class_count < 1:
-        raise FormatError("embedding files contain no samples")
+    class_count = int(max(tr_y.max(), te_y.max())) + 1
     if protos.shape[0] != class_count:
         raise FormatError(
             f"prototype file has {protos.shape[0]} classes but labels imply {class_count}"

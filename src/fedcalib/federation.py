@@ -171,13 +171,11 @@ def train_participants(
     ``mu * (w - w_global)`` to each step's gradient; FedDyn adds
     ``-h_n + alpha * (w - w_global)``, each with the client's own ``w`` and
     dual ``h_n`` (zeros while the client holds none). So a client's result
-    does not depend on the other clients.
-    The model is left holding the last client's final vector.
+    does not depend on the other clients. The model is not changed.
     """
-    model.load_trainable(global_vector)
     vectors = np.tile(global_vector, (len(clients), 1))
     size = fed_config.batch_size
-    batches = [-(-c.train_size // size) if model.trainable_size() else 0 for c in clients]
+    batches = [-(-c.train_size // size) if global_vector.size else 0 for c in clients]
     total_steps = [fed_config.local_epochs * b for b in batches]
     lr = fed_config.warmup_lr if round_index == 0 else fed_config.learning_rate
     duals = None
@@ -197,9 +195,8 @@ def train_participants(
         for rows, group in groups.items():
             for members in _stacks(group, rows):
                 ids = [i for i, _, _ in members]
-                model.load_trainable(vectors[ids])
-                g = _stacked_gradient(model, clients, members, loss_spec, round_index, step)
-                w = model.theta
+                w = vectors[ids]
+                g = _stacked_gradient(model, w, clients, members, loss_spec, round_index, step)
                 if agg_config.kind == "fedprox":
                     g += agg_config.mu_prox * (w - global_vector)
                 elif agg_config.kind == "feddyn":
@@ -207,8 +204,6 @@ def train_participants(
                     g += agg_config.alpha_dyn * (w - global_vector)
                 w -= lr * g
                 vectors[ids] = w
-    if clients:
-        model.load_trainable(vectors[-1])
     return [(vector, steps) for vector, steps in zip(vectors, total_steps)]
 
 
@@ -220,8 +215,9 @@ def _stacks(group: list, rows: int) -> list:
     return [group[start : start + per] for start in range(0, len(group), per)]
 
 
-def _stacked_gradient(model, clients, members, loss_spec, round_index, step) -> np.ndarray:
-    """K x P loss gradient of one stacked step; ``members`` are (client index, rows, dropout stream).
+def _stacked_gradient(model, params, clients, members, loss_spec, round_index, step) -> np.ndarray:
+    """K x P loss gradient of one stacked step at the K x P ``params``;
+    ``members`` are (client index, rows, dropout stream).
 
     A non-finite activation or loss raises ``NumericError`` naming the
     client it belongs to, the round and the step.
@@ -230,7 +226,7 @@ def _stacked_gradient(model, clients, members, loss_spec, round_index, step) -> 
     x = np.array([c.train_x[rows] for c, (_, rows, _) in zip(stack, members)])
     y = np.array([c.train_y[rows] for c, (_, rows, _) in zip(stack, members)])
     try:
-        model.forward(x, train=True, rng=[stream for _, _, stream in members])
+        model.forward(x, params, train=True, rng=[stream for _, _, stream in members])
         loss, g = model.backward(y, loss_spec)
     except NumericError as err:
         raise _client_error(str(err), stack, err.rows or range(len(stack)), round_index, step) from err
@@ -313,8 +309,8 @@ def _is_empty(view) -> bool:
     return view is None or len(view[1]) == 0
 
 
-def blocked_logits(model: DualEncoderModel, views: list) -> tuple:
-    """Logits of the non-empty ``(x, y)`` views, with one forward per block.
+def blocked_logits(model: DualEncoderModel, vector: np.ndarray, views: list) -> tuple:
+    """Logits under ``vector`` of the non-empty ``(x, y)`` views, with one forward per block.
 
     Consecutive views are joined into blocks of at most ``EVAL_BLOCK_ROWS``
     rows; a larger view is forwarded alone. Returns the ``LogitBatch`` of
@@ -327,18 +323,18 @@ def blocked_logits(model: DualEncoderModel, views: list) -> tuple:
     blocks, block, rows = [], [], 0
     for x, _ in kept:
         if block and rows + len(x) > EVAL_BLOCK_ROWS:
-            blocks.append(model.forward(np.concatenate(block)))
+            blocks.append(model.forward(np.concatenate(block), vector))
             block, rows = [], 0
         block.append(x)
         rows += len(x)
-    blocks.append(model.forward(np.concatenate(block)))
+    blocks.append(model.forward(np.concatenate(block), vector))
     labels = np.concatenate([y for _, y in kept])
     return LogitBatch(np.concatenate(blocks), labels), [len(y) for _, y in kept]
 
 
-def _view_reports(model: DualEncoderModel, views: list, bins: int, scheme: str) -> list:
+def _view_reports(model: DualEncoderModel, vector: np.ndarray, views: list, bins: int, scheme: str) -> list:
     """One report per view (``None`` for an empty view) from one segmented pass."""
-    logits, sizes = blocked_logits(model, views)
+    logits, sizes = blocked_logits(model, vector, views)
     if logits is None:
         return [None] * len(views)
     batch = ProbBatch(softmax_rows(logits.logits), logits.labels)
@@ -354,14 +350,14 @@ def client_mean(reports: list) -> dict:
 
 
 def personalized_evaluate(
-    model: DualEncoderModel, clients: list, bins: int = 15, scheme: str = "equal_width"
+    model: DualEncoderModel, vector: np.ndarray, clients: list, bins: int = 15, scheme: str = "equal_width"
 ) -> dict:
-    """Per-client reports on each local test view plus their unweighted mean.
+    """Per-client reports under ``vector`` on each local test view plus their unweighted mean.
 
     Clients without test data are excluded from the average and listed
     under ``excluded``.
     """
-    reports = _view_reports(model, [(c.test_x, c.test_y) for c in clients], bins, scheme)
+    reports = _view_reports(model, vector, [(c.test_x, c.test_y) for c in clients], bins, scheme)
     included = [r for r in reports if r is not None]
     excluded = [c.client_id for c, r in zip(clients, reports) if r is None]
     if not included:
@@ -375,11 +371,11 @@ def personalized_evaluate(
 
 
 def evaluate_base_new(
-    model: DualEncoderModel, clients: list, bins: int = 15, scheme: str = "equal_width"
+    model: DualEncoderModel, vector: np.ndarray, clients: list, bins: int = 15, scheme: str = "equal_width"
 ) -> dict:
-    """Base/new breakdown for the base-to-new setting, plus harmonic means."""
-    base = _view_reports(model, [c.test_base for c in clients], bins, scheme)
-    new = _view_reports(model, [c.test_new for c in clients], bins, scheme)
+    """Base/new breakdown under ``vector`` for the base-to-new setting, plus harmonic means."""
+    base = _view_reports(model, vector, [c.test_base for c in clients], bins, scheme)
+    new = _view_reports(model, vector, [c.test_new for c in clients], bins, scheme)
     result = {"per_client": [{"base": b, "new": n} for b, n in zip(base, new)]}
     for part_name, reports in (("base", base), ("new", new)):
         included = [r for r in reports if r is not None]
@@ -419,8 +415,7 @@ def run_round(
     )
     updates, drifts = [], []
     for cid, (vector, steps) in zip(participants, trained):
-        model.load_trainable(vector)
-        _, drift = weight_drift(model)
+        _, drift = weight_drift(model, vector)
         updates.append((vector, clients[cid].train_size, steps))
         drifts.append(drift)
     drifts = np.array(drifts)
@@ -435,8 +430,7 @@ def run_round(
             before = 0.0 if client.dual is None else client.dual
             client.dual = before - agg_config.alpha_dyn * (vec - global_before)
 
-    model.load_trainable(new_global)
-    evaluation = personalized_evaluate(model, clients, bins, scheme)
+    evaluation = personalized_evaluate(model, new_global, clients, bins, scheme)
     return RoundRecord(
         round_index=round_index,
         participants=participants,
@@ -466,6 +460,6 @@ def build_clients(data_views: list) -> list:
     ]
 
 
-def init_server(model: DualEncoderModel, num_clients: int) -> ServerState:
-    vec = model.trainable_vector()
-    return ServerState(global_vector=vec, num_clients=num_clients, dual_mean=np.zeros(vec.size))
+def init_server(vector: np.ndarray, num_clients: int) -> ServerState:
+    """Server state that broadcasts a copy of ``vector`` first."""
+    return ServerState(global_vector=vector.copy(), num_clients=num_clients, dual_mean=np.zeros(vector.size))

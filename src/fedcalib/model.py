@@ -21,38 +21,39 @@ An adapter adds ``scale * A @ B`` to its frozen weight matrix; ``B`` starts
 at zero so training begins exactly at the zero-shot predictions. Dropout
 regularizes only the adapter input path, never the frozen path.
 
-The trainable parameters live in one float64 array ``theta``: the P-entry
-vector that clients send to the server, or a K x P matrix with one such
-row per client when K clients train in lockstep. The layout of a row: the
-prompt; else each adapted layer's ``A`` then ``B``, image stack first; else
-each layer's bias, image stack first. The prompt, adapter and bitfit bias
-arrays are reshaped views into ``theta`` with a leading client axis (K = 1
-for a vector), bound at construction, again in a deep copy and whenever
-``load_trainable`` changes the number of rows, so transport is one copy in
-or out.
+The model holds only frozen state: one layer list that both stacks read,
+the class prototypes, the layout of the trainable entries and the initial
+trainable vector ``initial``. The trainable parameters are passed in on
+every call: the P-entry vector that clients send to the server, or a K x P
+matrix with one such row per client when K clients train in lockstep. The
+layout of a row: the prompt; else each adapted layer's ``A`` then ``B``,
+image stack first; else each layer's bias, image stack first. Each call
+cuts the prompt, adapter and bias arrays as reshaped views of its
+parameter rows, with a leading client axis (K = 1 for a vector), so
+transport costs nothing and no call reads parameters that an earlier call
+was given.
 
 ``forward`` takes one batch (n x d) or a stack of K clients' batches of
 equal size (K x n x d). Every activation carries the leading client axis,
-and client k's rows meet only row k of each trainable array, through
-stacked ``np.matmul``, so a client's slice of a stacked forward and
-backward is the computation of its batch alone. A stack whose input and
-weights are the same for every client (the text stack of a head that does
-not train it) runs once with a leading axis of 1; the text stack's first
-frozen product ``prototypes @ W.T`` is made once per model. A training
-forward draws all adapted layers' dropout masks, image layers then text
-layers, in one ``bernoulli_rows`` call and records per layer where its relu
-is positive, the dropped adapter input, its mask and ``a_drop @ B.T``.
+and client k's rows meet only row k of the parameters, through stacked
+``np.matmul``, so a client's slice of a stacked forward and backward is the
+computation of its batch alone. A stack whose input and weights are the
+same for every client (the text stack of a head that does not train it)
+runs once with a leading axis of 1; the text stack's first frozen product
+``prototypes @ W.T`` is made once per model. A training forward draws all
+adapted layers' dropout masks, image layers then text layers, in one
+``bernoulli_rows`` call and records per layer where its relu is positive,
+the dropped adapter input, its mask and ``a_drop @ B.T``.
 
 ``backward`` computes analytic gradients through softmax, cosine
-normalization, the dense stacks, and the adapter factorization into a
-``grad`` buffer shaped like ``theta``; it is verified against central
+normalization, the dense stacks, and the adapter factorization into a new
+array shaped like the forward's parameters; it is verified against central
 finite differences in the test suite. It backpropagates only through the
 stacks that hold trainable entries or feed the prompt.
 """
 
 from __future__ import annotations
 
-import copy as _copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,7 @@ from .errors import (
     TransportError,
     UsageError,
 )
-from .losses import LossSpec, LossValue, total_loss
+from .losses import LossSpec, total_loss
 from .numerics import RngStream, softmax_rows
 
 HEAD_KINDS = ("zero_shot", "prompt", "lora_text", "lora_vision", "lora_both", "bitfit")
@@ -112,45 +113,41 @@ class ModelConfig:
 
 
 @dataclass
-class LoraAdapter:
-    """Low-rank update ``scale * A @ B`` attached to one dense layer."""
-
-    down: np.ndarray  # A, (out x rank); (K x out x rank) once bound to a model
-    up: np.ndarray  # B, (rank x in); (K x rank x in) once bound to a model
-    rank: int
-    scale: float
-    dropout_rate: float
-    down_grad: np.ndarray | None = None  # gradient slots, bound by the model
-    up_grad: np.ndarray | None = None
-
-    def delta(self) -> np.ndarray:
-        return self.scale * (self.down @ self.up)
-
-
-@dataclass
 class DenseLayer:
     weight: np.ndarray  # (out x in), frozen
-    bias: np.ndarray  # (out,); (K x 1 x out) when trainable and bound
+    bias: np.ndarray  # (out,), frozen; bitfit trains a per-stack copy
     activation: str  # "relu" | "none"
-    adapter: LoraAdapter | None = None
-    bias_grad: np.ndarray | None = None  # gradient slot of a trainable bias
 
 
-def effective_weight(weight: np.ndarray, adapter: LoraAdapter | None) -> np.ndarray:
-    """Frozen weight plus the adapter's low-rank update (one per client row)."""
-    if adapter is None:
-        return weight
-    m, n = weight.shape
-    if adapter.down.shape[-2] != m or adapter.up.shape[-1] != n:
-        raise InvalidInputError(
-            f"adapter shapes {adapter.down.shape}x{adapter.up.shape} do not chain with weight {weight.shape}"
-        )
-    if adapter.down.shape[-1] != adapter.up.shape[-2]:
-        raise InvalidInputError("adapter factor inner dimensions disagree")
-    return weight + adapter.delta()
+def _slot_layout(config: ModelConfig, layers: list) -> dict:
+    """Slice of a parameter row and per-client shape of every trainable array,
+    keyed ``"prompt"`` or ``(stack, layer, part)``, in transport order."""
+    head = config.head_kind
+    adapted = {"lora_vision": ("img",), "lora_text": ("txt",), "lora_both": ("img", "txt")}.get(head, ())
+    r = config.lora_rank
+    shapes = {"prompt": (config.prompt_length, config.embed_dim)} if head == "prompt" else {}
+    for stack in ("img", "txt"):
+        for i, layer in enumerate(layers):
+            out_dim, in_dim = layer.weight.shape
+            if head == "bitfit":
+                # (1 x out) per client, so that a bias broadcasts over batch rows
+                shapes[stack, i, "bias"] = (1, out_dim)
+            elif stack in adapted:
+                shapes[stack, i, "down"] = (out_dim, r)
+                shapes[stack, i, "up"] = (r, in_dim)
+    slots, offset = {}, 0
+    for key, (rows, cols) in shapes.items():
+        slots[key] = (slice(offset, offset + rows * cols), (rows, cols))
+        offset += rows * cols
+    return slots
 
 
-def _drop(x: np.ndarray, kept: np.ndarray, adapter: LoraAdapter, out=None) -> np.ndarray:
+def _layer_views(views: dict, stack: str, i: int) -> tuple:
+    """``(bias, down, up)`` of layer ``i`` of ``stack`` from ``views``; ``None`` where frozen."""
+    return views.get((stack, i, "bias")), views.get((stack, i, "down")), views.get((stack, i, "up"))
+
+
+def _drop(x: np.ndarray, kept: np.ndarray, rate: float, out=None) -> np.ndarray:
     """Inverted dropout: ``x`` zeroed where not ``kept``, else scaled by 1 / keep.
 
     ``(x * kept) * (1 / keep)`` gives the same bits as ``x * (kept / keep)``:
@@ -158,7 +155,7 @@ def _drop(x: np.ndarray, kept: np.ndarray, adapter: LoraAdapter, out=None) -> np
     one is a zero of the sign of ``x`` either way.
     """
     out = np.multiply(x, kept, out=out)
-    out *= 1.0 / (1.0 - adapter.dropout_rate)
+    out *= 1.0 / (1.0 - rate)
     return out
 
 
@@ -167,32 +164,37 @@ def _through_normalization(upstream: np.ndarray, unit: np.ndarray, norms: np.nda
     return (upstream - np.sum(upstream * unit, axis=-1, keepdims=True) * unit) / norms
 
 
-def _layer_backward(layer: DenseLayer, record: tuple, delta: np.ndarray, input_grad: bool):
-    """One layer of ``_stack_backward``: writes the layer's gradient slots and
+def _layer_backward(layer: DenseLayer, params: tuple, grads: tuple, config: ModelConfig, record: tuple,
+                    delta: np.ndarray, input_grad: bool):
+    """One layer of ``_stack_backward``: writes the layer's gradient views and
     returns the gradient w.r.t. its input (``None`` unless ``input_grad``).
 
-    ``record`` is the layer's record from ``_stack_forward``, whose dropped
-    input and rank-r product are reused. Overwrites ``delta`` and a dropped
-    input the forward made. Each temporary is released as soon as it is used,
-    because a stack of K clients makes every one of them K times larger.
+    ``params`` and ``grads`` are the layer's ``(bias, down, up)`` parameter
+    and gradient views (``None`` where frozen). ``record`` is the layer's
+    record from ``_stack_forward``, whose dropped input and rank-r product
+    are reused. Overwrites ``delta`` and a dropped input the forward made.
+    Each temporary is released as soon as it is used, because a stack of K
+    clients makes every one of them K times larger.
     """
     positive, a_drop, kept, a_up = record
+    _, down, up = params
+    bias_grad, down_grad, up_grad = grads
     if positive is not None:
         delta *= positive
-    if layer.bias_grad is not None:
-        layer.bias_grad[...] = delta.sum(axis=-2, keepdims=True)
-    ad = layer.adapter
-    if ad is None:
+    if bias_grad is not None:
+        bias_grad[...] = delta.sum(axis=-2, keepdims=True)
+    if down is None:
         return delta @ layer.weight if input_grad else None
-    ad.down_grad[...] = ad.scale * (delta.mT @ a_up)
-    delta_down = delta @ ad.down
-    ad.up_grad[...] = ad.scale * (delta_down.mT @ a_drop)
+    scale = config.lora_scale
+    down_grad[...] = scale * (delta.mT @ a_up)
+    delta_down = delta @ down
+    up_grad[...] = scale * (delta_down.mT @ a_drop)
     if not input_grad:
         return None
-    adapter_back = np.matmul(delta_down, ad.up, out=None if kept is None else a_drop)
-    adapter_back *= ad.scale
+    adapter_back = np.matmul(delta_down, up, out=None if kept is None else a_drop)
+    adapter_back *= scale
     if kept is not None:
-        _drop(adapter_back, kept, ad, out=adapter_back)
+        _drop(adapter_back, kept, config.lora_dropout, out=adapter_back)
     back = delta @ layer.weight
     back += adapter_back
     return back
@@ -204,92 +206,36 @@ _TEXT_TRAINED = ("prompt", "lora_text", "lora_both", "bitfit")
 
 
 class DualEncoderModel:
-    """Model instance: two encoder stacks, prototypes, and one trainable head."""
+    """Frozen state of the classifier; the trainable parameters are passed in."""
 
-    def __init__(self, config: ModelConfig, image_stack, text_stack, prototypes, prompt):
+    def __init__(self, config: ModelConfig, layers: list, prototypes: np.ndarray, initial: np.ndarray):
         self.config = config
-        self.image_stack = image_stack
-        self.text_stack = text_stack
+        self.layers = layers  # one frozen list, read by the image and the text stack
         self.prototypes = prototypes  # (C x d) frozen text-side class inputs
-        self.prompt = prompt  # (M x d) or None; (K x M x d) once bound
-        self.prompt_grad = None
+        self._text_first = prototypes @ layers[0].weight.T  # shared by every head but the prompt
+        self._slots = _slot_layout(config, layers)
+        self.initial = initial  # the P-entry trainable vector at zero-shot initialization
+        self.initial.flags.writeable = False
         self._cache = None
-        self._text_first = prototypes @ text_stack[0].weight.T  # shared by every head but the prompt
-        self._slots = self._trainable_slots()
-        values = [getattr(owner, attr).ravel() for owner, attr, _ in self._slots]
-        self._bind(np.concatenate(values) if values else np.zeros(0))
 
-    def __deepcopy__(self, memo):
-        # a deep-copied view no longer aliases its copied base, so bind again
-        clone = object.__new__(type(self))
-        memo[id(self)] = clone
-        clone.__dict__ = _copy.deepcopy(self.__dict__, memo)
-        clone._bind(clone.theta)
-        return clone
+    def _views(self, params: np.ndarray) -> dict:
+        """Every trainable array as a (K x ...) view of its slice of the K x P
+        ``params`` (K = 1 for a vector), keyed as in the slot layout.
 
-    # -- parameter transport --------------------------------------------------
-
-    def _trainable_slots(self) -> list:
-        """(owner, attribute, per-client shape) of every trainable array, in transport order."""
-        head = self.config.head_kind
-        layers = [*self.image_stack, *self.text_stack]
-        if head == "prompt":
-            return [(self, "prompt", self.prompt.shape)]
-        if head == "bitfit":
-            # (1 x out) per client, so that a bias broadcasts over batch rows
-            return [(layer, "bias", (1, layer.bias.size)) for layer in layers]
-        adapters = [layer.adapter for layer in layers if layer.adapter is not None]
-        return [(ad, part, getattr(ad, part).shape) for ad in adapters for part in ("down", "up")]
-
-    def _bind(self, theta: np.ndarray) -> None:
-        """Make ``theta`` the trainable state and rebind the arrays as its views.
-
-        ``theta`` is one transport vector (P,) or a K x P matrix, one row per
-        client of a stack. Every trainable array becomes a (K x ...) view of
-        its slice of the rows (K = 1 for a vector), and its gradient slot the
-        same view of a ``grad`` buffer shaped like ``theta``.
+        Rejects an empty stack and rows whose length is not P.
         """
-        self.theta, self.grad = theta, np.zeros_like(theta)
-        rows = theta if theta.ndim == 2 else theta[None]
-        grad_rows = self.grad if theta.ndim == 2 else self.grad[None]
-        offset = 0
-        for owner, attr, shape in self._slots:
-            end = offset + int(np.prod(shape))
-            setattr(owner, attr, rows[:, offset:end].reshape(len(rows), *shape))
-            setattr(owner, f"{attr}_grad", grad_rows[:, offset:end].reshape(len(rows), *shape))
-            offset = end
+        size = self.initial.size
+        if params.ndim not in (1, 2) or params.shape[-1] != size or (params.ndim == 2 and len(params) == 0):
+            raise TransportError(f"trainable values of shape {params.shape} do not hold rows of {size} entries")
+        rows = params if params.ndim == 2 else params[None]
+        return {key: rows[:, cut].reshape(len(rows), *shape) for key, (cut, shape) in self._slots.items()}
 
-    def trainable_size(self) -> int:
-        """Entries P of one client's transport vector."""
-        return self.theta.shape[-1]
-
-    def trainable_vector(self) -> np.ndarray:
-        """A copy of ``theta``: the transport vector, or one row per client of a stack."""
-        return self.theta.copy()
-
-    def load_trainable(self, values: np.ndarray) -> None:
-        """Copy a transport vector, or a K x P stack of them, into ``theta``.
-
-        Rejects rows whose length is not P. A stack of K rows binds the
-        trainable arrays with a leading client axis of K, for a stacked
-        ``forward``; a vector binds one row.
-        """
-        values = np.asarray(values, dtype=np.float64)
-        size = self.trainable_size()
-        empty_stack = values.ndim == 2 and len(values) == 0
-        if values.ndim not in (1, 2) or values.shape[-1] != size or empty_stack:
-            raise TransportError(f"trainable values of shape {values.shape} do not hold rows of {size} entries")
-        if values.shape != self.theta.shape:
-            self._bind(np.empty_like(values))
-        self.theta[...] = values
-
-    # -- forward / backward ---------------------------------------------------
-
-    def _stack_forward(self, stack_name, stack, x, train, masks, first=None):
+    def _stack_forward(self, stack, x, views, train, masks, first=None):
         """Run one encoder stack on a (K x rows x in) stack of inputs.
 
         A leading axis of 1 serves every client when the stack's input and
-        parameters are shared. ``first``, if given, is the first layer's
+        parameters are shared. ``views`` holds the trainable arrays of the
+        forward's parameters. ``first``, if given, is the first layer's
         frozen product ``x @ W.T``. An adapted layer in training takes its
         adapter-input mask from ``masks`` (none without dropout). Returns the
         stack output and, per layer in training (else an empty list), the
@@ -301,23 +247,23 @@ class DualEncoderModel:
         """
         records = []
         a = x
-        for i, layer in enumerate(stack):
+        for i, layer in enumerate(self.layers):
+            bias, down, up = _layer_views(views, stack, i)
             kept = a_drop = a_up = None
             # overflow here surfaces as the NumericError below, not a warning
             with np.errstate(over="ignore", invalid="ignore"):
                 z = a @ layer.weight.T if i or first is None else first
-                z += layer.bias
-                ad = layer.adapter
-                if ad is not None:
+                z += layer.bias if bias is None else bias
+                if down is not None:
                     kept = next(masks, None) if train else None
-                    a_drop = a if kept is None else _drop(a, kept, ad)
-                    a_up = a_drop @ ad.up.mT
-                    z += ad.scale * a_up @ ad.down.mT
+                    a_drop = a if kept is None else _drop(a, kept, self.config.lora_dropout)
+                    a_up = a_drop @ up.mT
+                    z += self.config.lora_scale * a_up @ down.mT
                 # one sum is finite only if every entry is; the exact scan runs on failure
                 finite = np.isfinite(z.sum()) or np.isfinite(z).all()
             if not finite:
                 bad = ~np.isfinite(z).reshape(len(z), -1).all(axis=1)
-                raise NumericError(f"non-finite activation in {stack_name} layer {i}", np.flatnonzero(bad))
+                raise NumericError(f"non-finite activation in {stack} layer {i}", np.flatnonzero(bad))
             if layer.activation == "relu":
                 np.maximum(z, 0.0, out=z)
             if train:
@@ -328,11 +274,12 @@ class DualEncoderModel:
 
     def _dropout_masks(self, streams, stacks):
         """Iterator of the (K x rows x in) adapter-input masks of the trained
-        ``(layers, rows)`` stacks, image stack first; empty without dropout.
+        ``(stack, rows)`` stacks, image stack first; empty without dropout.
         Client k's masks are row k of one ``bernoulli_rows`` draw, cut in
         layer order, so each is the draw of its layer after those before it.
         """
-        shapes = [(rows, ly.weight.shape[1]) for layers, rows in stacks for ly in layers if ly.adapter is not None]
+        shapes = [(rows, layer.weight.shape[1]) for stack, rows in stacks
+                  for i, layer in enumerate(self.layers) if (stack, i, "down") in self._slots]
         if not shapes or self.config.lora_dropout == 0.0:
             return iter(())
         if any(rng is None for rng in streams):
@@ -341,26 +288,30 @@ class DualEncoderModel:
         kept = RngStream.bernoulli_rows(streams, int(ends[-1]), 1.0 - self.config.lora_dropout)
         return iter([kept[:, e - r * c : e].reshape(len(streams), r, c) for e, (r, c) in zip(ends, shapes)])
 
-    def forward(self, embeddings: np.ndarray, train: bool = False, rng: RngStream | list | None = None) -> np.ndarray:
+    def forward(self, embeddings: np.ndarray, params: np.ndarray, train: bool = False,
+                rng: RngStream | list | None = None) -> np.ndarray:
         """Logit matrix (batch x C) of scaled cosine similarities.
 
-        ``embeddings`` is one batch (n x d), or a stack of K clients' batches
-        (K x n x d) that gives K x n x C logits; a stack needs K parameter
-        rows loaded (``load_trainable``), and client k's batch meets only
-        row k. In training mode the adapter-input dropout is live, drawn from
-        ``rng`` (a sequence of K streams for a stack), and the forward state
-        is cached for ``backward``.
+        ``embeddings`` is one batch (n x d) with a P-entry parameter vector
+        ``params``, or a stack of K clients' batches (K x n x d) with K
+        parameter rows (K x P), which gives K x n x C logits; client k's
+        batch meets only row k. In training mode the adapter-input dropout is
+        live, drawn from ``rng`` (a sequence of K streams for a stack), and
+        the forward state is cached for ``backward``; ``params`` must not
+        change before that ``backward``.
         """
         self._cache = None  # frees the previous step's records before this forward builds its own
         x = np.asarray(embeddings, dtype=np.float64)
         d = self.config.embed_dim
         if x.ndim not in (2, 3) or x.shape[-1] != d:
             raise InvalidInputError(f"embeddings must be (n x {d}) or (K x n x {d}), got {x.shape}")
+        params = np.asarray(params, dtype=np.float64)
+        views = self._views(params)
         stacked = x.ndim == 3
         xs = x if stacked else x[None]
-        k = len(self.theta) if self.theta.ndim == 2 else 1
+        k = len(params) if params.ndim == 2 else 1
         if len(xs) != k:
-            raise UsageError(f"a stack of {len(xs)} batches needs {len(xs)} parameter rows, the model holds {k}")
+            raise UsageError(f"a stack of {len(xs)} batches needs {len(xs)} parameter rows, got {k}")
         streams = list(rng) if stacked and rng is not None else [rng] * k
         if len(streams) != k:
             raise UsageError(f"a stack of {k} batches needs {k} streams, got {len(streams)}")
@@ -369,14 +320,14 @@ class DualEncoderModel:
         # only a prompt makes the text input differ per client; else layer 0's product is cached
         text, first = self.prototypes[None], None
         if head == "prompt":
-            text = text + self.prompt.mean(axis=1)[:, None, :]
+            text = text + views["prompt"].mean(axis=1)[:, None, :]
         else:
             first = np.repeat(self._text_first[None], k if head in _TEXT_TRAINED else 1, axis=0)
-        trained = [(self.image_stack, xs.shape[1])] if train_img else []
-        trained += [(self.text_stack, text.shape[1])] if train_txt else []
+        trained = [("img", xs.shape[1])] if train_img else []
+        trained += [("txt", text.shape[1])] if train_txt else []
         masks = self._dropout_masks(streams, trained)
-        fv, img_records = self._stack_forward("img", self.image_stack, xs, train_img, masks)
-        ft, txt_records = self._stack_forward("txt", self.text_stack, text, train_txt, masks, first)
+        fv, img_records = self._stack_forward("img", xs, views, train_img, masks)
+        ft, txt_records = self._stack_forward("txt", text, views, train_txt, masks, first)
         v_norms = np.linalg.norm(fv, axis=-1, keepdims=True)
         t_norms = np.linalg.norm(ft, axis=-1, keepdims=True)
         zero = (v_norms == 0).any(axis=(1, 2)) | (t_norms == 0).any(axis=(1, 2))
@@ -390,18 +341,19 @@ class DualEncoderModel:
             logits = logits[0]
         if train:
             self._cache = dict(img=img_records, txt=txt_records, u=u, w=w, v_norms=v_norms, t_norms=t_norms,
-                               logits=logits)
+                               logits=logits, views=views, shape=params.shape)
         return logits
 
-    def _stack_backward(self, stack, records, delta, input_grad):
+    def _stack_backward(self, stack, views, grads, records, delta, input_grad):
         """Backpropagate ``delta`` (d loss / d stack output) through a stack.
 
-        Writes the bias and adapter gradients into their slots of ``grad``.
+        Writes the bias and adapter gradients into their views in ``grads``.
         Returns the gradient with respect to the stack input when
         ``input_grad`` is set, else ``None`` without computing it.
         """
-        for i in reversed(range(len(stack))):
-            delta = _layer_backward(stack[i], records[i], delta, input_grad=i > 0 or input_grad)
+        for i in reversed(range(len(self.layers))):
+            delta = _layer_backward(self.layers[i], _layer_views(views, stack, i), _layer_views(grads, stack, i),
+                                    self.config, records[i], delta, input_grad=i > 0 or input_grad)
         return delta
 
     def backward(self, labels: np.ndarray, loss_spec: LossSpec) -> tuple:
@@ -409,10 +361,10 @@ class DualEncoderModel:
 
         Uses up the cached training forward for the same batch (labels n, or
         K x n for a stack); a second backward needs a new forward. Returns
-        ``(LossValue, gradient)``, the gradient a copy of ``grad`` shaped like
-        ``theta``: each client's gradient uses only its own batch and
-        parameter row. Only the stacks that hold trainable entries, or feed
-        the prompt, are backpropagated.
+        ``(LossValue, gradient)``, the gradient a new array shaped like the
+        forward's parameters: each client's gradient uses only its own batch
+        and parameter row. Only the stacks that hold trainable entries, or
+        feed the prompt, are backpropagated.
         """
         if self._cache is None:
             raise UsageError("backward requires a preceding forward(train=True)")
@@ -428,19 +380,21 @@ class DualEncoderModel:
         # softmax Jacobian, row-wise: dL/dz = p * (g - <g, p>)
         gz = probs * (g - np.sum(g * probs, axis=-1, keepdims=True))
 
+        grad = np.zeros(cache["shape"])
+        views, grads = cache["views"], self._views(grad)
         scale = self.config.logit_scale
         head = self.config.head_kind
         if head in _TEXT_TRAINED:
             dft = _through_normalization(scale * (gz.mT @ u), w, cache["t_norms"])  # (K x C x d)
-            d_text_input = self._stack_backward(self.text_stack, cache["txt"], dft, input_grad=head == "prompt")
+            d_text_input = self._stack_backward("txt", views, grads, cache["txt"], dft, input_grad=head == "prompt")
             if head == "prompt":
                 # the context mean is added to every class prototype, and each
                 # of the M vectors contributes 1/M of the mean
-                self.prompt_grad[...] = (d_text_input.sum(axis=1) / self.prompt.shape[1])[:, None, :]
+                grads["prompt"][...] = (d_text_input.sum(axis=1) / self.config.prompt_length)[:, None, :]
         if head in _IMAGE_TRAINED:
             dfv = _through_normalization(scale * (gz @ w), u, cache["v_norms"])  # (K x n x d)
-            self._stack_backward(self.image_stack, cache["img"], dfv, input_grad=False)
-        grad, self._cache = self.grad.copy(), None  # backward overwrites records it no longer reads
+            self._stack_backward("img", views, grads, cache["img"], dfv, input_grad=False)
+        self._cache = None  # backward overwrites records it no longer reads
         return loss, grad
 
 
@@ -460,20 +414,6 @@ def _init_stack(dims, rng: RngStream):
             )
         )
     return layers
-
-
-def _attach_adapters(stack, config: ModelConfig, rng: RngStream, stack_name: str):
-    for i, layer in enumerate(stack):
-        out_dim, in_dim = layer.weight.shape
-        r = config.lora_rank
-        down = rng.child("lora", stack_name, i).normal(out_dim * r).reshape(out_dim, r) * np.sqrt(1.0 / r)
-        layer.adapter = LoraAdapter(
-            down=down,
-            up=np.zeros((r, in_dim)),
-            rank=r,
-            scale=config.lora_scale,
-            dropout_rate=config.lora_dropout,
-        )
 
 
 def zero_shot_init(
@@ -501,9 +441,9 @@ def zero_shot_init(
         )
     dims = [config.embed_dim, *config.hidden_widths(), config.embed_dim]
     if encoder_weights is None:
-        shared = _init_stack(dims, rng.child("backbone"))
+        layers = _init_stack(dims, rng.child("backbone"))
     else:
-        shared = []
+        layers = []
         if len(encoder_weights) != len(dims) - 1:
             raise ConfigError(
                 f"encoder_weights must provide {len(dims) - 1} layers, got {len(encoder_weights)}"
@@ -514,33 +454,37 @@ def zero_shot_init(
             if w.shape != (dims[i + 1], dims[i]) or b.shape != (dims[i + 1],):
                 raise ConfigError(f"encoder layer {i} has wrong shape {w.shape}")
             last = i == len(dims) - 2
-            shared.append(DenseLayer(weight=w, bias=b, activation="none" if last else "relu"))
+            layers.append(DenseLayer(weight=w, bias=b, activation="none" if last else "relu"))
 
-    image_stack = _copy.deepcopy(shared)
-    text_stack = _copy.deepcopy(shared)
+    parts = []
+    for key, (_, shape) in _slot_layout(config, layers).items():
+        if key[-1] == "bias":  # bitfit starts from the frozen biases
+            parts.append(layers[key[1]].bias)
+        elif key[-1] == "down":
+            stack, i, _ = key
+            parts.append(rng.child("lora", stack, i).normal(shape[0] * shape[1]) * np.sqrt(1.0 / config.lora_rank))
+        else:  # the prompt and the B factors start at zero
+            parts.append(np.zeros(shape[0] * shape[1]))
+    initial = np.concatenate(parts) if parts else np.zeros(0)
+    return DualEncoderModel(config, layers, protos, initial)
 
-    head = config.head_kind
-    if head in ("lora_vision", "lora_both"):
-        _attach_adapters(image_stack, config, rng, "img")
-    if head in ("lora_text", "lora_both"):
-        _attach_adapters(text_stack, config, rng, "txt")
 
-    prompt = np.zeros((config.prompt_length, config.embed_dim)) if head == "prompt" else None
-    return DualEncoderModel(config, image_stack, text_stack, protos, prompt)
+def weight_drift(model: DualEncoderModel, vector: np.ndarray) -> tuple:
+    """Mean |effective weight - frozen weight| per adapted layer under ``vector``.
 
-
-def weight_drift(model: DualEncoderModel) -> tuple:
-    """Mean |effective weight - frozen weight| per adapted layer.
-
-    Returns ``(per_layer, aggregate)`` where ``per_layer`` maps layer names
-    (``img.0.W``) to mean absolute entry drift and ``aggregate`` averages
-    over adapted layers (0.0 when the head has no adapters).
+    The effective weight is the frozen weight plus the adapter's update
+    ``scale * A @ B``. Returns ``(per_layer, aggregate)`` where ``per_layer``
+    maps layer names (``img.0.W``) to mean absolute entry drift and
+    ``aggregate`` averages over adapted layers (0.0 when the head has no
+    adapters).
     """
+    views = model._views(np.asarray(vector, dtype=np.float64))
     per_layer = {}
-    for stack_name, stack in (("img", model.image_stack), ("txt", model.text_stack)):
-        for i, layer in enumerate(stack):
-            if layer.adapter is not None:
-                eff = effective_weight(layer.weight, layer.adapter)
-                per_layer[f"{stack_name}.{i}.W"] = float(np.mean(np.abs(eff - layer.weight)))
+    for stack in ("img", "txt"):
+        for i, layer in enumerate(model.layers):
+            _, down, up = _layer_views(views, stack, i)
+            if down is not None:
+                effective = layer.weight + model.config.lora_scale * (down @ up)
+                per_layer[f"{stack}.{i}.W"] = float(np.mean(np.abs(effective - layer.weight)))
     aggregate = float(np.mean(list(per_layer.values()))) if per_layer else 0.0
     return per_layer, aggregate

@@ -41,6 +41,7 @@ from .calibration import (
 )
 from .config import ExperimentConfig, config_echo, expand_sweep
 from .datagen import generate_synthetic, load_embeddings
+from .errors import ConfigError
 from .federation import (
     blocked_logits,
     build_clients,
@@ -131,9 +132,9 @@ def _bins_from_dict(payload: dict) -> ReliabilityBins:
     )
 
 
-def _temperature_rows(model, clients, temperatures, bins, scheme) -> list:
-    """Per-tau client-averaged metrics on the final model, from one blocked forward."""
-    logits, sizes = blocked_logits(model, [(c.test_x, c.test_y) for c in clients])
+def _temperature_rows(model, vector, clients, temperatures, bins, scheme) -> list:
+    """Per-tau client-averaged metrics under the final ``vector``, from one blocked forward."""
+    logits, sizes = blocked_logits(model, vector, [(c.test_x, c.test_y) for c in clients])
     rows = []
     for tau in temperatures:
         scaled = apply_temperature(logits, TemperatureScaler(float(tau)))
@@ -147,6 +148,9 @@ def _set_up(config: ExperimentConfig, rng: RngStream) -> tuple:
     dataset is dropped on return, so the clients hold the run's only copy."""
     data, text_protos = build_data(config, rng.child("data"))
     plan = build_plan(config, data, rng.child("partition"))
+    if not any(len(ix) for ix in plan.test_indices):
+        raise ConfigError("no client holds a test sample, so no round can be evaluated "
+                          "(synthetic data needs samples_per_class >= 2 for a test split)")
     model_config = _reconcile_model(config, data)
     model = zero_shot_init(model_config, text_protos, rng.child("init"))
     clients = build_clients(client_views(data, plan, config.setting))
@@ -158,7 +162,7 @@ def run_single(config: ExperimentConfig) -> dict:
     started = time.time()
     rng = RngStream(config.seed)
     plan, model_config, model, clients = _set_up(config, rng)
-    server = init_server(model, plan.num_clients)
+    server = init_server(model.initial, plan.num_clients)
 
     bins, scheme = config.metrics.bins, config.metrics.scheme
     round_stream = rng.child("rounds")
@@ -184,7 +188,7 @@ def run_single(config: ExperimentConfig) -> dict:
         )
         drift_series.append({"round": t, "mean": record.drift_mean, "std": record.drift_std})
 
-    # the last round evaluated the final global vector, which the model still holds
+    # the last round evaluated the final global vector
     final: dict = {
         "mean": dict(record.mean),
         "per_client": _report_dicts(record.client_reports),
@@ -192,7 +196,7 @@ def run_single(config: ExperimentConfig) -> dict:
         "pooled_bins": _bins_dict(record.pooled_bins),
     }
     if config.setting == "base_to_new":
-        bn = evaluate_base_new(model, clients, bins, scheme)
+        bn = evaluate_base_new(model, server.global_vector, clients, bins, scheme)
         final["base"] = bn["base"]
         final["new"] = bn["new"]
         final["harmonic_mean"] = bn["harmonic_mean"]
@@ -213,7 +217,7 @@ def run_single(config: ExperimentConfig) -> dict:
     }
     if config.metrics.temperatures:
         results["temperature_sweep"] = _temperature_rows(
-            model, clients, config.metrics.temperatures, bins, scheme
+            model, server.global_vector, clients, config.metrics.temperatures, bins, scheme
         )
     return results
 

@@ -4,7 +4,8 @@ The embedding-file writers produce the FEMB, FPRO and CSV layouts that
 ``fedcalib.datagen`` documents and reads; ``plan_from_json`` parses what
 ``PartitionPlan.to_json`` writes; ``results_canonical_bytes`` serializes a
 results dictionary without its volatile ``meta`` section, the bytes the
-determinism contract compares.
+determinism contract compares; ``model_array_bytes`` snapshots every array
+a model holds.
 """
 
 import csv
@@ -66,3 +67,24 @@ def results_canonical_bytes(results: dict) -> bytes:
     """Serialization with volatile metadata stripped; the determinism surface."""
     stripped = {k: v for k, v in results.items() if k != "meta"}
     return json.dumps(stripped, sort_keys=True, indent=2).encode()
+
+
+def model_array_bytes(model) -> dict:
+    """Bytes of every array a model holds, directly or inside its attributes'
+    lists and objects, keyed by attribute path; the per-step cache is skipped."""
+    found = {}
+
+    def walk(path, value):
+        if isinstance(value, np.ndarray):
+            found[path] = value.tobytes()
+        elif isinstance(value, (list, tuple)):
+            for i, item in enumerate(value):
+                walk(f"{path}.{i}", item)
+        elif hasattr(value, "__dict__"):
+            for name, item in vars(value).items():
+                walk(f"{path}.{name}", item)
+
+    for name, value in vars(model).items():
+        if name != "_cache":
+            walk(name, value)
+    return found

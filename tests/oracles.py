@@ -171,27 +171,63 @@ def naive_mdca_loss(probs, labels):
     return value, np.array(grad)
 
 
-def naive_train_logits(model, x, streams):
-    """Training-mode logits of a stack of K batches ``x`` (K x n x d), client by
-    client and layer by layer.
+def naive_layout(model):
+    """(key, shape) of each trainable array of one parameter row, in the
+    documented order: the prompt (M x d); else ``A`` (out x rank) then ``B``
+    (rank x in) of each adapted layer, image stack first; else each layer's
+    bias (out,), image stack first. Worked out from the config alone."""
+    cfg = model.config
+    if cfg.head_kind == "prompt":
+        return [("prompt", (cfg.prompt_length, cfg.embed_dim))]
+    dims = [cfg.embed_dim, *cfg.hidden_widths(), cfg.embed_dim]
+    adapted = {"lora_vision": ["img"], "lora_text": ["txt"], "lora_both": ["img", "txt"]}.get(cfg.head_kind, [])
+    layout = []
+    for stack in ("img", "txt"):
+        for i in range(len(dims) - 1):
+            fan_out, fan_in = dims[i + 1], dims[i]
+            if cfg.head_kind == "bitfit":
+                layout.append(((stack, i, "bias"), (fan_out,)))
+            elif stack in adapted:
+                layout.append(((stack, i, "A"), (fan_out, cfg.lora_rank)))
+                layout.append(((stack, i, "B"), (cfg.lora_rank, fan_in)))
+    return layout
 
-    Every layer is recomputed from scratch as ``a @ W.T`` on client k's own
-    parameter row, and each adapted layer draws its dropout mask in turn,
-    image stack first, as ``streams[k].random(size) < keep``.
+
+def naive_unpack(model, row):
+    """Each trainable array of one parameter row, as a view cut at the
+    offsets that ``naive_layout`` sums up; writing a view writes the row."""
+    parts, offset = {}, 0
+    for key, shape in naive_layout(model):
+        size = math.prod(shape)
+        parts[key] = row[offset : offset + size].reshape(shape)
+        offset += size
+    assert offset == len(row), "the row is longer than the documented layout"
+    return parts
+
+
+def naive_train_logits(model, params, x, streams):
+    """Training-mode logits of a stack of K batches ``x`` (K x n x d) under the
+    K x P ``params``, client by client and layer by layer.
+
+    Client k's arrays are cut from its own row at the documented offsets
+    (``naive_unpack``). Every layer is recomputed from scratch as ``a @ W.T``,
+    and each adapted layer draws its dropout mask in turn, image stack first,
+    as ``streams[k].random(size) < keep``.
     """
     keep = 1.0 - model.config.lora_dropout
+    scale = model.config.lora_scale
     out = []
     for k, stream in enumerate(streams):
+        parts = naive_unpack(model, params[k])
+        text = model.prototypes + parts["prompt"].mean(axis=0) if "prompt" in parts else model.prototypes
         features = []
-        for stack, a in ((model.image_stack, x[k]), (model.text_stack, model.prototypes)):
-            for layer in stack:
-                bias = layer.bias[k] if layer.bias.ndim == 3 else layer.bias
-                z = a @ layer.weight.T + bias
-                ad = layer.adapter
-                if ad is not None:
+        for stack, a in (("img", x[k]), ("txt", text)):
+            for i, layer in enumerate(model.layers):
+                z = a @ layer.weight.T + parts.get((stack, i, "bias"), layer.bias)
+                if (stack, i, "A") in parts:
                     kept = stream.random(a.size).reshape(a.shape) < keep if keep < 1.0 else True
                     a_drop = (a * kept) * (1.0 / keep)
-                    z = z + (ad.scale * (a_drop @ ad.up[k].T)) @ ad.down[k].T
+                    z = z + (scale * (a_drop @ parts[stack, i, "B"].T)) @ parts[stack, i, "A"].T
                 a = np.maximum(z, 0.0) if layer.activation == "relu" else z
             features.append(a / np.linalg.norm(a, axis=-1, keepdims=True))
         out.append(model.config.logit_scale * (features[0] @ features[1].T))

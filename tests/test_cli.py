@@ -86,6 +86,18 @@ class TestRunVerb:
         assert "numeric error" in err and "on client 1, round 0, step" in err
 
 
+    def test_empty_test_split_exits_config_before_training(self, tmp_path, capsys, monkeypatch):
+        # one sample per class goes to the train split, so no client gets a test row
+        rounds = []
+        monkeypatch.setattr(runner, "run_round", lambda *args, **kwargs: rounds.append(args))
+        cfg = write_tiny_config(tmp_path, data={"synthetic": {"class_count": 4, "dim": 8, "samples_per_class": 1}})
+        code = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "no client holds a test sample" in capsys.readouterr().err
+        assert rounds == []
+        assert not (tmp_path / "out").exists()
+
+
 def write_embedding_set(tmp_path, fmt, bad_value=None):
     """Train, test and prototype files of a 3-class, 4-dim set in ``fmt``
     ("csv" or "bin"); ``bad_value`` = (file, row, column, value) is written
@@ -133,6 +145,10 @@ def keep_header_only(path):
     open(path, "w").write(header)
 
 
+def write_zero_records(path):
+    write_embeddings(path, np.zeros((0, 4)), [], [])
+
+
 # (format, broken file, bad feature value (row, column, value), rewrite of the written file)
 MALFORMED_EMBEDDINGS = {
     "prototype_csv_label_not_integer": (
@@ -147,6 +163,8 @@ MALFORMED_EMBEDDINGS = {
     "sample_csv_zero_row": ("csv", "train", (4, slice(None), 0.0), None),
     "sample_csv_norm_overflows": ("csv", "test", (3, 2, 1e200), None),
     "femb_zero_row": ("bin", "test", (0, slice(None), 0.0), None),
+    "femb_zero_records_train": ("bin", "train", None, write_zero_records),
+    "femb_zero_records_test": ("bin", "test", None, write_zero_records),
     # FEMB stores f32, so 1e200 is written as inf
     "femb_value_beyond_float32": ("bin", "train", (7, 1, 1e200), None),
     "prototype_csv_zero_row": ("csv", "prototypes", (2, slice(None), 0.0), None),

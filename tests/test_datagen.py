@@ -27,7 +27,7 @@ def zs_accuracy(data, protos, seed=0):
         RngStream(seed).child("init"),
     )
     te = data.test_indices()
-    logits = model.forward(data.embeddings[te])
+    logits = model.forward(data.embeddings[te], model.initial)
     return calibration_report(ProbBatch(softmax_rows(logits), data.labels[te]), 15).accuracy
 
 

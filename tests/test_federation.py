@@ -1,7 +1,5 @@
 """Tests for the round engine: sampling, local SGD, aggregation, evaluation."""
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -32,6 +30,7 @@ from fedcalib.losses import LossSpec, total_loss
 from fedcalib.model import HEAD_KINDS, ModelConfig, weight_drift, zero_shot_init
 from fedcalib.numerics import RngStream, l2_normalize_rows, softmax_rows
 from fedcalib.runner import _temperature_rows
+from fixtures import model_array_bytes
 
 
 def make_blob_views(num_clients, d=8, c=4, per_client=24, test_per_client=12, seed=0):
@@ -68,14 +67,13 @@ def make_federation(num_clients, head="lora_both", seed=0, dropout=0.0, logit_sc
     )
     model = zero_shot_init(cfg, protos, RngStream(seed, 777))
     clients = build_clients(views)
-    server = init_server(model, num_clients)
+    server = init_server(model.initial, num_clients)
     return model, server, clients
 
 
 def local_objective(model, client, vector, global_vector, agg_config, loss_spec):
     """Full-set local objective at ``vector``, dropout off, penalties included."""
-    model.load_trainable(vector)
-    probs = softmax_rows(model.forward(client.train_x))
+    probs = softmax_rows(model.forward(client.train_x, vector))
     value = total_loss(ProbBatch(probs, client.train_y), loss_spec).total
     if agg_config.kind == "fedprox":
         diff = vector - global_vector
@@ -90,18 +88,17 @@ def local_objective(model, client, vector, global_vector, agg_config, loss_spec)
 def sequential_local_train(model, client, global_vector, fed_config, agg_config, loss_spec, rng, round_index=0):
     """Plain local SGD of one client, one unstacked forward and backward per
     minibatch: the reference that lockstep training must reproduce."""
-    model.load_trainable(global_vector)
     n = client.train_size
-    if fed_config.local_epochs == 0 or n == 0 or model.trainable_size() == 0:
-        return model.trainable_vector(), 0
+    w = global_vector.copy()
+    if fed_config.local_epochs == 0 or n == 0 or w.size == 0:
+        return w, 0
     lr = fed_config.warmup_lr if round_index == 0 else fed_config.learning_rate
-    w = model.theta
     steps = 0
     for epoch in range(fed_config.local_epochs):
         order = rng.child("shuffle", epoch).permutation(n)
         for start in range(0, n, fed_config.batch_size):
             batch_ix = order[start : start + fed_config.batch_size]
-            model.forward(client.train_x[batch_ix], train=True, rng=rng.child("dropout", epoch, steps))
+            model.forward(client.train_x[batch_ix], w, train=True, rng=rng.child("dropout", epoch, steps))
             _, g = model.backward(client.train_y[batch_ix], loss_spec)
             if agg_config.kind == "fedprox":
                 g += agg_config.mu_prox * (w - global_vector)
@@ -110,7 +107,7 @@ def sequential_local_train(model, client, global_vector, fed_config, agg_config,
                 g += agg_config.alpha_dyn * (w - global_vector)
             w -= lr * g
             steps += 1
-    return model.trainable_vector(), steps
+    return w, steps
 
 
 class TestSampleParticipants:
@@ -160,13 +157,11 @@ class TestLocalTrain:
             [rng_id], round_index=5,
         )[0]
         assert steps == 1
-        # replay by hand on a fresh copy with the same derived streams
-        probe = copy.deepcopy(model)
-        probe.load_trainable(server.global_vector)
+        # replay by hand with the same derived streams
         order = RngStream(7, 100).child("shuffle", 0).permutation(8)
-        probe.forward(client.train_x[order], train=True)
-        _, grad = probe.backward(client.train_y[order], LossSpec())
-        expected = probe.trainable_vector() - 1e-3 * grad
+        model.forward(client.train_x[order], server.global_vector, train=True)
+        _, grad = model.backward(client.train_y[order], LossSpec())
+        expected = server.global_vector - 1e-3 * grad
         assert vec.tobytes() == expected.tobytes()
 
     def test_warmup_lr_on_round_zero(self):
@@ -355,7 +350,7 @@ class TestRunRound:
         model, server, clients = make_federation(1, seed=20)
         fed = FederationConfig(batch_size=8, participation_rate=1.0)
         expected, _ = train_participants(
-            copy.deepcopy(model), [clients[0]], server.global_vector.copy(), fed, AggregatorConfig(),
+            model, [clients[0]], server.global_vector.copy(), fed, AggregatorConfig(),
             LossSpec(), [RngStream(0, 0).child("local", 0, 0)], round_index=0,
         )[0]
         record = run_round(
@@ -387,12 +382,22 @@ class TestRunRound:
                 ServerState(global_before, len(clients)),
             )
             assert replay.tobytes() == record.global_vector.tobytes()
-            # (b) the reports equal those of a fresh model holding the round's vector
+            # (b) the reports equal those of a fresh model under the round's vector
             fresh, _, _ = make_federation(6, seed=21, dropout=0.25)
-            fresh.load_trainable(record.global_vector)
-            expected = personalized_evaluate(fresh, clients, 15, "equal_width")["per_client"]
+            expected = personalized_evaluate(fresh, record.global_vector, clients, 15, "equal_width")["per_client"]
             for want, got in zip(expected, record.client_reports, strict=True):
                 assert want.scalars() == got.scalars()
+
+    @pytest.mark.parametrize("head", HEAD_KINDS)
+    def test_rounds_leave_every_model_array_unchanged(self, head):
+        model, server, clients = make_federation(4, head=head, seed=39, dropout=0.25)
+        before = model_array_bytes(model)
+        fed = FederationConfig(batch_size=8, learning_rate=0.05)
+        agg, spec, stream = AggregatorConfig("feddyn"), LossSpec("mdca", aux_weight=0.5), RngStream(40)
+        for t in range(2):
+            run_round(model, server, clients, fed, agg, spec, t, stream)
+        assert model_array_bytes(model) == before
+        assert head == "zero_shot" or not np.array_equal(server.global_vector, model.initial)
 
     @pytest.mark.parametrize("aux", ["none", "dca", "mdca"])
     @pytest.mark.parametrize("kind", ["fedavg", "fedprox", "feddyn", "fednova"])
@@ -409,18 +414,17 @@ class TestRunRound:
         for t in range(2):
             before, dual_mean = server.global_vector, server.dual_mean.copy()
             duals = [None if c.dual is None else c.dual.copy() for c in clients]
-            probe = copy.deepcopy(model)
             alone = []
             for cid, client in enumerate(clients):
                 vec, steps = sequential_local_train(
-                    probe, client, before, fed, agg, spec, stream.child("local", t, cid), t
+                    model, client, before, fed, agg, spec, stream.child("local", t, cid), t
                 )
-                alone.append((vec, steps, weight_drift(probe)[1]))
+                alone.append((vec, steps, weight_drift(model, vec)[1]))
             want_steps = [0 if head == "zero_shot" else 2 * -(-n // 8) for n in sizes]
             assert [steps for _, steps, _ in alone] == want_steps
 
             streams = [stream.child("local", t, cid) for cid in range(len(clients))]
-            lockstep = train_participants(copy.deepcopy(model), clients, before, fed, agg, spec, streams, t)
+            lockstep = train_participants(model, clients, before, fed, agg, spec, streams, t)
             for (vec, steps), (want, want_steps, _) in zip(lockstep, alone, strict=True):
                 assert vec.tobytes() == want.tobytes()
                 assert steps == want_steps
@@ -444,7 +448,7 @@ class TestRunRound:
         fed = FederationConfig(batch_size=32, learning_rate=0.05, warmup_lr=0.01)
         agg, spec, stream = AggregatorConfig(), LossSpec("mdca", aux_weight=0.5), RngStream(37)
         alone = [
-            sequential_local_train(copy.deepcopy(model), c, server.global_vector, fed, agg, spec,
+            sequential_local_train(model, c, server.global_vector, fed, agg, spec,
                                    stream.child("local", 0, c.client_id))
             for c in clients
         ]
@@ -495,7 +499,7 @@ class TestRunRound:
         model, server, clients = make_federation(10, seed=38, dropout=0.25, per_client=16)
         eager_model, eager_server, eager_clients = make_federation(10, seed=38, dropout=0.25, per_client=16)
         for client in eager_clients:
-            client.dual = np.zeros(eager_model.trainable_size())
+            client.dual = np.zeros(eager_model.initial.size)
         fed = FederationConfig(batch_size=8, participation_rate=0.3, learning_rate=0.05, warmup_lr=0.01)
         agg, spec, stream = AggregatorConfig("feddyn", alpha_dyn=0.2), LossSpec(), RngStream(39)
         taken = []
@@ -528,7 +532,7 @@ class TestPersonalizedEvaluate:
         for c in clients[1:]:
             c.test_x = clients[0].test_x
             c.test_y = clients[0].test_y
-        out = personalized_evaluate(model, clients)
+        out = personalized_evaluate(model, server.global_vector, clients)
         single = out["per_client"][0].scalars()
         for key, value in out["mean"].items():
             assert value == pytest.approx(single[key], abs=1e-12)
@@ -536,19 +540,19 @@ class TestPersonalizedEvaluate:
     def test_mean_accuracy_of_opposite_clients(self):
         model, server, clients = make_federation(2, seed=26)
         # force client 0 all-correct and client 1 all-wrong labels
-        logits = model.forward(clients[0].test_x)
+        logits = model.forward(clients[0].test_x, server.global_vector)
         preds = logits.argmax(axis=1)
         clients[0].test_y = preds.copy()
-        logits1 = model.forward(clients[1].test_x)
+        logits1 = model.forward(clients[1].test_x, server.global_vector)
         clients[1].test_y = (logits1.argmax(axis=1) + 1) % 4
-        out = personalized_evaluate(model, clients)
+        out = personalized_evaluate(model, server.global_vector, clients)
         assert out["mean"]["accuracy"] == pytest.approx(0.5)
 
     def test_empty_test_view_excluded_with_flag(self):
         model, server, clients = make_federation(3, seed=27)
         clients[1].test_x = np.zeros((0, 8))
         clients[1].test_y = np.zeros(0, dtype=np.int64)
-        out = personalized_evaluate(model, clients)
+        out = personalized_evaluate(model, server.global_vector, clients)
         assert out["excluded"] == [1]
         assert out["per_client"][1] is None
 
@@ -558,7 +562,7 @@ class TestPersonalizedEvaluate:
             half = len(c.test_y) // 2
             c.test_base = (c.test_x[:half], c.test_y[:half])
             c.test_new = (c.test_x[half:], c.test_y[half:])
-        out = evaluate_base_new(model, clients)
+        out = evaluate_base_new(model, server.global_vector, clients)
         assert out["base"] is not None and out["new"] is not None
         hm = out["harmonic_mean"]["accuracy"]
         b, n = out["base"]["accuracy"], out["new"]["accuracy"]
@@ -566,11 +570,11 @@ class TestPersonalizedEvaluate:
         assert hm == pytest.approx(expected)
 
 
-def per_client_reference(model, views, bins=15, scheme="equal_width"):
-    """One forward and one calibration_report per non-empty (x, y) view."""
+def per_client_reference(model, vector, views, bins=15, scheme="equal_width"):
+    """One forward under ``vector`` and one calibration_report per non-empty (x, y) view."""
     return [
         None if view is None or len(view[1]) == 0
-        else calibration_report(ProbBatch(softmax_rows(model.forward(view[0])), view[1]), bins, scheme)
+        else calibration_report(ProbBatch(softmax_rows(model.forward(view[0], vector)), view[1]), bins, scheme)
         for view in views
     ]
 
@@ -608,14 +612,15 @@ class TestBlockedEvaluation:
         model, server, clients = make_federation(len(sizes), seed=seed, test_per_client=sizes)
         fed = FederationConfig(batch_size=8)
         run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 1, RngStream(seed))
-        return model, clients
+        return model, server.global_vector, clients
 
     @pytest.mark.parametrize("scheme", ["equal_width", "equal_mass"])
     def test_empty_views_in_the_middle(self, scheme):
-        model, clients = self.trained_federation([5, 0, 9, 0, 0, 1, 12])
-        out = personalized_evaluate(model, clients, 15, scheme)
+        model, vector, clients = self.trained_federation([5, 0, 9, 0, 0, 1, 12])
+        out = personalized_evaluate(model, vector, clients, 15, scheme)
         assert out["excluded"] == [1, 3, 4]
-        assert_reports_close(out["per_client"], per_client_reference(model, held_out_views(clients), 15, scheme))
+        want = per_client_reference(model, vector, held_out_views(clients), 15, scheme)
+        assert_reports_close(out["per_client"], want)
 
     @pytest.mark.parametrize(
         "sizes, blocks",
@@ -630,30 +635,30 @@ class TestBlockedEvaluation:
     )
     def test_block_boundaries(self, sizes, blocks):
         assert EVAL_BLOCK_ROWS == 256  # the cases are cut for this block size
-        model, clients = self.trained_federation(sizes)
-        want = per_client_reference(model, held_out_views(clients))
+        model, vector, clients = self.trained_federation(sizes)
+        want = per_client_reference(model, vector, held_out_views(clients))
         calls = count_forwards(model)
-        out = personalized_evaluate(model, clients)
+        out = personalized_evaluate(model, vector, clients)
         assert calls == blocks
         assert_reports_close(out["per_client"], want)
 
     def test_one_forward_for_twelve_small_clients(self):
-        model, clients = self.trained_federation([1 + i % 10 for i in range(12)])
+        model, vector, clients = self.trained_federation([1 + i % 10 for i in range(12)])
         calls = count_forwards(model)
-        personalized_evaluate(model, clients)
+        personalized_evaluate(model, vector, clients)
         assert len(calls) == 1
 
     def test_base_new_parts_match_per_client(self):
-        model, clients = self.trained_federation([8, 6, 9, 4])
+        model, vector, clients = self.trained_federation([8, 6, 9, 4])
         for c in clients:
             half = len(c.test_y) // 2
             c.test_base = (c.test_x[:half], c.test_y[:half])
             c.test_new = (c.test_x[half:], c.test_y[half:])
         clients[1].test_new = (clients[1].test_x[:0], clients[1].test_y[:0])
         clients[2].test_base = None
-        out = evaluate_base_new(model, clients, 15, "equal_mass")
+        out = evaluate_base_new(model, vector, clients, 15, "equal_mass")
         for part in ("base", "new"):
-            want = per_client_reference(model, [getattr(c, f"test_{part}") for c in clients], 15, "equal_mass")
+            want = per_client_reference(model, vector, [getattr(c, f"test_{part}") for c in clients], 15, "equal_mass")
             assert_reports_close([pc[part] for pc in out["per_client"]], want)
             for key, value in out[part].items():
                 expected = np.mean([w.scalars()[key] for w in want if w is not None])
@@ -662,24 +667,24 @@ class TestBlockedEvaluation:
         assert out["per_client"][2]["base"] is None
 
     def test_base_new_with_an_empty_part_everywhere(self):
-        model, clients = self.trained_federation([4, 5])
+        model, vector, clients = self.trained_federation([4, 5])
         for c in clients:
             c.test_base = (c.test_x, c.test_y)
             c.test_new = (c.test_x[:0], c.test_y[:0])
-        out = evaluate_base_new(model, clients)
+        out = evaluate_base_new(model, vector, clients)
         assert out["new"] is None and out["harmonic_mean"] is None
         assert_reports_close([pc["base"] for pc in out["per_client"]],
-                             per_client_reference(model, held_out_views(clients)))
+                             per_client_reference(model, vector, held_out_views(clients)))
 
     def test_temperature_rows_match_per_client(self):
-        model, clients = self.trained_federation([7, 0, 300, 3])
+        model, vector, clients = self.trained_federation([7, 0, 300, 3])
         temperatures = [0.5, 1.0, 2.0]
-        rows = _temperature_rows(model, clients, temperatures, 10, "equal_mass")
+        rows = _temperature_rows(model, vector, clients, temperatures, 10, "equal_mass")
         assert [row["temperature"] for row in rows] == temperatures
         for row, tau in zip(rows, temperatures):
             reports = [
                 calibration_report(
-                    apply_temperature(LogitBatch(model.forward(c.test_x), c.test_y), TemperatureScaler(tau)),
+                    apply_temperature(LogitBatch(model.forward(c.test_x, vector), c.test_y), TemperatureScaler(tau)),
                     10, "equal_mass",
                 )
                 for c in clients if len(c.test_y)

@@ -1,6 +1,4 @@
-"""Tests for the dual-encoder model: init, forward, gradients, transport."""
-
-import copy
+"""Tests for the dual-encoder model: init, forward, gradients, parameter layout."""
 
 import numpy as np
 import pytest
@@ -14,14 +12,16 @@ from fedcalib.errors import (
 )
 from fedcalib.losses import LossSpec
 from fedcalib.model import (
-    LoraAdapter,
+    HEAD_KINDS,
     ModelConfig,
-    effective_weight,
     weight_drift,
     zero_shot_init,
 )
 from fedcalib.numerics import RngStream, l2_normalize_rows, softmax_rows
-from oracles import naive_train_logits
+from fixtures import model_array_bytes
+from oracles import naive_train_logits, naive_unpack
+
+TRAINED_HEADS = ["prompt", "lora_text", "lora_vision", "lora_both", "bitfit"]
 
 
 def small_config(head="lora_both", d=8, c=4, dropout=0.0, **kw):
@@ -44,14 +44,12 @@ def build(head="lora_both", d=8, c=4, seed=1, dropout=0.0, **kw):
     return zero_shot_init(cfg, protos, RngStream(seed))
 
 
-def state_bytes(model):
-    """Bytes of every array the forward reads, frozen and trainable."""
-    arrays = [model.prototypes] if model.prompt is None else [model.prototypes, model.prompt]
-    for layer in (*model.image_stack, *model.text_stack):
-        arrays += [layer.weight, layer.bias]
-        if layer.adapter is not None:
-            arrays += [layer.adapter.down, layer.adapter.up]
-    return [a.tobytes() for a in arrays]
+def perturbed(model, rng, k=None, sigma=0.1):
+    """The initial vector plus gaussian noise, or K such rows."""
+    size = model.initial.size
+    if k is None:
+        return model.initial + rng.normal(size) * sigma
+    return model.initial + rng.normal(k * size).reshape(k, size) * sigma
 
 
 def identity_model(prototypes, logit_scale=1.0, head_kind="zero_shot"):
@@ -74,32 +72,48 @@ class TestZeroShotInit:
     def test_same_seed_bit_identical(self):
         a = build("lora_both", seed=3)
         b = build("lora_both", seed=3)
-        assert state_bytes(a) == state_bytes(b)
-        assert a.trainable_vector().tobytes() == b.trainable_vector().tobytes()
+        assert model_array_bytes(a) == model_array_bytes(b)
+        assert a.initial.tobytes() == b.initial.tobytes()
 
     def test_lora_defaults(self):
         m = build("lora_both")
-        ad = m.image_stack[0].adapter
-        assert ad.rank == 2
-        assert ad.scale == pytest.approx(0.5)  # alpha = 1/r with r = 2
-        assert np.all(ad.up == 0.0)
-        assert not np.all(ad.down == 0.0)
+        assert m.config.lora_scale == pytest.approx(0.5)  # alpha = 1/r with r = 2
+        parts = naive_unpack(m, m.initial)
+        for stack in ("img", "txt"):
+            for i in (0, 1):
+                assert parts[stack, i, "A"].shape[1] == 2
+                assert np.all(parts[stack, i, "B"] == 0.0)
+                assert not np.all(parts[stack, i, "A"] == 0.0)
 
     def test_adapters_only_on_selected_stacks(self):
         m = build("lora_text")
-        assert all(l.adapter is None for l in m.image_stack)
-        assert all(l.adapter is not None for l in m.text_stack)
+        assert sorted(weight_drift(m, m.initial)[0]) == ["txt.0.W", "txt.1.W"]
         m = build("lora_vision")
-        assert all(l.adapter is not None for l in m.image_stack)
-        assert all(l.adapter is None for l in m.text_stack)
+        assert sorted(weight_drift(m, m.initial)[0]) == ["img.0.W", "img.1.W"]
+
+    def test_bitfit_starts_from_the_frozen_biases(self):
+        weights = [(RngStream(4).normal(16 * 8).reshape(16, 8), RngStream(5).normal(16)),
+                   (RngStream(6).normal(8 * 16).reshape(8, 16), RngStream(7).normal(8))]
+        cfg = small_config("bitfit")
+        m = zero_shot_init(cfg, random_prototypes(8, 4), RngStream(0), encoder_weights=weights)
+        parts = naive_unpack(m, m.initial)
+        for stack in ("img", "txt"):
+            for i, (_, b) in enumerate(weights):
+                assert parts[stack, i, "bias"].tobytes() == b.tobytes()
 
     def test_zero_init_head_preserves_zero_shot_logits(self):
         protos = random_prototypes(8, 4, seed=5)
         x = RngStream(6).normal(3 * 8).reshape(3, 8)
-        base = zero_shot_init(small_config("zero_shot"), protos, RngStream(7)).forward(x)
-        for head in ("prompt", "lora_text", "lora_vision", "lora_both", "bitfit"):
+        zs = zero_shot_init(small_config("zero_shot"), protos, RngStream(7))
+        base = zs.forward(x, zs.initial)
+        for head in TRAINED_HEADS:
             m = zero_shot_init(small_config(head), protos, RngStream(7))
-            assert np.array_equal(m.forward(x), base)
+            assert np.array_equal(m.forward(x, m.initial), base)
+
+    def test_initial_vector_is_read_only(self):
+        m = build("lora_both")
+        with pytest.raises(ValueError):
+            m.initial[0] = 1.0
 
     def test_prototype_shape_validated(self):
         with pytest.raises(ConfigError):
@@ -108,90 +122,30 @@ class TestZeroShotInit:
             zero_shot_init(small_config(), np.zeros((4, 9)), RngStream(0))
 
 
-class TestEffectiveWeight:
-    def test_zero_up_factor_gives_base_exactly(self):
-        w = RngStream(8).normal(12).reshape(3, 4)
-        ad = LoraAdapter(
-            down=RngStream(9).normal(6).reshape(3, 2),
-            up=np.zeros((2, 4)),
-            rank=2,
-            scale=0.5,
-            dropout_rate=0.0,
-        )
-        assert np.array_equal(effective_weight(w, ad), w)
-
-    def test_hand_product(self):
-        w = np.zeros((2, 2))
-        ad = LoraAdapter(
-            down=np.array([[1.0], [0.0]]),
-            up=np.array([[0.0, 1.0]]),
-            rank=1,
-            scale=1.0,
-            dropout_rate=0.0,
-        )
-        assert np.array_equal(effective_weight(w, ad), [[0.0, 1.0], [0.0, 0.0]])
-
-    def test_factor_rescaling_invariance(self):
-        w = RngStream(10).normal(12).reshape(3, 4)
-        a = RngStream(11).normal(6).reshape(3, 2)
-        b = RngStream(12).normal(8).reshape(2, 4)
-        make = lambda aa, bb: LoraAdapter(down=aa, up=bb, rank=2, scale=0.5, dropout_rate=0.0)
-        k = 3.7
-        lhs = effective_weight(w, make(a * k, b / k))
-        rhs = effective_weight(w, make(a, b))
-        assert np.allclose(lhs, rhs, atol=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        w = np.zeros((3, 4))
-        ad = LoraAdapter(down=np.zeros((2, 2)), up=np.zeros((2, 4)), rank=2, scale=1.0, dropout_rate=0.0)
-        with pytest.raises(InvalidInputError):
-            effective_weight(w, ad)
-
-    def test_low_rank_structure_by_svd(self):
-        rng = RngStream(13)
-        for r in (1, 2, 3):
-            a = rng.normal(8 * r).reshape(8, r)
-            b = rng.normal(r * 6).reshape(r, 6)
-            ad = LoraAdapter(down=a, up=b, rank=r, scale=1.0 / r, dropout_rate=0.0)
-            delta = effective_weight(np.zeros((8, 6)), ad)
-            s = np.linalg.svd(delta, compute_uv=False)
-            assert np.all(s[r:] < 1e-8)
-
-    def test_frobenius_drift_bound(self):
-        rng = RngStream(14)
-        for _ in range(20):
-            a = rng.normal(10).reshape(5, 2)
-            b = rng.normal(8).reshape(2, 4)
-            ad = LoraAdapter(down=a, up=b, rank=2, scale=0.5, dropout_rate=0.0)
-            lhs = np.linalg.norm(ad.delta())
-            rhs = 0.5 * np.linalg.norm(a) * np.linalg.norm(b)
-            assert lhs <= rhs + 1e-12
-
-
 class TestForward:
     def test_identity_encoder_hand_cosine(self):
         m = identity_model(np.array([[1.0, 0.0], [0.0, 1.0]]), logit_scale=1.0)
-        logits = m.forward(np.array([[1.0, 0.0]]))
+        logits = m.forward(np.array([[1.0, 0.0]]), m.initial)
         assert np.allclose(logits, [[1.0, 0.0]], atol=1e-12)
 
     def test_single_class_softmax_is_one(self):
         m = identity_model(np.array([[1.0, 0.0]]), logit_scale=1.0)
-        logits = m.forward(np.array([[0.3, 0.4]]))
+        logits = m.forward(np.array([[0.3, 0.4]]), m.initial)
         assert softmax_rows(logits)[0, 0] == 1.0
 
     def test_eval_deterministic(self):
         m = build("lora_both", dropout=0.25)
         x = RngStream(15).normal(4 * 8).reshape(4, 8)
-        assert np.array_equal(m.forward(x), m.forward(x))
+        assert np.array_equal(m.forward(x, m.initial), m.forward(x, m.initial))
 
     def test_train_dropout_depends_only_on_stream(self):
         m = build("lora_both", dropout=0.25)
         # make the adapter path live, otherwise masks are invisible
-        m.load_trainable(m.trainable_vector() + 0.1)
+        params = m.initial + 0.1
         x = RngStream(16).normal(4 * 8).reshape(4, 8)
-        a = m.forward(x, train=True, rng=RngStream(99, 1))
-        b = m.forward(x, train=True, rng=RngStream(99, 1))
-        c = m.forward(x, train=True, rng=RngStream(99, 2))
+        a = m.forward(x, params, train=True, rng=RngStream(99, 1))
+        b = m.forward(x, params, train=True, rng=RngStream(99, 1))
+        c = m.forward(x, params, train=True, rng=RngStream(99, 2))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -199,47 +153,44 @@ class TestForward:
         m = build("lora_both", dropout=0.25)
         x = np.zeros((2, 8))
         with pytest.raises(UsageError):
-            m.forward(x, train=True)
+            m.forward(x, m.initial, train=True)
 
     def test_tau_cancellation_keeps_argmax(self):
         m = build("lora_both", logit_scale=100.0)
         x = RngStream(17).normal(6 * 8).reshape(6, 8)
-        base = m.forward(x)
+        base = m.forward(x, m.initial)
         k = 4.0
         m2 = build("lora_both", logit_scale=100.0 * k)
-        scaled = m2.forward(x) / k
+        scaled = m2.forward(x, m2.initial) / k
         assert np.allclose(scaled, base, atol=1e-9)
         assert np.array_equal(np.argmax(scaled, axis=1), np.argmax(base, axis=1))
 
     def test_wrong_dim_rejected(self):
         m = build()
         with pytest.raises(InvalidInputError):
-            m.forward(np.zeros((2, 9)))
+            m.forward(np.zeros((2, 9)), m.initial)
 
     def test_nonfinite_propagation_names_layer(self):
         m = build()
         with pytest.raises(NumericError):
-            m.forward(np.full((1, 8), 1e308))
+            m.forward(np.full((1, 8), 1e308), m.initial)
 
 
 class TestBackward:
     def _loss_of_vector(self, model, vec, x, labels, spec):
-        probe = copy.deepcopy(model)
-        probe.load_trainable(vec)
-        probe.forward(x, train=True)
         from fedcalib.calibration import ProbBatch
         from fedcalib.losses import total_loss
 
-        probs = softmax_rows(probe._cache["logits"])
+        probs = softmax_rows(model.forward(x, vec, train=True))
         return total_loss(ProbBatch(probs, labels), spec).total
 
     def _check_gradients(self, model, spec, seed, rel_tol=1e-4):
         rng = RngStream(seed)
         x = rng.normal(6 * model.config.embed_dim).reshape(6, model.config.embed_dim)
         labels = (rng.u64(6) % np.uint64(model.config.class_count)).astype(np.int64)
-        model.forward(x, train=True)
+        vec = model.initial
+        model.forward(x, vec, train=True)
         _, analytic = model.backward(labels, spec)
-        vec = model.trainable_vector()
         h = 1e-4
         fd = np.zeros_like(vec)
         for j in range(vec.size):
@@ -256,7 +207,7 @@ class TestBackward:
         assert rel.max() < rel_tol, f"worst rel error {rel.max():.2e}"
 
     def test_ce_gradients_all_heads(self):
-        for i, head in enumerate(("prompt", "lora_text", "lora_vision", "lora_both", "bitfit")):
+        for i, head in enumerate(TRAINED_HEADS):
             model = build(head, seed=20 + i, logit_scale=10.0)
             self._check_gradients(model, LossSpec("none"), seed=30 + i)
 
@@ -267,12 +218,12 @@ class TestBackward:
     def test_frozen_entries_have_no_gradient_slot(self):
         model = build("lora_both", seed=42)
         x = RngStream(43).normal(3 * 8).reshape(3, 8)
-        model.forward(x, train=True)
+        model.forward(x, model.initial, train=True)
         _, grad = model.backward(np.array([0, 1, 2]), LossSpec("none"))
         # only the adapters have slots: 2 stacks x 2 layers x (A + B)
         per_stack = 16 * 2 + 2 * 8 + 8 * 2 + 2 * 16
-        assert model.trainable_size() == 2 * per_stack
-        assert grad.shape == (model.trainable_size(),)
+        assert model.initial.size == 2 * per_stack
+        assert grad.shape == (model.initial.size,)
 
     def test_backward_without_forward_rejected(self):
         model = build()
@@ -285,19 +236,19 @@ class TestBackward:
         cfg = ModelConfig(embed_dim=8, class_count=1, head_kind="lora_both", lora_dropout=0.0)
         model = zero_shot_init(cfg, protos, RngStream(45))
         x = RngStream(46).normal(2 * 8).reshape(2, 8)
-        model.forward(x, train=True)
+        model.forward(x, model.initial, train=True)
         loss, grad = model.backward(np.array([0, 0]), LossSpec("none"))
         assert loss.total == 0.0
         assert np.all(grad == 0.0)
 
     def test_returned_gradient_survives_next_backward(self):
         rng = RngStream(47)
-        for head in ("prompt", "lora_text", "lora_vision", "lora_both", "bitfit"):
+        for head in TRAINED_HEADS:
             model = build(head, seed=48, logit_scale=10.0)
-            model.forward(rng.normal(4 * 8).reshape(4, 8), train=True)
+            model.forward(rng.normal(4 * 8).reshape(4, 8), model.initial, train=True)
             _, first = model.backward(np.array([0, 1, 2, 3]), LossSpec("none"))
             kept = first.copy()
-            model.forward(rng.normal(4 * 8).reshape(4, 8), train=True)
+            model.forward(rng.normal(4 * 8).reshape(4, 8), model.initial, train=True)
             _, second = model.backward(np.array([3, 2, 1, 0]), LossSpec("none"))
             assert first.tobytes() == kept.tobytes(), head
             assert not np.array_equal(first, second), head
@@ -306,73 +257,52 @@ class TestBackward:
 class TestClientStack:
     """A stack of K clients' batches equals each client's batch alone, bit for bit."""
 
-    @pytest.mark.parametrize("head", ["prompt", "lora_text", "lora_vision", "lora_both", "bitfit"])
+    @pytest.mark.parametrize("head", TRAINED_HEADS)
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_stack_equals_each_client_alone(self, head, k):
         m = build(head, seed=70, dropout=0.25, logit_scale=10.0)
         rng = RngStream(71)
-        size = m.trainable_size()
-        thetas = m.trainable_vector() + rng.normal(k * size).reshape(k, size) * 0.1
+        thetas = perturbed(m, rng, k)
         x = rng.normal(k * 5 * 8).reshape(k, 5, 8)
         y = (rng.u64(k * 5) % np.uint64(4)).astype(np.int64).reshape(k, 5)
-        stacked = copy.deepcopy(m)
-        stacked.load_trainable(thetas)
-        assert stacked.trainable_vector().tobytes() == thetas.tobytes()
-        logits = stacked.forward(x, train=True, rng=[RngStream(72, i) for i in range(k)])
-        loss, grad = stacked.backward(y, LossSpec("mdca"))
-        assert logits.shape == (k, 5, 4) and grad.shape == (k, size)
+        logits = m.forward(x, thetas, train=True, rng=[RngStream(72, i) for i in range(k)])
+        loss, grad = m.backward(y, LossSpec("mdca"))
+        assert logits.shape == (k, 5, 4) and grad.shape == thetas.shape
         for i in range(k):
-            m.load_trainable(thetas[i])
-            alone = m.forward(x[i], train=True, rng=RngStream(72, i))
+            alone = m.forward(x[i], thetas[i], train=True, rng=RngStream(72, i))
             loss_i, grad_i = m.backward(y[i], LossSpec("mdca"))
             assert logits[i].tobytes() == alone.tobytes()
             assert grad[i].tobytes() == grad_i.tobytes()
             assert np.float64(loss.total[i]).tobytes() == np.float64(loss_i.total).tobytes()
 
-    @pytest.mark.parametrize("head", ["lora_text", "lora_vision", "lora_both", "bitfit"])
+    @pytest.mark.parametrize("head", TRAINED_HEADS)
     def test_training_forward_matches_naive_oracle(self, head):
-        # the oracle draws each adapted layer's mask in turn and recomputes the
-        # text stack's first frozen product for every client
+        # the oracle cuts each client's arrays at the documented offsets, draws
+        # each adapted layer's mask in turn and recomputes the text stack's first
+        # frozen product for every client
         m = build(head, seed=79, dropout=0.25, logit_scale=10.0)
         rng = RngStream(80)
-        size = m.trainable_size()
-        m.load_trainable(m.trainable_vector() + rng.normal(3 * size).reshape(3, size) * 0.1)
+        params = perturbed(m, rng, 3)
         x = rng.normal(3 * 5 * 8).reshape(3, 5, 8)
-        logits = m.forward(x, train=True, rng=[RngStream(81, i) for i in range(3)])
-        want = naive_train_logits(m, x, [RngStream(81, i) for i in range(3)])
+        logits = m.forward(x, params, train=True, rng=[RngStream(81, i) for i in range(3)])
+        want = naive_train_logits(m, params, x, [RngStream(81, i) for i in range(3)])
         assert logits.tobytes() == want.tobytes()
-
-    def test_views_carry_the_client_axis(self):
-        m = build("lora_both", seed=73)
-        size = m.trainable_size()
-        m.load_trainable(np.arange(3 * size, dtype=float).reshape(3, size))
-        ad = m.image_stack[0].adapter
-        assert ad.down.shape == (3, 16, 2) and ad.up.shape == (3, 2, 8)
-        assert np.shares_memory(ad.down, m.theta) and np.shares_memory(ad.down_grad, m.grad)
-        assert ad.down[1, 0, 0] == size  # row 1 starts at entry P
-        m.load_trainable(np.zeros(size))
-        assert ad.down.shape == (1, 16, 2) and m.trainable_vector().shape == (size,)
-        with pytest.raises(TransportError):
-            m.load_trainable(np.zeros((2, size + 1)))
-        with pytest.raises(TransportError):
-            m.load_trainable(np.zeros((0, size)))
 
     def test_stack_size_must_match_parameter_rows(self):
         m = build("lora_both", seed=74)
-        m.load_trainable(np.tile(m.trainable_vector(), (2, 1)))
+        params = np.tile(m.initial, (2, 1))
         with pytest.raises(UsageError):
-            m.forward(np.zeros((3, 4, 8)))
+            m.forward(np.zeros((3, 4, 8)), params)
         with pytest.raises(UsageError):
-            m.forward(np.zeros((4, 8)))
-        m.forward(np.zeros((2, 4, 8)) + 0.1)
+            m.forward(np.zeros((4, 8)), params)
+        m.forward(np.zeros((2, 4, 8)) + 0.1, params)
 
     def test_non_finite_input_names_its_stack_row(self):
         m = build("lora_both", seed=75)
-        m.load_trainable(np.tile(m.trainable_vector(), (4, 1)))
         x = RngStream(76).normal(4 * 3 * 8).reshape(4, 3, 8)
         x[2, 1, 5] = np.inf
         with pytest.raises(NumericError) as info:
-            m.forward(x)
+            m.forward(x, np.tile(m.initial, (4, 1)))
         assert info.value.rows == (2,)
 
     @pytest.mark.parametrize(
@@ -384,31 +314,70 @@ class TestClientStack:
         calls = []
         original = model_module._layer_backward
 
-        def counted(layer, record, delta, input_grad):
+        def counted(*args, input_grad):
             calls.append(input_grad)
-            return original(layer, record, delta, input_grad)
+            return original(*args, input_grad=input_grad)
 
         monkeypatch.setattr(model_module, "_layer_backward", counted)
         m = build(head, seed=77)
-        m.forward(RngStream(78).normal(3 * 8).reshape(3, 8), train=True)
+        m.forward(RngStream(78).normal(3 * 8).reshape(3, 8), m.initial, train=True)
         m.backward(np.array([0, 1, 2]), LossSpec("none"))
         assert len(calls) == layers
         # only the prompt reads a gradient w.r.t. a stack's input
         assert calls.count(False) == (0 if head == "prompt" else layers // 2)
 
 
-class TestTransport:
-    def test_roundtrip_bit_identical(self):
-        for head in ("prompt", "lora_both", "bitfit"):
-            m = build(head, seed=50)
-            before = state_bytes(m)
-            m.load_trainable(m.trainable_vector())
-            assert state_bytes(m) == before
+class TestStateless:
+    """The model holds only frozen state; each call reads the parameters it is given."""
 
+    @pytest.mark.parametrize("head", HEAD_KINDS)
+    def test_forward_and_backward_leave_every_array_unchanged(self, head):
+        m = build(head, seed=56, dropout=0.25, logit_scale=10.0)
+        before = model_array_bytes(m)
+        assert {"initial", "prototypes", "_text_first", "layers.0.weight", "layers.1.bias"} <= set(before)
+        rng = RngStream(57)
+        params = perturbed(m, rng, 3)
+        kept = params.tobytes()
+        x = rng.normal(3 * 5 * 8).reshape(3, 5, 8)
+        m.forward(x, params, train=True, rng=[RngStream(58, i) for i in range(3)])
+        m.backward(np.zeros((3, 5), dtype=np.int64), LossSpec("mdca"))
+        m.forward(x[0], params[0])
+        assert model_array_bytes(m) == before
+        assert params.tobytes() == kept
+
+    @pytest.mark.parametrize("head", TRAINED_HEADS)
+    def test_params_a_then_b_then_a_give_the_bits_of_a(self, head):
+        m = build(head, seed=59, dropout=0.25, logit_scale=10.0)
+        rng = RngStream(60)
+        a, b = perturbed(m, rng, 3), perturbed(m, rng, 3)
+        x = rng.normal(3 * 5 * 8).reshape(3, 5, 8)
+        y = (rng.u64(15) % np.uint64(4)).astype(np.int64).reshape(3, 5)
+
+        def step(params):
+            logits = m.forward(x, params, train=True, rng=[RngStream(61, i) for i in range(3)])
+            _, grad = m.backward(y, LossSpec("mdca"))
+            return logits.tobytes(), grad.tobytes(), m.forward(x[1], params[1]).tobytes()
+
+        first = step(a)
+        other = step(b)
+        again = step(a)
+        assert again == first
+        assert all(o != f for o, f in zip(other, first))
+
+    def test_evaluation_forward_drops_the_training_cache(self):
+        m = build("lora_both", seed=62)
+        x = RngStream(63).normal(3 * 8).reshape(3, 8)
+        m.forward(x, m.initial, train=True)
+        m.forward(x, m.initial)
+        with pytest.raises(UsageError):
+            m.backward(np.array([0, 1, 2]), LossSpec("none"))
+
+
+class TestTransport:
     def test_prompt_length_counting(self):
         cfg = ModelConfig(embed_dim=4, class_count=2, head_kind="prompt", prompt_length=1)
         m = zero_shot_init(cfg, random_prototypes(4, 2), RngStream(51))
-        assert m.trainable_vector().size == 4
+        assert m.initial.size == 4
 
     def test_lora_both_counting(self):
         # one m x n layer per encoder with rank 2: 2 * (m*2 + 2*n) entries
@@ -418,65 +387,37 @@ class TestTransport:
         )
         m = zero_shot_init(cfg, random_prototypes(6, 3), RngStream(52))
         per_layer = 6 * 2 + 2 * 6
-        assert m.trainable_vector().size == 2 * 2 * per_layer  # 2 stacks x 2 layers
+        assert m.initial.size == 2 * 2 * per_layer  # 2 stacks x 2 layers
 
     def test_zero_shot_head_is_empty(self):
         m = build("zero_shot")
-        assert m.trainable_vector().size == 0
+        assert m.initial.size == 0
 
     def test_length_mismatch_rejected(self):
         m = build("lora_both")
+        size = m.initial.size
+        x = np.zeros((4, 8))
         with pytest.raises(TransportError):
-            m.load_trainable(np.zeros(m.trainable_size() + 1))
+            m.forward(x, np.zeros(size + 1))
+        with pytest.raises(TransportError):
+            m.forward(x[None], np.zeros((1, 1, size)))
+        with pytest.raises(TransportError):
+            m.forward(np.zeros((2, 4, 8)), np.zeros((2, size + 1)))
+        with pytest.raises(TransportError):
+            m.forward(np.zeros((0, 4, 8)), np.zeros((0, size)))
+        with pytest.raises(TransportError):
+            weight_drift(m, np.zeros(size - 1))
 
-    def test_load_changes_predictions(self):
+    def test_params_change_predictions(self):
         m = build("lora_both", seed=53)
         x = RngStream(54).normal(3 * 8).reshape(3, 8)
-        base = m.forward(x)
-        vec = m.trainable_vector()
-        m.load_trainable(vec + 0.05)
-        assert not np.array_equal(m.forward(x), base)
-
-    def test_layout_is_the_documented_order(self):
-        # prompt; else A then B of each adapted layer; else each bias;
-        # image stack first
-        for head in ("prompt", "lora_text", "lora_vision", "lora_both", "bitfit"):
-            m = build(head, seed=55)
-            m.load_trainable(RngStream(56).normal(m.trainable_size()))
-            img, txt = m.image_stack, m.text_stack
-            if head == "prompt":
-                expected = [m.prompt]
-            elif head == "bitfit":
-                expected = [img[0].bias, img[1].bias, txt[0].bias, txt[1].bias]
-            else:
-                expected = []
-                if head != "lora_text":
-                    expected += [img[0].adapter.down, img[0].adapter.up, img[1].adapter.down, img[1].adapter.up]
-                if head != "lora_vision":
-                    expected += [txt[0].adapter.down, txt[0].adapter.up, txt[1].adapter.down, txt[1].adapter.up]
-            vec = m.trainable_vector()
-            offset = 0
-            for array in expected:
-                assert np.array_equal(vec[offset : offset + array.size], array.ravel()), head
-                offset += array.size
-            assert offset == vec.size, head
-
-    def test_load_into_deep_copy_leaves_original(self):
-        x = RngStream(57).normal(3 * 8).reshape(3, 8)
-        for head in ("prompt", "lora_text", "lora_vision", "lora_both", "bitfit"):
-            m = build(head, seed=58)
-            before, base = state_bytes(m), m.forward(x)
-            probe = copy.deepcopy(m)
-            probe.load_trainable(m.trainable_vector() + 0.05)
-            assert not np.array_equal(probe.forward(x), base), head
-            assert state_bytes(m) == before, head
-            assert m.forward(x).tobytes() == base.tobytes(), head
+        assert not np.array_equal(m.forward(x, m.initial + 0.05), m.forward(x, m.initial))
 
 
 class TestWeightDrift:
     def test_untrained_adapter_zero_drift(self):
         m = build("lora_both", seed=60)
-        per_layer, agg = weight_drift(m)
+        per_layer, agg = weight_drift(m, m.initial)
         assert agg == 0.0
         assert all(v == 0.0 for v in per_layer.values())
 
@@ -484,26 +425,37 @@ class TestWeightDrift:
         m = identity_model(np.eye(2), head_kind="lora_both")
         # force delta entries of +-0.1 on the first image layer (rank 2,
         # so the second rank component is zeroed)
-        ad = m.image_stack[0].adapter
-        ad.down[...] = [[1.0, 0.0], [-1.0, 0.0]]
-        ad.up[...] = np.array([[0.1, 0.1], [0.0, 0.0]]) / ad.scale
-        per_layer, _ = weight_drift(m)
+        vec = m.initial.copy()
+        parts = naive_unpack(m, vec)
+        parts["img", 0, "A"][...] = [[1.0, 0.0], [-1.0, 0.0]]
+        parts["img", 0, "B"][...] = np.array([[0.1, 0.1], [0.0, 0.0]]) / m.config.lora_scale
+        per_layer, _ = weight_drift(m, vec)
         assert per_layer["img.0.W"] == pytest.approx(0.1)
+        assert per_layer["img.1.W"] == per_layer["txt.0.W"] == per_layer["txt.1.W"] == 0.0
+
+    def test_factor_rescaling_invariance(self):
+        m = build("lora_both", seed=63)
+        vec = perturbed(m, RngStream(64), sigma=0.2)
+        rescaled = vec.copy()
+        for key, part in naive_unpack(m, rescaled).items():
+            part *= 3.7 if key[-1] == "A" else 1 / 3.7
+        want, _ = weight_drift(m, vec)
+        got, _ = weight_drift(m, rescaled)
+        for name, value in want.items():
+            assert got[name] == pytest.approx(value, abs=1e-12)
 
     def test_drift_respects_frobenius_bound(self):
         m = build("lora_both", seed=61)
-        rng = RngStream(62)
-        vec = m.trainable_vector() + rng.normal(m.trainable_size()) * 0.2
-        m.load_trainable(vec)
-        per_layer, _ = weight_drift(m)
-        for stack_name, stack in (("img", m.image_stack), ("txt", m.text_stack)):
-            for i, layer in enumerate(stack):
-                ad = layer.adapter
-                mn = layer.weight.size
-                bound = ad.scale * np.linalg.norm(ad.down) * np.linalg.norm(ad.up) / np.sqrt(mn)
-                assert per_layer[f"{stack_name}.{i}.W"] <= bound + 1e-12
+        vec = perturbed(m, RngStream(62), sigma=0.2)
+        per_layer, _ = weight_drift(m, vec)
+        parts = naive_unpack(m, vec)
+        for stack in ("img", "txt"):
+            for i, layer in enumerate(m.layers):
+                a, b = parts[stack, i, "A"], parts[stack, i, "B"]
+                bound = m.config.lora_scale * np.linalg.norm(a) * np.linalg.norm(b) / np.sqrt(layer.weight.size)
+                assert per_layer[f"{stack}.{i}.W"] <= bound + 1e-12
 
     def test_no_adapter_head_zero_aggregate(self):
         m = build("prompt")
-        per_layer, agg = weight_drift(m)
+        per_layer, agg = weight_drift(m, m.initial)
         assert per_layer == {} and agg == 0.0

@@ -1,14 +1,18 @@
 """Tests for experiment orchestration, results files, and report emission."""
 
+import importlib.util
+import inspect
 import json
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 
 from fedcalib import runner
 from fedcalib.calibration import pool_bins
 from fedcalib.config import parse_config
+from fedcalib.model import DualEncoderModel
 from fedcalib.runner import (
     build_data,
     build_plan,
@@ -84,7 +88,7 @@ class TestRunSingle:
         plan = build_plan(cfg, data, rng.child("partition"))
         model = zero_shot_init(_reconcile_model(cfg, data), protos, rng.child("init"))
         clients = build_clients(client_views(data, plan, cfg.setting))
-        server = init_server(model, 1)
+        server = init_server(model.initial, 1)
         expected, _ = train_participants(
             model, [clients[0]], server.global_vector, cfg.federation, cfg.aggregator,
             LossSpec(), [rng.child("rounds").child("local", 0, 0)], round_index=0,
@@ -320,3 +324,38 @@ class TestOutputsOnDisk:
         assert run_dirs == ["run_000_alpha-0.5", "run_001_alpha-100.0"]
         summary = (tmp_path / "sweep_summary.csv").read_text()
         assert summary.count("\n") == 3  # header + 2 rows
+
+
+def load_benchmark_tracer():
+    """``perfbench/tracer.py``, imported from its file as the benchmark's child process uses it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkTracer:
+    def test_traced_run_keeps_its_bytes_and_yields_layer_metrics(self, tmp_path):
+        # the tracer reads forward's embeddings as its first argument, the model's
+        # config.class_count, and runner.run_round / run_single as looked up per call
+        tracing = load_benchmark_tracer()
+        assert list(inspect.signature(DualEncoderModel.forward).parameters)[:2] == ["self", "embeddings"]
+        cfg = tiny_config()
+        run_experiment(cfg, out_dir=tmp_path / "plain")
+        tracer = tracing.Tracer("traced")
+        originals = runner.run_round, runner.run_single
+        tracing.install(tracer)
+        try:
+            run_experiment(cfg, out_dir=tmp_path / "traced")
+        finally:
+            tracer.uninstall()
+        assert (runner.run_round, runner.run_single) == originals
+        plain, traced = (load_results(tmp_path / side / "results.json") for side in ("plain", "traced"))
+        assert results_canonical_bytes(traced) == results_canonical_bytes(plain)
+        metrics = tracing.layer_metrics(tracer, run_s=1.0, results_bytes=0)
+        spans = {span[tracing.NAME] for span in tracer.spans}
+        assert {"runner.run_single", "runner.round", "model.forward", "model.backward"} <= spans
+        assert metrics["model.forward_calls"] > 0 and metrics["model.backward_calls"] > 0
+        assert metrics["model.forward_rows"] > 0 and metrics["model.text_rows_per_image_row"] > 0
+        assert metrics["runner.round_s"] > 0
