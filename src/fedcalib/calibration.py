@@ -144,6 +144,58 @@ class CalibrationReport:
 
 
 @dataclass(frozen=True)
+class ReportTable:
+    """One ``CalibrationReport`` per segment of a batch, stored by column.
+
+    ``columns`` maps each scalar of ``CalibrationReport.scalars`` to an
+    array with one entry per segment. ``counts``, ``bin_accuracy`` and
+    ``bin_confidence`` are the segments x bins reliability statistics
+    (0.0 in empty bins).
+    """
+
+    columns: dict
+    scheme: str
+    counts: np.ndarray
+    bin_accuracy: np.ndarray
+    bin_confidence: np.ndarray
+
+    def report(self, i: int) -> CalibrationReport:
+        bins = ReliabilityBins(self.scheme, self.counts[i], self.bin_accuracy[i], self.bin_confidence[i])
+        return CalibrationReport(**{key: float(column[i]) for key, column in self.columns.items()}, bins=bins)
+
+    def take(self, rows) -> ReportTable:
+        """The table of the segments at ``rows``, in that order (repeats allowed)."""
+        return ReportTable(
+            {key: column[rows] for key, column in self.columns.items()},
+            self.scheme, self.counts[rows], self.bin_accuracy[rows], self.bin_confidence[rows],
+        )
+
+    def rows(self) -> list:
+        """Each segment's scalars as a dict of floats."""
+        return [dict(zip(self.columns, values)) for values in zip(*(c.tolist() for c in self.columns.values()))]
+
+    def mean(self) -> dict:
+        """Unweighted mean over the segments of each scalar."""
+        return {key: float(np.mean(column)) for key, column in self.columns.items()}
+
+    def pooled_bins(self) -> ReliabilityBins:
+        """The bins of all segments' rows together.
+
+        Counts and count-weighted sums are added in segment order, which
+        reproduces the bins of the whole batch exactly.
+        """
+        counts = self.counts.sum(axis=0)
+        acc_sum = (self.counts * self.bin_accuracy).sum(axis=0)
+        conf_sum = (self.counts * self.bin_confidence).sum(axis=0)
+        nonempty = counts > 0
+        acc = np.zeros(counts.size)
+        conf = np.zeros(counts.size)
+        acc[nonempty] = acc_sum[nonempty] / counts[nonempty]
+        conf[nonempty] = conf_sum[nonempty] / counts[nonempty]
+        return ReliabilityBins(scheme=self.scheme, counts=counts, accuracy=acc, confidence=conf)
+
+
+@dataclass(frozen=True)
 class TemperatureScaler:
     """Post-hoc scaler dividing logits by a fitted positive temperature."""
 
@@ -230,8 +282,8 @@ def _true_log_probs(batch: ProbBatch) -> np.ndarray:
     return np.log(np.maximum(batch.probs[np.arange(batch.n), batch.labels], PROB_CLAMP))
 
 
-def segmented_reports(batch: ProbBatch, sizes, bins: int = 15, scheme: str = "equal_width") -> list:
-    """One ``CalibrationReport`` per consecutive segment of ``batch``.
+def segmented_reports(batch: ProbBatch, sizes, bins: int = 15, scheme: str = "equal_width") -> ReportTable:
+    """The ``ReportTable`` of the consecutive segments of ``batch``.
 
     ``sizes`` lists the row count of each segment in order; segments are
     non-empty and together cover the batch. Every per-segment statistic is
@@ -242,26 +294,20 @@ def segmented_reports(batch: ProbBatch, sizes, bins: int = 15, scheme: str = "eq
     sizes = counts.sum(axis=1)
     g = sizes.size
     ece, mce, ace = _gap_metrics(counts, acc, confm)
-    accuracy = np.bincount(seg, weights=hits, minlength=g) / sizes
-    brier = np.bincount(seg, weights=_squared_errors(batch), minlength=g) / sizes
-    nll = -np.bincount(seg, weights=_true_log_probs(batch), minlength=g) / sizes
-    return [
-        CalibrationReport(
-            accuracy=float(accuracy[i]),
-            ece=float(ece[i]),
-            mce=float(mce[i]),
-            ace=float(ace[i]),
-            brier=float(brier[i]),
-            nll=float(nll[i]),
-            bins=ReliabilityBins(scheme=scheme, counts=counts[i], accuracy=acc[i], confidence=confm[i]),
-        )
-        for i in range(g)
-    ]
+    columns = {
+        "accuracy": np.bincount(seg, weights=hits, minlength=g) / sizes,
+        "ece": ece,
+        "mce": mce,
+        "ace": ace,
+        "brier": np.bincount(seg, weights=_squared_errors(batch), minlength=g) / sizes,
+        "nll": -np.bincount(seg, weights=_true_log_probs(batch), minlength=g) / sizes,
+    }
+    return ReportTable(columns, scheme, counts, acc, confm)
 
 
 def calibration_report(batch: ProbBatch, bins: int = 15, scheme: str = "equal_width") -> CalibrationReport:
     """Compute the full metric suite on one probability batch."""
-    return segmented_reports(batch, [batch.n], bins, scheme)[0]
+    return segmented_reports(batch, [batch.n], bins, scheme).report(0)
 
 
 def negative_log_likelihood(batch: ProbBatch) -> float:
@@ -327,31 +373,6 @@ def harmonic_mean(base: float, new: float) -> float:
     if base == 0.0 and new == 0.0:
         return 0.0
     return 2.0 * base * new / (base + new)
-
-
-def pool_bins(parts: list) -> ReliabilityBins:
-    """Combine per-part bin statistics by count-weighted averaging.
-
-    Pooling the bins of disjoint sample splits reproduces the whole-batch
-    bins exactly, which is what makes client-averaged reliability diagrams
-    meaningful.
-    """
-    if not parts:
-        raise InvalidInputError("cannot pool zero bin sets")
-    g = parts[0].bin_count
-    scheme = parts[0].scheme
-    for p in parts:
-        if p.bin_count != g or p.scheme != scheme:
-            raise InvalidInputError("pooled bin sets must share bin count and scheme")
-    counts = np.sum([p.counts for p in parts], axis=0)
-    acc_sum = np.sum([p.counts * p.accuracy for p in parts], axis=0)
-    conf_sum = np.sum([p.counts * p.confidence for p in parts], axis=0)
-    nonempty = counts > 0
-    acc = np.zeros(g)
-    conf = np.zeros(g)
-    acc[nonempty] = acc_sum[nonempty] / counts[nonempty]
-    conf[nonempty] = conf_sum[nonempty] / counts[nonempty]
-    return ReliabilityBins(scheme=scheme, counts=counts, accuracy=acc, confidence=conf)
 
 
 # ---------------------------------------------------------------------------

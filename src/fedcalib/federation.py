@@ -13,9 +13,13 @@ the grouping or the order.
 
 Every client holds the same global vector after broadcast, so evaluation
 forwards the test views of consecutive clients together, in blocks of at
-most ``EVAL_BLOCK_ROWS`` rows, and splits the metrics by client with
-``calibration.segmented_reports``. Each client's metrics keep the
-definitions of ``calibration.calibration_report`` on its own view.
+most ``EVAL_BLOCK_ROWS`` rows. The run gathers every client's test rows
+once, in client order, as an ``EvalSplit``, and each block is a slice of
+it. ``calibration.segmented_reports`` splits the metrics by client into
+one column table per evaluation; the client mean, the pooled bins and the
+per-client dicts of the results all come from its columns. Each client's
+metrics keep the definitions of ``calibration.calibration_report`` on its
+own view.
 
 Aggregation strategies:
 
@@ -38,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calibration import LogitBatch, ProbBatch, ReliabilityBins, harmonic_mean, pool_bins, segmented_reports
+from .calibration import LogitBatch, ProbBatch, ReliabilityBins, harmonic_mean, segmented_reports
 from .errors import ConfigError, InvalidInputError, NumericError, TransportError
 from .losses import LossSpec
 from .model import DualEncoderModel, weight_drift
@@ -88,16 +92,11 @@ class AggregatorConfig:
 
 @dataclass
 class ClientState:
-    """One client's data views and optimizer extras."""
+    """One client's training view and optimizer extras; its test view is in the run's ``EvalSplit``."""
 
     client_id: int
     train_x: np.ndarray
     train_y: np.ndarray
-    test_x: np.ndarray
-    test_y: np.ndarray
-    # base/new breakdown of the test view (base-to-new setting only)
-    test_base: tuple | None = None
-    test_new: tuple | None = None
     # FedDyn h_n, trainable-vector shaped; None (read as zeros) until the client first takes part
     dual: np.ndarray | None = None
 
@@ -122,7 +121,7 @@ class RoundRecord:
     round_index: int
     participants: list
     global_vector: np.ndarray
-    client_reports: list  # CalibrationReport | None per client
+    per_client: list  # dict of report scalars | None per client
     excluded_clients: list  # clients skipped for having no test data
     mean: dict  # unweighted client mean of each report scalar
     pooled_bins: ReliabilityBins  # pooled over the clients with test data
@@ -305,81 +304,110 @@ def aggregate(
 EVAL_BLOCK_ROWS = 256  # caps the transient memory of one evaluation forward
 
 
-def _is_empty(view) -> bool:
-    return view is None or len(view[1]) == 0
+@dataclass(frozen=True)
+class EvalSplit:
+    """The test rows of every client, gathered once in client order.
 
-
-def blocked_logits(model: DualEncoderModel, vector: np.ndarray, views: list) -> tuple:
-    """Logits under ``vector`` of the non-empty ``(x, y)`` views, with one forward per block.
-
-    Consecutive views are joined into blocks of at most ``EVAL_BLOCK_ROWS``
-    rows; a larger view is forwarded alone. Returns the ``LogitBatch`` of
-    the non-empty views concatenated in order and their row counts, or
-    ``(None, [])`` when every view is empty or ``None``.
+    Client k's test view is the k-th run of ``sizes[k]`` consecutive rows
+    of ``x`` and ``y``. In base-to-new, the first ``base_sizes[k]`` rows of
+    that view are its base-class rows and the rest are the new-class rows,
+    the same for every client.
     """
-    kept = [v for v in views if not _is_empty(v)]
-    if not kept:
-        return None, []
-    blocks, block, rows = [], [], 0
-    for x, _ in kept:
-        if block and rows + len(x) > EVAL_BLOCK_ROWS:
-            blocks.append(model.forward(np.concatenate(block), vector))
-            block, rows = [], 0
-        block.append(x)
-        rows += len(x)
-    blocks.append(model.forward(np.concatenate(block), vector))
-    labels = np.concatenate([y for _, y in kept])
-    return LogitBatch(np.concatenate(blocks), labels), [len(y) for _, y in kept]
+
+    x: np.ndarray
+    y: np.ndarray
+    sizes: np.ndarray
+    base_sizes: np.ndarray | None = None
 
 
-def _view_reports(model: DualEncoderModel, vector: np.ndarray, views: list, bins: int, scheme: str) -> list:
-    """One report per view (``None`` for an empty view) from one segmented pass."""
-    logits, sizes = blocked_logits(model, vector, views)
-    if logits is None:
-        return [None] * len(views)
-    batch = ProbBatch(softmax_rows(logits.logits), logits.labels)
-    reports = iter(segmented_reports(batch, sizes, bins, scheme))
-    return [None if _is_empty(v) else next(reports) for v in views]
+def _blocked_logits(model: DualEncoderModel, vector: np.ndarray, x: np.ndarray, sizes) -> np.ndarray:
+    """Logits under ``vector`` of ``x``, whose rows are consecutive views of ``sizes`` rows.
+
+    Consecutive non-empty views are forwarded together, in blocks of at
+    most ``EVAL_BLOCK_ROWS`` rows; a larger view is forwarded alone. Each
+    block is a slice of ``x``.
+    """
+    blocks, start, rows = [], 0, 0
+    for size in sizes:
+        if not size:
+            continue
+        if rows and rows + size > EVAL_BLOCK_ROWS:
+            blocks.append(model.forward(x[start : start + rows], vector))
+            start, rows = start + rows, 0
+        rows += size
+    blocks.append(model.forward(x[start : start + rows], vector))
+    return np.concatenate(blocks)
 
 
-def client_mean(reports: list) -> dict:
-    """Unweighted mean of each report scalar across clients."""
-    return {
-        key: float(np.mean([r.scalars()[key] for r in reports])) for key in reports[0].scalars()
-    }
+def split_logits(model: DualEncoderModel, vector: np.ndarray, split: EvalSplit) -> LogitBatch:
+    """Logits under ``vector`` of every test row of ``split``, forwarded in blocks."""
+    return LogitBatch(_blocked_logits(model, vector, split.x, split.sizes), split.y)
+
+
+def _view_table(model: DualEncoderModel, vector: np.ndarray, x: np.ndarray, y: np.ndarray, sizes,
+                bins: int, scheme: str):
+    """The ``ReportTable`` under ``vector`` of the non-empty consecutive views of ``sizes`` rows
+    of ``(x, y)``, or ``None`` when every view is empty."""
+    kept = sizes[sizes > 0]
+    if not kept.size:
+        return None
+    probs = ProbBatch(softmax_rows(_blocked_logits(model, vector, x, kept)), y)
+    return segmented_reports(probs, kept, bins, scheme)
+
+
+def _with_empty(rows: list, sizes) -> list:
+    """``rows`` of the non-empty views, with ``None`` at each empty view."""
+    rows = iter(rows)
+    return [next(rows) if size else None for size in sizes]
 
 
 def personalized_evaluate(
-    model: DualEncoderModel, vector: np.ndarray, clients: list, bins: int = 15, scheme: str = "equal_width"
+    model: DualEncoderModel, vector: np.ndarray, split: EvalSplit, bins: int = 15, scheme: str = "equal_width"
 ) -> dict:
-    """Per-client reports under ``vector`` on each local test view plus their unweighted mean.
+    """Per-client metrics under ``vector`` on each test view of ``split``, their
+    unweighted mean and the pooled bins.
 
-    Clients without test data are excluded from the average and listed
-    under ``excluded``.
+    Clients without test data are excluded from the mean and the pooled
+    bins and listed under ``excluded``.
     """
-    reports = _view_reports(model, vector, [(c.test_x, c.test_y) for c in clients], bins, scheme)
-    included = [r for r in reports if r is not None]
-    excluded = [c.client_id for c, r in zip(clients, reports) if r is None]
-    if not included:
+    table = _view_table(model, vector, split.x, split.y, split.sizes, bins, scheme)
+    if table is None:
         raise InvalidInputError("every client has an empty test view")
     return {
-        "mean": client_mean(included),
-        "per_client": reports,
-        "pooled_bins": pool_bins([r.bins for r in included]),
-        "excluded": excluded,
+        "mean": table.mean(),
+        "per_client": _with_empty(table.rows(), split.sizes),
+        "pooled_bins": table.pooled_bins(),
+        "excluded": [k for k, size in enumerate(split.sizes) if not size],
     }
 
 
 def evaluate_base_new(
-    model: DualEncoderModel, vector: np.ndarray, clients: list, bins: int = 15, scheme: str = "equal_width"
+    model: DualEncoderModel, vector: np.ndarray, split: EvalSplit, bins: int = 15, scheme: str = "equal_width"
 ) -> dict:
-    """Base/new breakdown under ``vector`` for the base-to-new setting, plus harmonic means."""
-    base = _view_reports(model, vector, [c.test_base for c in clients], bins, scheme)
-    new = _view_reports(model, vector, [c.test_new for c in clients], bins, scheme)
-    result = {"per_client": [{"base": b, "new": n} for b, n in zip(base, new)]}
-    for part_name, reports in (("base", base), ("new", new)):
-        included = [r for r in reports if r is not None]
-        result[part_name] = client_mean(included) if included else None
+    """Base/new breakdown under ``vector`` for the base-to-new setting, plus harmonic means.
+
+    Every client shares the new-class rows, so they are forwarded once and
+    every client gets the same report. Base views are not adjacent in the
+    split, so their rows are gathered once before the blocked forward.
+    """
+    num_clients = len(split.sizes)
+    starts = np.cumsum(split.sizes) - split.sizes
+    base = np.concatenate([np.arange(s, s + n) for s, n in zip(starts, split.base_sizes)])
+    new = slice(starts[0] + split.base_sizes[0], starts[0] + split.sizes[0])
+    new_sizes = np.full(num_clients, new.stop - new.start)
+    base_table = _view_table(model, vector, split.x[base], split.y[base], split.base_sizes, bins, scheme)
+    new_table = _view_table(model, vector, split.x[new], split.y[new], new_sizes[:1], bins, scheme)
+    if new_table is not None:
+        new_table = new_table.take(np.zeros(num_clients, dtype=np.int64))  # the shared row, once per client
+    base_rows, new_rows = ([] if table is None else table.rows() for table in (base_table, new_table))
+    result = {
+        "per_client": [
+            {"base": b, "new": n}
+            for b, n in zip(_with_empty(base_rows, split.base_sizes), _with_empty(new_rows, new_sizes))
+        ],
+        "base": None if base_table is None else base_table.mean(),
+        "new": None if new_table is None else new_table.mean(),
+    }
     if result["base"] and result["new"]:
         result["harmonic_mean"] = {
             key: harmonic_mean(result["base"][key], result["new"][key])
@@ -394,6 +422,7 @@ def run_round(
     model: DualEncoderModel,
     server: ServerState,
     clients: list,
+    split: EvalSplit,
     fed_config: FederationConfig,
     agg_config: AggregatorConfig,
     loss_spec: LossSpec,
@@ -430,12 +459,12 @@ def run_round(
             before = 0.0 if client.dual is None else client.dual
             client.dual = before - agg_config.alpha_dyn * (vec - global_before)
 
-    evaluation = personalized_evaluate(model, new_global, clients, bins, scheme)
+    evaluation = personalized_evaluate(model, new_global, split, bins, scheme)
     return RoundRecord(
         round_index=round_index,
         participants=participants,
         global_vector=new_global,
-        client_reports=evaluation["per_client"],
+        per_client=evaluation["per_client"],
         excluded_clients=evaluation["excluded"],
         mean=evaluation["mean"],
         pooled_bins=evaluation["pooled_bins"],
@@ -445,17 +474,9 @@ def run_round(
 
 
 def build_clients(data_views: list) -> list:
-    """Client state for each (train, test[, base, new]) view; no client holds a dual yet."""
+    """Client state for each training view; no client holds a dual yet."""
     return [
-        ClientState(
-            client_id=cid,
-            train_x=view["train_x"],
-            train_y=view["train_y"],
-            test_x=view["test_x"],
-            test_y=view["test_y"],
-            test_base=view.get("test_base"),
-            test_new=view.get("test_new"),
-        )
+        ClientState(client_id=cid, train_x=view["train_x"], train_y=view["train_y"])
         for cid, view in enumerate(data_views)
     ]
 

@@ -484,7 +484,12 @@ def weight_drift(model: DualEncoderModel, vector: np.ndarray) -> tuple:
         for i, layer in enumerate(model.layers):
             _, down, up = _layer_views(views, stack, i)
             if down is not None:
-                effective = layer.weight + model.config.lora_scale * (down @ up)
-                per_layer[f"{stack}.{i}.W"] = float(np.mean(np.abs(effective - layer.weight)))
+                # (W + scale * A @ B) - W in one buffer: the same sums, so the same bits
+                delta = down @ up
+                delta *= model.config.lora_scale
+                delta += layer.weight
+                delta -= layer.weight
+                np.abs(delta, out=delta)
+                per_layer[f"{stack}.{i}.W"] = float(np.add.reduce(delta, axis=None) / delta.size)
     aggregate = float(np.mean(list(per_layer.values()))) if per_layer else 0.0
     return per_layer, aggregate

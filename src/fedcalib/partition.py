@@ -27,9 +27,9 @@ drawn, one stable sort by owner client and one split deal all of them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -105,15 +105,117 @@ class PartitionPlan:
 
 
 def canonical_json(payload) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, without the
-    list of every encoder chunk that ``json.dumps`` holds until its final
-    join: chunks are joined 4,096 at a time."""
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, built from
+    chunks joined 4,096 at a time instead of one list of every chunk.
+
+    It raises what ``json.dumps`` raises: ``TypeError`` for an object JSON
+    cannot hold or for keys that do not sort, ``ValueError`` for a circular
+    reference.
+    """
+    chunks = _chunks(payload, 0, set())
     parts = []
     while batch := list(islice(chunks, 4096)):
         parts.append("".join(batch))
     parts.append("\n")
     return "".join(parts)
+
+
+_INDENT = "  "
+_INF = float("inf")
+
+
+def _scalar_text(value):
+    """The JSON text of a str, None, bool, int or float, as ``json.dumps``
+    writes it (NaN and the infinities by name); ``None`` for anything else."""
+    if type(value) is float and value - value == 0.0:  # finite: the common case first
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _chunks(value, level: int, markers: set):
+    """The encoder chunks of ``value`` nested ``level`` deep; ``markers``
+    holds the ids of the containers being written, to catch cycles."""
+    text = _scalar_text(value)
+    if text is not None:
+        yield text
+        return
+    is_dict = isinstance(value, dict)
+    if not is_dict and not isinstance(value, (list, tuple)):
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    if not value:
+        yield "{}" if is_dict else "[]"
+        return
+    inner = "\n" + _INDENT * (level + 1)
+    closing = "\n" + _INDENT * level + ("}" if is_dict else "]")
+    flat = None if is_dict else _flat_items(value, level + 1)
+    if flat is not None:
+        yield "[" + inner + ("," + inner).join(flat) + closing
+        return
+    if id(value) in markers:
+        raise ValueError("Circular reference detected")
+    markers.add(id(value))
+    head = ("{" if is_dict else "[") + inner
+    # keys are sorted before any is converted, so mixed key types raise as in json
+    for item in sorted(value.items()) if is_dict else value:
+        if is_dict:
+            key, item = item
+            key_text = key if isinstance(key, str) else _scalar_text(key)
+            if key_text is None:
+                raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+            head += encode_basestring_ascii(key_text) + ": "
+        text = _scalar_text(item)
+        if text is not None:
+            yield head + text
+        else:
+            yield head
+            yield from _chunks(item, level + 1, markers)
+        head = "," + inner
+    yield closing
+    markers.discard(id(value))
+
+
+def _flat_items(items, level: int):
+    """The texts of the items of a list nested ``level`` deep, if they are
+    all scalars or all flat dicts (or ``None``) with the same str keys and
+    scalar values, else ``None``. Each flat dict is one ``%`` template."""
+    texts = list(map(_scalar_text, items))
+    if None not in texts:
+        return texts
+    rows = [item for item in items if item is not None]
+    keys = rows[0].keys() if type(rows[0]) is dict else None
+    if not keys or any(type(key) is not str for key in keys):
+        return None
+    if any(type(row) is not dict or row.keys() != keys for row in rows):
+        return None
+    order = sorted(keys)
+    values = list(map(_scalar_text, [row[key] for row in rows for key in order]))
+    if None in values:
+        return None
+    inner = "\n" + _INDENT * (level + 1)
+    template = "{" + inner + ("," + inner).join(
+        encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in order
+    ) + "\n" + _INDENT * level + "}"
+    width = len(order)
+    rendered = (template % tuple(values[i : i + width]) for i in range(0, len(values), width))
+    return ["null" if item is None else next(rendered) for item in items]
 
 
 def _histograms(plan_train, labels, num_clients, class_count) -> np.ndarray:

@@ -17,8 +17,9 @@ comparison CSV. All file payloads are built in memory before anything is
 written, and a failed write sweeps up whatever it had already put on disk.
 
 A run keeps one copy of the data: each split's rows are gathered once, in
-client order, every client view is a slice of that copy, and the dataset
-is dropped once the clients are built.
+client order. Every client's training view is a slice of the training
+copy; the test copy is the run's ``EvalSplit``, which evaluation slices
+into blocks. The dataset is dropped once both are built.
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ from .config import ExperimentConfig, config_echo, expand_sweep
 from .datagen import generate_synthetic, load_embeddings
 from .errors import ConfigError
 from .federation import (
-    blocked_logits,
+    EvalSplit,
     build_clients,
-    client_mean,
     evaluate_base_new,
     init_server,
     run_round,
+    split_logits,
 )
 from .model import ModelConfig, zero_shot_init
 from .numerics import RngStream
@@ -83,35 +84,30 @@ def build_plan(config: ExperimentConfig, data: LabeledDataset, rng: RngStream) -
     return plan
 
 
-def client_views(data: LabeledDataset, plan: PartitionPlan, setting: str) -> list:
-    """Per-client views, each a row slice of its split's one gathered copy.
+def client_views(data: LabeledDataset, plan: PartitionPlan, setting: str) -> tuple:
+    """Per-client training views, each a row slice of the training rows'
+    one gathered copy, and the test rows gathered once as an ``EvalSplit``.
 
     In base-to-new a client's test view is its base-class rows, then the
-    new-class rows, of which every client shares one copy as ``test_new``."""
+    new-class rows that every client shares."""
     def gather(per_client):
         ix = np.concatenate(per_client)
-        bounds = np.cumsum([len(part) for part in per_client])[:-1]
-        return zip(np.split(data.embeddings[ix], bounds), np.split(data.labels[ix], bounds))
+        return data.embeddings[ix], data.labels[ix], np.array([len(part) for part in per_client])
 
+    train_x, train_y, train_sizes = gather(plan.train_indices)
+    bounds = np.cumsum(train_sizes)[:-1]
     views = [
-        {"train_x": tx, "train_y": ty, "test_x": ex, "test_y": ey}
-        for (tx, ty), (ex, ey) in zip(gather(plan.train_indices), gather(plan.test_indices))
+        {"train_x": tx, "train_y": ty}
+        for tx, ty in zip(np.split(train_x, bounds), np.split(train_y, bounds))
     ]
+    base_sizes = None
     if setting == "base_to_new":
-        new_ix = np.asarray(plan.metadata["test_new_indices"][0], dtype=np.int64)
-        new_view = (data.embeddings[new_ix], data.labels[new_ix])
-        for view, base_ix in zip(views, plan.metadata["test_base_indices"]):
-            view["test_base"] = (view["test_x"][: len(base_ix)], view["test_y"][: len(base_ix)])
-            view["test_new"] = new_view
-    return views
+        base_sizes = np.array([len(ix) for ix in plan.metadata["test_base_indices"]])
+    return views, EvalSplit(*gather(plan.test_indices), base_sizes=base_sizes)
 
 
 def _reconcile_model(config: ExperimentConfig, data: LabeledDataset) -> ModelConfig:
     return replace(config.model, embed_dim=data.dim, class_count=data.class_count)
-
-
-def _report_dicts(reports: list) -> list:
-    return [None if r is None else {k: float(v) for k, v in r.scalars().items()} for r in reports]
 
 
 def _bins_dict(bins: ReliabilityBins) -> dict:
@@ -132,20 +128,21 @@ def _bins_from_dict(payload: dict) -> ReliabilityBins:
     )
 
 
-def _temperature_rows(model, vector, clients, temperatures, bins, scheme) -> list:
+def _temperature_rows(model, vector, split: EvalSplit, temperatures, bins, scheme) -> list:
     """Per-tau client-averaged metrics under the final ``vector``, from one blocked forward."""
-    logits, sizes = blocked_logits(model, vector, [(c.test_x, c.test_y) for c in clients])
+    logits = split_logits(model, vector, split)
+    sizes = split.sizes[split.sizes > 0]
     rows = []
     for tau in temperatures:
         scaled = apply_temperature(logits, TemperatureScaler(float(tau)))
-        reports = segmented_reports(scaled, sizes, bins, scheme)
-        rows.append({"temperature": float(tau), "mean": client_mean(reports)})
+        rows.append({"temperature": float(tau), "mean": segmented_reports(scaled, sizes, bins, scheme).mean()})
     return rows
 
 
 def _set_up(config: ExperimentConfig, rng: RngStream) -> tuple:
-    """Plan, reconciled model config, model and clients of one run; the
-    dataset is dropped on return, so the clients hold the run's only copy."""
+    """Plan, reconciled model config, model, clients and test split of one
+    run; the dataset is dropped on return, so the clients and the split hold
+    the run's only copy."""
     data, text_protos = build_data(config, rng.child("data"))
     plan = build_plan(config, data, rng.child("partition"))
     if not any(len(ix) for ix in plan.test_indices):
@@ -153,15 +150,15 @@ def _set_up(config: ExperimentConfig, rng: RngStream) -> tuple:
                           "(synthetic data needs samples_per_class >= 2 for a test split)")
     model_config = _reconcile_model(config, data)
     model = zero_shot_init(model_config, text_protos, rng.child("init"))
-    clients = build_clients(client_views(data, plan, config.setting))
-    return plan, model_config, model, clients
+    views, split = client_views(data, plan, config.setting)
+    return plan, model_config, model, build_clients(views), split
 
 
 def run_single(config: ExperimentConfig) -> dict:
     """Run one (non-sweep) experiment and return its results dictionary."""
     started = time.time()
     rng = RngStream(config.seed)
-    plan, model_config, model, clients = _set_up(config, rng)
+    plan, model_config, model, clients, split = _set_up(config, rng)
     server = init_server(model.initial, plan.num_clients)
 
     bins, scheme = config.metrics.bins, config.metrics.scheme
@@ -170,7 +167,7 @@ def run_single(config: ExperimentConfig) -> dict:
     drift_series = []
     for t in range(config.federation.rounds):
         record = run_round(
-            model, server, clients, config.federation, config.aggregator, config.loss,
+            model, server, clients, split, config.federation, config.aggregator, config.loss,
             t, round_stream, bins=bins, scheme=scheme,
         )
         round_rows.append(
@@ -181,7 +178,7 @@ def run_single(config: ExperimentConfig) -> dict:
                 "drift_mean": record.drift_mean,
                 "drift_std": record.drift_std,
                 "mean": record.mean,
-                "per_client": _report_dicts(record.client_reports),
+                "per_client": record.per_client,
                 "global_vector_sha256": hashlib.sha256(record.global_vector.tobytes()).hexdigest(),
                 "global_vector_l2": float(np.linalg.norm(record.global_vector)),
             }
@@ -191,12 +188,12 @@ def run_single(config: ExperimentConfig) -> dict:
     # the last round evaluated the final global vector
     final: dict = {
         "mean": dict(record.mean),
-        "per_client": _report_dicts(record.client_reports),
+        "per_client": record.per_client,
         "excluded": list(record.excluded_clients),
         "pooled_bins": _bins_dict(record.pooled_bins),
     }
     if config.setting == "base_to_new":
-        bn = evaluate_base_new(model, server.global_vector, clients, bins, scheme)
+        bn = evaluate_base_new(model, server.global_vector, split, bins, scheme)
         final["base"] = bn["base"]
         final["new"] = bn["new"]
         final["harmonic_mean"] = bn["harmonic_mean"]
@@ -217,7 +214,7 @@ def run_single(config: ExperimentConfig) -> dict:
     }
     if config.metrics.temperatures:
         results["temperature_sweep"] = _temperature_rows(
-            model, server.global_vector, clients, config.metrics.temperatures, bins, scheme
+            model, server.global_vector, split, config.metrics.temperatures, bins, scheme
         )
     return results
 

@@ -5,7 +5,7 @@ The embedding-file writers produce the FEMB, FPRO and CSV layouts that
 ``PartitionPlan.to_json`` writes; ``results_canonical_bytes`` serializes a
 results dictionary without its volatile ``meta`` section, the bytes the
 determinism contract compares; ``model_array_bytes`` snapshots every array
-a model holds.
+a model holds; ``count_forwards`` records what a model forwards.
 """
 
 import csv
@@ -88,3 +88,19 @@ def model_array_bytes(model) -> dict:
         if name != "_cache":
             walk(name, value)
     return found
+
+
+def count_forwards(model, arrays=None):
+    """Wrap ``model.forward`` on the instance; returns the list of row counts per call.
+    With ``arrays``, every forwarded array is appended to it."""
+    calls = []
+    original = model.forward
+
+    def counted(x, *args, **kwargs):
+        calls.append(len(x))
+        if arrays is not None:
+            arrays.append(x)
+        return original(x, *args, **kwargs)
+
+    model.forward = counted
+    return calls

@@ -191,7 +191,7 @@ def _one_client_federation(seed=7):
     data, protos = build_data(cfg, rng.child("data"))
     plan = build_plan(cfg, data, rng.child("partition"))
     model = zero_shot_init(_reconcile_model(cfg, data), protos, rng.child("init"))
-    clients = build_clients(client_views(data, plan, cfg.setting))
+    clients = build_clients(client_views(data, plan, cfg.setting)[0])
     server = init_server(model.initial, 1)
     return cfg, model, clients, server
 
@@ -247,13 +247,14 @@ def test_criterion_05_determinism_serial_vs_parallel():
     plan = build_plan(cfg, data, rng.child("partition"))
     model_cfg = _reconcile_model(cfg, data)
     model = zero_shot_init(model_cfg, protos, rng.child("init"))
-    clients = build_clients(client_views(data, plan, cfg.setting))
+    views, split = client_views(data, plan, cfg.setting)
+    clients = build_clients(views)
     server = init_server(model.initial, plan.num_clients)
     bins, scheme = cfg.metrics.bins, cfg.metrics.scheme
     stream = rng.child("rounds")
     for t in range(cfg.federation.rounds):
         global_before = server.global_vector
-        record = run_round(model, server, clients, cfg.federation, cfg.aggregator, cfg.loss,
+        record = run_round(model, server, clients, split, cfg.federation, cfg.aggregator, cfg.loss,
                            t, stream, bins=bins, scheme=scheme)
         # (a) each participant replayed alone from its own stream, in reverse
         # order on the same model and on a freshly initialised model: both
@@ -279,9 +280,8 @@ def test_criterion_05_determinism_serial_vs_parallel():
         # (b) every client's report equals one from a freshly initialised
         # model under the round's global vector
         fresh = zero_shot_init(model_cfg, protos, RngStream(cfg.seed).child("init"))
-        expected = personalized_evaluate(fresh, record.global_vector, clients, bins, scheme)["per_client"]
-        for want, got in zip(expected, record.client_reports, strict=True):
-            assert want.scalars() == got.scalars()
+        expected = personalized_evaluate(fresh, record.global_vector, split, bins, scheme)["per_client"]
+        assert expected == record.per_client
 
     # (c) runs in one process do not leak into each other: a run of another
     # head in between leaves the canonical bytes unchanged

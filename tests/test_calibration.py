@@ -16,7 +16,6 @@ from fedcalib.calibration import (
     fit_temperature,
     harmonic_mean,
     negative_log_likelihood,
-    pool_bins,
     reliability_csv,
     reliability_rows,
     reliability_svg,
@@ -165,9 +164,7 @@ class TestMetricsAgainstOracle:
             n = 2
         cut = n // 2
         whole = calibration_report(ProbBatch(probs, labels), 15)
-        left = calibration_report(ProbBatch(probs[:cut], labels[:cut]), 15).bins
-        right = calibration_report(ProbBatch(probs[cut:], labels[cut:]), 15).bins
-        pooled = pool_bins([left, right])
+        pooled = segmented_reports(ProbBatch(probs, labels), [cut, n - cut], 15).pooled_bins()
         assert np.array_equal(pooled.counts, whole.bins.counts)
         assert naive_ece_of_bins(pooled.counts, pooled.accuracy, pooled.confidence) == pytest.approx(
             whole.ece, abs=1e-12
@@ -263,6 +260,17 @@ def prob_rows(seed, n, c=5, tied=False):
     return probs, labels
 
 
+def naive_scalars(probs, labels, bins, scheme):
+    return {
+        "accuracy": naive_accuracy(probs, labels),
+        "ece": naive_ece(probs, labels, bins, scheme),
+        "mce": naive_mce(probs, labels, bins, scheme),
+        "ace": naive_ace(probs, labels, bins, scheme),
+        "brier": naive_brier(probs, labels),
+        "nll": naive_nll(probs, labels),
+    }
+
+
 def split_rows(probs, labels, sizes):
     bounds = np.cumsum([0, *sizes])
     return [(probs[a:b], labels[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
@@ -270,16 +278,26 @@ def split_rows(probs, labels, sizes):
 
 class TestSegmentedReports:
     def assert_matches_oracle(self, probs, labels, sizes, bins, scheme):
-        reports = segmented_reports(ProbBatch(probs, labels), sizes, bins, scheme)
-        assert len(reports) == len(sizes)
-        for rep, (p, y) in zip(reports, split_rows(probs, labels, sizes)):
+        table = segmented_reports(ProbBatch(probs, labels), sizes, bins, scheme)
+        segments = split_rows(probs, labels, sizes)
+        assert [len(column) for column in table.columns.values()] == [len(sizes)] * 6
+        for i, (p, y) in enumerate(segments):
+            rep = table.report(i)
+            assert table.rows()[i] == rep.scalars()
             assert rep.bins.counts.tolist() == [count for count, _, _ in naive_bins(p, y, bins, scheme)]
-            assert abs(rep.ece - naive_ece(p, y, bins, scheme)) <= 1e-12
-            assert abs(rep.mce - naive_mce(p, y, bins, scheme)) <= 1e-12
-            assert abs(rep.ace - naive_ace(p, y, bins, scheme)) <= 1e-12
-            assert abs(rep.brier - naive_brier(p, y)) <= 1e-12
-            assert abs(rep.nll - naive_nll(p, y)) <= 1e-12
-            assert abs(rep.accuracy - naive_accuracy(p, y)) <= 1e-12
+            for key, value in naive_scalars(p, y, bins, scheme).items():
+                assert abs(rep.scalars()[key] - value) <= 1e-12, key
+        # the unweighted client mean and the bins pooled over the segments
+        for key, value in table.mean().items():
+            assert abs(value - np.mean([naive_scalars(p, y, bins, scheme)[key] for p, y in segments])) <= 1e-12
+        per_segment = [naive_bins(p, y, bins, scheme) for p, y in segments]
+        pooled = table.pooled_bins()
+        for g in range(bins):
+            count = sum(seg[g][0] for seg in per_segment)
+            assert pooled.counts[g] == count
+            for stat, column in ((1, pooled.accuracy), (2, pooled.confidence)):
+                want = sum(seg[g][0] * seg[g][stat] for seg in per_segment) / count if count else 0.0
+                assert abs(column[g] - want) <= 1e-12
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_one_row_segments(self, scheme):
@@ -312,9 +330,9 @@ class TestSegmentedReports:
         # that no statistic leaks across segment boundaries
         probs, labels = prob_rows(seed, sum(sizes), tied=tied)
         self.assert_matches_oracle(probs, labels, sizes, bins, scheme)
-        reports = segmented_reports(ProbBatch(probs, labels), sizes, bins, scheme)
-        for rep, (p, y) in zip(reports, split_rows(probs, labels, sizes)):
-            ref = calibration_report(ProbBatch(p, y), bins, scheme)
+        table = segmented_reports(ProbBatch(probs, labels), sizes, bins, scheme)
+        for i, (p, y) in enumerate(split_rows(probs, labels, sizes)):
+            rep, ref = table.report(i), calibration_report(ProbBatch(p, y), bins, scheme)
             assert np.array_equal(rep.bins.counts, ref.bins.counts)
             assert np.allclose(rep.bins.accuracy, ref.bins.accuracy, rtol=0, atol=1e-12)
             assert np.allclose(rep.bins.confidence, ref.bins.confidence, rtol=0, atol=1e-12)

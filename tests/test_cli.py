@@ -73,10 +73,10 @@ class TestRunVerb:
         original = runner.client_views
 
         def poisoned(*args):
-            views = original(*args)
+            views, split = original(*args)
             views[1]["train_x"] = views[1]["train_x"].copy()
             views[1]["train_x"][0, 0] = float("nan")
-            return views
+            return views, split
 
         monkeypatch.setattr(runner, "client_views", poisoned)
         cfg = write_tiny_config(tmp_path)

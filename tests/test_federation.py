@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fedcalib import calibration, federation
 from fedcalib.calibration import (
     LogitBatch,
     ProbBatch,
@@ -13,6 +14,7 @@ from fedcalib.calibration import (
 from fedcalib.errors import ConfigError, InvalidInputError, NumericError, TransportError
 from fedcalib.federation import (
     AggregatorConfig,
+    EvalSplit,
     FederationConfig,
     ServerState,
     aggregate,
@@ -30,7 +32,7 @@ from fedcalib.losses import LossSpec, total_loss
 from fedcalib.model import HEAD_KINDS, ModelConfig, weight_drift, zero_shot_init
 from fedcalib.numerics import RngStream, l2_normalize_rows, softmax_rows
 from fedcalib.runner import _temperature_rows
-from fixtures import model_array_bytes
+from fixtures import count_forwards, model_array_bytes
 
 
 def make_blob_views(num_clients, d=8, c=4, per_client=24, test_per_client=12, seed=0):
@@ -68,7 +70,17 @@ def make_federation(num_clients, head="lora_both", seed=0, dropout=0.0, logit_sc
     model = zero_shot_init(cfg, protos, RngStream(seed, 777))
     clients = build_clients(views)
     server = init_server(model.initial, num_clients)
-    return model, server, clients
+    return model, server, clients, gather_split([(v["test_x"], v["test_y"]) for v in views])
+
+
+def gather_split(views, base_sizes=None):
+    """The ``EvalSplit`` of per-client ``(x, y)`` test views, gathered in client order."""
+    return EvalSplit(
+        np.concatenate([x for x, _ in views]),
+        np.concatenate([y for _, y in views]),
+        np.array([len(y) for _, y in views]),
+        None if base_sizes is None else np.asarray(base_sizes),
+    )
 
 
 def local_objective(model, client, vector, global_vector, agg_config, loss_spec):
@@ -139,7 +151,7 @@ class TestSampleParticipants:
 
 class TestLocalTrain:
     def test_zero_epochs_returns_global_unchanged(self):
-        model, server, clients = make_federation(1)
+        model, server, clients, split = make_federation(1)
         fed = FederationConfig(local_epochs=0)
         vec, steps = train_participants(
             model, [clients[0]], server.global_vector, fed, AggregatorConfig(), LossSpec(), [RngStream(6)]
@@ -148,7 +160,7 @@ class TestLocalTrain:
         assert vec.tobytes() == server.global_vector.tobytes()
 
     def test_single_step_matches_hand_sgd(self):
-        model, server, clients = make_federation(1, per_client=8)
+        model, server, clients, split = make_federation(1, per_client=8)
         client = clients[0]
         fed = FederationConfig(batch_size=8, local_epochs=1, learning_rate=1e-3)
         rng_id = RngStream(7, 100)
@@ -165,7 +177,7 @@ class TestLocalTrain:
         assert vec.tobytes() == expected.tobytes()
 
     def test_warmup_lr_on_round_zero(self):
-        model, server, clients = make_federation(1, per_client=8)
+        model, server, clients, split = make_federation(1, per_client=8)
         fed = FederationConfig(batch_size=8, learning_rate=1e-3, warmup_lr=1e-5)
         v0, _ = train_participants(
             model, [clients[0]], server.global_vector, fed, AggregatorConfig(), LossSpec(),
@@ -180,7 +192,7 @@ class TestLocalTrain:
         assert step0 == pytest.approx(step1 * 1e-2, rel=1e-9)
 
     def test_fedprox_shrinks_toward_global_monotonically(self):
-        model, server, clients = make_federation(1, per_client=24)
+        model, server, clients, split = make_federation(1, per_client=24)
         fed = FederationConfig(batch_size=8, local_epochs=3)
         dists = []
         for mu in (0.01, 1.0, 100.0):
@@ -193,7 +205,7 @@ class TestLocalTrain:
         assert dists[0] > dists[1] > dists[2]
 
     def test_fedprox_objective_dominates_plain(self):
-        model, server, clients = make_federation(1)
+        model, server, clients, split = make_federation(1)
         client = clients[0]
         prox = AggregatorConfig("fedprox", mu_prox=0.5)
         plain = AggregatorConfig("fedavg")
@@ -209,7 +221,7 @@ class TestLocalTrain:
             )
 
     def test_length_mismatch_rejected(self):
-        model, server, clients = make_federation(1)
+        model, server, clients, split = make_federation(1)
         with pytest.raises(TransportError):
             train_participants(
                 model, [clients[0]], np.zeros(3), FederationConfig(), AggregatorConfig(),
@@ -347,27 +359,27 @@ class TestAggregate:
 
 class TestRunRound:
     def test_single_client_round_is_local_training(self):
-        model, server, clients = make_federation(1, seed=20)
+        model, server, clients, split = make_federation(1, seed=20)
         fed = FederationConfig(batch_size=8, participation_rate=1.0)
         expected, _ = train_participants(
             model, [clients[0]], server.global_vector.copy(), fed, AggregatorConfig(),
             LossSpec(), [RngStream(0, 0).child("local", 0, 0)], round_index=0,
         )[0]
         record = run_round(
-            model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, RngStream(0, 0)
+            model, server, clients, split, fed, AggregatorConfig(), LossSpec(), 0, RngStream(0, 0)
         )
         assert record.global_vector.tobytes() == expected.tobytes()
 
     def test_serial_matches_parallel(self):
         # every client trains and is evaluated on one shared model, so any
         # state one client leaves behind would change another's result
-        model, server, clients = make_federation(6, seed=21, dropout=0.25)
+        model, server, clients, split = make_federation(6, seed=21, dropout=0.25)
         fed = FederationConfig(batch_size=8, participation_rate=0.5)
         agg = AggregatorConfig()
         stream = RngStream(42)
         for t in range(3):
             global_before = server.global_vector
-            record = run_round(model, server, clients, fed, agg, LossSpec(), t, stream)
+            record = run_round(model, server, clients, split, fed, agg, LossSpec(), t, stream)
             # (a) replaying the participants in reverse order on the same
             # model aggregates to the same bytes
             updates = {}
@@ -383,19 +395,18 @@ class TestRunRound:
             )
             assert replay.tobytes() == record.global_vector.tobytes()
             # (b) the reports equal those of a fresh model under the round's vector
-            fresh, _, _ = make_federation(6, seed=21, dropout=0.25)
-            expected = personalized_evaluate(fresh, record.global_vector, clients, 15, "equal_width")["per_client"]
-            for want, got in zip(expected, record.client_reports, strict=True):
-                assert want.scalars() == got.scalars()
+            fresh, _, _, _ = make_federation(6, seed=21, dropout=0.25)
+            expected = personalized_evaluate(fresh, record.global_vector, split, 15, "equal_width")["per_client"]
+            assert expected == record.per_client
 
     @pytest.mark.parametrize("head", HEAD_KINDS)
     def test_rounds_leave_every_model_array_unchanged(self, head):
-        model, server, clients = make_federation(4, head=head, seed=39, dropout=0.25)
+        model, server, clients, split = make_federation(4, head=head, seed=39, dropout=0.25)
         before = model_array_bytes(model)
         fed = FederationConfig(batch_size=8, learning_rate=0.05)
         agg, spec, stream = AggregatorConfig("feddyn"), LossSpec("mdca", aux_weight=0.5), RngStream(40)
         for t in range(2):
-            run_round(model, server, clients, fed, agg, spec, t, stream)
+            run_round(model, server, clients, split, fed, agg, spec, t, stream)
         assert model_array_bytes(model) == before
         assert head == "zero_shot" or not np.array_equal(server.global_vector, model.initial)
 
@@ -406,7 +417,7 @@ class TestRunRound:
         # with batches of 8, the clients' steps mix full batches with ragged
         # tails of 5, 8 (exact fit), 5 and 1 rows; client 3 holds no rows
         sizes = [21, 13, 8, 0, 5, 17]
-        model, server, clients = make_federation(len(sizes), head=head, seed=32, dropout=0.25, per_client=sizes)
+        model, server, clients, split = make_federation(len(sizes), head=head, seed=32, dropout=0.25, per_client=sizes)
         fed = FederationConfig(batch_size=8, local_epochs=2, learning_rate=0.05, warmup_lr=0.01)
         agg = AggregatorConfig(kind, mu_prox=0.3, alpha_dyn=0.2)
         spec = LossSpec(aux, aux_weight=0.5)
@@ -429,7 +440,7 @@ class TestRunRound:
                 assert vec.tobytes() == want.tobytes()
                 assert steps == want_steps
 
-            record = run_round(model, server, clients, fed, agg, spec, t, stream)
+            record = run_round(model, server, clients, split, fed, agg, spec, t, stream)
             updates = [(vec, c.train_size, steps) for (vec, steps, _), c in zip(alone, clients)]
             want = aggregate(updates, before, agg, ServerState(before, len(clients), dual_mean))
             assert record.global_vector.tobytes() == want.tobytes()
@@ -444,7 +455,7 @@ class TestRunRound:
 
     def test_full_stack_equals_each_client_alone(self):
         # eight clients with 32-row batches fill one stack of STACK_ROWS rows
-        model, server, clients = make_federation(8, seed=36, dropout=0.25, per_client=64)
+        model, server, clients, split = make_federation(8, seed=36, dropout=0.25, per_client=64)
         fed = FederationConfig(batch_size=32, learning_rate=0.05, warmup_lr=0.01)
         agg, spec, stream = AggregatorConfig(), LossSpec("mdca", aux_weight=0.5), RngStream(37)
         alone = [
@@ -460,51 +471,51 @@ class TestRunRound:
             assert vec.tobytes() == want.tobytes() and steps == want_steps == 2
 
     def test_non_finite_client_in_a_stack_names_client_round_and_step(self):
-        model, server, clients = make_federation(5, seed=34, per_client=16)
+        model, server, clients, split = make_federation(5, seed=34, per_client=16)
         fed = FederationConfig(batch_size=8)
         stream = RngStream(35)
-        run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, stream)
+        run_round(model, server, clients, split, fed, AggregatorConfig(), LossSpec(), 0, stream)
         # all five clients share each 8-row step, so client 3 fails inside a stack
         clients[3].train_x = clients[3].train_x.copy()
         clients[3].train_x[11, 2] = np.nan
         order = stream.child("local", 1, 3).child("shuffle", 0).permutation(16)
         step = int(np.flatnonzero(order == 11)[0]) // 8
         with pytest.raises(NumericError, match=rf"on client 3, round 1, step {step}$"):
-            run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 1, stream)
+            run_round(model, server, clients, split, fed, AggregatorConfig(), LossSpec(), 1, stream)
 
     def test_round_reports_cover_all_clients(self):
-        model, server, clients = make_federation(5, seed=22)
+        model, server, clients, split = make_federation(5, seed=22)
         fed = FederationConfig(batch_size=8, participation_rate=0.4)
-        record = run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, RngStream(1))
+        record = run_round(model, server, clients, split, fed, AggregatorConfig(), LossSpec(), 0, RngStream(1))
         assert len(record.participants) == 2
-        assert len(record.client_reports) == 5
-        assert all(r is not None for r in record.client_reports)
+        assert len(record.per_client) == 5
+        assert all(r is not None for r in record.per_client)
 
     def test_drift_zero_before_any_training(self):
-        model, server, clients = make_federation(3, seed=23)
+        model, server, clients, split = make_federation(3, seed=23)
         fed = FederationConfig(batch_size=8, local_epochs=0)
-        record = run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, RngStream(2))
+        record = run_round(model, server, clients, split, fed, AggregatorConfig(), LossSpec(), 0, RngStream(2))
         assert record.drift_mean == 0.0
         assert record.drift_std == 0.0
 
     def test_feddyn_round_updates_client_duals(self):
-        model, server, clients = make_federation(2, seed=24)
+        model, server, clients, split = make_federation(2, seed=24)
         fed = FederationConfig(batch_size=8)
-        run_round(model, server, clients, fed, AggregatorConfig("feddyn"), LossSpec(), 0, RngStream(3))
+        run_round(model, server, clients, split, fed, AggregatorConfig("feddyn"), LossSpec(), 0, RngStream(3))
         assert any(np.linalg.norm(c.dual) > 0 for c in clients)
 
     def test_lazy_duals_equal_eager_zero_duals(self):
         # 3 of 10 clients take part in each of 4 rounds, so some take part twice and some
         # never; the eager copy gives every client a zero dual up front, as a dense FedDyn would
-        model, server, clients = make_federation(10, seed=38, dropout=0.25, per_client=16)
-        eager_model, eager_server, eager_clients = make_federation(10, seed=38, dropout=0.25, per_client=16)
+        model, server, clients, split = make_federation(10, seed=38, dropout=0.25, per_client=16)
+        eager_model, eager_server, eager_clients, _ = make_federation(10, seed=38, dropout=0.25, per_client=16)
         for client in eager_clients:
             client.dual = np.zeros(eager_model.initial.size)
         fed = FederationConfig(batch_size=8, participation_rate=0.3, learning_rate=0.05, warmup_lr=0.01)
         agg, spec, stream = AggregatorConfig("feddyn", alpha_dyn=0.2), LossSpec(), RngStream(39)
         taken = []
         for t in range(4):
-            record = run_round(model, server, clients, fed, agg, spec, t, stream)
+            record = run_round(model, server, clients, split, fed, agg, spec, t, stream)
             ids = sample_participants(10, 0.3, stream.child("participants", t)).tolist()
             assert ids == record.participants
             before, updates = eager_server.global_vector, []
@@ -527,42 +538,36 @@ class TestRunRound:
 
 class TestPersonalizedEvaluate:
     def test_identical_clients_average_equals_single(self):
-        model, server, clients = make_federation(3, seed=25)
-        # same test view for all
-        for c in clients[1:]:
-            c.test_x = clients[0].test_x
-            c.test_y = clients[0].test_y
-        out = personalized_evaluate(model, server.global_vector, clients)
-        single = out["per_client"][0].scalars()
+        model, server, clients, split = make_federation(3, seed=25)
+        view = split.x[: split.sizes[0]], split.y[: split.sizes[0]]
+        out = personalized_evaluate(model, server.global_vector, gather_split([view] * 3))
+        single = out["per_client"][0]
         for key, value in out["mean"].items():
             assert value == pytest.approx(single[key], abs=1e-12)
 
     def test_mean_accuracy_of_opposite_clients(self):
-        model, server, clients = make_federation(2, seed=26)
+        model, server, clients, split = make_federation(2, seed=26)
         # force client 0 all-correct and client 1 all-wrong labels
-        logits = model.forward(clients[0].test_x, server.global_vector)
-        preds = logits.argmax(axis=1)
-        clients[0].test_y = preds.copy()
-        logits1 = model.forward(clients[1].test_x, server.global_vector)
-        clients[1].test_y = (logits1.argmax(axis=1) + 1) % 4
-        out = personalized_evaluate(model, server.global_vector, clients)
+        (x0, _), (x1, _) = held_out_views(split)
+        right = model.forward(x0, server.global_vector).argmax(axis=1)
+        wrong = (model.forward(x1, server.global_vector).argmax(axis=1) + 1) % 4
+        out = personalized_evaluate(model, server.global_vector, gather_split([(x0, right), (x1, wrong)]))
         assert out["mean"]["accuracy"] == pytest.approx(0.5)
 
     def test_empty_test_view_excluded_with_flag(self):
-        model, server, clients = make_federation(3, seed=27)
-        clients[1].test_x = np.zeros((0, 8))
-        clients[1].test_y = np.zeros(0, dtype=np.int64)
-        out = personalized_evaluate(model, server.global_vector, clients)
+        model, server, clients, split = make_federation(3, seed=27, test_per_client=[12, 0, 12])
+        out = personalized_evaluate(model, server.global_vector, split)
         assert out["excluded"] == [1]
         assert out["per_client"][1] is None
 
+    def test_every_view_empty_is_rejected(self):
+        model, server, clients, split = make_federation(2, seed=27, test_per_client=0)
+        with pytest.raises(InvalidInputError, match="every client has an empty test view"):
+            personalized_evaluate(model, server.global_vector, split)
+
     def test_base_new_breakdown_with_harmonic_mean(self):
-        model, server, clients = make_federation(2, seed=28)
-        for c in clients:
-            half = len(c.test_y) // 2
-            c.test_base = (c.test_x[:half], c.test_y[:half])
-            c.test_new = (c.test_x[half:], c.test_y[half:])
-        out = evaluate_base_new(model, server.global_vector, clients)
+        model, server, clients, split = make_federation(2, seed=28)
+        out = evaluate_base_new(model, server.global_vector, base_new_split(split, [6, 6]))
         assert out["base"] is not None and out["new"] is not None
         hm = out["harmonic_mean"]["accuracy"]
         b, n = out["base"]["accuracy"], out["new"]["accuracy"]
@@ -580,46 +585,52 @@ def per_client_reference(model, vector, views, bins=15, scheme="equal_width"):
 
 
 def assert_reports_close(got, want):
+    """``got`` scalar dicts within 1e-12 of the ``want`` reports, ``None`` where they are ``None``."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
         if w is None:
             assert g is None
             continue
-        assert np.array_equal(g.bins.counts, w.bins.counts)
+        assert g.keys() == w.scalars().keys()
         for key, value in w.scalars().items():
-            assert abs(g.scalars()[key] - value) <= 1e-12, key
+            assert abs(g[key] - value) <= 1e-12, key
 
 
-def count_forwards(model):
-    """Wrap ``model.forward`` on the instance; returns the list of row counts per call."""
-    calls = []
-    original = model.forward
-
-    def counted(x, *args, **kwargs):
-        calls.append(len(x))
-        return original(x, *args, **kwargs)
-
-    model.forward = counted
-    return calls
+def held_out_views(split):
+    """The per-client ``(x, y)`` test views of ``split``."""
+    bounds = np.cumsum(split.sizes)[:-1]
+    return list(zip(np.split(split.x, bounds), np.split(split.y, bounds)))
 
 
-def held_out_views(clients):
-    return [(c.test_x, c.test_y) for c in clients]
+def base_new_split(split, base_sizes, new_rows=None):
+    """``split``'s views cut into base rows and shared new rows: client k's view becomes its
+    first ``base_sizes[k]`` rows, then ``new_rows`` (client 0's remaining rows by default)."""
+    views = held_out_views(split)
+    if new_rows is None:
+        new_rows = views[0][0][base_sizes[0]:], views[0][1][base_sizes[0]:]
+    parts = [(x[:b], y[:b]) for (x, y), b in zip(views, base_sizes)]
+    joined = [(np.concatenate([x, new_rows[0]]), np.concatenate([y, new_rows[1]])) for x, y in parts]
+    return gather_split(joined, base_sizes)
+
+
+def base_new_views(split):
+    """Each client's (base, new) views of a base-to-new ``split``."""
+    return [((x[:b], y[:b]), (x[b:], y[b:])) for (x, y), b in zip(held_out_views(split), split.base_sizes)]
 
 
 class TestBlockedEvaluation:
     def trained_federation(self, sizes, seed=30):
-        model, server, clients = make_federation(len(sizes), seed=seed, test_per_client=sizes)
+        model, server, clients, split = make_federation(len(sizes), seed=seed, test_per_client=sizes)
         fed = FederationConfig(batch_size=8)
-        run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 1, RngStream(seed))
-        return model, server.global_vector, clients
+        run_round(model, server, clients, split, fed, AggregatorConfig(), LossSpec(), 1, RngStream(seed))
+        return model, server.global_vector, split
 
     @pytest.mark.parametrize("scheme", ["equal_width", "equal_mass"])
     def test_empty_views_in_the_middle(self, scheme):
-        model, vector, clients = self.trained_federation([5, 0, 9, 0, 0, 1, 12])
-        out = personalized_evaluate(model, vector, clients, 15, scheme)
+        model, vector, split = self.trained_federation([5, 0, 9, 0, 0, 1, 12])
+        out = personalized_evaluate(model, vector, split, 15, scheme)
         assert out["excluded"] == [1, 3, 4]
-        want = per_client_reference(model, vector, held_out_views(clients), 15, scheme)
+        want = per_client_reference(model, vector, held_out_views(split), 15, scheme)
         assert_reports_close(out["per_client"], want)
 
     @pytest.mark.parametrize(
@@ -631,63 +642,95 @@ class TestBlockedEvaluation:
             ([250, 10, 1, 255, 2], [250, 11, 255, 2]),
             # an exact fit closes the block
             ([200, 56, 1], [256, 1]),
+            # empty views neither open nor close a block
+            ([0, 300, 0, 4, 0], [300, 4]),
         ],
     )
     def test_block_boundaries(self, sizes, blocks):
         assert EVAL_BLOCK_ROWS == 256  # the cases are cut for this block size
-        model, vector, clients = self.trained_federation(sizes)
-        want = per_client_reference(model, vector, held_out_views(clients))
+        model, vector, split = self.trained_federation(sizes)
+        want = per_client_reference(model, vector, held_out_views(split))
         calls = count_forwards(model)
-        out = personalized_evaluate(model, vector, clients)
+        out = personalized_evaluate(model, vector, split)
         assert calls == blocks
         assert_reports_close(out["per_client"], want)
 
     def test_one_forward_for_twelve_small_clients(self):
-        model, vector, clients = self.trained_federation([1 + i % 10 for i in range(12)])
+        model, vector, split = self.trained_federation([1 + i % 10 for i in range(12)])
         calls = count_forwards(model)
-        personalized_evaluate(model, vector, clients)
+        personalized_evaluate(model, vector, split)
         assert len(calls) == 1
 
+    def test_blocks_are_slices_of_the_split_and_one_table_is_built(self, monkeypatch):
+        # mechanism, no timings: no block is a copy, and no per-client report object is made
+        model, vector, split = self.trained_federation([3, 300, 0, 4, 250, 5, 1])
+        forwarded, tables, reports = [], [], []
+        calls = count_forwards(model, forwarded)
+        segmented_reports, report_init = federation.segmented_reports, calibration.CalibrationReport.__init__
+
+        def recorded_table(*args, **kwargs):
+            tables.append(segmented_reports(*args, **kwargs))
+            return tables[-1]
+
+        def recorded_report(self, *args, **kwargs):
+            reports.append(self)
+            report_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(federation, "segmented_reports", recorded_table)
+        monkeypatch.setattr(calibration.CalibrationReport, "__init__", recorded_report)
+        out = personalized_evaluate(model, vector, split)
+        assert calls == [3, 300, 254, 6]
+        assert all(np.shares_memory(x, split.x) for x in forwarded)
+        assert len(tables) == 1 and reports == []
+        assert [len(column) for column in tables[0].columns.values()] == [6] * 6
+        assert len(out["per_client"]) == 7
+
     def test_base_new_parts_match_per_client(self):
-        model, vector, clients = self.trained_federation([8, 6, 9, 4])
-        for c in clients:
-            half = len(c.test_y) // 2
-            c.test_base = (c.test_x[:half], c.test_y[:half])
-            c.test_new = (c.test_x[half:], c.test_y[half:])
-        clients[1].test_new = (clients[1].test_x[:0], clients[1].test_y[:0])
-        clients[2].test_base = None
-        out = evaluate_base_new(model, vector, clients, 15, "equal_mass")
-        for part in ("base", "new"):
-            want = per_client_reference(model, vector, [getattr(c, f"test_{part}") for c in clients], 15, "equal_mass")
+        model, vector, split = self.trained_federation([8, 6, 9, 4])
+        split = base_new_split(split, [4, 0, 5, 2])
+        out = evaluate_base_new(model, vector, split, 15, "equal_mass")
+        views = base_new_views(split)
+        for index, part in enumerate(("base", "new")):
+            want = per_client_reference(model, vector, [v[index] for v in views], 15, "equal_mass")
             assert_reports_close([pc[part] for pc in out["per_client"]], want)
             for key, value in out[part].items():
                 expected = np.mean([w.scalars()[key] for w in want if w is not None])
                 assert abs(value - expected) <= 1e-12
-        assert out["per_client"][1]["new"] is None
-        assert out["per_client"][2]["base"] is None
+        assert out["per_client"][1]["base"] is None
+
+    def test_base_new_forwards_the_shared_new_view_once(self):
+        model, vector, split = self.trained_federation([20, 20, 20, 20, 20])
+        split = base_new_split(split, [5, 3, 4, 6, 2], new_rows=held_out_views(split)[4])
+        calls = count_forwards(model)
+        out = evaluate_base_new(model, vector, split)
+        # one block of the 20 base rows, one forward of the 20 shared new rows
+        assert calls == [20, 20]
+        # client 0's view is its 5 base rows, then the new rows
+        want = calibration_report(ProbBatch(softmax_rows(model.forward(split.x[5:25], vector)), split.y[5:25]))
+        assert [pc["new"] for pc in out["per_client"]] == [want.scalars()] * 5
+        assert out["new"] == {key: float(np.mean([value] * 5)) for key, value in want.scalars().items()}
 
     def test_base_new_with_an_empty_part_everywhere(self):
-        model, vector, clients = self.trained_federation([4, 5])
-        for c in clients:
-            c.test_base = (c.test_x, c.test_y)
-            c.test_new = (c.test_x[:0], c.test_y[:0])
-        out = evaluate_base_new(model, vector, clients)
+        model, vector, split = self.trained_federation([4, 5])
+        split = base_new_split(split, [4, 5], new_rows=(split.x[:0], split.y[:0]))
+        out = evaluate_base_new(model, vector, split)
         assert out["new"] is None and out["harmonic_mean"] is None
+        assert [pc["new"] for pc in out["per_client"]] == [None, None]
         assert_reports_close([pc["base"] for pc in out["per_client"]],
-                             per_client_reference(model, vector, held_out_views(clients)))
+                             per_client_reference(model, vector, held_out_views(split)))
 
     def test_temperature_rows_match_per_client(self):
-        model, vector, clients = self.trained_federation([7, 0, 300, 3])
+        model, vector, split = self.trained_federation([7, 0, 300, 3])
         temperatures = [0.5, 1.0, 2.0]
-        rows = _temperature_rows(model, vector, clients, temperatures, 10, "equal_mass")
+        rows = _temperature_rows(model, vector, split, temperatures, 10, "equal_mass")
         assert [row["temperature"] for row in rows] == temperatures
         for row, tau in zip(rows, temperatures):
             reports = [
                 calibration_report(
-                    apply_temperature(LogitBatch(model.forward(c.test_x, vector), c.test_y), TemperatureScaler(tau)),
+                    apply_temperature(LogitBatch(model.forward(x, vector), y), TemperatureScaler(tau)),
                     10, "equal_mass",
                 )
-                for c in clients if len(c.test_y)
+                for x, y in held_out_views(split) if len(y)
             ]
             for key, value in row["mean"].items():
                 assert abs(value - np.mean([r.scalars()[key] for r in reports])) <= 1e-12

@@ -433,6 +433,21 @@ class TestWeightDrift:
         assert per_layer["img.0.W"] == pytest.approx(0.1)
         assert per_layer["img.1.W"] == per_layer["txt.0.W"] == per_layer["txt.1.W"] == 0.0
 
+    @pytest.mark.parametrize("head", ["lora_text", "lora_vision", "lora_both"])
+    def test_bits_of_the_textbook_formula(self, head):
+        # mean(|(W + scale * A @ B) - W|) per layer, with the temporaries the formula names
+        m = build(head, seed=65)
+        vec = perturbed(m, RngStream(66), sigma=0.3)
+        parts = naive_unpack(m, vec)
+        per_layer, agg = weight_drift(m, vec)
+        want = {}
+        for stack in ("img", "txt"):
+            for i, layer in enumerate(m.layers):
+                if (stack, i, "A") in parts:
+                    effective = layer.weight + m.config.lora_scale * (parts[stack, i, "A"] @ parts[stack, i, "B"])
+                    want[f"{stack}.{i}.W"] = float(np.mean(np.abs(effective - layer.weight)))
+        assert per_layer == want and agg == float(np.mean(list(want.values())))
+
     def test_factor_rescaling_invariance(self):
         m = build("lora_both", seed=63)
         vec = perturbed(m, RngStream(64), sigma=0.2)

@@ -1,5 +1,6 @@
 """Tests for the non-IID partitioners and their audit statistics."""
 
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from fedcalib.partition import (
     _apportion,
     _enforce_min_one,
     base_to_new_split,
+    canonical_json,
     client_entropy,
     dirichlet_partition,
     domain_partition,
@@ -320,6 +322,94 @@ class TestPlanSerialization:
         for i in range(4):
             assert np.array_equal(back.train_indices[i], plan.train_indices[i])
         assert back.to_json() == text
+
+
+def json_dumps_outcome(write, payload):
+    """``write(payload)``, or the type of the TypeError or ValueError it raised."""
+    try:
+        return write(payload)
+    except (TypeError, ValueError) as err:
+        return type(err)
+
+
+def reference_json(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# keys and strings with non-ASCII characters, control characters, quotes and %
+TEXT = st.text(st.one_of(st.sampled_from('%"\\\x00\x1f\n\u00e9\u2603'), st.characters()), max_size=6)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.floats().map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, True, 1, False, 0]), TEXT,
+)
+# objects json cannot write
+UNSUPPORTED = st.sampled_from([np.int64(3), np.bool_(True), {1, 2}, b"x", object()])
+
+
+@st.composite
+def flat_rows(draw):
+    """A list of flat dicts with one key set, and None rows."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    row = st.fixed_dictionaries({key: SCALARS for key in keys})
+    return draw(st.lists(st.one_of(st.none(), row), max_size=6))
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(TEXT, children, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), st.booleans()), children, max_size=3),
+        st.dictionaries(st.floats(), children, max_size=3),
+        # str next to int, float, bool and None keys do not sort
+        st.dictionaries(st.one_of(TEXT, st.integers(), st.floats(), st.booleans(), st.none()), children, max_size=3),
+    )
+
+
+PAYLOADS = st.recursive(
+    st.one_of(
+        SCALARS, flat_rows(), UNSUPPORTED,
+        # flat dicts whose key sets differ
+        st.lists(st.one_of(st.none(), st.dictionaries(st.sampled_from(["a", "b", "%c"]), SCALARS)), max_size=5),
+    ),
+    containers, max_leaves=24,
+)
+
+
+class TestCanonicalJson:
+    @settings(max_examples=400, deadline=None)
+    @given(payload=PAYLOADS)
+    def test_matches_json_dumps_or_raises_the_same(self, payload):
+        assert json_dumps_outcome(canonical_json, payload) == json_dumps_outcome(reference_json, payload)
+
+    def test_fast_paths_and_edge_values(self):
+        rows = [{"b": 1.5, "a": -0.0, "%s": "x%dy\u00e9"}, None, {"a": math.nan, "%s": True, "b": np.float64(0.1)}]
+        payload = {
+            "rows": rows, "values": [math.inf, -math.inf, 1, True, None, "\x01"], "t": (1, (2, [])),
+            "mixed": [{"a": 1}, {"b": 2}], "nested": [{"a": [1]}], 3: {}, "": [None, None],
+        }
+        payload = {str(key): value for key, value in payload.items()}
+        assert canonical_json(payload) == reference_json(payload)
+        assert canonical_json({1: "a", 2.5: "b", True: "c"}) == reference_json({1: "a", 2.5: "b", True: "c"})
+
+    def test_raises_the_errors_of_json_dumps(self):
+        cycle = []
+        cycle.append(cycle)
+        looped = {"a": 1}
+        looped["self"] = [looped]
+        for payload, error in [
+            ({"x": np.int64(1)}, TypeError),
+            ([{"a": object()}], TypeError),
+            ({1: "a", "b": 2}, TypeError),  # mixed key types do not sort
+            ({(1, 2): 3}, TypeError),
+            (cycle, ValueError),
+            (looped, ValueError),
+            ({"deep": [[cycle]]}, ValueError),
+        ]:
+            with pytest.raises(error):
+                reference_json(payload)
+            with pytest.raises(error):
+                canonical_json(payload)
 
 
 # Plain per-class, per-client references built on ``naive_group_by_client``;

@@ -7,11 +7,11 @@ import tracemalloc
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedcalib import runner
-from fedcalib.calibration import pool_bins
-from fedcalib.config import parse_config
+from fedcalib.config import load_config, parse_config
 from fedcalib.model import DualEncoderModel
 from fedcalib.runner import (
     build_data,
@@ -25,7 +25,7 @@ from fedcalib.runner import (
 )
 from fedcalib.numerics import RngStream
 
-from fixtures import results_canonical_bytes
+from fixtures import count_forwards, results_canonical_bytes
 
 
 def tiny_payload(**overrides):
@@ -87,7 +87,7 @@ class TestRunSingle:
         data, protos = build_data(cfg, rng.child("data"))
         plan = build_plan(cfg, data, rng.child("partition"))
         model = zero_shot_init(_reconcile_model(cfg, data), protos, rng.child("init"))
-        clients = build_clients(client_views(data, plan, cfg.setting))
+        clients = build_clients(client_views(data, plan, cfg.setting)[0])
         server = init_server(model.initial, 1)
         expected, _ = train_participants(
             model, [clients[0]], server.global_vector, cfg.federation, cfg.aggregator,
@@ -165,8 +165,7 @@ class TestFinalIsLastRound:
         for key in ("per_client", "mean", "excluded"):
             assert json.dumps(final[key], sort_keys=True) == json.dumps(last[key], sort_keys=True)
         assert len(records) == len(res["rounds"])
-        included = [r.bins for r in records[-1].client_reports if r is not None]
-        assert final["pooled_bins"] == runner._bins_dict(pool_bins(included))
+        assert final["pooled_bins"] == runner._bins_dict(records[-1].pooled_bins)
 
 
 class TestAggregatorsEndToEnd:
@@ -252,9 +251,10 @@ class TestOneCopyOfTheData:
         assert peak < 3 * len(text)
 
     def run_capturing_clients(self, monkeypatch, config):
-        """Clients as built, and whether the dataset was alive at round 0."""
-        clients, data_refs, alive_at_round_0 = [], [], []
+        """Clients and test split as built, and whether the dataset was alive at round 0."""
+        clients, splits, data_refs, alive_at_round_0 = [], [], [], []
         build_clients, build_data, run_round = runner.build_clients, runner.build_data, runner.run_round
+        client_views = runner.client_views
 
         def capture_data(*args):
             data, protos = build_data(*args)
@@ -265,38 +265,63 @@ class TestOneCopyOfTheData:
             clients.extend(build_clients(*args))
             return clients
 
+        def capture_split(*args):
+            views, split = client_views(*args)
+            splits.append(split)
+            return views, split
+
         def check_round(*args, **kwargs):
             alive_at_round_0.append(data_refs[0]() is not None)
             return run_round(*args, **kwargs)
 
         monkeypatch.setattr(runner, "build_data", capture_data)
         monkeypatch.setattr(runner, "build_clients", capture_clients)
+        monkeypatch.setattr(runner, "client_views", capture_split)
         monkeypatch.setattr(runner, "run_round", check_round)
         run_single(config)
-        return clients, alive_at_round_0[0]
+        return clients, splits[0], alive_at_round_0[0]
 
     @pytest.mark.parametrize("kind", ["fedavg", "feddyn"])
     def test_set_up_gives_no_client_a_dual(self, kind):
         # a FedDyn dual is made when its client first takes part, whatever the aggregator
-        _, _, _, clients = runner._set_up(tiny_config(aggregator={"kind": kind}), RngStream(11))
+        _, _, _, clients, _ = runner._set_up(tiny_config(aggregator={"kind": kind}), RngStream(11))
         assert clients and all(c.dual is None for c in clients)
 
     def test_client_views_share_one_gathered_copy_per_split(self, monkeypatch):
-        clients, data_alive = self.run_capturing_clients(monkeypatch, tiny_config())
+        clients, split, data_alive = self.run_capturing_clients(monkeypatch, tiny_config())
         assert not data_alive
-        for attr in ("train_x", "train_y", "test_x", "test_y"):
+        for attr in ("train_x", "train_y"):
             views = [getattr(c, attr) for c in clients]
             assert views[0].base is not None
             assert all(v.base is views[0].base for v in views)
+        # the test rows are one gathered copy, with one run of rows per client
+        assert split.x.base is None and split.y.base is None
+        assert len(split.sizes) == len(clients) and split.sizes.sum() == len(split.y) == len(split.x)
+        assert split.base_sizes is None
 
-    def test_base_to_new_shares_the_new_class_view(self, monkeypatch):
+    def test_base_to_new_split_ends_every_view_with_the_new_class_rows(self, monkeypatch):
         config = tiny_config(setting="base_to_new", partition={"kind": "base_to_new"})
-        clients, data_alive = self.run_capturing_clients(monkeypatch, config)
+        clients, split, data_alive = self.run_capturing_clients(monkeypatch, config)
         assert not data_alive
-        assert all(c.test_new is clients[0].test_new for c in clients)
-        for c in clients:
-            assert c.test_base[0].base is c.test_x.base
-            assert len(c.test_base[1]) + len(c.test_new[1]) == len(c.test_y)
+        starts = np.cumsum(split.sizes) - split.sizes
+        new_rows = split.sizes - split.base_sizes
+        assert len(set(new_rows.tolist())) == 1 and new_rows[0] > 0
+        first = slice(starts[0] + split.base_sizes[0], starts[0] + split.sizes[0])
+        for start, size, base in zip(starts, split.sizes, split.base_sizes):
+            assert np.array_equal(split.x[start + base : start + size], split.x[first])
+            assert np.array_equal(split.y[start + base : start + size], split.y[first])
+
+
+class TestBaseToNewConfig:
+    def test_final_breakdown_forwards_base_rows_once_and_new_rows_once(self):
+        # configs/base_to_new.json: 10 clients, 200 base rows in all and 200 shared new-class rows
+        config = load_config(Path(__file__).resolve().parents[1] / "configs" / "base_to_new.json")
+        _, _, model, _, split = runner._set_up(config, RngStream(config.seed))
+        calls = count_forwards(model)
+        out = runner.evaluate_base_new(model, model.initial, split)
+        assert calls == [200, 200] and len(split.sizes) == 10
+        new = [pc["new"] for pc in out["per_client"]]
+        assert new[0] is not None and all(report == new[0] for report in new)
 
 
 class TestOutputsOnDisk:
