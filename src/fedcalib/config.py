@@ -31,7 +31,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import get_args, get_origin, get_type_hints
 
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError
 from .federation import AggregatorConfig, FederationConfig
 from .losses import LossSpec
 from .model import ModelConfig
@@ -157,15 +157,14 @@ def _section(obj, cls, path: str, **defaults):
     """Build the section dataclass ``cls`` from JSON object ``obj`` over ``defaults``.
 
     Bounds are left to ``cls.__post_init__``, whose messages start with the
-    field name; its ConfigError (or LossSpec's InvalidInputError) is re-raised
-    as a ConfigError prefixed with ``path``.
+    field name; its ConfigError is re-raised prefixed with ``path``.
     """
     hints = get_type_hints(cls)
     _check_object(obj, hints, path)
     kw = {**defaults, **{key: _json_value(value, hints[key], f"{path}.{key}") for key, value in obj.items()}}
     try:
         return cls(**kw)
-    except (ConfigError, InvalidInputError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{path}.{exc}") from None
 
 

@@ -13,13 +13,14 @@ the grouping or the order.
 
 Every client holds the same global vector after broadcast, so evaluation
 forwards the test views of consecutive clients together, in blocks of at
-most ``EVAL_BLOCK_ROWS`` rows. The run gathers every client's test rows
-once, in client order, as an ``EvalSplit``, and each block is a slice of
-it. ``calibration.segmented_reports`` splits the metrics by client into
-one column table per evaluation; the client mean, the pooled bins and the
-per-client dicts of the results all come from its columns. Each client's
-metrics keep the definitions of ``calibration.calibration_report`` on its
-own view.
+most ``EVAL_BLOCK_ROWS`` rows. The run holds each test row once, as an
+``EvalSplit``: every client's own rows in client order, then the rows that
+every view shares (base-to-new's new-class rows), forwarded once more. Each
+block is a slice of it. ``calibration.segmented_reports`` splits the
+metrics by client into one column table per evaluation; the client mean,
+the pooled bins and the per-client dicts of the results all come from its
+columns. Each client's metrics keep the definitions of
+``calibration.calibration_report`` on its own view.
 
 Aggregation strategies:
 
@@ -42,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calibration import LogitBatch, ProbBatch, ReliabilityBins, harmonic_mean, segmented_reports
+from .calibration import ProbBatch, ReliabilityBins, harmonic_mean, segmented_reports
 from .errors import ConfigError, InvalidInputError, NumericError, TransportError
 from .losses import LossSpec
 from .model import DualEncoderModel, weight_drift
@@ -306,53 +307,58 @@ EVAL_BLOCK_ROWS = 256  # caps the transient memory of one evaluation forward
 
 @dataclass(frozen=True)
 class EvalSplit:
-    """The test rows of every client, gathered once in client order.
+    """The test rows of a run, each held once.
 
-    Client k's test view is the k-th run of ``sizes[k]`` consecutive rows
-    of ``x`` and ``y``. In base-to-new, the first ``base_sizes[k]`` rows of
-    that view are its base-class rows and the rest are the new-class rows,
-    the same for every client.
+    ``x`` and ``y`` hold every client's own rows in client order, ``sizes[k]``
+    rows for client k, then ``shared`` rows that close every client's view
+    (the new-class rows in base-to-new). Client k's test view is its own
+    rows, then the shared rows.
     """
 
     x: np.ndarray
     y: np.ndarray
     sizes: np.ndarray
-    base_sizes: np.ndarray | None = None
+    shared: int = 0
+
+    @property
+    def view_sizes(self) -> np.ndarray:
+        """Each client's test-view size: its own rows and the shared rows."""
+        return self.sizes + self.shared
+
+    def views(self, rows: np.ndarray) -> np.ndarray:
+        """``rows``, one per row of the split, laid out view after view; ``rows`` itself
+        when no row is shared."""
+        if not self.shared:
+            return rows
+        own, shared = np.split(rows[: -self.shared], np.cumsum(self.sizes)[:-1]), rows[-self.shared :]
+        return np.concatenate([part for mine in own for part in (mine, shared)])
 
 
-def _blocked_logits(model: DualEncoderModel, vector: np.ndarray, x: np.ndarray, sizes) -> np.ndarray:
-    """Logits under ``vector`` of ``x``, whose rows are consecutive views of ``sizes`` rows.
+def split_logits(model: DualEncoderModel, vector: np.ndarray, split: EvalSplit) -> np.ndarray:
+    """Logits under ``vector`` of every row of ``split``, each row forwarded once.
 
-    Consecutive non-empty views are forwarded together, in blocks of at
-    most ``EVAL_BLOCK_ROWS`` rows; a larger view is forwarded alone. Each
-    block is a slice of ``x``.
+    Consecutive non-empty own views are forwarded together, in blocks of at
+    most ``EVAL_BLOCK_ROWS`` rows, and a larger view alone; the shared rows
+    are one more forward. Each block is a slice of ``split.x``.
     """
     blocks, start, rows = [], 0, 0
-    for size in sizes:
-        if not size:
-            continue
-        if rows and rows + size > EVAL_BLOCK_ROWS:
-            blocks.append(model.forward(x[start : start + rows], vector))
+    for size in split.sizes:
+        if size and rows and rows + size > EVAL_BLOCK_ROWS:
+            blocks.append(model.forward(split.x[start : start + rows], vector))
             start, rows = start + rows, 0
         rows += size
-    blocks.append(model.forward(x[start : start + rows], vector))
+    for rows in (rows, split.shared):
+        if rows:
+            blocks.append(model.forward(split.x[start : start + rows], vector))
+            start += rows
     return np.concatenate(blocks)
 
 
-def split_logits(model: DualEncoderModel, vector: np.ndarray, split: EvalSplit) -> LogitBatch:
-    """Logits under ``vector`` of every test row of ``split``, forwarded in blocks."""
-    return LogitBatch(_blocked_logits(model, vector, split.x, split.sizes), split.y)
-
-
-def _view_table(model: DualEncoderModel, vector: np.ndarray, x: np.ndarray, y: np.ndarray, sizes,
-                bins: int, scheme: str):
-    """The ``ReportTable`` under ``vector`` of the non-empty consecutive views of ``sizes`` rows
-    of ``(x, y)``, or ``None`` when every view is empty."""
+def _table(probs: np.ndarray, y: np.ndarray, sizes, bins: int, scheme: str):
+    """The ``ReportTable`` of the non-empty consecutive views of ``sizes`` rows
+    of ``(probs, y)``, or ``None`` when every view is empty."""
     kept = sizes[sizes > 0]
-    if not kept.size:
-        return None
-    probs = ProbBatch(softmax_rows(_blocked_logits(model, vector, x, kept)), y)
-    return segmented_reports(probs, kept, bins, scheme)
+    return segmented_reports(ProbBatch(probs, y), kept, bins, scheme) if kept.size else None
 
 
 def _with_empty(rows: list, sizes) -> list:
@@ -370,14 +376,16 @@ def personalized_evaluate(
     Clients without test data are excluded from the mean and the pooled
     bins and listed under ``excluded``.
     """
-    table = _view_table(model, vector, split.x, split.y, split.sizes, bins, scheme)
-    if table is None:
+    sizes = split.view_sizes
+    if not sizes.any():
         raise InvalidInputError("every client has an empty test view")
+    probs = softmax_rows(split_logits(model, vector, split))
+    table = _table(split.views(probs), split.views(split.y), sizes, bins, scheme)
     return {
         "mean": table.mean(),
-        "per_client": _with_empty(table.rows(), split.sizes),
+        "per_client": _with_empty(table.rows(), sizes),
         "pooled_bins": table.pooled_bins(),
-        "excluded": [k for k, size in enumerate(split.sizes) if not size],
+        "excluded": [k for k, size in enumerate(sizes) if not size],
     }
 
 
@@ -386,24 +394,21 @@ def evaluate_base_new(
 ) -> dict:
     """Base/new breakdown under ``vector`` for the base-to-new setting, plus harmonic means.
 
-    Every client shares the new-class rows, so they are forwarded once and
-    every client gets the same report. Base views are not adjacent in the
-    split, so their rows are gathered once before the blocked forward.
+    A client's base rows are its own rows and its new rows the shared rows,
+    so every client gets the same new-class report.
     """
-    num_clients = len(split.sizes)
-    starts = np.cumsum(split.sizes) - split.sizes
-    base = np.concatenate([np.arange(s, s + n) for s, n in zip(starts, split.base_sizes)])
-    new = slice(starts[0] + split.base_sizes[0], starts[0] + split.sizes[0])
-    new_sizes = np.full(num_clients, new.stop - new.start)
-    base_table = _view_table(model, vector, split.x[base], split.y[base], split.base_sizes, bins, scheme)
-    new_table = _view_table(model, vector, split.x[new], split.y[new], new_sizes[:1], bins, scheme)
+    own = len(split.y) - split.shared
+    probs = softmax_rows(split_logits(model, vector, split))
+    base_table = _table(probs[:own], split.y[:own], split.sizes, bins, scheme)
+    new_table = _table(probs[own:], split.y[own:], np.array([split.shared]), bins, scheme)
+    new_sizes = np.full(len(split.sizes), split.shared)
     if new_table is not None:
-        new_table = new_table.take(np.zeros(num_clients, dtype=np.int64))  # the shared row, once per client
+        new_table = new_table.take(np.zeros(len(new_sizes), dtype=np.int64))  # the shared row, once per client
     base_rows, new_rows = ([] if table is None else table.rows() for table in (base_table, new_table))
     result = {
         "per_client": [
             {"base": b, "new": n}
-            for b, n in zip(_with_empty(base_rows, split.base_sizes), _with_empty(new_rows, new_sizes))
+            for b, n in zip(_with_empty(base_rows, split.sizes), _with_empty(new_rows, new_sizes))
         ],
         "base": None if base_table is None else base_table.mean(),
         "new": None if new_table is None else new_table.mean(),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import PROB_CLAMP, ProbBatch
-from .errors import InvalidInputError
+from .errors import ConfigError, InvalidInputError
 
 AUX_KINDS = ("none", "dca", "mdca")
 
@@ -35,9 +35,9 @@ class LossSpec:
 
     def __post_init__(self):
         if self.aux_kind not in AUX_KINDS:
-            raise InvalidInputError(f"aux_kind must be one of {AUX_KINDS}, got {self.aux_kind!r}")
+            raise ConfigError(f"aux_kind must be one of {AUX_KINDS}, got {self.aux_kind!r}")
         if not self.aux_weight >= 0:
-            raise InvalidInputError(f"aux_weight must be non-negative, got {self.aux_weight}")
+            raise ConfigError(f"aux_weight must be non-negative, got {self.aux_weight}")
 
 
 @dataclass(frozen=True)

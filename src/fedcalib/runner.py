@@ -18,8 +18,9 @@ written, and a failed write sweeps up whatever it had already put on disk.
 
 A run keeps one copy of the data: each split's rows are gathered once, in
 client order. Every client's training view is a slice of the training
-copy; the test copy is the run's ``EvalSplit``, which evaluation slices
-into blocks. The dataset is dropped once both are built.
+copy; the test copy is the run's ``EvalSplit``, which holds base-to-new's
+shared new-class rows once and which evaluation slices into blocks. The
+dataset is dropped once both are built.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import (
+    LogitBatch,
     ReliabilityBins,
     TemperatureScaler,
     apply_temperature,
@@ -88,10 +90,10 @@ def client_views(data: LabeledDataset, plan: PartitionPlan, setting: str) -> tup
     """Per-client training views, each a row slice of the training rows'
     one gathered copy, and the test rows gathered once as an ``EvalSplit``.
 
-    In base-to-new a client's test view is its base-class rows, then the
-    new-class rows that every client shares."""
+    In base-to-new a client's own test rows are its base-class rows, and the
+    new-class rows that every client's view ends with are the shared rows."""
     def gather(per_client):
-        ix = np.concatenate(per_client)
+        ix = np.concatenate([np.asarray(part, dtype=np.int64) for part in per_client])
         return data.embeddings[ix], data.labels[ix], np.array([len(part) for part in per_client])
 
     train_x, train_y, train_sizes = gather(plan.train_indices)
@@ -100,10 +102,11 @@ def client_views(data: LabeledDataset, plan: PartitionPlan, setting: str) -> tup
         {"train_x": tx, "train_y": ty}
         for tx, ty in zip(np.split(train_x, bounds), np.split(train_y, bounds))
     ]
-    base_sizes = None
-    if setting == "base_to_new":
-        base_sizes = np.array([len(ix) for ix in plan.metadata["test_base_indices"]])
-    return views, EvalSplit(*gather(plan.test_indices), base_sizes=base_sizes)
+    if setting != "base_to_new":
+        return views, EvalSplit(*gather(plan.test_indices))
+    own, shared = plan.metadata["test_base_indices"], plan.metadata["test_new_indices"][0]
+    test_x, test_y, sizes = gather([*own, shared])
+    return views, EvalSplit(test_x, test_y, sizes[:-1], int(sizes[-1]))
 
 
 def _reconcile_model(config: ExperimentConfig, data: LabeledDataset) -> ModelConfig:
@@ -129,9 +132,9 @@ def _bins_from_dict(payload: dict) -> ReliabilityBins:
 
 
 def _temperature_rows(model, vector, split: EvalSplit, temperatures, bins, scheme) -> list:
-    """Per-tau client-averaged metrics under the final ``vector``, from one blocked forward."""
-    logits = split_logits(model, vector, split)
-    sizes = split.sizes[split.sizes > 0]
+    """Per-tau client-averaged metrics under the final ``vector``, each test row forwarded once."""
+    logits = LogitBatch(split.views(split_logits(model, vector, split)), split.views(split.y))
+    sizes = split.view_sizes[split.view_sizes > 0]
     rows = []
     for tau in temperatures:
         scaled = apply_temperature(logits, TemperatureScaler(float(tau)))
@@ -243,8 +246,19 @@ def summary_csv(results_list) -> str:
 
 
 def render_outputs(results: dict, kinds=("json", "csv", "svg")) -> dict:
-    """Map of filename -> payload for one run's outputs."""
+    """Map of relative path -> payload for the outputs of one run, or of a
+    sweep's merged results: each point's outputs in a ``run_{index:03d}_{tag}``
+    directory, plus ``sweep_summary.csv``."""
     out = {}
+    if "runs" in results:
+        for index, run in enumerate(results["runs"]):
+            point = run.get("sweep_point", {})
+            tag = "_".join(f"{k}-{point[k]}" for k in sorted(point))
+            for name, payload in render_outputs(run, kinds).items():
+                out[f"run_{index:03d}_{tag}/{name}"] = payload
+        if "csv" in kinds:
+            out["sweep_summary.csv"] = summary_csv(results["runs"])
+        return out
     if "json" in kinds:
         out["results.json"] = results_json(results)
     if "csv" in kinds:
@@ -285,28 +299,15 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     points = expand_sweep(config)
     if len(points) == 1 and not points[0][0]:
         results = run_single(config)
-        if out_dir is not None:
-            base = Path(out_dir)
-            _write_all({base / name: payload for name, payload in render_outputs(results).items()})
-        return results
-
-    all_results = []
-    payloads = {}
-    base = Path(out_dir) if out_dir is not None else None
-    for index, (point, sub_config) in enumerate(points):
-        results = run_single(sub_config)
-        results["sweep_point"] = point
-        all_results.append(results)
-        if base is not None:
-            tag = "_".join(f"{k}-{point[k]}" for k in sorted(point))
-            run_dir = base / f"run_{index:03d}_{tag}"
-            for name, payload in render_outputs(results).items():
-                payloads[run_dir / name] = payload
-    merged = {"points": [r["sweep_point"] for r in all_results], "runs": all_results}
-    if base is not None:
-        payloads[base / "sweep_summary.csv"] = summary_csv(all_results)
-        _write_all(payloads)
-    return merged
+    else:
+        runs = []
+        for point, sub_config in points:
+            runs.append(run_single(sub_config))
+            runs[-1]["sweep_point"] = point
+        results = {"points": [point for point, _ in points], "runs": runs}
+    if out_dir is not None:
+        _write_all({Path(out_dir) / path: payload for path, payload in render_outputs(results).items()})
+    return results
 
 
 def load_results(path) -> dict:
@@ -316,19 +317,6 @@ def load_results(path) -> dict:
 
 def emit_report(results: dict, kinds, out_dir) -> list:
     """Re-render outputs of a loaded ResultsFile; returns written paths."""
-    base = Path(out_dir)
-    if "runs" in results:
-        payloads = {}
-        for index, run in enumerate(results["runs"]):
-            point = run.get("sweep_point", {})
-            tag = "_".join(f"{k}-{point[k]}" for k in sorted(point))
-            run_dir = base / f"run_{index:03d}_{tag}"
-            for name, payload in render_outputs(run, kinds).items():
-                payloads[run_dir / name] = payload
-        if "csv" in kinds:
-            payloads[base / "sweep_summary.csv"] = summary_csv(results["runs"])
-        _write_all(payloads)
-        return sorted(payloads)
-    payloads = {base / name: payload for name, payload in render_outputs(results, kinds).items()}
+    payloads = {Path(out_dir) / path: payload for path, payload in render_outputs(results, kinds).items()}
     _write_all(payloads)
     return sorted(payloads)

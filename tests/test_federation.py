@@ -73,13 +73,15 @@ def make_federation(num_clients, head="lora_both", seed=0, dropout=0.0, logit_sc
     return model, server, clients, gather_split([(v["test_x"], v["test_y"]) for v in views])
 
 
-def gather_split(views, base_sizes=None):
-    """The ``EvalSplit`` of per-client ``(x, y)`` test views, gathered in client order."""
+def gather_split(views, shared=None):
+    """The ``EvalSplit`` of per-client ``(x, y)`` own test rows, gathered in client
+    order, then the ``(x, y)`` rows that every view shares."""
+    parts = views if shared is None else [*views, shared]
     return EvalSplit(
-        np.concatenate([x for x, _ in views]),
-        np.concatenate([y for _, y in views]),
+        np.concatenate([x for x, _ in parts]),
+        np.concatenate([y for _, y in parts]),
         np.array([len(y) for _, y in views]),
-        None if base_sizes is None else np.asarray(base_sizes),
+        0 if shared is None else len(shared[1]),
     )
 
 
@@ -596,26 +598,27 @@ def assert_reports_close(got, want):
             assert abs(g[key] - value) <= 1e-12, key
 
 
-def held_out_views(split):
-    """The per-client ``(x, y)`` test views of ``split``."""
+def base_new_views(split):
+    """Each client's (own rows, shared rows) ``(x, y)`` pair of views of ``split``."""
+    own = len(split.y) - split.shared
     bounds = np.cumsum(split.sizes)[:-1]
-    return list(zip(np.split(split.x, bounds), np.split(split.y, bounds)))
+    shared = split.x[own:], split.y[own:]
+    return [((x, y), shared) for x, y in zip(np.split(split.x[:own], bounds), np.split(split.y[:own], bounds))]
+
+
+def held_out_views(split):
+    """The per-client ``(x, y)`` test views of ``split``: own rows, then the shared rows."""
+    return [(np.concatenate([mine[0], shared[0]]), np.concatenate([mine[1], shared[1]]))
+            for mine, shared in base_new_views(split)]
 
 
 def base_new_split(split, base_sizes, new_rows=None):
-    """``split``'s views cut into base rows and shared new rows: client k's view becomes its
-    first ``base_sizes[k]`` rows, then ``new_rows`` (client 0's remaining rows by default)."""
+    """``split``'s views cut into base rows and shared new rows: client k's own rows become its
+    first ``base_sizes[k]`` rows, and ``new_rows`` (client 0's remaining rows by default) are shared."""
     views = held_out_views(split)
     if new_rows is None:
         new_rows = views[0][0][base_sizes[0]:], views[0][1][base_sizes[0]:]
-    parts = [(x[:b], y[:b]) for (x, y), b in zip(views, base_sizes)]
-    joined = [(np.concatenate([x, new_rows[0]]), np.concatenate([y, new_rows[1]])) for x, y in parts]
-    return gather_split(joined, base_sizes)
-
-
-def base_new_views(split):
-    """Each client's (base, new) views of a base-to-new ``split``."""
-    return [((x[:b], y[:b]), (x[b:], y[b:])) for (x, y), b in zip(held_out_views(split), split.base_sizes)]
+    return gather_split([(x[:b], y[:b]) for (x, y), b in zip(views, base_sizes)], new_rows)
 
 
 class TestBlockedEvaluation:
@@ -685,6 +688,23 @@ class TestBlockedEvaluation:
         assert [len(column) for column in tables[0].columns.values()] == [6] * 6
         assert len(out["per_client"]) == 7
 
+    @pytest.mark.parametrize("scheme", ["equal_width", "equal_mass"])
+    def test_shared_rows_close_every_view_and_are_forwarded_once(self, scheme):
+        model, vector, split = self.trained_federation([6, 0, 250, 4, 30])
+        split = base_new_split(split, [6, 0, 250, 4, 0], new_rows=held_out_views(split)[4])
+        assert split.shared == 30 and len(split.y) == 260 + 30
+        forwarded = []
+        calls = count_forwards(model, forwarded)
+        out = personalized_evaluate(model, vector, split, 15, scheme)
+        # own rows in blocks as without shared rows, then the shared rows in one more forward
+        assert calls == [256, 4, 30]
+        assert all(x.base is split.x for x in forwarded)
+        assert out["excluded"] == []
+        assert_reports_close(out["per_client"], per_client_reference(model, vector, held_out_views(split), 15, scheme))
+        # clients 1 and 4 have no own rows: their views are the shared rows alone
+        alone = per_client_reference(model, vector, [base_new_views(split)[0][1]], 15, scheme)
+        assert_reports_close([out["per_client"][1], out["per_client"][4]], alone * 2)
+
     def test_base_new_parts_match_per_client(self):
         model, vector, split = self.trained_federation([8, 6, 9, 4])
         split = base_new_split(split, [4, 0, 5, 2])
@@ -705,8 +725,8 @@ class TestBlockedEvaluation:
         out = evaluate_base_new(model, vector, split)
         # one block of the 20 base rows, one forward of the 20 shared new rows
         assert calls == [20, 20]
-        # client 0's view is its 5 base rows, then the new rows
-        want = calibration_report(ProbBatch(softmax_rows(model.forward(split.x[5:25], vector)), split.y[5:25]))
+        new_x, new_y = base_new_views(split)[0][1]
+        want = calibration_report(ProbBatch(softmax_rows(model.forward(new_x, vector)), new_y))
         assert [pc["new"] for pc in out["per_client"]] == [want.scalars()] * 5
         assert out["new"] == {key: float(np.mean([value] * 5)) for key, value in want.scalars().items()}
 
@@ -719,8 +739,11 @@ class TestBlockedEvaluation:
         assert_reports_close([pc["base"] for pc in out["per_client"]],
                              per_client_reference(model, vector, held_out_views(split)))
 
-    def test_temperature_rows_match_per_client(self):
-        model, vector, split = self.trained_federation([7, 0, 300, 3])
+    @pytest.mark.parametrize("shared", [None, 9])
+    def test_temperature_rows_match_per_client(self, shared):
+        model, vector, split = self.trained_federation([7, 0, 300, 3, 9])
+        if shared:  # base-to-new: client 4's rows become the rows every view ends with
+            split = base_new_split(split, [7, 0, 300, 3, 0], new_rows=held_out_views(split)[4])
         temperatures = [0.5, 1.0, 2.0]
         rows = _temperature_rows(model, vector, split, temperatures, 10, "equal_mass")
         assert [row["temperature"] for row in rows] == temperatures

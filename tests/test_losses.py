@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedcalib.calibration import ProbBatch
-from fedcalib.errors import InvalidInputError
+from fedcalib.errors import ConfigError, InvalidInputError
 from fedcalib.losses import LossSpec, ce_loss, dca_loss, mdca_loss, total_loss
 from fedcalib.numerics import RngStream
 
@@ -285,7 +285,7 @@ class TestTotalLoss:
         assert np.allclose(aux3, 3.0 * aux1, atol=1e-15)
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ConfigError):
             LossSpec("focal")
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ConfigError):
             LossSpec("dca", aux_weight=-0.5)

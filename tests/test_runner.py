@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from fedcalib import runner
+from fedcalib.calibration import ProbBatch, calibration_report
 from fedcalib.config import load_config, parse_config
+from fedcalib.federation import init_server, personalized_evaluate, run_round
 from fedcalib.model import DualEncoderModel
 from fedcalib.runner import (
     build_data,
@@ -23,9 +25,9 @@ from fedcalib.runner import (
     run_single,
     summary_csv,
 )
-from fedcalib.numerics import RngStream
+from fedcalib.numerics import RngStream, softmax_rows
 
-from fixtures import count_forwards, results_canonical_bytes
+from fixtures import count_forwards, results_canonical_bytes, write_embeddings, write_prototypes
 
 
 def tiny_payload(**overrides):
@@ -297,31 +299,71 @@ class TestOneCopyOfTheData:
         # the test rows are one gathered copy, with one run of rows per client
         assert split.x.base is None and split.y.base is None
         assert len(split.sizes) == len(clients) and split.sizes.sum() == len(split.y) == len(split.x)
-        assert split.base_sizes is None
+        assert split.shared == 0
 
-    def test_base_to_new_split_ends_every_view_with_the_new_class_rows(self, monkeypatch):
+    def test_base_to_new_split_holds_the_new_class_rows_once(self, monkeypatch):
+        # 5 classes: 3 base classes dealt to 3 clients, 2 new classes every view ends with
         config = tiny_config(setting="base_to_new", partition={"kind": "base_to_new"})
         clients, split, data_alive = self.run_capturing_clients(monkeypatch, config)
         assert not data_alive
-        starts = np.cumsum(split.sizes) - split.sizes
-        new_rows = split.sizes - split.base_sizes
-        assert len(set(new_rows.tolist())) == 1 and new_rows[0] > 0
-        first = slice(starts[0] + split.base_sizes[0], starts[0] + split.sizes[0])
-        for start, size, base in zip(starts, split.sizes, split.base_sizes):
-            assert np.array_equal(split.x[start + base : start + size], split.x[first])
-            assert np.array_equal(split.y[start + base : start + size], split.y[first])
+        own = split.sizes.sum()
+        assert split.shared > 0 and len(split.y) == len(split.x) == own + split.shared
+        bounds = np.cumsum(split.sizes)[:-1]
+        base = [set(labels.tolist()) for labels in np.split(split.y[:own], bounds)]
+        new = set(split.y[own:].tolist())
+        assert [len(labels) for labels in base] == [1, 1, 1] and len(new) == 2
+        assert not new & set.union(*base)
 
 
 class TestBaseToNewConfig:
-    def test_final_breakdown_forwards_base_rows_once_and_new_rows_once(self):
+    def test_each_test_row_is_held_and_forwarded_once(self):
         # configs/base_to_new.json: 10 clients, 200 base rows in all and 200 shared new-class rows
         config = load_config(Path(__file__).resolve().parents[1] / "configs" / "base_to_new.json")
         _, _, model, _, split = runner._set_up(config, RngStream(config.seed))
-        calls = count_forwards(model)
+        assert len(split.y) == 400 and split.sizes.sum() == split.shared == 200 and len(split.sizes) == 10
+        assert not hasattr(split, "base_sizes")
+        forwarded = []
+        calls = count_forwards(model, forwarded)
+        # a round's evaluation: one block of the base rows, one forward of the new rows
+        per_client = personalized_evaluate(model, model.initial, split)["per_client"]
+        assert calls == [200, 200] and all(report is not None for report in per_client)
+        # the final breakdown forwards the same slices: it gathers no rows
         out = runner.evaluate_base_new(model, model.initial, split)
-        assert calls == [200, 200] and len(split.sizes) == 10
+        assert calls == [200, 200] * 2
+        assert all(x.base is split.x for x in forwarded)
         new = [pc["new"] for pc in out["per_client"]]
         assert new[0] is not None and all(report == new[0] for report in new)
+
+    def test_client_without_base_test_rows_is_evaluated_on_the_new_rows(self, tmp_path):
+        rng = np.random.default_rng(3)
+        protos = rng.normal(size=(6, 8))
+        train_y, test_y = np.repeat(np.arange(6), 10), np.repeat(np.arange(6), 5)
+        train_x, test_x = protos[train_y] + rng.normal(size=(60, 8)), protos[test_y] + rng.normal(size=(30, 8))
+        paths = {name: str(tmp_path / f"{name}.bin") for name in ("train", "test", "prototypes")}
+        write_embeddings(paths["train"], train_x, train_y, np.zeros(60))
+        write_prototypes(paths["prototypes"], protos)
+        payload = tiny_payload(setting="base_to_new", partition={"kind": "base_to_new", "num_clients": 3})
+        config = parse_config({**payload, "data": {"embedding_files": paths}})
+        write_embeddings(paths["test"], test_x, test_y, np.zeros(30))
+        data, _ = build_data(config, RngStream(config.seed).child("data"))
+        plan = build_plan(config, data, RngStream(config.seed).child("partition"))
+        (missing,) = plan.metadata["client_base_classes"][1]
+        # the same files without the test rows of client 1's only base class
+        keep = test_y != missing
+        write_embeddings(paths["test"], test_x[keep], test_y[keep], np.zeros(keep.sum()))
+
+        _, _, model, clients, split = runner._set_up(config, RngStream(config.seed))
+        assert split.sizes.tolist() == [5, 0, 5] and split.shared == 15
+        server = init_server(model.initial, len(clients))
+        record = run_round(model, server, clients, split, config.federation, config.aggregator, config.loss,
+                           0, RngStream(config.seed).child("rounds"))
+        new_x, new_y = split.x[10:], split.y[10:]
+        want = calibration_report(ProbBatch(softmax_rows(model.forward(new_x, server.global_vector)), new_y))
+        assert record.excluded_clients == []
+        for key, value in want.scalars().items():
+            assert abs(record.per_client[1][key] - value) <= 1e-12
+        final = runner.evaluate_base_new(model, server.global_vector, split)["per_client"]
+        assert final[1]["base"] is None and final[0]["base"] is not None and final[1]["new"] is not None
 
 
 class TestOutputsOnDisk:
@@ -349,6 +391,11 @@ class TestOutputsOnDisk:
         assert run_dirs == ["run_000_alpha-0.5", "run_001_alpha-100.0"]
         summary = (tmp_path / "sweep_summary.csv").read_text()
         assert summary.count("\n") == 3  # header + 2 rows
+        # re-emitting the merged results writes the same files, byte for byte
+        written = emit_report(merged, ("json", "csv", "svg"), tmp_path / "again")
+        files = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file() and "again" not in p.parts)
+        assert [p.relative_to(tmp_path / "again") for p in written] == files
+        assert all((tmp_path / f).read_bytes() == (tmp_path / "again" / f).read_bytes() for f in files)
 
 
 def load_benchmark_tracer():
