@@ -1,26 +1,30 @@
-"""Communication-round engine: participant sampling, local SGD, aggregation.
+"""Communication-round engine: participant sampling, local SGD, aggregation,
+and the evaluation of a global vector on every client's test view.
 
 One round proceeds as broadcast -> local training on sampled participants
--> aggregation -> broadcast -> personalized evaluation of all clients.
-A round's participants train in lockstep on the run's single model: at
-each local step, the participants whose minibatches have the same row
-count run one stacked forward and backward, each with its own row of a
-K x P parameter matrix (see ``model``). Clients differ only in their data,
+-> aggregation, and leaves the new global vector in the ``ServerState``;
+the runner then evaluates that vector once on all clients. A round's
+participants train in lockstep on the run's single model: at each local
+step, the participants whose minibatches have the same row count run one
+stacked forward and backward, each with its own row of a K x P parameter
+matrix (see ``model``). Clients differ only in their data,
 their trainable vector and, once they have taken part under feddyn, their
 dual. Every client draws from a stream derived from (seed, round, client
 id), so each client's update is the one it would compute alone, whatever
 the grouping or the order.
 
-Every client holds the same global vector after broadcast, so evaluation
-forwards the test views of consecutive clients together, in blocks of at
-most ``EVAL_BLOCK_ROWS`` rows. The run holds each test row once, as an
-``EvalSplit``: every client's own rows in client order, then the rows that
-every view shares (base-to-new's new-class rows), forwarded once more. Each
-block is a slice of it. ``calibration.segmented_reports`` splits the
-metrics by client into one column table per evaluation; the client mean,
-the pooled bins and the per-client dicts of the results all come from its
-columns. Each client's metrics keep the definitions of
-``calibration.calibration_report`` on its own view.
+Every client holds the same global vector after broadcast, so
+``split_logits`` forwards the test views of consecutive clients together,
+in blocks of at most ``EVAL_BLOCK_ROWS`` rows. The run holds each test row
+once, as an ``EvalSplit``: every client's own rows in client order, then the
+rows that every view shares (base-to-new's new-class rows), forwarded once
+more. Each block is a slice of it. The reports (``personalized_evaluate``,
+``evaluate_base_new``) take the split's probabilities and forward nothing.
+``calibration.segmented_reports`` splits the metrics by client into one
+column table per evaluation; the client mean, the pooled bins and the
+per-client dicts of the results all come from its columns. Each client's
+metrics keep the definitions of ``calibration.calibration_report`` on its
+own view.
 
 Aggregation strategies:
 
@@ -43,11 +47,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calibration import ProbBatch, ReliabilityBins, harmonic_mean, segmented_reports
+from .calibration import ProbBatch, harmonic_mean, segmented_reports
 from .errors import ConfigError, InvalidInputError, NumericError, TransportError
 from .losses import LossSpec
 from .model import DualEncoderModel, weight_drift
-from .numerics import RngStream, softmax_rows
+from .numerics import RngStream
 
 AGGREGATOR_KINDS = ("fedavg", "fedprox", "feddyn", "fednova")
 
@@ -113,21 +117,6 @@ class ServerState:
     global_vector: np.ndarray
     num_clients: int
     dual_mean: np.ndarray | None = None
-
-
-@dataclass
-class RoundRecord:
-    """Immutable snapshot of one communication round."""
-
-    round_index: int
-    participants: list
-    global_vector: np.ndarray
-    per_client: list  # dict of report scalars | None per client
-    excluded_clients: list  # clients skipped for having no test data
-    mean: dict  # unweighted client mean of each report scalar
-    pooled_bins: ReliabilityBins  # pooled over the clients with test data
-    drift_mean: float
-    drift_std: float
 
 
 # rows of one stacked training step: 256 lets eight 32-row batches share a step; up from 192,
@@ -367,11 +356,9 @@ def _with_empty(rows: list, sizes) -> list:
     return [next(rows) if size else None for size in sizes]
 
 
-def personalized_evaluate(
-    model: DualEncoderModel, vector: np.ndarray, split: EvalSplit, bins: int = 15, scheme: str = "equal_width"
-) -> dict:
-    """Per-client metrics under ``vector`` on each test view of ``split``, their
-    unweighted mean and the pooled bins.
+def personalized_evaluate(probs: np.ndarray, split: EvalSplit, bins: int = 15, scheme: str = "equal_width") -> dict:
+    """Per-client metrics of ``probs``, one row per row of ``split``, on each
+    test view of ``split``, their unweighted mean and the pooled bins.
 
     Clients without test data are excluded from the mean and the pooled
     bins and listed under ``excluded``.
@@ -379,7 +366,6 @@ def personalized_evaluate(
     sizes = split.view_sizes
     if not sizes.any():
         raise InvalidInputError("every client has an empty test view")
-    probs = softmax_rows(split_logits(model, vector, split))
     table = _table(split.views(probs), split.views(split.y), sizes, bins, scheme)
     return {
         "mean": table.mean(),
@@ -389,16 +375,14 @@ def personalized_evaluate(
     }
 
 
-def evaluate_base_new(
-    model: DualEncoderModel, vector: np.ndarray, split: EvalSplit, bins: int = 15, scheme: str = "equal_width"
-) -> dict:
-    """Base/new breakdown under ``vector`` for the base-to-new setting, plus harmonic means.
+def evaluate_base_new(probs: np.ndarray, split: EvalSplit, bins: int = 15, scheme: str = "equal_width") -> dict:
+    """Base/new breakdown of ``probs``, one row per row of ``split``, for the
+    base-to-new setting, plus harmonic means.
 
     A client's base rows are its own rows and its new rows the shared rows,
     so every client gets the same new-class report.
     """
     own = len(split.y) - split.shared
-    probs = softmax_rows(split_logits(model, vector, split))
     base_table = _table(probs[:own], split.y[:own], split.sizes, bins, scheme)
     new_table = _table(probs[own:], split.y[own:], np.array([split.shared]), bins, scheme)
     new_sizes = np.full(len(split.sizes), split.shared)
@@ -427,16 +411,15 @@ def run_round(
     model: DualEncoderModel,
     server: ServerState,
     clients: list,
-    split: EvalSplit,
     fed_config: FederationConfig,
     agg_config: AggregatorConfig,
     loss_spec: LossSpec,
     round_index: int,
     base_stream: RngStream,
-    bins: int = 15,
-    scheme: str = "equal_width",
-) -> RoundRecord:
-    """One full communication round; deterministic in (config, seed)."""
+) -> tuple:
+    """One communication round, deterministic in (config, seed): sample, train,
+    aggregate into ``server.global_vector`` and, under feddyn, update the
+    participants' duals. Returns the participants and their drifts."""
     sampled = sample_participants(
         len(clients), fed_config.participation_rate, base_stream.child("participants", round_index)
     )
@@ -447,35 +430,17 @@ def run_round(
         model, [clients[cid] for cid in participants], global_before, fed_config, agg_config,
         loss_spec, [base_stream.child("local", round_index, cid) for cid in participants], round_index,
     )
-    updates, drifts = [], []
-    for cid, (vector, steps) in zip(participants, trained):
-        _, drift = weight_drift(model, vector)
-        updates.append((vector, clients[cid].train_size, steps))
-        drifts.append(drift)
-    drifts = np.array(drifts)
+    updates = [(vector, clients[cid].train_size, steps) for cid, (vector, steps) in zip(participants, trained)]
+    drifts = np.array([weight_drift(model, vector)[1] for vector, _ in trained])
 
-    new_global = aggregate(updates, global_before, agg_config, server)
-    server.global_vector = new_global
-
+    server.global_vector = aggregate(updates, global_before, agg_config, server)
     if agg_config.kind == "feddyn":
         for (vec, _, _), cid in zip(updates, participants):
             client = clients[cid]
             # a first dual is 0.0 - t, the bits of zeros - t (-t would turn +0.0 into -0.0)
             before = 0.0 if client.dual is None else client.dual
             client.dual = before - agg_config.alpha_dyn * (vec - global_before)
-
-    evaluation = personalized_evaluate(model, new_global, split, bins, scheme)
-    return RoundRecord(
-        round_index=round_index,
-        participants=participants,
-        global_vector=new_global,
-        per_client=evaluation["per_client"],
-        excluded_clients=evaluation["excluded"],
-        mean=evaluation["mean"],
-        pooled_bins=evaluation["pooled_bins"],
-        drift_mean=float(drifts.mean()),
-        drift_std=float(drifts.std()),
-    )
+    return participants, drifts
 
 
 def build_clients(data_views: list) -> list:

@@ -376,14 +376,14 @@ def sort_and_partition(data: LabeledDataset, num_clients: int, classes_per_clien
     )
 
 
-def base_to_new_split(data: LabeledDataset, num_clients: int, rng: RngStream) -> tuple:
-    """Disjoint base-class training plan plus the held-out new-class set.
+def base_to_new_split(data: LabeledDataset, num_clients: int, rng: RngStream) -> PartitionPlan:
+    """Disjoint base-class training plan whose test views add the held-out new classes.
 
     The first ceil(C/2) classes of a seeded class shuffle become base
     classes, dealt round-robin to clients. Each client's test view covers
     its own base classes plus every new class; the base/new index split is
-    recorded separately so evaluation can report both plus their harmonic
-    mean.
+    recorded in the metadata (``test_base_indices``, ``test_new_indices``) so
+    evaluation can report both plus their harmonic mean.
     """
     c = data.class_count
     if c < 2:
@@ -411,7 +411,7 @@ def base_to_new_split(data: LabeledDataset, num_clients: int, rng: RngStream) ->
     per_client_test = [np.concatenate([mine, new_eval]) for mine in test_base]
 
     hist = _histograms(per_client_train, labels, num_clients, c)
-    plan = PartitionPlan(
+    return PartitionPlan(
         num_clients=num_clients,
         class_count=c,
         train_indices=per_client_train,
@@ -423,11 +423,10 @@ def base_to_new_split(data: LabeledDataset, num_clients: int, rng: RngStream) ->
             "base_classes": np.sort(base_classes).tolist(),
             "new_classes": np.sort(new_classes).tolist(),
             "client_base_classes": [np.sort(cc).tolist() for cc in client_classes],
+            "test_base_indices": [ix.tolist() for ix in test_base],
+            "test_new_indices": [new_eval.tolist()] * num_clients,
         },
     )
-    plan.metadata["test_base_indices"] = [ix.tolist() for ix in test_base]
-    plan.metadata["test_new_indices"] = [new_eval.tolist()] * num_clients
-    return plan, new_eval
 
 
 def domain_partition(data: LabeledDataset, clients_per_domain: int, alpha: float, rng: RngStream) -> PartitionPlan:

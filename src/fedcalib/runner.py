@@ -3,7 +3,10 @@
 ``run_experiment`` builds the dataset, partitions it per the configured
 setting, initializes one zero-shot model that every client trains in turn,
 runs the communication rounds, and assembles a results dictionary that
-serializes to a canonical JSON ResultsFile. Re-running the same config
+serializes to a canonical JSON ResultsFile. After each round the new global
+vector is forwarded once over the run's test rows, and that round's report
+is built from those logits; the final base/new breakdown and the
+temperature sweep reuse the last round's logits. Re-running the same config
 reproduces every numeric field byte for byte; wall-clock metadata lives in
 a ``meta`` section that comparisons strip.
 
@@ -50,11 +53,12 @@ from .federation import (
     build_clients,
     evaluate_base_new,
     init_server,
+    personalized_evaluate,
     run_round,
     split_logits,
 )
 from .model import ModelConfig, zero_shot_init
-from .numerics import RngStream
+from .numerics import RngStream, softmax_rows
 from .partition import (
     LabeledDataset,
     PartitionPlan,
@@ -82,8 +86,7 @@ def build_plan(config: ExperimentConfig, data: LabeledDataset, rng: RngStream) -
         return sort_and_partition(data, spec.num_clients, spec.classes_per_client)
     if spec.kind == "domain":
         return domain_partition(data, spec.clients_per_domain, spec.alpha, rng)
-    plan, _ = base_to_new_split(data, spec.num_clients, rng)
-    return plan
+    return base_to_new_split(data, spec.num_clients, rng)
 
 
 def client_views(data: LabeledDataset, plan: PartitionPlan, setting: str) -> tuple:
@@ -131,9 +134,9 @@ def _bins_from_dict(payload: dict) -> ReliabilityBins:
     )
 
 
-def _temperature_rows(model, vector, split: EvalSplit, temperatures, bins, scheme) -> list:
-    """Per-tau client-averaged metrics under the final ``vector``, each test row forwarded once."""
-    logits = LogitBatch(split.views(split_logits(model, vector, split)), split.views(split.y))
+def _temperature_rows(logits: np.ndarray, split: EvalSplit, temperatures, bins, scheme) -> list:
+    """Per-tau client-averaged metrics of ``logits``, one row per row of ``split``."""
+    logits = LogitBatch(split.views(logits), split.views(split.y))
     sizes = split.view_sizes[split.view_sizes > 0]
     rows = []
     for tau in temperatures:
@@ -169,34 +172,39 @@ def run_single(config: ExperimentConfig) -> dict:
     round_rows = []
     drift_series = []
     for t in range(config.federation.rounds):
-        record = run_round(
-            model, server, clients, split, config.federation, config.aggregator, config.loss,
-            t, round_stream, bins=bins, scheme=scheme,
+        logits = probs = None  # the previous round's arrays are not held through training
+        participants, drifts = run_round(
+            model, server, clients, config.federation, config.aggregator, config.loss, t, round_stream
         )
+        vector = server.global_vector
+        logits = split_logits(model, vector, split)
+        probs = softmax_rows(logits)
+        evaluation = personalized_evaluate(probs, split, bins, scheme)
+        drift = {"mean": float(drifts.mean()), "std": float(drifts.std())}
         round_rows.append(
             {
                 "round": t,
-                "participants": record.participants,
-                "excluded": record.excluded_clients,
-                "drift_mean": record.drift_mean,
-                "drift_std": record.drift_std,
-                "mean": record.mean,
-                "per_client": record.per_client,
-                "global_vector_sha256": hashlib.sha256(record.global_vector.tobytes()).hexdigest(),
-                "global_vector_l2": float(np.linalg.norm(record.global_vector)),
+                "participants": participants,
+                "excluded": evaluation["excluded"],
+                "drift_mean": drift["mean"],
+                "drift_std": drift["std"],
+                "mean": evaluation["mean"],
+                "per_client": evaluation["per_client"],
+                "global_vector_sha256": hashlib.sha256(vector.tobytes()).hexdigest(),
+                "global_vector_l2": float(np.linalg.norm(vector)),
             }
         )
-        drift_series.append({"round": t, "mean": record.drift_mean, "std": record.drift_std})
+        drift_series.append({"round": t, **drift})
 
-    # the last round evaluated the final global vector
+    # the last round's logits and report are the final global vector's
     final: dict = {
-        "mean": dict(record.mean),
-        "per_client": record.per_client,
-        "excluded": list(record.excluded_clients),
-        "pooled_bins": _bins_dict(record.pooled_bins),
+        "mean": dict(evaluation["mean"]),
+        "per_client": evaluation["per_client"],
+        "excluded": list(evaluation["excluded"]),
+        "pooled_bins": _bins_dict(evaluation["pooled_bins"]),
     }
     if config.setting == "base_to_new":
-        bn = evaluate_base_new(model, server.global_vector, split, bins, scheme)
+        bn = evaluate_base_new(probs, split, bins, scheme)
         final["base"] = bn["base"]
         final["new"] = bn["new"]
         final["harmonic_mean"] = bn["harmonic_mean"]
@@ -216,9 +224,7 @@ def run_single(config: ExperimentConfig) -> dict:
         "meta": {"wall_clock_seconds": time.time() - started},
     }
     if config.metrics.temperatures:
-        results["temperature_sweep"] = _temperature_rows(
-            model, server.global_vector, split, config.metrics.temperatures, bins, scheme
-        )
+        results["temperature_sweep"] = _temperature_rows(logits, split, config.metrics.temperatures, bins, scheme)
     return results
 
 

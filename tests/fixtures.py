@@ -5,7 +5,8 @@ The embedding-file writers produce the FEMB, FPRO and CSV layouts that
 ``PartitionPlan.to_json`` writes; ``results_canonical_bytes`` serializes a
 results dictionary without its volatile ``meta`` section, the bytes the
 determinism contract compares; ``model_array_bytes`` snapshots every array
-a model holds; ``count_forwards`` records what a model forwards.
+a model holds; ``count_forwards`` records what a model forwards;
+``split_probs`` is a round's evaluation forward as the runner makes it.
 """
 
 import csv
@@ -14,6 +15,8 @@ import struct
 
 import numpy as np
 
+from fedcalib.federation import split_logits
+from fedcalib.numerics import softmax_rows
 from fedcalib.partition import PartitionPlan
 
 
@@ -104,3 +107,8 @@ def count_forwards(model, arrays=None):
 
     model.forward = counted
     return calls
+
+
+def split_probs(model, vector, split):
+    """Probabilities under ``vector`` of every row of ``split``, one forward per block."""
+    return softmax_rows(split_logits(model, vector, split))

@@ -26,13 +26,14 @@ from fedcalib.federation import (
     personalized_evaluate,
     run_round,
     sample_participants,
+    split_logits,
     train_participants,
 )
 from fedcalib.losses import LossSpec, total_loss
 from fedcalib.model import HEAD_KINDS, ModelConfig, weight_drift, zero_shot_init
 from fedcalib.numerics import RngStream, l2_normalize_rows, softmax_rows
 from fedcalib.runner import _temperature_rows
-from fixtures import count_forwards, model_array_bytes
+from fixtures import count_forwards, model_array_bytes, split_probs
 
 
 def make_blob_views(num_clients, d=8, c=4, per_client=24, test_per_client=12, seed=0):
@@ -367,10 +368,8 @@ class TestRunRound:
             model, [clients[0]], server.global_vector.copy(), fed, AggregatorConfig(),
             LossSpec(), [RngStream(0, 0).child("local", 0, 0)], round_index=0,
         )[0]
-        record = run_round(
-            model, server, clients, split, fed, AggregatorConfig(), LossSpec(), 0, RngStream(0, 0)
-        )
-        assert record.global_vector.tobytes() == expected.tobytes()
+        run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, RngStream(0, 0))
+        assert server.global_vector.tobytes() == expected.tobytes()
 
     def test_serial_matches_parallel(self):
         # every client trains and is evaluated on one shared model, so any
@@ -381,25 +380,28 @@ class TestRunRound:
         stream = RngStream(42)
         for t in range(3):
             global_before = server.global_vector
-            record = run_round(model, server, clients, split, fed, agg, LossSpec(), t, stream)
+            participants, _ = run_round(model, server, clients, fed, agg, LossSpec(), t, stream)
             # (a) replaying the participants in reverse order on the same
             # model aggregates to the same bytes
             updates = {}
-            for cid in reversed(record.participants):
+            for cid in reversed(participants):
                 vec, steps = train_participants(
                     model, [clients[cid]], global_before, fed, agg, LossSpec(),
                     [stream.child("local", t, cid)], round_index=t,
                 )[0]
                 updates[cid] = (vec, clients[cid].train_size, steps)
             replay = aggregate(
-                [updates[cid] for cid in record.participants], global_before, agg,
+                [updates[cid] for cid in participants], global_before, agg,
                 ServerState(global_before, len(clients)),
             )
-            assert replay.tobytes() == record.global_vector.tobytes()
+            assert replay.tobytes() == server.global_vector.tobytes()
             # (b) the reports equal those of a fresh model under the round's vector
             fresh, _, _, _ = make_federation(6, seed=21, dropout=0.25)
-            expected = personalized_evaluate(fresh, record.global_vector, split, 15, "equal_width")["per_client"]
-            assert expected == record.per_client
+            expected, got = (
+                personalized_evaluate(split_probs(m, server.global_vector, split), split, 15, "equal_width")["per_client"]
+                for m in (fresh, model)
+            )
+            assert expected == got
 
     @pytest.mark.parametrize("head", HEAD_KINDS)
     def test_rounds_leave_every_model_array_unchanged(self, head):
@@ -408,7 +410,8 @@ class TestRunRound:
         fed = FederationConfig(batch_size=8, learning_rate=0.05)
         agg, spec, stream = AggregatorConfig("feddyn"), LossSpec("mdca", aux_weight=0.5), RngStream(40)
         for t in range(2):
-            run_round(model, server, clients, split, fed, agg, spec, t, stream)
+            run_round(model, server, clients, fed, agg, spec, t, stream)
+            split_logits(model, server.global_vector, split)
         assert model_array_bytes(model) == before
         assert head == "zero_shot" or not np.array_equal(server.global_vector, model.initial)
 
@@ -442,12 +445,12 @@ class TestRunRound:
                 assert vec.tobytes() == want.tobytes()
                 assert steps == want_steps
 
-            record = run_round(model, server, clients, split, fed, agg, spec, t, stream)
+            participants, drifts = run_round(model, server, clients, fed, agg, spec, t, stream)
+            assert participants == list(range(len(clients)))
             updates = [(vec, c.train_size, steps) for (vec, steps, _), c in zip(alone, clients)]
             want = aggregate(updates, before, agg, ServerState(before, len(clients), dual_mean))
-            assert record.global_vector.tobytes() == want.tobytes()
-            drifts = np.array([drift for _, _, drift in alone])
-            assert (record.drift_mean, record.drift_std) == (float(drifts.mean()), float(drifts.std()))
+            assert server.global_vector.tobytes() == want.tobytes()
+            assert drifts.tobytes() == np.array([drift for _, _, drift in alone]).tobytes()
             for client, dual, (vec, _, _) in zip(clients, duals, alone):
                 if kind == "feddyn":
                     want_dual = (0.0 if dual is None else dual) - agg.alpha_dyn * (vec - before)
@@ -476,34 +479,34 @@ class TestRunRound:
         model, server, clients, split = make_federation(5, seed=34, per_client=16)
         fed = FederationConfig(batch_size=8)
         stream = RngStream(35)
-        run_round(model, server, clients, split, fed, AggregatorConfig(), LossSpec(), 0, stream)
+        run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, stream)
         # all five clients share each 8-row step, so client 3 fails inside a stack
         clients[3].train_x = clients[3].train_x.copy()
         clients[3].train_x[11, 2] = np.nan
         order = stream.child("local", 1, 3).child("shuffle", 0).permutation(16)
         step = int(np.flatnonzero(order == 11)[0]) // 8
         with pytest.raises(NumericError, match=rf"on client 3, round 1, step {step}$"):
-            run_round(model, server, clients, split, fed, AggregatorConfig(), LossSpec(), 1, stream)
+            run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 1, stream)
 
     def test_round_reports_cover_all_clients(self):
         model, server, clients, split = make_federation(5, seed=22)
         fed = FederationConfig(batch_size=8, participation_rate=0.4)
-        record = run_round(model, server, clients, split, fed, AggregatorConfig(), LossSpec(), 0, RngStream(1))
-        assert len(record.participants) == 2
-        assert len(record.per_client) == 5
-        assert all(r is not None for r in record.per_client)
+        participants, drifts = run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, RngStream(1))
+        assert len(participants) == len(drifts) == 2
+        per_client = personalized_evaluate(split_probs(model, server.global_vector, split), split)["per_client"]
+        assert len(per_client) == 5
+        assert all(r is not None for r in per_client)
 
     def test_drift_zero_before_any_training(self):
         model, server, clients, split = make_federation(3, seed=23)
         fed = FederationConfig(batch_size=8, local_epochs=0)
-        record = run_round(model, server, clients, split, fed, AggregatorConfig(), LossSpec(), 0, RngStream(2))
-        assert record.drift_mean == 0.0
-        assert record.drift_std == 0.0
+        _, drifts = run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, RngStream(2))
+        assert drifts.tolist() == [0.0, 0.0, 0.0]
 
     def test_feddyn_round_updates_client_duals(self):
         model, server, clients, split = make_federation(2, seed=24)
         fed = FederationConfig(batch_size=8)
-        run_round(model, server, clients, split, fed, AggregatorConfig("feddyn"), LossSpec(), 0, RngStream(3))
+        run_round(model, server, clients, fed, AggregatorConfig("feddyn"), LossSpec(), 0, RngStream(3))
         assert any(np.linalg.norm(c.dual) > 0 for c in clients)
 
     def test_lazy_duals_equal_eager_zero_duals(self):
@@ -517,9 +520,9 @@ class TestRunRound:
         agg, spec, stream = AggregatorConfig("feddyn", alpha_dyn=0.2), LossSpec(), RngStream(39)
         taken = []
         for t in range(4):
-            record = run_round(model, server, clients, split, fed, agg, spec, t, stream)
+            participants, _ = run_round(model, server, clients, fed, agg, spec, t, stream)
             ids = sample_participants(10, 0.3, stream.child("participants", t)).tolist()
-            assert ids == record.participants
+            assert ids == participants
             before, updates = eager_server.global_vector, []
             for cid in ids:
                 vec, steps = sequential_local_train(
@@ -529,7 +532,7 @@ class TestRunRound:
             eager_server.global_vector = aggregate(updates, before, agg, eager_server)
             for cid, (vec, _, _) in zip(ids, updates):
                 eager_clients[cid].dual = eager_clients[cid].dual - agg.alpha_dyn * (vec - before)
-            assert record.global_vector.tobytes() == eager_server.global_vector.tobytes()
+            assert server.global_vector.tobytes() == eager_server.global_vector.tobytes()
             for cid in ids:
                 assert clients[cid].dual.tobytes() == eager_clients[cid].dual.tobytes()
             taken += ids
@@ -542,7 +545,8 @@ class TestPersonalizedEvaluate:
     def test_identical_clients_average_equals_single(self):
         model, server, clients, split = make_federation(3, seed=25)
         view = split.x[: split.sizes[0]], split.y[: split.sizes[0]]
-        out = personalized_evaluate(model, server.global_vector, gather_split([view] * 3))
+        split = gather_split([view] * 3)
+        out = personalized_evaluate(split_probs(model, server.global_vector, split), split)
         single = out["per_client"][0]
         for key, value in out["mean"].items():
             assert value == pytest.approx(single[key], abs=1e-12)
@@ -553,23 +557,25 @@ class TestPersonalizedEvaluate:
         (x0, _), (x1, _) = held_out_views(split)
         right = model.forward(x0, server.global_vector).argmax(axis=1)
         wrong = (model.forward(x1, server.global_vector).argmax(axis=1) + 1) % 4
-        out = personalized_evaluate(model, server.global_vector, gather_split([(x0, right), (x1, wrong)]))
+        split = gather_split([(x0, right), (x1, wrong)])
+        out = personalized_evaluate(split_probs(model, server.global_vector, split), split)
         assert out["mean"]["accuracy"] == pytest.approx(0.5)
 
     def test_empty_test_view_excluded_with_flag(self):
         model, server, clients, split = make_federation(3, seed=27, test_per_client=[12, 0, 12])
-        out = personalized_evaluate(model, server.global_vector, split)
+        out = personalized_evaluate(split_probs(model, server.global_vector, split), split)
         assert out["excluded"] == [1]
         assert out["per_client"][1] is None
 
     def test_every_view_empty_is_rejected(self):
         model, server, clients, split = make_federation(2, seed=27, test_per_client=0)
         with pytest.raises(InvalidInputError, match="every client has an empty test view"):
-            personalized_evaluate(model, server.global_vector, split)
+            personalized_evaluate(np.empty((0, 4)), split)
 
     def test_base_new_breakdown_with_harmonic_mean(self):
         model, server, clients, split = make_federation(2, seed=28)
-        out = evaluate_base_new(model, server.global_vector, base_new_split(split, [6, 6]))
+        split = base_new_split(split, [6, 6])
+        out = evaluate_base_new(split_probs(model, server.global_vector, split), split)
         assert out["base"] is not None and out["new"] is not None
         hm = out["harmonic_mean"]["accuracy"]
         b, n = out["base"]["accuracy"], out["new"]["accuracy"]
@@ -625,13 +631,13 @@ class TestBlockedEvaluation:
     def trained_federation(self, sizes, seed=30):
         model, server, clients, split = make_federation(len(sizes), seed=seed, test_per_client=sizes)
         fed = FederationConfig(batch_size=8)
-        run_round(model, server, clients, split, fed, AggregatorConfig(), LossSpec(), 1, RngStream(seed))
+        run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 1, RngStream(seed))
         return model, server.global_vector, split
 
     @pytest.mark.parametrize("scheme", ["equal_width", "equal_mass"])
     def test_empty_views_in_the_middle(self, scheme):
         model, vector, split = self.trained_federation([5, 0, 9, 0, 0, 1, 12])
-        out = personalized_evaluate(model, vector, split, 15, scheme)
+        out = personalized_evaluate(split_probs(model, vector, split), split, 15, scheme)
         assert out["excluded"] == [1, 3, 4]
         want = per_client_reference(model, vector, held_out_views(split), 15, scheme)
         assert_reports_close(out["per_client"], want)
@@ -654,14 +660,14 @@ class TestBlockedEvaluation:
         model, vector, split = self.trained_federation(sizes)
         want = per_client_reference(model, vector, held_out_views(split))
         calls = count_forwards(model)
-        out = personalized_evaluate(model, vector, split)
+        out = personalized_evaluate(split_probs(model, vector, split), split)
         assert calls == blocks
         assert_reports_close(out["per_client"], want)
 
     def test_one_forward_for_twelve_small_clients(self):
         model, vector, split = self.trained_federation([1 + i % 10 for i in range(12)])
         calls = count_forwards(model)
-        personalized_evaluate(model, vector, split)
+        split_logits(model, vector, split)
         assert len(calls) == 1
 
     def test_blocks_are_slices_of_the_split_and_one_table_is_built(self, monkeypatch):
@@ -681,7 +687,7 @@ class TestBlockedEvaluation:
 
         monkeypatch.setattr(federation, "segmented_reports", recorded_table)
         monkeypatch.setattr(calibration.CalibrationReport, "__init__", recorded_report)
-        out = personalized_evaluate(model, vector, split)
+        out = personalized_evaluate(split_probs(model, vector, split), split)
         assert calls == [3, 300, 254, 6]
         assert all(np.shares_memory(x, split.x) for x in forwarded)
         assert len(tables) == 1 and reports == []
@@ -695,7 +701,7 @@ class TestBlockedEvaluation:
         assert split.shared == 30 and len(split.y) == 260 + 30
         forwarded = []
         calls = count_forwards(model, forwarded)
-        out = personalized_evaluate(model, vector, split, 15, scheme)
+        out = personalized_evaluate(split_probs(model, vector, split), split, 15, scheme)
         # own rows in blocks as without shared rows, then the shared rows in one more forward
         assert calls == [256, 4, 30]
         assert all(x.base is split.x for x in forwarded)
@@ -708,7 +714,7 @@ class TestBlockedEvaluation:
     def test_base_new_parts_match_per_client(self):
         model, vector, split = self.trained_federation([8, 6, 9, 4])
         split = base_new_split(split, [4, 0, 5, 2])
-        out = evaluate_base_new(model, vector, split, 15, "equal_mass")
+        out = evaluate_base_new(split_probs(model, vector, split), split, 15, "equal_mass")
         views = base_new_views(split)
         for index, part in enumerate(("base", "new")):
             want = per_client_reference(model, vector, [v[index] for v in views], 15, "equal_mass")
@@ -722,7 +728,7 @@ class TestBlockedEvaluation:
         model, vector, split = self.trained_federation([20, 20, 20, 20, 20])
         split = base_new_split(split, [5, 3, 4, 6, 2], new_rows=held_out_views(split)[4])
         calls = count_forwards(model)
-        out = evaluate_base_new(model, vector, split)
+        out = evaluate_base_new(split_probs(model, vector, split), split)
         # one block of the 20 base rows, one forward of the 20 shared new rows
         assert calls == [20, 20]
         new_x, new_y = base_new_views(split)[0][1]
@@ -733,7 +739,7 @@ class TestBlockedEvaluation:
     def test_base_new_with_an_empty_part_everywhere(self):
         model, vector, split = self.trained_federation([4, 5])
         split = base_new_split(split, [4, 5], new_rows=(split.x[:0], split.y[:0]))
-        out = evaluate_base_new(model, vector, split)
+        out = evaluate_base_new(split_probs(model, vector, split), split)
         assert out["new"] is None and out["harmonic_mean"] is None
         assert [pc["new"] for pc in out["per_client"]] == [None, None]
         assert_reports_close([pc["base"] for pc in out["per_client"]],
@@ -745,7 +751,7 @@ class TestBlockedEvaluation:
         if shared:  # base-to-new: client 4's rows become the rows every view ends with
             split = base_new_split(split, [7, 0, 300, 3, 0], new_rows=held_out_views(split)[4])
         temperatures = [0.5, 1.0, 2.0]
-        rows = _temperature_rows(model, vector, split, temperatures, 10, "equal_mass")
+        rows = _temperature_rows(split_logits(model, vector, split), split, temperatures, 10, "equal_mass")
         assert [row["temperature"] for row in rows] == temperatures
         for row, tau in zip(rows, temperatures):
             reports = [

@@ -205,7 +205,8 @@ class TestSortAndPartition:
 class TestBaseToNew:
     def test_two_classes_one_client(self):
         data = make_dataset(class_count=2)
-        plan, new_eval = base_to_new_split(data, 1, RngStream(21))
+        plan = base_to_new_split(data, 1, RngStream(21))
+        new_eval = plan.metadata["test_new_indices"][0]
         base = plan.metadata["base_classes"]
         new = plan.metadata["new_classes"]
         assert len(base) == 1 and len(new) == 1
@@ -215,7 +216,7 @@ class TestBaseToNew:
     def test_flowers_shaped_round_robin(self):
         # C = 102, N = 10: 51 base classes, clients hold 6 or 5 classes
         data = make_dataset(samples_per_class=4, class_count=102, test_fraction=0.25)
-        plan, _ = base_to_new_split(data, 10, RngStream(22))
+        plan = base_to_new_split(data, 10, RngStream(22))
         assert len(plan.metadata["base_classes"]) == 51
         assert len(plan.metadata["new_classes"]) == 51
         sizes = [len(cc) for cc in plan.metadata["client_base_classes"]]
@@ -224,7 +225,7 @@ class TestBaseToNew:
     def test_disjointness_over_seeds(self):
         data = make_dataset(class_count=11)
         for seed in range(30):
-            plan, _ = base_to_new_split(data, 3, RngStream(seed, 41))
+            plan = base_to_new_split(data, 3, RngStream(seed, 41))
             base = set(plan.metadata["base_classes"])
             new = set(plan.metadata["new_classes"])
             assert not (base & new)
@@ -236,7 +237,8 @@ class TestBaseToNew:
 
     def test_test_views_cover_base_and_new(self):
         data = make_dataset(class_count=8)
-        plan, new_eval = base_to_new_split(data, 2, RngStream(23))
+        plan = base_to_new_split(data, 2, RngStream(23))
+        new_eval = plan.metadata["test_new_indices"][0]
         new = set(plan.metadata["new_classes"])
         for i in range(2):
             own = set(plan.metadata["client_base_classes"][i])
@@ -246,7 +248,7 @@ class TestBaseToNew:
 
     def test_train_only_on_own_base_classes(self):
         data = make_dataset(class_count=8)
-        plan, _ = base_to_new_split(data, 2, RngStream(24))
+        plan = base_to_new_split(data, 2, RngStream(24))
         for i in range(2):
             own = set(plan.metadata["client_base_classes"][i])
             assert set(data.labels[plan.train_indices[i]].tolist()) == own

@@ -27,7 +27,7 @@ from fedcalib.runner import (
 )
 from fedcalib.numerics import RngStream, softmax_rows
 
-from fixtures import count_forwards, results_canonical_bytes, write_embeddings, write_prototypes
+from fixtures import count_forwards, results_canonical_bytes, split_probs, write_embeddings, write_prototypes
 
 
 def tiny_payload(**overrides):
@@ -153,13 +153,13 @@ class TestFinalIsLastRound:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_final_equals_last_round(self, case, monkeypatch):
         records = []
-        original = runner.run_round
+        original = runner.personalized_evaluate
 
         def recording(*args, **kwargs):
             records.append(original(*args, **kwargs))
             return records[-1]
 
-        monkeypatch.setattr(runner, "run_round", recording)
+        monkeypatch.setattr(runner, "personalized_evaluate", recording)
         overrides, excluded = self.CASES[case]
         res = run_single(tiny_config(**overrides))
         final, last = res["final"], res["rounds"][-1]
@@ -167,7 +167,7 @@ class TestFinalIsLastRound:
         for key in ("per_client", "mean", "excluded"):
             assert json.dumps(final[key], sort_keys=True) == json.dumps(last[key], sort_keys=True)
         assert len(records) == len(res["rounds"])
-        assert final["pooled_bins"] == runner._bins_dict(records[-1].pooled_bins)
+        assert final["pooled_bins"] == runner._bins_dict(records[-1]["pooled_bins"])
 
 
 class TestAggregatorsEndToEnd:
@@ -325,12 +325,13 @@ class TestBaseToNewConfig:
         forwarded = []
         calls = count_forwards(model, forwarded)
         # a round's evaluation: one block of the base rows, one forward of the new rows
-        per_client = personalized_evaluate(model, model.initial, split)["per_client"]
+        probs = split_probs(model, model.initial, split)
+        per_client = personalized_evaluate(probs, split)["per_client"]
         assert calls == [200, 200] and all(report is not None for report in per_client)
-        # the final breakdown forwards the same slices: it gathers no rows
-        out = runner.evaluate_base_new(model, model.initial, split)
-        assert calls == [200, 200] * 2
         assert all(x.base is split.x for x in forwarded)
+        # the final breakdown reads the same probabilities: it forwards and gathers no rows
+        out = runner.evaluate_base_new(probs, split)
+        assert calls == [200, 200]
         new = [pc["new"] for pc in out["per_client"]]
         assert new[0] is not None and all(report == new[0] for report in new)
 
@@ -355,15 +356,52 @@ class TestBaseToNewConfig:
         _, _, model, clients, split = runner._set_up(config, RngStream(config.seed))
         assert split.sizes.tolist() == [5, 0, 5] and split.shared == 15
         server = init_server(model.initial, len(clients))
-        record = run_round(model, server, clients, split, config.federation, config.aggregator, config.loss,
-                           0, RngStream(config.seed).child("rounds"))
+        run_round(model, server, clients, config.federation, config.aggregator, config.loss,
+                  0, RngStream(config.seed).child("rounds"))
+        probs = split_probs(model, server.global_vector, split)
+        evaluation = personalized_evaluate(probs, split)
         new_x, new_y = split.x[10:], split.y[10:]
         want = calibration_report(ProbBatch(softmax_rows(model.forward(new_x, server.global_vector)), new_y))
-        assert record.excluded_clients == []
+        assert evaluation["excluded"] == []
         for key, value in want.scalars().items():
-            assert abs(record.per_client[1][key] - value) <= 1e-12
-        final = runner.evaluate_base_new(model, server.global_vector, split)["per_client"]
+            assert abs(evaluation["per_client"][1][key] - value) <= 1e-12
+        final = runner.evaluate_base_new(probs, split)["per_client"]
         assert final[1]["base"] is None and final[0]["base"] is not None and final[1]["new"] is not None
+
+    def test_each_global_vector_is_forwarded_once(self, monkeypatch):
+        # base-to-new with a temperature sweep: the final breakdown and the sweep
+        # reuse the last round's logits, so no evaluation forward follows it
+        config = tiny_config(setting="base_to_new", partition={"kind": "base_to_new"},
+                             federation={"rounds": 3}, metrics={"temperatures": [0.5, 2.0]})
+        events, splits = [], []
+        set_up, run_round = runner._set_up, runner.run_round
+
+        def counted_set_up(*args):
+            plan, model_config, model, clients, split = set_up(*args)
+            count_forwards(model, events)
+            splits.append(split)
+            return plan, model_config, model, clients, split
+
+        def marked_round(*args, **kwargs):
+            events.append("round")
+            return run_round(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "_set_up", counted_set_up)
+        monkeypatch.setattr(runner, "run_round", marked_round)
+        res = run_single(config)
+        assert len(res["temperature_sweep"]) == 2 and res["final"]["harmonic_mean"] is not None
+        (split,) = splits
+        assert split.shared > 0
+        # the evaluation forwards from each round's start to the next; training
+        # forwards are stacks (3-D), evaluation forwards slices of the split (2-D)
+        evaluated = []
+        for event in events:
+            if isinstance(event, str):
+                evaluated.append([])
+            elif event.ndim == 2:
+                assert event.base is split.x
+                evaluated[-1].append(len(event))
+        assert evaluated == [[split.sizes.sum(), split.shared]] * 3
 
 
 class TestOutputsOnDisk:
