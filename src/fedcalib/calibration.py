@@ -163,13 +163,6 @@ class ReportTable:
         bins = ReliabilityBins(self.scheme, self.counts[i], self.bin_accuracy[i], self.bin_confidence[i])
         return CalibrationReport(**{key: float(column[i]) for key, column in self.columns.items()}, bins=bins)
 
-    def take(self, rows) -> ReportTable:
-        """The table of the segments at ``rows``, in that order (repeats allowed)."""
-        return ReportTable(
-            {key: column[rows] for key, column in self.columns.items()},
-            self.scheme, self.counts[rows], self.bin_accuracy[rows], self.bin_confidence[rows],
-        )
-
     def rows(self) -> list:
         """Each segment's scalars as a dict of floats."""
         return [dict(zip(self.columns, values)) for values in zip(*(c.tolist() for c in self.columns.values()))]

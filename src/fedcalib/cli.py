@@ -55,7 +55,7 @@ def _cmd_partition(args) -> int:
         "overlap": stats["overlap"].tolist(),
         "proportions": stats["proportions"].tolist(),
         "train_sizes": [len(ix) for ix in plan.train_indices],
-        "test_sizes": [len(ix) for ix in plan.test_indices],
+        "test_sizes": [len(ix) + len(plan.shared_test) for ix in plan.test_indices],
     }
     (out_dir / "plan_audit.json").write_text(canonical_json(audit))
     print(f"wrote {out_dir / 'plan.json'} ({plan.num_clients} clients, {plan.total_assigned()} train samples)")

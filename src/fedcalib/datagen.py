@@ -18,15 +18,18 @@ Precomputed embeddings can be ingested from two formats:
   file with header ``label,f0..f{d-1}`` (one row per class, in label order)
 
 Loaded rows are re-normalized to unit length, matching the synthetic path.
-A file whose content breaks its layout (a bad header or record, an
-unparsable or negative label, no data rows or zero records, a non-finite
-value, a row whose norm is zero or overflows) raises ``FormatError`` naming
-the file.
+A file whose content breaks its layout (a bad header or record, a binary
+header that claims more or fewer bytes than the file holds, an unparsable
+or negative label, no data rows or zero records, a non-finite value, a row
+whose norm is zero or overflows) raises ``FormatError`` naming the file.
+A binary header's claim is checked against the file's size before
+anything is allocated.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass
 
@@ -148,6 +151,19 @@ def _read_exact(fh, count: int, path, what: str) -> bytes:
     return blob
 
 
+def _read_payload(fh, count: int, path, what: str) -> bytes:
+    """The rest of the file, which must be exactly ``count`` bytes. The file's
+    size is checked first, so a header's claim never sizes an allocation."""
+    offset = fh.tell()
+    held = os.fstat(fh.fileno()).st_size - offset
+    if held < count:
+        raise FormatError(f"{path}: truncated {what} at byte {offset + held} "
+                          f"(the header claims {count} bytes from byte {offset})")
+    if held > count:
+        raise FormatError(f"{path}: {held - count} unexpected trailing bytes at byte {offset + count}")
+    return _read_exact(fh, count, path, what)
+
+
 def read_embeddings(path) -> tuple:
     """Parse one FEMB file into (embeddings, labels, domains)."""
     with open(path, "rb") as fh:
@@ -161,19 +177,9 @@ def read_embeddings(path) -> tuple:
             raise FormatError(f"{path}: zero dimension at byte 8")
         if n == 0:
             raise FormatError(f"{path}: zero records (count at byte 12)")
-        labels = np.empty(n, dtype=np.int64)
-        domains = np.empty(n, dtype=np.int64)
-        rows = np.empty((n, d), dtype=np.float64)
-        for i in range(n):
-            lab, dom = struct.unpack("<II", _read_exact(fh, 8, path, f"record {i} header"))
-            payload = _read_exact(fh, 4 * d, path, f"record {i} payload")
-            labels[i] = lab
-            domains[i] = dom
-            rows[i] = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-        trailing = fh.read(1)
-        if trailing:
-            raise FormatError(f"{path}: {len(trailing)}+ unexpected trailing bytes at byte {fh.tell() - 1}")
-    return rows, labels, domains
+        payload = _read_payload(fh, n * (8 + 4 * d), path, "records")
+    records = np.frombuffer(payload, dtype=[("label", "<u4"), ("domain", "<u4"), ("x", "<f4", (d,))])
+    return records["x"].astype(np.float64), records["label"].astype(np.int64), records["domain"].astype(np.int64)
 
 
 def read_prototypes(path) -> np.ndarray:
@@ -184,8 +190,8 @@ def read_prototypes(path) -> np.ndarray:
         d, c = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
         if d == 0 or c == 0:
             raise FormatError(f"{path}: zero dimension or class count at byte 4")
-        payload = _read_exact(fh, 4 * d * c, path, "prototype payload")
-        return np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(c, d)
+        payload = _read_payload(fh, 4 * d * c, path, "prototype payload")
+    return np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(c, d)
 
 
 # ---------------------------------------------------------------------------

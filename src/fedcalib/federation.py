@@ -379,32 +379,17 @@ def evaluate_base_new(probs: np.ndarray, split: EvalSplit, bins: int = 15, schem
     """Base/new breakdown of ``probs``, one row per row of ``split``, for the
     base-to-new setting, plus harmonic means.
 
-    A client's base rows are its own rows and its new rows the shared rows,
-    so every client gets the same new-class report.
+    ``base`` is the client mean of the reports of the clients' own rows
+    (clients without own rows are skipped); ``new`` is the one report of
+    the shared rows, the new-class rows every view ends with. Either is
+    ``None`` without rows, and then so is ``harmonic_mean``.
     """
     own = len(split.y) - split.shared
-    base_table = _table(probs[:own], split.y[:own], split.sizes, bins, scheme)
-    new_table = _table(probs[own:], split.y[own:], np.array([split.shared]), bins, scheme)
-    new_sizes = np.full(len(split.sizes), split.shared)
-    if new_table is not None:
-        new_table = new_table.take(np.zeros(len(new_sizes), dtype=np.int64))  # the shared row, once per client
-    base_rows, new_rows = ([] if table is None else table.rows() for table in (base_table, new_table))
-    result = {
-        "per_client": [
-            {"base": b, "new": n}
-            for b, n in zip(_with_empty(base_rows, split.sizes), _with_empty(new_rows, new_sizes))
-        ],
-        "base": None if base_table is None else base_table.mean(),
-        "new": None if new_table is None else new_table.mean(),
-    }
-    if result["base"] and result["new"]:
-        result["harmonic_mean"] = {
-            key: harmonic_mean(result["base"][key], result["new"][key])
-            for key in result["base"]
-        }
-    else:
-        result["harmonic_mean"] = None
-    return result
+    tables = (_table(probs[:own], split.y[:own], split.sizes, bins, scheme),
+              _table(probs[own:], split.y[own:], np.array([split.shared]), bins, scheme))
+    base, new = (None if table is None else table.mean() for table in tables)
+    hm = {key: harmonic_mean(base[key], new[key]) for key in base} if base and new else None
+    return {"base": base, "new": new, "harmonic_mean": hm}
 
 
 def run_round(

@@ -1,7 +1,8 @@
 """Client dataset construction for the three experimental settings.
 
 Partitioners assign every training sample to exactly one client and attach
-a per-client test view:
+a per-client test view, the client's own test rows followed by the plan's
+shared test rows (empty except in base-to-new):
 
 - ``dirichlet_partition``   overlapping non-IID label skew: for each class,
   client shares are drawn from a symmetric Dirichlet and the class's
@@ -9,8 +10,8 @@ a per-client test view:
 - ``sort_and_partition``    label-sorted shards dealt so each client holds
   a fixed number of classes
 - ``base_to_new_split``     half the classes (after a seeded shuffle) are
-  dealt disjointly to clients for training; the other half form a held-out
-  "new" evaluation set every client is tested on
+  dealt disjointly to clients for training; the other half form the shared
+  "new" test rows, held once, that every client is tested on
 - ``domain_partition``      each domain's data is Dirichlet-split among
   that domain's clients
 
@@ -80,14 +81,19 @@ class LabeledDataset:
 
 @dataclass
 class PartitionPlan:
-    """Per-client train assignment plus test views and audit metadata."""
+    """Per-client train assignment plus test views and audit metadata.
+
+    Client k's test view is ``test_indices[k]``, its own rows, followed by
+    ``shared_test``, the rows that end every client's view.
+    """
 
     num_clients: int
     class_count: int
     train_indices: list  # per client: np.ndarray of dataset indices
-    test_indices: list  # per client: np.ndarray (may overlap across clients)
+    test_indices: list  # per client: np.ndarray of its own test rows (disjoint across clients)
     histograms: np.ndarray  # (N x C) train class counts
     metadata: dict = field(default_factory=dict)
+    shared_test: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     def total_assigned(self) -> int:
         return int(sum(len(ix) for ix in self.train_indices))
@@ -98,6 +104,7 @@ class PartitionPlan:
             "class_count": self.class_count,
             "train_indices": [ix.tolist() for ix in self.train_indices],
             "test_indices": [ix.tolist() for ix in self.test_indices],
+            "shared_test_indices": self.shared_test.tolist(),
             "histograms": self.histograms.tolist(),
             "metadata": self.metadata,
         }
@@ -380,10 +387,11 @@ def base_to_new_split(data: LabeledDataset, num_clients: int, rng: RngStream) ->
     """Disjoint base-class training plan whose test views add the held-out new classes.
 
     The first ceil(C/2) classes of a seeded class shuffle become base
-    classes, dealt round-robin to clients. Each client's test view covers
-    its own base classes plus every new class; the base/new index split is
-    recorded in the metadata (``test_base_indices``, ``test_new_indices``) so
-    evaluation can report both plus their harmonic mean.
+    classes, dealt round-robin to clients. A client's own test rows are
+    those of its base classes; the test rows of every new class are the
+    plan's ``shared_test``, held once, which ends every client's view. So
+    evaluation can report base (own rows), new (shared rows) and their
+    harmonic mean.
     """
     c = data.class_count
     if c < 2:
@@ -402,20 +410,15 @@ def base_to_new_split(data: LabeledDataset, num_clients: int, rng: RngStream) ->
     test_ix = data.test_indices()
     labels = data.labels
 
-    new_mask = np.isin(labels, new_classes)
-    new_eval = test_ix[new_mask[test_ix]]
-
     masks = [np.isin(labels, classes) for classes in client_classes]
     per_client_train = [train_ix[mask[train_ix]] for mask in masks]
-    test_base = [test_ix[mask[test_ix]] for mask in masks]
-    per_client_test = [np.concatenate([mine, new_eval]) for mine in test_base]
 
     hist = _histograms(per_client_train, labels, num_clients, c)
     return PartitionPlan(
         num_clients=num_clients,
         class_count=c,
         train_indices=per_client_train,
-        test_indices=per_client_test,
+        test_indices=[test_ix[mask[test_ix]] for mask in masks],
         histograms=hist,
         metadata={
             "kind": "base_to_new",
@@ -423,9 +426,8 @@ def base_to_new_split(data: LabeledDataset, num_clients: int, rng: RngStream) ->
             "base_classes": np.sort(base_classes).tolist(),
             "new_classes": np.sort(new_classes).tolist(),
             "client_base_classes": [np.sort(cc).tolist() for cc in client_classes],
-            "test_base_indices": [ix.tolist() for ix in test_base],
-            "test_new_indices": [new_eval.tolist()] * num_clients,
         },
+        shared_test=test_ix[np.isin(labels[test_ix], new_classes)],
     )
 
 

@@ -89,12 +89,10 @@ def build_plan(config: ExperimentConfig, data: LabeledDataset, rng: RngStream) -
     return base_to_new_split(data, spec.num_clients, rng)
 
 
-def client_views(data: LabeledDataset, plan: PartitionPlan, setting: str) -> tuple:
+def client_views(data: LabeledDataset, plan: PartitionPlan) -> tuple:
     """Per-client training views, each a row slice of the training rows'
-    one gathered copy, and the test rows gathered once as an ``EvalSplit``.
-
-    In base-to-new a client's own test rows are its base-class rows, and the
-    new-class rows that every client's view ends with are the shared rows."""
+    one gathered copy, and the test rows gathered once as an ``EvalSplit``:
+    every client's own rows in client order, then the plan's shared rows."""
     def gather(per_client):
         ix = np.concatenate([np.asarray(part, dtype=np.int64) for part in per_client])
         return data.embeddings[ix], data.labels[ix], np.array([len(part) for part in per_client])
@@ -105,10 +103,7 @@ def client_views(data: LabeledDataset, plan: PartitionPlan, setting: str) -> tup
         {"train_x": tx, "train_y": ty}
         for tx, ty in zip(np.split(train_x, bounds), np.split(train_y, bounds))
     ]
-    if setting != "base_to_new":
-        return views, EvalSplit(*gather(plan.test_indices))
-    own, shared = plan.metadata["test_base_indices"], plan.metadata["test_new_indices"][0]
-    test_x, test_y, sizes = gather([*own, shared])
+    test_x, test_y, sizes = gather([*plan.test_indices, plan.shared_test])
     return views, EvalSplit(test_x, test_y, sizes[:-1], int(sizes[-1]))
 
 
@@ -151,12 +146,12 @@ def _set_up(config: ExperimentConfig, rng: RngStream) -> tuple:
     the run's only copy."""
     data, text_protos = build_data(config, rng.child("data"))
     plan = build_plan(config, data, rng.child("partition"))
-    if not any(len(ix) for ix in plan.test_indices):
+    if not any(map(len, [*plan.test_indices, plan.shared_test])):
         raise ConfigError("no client holds a test sample, so no round can be evaluated "
                           "(synthetic data needs samples_per_class >= 2 for a test split)")
     model_config = _reconcile_model(config, data)
     model = zero_shot_init(model_config, text_protos, rng.child("init"))
-    views, split = client_views(data, plan, config.setting)
+    views, split = client_views(data, plan)
     return plan, model_config, model, build_clients(views), split
 
 
@@ -204,10 +199,7 @@ def run_single(config: ExperimentConfig) -> dict:
         "pooled_bins": _bins_dict(evaluation["pooled_bins"]),
     }
     if config.setting == "base_to_new":
-        bn = evaluate_base_new(probs, split, bins, scheme)
-        final["base"] = bn["base"]
-        final["new"] = bn["new"]
-        final["harmonic_mean"] = bn["harmonic_mean"]
+        final.update(evaluate_base_new(probs, split, bins, scheme))
 
     results = {
         "config": config_echo(replace(config, model=model_config)),

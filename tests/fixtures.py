@@ -63,6 +63,7 @@ def plan_from_json(text: str) -> PartitionPlan:
         test_indices=[np.asarray(ix, dtype=np.int64) for ix in payload["test_indices"]],
         histograms=np.asarray(payload["histograms"], dtype=np.int64),
         metadata=payload["metadata"],
+        shared_test=np.asarray(payload["shared_test_indices"], dtype=np.int64),
     )
 
 

@@ -191,7 +191,7 @@ def _one_client_federation(seed=7):
     data, protos = build_data(cfg, rng.child("data"))
     plan = build_plan(cfg, data, rng.child("partition"))
     model = zero_shot_init(_reconcile_model(cfg, data), protos, rng.child("init"))
-    clients = build_clients(client_views(data, plan, cfg.setting)[0])
+    clients = build_clients(client_views(data, plan)[0])
     server = init_server(model.initial, 1)
     return cfg, model, clients, server
 
@@ -247,7 +247,7 @@ def test_criterion_05_determinism_serial_vs_parallel():
     plan = build_plan(cfg, data, rng.child("partition"))
     model_cfg = _reconcile_model(cfg, data)
     model = zero_shot_init(model_cfg, protos, rng.child("init"))
-    views, split = client_views(data, plan, cfg.setting)
+    views, split = client_views(data, plan)
     clients = build_clients(views)
     server = init_server(model.initial, plan.num_clients)
     bins, scheme = cfg.metrics.bins, cfg.metrics.scheme
@@ -414,7 +414,7 @@ def test_criterion_10_base_to_new_pipeline():
     )
     for seed in range(50):
         plan = base_to_new_split(data, 4, RngStream(seed, 6010))
-        new_eval = plan.metadata["test_new_indices"][0]
+        new_eval = plan.shared_test
         base = set(plan.metadata["base_classes"])
         new = set(plan.metadata["new_classes"])
         assert not (base & new)

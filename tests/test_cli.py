@@ -1,12 +1,14 @@
 """Tests for the command-line interface and its exit-code contract."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from fedcalib import runner
 from fedcalib.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_NUMERIC, EXIT_OK, main
+from fedcalib.config import parse_config
 from fedcalib.numerics import RngStream
 
 from fixtures import write_embedding_csv, write_embeddings, write_prototypes
@@ -149,6 +151,15 @@ def write_zero_records(path):
     write_embeddings(path, np.zeros((0, 4)), [], [])
 
 
+def overwrite_header(offset, layout, *values):
+    """Rewrite the header field at ``offset`` with ``values`` packed as ``layout``."""
+    def rewrite(path):
+        blob = bytearray(open(path, "rb").read())
+        blob[offset : offset + struct.calcsize(layout)] = struct.pack(layout, *values)
+        open(path, "wb").write(bytes(blob))
+    return rewrite
+
+
 # (format, broken file, bad feature value (row, column, value), rewrite of the written file)
 MALFORMED_EMBEDDINGS = {
     "prototype_csv_label_not_integer": (
@@ -168,6 +179,10 @@ MALFORMED_EMBEDDINGS = {
     # FEMB stores f32, so 1e200 is written as inf
     "femb_value_beyond_float32": ("bin", "train", (7, 1, 1e200), None),
     "prototype_csv_zero_row": ("csv", "prototypes", (2, slice(None), 0.0), None),
+    # headers that claim terabytes: the claim is checked against the file before any allocation
+    "femb_count_beyond_file": ("bin", "train", None, overwrite_header(12, "<Q", 2**40)),
+    "fpro_size_beyond_file": ("bin", "prototypes", None, overwrite_header(4, "<II", 2**20, 2**20)),
+    "fpro_trailing_bytes": ("bin", "prototypes", None, overwrite_header(4, "<II", 4, 2)),
 }
 
 
@@ -203,6 +218,19 @@ class TestPartitionVerb:
         assert plan["num_clients"] == 2
         assert len(audit["entropy"]) == 2
         assert sum(audit["train_sizes"]) == sum(len(ix) for ix in plan["train_indices"])
+
+    def test_base_to_new_audit_counts_the_shared_rows_in_every_view(self, tmp_path):
+        cfg = write_tiny_config(tmp_path, setting="base_to_new", partition={"kind": "base_to_new", "num_clients": 2})
+        code = main(["partition", "--config", str(cfg), "--out-dir", str(tmp_path / "plan")])
+        assert code == EXIT_OK
+        plan = json.loads((tmp_path / "plan" / "plan.json").read_text())
+        audit = json.loads((tmp_path / "plan" / "plan_audit.json").read_text())
+        shared = len(plan["shared_test_indices"])
+        assert shared > 0
+        assert audit["test_sizes"] == [len(ix) + shared for ix in plan["test_indices"]]
+        config = parse_config(json.loads(cfg.read_text()))
+        *_, split = runner._set_up(config, RngStream(config.seed))
+        assert audit["test_sizes"] == split.view_sizes.tolist()
 
 
 class TestReportVerb:

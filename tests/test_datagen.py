@@ -134,6 +134,7 @@ class TestBinaryFormats:
         write_embeddings(path, x, labels, domains)
         rx, rl, rd = read_embeddings(path)
         assert np.allclose(rx, x, atol=1e-6)  # f32 storage
+        assert rx.tobytes() == x.astype(np.float32).astype(np.float64).tobytes()
         assert np.array_equal(rl, labels)
         assert np.array_equal(rd, domains)
 

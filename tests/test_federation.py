@@ -715,14 +715,17 @@ class TestBlockedEvaluation:
         model, vector, split = self.trained_federation([8, 6, 9, 4])
         split = base_new_split(split, [4, 0, 5, 2])
         out = evaluate_base_new(split_probs(model, vector, split), split, 15, "equal_mass")
+        assert set(out) == {"base", "new", "harmonic_mean"}
         views = base_new_views(split)
-        for index, part in enumerate(("base", "new")):
-            want = per_client_reference(model, vector, [v[index] for v in views], 15, "equal_mass")
-            assert_reports_close([pc[part] for pc in out["per_client"]], want)
-            for key, value in out[part].items():
-                expected = np.mean([w.scalars()[key] for w in want if w is not None])
-                assert abs(value - expected) <= 1e-12
-        assert out["per_client"][1]["base"] is None
+        # base: the mean of the clients' own-row reports, client 1 (no own rows) skipped
+        base = per_client_reference(model, vector, [v[0] for v in views], 15, "equal_mass")
+        assert base[1] is None
+        (new,) = per_client_reference(model, vector, [views[0][1]], 15, "equal_mass")
+        for key, value in out["base"].items():
+            expected = np.mean([w.scalars()[key] for w in base if w is not None])
+            assert abs(value - expected) <= 1e-12
+        for key, value in out["new"].items():
+            assert abs(value - new.scalars()[key]) <= 1e-12
 
     def test_base_new_forwards_the_shared_new_view_once(self):
         model, vector, split = self.trained_federation([20, 20, 20, 20, 20])
@@ -733,17 +736,16 @@ class TestBlockedEvaluation:
         assert calls == [20, 20]
         new_x, new_y = base_new_views(split)[0][1]
         want = calibration_report(ProbBatch(softmax_rows(model.forward(new_x, vector)), new_y))
-        assert [pc["new"] for pc in out["per_client"]] == [want.scalars()] * 5
-        assert out["new"] == {key: float(np.mean([value] * 5)) for key, value in want.scalars().items()}
+        assert out["new"] == want.scalars()
 
     def test_base_new_with_an_empty_part_everywhere(self):
         model, vector, split = self.trained_federation([4, 5])
         split = base_new_split(split, [4, 5], new_rows=(split.x[:0], split.y[:0]))
         out = evaluate_base_new(split_probs(model, vector, split), split)
         assert out["new"] is None and out["harmonic_mean"] is None
-        assert [pc["new"] for pc in out["per_client"]] == [None, None]
-        assert_reports_close([pc["base"] for pc in out["per_client"]],
-                             per_client_reference(model, vector, held_out_views(split)))
+        want = per_client_reference(model, vector, held_out_views(split))
+        for key, value in out["base"].items():
+            assert abs(value - np.mean([w.scalars()[key] for w in want])) <= 1e-12
 
     @pytest.mark.parametrize("shared", [None, 9])
     def test_temperature_rows_match_per_client(self, shared):

@@ -206,7 +206,7 @@ class TestBaseToNew:
     def test_two_classes_one_client(self):
         data = make_dataset(class_count=2)
         plan = base_to_new_split(data, 1, RngStream(21))
-        new_eval = plan.metadata["test_new_indices"][0]
+        new_eval = plan.shared_test
         base = plan.metadata["base_classes"]
         new = plan.metadata["new_classes"]
         assert len(base) == 1 and len(new) == 1
@@ -238,13 +238,16 @@ class TestBaseToNew:
     def test_test_views_cover_base_and_new(self):
         data = make_dataset(class_count=8)
         plan = base_to_new_split(data, 2, RngStream(23))
-        new_eval = plan.metadata["test_new_indices"][0]
+        new_eval = plan.shared_test
         new = set(plan.metadata["new_classes"])
+        assert set(data.labels[new_eval].tolist()) == new
         for i in range(2):
             own = set(plan.metadata["client_base_classes"][i])
-            view_classes = set(data.labels[plan.test_indices[i]].tolist())
+            view = np.concatenate([plan.test_indices[i], plan.shared_test])
+            view_classes = set(data.labels[view].tolist())
             assert view_classes == own | new
-            assert np.all(np.isin(new_eval, plan.test_indices[i]))
+            assert set(data.labels[plan.test_indices[i]].tolist()) == own
+            assert np.all(np.isin(new_eval, view))
 
     def test_train_only_on_own_base_classes(self):
         data = make_dataset(class_count=8)
@@ -313,17 +316,48 @@ class TestHeterogeneityStats:
         assert np.array_equal(stats["overlap"], np.eye(4, dtype=int))
 
 
+PLANS = {
+    "dirichlet": lambda: dirichlet_partition(make_dataset(), 4, 0.5, RngStream(30, 50)),
+    "sort_partition": lambda: sort_and_partition(make_dataset(), 5, 2),
+    "base_to_new": lambda: base_to_new_split(make_dataset(), 4, RngStream(30, 51)),
+    "domain": lambda: domain_partition(make_dataset(domains=2), 2, 0.5, RngStream(30, 52)),
+}
+
+
+def listed_indices(value):
+    """Every integer in ``value``'s nested lists."""
+    if isinstance(value, list):
+        for item in value:
+            yield from listed_indices(item)
+    else:
+        yield value
+
+
 class TestPlanSerialization:
-    def test_json_roundtrip(self):
-        data = make_dataset()
-        plan = dirichlet_partition(data, 4, 0.5, RngStream(30, 50))
+    @pytest.mark.parametrize("kind", sorted(PLANS))
+    def test_json_roundtrip(self, kind):
+        plan = PLANS[kind]()
+        assert plan.metadata["kind"] == kind
         text = plan.to_json()
         back = plan_from_json(text)
         assert back.num_clients == plan.num_clients
         assert np.array_equal(back.histograms, plan.histograms)
-        for i in range(4):
+        for i in range(plan.num_clients):
             assert np.array_equal(back.train_indices[i], plan.train_indices[i])
+            assert np.array_equal(back.test_indices[i], plan.test_indices[i])
+        assert np.array_equal(back.shared_test, plan.shared_test)
+        assert (len(plan.shared_test) > 0) == (kind == "base_to_new")
         assert back.to_json() == text
+
+    def test_base_to_new_plan_lists_each_test_index_once(self):
+        # the new-class rows every view ends with are written once, not once per client
+        data = make_dataset(class_count=8)
+        payload = json.loads(base_to_new_split(data, 3, RngStream(31)).to_json())
+        entries = {**payload, **payload["metadata"]}
+        listed = [ix for key, value in entries.items() if key.endswith("_indices") for ix in listed_indices(value)]
+        test = set(data.test_indices().tolist())
+        assert sorted(ix for ix in listed if ix in test) == sorted(test)
+        assert len(payload["shared_test_indices"]) == 4 * 8  # 4 new classes x 8 test rows each
 
 
 def json_dumps_outcome(write, payload):

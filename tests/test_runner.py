@@ -89,7 +89,7 @@ class TestRunSingle:
         data, protos = build_data(cfg, rng.child("data"))
         plan = build_plan(cfg, data, rng.child("partition"))
         model = zero_shot_init(_reconcile_model(cfg, data), protos, rng.child("init"))
-        clients = build_clients(client_views(data, plan, cfg.setting)[0])
+        clients = build_clients(client_views(data, plan)[0])
         server = init_server(model.initial, 1)
         expected, _ = train_participants(
             model, [clients[0]], server.global_vector, cfg.federation, cfg.aggregator,
@@ -332,8 +332,7 @@ class TestBaseToNewConfig:
         # the final breakdown reads the same probabilities: it forwards and gathers no rows
         out = runner.evaluate_base_new(probs, split)
         assert calls == [200, 200]
-        new = [pc["new"] for pc in out["per_client"]]
-        assert new[0] is not None and all(report == new[0] for report in new)
+        assert out["new"] == calibration_report(ProbBatch(probs[200:], split.y[200:])).scalars()
 
     def test_client_without_base_test_rows_is_evaluated_on_the_new_rows(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -365,8 +364,22 @@ class TestBaseToNewConfig:
         assert evaluation["excluded"] == []
         for key, value in want.scalars().items():
             assert abs(evaluation["per_client"][1][key] - value) <= 1e-12
-        final = runner.evaluate_base_new(probs, split)["per_client"]
-        assert final[1]["base"] is None and final[0]["base"] is not None and final[1]["new"] is not None
+        final = runner.evaluate_base_new(probs, split)
+        # client 1 has no base rows: base is the mean of clients 0 and 2 alone
+        own = [calibration_report(ProbBatch(probs[a:b], split.y[a:b])).scalars() for a, b in ((0, 5), (5, 10))]
+        for key, value in final["base"].items():
+            assert abs(value - np.mean([report[key] for report in own])) <= 1e-12
+        assert final["new"] == calibration_report(ProbBatch(probs[10:], split.y[10:])).scalars()
+
+    def test_final_new_is_the_shared_rows_report(self):
+        # one report of the shared new-class rows, not a client mean of copies of it
+        config = tiny_config(setting="base_to_new", partition={"kind": "base_to_new"}, federation={"rounds": 1})
+        res = run_single(config)
+        _, _, model, _, split = runner._set_up(config, RngStream(config.seed))
+        probs = split_probs(model, np.array(res["final_global_vector"]), split)
+        own = split.sizes.sum()
+        shared = calibration_report(ProbBatch(probs[own:], split.y[own:]), config.metrics.bins, config.metrics.scheme)
+        assert res["final"]["new"] == shared.scalars()
 
     def test_each_global_vector_is_forwarded_once(self, monkeypatch):
         # base-to-new with a temperature sweep: the final breakdown and the sweep
