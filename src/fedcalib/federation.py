@@ -50,7 +50,7 @@ import numpy as np
 from .calibration import ProbBatch, harmonic_mean, segmented_reports
 from .errors import ConfigError, InvalidInputError, NumericError, TransportError
 from .losses import LossSpec
-from .model import DualEncoderModel, weight_drift
+from .model import DualEncoderModel
 from .numerics import RngStream
 
 AGGREGATOR_KINDS = ("fedavg", "fedprox", "feddyn", "fednova")
@@ -404,7 +404,10 @@ def run_round(
 ) -> tuple:
     """One communication round, deterministic in (config, seed): sample, train,
     aggregate into ``server.global_vector`` and, under feddyn, update the
-    participants' duals. Returns the participants and their drifts."""
+    participants' duals. Returns the participants (ascending client ids) and,
+    aligned with them, each one's update norm ||w_k - w_global||: 0.0 without
+    trainable parameters or local steps, and taken over the participant's own
+    vector, so its bits do not depend on the other participants."""
     sampled = sample_participants(
         len(clients), fed_config.participation_rate, base_stream.child("participants", round_index)
     )
@@ -416,7 +419,7 @@ def run_round(
         loss_spec, [base_stream.child("local", round_index, cid) for cid in participants], round_index,
     )
     updates = [(vector, clients[cid].train_size, steps) for cid, (vector, steps) in zip(participants, trained)]
-    drifts = np.array([weight_drift(model, vector)[1] for vector, _ in trained])
+    norms = [float(np.linalg.norm(vector - global_before)) for vector, _ in trained]
 
     server.global_vector = aggregate(updates, global_before, agg_config, server)
     if agg_config.kind == "feddyn":
@@ -425,7 +428,7 @@ def run_round(
             # a first dual is 0.0 - t, the bits of zeros - t (-t would turn +0.0 into -0.0)
             before = 0.0 if client.dual is None else client.dual
             client.dual = before - agg_config.alpha_dyn * (vec - global_before)
-    return participants, drifts
+    return participants, norms
 
 
 def build_clients(data_views: list) -> list:

@@ -467,29 +467,3 @@ def zero_shot_init(
             parts.append(np.zeros(shape[0] * shape[1]))
     initial = np.concatenate(parts) if parts else np.zeros(0)
     return DualEncoderModel(config, layers, protos, initial)
-
-
-def weight_drift(model: DualEncoderModel, vector: np.ndarray) -> tuple:
-    """Mean |effective weight - frozen weight| per adapted layer under ``vector``.
-
-    The effective weight is the frozen weight plus the adapter's update
-    ``scale * A @ B``. Returns ``(per_layer, aggregate)`` where ``per_layer``
-    maps layer names (``img.0.W``) to mean absolute entry drift and
-    ``aggregate`` averages over adapted layers (0.0 when the head has no
-    adapters).
-    """
-    views = model._views(np.asarray(vector, dtype=np.float64))
-    per_layer = {}
-    for stack in ("img", "txt"):
-        for i, layer in enumerate(model.layers):
-            _, down, up = _layer_views(views, stack, i)
-            if down is not None:
-                # (W + scale * A @ B) - W in one buffer: the same sums, so the same bits
-                delta = down @ up
-                delta *= model.config.lora_scale
-                delta += layer.weight
-                delta -= layer.weight
-                np.abs(delta, out=delta)
-                per_layer[f"{stack}.{i}.W"] = float(np.add.reduce(delta, axis=None) / delta.size)
-    aggregate = float(np.mean(list(per_layer.values()))) if per_layer else 0.0
-    return per_layer, aggregate

@@ -47,7 +47,7 @@ from .calibration import (
 )
 from .config import ExperimentConfig, config_echo, expand_sweep
 from .datagen import generate_synthetic, load_embeddings
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .federation import (
     EvalSplit,
     build_clients,
@@ -165,31 +165,27 @@ def run_single(config: ExperimentConfig) -> dict:
     bins, scheme = config.metrics.bins, config.metrics.scheme
     round_stream = rng.child("rounds")
     round_rows = []
-    drift_series = []
     for t in range(config.federation.rounds):
         logits = probs = None  # the previous round's arrays are not held through training
-        participants, drifts = run_round(
+        participants, norms = run_round(
             model, server, clients, config.federation, config.aggregator, config.loss, t, round_stream
         )
         vector = server.global_vector
         logits = split_logits(model, vector, split)
         probs = softmax_rows(logits)
         evaluation = personalized_evaluate(probs, split, bins, scheme)
-        drift = {"mean": float(drifts.mean()), "std": float(drifts.std())}
         round_rows.append(
             {
                 "round": t,
                 "participants": participants,
                 "excluded": evaluation["excluded"],
-                "drift_mean": drift["mean"],
-                "drift_std": drift["std"],
+                "update_norms": norms,
                 "mean": evaluation["mean"],
                 "per_client": evaluation["per_client"],
                 "global_vector_sha256": hashlib.sha256(vector.tobytes()).hexdigest(),
                 "global_vector_l2": float(np.linalg.norm(vector)),
             }
         )
-        drift_series.append({"round": t, **drift})
 
     # the last round's logits and report are the final global vector's
     final: dict = {
@@ -210,7 +206,6 @@ def run_single(config: ExperimentConfig) -> dict:
             "kind": plan.metadata.get("kind"),
         },
         "rounds": round_rows,
-        "drift_series": drift_series,
         "final": final,
         "final_global_vector": server.global_vector.tolist(),
         "meta": {"wall_clock_seconds": time.time() - started},
@@ -234,7 +229,7 @@ def summary_csv(results_list) -> str:
         method = results["method"]
         setting = results["config"]["setting"]
         final = results["final"]
-        if "harmonic_mean" in final and final.get("harmonic_mean"):
+        if final.get("harmonic_mean"):
             lines.append(row(method, f"{setting}:base", final["base"]))
             lines.append(row(method, f"{setting}:new", final["new"]))
             lines.append(row(method, f"{setting}:hm", final["harmonic_mean"]))
@@ -309,8 +304,17 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
 
 
 def load_results(path) -> dict:
+    """The ResultsFile at ``path``: a run's object with a ``final`` object, or a
+    sweep's with a ``runs`` list of them; else ``FormatError`` naming the file."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            results = json.load(fh)
+        except ValueError as err:  # not JSON, or not UTF-8
+            raise FormatError(f"{path}: not a JSON file ({err})") from err
+    runs = results.get("runs", [results]) if isinstance(results, dict) else None
+    if not isinstance(runs, list) or not all(isinstance(r, dict) and isinstance(r.get("final"), dict) for r in runs):
+        raise FormatError(f"{path}: not a ResultsFile (expected an object with a 'final' object or a 'runs' list)")
+    return results
 
 
 def emit_report(results: dict, kinds, out_dir) -> list:

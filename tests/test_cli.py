@@ -247,6 +247,31 @@ class TestReportVerb:
         ).read_bytes()
         assert not (tmp_path / "re" / "reliability.svg").exists()
 
+    def test_report_rerenders_a_results_file_with_drift_series(self, tmp_path):
+        # results written before update norms: drift mean and std per round, and a drift series
+        cfg = write_tiny_config(tmp_path)
+        main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        results = json.loads((tmp_path / "out" / "results.json").read_text())
+        for row in results["rounds"]:
+            del row["update_norms"]
+            row["drift_mean"], row["drift_std"] = 0.001, 0.0002
+        results["drift_series"] = [{"round": r["round"], "mean": 0.001, "std": 0.0002} for r in results["rounds"]]
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(results))
+        assert main(["report", "--results", str(old), "--out-dir", str(tmp_path / "re")]) == EXIT_OK
+        for name in ("summary.csv", "reliability.csv", "reliability.svg"):
+            assert (tmp_path / "re" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+
+    @pytest.mark.parametrize("content", ["not json", '{"runs": 3}', "[]", '{"final": 1}', '{"runs": [{}]}', b"\xff\xfe"],
+                             ids=["not_json", "runs_not_a_list", "not_an_object", "final_not_an_object",
+                                  "run_without_final", "not_utf8"])
+    def test_malformed_results_exit_format_naming_the_file(self, tmp_path, capsys, content):
+        path = tmp_path / "results.json"
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        assert main(["report", "--results", str(path), "--out-dir", str(tmp_path / "re")]) == EXIT_FORMAT
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "re").exists()
+
 
 class TestBenchVerb:
     def test_bench_prints_pass_lines(self, capsys, monkeypatch):

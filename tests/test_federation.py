@@ -30,7 +30,7 @@ from fedcalib.federation import (
     train_participants,
 )
 from fedcalib.losses import LossSpec, total_loss
-from fedcalib.model import HEAD_KINDS, ModelConfig, weight_drift, zero_shot_init
+from fedcalib.model import HEAD_KINDS, ModelConfig, zero_shot_init
 from fedcalib.numerics import RngStream, l2_normalize_rows, softmax_rows
 from fedcalib.runner import _temperature_rows
 from fixtures import count_forwards, model_array_bytes, split_probs
@@ -435,7 +435,7 @@ class TestRunRound:
                 vec, steps = sequential_local_train(
                     model, client, before, fed, agg, spec, stream.child("local", t, cid), t
                 )
-                alone.append((vec, steps, weight_drift(model, vec)[1]))
+                alone.append((vec, steps, np.linalg.norm(vec - before)))
             want_steps = [0 if head == "zero_shot" else 2 * -(-n // 8) for n in sizes]
             assert [steps for _, steps, _ in alone] == want_steps
 
@@ -445,12 +445,12 @@ class TestRunRound:
                 assert vec.tobytes() == want.tobytes()
                 assert steps == want_steps
 
-            participants, drifts = run_round(model, server, clients, fed, agg, spec, t, stream)
+            participants, norms = run_round(model, server, clients, fed, agg, spec, t, stream)
             assert participants == list(range(len(clients)))
             updates = [(vec, c.train_size, steps) for (vec, steps, _), c in zip(alone, clients)]
             want = aggregate(updates, before, agg, ServerState(before, len(clients), dual_mean))
             assert server.global_vector.tobytes() == want.tobytes()
-            assert drifts.tobytes() == np.array([drift for _, _, drift in alone]).tobytes()
+            assert np.array(norms).tobytes() == np.array([norm for _, _, norm in alone]).tobytes()
             for client, dual, (vec, _, _) in zip(clients, duals, alone):
                 if kind == "feddyn":
                     want_dual = (0.0 if dual is None else dual) - agg.alpha_dyn * (vec - before)
@@ -491,17 +491,28 @@ class TestRunRound:
     def test_round_reports_cover_all_clients(self):
         model, server, clients, split = make_federation(5, seed=22)
         fed = FederationConfig(batch_size=8, participation_rate=0.4)
-        participants, drifts = run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, RngStream(1))
-        assert len(participants) == len(drifts) == 2
+        participants, norms = run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, RngStream(1))
+        assert len(participants) == len(norms) == 2
         per_client = personalized_evaluate(split_probs(model, server.global_vector, split), split)["per_client"]
         assert len(per_client) == 5
         assert all(r is not None for r in per_client)
 
-    def test_drift_zero_before_any_training(self):
+    def test_update_norm_zero_before_any_training(self):
         model, server, clients, split = make_federation(3, seed=23)
         fed = FederationConfig(batch_size=8, local_epochs=0)
-        _, drifts = run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, RngStream(2))
-        assert drifts.tolist() == [0.0, 0.0, 0.0]
+        _, norms = run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, RngStream(2))
+        assert norms == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("head", HEAD_KINDS)
+    def test_every_trained_head_records_an_update_norm(self, head):
+        model, server, clients, split = make_federation(3, head=head, seed=25)
+        fed = FederationConfig(batch_size=8)
+        _, norms = run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, RngStream(4))
+        assert len(norms) == 3
+        if head == "zero_shot":
+            assert norms == [0.0, 0.0, 0.0]
+        else:
+            assert all(norm > 0.0 for norm in norms)
 
     def test_feddyn_round_updates_client_duals(self):
         model, server, clients, split = make_federation(2, seed=24)

@@ -57,7 +57,9 @@ class TestRunSingle:
         assert len(res["rounds"]) == 2
         assert set(res["final"]["mean"]) == {"accuracy", "ece", "mce", "ace", "brier", "nll"}
         assert len(res["final"]["per_client"]) == 3
-        assert len(res["drift_series"]) == 2
+        assert "drift_series" not in res
+        for row in res["rounds"]:
+            assert len(row["update_norms"]) == len(row["participants"])
         assert "wall_clock_seconds" in res["meta"]
 
     def test_rerun_reproduces_numeric_fields(self):
