@@ -132,22 +132,12 @@ class CalibrationReport:
     nll: float
     bins: ReliabilityBins = field(repr=False)
 
-    def scalars(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "ece": self.ece,
-            "mce": self.mce,
-            "ace": self.ace,
-            "brier": self.brier,
-            "nll": self.nll,
-        }
-
 
 @dataclass(frozen=True)
 class ReportTable:
     """One ``CalibrationReport`` per segment of a batch, stored by column.
 
-    ``columns`` maps each scalar of ``CalibrationReport.scalars`` to an
+    ``columns`` maps each scalar field of ``CalibrationReport`` to an
     array with one entry per segment. ``counts``, ``bin_accuracy`` and
     ``bin_confidence`` are the segments x bins reliability statistics
     (0.0 in empty bins).

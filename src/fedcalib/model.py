@@ -200,11 +200,6 @@ def _layer_backward(layer: DenseLayer, params: tuple, grads: tuple, config: Mode
     return back
 
 
-# heads whose image / text stack holds trainable entries or feeds the prompt
-_IMAGE_TRAINED = ("lora_vision", "lora_both", "bitfit")
-_TEXT_TRAINED = ("prompt", "lora_text", "lora_both", "bitfit")
-
-
 class DualEncoderModel:
     """Frozen state of the classifier; the trainable parameters are passed in."""
 
@@ -214,6 +209,8 @@ class DualEncoderModel:
         self.prototypes = prototypes  # (C x d) frozen text-side class inputs
         self._text_first = prototypes @ layers[0].weight.T  # shared by every head but the prompt
         self._slots = _slot_layout(config, layers)
+        # stacks that hold trainable entries; the prompt counts as the text stack it feeds
+        self._trained = {"txt" if key == "prompt" else key[0] for key in self._slots}
         self.initial = initial  # the P-entry trainable vector at zero-shot initialization
         self.initial.flags.writeable = False
         self._cache = None
@@ -316,13 +313,13 @@ class DualEncoderModel:
         if len(streams) != k:
             raise UsageError(f"a stack of {k} batches needs {k} streams, got {len(streams)}")
         head = self.config.head_kind
-        train_img, train_txt = train and head in _IMAGE_TRAINED, train and head in _TEXT_TRAINED
+        train_img, train_txt = train and "img" in self._trained, train and "txt" in self._trained
         # only a prompt makes the text input differ per client; else layer 0's product is cached
         text, first = self.prototypes[None], None
         if head == "prompt":
             text = text + views["prompt"].mean(axis=1)[:, None, :]
         else:
-            first = np.repeat(self._text_first[None], k if head in _TEXT_TRAINED else 1, axis=0)
+            first = np.repeat(self._text_first[None], k if "txt" in self._trained else 1, axis=0)
         trained = [("img", xs.shape[1])] if train_img else []
         trained += [("txt", text.shape[1])] if train_txt else []
         masks = self._dropout_masks(streams, trained)
@@ -384,14 +381,14 @@ class DualEncoderModel:
         views, grads = cache["views"], self._views(grad)
         scale = self.config.logit_scale
         head = self.config.head_kind
-        if head in _TEXT_TRAINED:
+        if "txt" in self._trained:
             dft = _through_normalization(scale * (gz.mT @ u), w, cache["t_norms"])  # (K x C x d)
             d_text_input = self._stack_backward("txt", views, grads, cache["txt"], dft, input_grad=head == "prompt")
             if head == "prompt":
                 # the context mean is added to every class prototype, and each
                 # of the M vectors contributes 1/M of the mean
                 grads["prompt"][...] = (d_text_input.sum(axis=1) / self.config.prompt_length)[:, None, :]
-        if head in _IMAGE_TRAINED:
+        if "img" in self._trained:
             dfv = _through_normalization(scale * (gz @ w), u, cache["v_norms"])  # (K x n x d)
             self._stack_backward("img", views, grads, cache["img"], dfv, input_grad=False)
         self._cache = None  # backward overwrites records it no longer reads

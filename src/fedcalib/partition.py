@@ -13,7 +13,8 @@ shared test rows (empty except in base-to-new):
   dealt disjointly to clients for training; the other half form the shared
   "new" test rows, held once, that every client is tested on
 - ``domain_partition``      each domain's data is Dirichlet-split among
-  that domain's clients
+  that domain's clients; ``dirichlet_partition`` is the one-domain case:
+  both run ``_dirichlet_clients``, once over all rows or once per domain
 
 The Dirichlet scheme allocates shares per CLASS across clients (the
 field-standard construction): it conserves samples exactly and never
@@ -87,13 +88,19 @@ class PartitionPlan:
     ``shared_test``, the rows that end every client's view.
     """
 
-    num_clients: int
-    class_count: int
     train_indices: list  # per client: np.ndarray of dataset indices
     test_indices: list  # per client: np.ndarray of its own test rows (disjoint across clients)
     histograms: np.ndarray  # (N x C) train class counts
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
     shared_test: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+
+    @property
+    def num_clients(self) -> int:
+        return len(self.train_indices)
+
+    @property
+    def class_count(self) -> int:
+        return self.histograms.shape[1]
 
     def total_assigned(self) -> int:
         return int(sum(len(ix) for ix in self.train_indices))
@@ -225,7 +232,8 @@ def _flat_items(items, level: int):
     return ["null" if item is None else next(rendered) for item in items]
 
 
-def _histograms(plan_train, labels, num_clients, class_count) -> np.ndarray:
+def _histograms(plan_train, labels, class_count) -> np.ndarray:
+    num_clients = len(plan_train)
     owner = np.repeat(np.arange(num_clients), [len(ix) for ix in plan_train])
     keys = owner * class_count + labels[np.concatenate(plan_train)]
     return np.bincount(keys, minlength=num_clients * class_count).reshape(num_clients, class_count)
@@ -299,10 +307,9 @@ def _group_by_owner(ordered: np.ndarray, piece_owners: np.ndarray, piece_sizes: 
     return np.split(ordered[np.argsort(owner, kind="stable")], bounds)
 
 
-def mirror_test_split(data: LabeledDataset, train_hist: np.ndarray, restrict: np.ndarray | None = None) -> list:
-    """Distribute test samples so each client's test label mix mirrors its
-    realized train histogram, class by class."""
-    test_ix = data.test_indices() if restrict is None else restrict
+def mirror_test_split(data: LabeledDataset, train_hist: np.ndarray, test_ix: np.ndarray) -> list:
+    """Distribute the test rows ``test_ix`` so each client's test label mix
+    mirrors its realized train histogram, class by class."""
     ordered, sizes = _by_class(test_ix, data.labels, data.class_count)
     weights = train_hist.astype(np.float64)
     counts = np.array([_apportion(int(sizes[c]), weights[:, c]) for c in range(data.class_count)])
@@ -310,40 +317,33 @@ def mirror_test_split(data: LabeledDataset, train_hist: np.ndarray, restrict: np
     return _group_by_owner(ordered, np.tile(np.arange(num_clients), data.class_count), counts.ravel(), num_clients)
 
 
-def _dirichlet_assign(data: LabeledDataset, indices: np.ndarray, num_clients: int, alpha: float, rng: RngStream) -> list:
-    """Per-class Dirichlet share split of ``indices`` among clients."""
-    ordered, sizes = _by_class(indices, data.labels, data.class_count)
+def _dirichlet_clients(data: LabeledDataset, train_ix: np.ndarray, test_ix: np.ndarray, num_clients: int,
+                       alpha: float, rng: RngStream) -> tuple:
+    """Per-class Dirichlet share split of ``train_ix`` among clients, each
+    given at least one row, and ``test_ix`` mirrored onto the result:
+    ``(train, test, histograms)``."""
+    if len(train_ix) < num_clients:
+        raise ConfigError(f"{len(train_ix)} train samples cannot cover {num_clients} clients")
+    ordered, sizes = _by_class(train_ix, data.labels, data.class_count)
     counts = np.zeros((data.class_count, num_clients), dtype=np.int64)
     for c in np.flatnonzero(sizes):
         shares = dirichlet_sample(alpha, num_clients, rng.child("class", c))
         counts[c] = multinomial_split(int(sizes[c]), shares, rng.child("counts", c))
-    return _group_by_owner(ordered, np.tile(np.arange(num_clients), data.class_count), counts.ravel(), num_clients)
+    train = _group_by_owner(ordered, np.tile(np.arange(num_clients), data.class_count), counts.ravel(), num_clients)
+    _enforce_min_one(train, data.labels)
+    hist = _histograms(train, data.labels, data.class_count)
+    return train, mirror_test_split(data, hist, test_ix), hist
 
 
 def dirichlet_partition(data: LabeledDataset, num_clients: int, alpha: float, rng: RngStream) -> PartitionPlan:
-    """Overlapping non-IID partition driven by a symmetric Dirichlet."""
-    if num_clients < 1:
-        raise InvalidInputError("need at least one client")
-    if alpha <= 0:
-        raise InvalidInputError(f"concentration must be positive, got {alpha}")
+    """Overlapping non-IID partition driven by a symmetric Dirichlet:
+    ``domain_partition``'s splitter run once over every row, domains ignored."""
     train_ix = data.train_indices()
     if len(train_ix) == 0:
         raise InvalidInputError("dataset has no training samples")
-    if len(train_ix) < num_clients:
-        raise ConfigError(f"{len(train_ix)} train samples cannot cover {num_clients} clients")
-    per_client = _dirichlet_assign(data, train_ix, num_clients, alpha, rng)
-    _enforce_min_one(per_client, data.labels)
-    hist = _histograms(per_client, data.labels, num_clients, data.class_count)
-    test = mirror_test_split(data, hist)
-    return PartitionPlan(
-        num_clients=num_clients,
-        class_count=data.class_count,
-        train_indices=per_client,
-        test_indices=test,
-        histograms=hist,
-        metadata={"kind": "dirichlet", "alpha": alpha,
-                  "allocation": "per-class client shares (conserves samples exactly)"},
-    )
+    train, test, hist = _dirichlet_clients(data, train_ix, data.test_indices(), num_clients, alpha, rng)
+    return PartitionPlan(train, test, hist, {"kind": "dirichlet", "alpha": alpha,
+                                             "allocation": "per-class client shares (conserves samples exactly)"})
 
 
 def sort_and_partition(data: LabeledDataset, num_clients: int, classes_per_client: int) -> PartitionPlan:
@@ -369,18 +369,9 @@ def sort_and_partition(data: LabeledDataset, num_clients: int, classes_per_clien
     shard_sizes = base[:, None] + (np.arange(shards_per_class) < extra[:, None])
     shard_owners = np.arange(total_shards) % num_clients
     per_client = _group_by_owner(ordered, shard_owners, shard_sizes.ravel(), num_clients)
-    hist = _histograms(per_client, data.labels, num_clients, c)
-    if not np.all((hist > 0).sum(axis=1) == classes_per_client):
-        raise ConfigError("shard dealing did not give every client the requested class count")
-    test = mirror_test_split(data, hist)
-    return PartitionPlan(
-        num_clients=num_clients,
-        class_count=c,
-        train_indices=per_client,
-        test_indices=test,
-        histograms=hist,
-        metadata={"kind": "sort_partition", "classes_per_client": classes_per_client},
-    )
+    hist = _histograms(per_client, data.labels, c)
+    return PartitionPlan(per_client, mirror_test_split(data, hist, data.test_indices()), hist,
+                         {"kind": "sort_partition", "classes_per_client": classes_per_client})
 
 
 def base_to_new_split(data: LabeledDataset, num_clients: int, rng: RngStream) -> PartitionPlan:
@@ -413,62 +404,41 @@ def base_to_new_split(data: LabeledDataset, num_clients: int, rng: RngStream) ->
     masks = [np.isin(labels, classes) for classes in client_classes]
     per_client_train = [train_ix[mask[train_ix]] for mask in masks]
 
-    hist = _histograms(per_client_train, labels, num_clients, c)
     return PartitionPlan(
-        num_clients=num_clients,
-        class_count=c,
-        train_indices=per_client_train,
-        test_indices=[test_ix[mask[test_ix]] for mask in masks],
-        histograms=hist,
-        metadata={
+        per_client_train,
+        [test_ix[mask[test_ix]] for mask in masks],
+        _histograms(per_client_train, labels, c),
+        {
             "kind": "base_to_new",
             "class_order": order.tolist(),
             "base_classes": np.sort(base_classes).tolist(),
             "new_classes": np.sort(new_classes).tolist(),
             "client_base_classes": [np.sort(cc).tolist() for cc in client_classes],
         },
-        shared_test=test_ix[np.isin(labels[test_ix], new_classes)],
+        test_ix[np.isin(labels[test_ix], new_classes)],
     )
 
 
 def domain_partition(data: LabeledDataset, clients_per_domain: int, alpha: float, rng: RngStream) -> PartitionPlan:
     """Dirichlet split of each domain's data among that domain's clients."""
-    if clients_per_domain < 1:
-        raise InvalidInputError("need at least one client per domain")
-    if alpha <= 0:
-        raise InvalidInputError(f"concentration must be positive, got {alpha}")
     num_domains = data.domain_count()
     if num_domains == 0:
         raise InvalidInputError("dataset has no samples")
-    num_clients = num_domains * clients_per_domain
     train_ix, test_ix = data.train_indices(), data.test_indices()
-    client_domain = np.repeat(np.arange(num_domains), clients_per_domain)
-    per_client, test = [], []
+    train, test, hists = [], [], []
     for dom in range(num_domains):
-        dom_train = train_ix[data.domains[train_ix] == dom]
-        if len(dom_train) < clients_per_domain:
-            raise ConfigError(
-                f"domain {dom} has {len(dom_train)} train samples for {clients_per_domain} clients"
-            )
-        local = _dirichlet_assign(data, dom_train, clients_per_domain, alpha, rng.child("domain", dom))
-        _enforce_min_one(local, data.labels)
-        local_hist = _histograms(local, data.labels, clients_per_domain, data.class_count)
-        per_client += local
-        test += mirror_test_split(data, local_hist, restrict=test_ix[data.domains[test_ix] == dom])
-    hist = _histograms(per_client, data.labels, num_clients, data.class_count)
-    return PartitionPlan(
-        num_clients=num_clients,
-        class_count=data.class_count,
-        train_indices=per_client,
-        test_indices=test,
-        histograms=hist,
-        metadata={
-            "kind": "domain",
-            "alpha": alpha,
-            "clients_per_domain": clients_per_domain,
-            "client_domain": client_domain.tolist(),
-        },
-    )
+        try:
+            dom_train, dom_test, dom_hist = _dirichlet_clients(
+                data, train_ix[data.domains[train_ix] == dom], test_ix[data.domains[test_ix] == dom],
+                clients_per_domain, alpha, rng.child("domain", dom))
+        except ConfigError as err:
+            raise ConfigError(f"domain {dom}: {err}") from err
+        train += dom_train
+        test += dom_test
+        hists.append(dom_hist)
+    metadata = {"kind": "domain", "alpha": alpha, "clients_per_domain": clients_per_domain,
+                "client_domain": np.repeat(np.arange(num_domains), clients_per_domain).tolist()}
+    return PartitionPlan(train, test, np.vstack(hists), metadata)
 
 
 def _proportions(histograms: np.ndarray) -> np.ndarray:

@@ -36,15 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import (
-    LogitBatch,
-    ReliabilityBins,
-    TemperatureScaler,
-    apply_temperature,
-    reliability_csv,
-    reliability_svg,
-    segmented_reports,
-)
+from .calibration import ReliabilityBins, reliability_csv, reliability_svg
 from .config import ExperimentConfig, config_echo, expand_sweep
 from .datagen import generate_synthetic, load_embeddings
 from .errors import ConfigError, FormatError
@@ -131,13 +123,11 @@ def _bins_from_dict(payload: dict) -> ReliabilityBins:
 
 def _temperature_rows(logits: np.ndarray, split: EvalSplit, temperatures, bins, scheme) -> list:
     """Per-tau client-averaged metrics of ``logits``, one row per row of ``split``."""
-    logits = LogitBatch(split.views(logits), split.views(split.y))
-    sizes = split.view_sizes[split.view_sizes > 0]
-    rows = []
-    for tau in temperatures:
-        scaled = apply_temperature(logits, TemperatureScaler(float(tau)))
-        rows.append({"temperature": float(tau), "mean": segmented_reports(scaled, sizes, bins, scheme).mean()})
-    return rows
+    return [
+        {"temperature": float(tau),
+         "mean": personalized_evaluate(softmax_rows(logits / float(tau)), split, bins, scheme)["mean"]}
+        for tau in temperatures
+    ]
 
 
 def _set_up(config: ExperimentConfig, rng: RngStream) -> tuple:
@@ -305,7 +295,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
 
 def load_results(path) -> dict:
     """The ResultsFile at ``path``: a run's object with a ``final`` object, or a
-    sweep's with a ``runs`` list of them; else ``FormatError`` naming the file."""
+    sweep's with a ``runs`` list of them, that ``render_outputs`` can render;
+    else ``FormatError`` naming the file."""
     with open(path) as fh:
         try:
             results = json.load(fh)
@@ -314,6 +305,10 @@ def load_results(path) -> dict:
     runs = results.get("runs", [results]) if isinstance(results, dict) else None
     if not isinstance(runs, list) or not all(isinstance(r, dict) and isinstance(r.get("final"), dict) for r in runs):
         raise FormatError(f"{path}: not a ResultsFile (expected an object with a 'final' object or a 'runs' list)")
+    try:
+        render_outputs(results, ("csv", "svg"))  # the json kind reads no key
+    except (LookupError, TypeError, ValueError) as err:
+        raise FormatError(f"{path}: not a ResultsFile ({err.__class__.__name__} {err} when rendering it)") from err
     return results
 
 

@@ -6,7 +6,8 @@ The embedding-file writers produce the FEMB, FPRO and CSV layouts that
 results dictionary without its volatile ``meta`` section, the bytes the
 determinism contract compares; ``model_array_bytes`` snapshots every array
 a model holds; ``count_forwards`` records what a model forwards;
-``split_probs`` is a round's evaluation forward as the runner makes it.
+``split_probs`` is a round's evaluation forward as the runner makes it;
+``scalars`` is a report's metrics as the per-client rows of results hold them.
 """
 
 import csv
@@ -57,8 +58,6 @@ def plan_from_json(text: str) -> PartitionPlan:
     """The plan that ``PartitionPlan.to_json`` serialized to ``text``."""
     payload = json.loads(text)
     return PartitionPlan(
-        num_clients=payload["num_clients"],
-        class_count=payload["class_count"],
         train_indices=[np.asarray(ix, dtype=np.int64) for ix in payload["train_indices"]],
         test_indices=[np.asarray(ix, dtype=np.int64) for ix in payload["test_indices"]],
         histograms=np.asarray(payload["histograms"], dtype=np.int64),
@@ -113,3 +112,8 @@ def count_forwards(model, arrays=None):
 def split_probs(model, vector, split):
     """Probabilities under ``vector`` of every row of ``split``, one forward per block."""
     return softmax_rows(split_logits(model, vector, split))
+
+
+def scalars(report) -> dict:
+    """The accuracy and the five calibration metrics of a ``CalibrationReport``."""
+    return {key: getattr(report, key) for key in ("accuracy", "ece", "mce", "ace", "brier", "nll")}

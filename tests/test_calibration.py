@@ -24,6 +24,7 @@ from fedcalib.calibration import (
 from fedcalib.errors import InvalidInputError
 from fedcalib.numerics import RngStream, softmax_rows
 
+from fixtures import scalars
 from oracles import (
     naive_accuracy,
     naive_ace,
@@ -151,8 +152,8 @@ class TestMetricsAgainstOracle:
         perm = RngStream(35).permutation(len(labels))
         a = calibration_report(ProbBatch(probs, labels), 15)
         b = calibration_report(ProbBatch(probs[perm], labels[perm]), 15)
-        for key, val in a.scalars().items():
-            assert val == pytest.approx(b.scalars()[key], abs=1e-12)
+        for key, val in scalars(a).items():
+            assert val == pytest.approx(scalars(b)[key], abs=1e-12)
 
     def test_split_and_pool_reproduces_whole_batch(self):
         rng = RngStream(36)
@@ -283,10 +284,10 @@ class TestSegmentedReports:
         assert [len(column) for column in table.columns.values()] == [len(sizes)] * 6
         for i, (p, y) in enumerate(segments):
             rep = table.report(i)
-            assert table.rows()[i] == rep.scalars()
+            assert table.rows()[i] == scalars(rep)
             assert rep.bins.counts.tolist() == [count for count, _, _ in naive_bins(p, y, bins, scheme)]
             for key, value in naive_scalars(p, y, bins, scheme).items():
-                assert abs(rep.scalars()[key] - value) <= 1e-12, key
+                assert abs(scalars(rep)[key] - value) <= 1e-12, key
         # the unweighted client mean and the bins pooled over the segments
         for key, value in table.mean().items():
             assert abs(value - np.mean([naive_scalars(p, y, bins, scheme)[key] for p, y in segments])) <= 1e-12
@@ -336,8 +337,8 @@ class TestSegmentedReports:
             assert np.array_equal(rep.bins.counts, ref.bins.counts)
             assert np.allclose(rep.bins.accuracy, ref.bins.accuracy, rtol=0, atol=1e-12)
             assert np.allclose(rep.bins.confidence, ref.bins.confidence, rtol=0, atol=1e-12)
-            for key, value in ref.scalars().items():
-                assert abs(rep.scalars()[key] - value) <= 1e-12, key
+            for key, value in scalars(ref).items():
+                assert abs(scalars(rep)[key] - value) <= 1e-12, key
 
     def test_rejects_sizes_that_do_not_cover_the_batch(self):
         batch = ProbBatch(*prob_rows(83, 6))

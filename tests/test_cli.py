@@ -233,6 +233,20 @@ class TestPartitionVerb:
         assert audit["test_sizes"] == split.view_sizes.tolist()
 
 
+# results files of the right shape that lack a key the report renders
+_MEAN = {key: 0.5 for key in ("accuracy", "ece", "mce", "ace", "brier", "nll")}
+_BINS = {"scheme": "equal_width", "counts": [1], "accuracy": [1.0], "confidence": [0.9]}
+_RUN = {"method": "m", "config": {"setting": "s"}, "final": {"mean": _MEAN, "pooled_bins": _BINS}}
+MISSING_RENDERED_KEYS = [json.dumps(payload) for payload in (
+    {"final": {"mean": {}}},
+    {"method": "m", "config": {}, "final": {"mean": {}}},
+    {**_RUN, "final": {"mean": {k: v for k, v in _MEAN.items() if k != "ece"}, "pooled_bins": _BINS}},
+    {**_RUN, "final": {"mean": _MEAN}},
+    {"runs": [_RUN, {k: v for k, v in _RUN.items() if k != "method"}]},
+    {**_RUN, "final": {**_RUN["final"], "harmonic_mean": _MEAN}},
+)]
+
+
 class TestReportVerb:
     def test_report_rerenders(self, tmp_path):
         cfg = write_tiny_config(tmp_path)
@@ -262,9 +276,11 @@ class TestReportVerb:
         for name in ("summary.csv", "reliability.csv", "reliability.svg"):
             assert (tmp_path / "re" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
-    @pytest.mark.parametrize("content", ["not json", '{"runs": 3}', "[]", '{"final": 1}', '{"runs": [{}]}', b"\xff\xfe"],
+    @pytest.mark.parametrize("content", ["not json", '{"runs": 3}', "[]", '{"final": 1}', '{"runs": [{}]}', b"\xff\xfe",
+                                         *MISSING_RENDERED_KEYS],
                              ids=["not_json", "runs_not_a_list", "not_an_object", "final_not_an_object",
-                                  "run_without_final", "not_utf8"])
+                                  "run_without_final", "not_utf8", "no_method", "no_setting", "mean_without_ece",
+                                  "no_pooled_bins", "sweep_run_without_method", "harmonic_mean_without_base"])
     def test_malformed_results_exit_format_naming_the_file(self, tmp_path, capsys, content):
         path = tmp_path / "results.json"
         path.write_bytes(content if isinstance(content, bytes) else content.encode())

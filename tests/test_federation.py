@@ -33,7 +33,7 @@ from fedcalib.losses import LossSpec, total_loss
 from fedcalib.model import HEAD_KINDS, ModelConfig, zero_shot_init
 from fedcalib.numerics import RngStream, l2_normalize_rows, softmax_rows
 from fedcalib.runner import _temperature_rows
-from fixtures import count_forwards, model_array_bytes, split_probs
+from fixtures import count_forwards, model_array_bytes, scalars, split_probs
 
 
 def make_blob_views(num_clients, d=8, c=4, per_client=24, test_per_client=12, seed=0):
@@ -610,8 +610,8 @@ def assert_reports_close(got, want):
         if w is None:
             assert g is None
             continue
-        assert g.keys() == w.scalars().keys()
-        for key, value in w.scalars().items():
+        assert g.keys() == scalars(w).keys()
+        for key, value in scalars(w).items():
             assert abs(g[key] - value) <= 1e-12, key
 
 
@@ -733,10 +733,10 @@ class TestBlockedEvaluation:
         assert base[1] is None
         (new,) = per_client_reference(model, vector, [views[0][1]], 15, "equal_mass")
         for key, value in out["base"].items():
-            expected = np.mean([w.scalars()[key] for w in base if w is not None])
+            expected = np.mean([scalars(w)[key] for w in base if w is not None])
             assert abs(value - expected) <= 1e-12
         for key, value in out["new"].items():
-            assert abs(value - new.scalars()[key]) <= 1e-12
+            assert abs(value - scalars(new)[key]) <= 1e-12
 
     def test_base_new_forwards_the_shared_new_view_once(self):
         model, vector, split = self.trained_federation([20, 20, 20, 20, 20])
@@ -747,7 +747,7 @@ class TestBlockedEvaluation:
         assert calls == [20, 20]
         new_x, new_y = base_new_views(split)[0][1]
         want = calibration_report(ProbBatch(softmax_rows(model.forward(new_x, vector)), new_y))
-        assert out["new"] == want.scalars()
+        assert out["new"] == scalars(want)
 
     def test_base_new_with_an_empty_part_everywhere(self):
         model, vector, split = self.trained_federation([4, 5])
@@ -756,7 +756,7 @@ class TestBlockedEvaluation:
         assert out["new"] is None and out["harmonic_mean"] is None
         want = per_client_reference(model, vector, held_out_views(split))
         for key, value in out["base"].items():
-            assert abs(value - np.mean([w.scalars()[key] for w in want])) <= 1e-12
+            assert abs(value - np.mean([scalars(w)[key] for w in want])) <= 1e-12
 
     @pytest.mark.parametrize("shared", [None, 9])
     def test_temperature_rows_match_per_client(self, shared):
@@ -775,7 +775,7 @@ class TestBlockedEvaluation:
                 for x, y in held_out_views(split) if len(y)
             ]
             for key, value in row["mean"].items():
-                assert abs(value - np.mean([r.scalars()[key] for r in reports])) <= 1e-12
+                assert abs(value - np.mean([scalars(r)[key] for r in reports])) <= 1e-12
 
 
 class TestConfigValidation:

@@ -1,5 +1,6 @@
 """Tests for the non-IID partitioners and their audit statistics."""
 
+import hashlib
 import json
 import math
 
@@ -194,6 +195,19 @@ class TestSortAndPartition:
             assert np.all(plan.histograms[i] > 0)
         assert_conservation(plan, data)
 
+    def test_every_client_holds_exactly_its_class_count(self):
+        # every feasible (C, N, k) with C <= 8 and N <= 12, at the fewest rows
+        # per class and a few more: client n's shards n, n + N, ... lie in
+        # different classes, since N k / C <= N, and none is empty
+        for c in range(1, 9):
+            for n in range(1, 13):
+                for k in range(1, c + 1):
+                    if n * k < c or n * k % c:
+                        continue
+                    for rows in (n * k // c, n * k // c + 3):
+                        plan = sort_and_partition(make_dataset(rows, c, test_fraction=0.0), n, k)
+                        assert np.all((plan.histograms > 0).sum(axis=1) == k), (c, n, k, rows)
+
     def test_infeasible_configs_rejected(self):
         data = make_dataset(class_count=10)
         with pytest.raises(ConfigError):
@@ -290,9 +304,16 @@ class TestDomainPartition:
         sizes = np.array([len(ix) for ix in plan.train_indices])
         assert np.all(np.abs(sizes - sizes.mean()) < 0.1 * sizes.mean())
 
+    def test_rejects_bad_args(self):
+        data = make_dataset(domains=2)
+        with pytest.raises(InvalidInputError):
+            domain_partition(data, 0, 0.5, RngStream(0))
+        with pytest.raises(InvalidInputError):
+            domain_partition(data, 2, 0.0, RngStream(0))
+
     def test_undersized_domain_rejected(self):
         data = make_dataset(domains=2, samples_per_class=1, class_count=1, test_fraction=0.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^domain 0: 1 train samples cannot cover 5 clients$"):
             domain_partition(data, 5, 0.5, RngStream(29))
 
 
@@ -324,6 +345,16 @@ PLANS = {
 }
 
 
+# sha256 of each plan's ``to_json``, recorded while the in-distribution and
+# domain Dirichlet partitioners were still two separate implementations
+PLAN_SHA256 = {
+    "base_to_new": "1210f87f5fe14c4107bfb5934fc13c2d61d05b265b5bb50d4c8d39947c157d1d",
+    "dirichlet": "573de33dab08e6232d35a240335d5847c0b3adb490c4f0d3115c874861e787af",
+    "domain": "d775eb9a92c892c52c92f38f2ab28b3ec1c2299cf5ae0a9b768771c6fc49240c",
+    "sort_partition": "7229b15136a6f99e8a2daf6453fa9f5b0a819012ed16b1b21aeaf9c2285a0874",
+}
+
+
 def listed_indices(value):
     """Every integer in ``value``'s nested lists."""
     if isinstance(value, list):
@@ -348,6 +379,10 @@ class TestPlanSerialization:
         assert np.array_equal(back.shared_test, plan.shared_test)
         assert (len(plan.shared_test) > 0) == (kind == "base_to_new")
         assert back.to_json() == text
+
+    @pytest.mark.parametrize("kind", sorted(PLANS))
+    def test_plan_bytes_are_pinned(self, kind):
+        assert hashlib.sha256(PLANS[kind]().to_json().encode()).hexdigest() == PLAN_SHA256[kind]
 
     def test_base_to_new_plan_lists_each_test_index_once(self):
         # the new-class rows every view ends with are written once, not once per client

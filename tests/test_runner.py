@@ -27,7 +27,9 @@ from fedcalib.runner import (
 )
 from fedcalib.numerics import RngStream, softmax_rows
 
-from fixtures import count_forwards, results_canonical_bytes, split_probs, write_embeddings, write_prototypes
+from fixtures import (
+    count_forwards, results_canonical_bytes, scalars, split_probs, write_embeddings, write_prototypes,
+)
 
 
 def tiny_payload(**overrides):
@@ -334,7 +336,7 @@ class TestBaseToNewConfig:
         # the final breakdown reads the same probabilities: it forwards and gathers no rows
         out = runner.evaluate_base_new(probs, split)
         assert calls == [200, 200]
-        assert out["new"] == calibration_report(ProbBatch(probs[200:], split.y[200:])).scalars()
+        assert out["new"] == scalars(calibration_report(ProbBatch(probs[200:], split.y[200:])))
 
     def test_client_without_base_test_rows_is_evaluated_on_the_new_rows(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -364,14 +366,14 @@ class TestBaseToNewConfig:
         new_x, new_y = split.x[10:], split.y[10:]
         want = calibration_report(ProbBatch(softmax_rows(model.forward(new_x, server.global_vector)), new_y))
         assert evaluation["excluded"] == []
-        for key, value in want.scalars().items():
+        for key, value in scalars(want).items():
             assert abs(evaluation["per_client"][1][key] - value) <= 1e-12
         final = runner.evaluate_base_new(probs, split)
         # client 1 has no base rows: base is the mean of clients 0 and 2 alone
-        own = [calibration_report(ProbBatch(probs[a:b], split.y[a:b])).scalars() for a, b in ((0, 5), (5, 10))]
+        own = [scalars(calibration_report(ProbBatch(probs[a:b], split.y[a:b]))) for a, b in ((0, 5), (5, 10))]
         for key, value in final["base"].items():
             assert abs(value - np.mean([report[key] for report in own])) <= 1e-12
-        assert final["new"] == calibration_report(ProbBatch(probs[10:], split.y[10:])).scalars()
+        assert final["new"] == scalars(calibration_report(ProbBatch(probs[10:], split.y[10:])))
 
     def test_final_new_is_the_shared_rows_report(self):
         # one report of the shared new-class rows, not a client mean of copies of it
@@ -381,7 +383,7 @@ class TestBaseToNewConfig:
         probs = split_probs(model, np.array(res["final_global_vector"]), split)
         own = split.sizes.sum()
         shared = calibration_report(ProbBatch(probs[own:], split.y[own:]), config.metrics.bins, config.metrics.scheme)
-        assert res["final"]["new"] == shared.scalars()
+        assert res["final"]["new"] == scalars(shared)
 
     def test_each_global_vector_is_forwarded_once(self, monkeypatch):
         # base-to-new with a temperature sweep: the final breakdown and the sweep
