@@ -2,8 +2,9 @@
 
 Verbs:
 
-- ``partition``  build the configured partition plan, write it as JSON with
-  heterogeneity statistics for audit
+- ``partition``  build the partition plan of each run (one per sweep point),
+  write it as JSON with heterogeneity statistics for audit, in the directory
+  where ``run`` writes that run's results
 - ``run``        run an experiment or sweep, writing results.json,
   summary.csv and reliability diagrams
 - ``report``     re-render CSV/SVG/JSON outputs from an existing ResultsFile
@@ -22,9 +23,7 @@ from pathlib import Path
 from .bench import run_trend_suite
 from .config import parse_config, read_config_json
 from .errors import ConfigError, FormatError, NumericError
-from .numerics import RngStream
-from .partition import canonical_json, heterogeneity_stats
-from .runner import build_data, build_plan, emit_report, load_results, run_experiment
+from .runner import load_results, plan_outputs, point_plans, render_outputs, run_experiment, write_outputs
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -42,23 +41,11 @@ def _load(args):
 
 
 def _cmd_partition(args) -> int:
-    config = _load(args)
-    rng = RngStream(config.seed)
-    data, _ = build_data(config, rng.child("data"))
-    plan = build_plan(config, data, rng.child("partition"))
-    stats = heterogeneity_stats(plan)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "plan.json").write_text(plan.to_json())
-    audit = {
-        "entropy": stats["entropy"].tolist(),
-        "overlap": stats["overlap"].tolist(),
-        "proportions": stats["proportions"].tolist(),
-        "train_sizes": [len(ix) for ix in plan.train_indices],
-        "test_sizes": [len(ix) + len(plan.shared_test) for ix in plan.test_indices],
-    }
-    (out_dir / "plan_audit.json").write_text(canonical_json(audit))
-    print(f"wrote {out_dir / 'plan.json'} ({plan.num_clients} clients, {plan.total_assigned()} train samples)")
+    plans = point_plans(_load(args))
+    write_outputs(plan_outputs(plans), args.out_dir)
+    for prefix, plan in plans.items():
+        path = Path(args.out_dir) / prefix / "plan.json"
+        print(f"wrote {path} ({plan.num_clients} clients, {plan.total_assigned()} train samples)")
     return EXIT_OK
 
 
@@ -72,8 +59,7 @@ def _cmd_run(args) -> int:
 def _cmd_report(args) -> int:
     results = load_results(args.results)
     kinds = tuple(args.kind) if args.kind else ("json", "csv", "svg")
-    paths = emit_report(results, kinds, args.out_dir)
-    for path in paths:
+    for path in write_outputs(render_outputs(results, kinds), args.out_dir):
         print(f"wrote {path}")
     return EXIT_OK
 

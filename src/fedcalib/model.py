@@ -21,17 +21,19 @@ An adapter adds ``scale * A @ B`` to its frozen weight matrix; ``B`` starts
 at zero so training begins exactly at the zero-shot predictions. Dropout
 regularizes only the adapter input path, never the frozen path.
 
-The model holds only frozen state: one layer list that both stacks read,
-the class prototypes, the layout of the trainable entries and the initial
-trainable vector ``initial``. The trainable parameters are passed in on
-every call: the P-entry vector that clients send to the server, or a K x P
-matrix with one such row per client when K clients train in lockstep. The
-layout of a row: the prompt; else each adapted layer's ``A`` then ``B``,
-image stack first; else each layer's bias, image stack first. Each call
-cuts the prompt, adapter and bias arrays as reshaped views of its
-parameter rows, with a leading client axis (K = 1 for a vector), so
-transport costs nothing and no call reads parameters that an earlier call
-was given.
+Between training steps the model holds only frozen state: one layer list
+that both stacks read (every layer but the last applies a relu), the class
+prototypes, the layout of the trainable entries and the initial trainable
+vector ``initial``. A training forward also keeps the step's records in
+``_cache`` until the ``backward`` that uses them up. The trainable
+parameters are passed in on every call: the P-entry vector that clients
+send to the server, or a K x P matrix with one such row per client when K
+clients train in lockstep. The layout of a row: the prompt; else each
+adapted layer's ``A`` then ``B``, image stack first; else each layer's
+bias, image stack first. Each call cuts the prompt, adapter and bias arrays
+as reshaped views of its parameter rows, with a leading client axis (K = 1
+for a vector), so transport costs nothing and no call reads parameters that
+an earlier call was given.
 
 ``forward`` takes one batch (n x d) or a stack of K clients' batches of
 equal size (K x n x d). Every activation carries the leading client axis,
@@ -116,7 +118,6 @@ class ModelConfig:
 class DenseLayer:
     weight: np.ndarray  # (out x in), frozen
     bias: np.ndarray  # (out,), frozen; bitfit trains a per-stack copy
-    activation: str  # "relu" | "none"
 
 
 def _slot_layout(config: ModelConfig, layers: list) -> dict:
@@ -203,7 +204,11 @@ def _layer_backward(layer: DenseLayer, params: tuple, grads: tuple, config: Mode
 class DualEncoderModel:
     """Frozen state of the classifier; the trainable parameters are passed in."""
 
-    def __init__(self, config: ModelConfig, layers: list, prototypes: np.ndarray, initial: np.ndarray):
+    def __init__(self, config: ModelConfig, layers: list, prototypes: np.ndarray, rng: RngStream):
+        """The model over ``layers`` and ``prototypes``, with its initial vector
+        at zero-shot: bitfit starts from the frozen biases, each LoRA ``A``
+        factor is drawn from ``rng.child("lora", stack, layer)``, and the
+        prompt and the ``B`` factors start at zero."""
         self.config = config
         self.layers = layers  # one frozen list, read by the image and the text stack
         self.prototypes = prototypes  # (C x d) frozen text-side class inputs
@@ -211,7 +216,15 @@ class DualEncoderModel:
         self._slots = _slot_layout(config, layers)
         # stacks that hold trainable entries; the prompt counts as the text stack it feeds
         self._trained = {"txt" if key == "prompt" else key[0] for key in self._slots}
-        self.initial = initial  # the P-entry trainable vector at zero-shot initialization
+        parts = []
+        for key, (_, (rows, cols)) in self._slots.items():
+            if key[-1] == "bias":
+                parts.append(layers[key[1]].bias)
+            elif key[-1] == "down":
+                parts.append(rng.child("lora", *key[:2]).normal(rows * cols) * np.sqrt(1.0 / config.lora_rank))
+            else:
+                parts.append(np.zeros(rows * cols))
+        self.initial = np.concatenate(parts) if parts else np.zeros(0)  # the P-entry vector at zero-shot
         self.initial.flags.writeable = False
         self._cache = None
 
@@ -244,6 +257,7 @@ class DualEncoderModel:
         """
         records = []
         a = x
+        last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
             bias, down, up = _layer_views(views, stack, i)
             kept = a_drop = a_up = None
@@ -261,11 +275,11 @@ class DualEncoderModel:
             if not finite:
                 bad = ~np.isfinite(z).reshape(len(z), -1).all(axis=1)
                 raise NumericError(f"non-finite activation in {stack} layer {i}", np.flatnonzero(bad))
-            if layer.activation == "relu":
+            if i < last:
                 np.maximum(z, 0.0, out=z)
             if train:
                 # backward reads a layer's output only through its relu
-                records.append((z > 0 if layer.activation == "relu" else None, a_drop, kept, a_up))
+                records.append((z > 0 if i < last else None, a_drop, kept, a_up))
             a = z
         return a, records
 
@@ -400,30 +414,17 @@ def _init_stack(dims, rng: RngStream):
     layers = []
     for i in range(len(dims) - 1):
         fan_in, fan_out = dims[i], dims[i + 1]
-        last = i == len(dims) - 2
-        std = np.sqrt((1.0 if last else 2.0) / fan_in)
+        std = np.sqrt((1.0 if i == len(dims) - 2 else 2.0) / fan_in)
         w = rng.child("enc", i).normal(fan_out * fan_in).reshape(fan_out, fan_in) * std
-        layers.append(
-            DenseLayer(
-                weight=w,
-                bias=np.zeros(fan_out),
-                activation="none" if last else "relu",
-            )
-        )
+        layers.append(DenseLayer(weight=w, bias=np.zeros(fan_out)))
     return layers
 
 
-def zero_shot_init(
-    config: ModelConfig,
-    class_prototypes: np.ndarray,
-    rng: RngStream,
-    encoder_weights=None,
-) -> DualEncoderModel:
+def zero_shot_init(config: ModelConfig, class_prototypes: np.ndarray, rng: RngStream) -> DualEncoderModel:
     """Build a model whose initial predictions are the zero-shot reference.
 
     Encoder weights are drawn once and shared by both modalities (the
-    analogue of a jointly pretrained dual encoder), or taken from
-    ``encoder_weights`` as a list of (W, b) pairs. LoRA ``B`` factors start
+    analogue of a jointly pretrained dual encoder). LoRA ``B`` factors start
     at zero and prompt vectors start at zero, so every head reproduces the
     zero-shot logits exactly at initialization.
     """
@@ -437,30 +438,4 @@ def zero_shot_init(
             f"prototype dimension {protos.shape[1]} does not match embed_dim {config.embed_dim}"
         )
     dims = [config.embed_dim, *config.hidden_widths(), config.embed_dim]
-    if encoder_weights is None:
-        layers = _init_stack(dims, rng.child("backbone"))
-    else:
-        layers = []
-        if len(encoder_weights) != len(dims) - 1:
-            raise ConfigError(
-                f"encoder_weights must provide {len(dims) - 1} layers, got {len(encoder_weights)}"
-            )
-        for i, (w, b) in enumerate(encoder_weights):
-            w = np.asarray(w, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
-            if w.shape != (dims[i + 1], dims[i]) or b.shape != (dims[i + 1],):
-                raise ConfigError(f"encoder layer {i} has wrong shape {w.shape}")
-            last = i == len(dims) - 2
-            layers.append(DenseLayer(weight=w, bias=b, activation="none" if last else "relu"))
-
-    parts = []
-    for key, (_, shape) in _slot_layout(config, layers).items():
-        if key[-1] == "bias":  # bitfit starts from the frozen biases
-            parts.append(layers[key[1]].bias)
-        elif key[-1] == "down":
-            stack, i, _ = key
-            parts.append(rng.child("lora", stack, i).normal(shape[0] * shape[1]) * np.sqrt(1.0 / config.lora_rank))
-        else:  # the prompt and the B factors start at zero
-            parts.append(np.zeros(shape[0] * shape[1]))
-    initial = np.concatenate(parts) if parts else np.zeros(0)
-    return DualEncoderModel(config, layers, protos, initial)
+    return DualEncoderModel(config, _init_stack(dims, rng.child("backbone")), protos, rng)

@@ -16,8 +16,11 @@ model section adopts them.
 Output files per run: ``results.json``, ``summary.csv`` (percent
 convention, two decimals), and reliability diagrams for the final round.
 Sweep configs write one run directory per grid point plus a merged
-comparison CSV. All file payloads are built in memory before anything is
-written, and a failed write sweeps up whatever it had already put on disk.
+comparison CSV. The partition audit (``point_plans`` and ``plan_outputs``)
+draws each point's plan as its run does and puts it in the same directory.
+Every verb writes through ``write_outputs``: all file payloads are built in
+memory before anything is written, and a failed write sweeps up whatever it
+had already put on disk.
 
 A run keeps one copy of the data: each split's rows are gathered once, in
 client order. Every client's training view is a slice of the training
@@ -59,6 +62,7 @@ from .partition import (
     client_entropy,
     dirichlet_partition,
     domain_partition,
+    heterogeneity_stats,
     sort_and_partition,
 )
 
@@ -130,12 +134,18 @@ def _temperature_rows(logits: np.ndarray, split: EvalSplit, temperatures, bins, 
     ]
 
 
+def _data_and_plan(config: ExperimentConfig, rng: RngStream) -> tuple:
+    """Dataset, text prototypes and partition plan of one run, drawn from
+    ``rng``'s ``data`` and ``partition`` streams."""
+    data, text_protos = build_data(config, rng.child("data"))
+    return data, text_protos, build_plan(config, data, rng.child("partition"))
+
+
 def _set_up(config: ExperimentConfig, rng: RngStream) -> tuple:
     """Plan, reconciled model config, model, clients and test split of one
     run; the dataset is dropped on return, so the clients and the split hold
     the run's only copy."""
-    data, text_protos = build_data(config, rng.child("data"))
-    plan = build_plan(config, data, rng.child("partition"))
+    data, text_protos, plan = _data_and_plan(config, rng)
     if not any(map(len, [*plan.test_indices, plan.shared_test])):
         raise ConfigError("no client holds a test sample, so no round can be evaluated "
                           "(synthetic data needs samples_per_class >= 2 for a test split)")
@@ -228,17 +238,22 @@ def summary_csv(results_list) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _run_dir(index: int, point: dict) -> str:
+    """Directory of sweep point ``index``'s outputs, ``run_{index:03d}_{tag}``,
+    where the tag lists the point's axis values by axis name."""
+    return f"run_{index:03d}_" + "_".join(f"{k}-{point[k]}" for k in sorted(point))
+
+
 def render_outputs(results: dict, kinds=("json", "csv", "svg")) -> dict:
     """Map of relative path -> payload for the outputs of one run, or of a
-    sweep's merged results: each point's outputs in a ``run_{index:03d}_{tag}``
-    directory, plus ``sweep_summary.csv``."""
+    sweep's merged results: each point's outputs in its ``_run_dir``, plus
+    ``sweep_summary.csv``."""
     out = {}
     if "runs" in results:
         for index, run in enumerate(results["runs"]):
-            point = run.get("sweep_point", {})
-            tag = "_".join(f"{k}-{point[k]}" for k in sorted(point))
+            directory = _run_dir(index, run.get("sweep_point", {}))
             for name, payload in render_outputs(run, kinds).items():
-                out[f"run_{index:03d}_{tag}/{name}"] = payload
+                out[f"{directory}/{name}"] = payload
         if "csv" in kinds:
             out["sweep_summary.csv"] = summary_csv(results["runs"])
         return out
@@ -251,6 +266,30 @@ def render_outputs(results: dict, kinds=("json", "csv", "svg")) -> dict:
         title = f"{results['method']} ({results['config']['setting']})"
         out["reliability.svg"] = reliability_svg(bins, title=title)
         out["reliability.csv"] = reliability_csv(bins)
+    return out
+
+
+def point_plans(config: ExperimentConfig) -> dict:
+    """The partition plan of each point that ``run_experiment`` runs, keyed by
+    the prefix of that point's output paths: "" for a plain config, else the
+    point's run directory and a slash."""
+    return {
+        f"{_run_dir(index, point)}/" if config.sweep else "": _data_and_plan(sub, RngStream(sub.seed))[2]
+        for index, (point, sub) in enumerate(expand_sweep(config))
+    }
+
+
+def plan_outputs(plans: dict) -> dict:
+    """Map of relative path -> payload of each plan's ``plan.json`` and its
+    ``plan_audit.json``: per-client entropy, class overlap and proportions,
+    and train and test-view sizes (a test view counts the shared rows)."""
+    out = {}
+    for prefix, plan in plans.items():
+        audit = {name: stat.tolist() for name, stat in heterogeneity_stats(plan).items()}
+        audit["train_sizes"] = [len(ix) for ix in plan.train_indices]
+        audit["test_sizes"] = [len(ix) + len(plan.shared_test) for ix in plan.test_indices]
+        out[f"{prefix}plan.json"] = plan.to_json()
+        out[f"{prefix}plan_audit.json"] = results_json(audit)
     return out
 
 
@@ -273,23 +312,27 @@ def _write_all(payload_by_path: dict) -> None:
         raise
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
-    """Run a config (expanding sweeps) and optionally write its outputs.
+def write_outputs(payloads: dict, out_dir) -> list:
+    """Write each relative path's payload under ``out_dir``, all or none;
+    returns the written paths, sorted."""
+    by_path = {Path(out_dir) / path: payload for path, payload in payloads.items()}
+    _write_all(by_path)
+    return sorted(by_path)
 
-    Returns the results dict for a plain config, or a dict with a
-    ``points`` list for sweep configs.
+
+def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
+    """Run a config and optionally write its outputs.
+
+    Returns the results dict of a plain config, or for a sweep a dict whose
+    ``runs`` list holds each point's results, in ``expand_sweep`` order, each
+    with its ``sweep_point``.
     """
-    points = expand_sweep(config)
-    if len(points) == 1 and not points[0][0]:
+    if not config.sweep:
         results = run_single(config)
     else:
-        runs = []
-        for point, sub_config in points:
-            runs.append(run_single(sub_config))
-            runs[-1]["sweep_point"] = point
-        results = {"points": [point for point, _ in points], "runs": runs}
+        results = {"runs": [{**run_single(sub), "sweep_point": point} for point, sub in expand_sweep(config)]}
     if out_dir is not None:
-        _write_all({Path(out_dir) / path: payload for path, payload in render_outputs(results).items()})
+        write_outputs(render_outputs(results), out_dir)
     return results
 
 
@@ -310,10 +353,3 @@ def load_results(path) -> dict:
     except (LookupError, TypeError, ValueError) as err:
         raise FormatError(f"{path}: not a ResultsFile ({err.__class__.__name__} {err} when rendering it)") from err
     return results
-
-
-def emit_report(results: dict, kinds, out_dir) -> list:
-    """Re-render outputs of a loaded ResultsFile; returns written paths."""
-    payloads = {Path(out_dir) / path: payload for path, payload in render_outputs(results, kinds).items()}
-    _write_all(payloads)
-    return sorted(payloads)

@@ -228,7 +228,7 @@ def naive_train_logits(model, params, x, streams):
                     kept = stream.random(a.size).reshape(a.shape) < keep if keep < 1.0 else True
                     a_drop = (a * kept) * (1.0 / keep)
                     z = z + (scale * (a_drop @ parts[stack, i, "B"].T)) @ parts[stack, i, "A"].T
-                a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+                a = np.maximum(z, 0.0) if i < len(model.layers) - 1 else z
             features.append(a / np.linalg.norm(a, axis=-1, keepdims=True))
         out.append(model.config.logit_scale * (features[0] @ features[1].T))
     return np.array(out)

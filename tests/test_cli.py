@@ -2,13 +2,14 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedcalib import runner
-from fedcalib.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_NUMERIC, EXIT_OK, main
-from fedcalib.config import parse_config
+from fedcalib.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
+from fedcalib.config import expand_sweep, load_config, parse_config
 from fedcalib.numerics import RngStream
 
 from fixtures import write_embedding_csv, write_embeddings, write_prototypes
@@ -208,6 +209,9 @@ class TestMalformedEmbeddingFiles:
         assert not (tmp_path / "out").exists()
 
 
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
 class TestPartitionVerb:
     def test_partition_emits_plan_and_audit(self, tmp_path):
         cfg = write_tiny_config(tmp_path)
@@ -231,6 +235,29 @@ class TestPartitionVerb:
         config = parse_config(json.loads(cfg.read_text()))
         *_, split = runner._set_up(config, RngStream(config.seed))
         assert audit["test_sizes"] == split.view_sizes.tolist()
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+    def test_each_plan_is_the_one_its_run_trains_on_in_its_run_directory(self, tmp_path, path):
+        out = tmp_path / "plan"
+        assert main(["partition", "--config", str(path), "--out-dir", str(out)]) == EXIT_OK
+        config = load_config(path)
+        points = expand_sweep(config)
+        # the directory of each point's results.json, as run writes it
+        results = {"runs": [{"sweep_point": point} for point, _ in points]} if config.sweep else {}
+        dirs = [Path(name).parent for name in runner.render_outputs(results, ("json",))]
+        assert len(dirs) == len(points)
+        written = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        assert written == sorted(d / name for d in dirs for name in ("plan.json", "plan_audit.json"))
+        for directory, (_, point_config) in zip(dirs, points):
+            plan = runner._set_up(point_config, RngStream(point_config.seed))[0]
+            assert (out / directory / "plan.json").read_text() == plan.to_json()
+
+    def test_failed_write_leaves_no_plan_behind(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path)
+        (tmp_path / "out" / "plan_audit.json").mkdir(parents=True)
+        assert main(["partition", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_IO
+        assert "io error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "plan.json").exists()
 
 
 # results files of the right shape that lack a key the report renders

@@ -13,6 +13,8 @@ from fedcalib.errors import (
 from fedcalib.losses import LossSpec
 from fedcalib.model import (
     HEAD_KINDS,
+    DenseLayer,
+    DualEncoderModel,
     ModelConfig,
     zero_shot_init,
 )
@@ -63,8 +65,8 @@ def identity_model(prototypes, logit_scale=1.0, head_kind="zero_shot"):
         logit_scale=logit_scale,
         lora_dropout=0.0,
     )
-    eye = [(np.eye(d), np.zeros(d)), (np.eye(d), np.zeros(d))]
-    return zero_shot_init(config, protos, RngStream(0), encoder_weights=eye)
+    eye = [DenseLayer(np.eye(d), np.zeros(d)), DenseLayer(np.eye(d), np.zeros(d))]
+    return DualEncoderModel(config, eye, protos, RngStream(0))
 
 
 class TestZeroShotInit:
@@ -91,14 +93,13 @@ class TestZeroShotInit:
         assert sorted(naive_unpack(m, m.initial)) == [("img", i, p) for i in (0, 1) for p in ("A", "B")]
 
     def test_bitfit_starts_from_the_frozen_biases(self):
-        weights = [(RngStream(4).normal(16 * 8).reshape(16, 8), RngStream(5).normal(16)),
-                   (RngStream(6).normal(8 * 16).reshape(8, 16), RngStream(7).normal(8))]
-        cfg = small_config("bitfit")
-        m = zero_shot_init(cfg, random_prototypes(8, 4), RngStream(0), encoder_weights=weights)
+        layers = [DenseLayer(RngStream(4).normal(16 * 8).reshape(16, 8), RngStream(5).normal(16)),
+                  DenseLayer(RngStream(6).normal(8 * 16).reshape(8, 16), RngStream(7).normal(8))]
+        m = DualEncoderModel(small_config("bitfit"), layers, random_prototypes(8, 4), RngStream(0))
         parts = naive_unpack(m, m.initial)
         for stack in ("img", "txt"):
-            for i, (_, b) in enumerate(weights):
-                assert parts[stack, i, "bias"].tobytes() == b.tobytes()
+            for i, layer in enumerate(layers):
+                assert parts[stack, i, "bias"].tobytes() == layer.bias.tobytes()
 
     def test_zero_init_head_preserves_zero_shot_logits(self):
         protos = random_prototypes(8, 4, seed=5)

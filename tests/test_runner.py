@@ -18,12 +18,13 @@ from fedcalib.model import DualEncoderModel
 from fedcalib.runner import (
     build_data,
     build_plan,
-    emit_report,
     load_results,
     results_json,
     run_experiment,
     run_single,
+    render_outputs,
     summary_csv,
+    write_outputs,
 )
 from fedcalib.numerics import RngStream, softmax_rows
 
@@ -432,7 +433,7 @@ class TestOutputsOnDisk:
     def test_report_reemission_is_byte_identical(self, tmp_path):
         run_experiment(tiny_config(), out_dir=tmp_path / "first")
         results = load_results(tmp_path / "first" / "results.json")
-        emit_report(results, ("json", "csv", "svg"), tmp_path / "second")
+        write_outputs(render_outputs(results), tmp_path / "second")
         for name in ("results.json", "summary.csv", "reliability.svg", "reliability.csv"):
             assert (tmp_path / "first" / name).read_bytes() == (
                 tmp_path / "second" / name
@@ -447,7 +448,7 @@ class TestOutputsOnDisk:
         summary = (tmp_path / "sweep_summary.csv").read_text()
         assert summary.count("\n") == 3  # header + 2 rows
         # re-emitting the merged results writes the same files, byte for byte
-        written = emit_report(merged, ("json", "csv", "svg"), tmp_path / "again")
+        written = write_outputs(render_outputs(merged), tmp_path / "again")
         files = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file() and "again" not in p.parts)
         assert [p.relative_to(tmp_path / "again") for p in written] == files
         assert all((tmp_path / f).read_bytes() == (tmp_path / "again" / f).read_bytes() for f in files)
