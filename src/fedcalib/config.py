@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import get_args, get_origin, get_type_hints
 
@@ -139,7 +140,8 @@ _JSON_TYPES = {int: "an integer", float: "a number", str: "a string"}
 def _json_value(value, hint, path):
     """``value`` as the annotated type ``hint``: ints become floats, lists tuples.
 
-    ``X | None`` also takes null; a bool is never an int or a float.
+    ``X | None`` also takes null; a bool is never an int or a float, and a
+    float must be finite (Python's ``json`` reads ``Infinity`` and ``NaN``).
     """
     args = get_args(hint)
     if type(None) in args:
@@ -150,7 +152,11 @@ def _json_value(value, hint, path):
         return tuple(_json_value(v, args[0], f"{path}[{i}]") for i, v in enumerate(value))
     if isinstance(value, bool) or not isinstance(value, (int, float) if hint is float else hint):
         raise ConfigError(f"{path} must be {_JSON_TYPES[hint]}, got {value!r}")
-    return float(value) if hint is float else value
+    if hint is not float:
+        return value
+    if not abs(value) <= sys.float_info.max:  # also false for NaN and for an int beyond the float range
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _section(obj, cls, path: str, **defaults):
@@ -223,6 +229,10 @@ def parse_config(payload: dict) -> ExperimentConfig:
         metrics=_section(payload.get("metrics", {}), MetricConfig, "metrics"),
         data=_parse_data(payload.get("data", {}), setting),
     )
+    for i, tau in enumerate(config.metrics.temperatures):
+        # a logit is logit_scale times a cosine; the factor 2 is headroom for its rounding
+        if not 2.0 * config.model.logit_scale / tau <= sys.float_info.max:
+            raise ConfigError(f"metrics.temperatures[{i}] {tau!r} is too small: logits / tau would overflow")
     if config.partition.kind not in part_kinds:
         raise ConfigError(f"setting {setting!r} requires partition.kind in {part_kinds}")
     synthetic = config.data.synthetic

@@ -1,22 +1,24 @@
 """Communication-round engine: participant sampling, local SGD, aggregation,
 and the evaluation of a global vector on every client's test view.
 
-One round proceeds as broadcast -> local training on sampled participants
--> aggregation, and leaves the new global vector in the ``ServerState``;
-the runner then evaluates that vector once on all clients. A round's
+A client is an index: client k's data are its rows of the run's two
+``RowSplit``s, training and test, and all other state is the server's. One
+round proceeds as broadcast -> local training on sampled participants ->
+aggregation, and leaves the new global vector in the ``ServerState``; the
+runner then evaluates that vector once on all clients. A round's
 participants train in lockstep on the run's single model: at each local
 step, the participants whose minibatches have the same row count run one
 stacked forward and backward, each with its own row of a K x P parameter
-matrix (see ``model``). Clients differ only in their data,
-their trainable vector and, once they have taken part under feddyn, their
-dual. Every client draws from a stream derived from (seed, round, client
-id), so each client's update is the one it would compute alone, whatever
-the grouping or the order.
+matrix (see ``model``). Clients differ only in their rows, their trainable
+vector and, once they have taken part under feddyn, their dual, which the
+server holds by client id. Every client draws from a stream derived from
+(seed, round, client id), so each client's update is the one it would
+compute alone, whatever the grouping or the order.
 
 Every client holds the same global vector after broadcast, so
 ``split_logits`` forwards the test views of consecutive clients together,
 in blocks of at most ``EVAL_BLOCK_ROWS`` rows. The run holds each test row
-once, as an ``EvalSplit``: every client's own rows in client order, then the
+once, in the test split: every client's own rows in client order, then the
 rows that every view shares (base-to-new's new-class rows), forwarded once
 more. Each block is a slice of it. The reports (``personalized_evaluate``,
 ``evaluate_base_new``) take the split's probabilities and forward nothing.
@@ -34,7 +36,7 @@ Aggregation strategies:
   mixing coefficients are computed in exact rational arithmetic so that
   equal local step counts reproduce the fedavg result bit for bit
 - ``feddyn``                dynamic regularization with client duals and a
-  server dual mean
+  server dual mean, all held in the ``ServerState``
 
 A failed client aborts the whole round; silently dropping it would bias
 the weighted average and break determinism.
@@ -42,7 +44,7 @@ the weighted average and break determinism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -96,27 +98,15 @@ class AggregatorConfig:
 
 
 @dataclass
-class ClientState:
-    """One client's training view and optimizer extras; its test view is in the run's ``EvalSplit``."""
-
-    client_id: int
-    train_x: np.ndarray
-    train_y: np.ndarray
-    # FedDyn h_n, trainable-vector shaped; None (read as zeros) until the client first takes part
-    dual: np.ndarray | None = None
-
-    @property
-    def train_size(self) -> int:
-        return len(self.train_y)
-
-
-@dataclass
 class ServerState:
-    """Coordinator-held state: the global vector and FedDyn's dual mean."""
+    """Coordinator-held state: the global vector and FedDyn's state, the dual
+    mean and each client's dual h_n by client id. A client's dual is made when
+    it first takes part; until then it reads as zeros."""
 
     global_vector: np.ndarray
     num_clients: int
     dual_mean: np.ndarray | None = None
+    duals: dict = field(default_factory=dict)
 
 
 # rows of one stacked training step: 256 lets eight 32-row batches share a step; up from 192,
@@ -137,7 +127,9 @@ def sample_participants(num_clients: int, rate: float, rng: RngStream) -> np.nda
 
 def train_participants(
     model: DualEncoderModel,
-    clients: list,
+    train: RowSplit,
+    ids: list,
+    duals: dict,
     global_vector: np.ndarray,
     fed_config: FederationConfig,
     agg_config: AggregatorConfig,
@@ -145,7 +137,8 @@ def train_participants(
     rngs: list,
     round_index: int = 0,
 ) -> list:
-    """Local SGD of several clients in lockstep; one (vector, steps) per client.
+    """Local SGD of the clients ``ids`` of the training split in lockstep; one
+    (vector, steps) per client.
 
     Every client starts from the broadcast vector and runs its own epochs:
     its shuffle per epoch from ``rngs[i].child("shuffle", epoch)`` and its
@@ -159,40 +152,42 @@ def train_participants(
     learning rate, later rounds the main one. FedProx adds
     ``mu * (w - w_global)`` to each step's gradient; FedDyn adds
     ``-h_n + alpha * (w - w_global)``, each with the client's own ``w`` and
-    dual ``h_n`` (zeros while the client holds none). So a client's result
-    does not depend on the other clients. The model is not changed.
+    dual ``h_n = duals[id]`` (zeros while the client holds none). So a
+    client's result does not depend on the other clients. The model is not
+    changed.
     """
-    vectors = np.tile(global_vector, (len(clients), 1))
+    vectors = np.tile(global_vector, (len(ids), 1))
+    views = [train.own(cid) for cid in ids]
     size = fed_config.batch_size
-    batches = [-(-c.train_size // size) if global_vector.size else 0 for c in clients]
+    batches = [-(-len(y) // size) if global_vector.size else 0 for _, y in views]
     total_steps = [fed_config.local_epochs * b for b in batches]
     lr = fed_config.warmup_lr if round_index == 0 else fed_config.learning_rate
-    duals = None
-    if agg_config.kind == "feddyn" and clients:
+    dual_rows = None
+    if agg_config.kind == "feddyn" and ids:
         zero = np.zeros(global_vector.size)
-        duals = np.stack([zero if c.dual is None else c.dual for c in clients])
-    orders = [None] * len(clients)
+        dual_rows = np.stack([duals.get(cid, zero) for cid in ids])
+    orders = [None] * len(ids)
     for step in range(max(total_steps, default=0)):
         groups: dict = {}
-        for i, client in enumerate(clients):
+        for i, (_, y) in enumerate(views):
             if step < total_steps[i]:
                 epoch, b = divmod(step, batches[i])
                 if b == 0:
-                    orders[i] = rngs[i].child("shuffle", epoch).permutation(client.train_size)
+                    orders[i] = rngs[i].child("shuffle", epoch).permutation(len(y))
                 rows = orders[i][b * size : (b + 1) * size]
                 groups.setdefault(len(rows), []).append((i, rows, rngs[i].child("dropout", epoch, step)))
         for rows, group in groups.items():
             for members in _stacks(group, rows):
-                ids = [i for i, _, _ in members]
-                w = vectors[ids]
-                g = _stacked_gradient(model, w, clients, members, loss_spec, round_index, step)
+                stack = [i for i, _, _ in members]
+                w = vectors[stack]
+                g = _stacked_gradient(model, w, views, ids, members, loss_spec, round_index, step)
                 if agg_config.kind == "fedprox":
                     g += agg_config.mu_prox * (w - global_vector)
                 elif agg_config.kind == "feddyn":
-                    g -= duals[ids]
+                    g -= dual_rows[stack]
                     g += agg_config.alpha_dyn * (w - global_vector)
                 w -= lr * g
-                vectors[ids] = w
+                vectors[stack] = w
     return [(vector, steps) for vector, steps in zip(vectors, total_steps)]
 
 
@@ -204,16 +199,17 @@ def _stacks(group: list, rows: int) -> list:
     return [group[start : start + per] for start in range(0, len(group), per)]
 
 
-def _stacked_gradient(model, params, clients, members, loss_spec, round_index, step) -> np.ndarray:
+def _stacked_gradient(model, params, views, ids, members, loss_spec, round_index, step) -> np.ndarray:
     """K x P loss gradient of one stacked step at the K x P ``params``;
-    ``members`` are (client index, rows, dropout stream).
+    ``members`` are (participant index, rows, dropout stream), ``views[i]``
+    participant i's training rows and ``ids[i]`` its client id.
 
     A non-finite activation or loss raises ``NumericError`` naming the
     client it belongs to, the round and the step.
     """
-    stack = [clients[i] for i, _, _ in members]
-    x = np.array([c.train_x[rows] for c, (_, rows, _) in zip(stack, members)])
-    y = np.array([c.train_y[rows] for c, (_, rows, _) in zip(stack, members)])
+    x = np.array([views[i][0][rows] for i, rows, _ in members])
+    y = np.array([views[i][1][rows] for i, rows, _ in members])
+    stack = [ids[i] for i, _, _ in members]
     try:
         model.forward(x, params, train=True, rng=[stream for _, _, stream in members])
         loss, g = model.backward(y, loss_spec)
@@ -225,7 +221,7 @@ def _stacked_gradient(model, params, clients, members, loss_spec, round_index, s
 
 
 def _client_error(message: str, stack: list, rows, round_index: int, step: int) -> NumericError:
-    names = ", ".join(str(stack[r].client_id) for r in rows)
+    names = ", ".join(str(stack[r]) for r in rows)
     return NumericError(f"{message} on client {names}, round {round_index}, step {step}")
 
 
@@ -295,19 +291,25 @@ EVAL_BLOCK_ROWS = 256  # caps the transient memory of one evaluation forward
 
 
 @dataclass(frozen=True)
-class EvalSplit:
-    """The test rows of a run, each held once.
+class RowSplit:
+    """The training or the test rows of a run, each held once.
 
     ``x`` and ``y`` hold every client's own rows in client order, ``sizes[k]``
     rows for client k, then ``shared`` rows that close every client's view
-    (the new-class rows in base-to-new). Client k's test view is its own
-    rows, then the shared rows.
+    (the new-class rows of base-to-new's test split). Client k's training rows
+    are its own rows; its test view is its own rows, then the shared rows.
     """
 
     x: np.ndarray
     y: np.ndarray
     sizes: np.ndarray
     shared: int = 0
+
+    def own(self, k: int) -> tuple:
+        """Client ``k``'s own rows ``(x, y)``, slices of the split."""
+        start = int(self.sizes[:k].sum())
+        rows = slice(start, start + int(self.sizes[k]))
+        return self.x[rows], self.y[rows]
 
     @property
     def view_sizes(self) -> np.ndarray:
@@ -323,7 +325,7 @@ class EvalSplit:
         return np.concatenate([part for mine in own for part in (mine, shared)])
 
 
-def split_logits(model: DualEncoderModel, vector: np.ndarray, split: EvalSplit) -> np.ndarray:
+def split_logits(model: DualEncoderModel, vector: np.ndarray, split: RowSplit) -> np.ndarray:
     """Logits under ``vector`` of every row of ``split``, each row forwarded once.
 
     Consecutive non-empty own views are forwarded together, in blocks of at
@@ -356,7 +358,7 @@ def _with_empty(rows: list, sizes) -> list:
     return [next(rows) if size else None for size in sizes]
 
 
-def personalized_evaluate(probs: np.ndarray, split: EvalSplit, bins: int = 15, scheme: str = "equal_width") -> dict:
+def personalized_evaluate(probs: np.ndarray, split: RowSplit, bins: int = 15, scheme: str = "equal_width") -> dict:
     """Per-client metrics of ``probs``, one row per row of ``split``, on each
     test view of ``split``, their unweighted mean and the pooled bins.
 
@@ -375,7 +377,7 @@ def personalized_evaluate(probs: np.ndarray, split: EvalSplit, bins: int = 15, s
     }
 
 
-def evaluate_base_new(probs: np.ndarray, split: EvalSplit, bins: int = 15, scheme: str = "equal_width") -> dict:
+def evaluate_base_new(probs: np.ndarray, split: RowSplit, bins: int = 15, scheme: str = "equal_width") -> dict:
     """Base/new breakdown of ``probs``, one row per row of ``split``, for the
     base-to-new setting, plus harmonic means.
 
@@ -395,50 +397,41 @@ def evaluate_base_new(probs: np.ndarray, split: EvalSplit, bins: int = 15, schem
 def run_round(
     model: DualEncoderModel,
     server: ServerState,
-    clients: list,
+    train: RowSplit,
     fed_config: FederationConfig,
     agg_config: AggregatorConfig,
     loss_spec: LossSpec,
     round_index: int,
     base_stream: RngStream,
 ) -> tuple:
-    """One communication round, deterministic in (config, seed): sample, train,
-    aggregate into ``server.global_vector`` and, under feddyn, update the
-    participants' duals. Returns the participants (ascending client ids) and,
+    """One communication round over the clients of the training split,
+    deterministic in (config, seed): sample, train, aggregate into
+    ``server.global_vector`` and, under feddyn, update the participants' duals
+    in ``server.duals``. Returns the participants (ascending client ids) and,
     aligned with them, each one's update norm ||w_k - w_global||: 0.0 without
     trainable parameters or local steps, and taken over the participant's own
     vector, so its bits do not depend on the other participants."""
     sampled = sample_participants(
-        len(clients), fed_config.participation_rate, base_stream.child("participants", round_index)
+        len(train.sizes), fed_config.participation_rate, base_stream.child("participants", round_index)
     )
     participants = [int(c) for c in sampled]
     global_before = server.global_vector
 
     trained = train_participants(
-        model, [clients[cid] for cid in participants], global_before, fed_config, agg_config,
-        loss_spec, [base_stream.child("local", round_index, cid) for cid in participants], round_index,
+        model, train, participants, server.duals, global_before, fed_config, agg_config, loss_spec,
+        [base_stream.child("local", round_index, cid) for cid in participants], round_index,
     )
-    updates = [(vector, clients[cid].train_size, steps) for cid, (vector, steps) in zip(participants, trained)]
+    updates = [(vector, train.sizes[cid], steps) for cid, (vector, steps) in zip(participants, trained)]
     norms = [float(np.linalg.norm(vector - global_before)) for vector, _ in trained]
 
     server.global_vector = aggregate(updates, global_before, agg_config, server)
     if agg_config.kind == "feddyn":
-        for (vec, _, _), cid in zip(updates, participants):
-            client = clients[cid]
+        for cid, (vec, _) in zip(participants, trained):
             # a first dual is 0.0 - t, the bits of zeros - t (-t would turn +0.0 into -0.0)
-            before = 0.0 if client.dual is None else client.dual
-            client.dual = before - agg_config.alpha_dyn * (vec - global_before)
+            server.duals[cid] = server.duals.get(cid, 0.0) - agg_config.alpha_dyn * (vec - global_before)
     return participants, norms
 
 
-def build_clients(data_views: list) -> list:
-    """Client state for each training view; no client holds a dual yet."""
-    return [
-        ClientState(client_id=cid, train_x=view["train_x"], train_y=view["train_y"])
-        for cid, view in enumerate(data_views)
-    ]
-
-
 def init_server(vector: np.ndarray, num_clients: int) -> ServerState:
-    """Server state that broadcasts a copy of ``vector`` first."""
+    """Server state that broadcasts a copy of ``vector`` first and holds no client dual."""
     return ServerState(global_vector=vector.copy(), num_clients=num_clients, dual_mean=np.zeros(vector.size))

@@ -196,8 +196,8 @@ class RngStream:
         ``Gamma(alpha) = Gamma(alpha + 1) * U^(1/alpha)`` in log space, which
         avoids the underflow that makes direct draws collapse to zero.
         """
-        if alpha <= 0:
-            raise InvalidInputError(f"gamma shape must be positive, got {alpha}")
+        if not 0 < alpha < math.inf:  # an infinite or NaN shape would reject every draw forever
+            raise InvalidInputError(f"gamma shape must be positive and finite, got {alpha}")
         if alpha >= 1.0:
             return self._gamma_core_log(alpha, n)
         base = self._gamma_core_log(alpha + 1.0, n)

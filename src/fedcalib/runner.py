@@ -23,10 +23,11 @@ memory before anything is written, and a failed write sweeps up whatever it
 had already put on disk.
 
 A run keeps one copy of the data: each split's rows are gathered once, in
-client order. Every client's training view is a slice of the training
-copy; the test copy is the run's ``EvalSplit``, which holds base-to-new's
-shared new-class rows once and which evaluation slices into blocks. The
-dataset is dropped once both are built.
+client order, as a ``RowSplit``. A client is an index into both: its
+training rows are a slice of the training split, and its test view a slice
+of the test split, which holds base-to-new's shared new-class rows once and
+which evaluation slices into blocks. FedDyn's per-client duals live on the
+server. The dataset is dropped once both splits are built.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ from .config import ExperimentConfig, config_echo, expand_sweep
 from .datagen import generate_synthetic, load_embeddings
 from .errors import ConfigError, FormatError
 from .federation import (
-    EvalSplit,
-    build_clients,
+    RowSplit,
     evaluate_base_new,
     init_server,
     personalized_evaluate,
@@ -86,21 +86,15 @@ def build_plan(config: ExperimentConfig, data: LabeledDataset, rng: RngStream) -
 
 
 def client_views(data: LabeledDataset, plan: PartitionPlan) -> tuple:
-    """Per-client training views, each a row slice of the training rows'
-    one gathered copy, and the test rows gathered once as an ``EvalSplit``:
-    every client's own rows in client order, then the plan's shared rows."""
-    def gather(per_client):
-        ix = np.concatenate([np.asarray(part, dtype=np.int64) for part in per_client])
-        return data.embeddings[ix], data.labels[ix], np.array([len(part) for part in per_client])
+    """The training and the test rows, each gathered once as a ``RowSplit``:
+    every client's own rows in client order, then, for the test rows, the
+    plan's shared rows."""
+    def gather(per_client, shared=()):
+        ix = np.concatenate([np.asarray(part, dtype=np.int64) for part in [*per_client, shared]])
+        sizes = np.array([len(part) for part in per_client])
+        return RowSplit(data.embeddings[ix], data.labels[ix], sizes, len(shared))
 
-    train_x, train_y, train_sizes = gather(plan.train_indices)
-    bounds = np.cumsum(train_sizes)[:-1]
-    views = [
-        {"train_x": tx, "train_y": ty}
-        for tx, ty in zip(np.split(train_x, bounds), np.split(train_y, bounds))
-    ]
-    test_x, test_y, sizes = gather([*plan.test_indices, plan.shared_test])
-    return views, EvalSplit(test_x, test_y, sizes[:-1], int(sizes[-1]))
+    return gather(plan.train_indices), gather(plan.test_indices, plan.shared_test)
 
 
 def _reconcile_model(config: ExperimentConfig, data: LabeledDataset) -> ModelConfig:
@@ -125,7 +119,7 @@ def _bins_from_dict(payload: dict) -> ReliabilityBins:
     )
 
 
-def _temperature_rows(logits: np.ndarray, split: EvalSplit, temperatures, bins, scheme) -> list:
+def _temperature_rows(logits: np.ndarray, split: RowSplit, temperatures, bins, scheme) -> list:
     """Per-tau client-averaged metrics of ``logits``, one row per row of ``split``."""
     return [
         {"temperature": float(tau),
@@ -142,24 +136,23 @@ def _data_and_plan(config: ExperimentConfig, rng: RngStream) -> tuple:
 
 
 def _set_up(config: ExperimentConfig, rng: RngStream) -> tuple:
-    """Plan, reconciled model config, model, clients and test split of one
-    run; the dataset is dropped on return, so the clients and the split hold
-    the run's only copy."""
+    """Plan, reconciled model config, model, training split and test split of
+    one run; the dataset is dropped on return, so the splits hold the run's
+    only copy."""
     data, text_protos, plan = _data_and_plan(config, rng)
     if not any(map(len, [*plan.test_indices, plan.shared_test])):
         raise ConfigError("no client holds a test sample, so no round can be evaluated "
                           "(synthetic data needs samples_per_class >= 2 for a test split)")
     model_config = _reconcile_model(config, data)
     model = zero_shot_init(model_config, text_protos, rng.child("init"))
-    views, split = client_views(data, plan)
-    return plan, model_config, model, build_clients(views), split
+    return (plan, model_config, model, *client_views(data, plan))
 
 
 def run_single(config: ExperimentConfig) -> dict:
     """Run one (non-sweep) experiment and return its results dictionary."""
     started = time.time()
     rng = RngStream(config.seed)
-    plan, model_config, model, clients, split = _set_up(config, rng)
+    plan, model_config, model, train, split = _set_up(config, rng)
     server = init_server(model.initial, plan.num_clients)
 
     bins, scheme = config.metrics.bins, config.metrics.scheme
@@ -168,7 +161,7 @@ def run_single(config: ExperimentConfig) -> dict:
     for t in range(config.federation.rounds):
         logits = probs = None  # the previous round's arrays are not held through training
         participants, norms = run_round(
-            model, server, clients, config.federation, config.aggregator, config.loss, t, round_stream
+            model, server, train, config.federation, config.aggregator, config.loss, t, round_stream
         )
         vector = server.global_vector
         logits = split_logits(model, vector, split)

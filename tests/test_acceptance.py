@@ -26,7 +26,6 @@ from fedcalib.federation import (
     AggregatorConfig,
     ServerState,
     aggregate,
-    build_clients,
     init_server,
     personalized_evaluate,
     run_round,
@@ -191,19 +190,19 @@ def _one_client_federation(seed=7):
     data, protos = build_data(cfg, rng.child("data"))
     plan = build_plan(cfg, data, rng.child("partition"))
     model = zero_shot_init(_reconcile_model(cfg, data), protos, rng.child("init"))
-    clients = build_clients(client_views(data, plan)[0])
+    train, _ = client_views(data, plan)
     server = init_server(model.initial, 1)
-    return cfg, model, clients, server
+    return cfg, model, train, server
 
 
 def test_criterion_04_aggregation_identities():
     # (a) single-client FedAvg is bit-identical to local training
-    cfg, model, clients, server = _one_client_federation()
+    cfg, model, train, server = _one_client_federation()
     trained, steps = train_participants(
-        model, [clients[0]], server.global_vector, cfg.federation, cfg.aggregator,
+        model, train, [0], server.duals, server.global_vector, cfg.federation, cfg.aggregator,
         LossSpec(), [RngStream(0).child("local", 0, 0)], round_index=0,
     )[0]
-    out = aggregate([(trained, clients[0].train_size, steps)], server.global_vector,
+    out = aggregate([(trained, train.sizes[0], steps)], server.global_vector,
                     AggregatorConfig("fedavg"), server)
     assert out.tobytes() == trained.tobytes()
 
@@ -247,14 +246,13 @@ def test_criterion_05_determinism_serial_vs_parallel():
     plan = build_plan(cfg, data, rng.child("partition"))
     model_cfg = _reconcile_model(cfg, data)
     model = zero_shot_init(model_cfg, protos, rng.child("init"))
-    views, split = client_views(data, plan)
-    clients = build_clients(views)
+    train, split = client_views(data, plan)
     server = init_server(model.initial, plan.num_clients)
     bins, scheme = cfg.metrics.bins, cfg.metrics.scheme
     stream = rng.child("rounds")
     for t in range(cfg.federation.rounds):
         global_before = server.global_vector
-        participants, round_norms = run_round(model, server, clients, cfg.federation, cfg.aggregator,
+        participants, round_norms = run_round(model, server, train, cfg.federation, cfg.aggregator,
                                               cfg.loss, t, stream)
         # (a) each participant replayed alone from its own stream, in reverse
         # order on the same model and on a freshly initialised model: both
@@ -262,18 +260,18 @@ def test_criterion_05_determinism_serial_vs_parallel():
         # and give the round's update norms
         updates, norms = {}, {}
         for cid in reversed(participants):
-            vec, steps = train_participants(model, [clients[cid]], global_before, cfg.federation,
+            vec, steps = train_participants(model, train, [cid], {}, global_before, cfg.federation,
                                             cfg.aggregator, cfg.loss, [stream.child("local", t, cid)], t)[0]
             alone = zero_shot_init(model_cfg, protos, RngStream(cfg.seed).child("init"))
             vec_alone, steps_alone = train_participants(
-                alone, [clients[cid]], global_before, cfg.federation, cfg.aggregator, cfg.loss,
+                alone, train, [cid], {}, global_before, cfg.federation, cfg.aggregator, cfg.loss,
                 [stream.child("local", t, cid)], t,
             )[0]
             assert vec.tobytes() == vec_alone.tobytes() and steps == steps_alone
-            updates[cid] = (vec, clients[cid].train_size, steps)
+            updates[cid] = (vec, train.sizes[cid], steps)
             norms[cid] = np.linalg.norm(vec_alone - global_before)
         replay = aggregate([updates[cid] for cid in participants], global_before,
-                           cfg.aggregator, ServerState(global_before, len(clients)))
+                           cfg.aggregator, ServerState(global_before, len(train.sizes)))
         assert replay.tobytes() == server.global_vector.tobytes()
         assert np.array(round_norms).tobytes() == np.array([norms[cid] for cid in participants]).tobytes()
         # (b) every client's report equals one from a freshly initialised

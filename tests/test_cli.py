@@ -1,6 +1,7 @@
 """Tests for the command-line interface and its exit-code contract."""
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -76,10 +77,9 @@ class TestRunVerb:
         original = runner.client_views
 
         def poisoned(*args):
-            views, split = original(*args)
-            views[1]["train_x"] = views[1]["train_x"].copy()
-            views[1]["train_x"][0, 0] = float("nan")
-            return views, split
+            train, split = original(*args)
+            train.own(1)[0][0, 0] = float("nan")
+            return train, split
 
         monkeypatch.setattr(runner, "client_views", poisoned)
         cfg = write_tiny_config(tmp_path)
@@ -97,6 +97,22 @@ class TestRunVerb:
         code = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "no client holds a test sample" in capsys.readouterr().err
+        assert rounds == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra, path", [
+        # an infinite alpha made the Dirichlet draw reject every sample forever
+        ({"partition": {"num_clients": 3, "alpha": math.inf}}, "partition.alpha"),
+        # a tau this small overflowed the scaled logits after training
+        ({"metrics": {"temperatures": [1e-310]}}, "metrics.temperatures[0]"),
+    ], ids=["alpha-Infinity", "tiny-temperature"])
+    def test_unusable_float_exits_config_before_training(self, tmp_path, capsys, monkeypatch, extra, path):
+        rounds = []
+        monkeypatch.setattr(runner, "run_round", lambda *args, **kwargs: rounds.append(args))
+        cfg = write_tiny_config(tmp_path, **extra)
+        code = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert path in capsys.readouterr().err
         assert rounds == []
         assert not (tmp_path / "out").exists()
 

@@ -1,12 +1,16 @@
 """Tests for the experiment config schema, defaults, and sweep expansion."""
 
 import json
+import math
 import re
+from dataclasses import is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
 
 from fedcalib.config import (
+    ExperimentConfig,
     expand_sweep,
     config_echo,
     load_config,
@@ -287,6 +291,61 @@ class TestRejectionTable:
         path.write_text(json.dumps({"loss": loss}))
         assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "loss." in capsys.readouterr().err
+
+
+def float_fields(cls=ExperimentConfig, path=""):
+    """(JSON path, type hint) of every float field of every config section, from the dataclass type hints."""
+    for name, hint in get_type_hints(cls).items():
+        here = f"{path}.{name}" if path else name
+        section = [arg for arg in (hint, *get_args(hint)) if is_dataclass(arg)]
+        if section:
+            yield from float_fields(section[0], here)
+        elif float in (hint, *get_args(hint)):
+            yield here, hint
+
+
+FLOAT_FIELDS = list(float_fields())
+
+
+def payload_at(path: str, value) -> dict:
+    """The config object that sets only the field at the dotted JSON ``path`` to ``value``."""
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+class TestNonFiniteFloats:
+    def test_every_section_is_walked(self):
+        paths = {path for path, _ in FLOAT_FIELDS}
+        assert {"model.lora_alpha", "federation.learning_rate", "aggregator.alpha_dyn", "loss.aux_weight",
+                "partition.alpha", "metrics.temperatures", "data.synthetic.noise_sigma"} <= paths
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["Infinity", "-Infinity"])
+    @pytest.mark.parametrize("path,hint", FLOAT_FIELDS, ids=[path for path, _ in FLOAT_FIELDS])
+    def test_rejected_with_json_path(self, path, hint, value):
+        # Python's json reads Infinity; a tuple entry is named by its index
+        listed = get_origin(hint) is tuple
+        named = f"{path}[1]" if listed else path
+        with pytest.raises(ConfigError, match=re.escape(f"{named} must be a finite number")):
+            parse_config(payload_at(path, [1.0, value] if listed else value))
+
+    def test_int_beyond_the_float_range_is_rejected(self):
+        with pytest.raises(ConfigError, match=re.escape("partition.alpha must be a finite number")):
+            parse_config({"partition": {"alpha": 10**400}})
+
+
+class TestTemperatureBound:
+    def test_tau_whose_scaled_logits_overflow_is_rejected(self):
+        # logits reach +-logit_scale, and logits / tau overflowed after training
+        with pytest.raises(ConfigError, match=re.escape("metrics.temperatures[1]")):
+            parse_config({"metrics": {"temperatures": [1.0, 1e-310]}})
+        with pytest.raises(ConfigError, match=re.escape("metrics.temperatures[0]")):
+            parse_config({"model": {"logit_scale": 1e10}, "metrics": {"temperatures": [1e-299]}})
+
+    def test_bound_scales_with_logit_scale(self):
+        assert parse_config({"metrics": {"temperatures": [1e-305]}}).metrics.temperatures == (1e-305,)
+        small_scale = {"model": {"logit_scale": 1.0}, "metrics": {"temperatures": [1e-307]}}
+        assert parse_config(small_scale).metrics.temperatures == (1e-307,)
 
 
 class TestNullableAndDiscardedFields:

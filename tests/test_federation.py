@@ -14,11 +14,10 @@ from fedcalib.calibration import (
 from fedcalib.errors import ConfigError, InvalidInputError, NumericError, TransportError
 from fedcalib.federation import (
     AggregatorConfig,
-    EvalSplit,
     FederationConfig,
+    RowSplit,
     ServerState,
     aggregate,
-    build_clients,
     EVAL_BLOCK_ROWS,
     STACK_ROWS,
     evaluate_base_new,
@@ -37,7 +36,8 @@ from fixtures import count_forwards, model_array_bytes, scalars, split_probs
 
 
 def make_blob_views(num_clients, d=8, c=4, per_client=24, test_per_client=12, seed=0):
-    """Per-client gaussian-blob views around shared class prototypes.
+    """Per-client gaussian-blob ``(x, y)`` training and test views around shared
+    class prototypes.
 
     ``per_client`` and ``test_per_client`` are one train- or test-view size
     for all clients or a list of per-client sizes.
@@ -55,30 +55,28 @@ def make_blob_views(num_clients, d=8, c=4, per_client=24, test_per_client=12, se
         per_client = [per_client] * num_clients
     if isinstance(test_per_client, int):
         test_per_client = [test_per_client] * num_clients
-    views = []
+    train, test = [], []
     for train_rows, test_rows in zip(per_client, test_per_client, strict=True):
-        tx, ty = block(train_rows)
-        vx, vy = block(test_rows)
-        views.append({"train_x": tx, "train_y": ty, "test_x": vx, "test_y": vy})
-    return protos, views
+        train.append(block(train_rows))
+        test.append(block(test_rows))
+    return protos, train, test
 
 
 def make_federation(num_clients, head="lora_both", seed=0, dropout=0.0, logit_scale=10.0, **view_kw):
-    protos, views = make_blob_views(num_clients, seed=seed, **view_kw)
+    protos, train, test = make_blob_views(num_clients, seed=seed, **view_kw)
     cfg = ModelConfig(
         embed_dim=8, class_count=4, head_kind=head, lora_dropout=dropout, logit_scale=logit_scale
     )
     model = zero_shot_init(cfg, protos, RngStream(seed, 777))
-    clients = build_clients(views)
     server = init_server(model.initial, num_clients)
-    return model, server, clients, gather_split([(v["test_x"], v["test_y"]) for v in views])
+    return model, server, gather_split(train), gather_split(test)
 
 
 def gather_split(views, shared=None):
-    """The ``EvalSplit`` of per-client ``(x, y)`` own test rows, gathered in client
+    """The ``RowSplit`` of per-client ``(x, y)`` own rows, gathered in client
     order, then the ``(x, y)`` rows that every view shares."""
     parts = views if shared is None else [*views, shared]
-    return EvalSplit(
+    return RowSplit(
         np.concatenate([x for x, _ in parts]),
         np.concatenate([y for _, y in parts]),
         np.array([len(y) for _, y in views]),
@@ -86,24 +84,28 @@ def gather_split(views, shared=None):
     )
 
 
-def local_objective(model, client, vector, global_vector, agg_config, loss_spec):
-    """Full-set local objective at ``vector``, dropout off, penalties included."""
-    probs = softmax_rows(model.forward(client.train_x, vector))
-    value = total_loss(ProbBatch(probs, client.train_y), loss_spec).total
+def local_objective(model, rows, vector, global_vector, agg_config, loss_spec, dual=None):
+    """Full-set local objective on the ``(x, y)`` ``rows`` at ``vector``, dropout
+    off, penalties included; ``dual`` is the FedDyn dual, ``None`` for zeros."""
+    x, y = rows
+    probs = softmax_rows(model.forward(x, vector))
+    value = total_loss(ProbBatch(probs, y), loss_spec).total
     if agg_config.kind == "fedprox":
         diff = vector - global_vector
         value += 0.5 * agg_config.mu_prox * float(diff @ diff)
     elif agg_config.kind == "feddyn":
         diff = vector - global_vector
-        dual = np.zeros(vector.size) if client.dual is None else client.dual
+        dual = np.zeros(vector.size) if dual is None else dual
         value += -float(dual @ vector) + 0.5 * agg_config.alpha_dyn * float(diff @ diff)
     return value
 
 
-def sequential_local_train(model, client, global_vector, fed_config, agg_config, loss_spec, rng, round_index=0):
-    """Plain local SGD of one client, one unstacked forward and backward per
-    minibatch: the reference that lockstep training must reproduce."""
-    n = client.train_size
+def sequential_local_train(model, rows, dual, global_vector, fed_config, agg_config, loss_spec, rng, round_index=0):
+    """Plain local SGD of one client on its ``(x, y)`` training ``rows`` from its
+    FedDyn ``dual`` (``None`` for zeros), one unstacked forward and backward
+    per minibatch: the reference that lockstep training must reproduce."""
+    x, y = rows
+    n = len(y)
     w = global_vector.copy()
     if fed_config.local_epochs == 0 or n == 0 or w.size == 0:
         return w, 0
@@ -113,12 +115,12 @@ def sequential_local_train(model, client, global_vector, fed_config, agg_config,
         order = rng.child("shuffle", epoch).permutation(n)
         for start in range(0, n, fed_config.batch_size):
             batch_ix = order[start : start + fed_config.batch_size]
-            model.forward(client.train_x[batch_ix], w, train=True, rng=rng.child("dropout", epoch, steps))
-            _, g = model.backward(client.train_y[batch_ix], loss_spec)
+            model.forward(x[batch_ix], w, train=True, rng=rng.child("dropout", epoch, steps))
+            _, g = model.backward(y[batch_ix], loss_spec)
             if agg_config.kind == "fedprox":
                 g += agg_config.mu_prox * (w - global_vector)
             elif agg_config.kind == "feddyn":
-                g -= np.zeros(g.size) if client.dual is None else client.dual
+                g -= np.zeros(g.size) if dual is None else dual
                 g += agg_config.alpha_dyn * (w - global_vector)
             w -= lr * g
             steps += 1
@@ -154,53 +156,54 @@ class TestSampleParticipants:
 
 class TestLocalTrain:
     def test_zero_epochs_returns_global_unchanged(self):
-        model, server, clients, split = make_federation(1)
+        model, server, train, split = make_federation(1)
         fed = FederationConfig(local_epochs=0)
         vec, steps = train_participants(
-            model, [clients[0]], server.global_vector, fed, AggregatorConfig(), LossSpec(), [RngStream(6)]
+            model, train, [0], server.duals, server.global_vector, fed, AggregatorConfig(), LossSpec(),
+            [RngStream(6)],
         )[0]
         assert steps == 0
         assert vec.tobytes() == server.global_vector.tobytes()
 
     def test_single_step_matches_hand_sgd(self):
-        model, server, clients, split = make_federation(1, per_client=8)
-        client = clients[0]
+        model, server, train, split = make_federation(1, per_client=8)
         fed = FederationConfig(batch_size=8, local_epochs=1, learning_rate=1e-3)
         rng_id = RngStream(7, 100)
         vec, steps = train_participants(
-            model, [client], server.global_vector, fed, AggregatorConfig(), LossSpec(),
+            model, train, [0], server.duals, server.global_vector, fed, AggregatorConfig(), LossSpec(),
             [rng_id], round_index=5,
         )[0]
         assert steps == 1
         # replay by hand with the same derived streams
         order = RngStream(7, 100).child("shuffle", 0).permutation(8)
-        model.forward(client.train_x[order], server.global_vector, train=True)
-        _, grad = model.backward(client.train_y[order], LossSpec())
+        x, y = train.own(0)
+        model.forward(x[order], server.global_vector, train=True)
+        _, grad = model.backward(y[order], LossSpec())
         expected = server.global_vector - 1e-3 * grad
         assert vec.tobytes() == expected.tobytes()
 
     def test_warmup_lr_on_round_zero(self):
-        model, server, clients, split = make_federation(1, per_client=8)
+        model, server, train, split = make_federation(1, per_client=8)
         fed = FederationConfig(batch_size=8, learning_rate=1e-3, warmup_lr=1e-5)
         v0, _ = train_participants(
-            model, [clients[0]], server.global_vector, fed, AggregatorConfig(), LossSpec(),
+            model, train, [0], server.duals, server.global_vector, fed, AggregatorConfig(), LossSpec(),
             [RngStream(8)], round_index=0,
         )[0]
         step0 = np.linalg.norm(v0 - server.global_vector)
         v1, _ = train_participants(
-            model, [clients[0]], server.global_vector, fed, AggregatorConfig(), LossSpec(),
+            model, train, [0], server.duals, server.global_vector, fed, AggregatorConfig(), LossSpec(),
             [RngStream(8)], round_index=1,
         )[0]
         step1 = np.linalg.norm(v1 - server.global_vector)
         assert step0 == pytest.approx(step1 * 1e-2, rel=1e-9)
 
     def test_fedprox_shrinks_toward_global_monotonically(self):
-        model, server, clients, split = make_federation(1, per_client=24)
+        model, server, train, split = make_federation(1, per_client=24)
         fed = FederationConfig(batch_size=8, local_epochs=3)
         dists = []
         for mu in (0.01, 1.0, 100.0):
             vec, _ = train_participants(
-                model, [clients[0]], server.global_vector, fed,
+                model, train, [0], server.duals, server.global_vector, fed,
                 AggregatorConfig("fedprox", mu_prox=mu), LossSpec(),
                 [RngStream(9, 5)], round_index=2,
             )[0]
@@ -208,8 +211,8 @@ class TestLocalTrain:
         assert dists[0] > dists[1] > dists[2]
 
     def test_fedprox_objective_dominates_plain(self):
-        model, server, clients, split = make_federation(1)
-        client = clients[0]
+        model, server, train, split = make_federation(1)
+        client = train.own(0)
         prox = AggregatorConfig("fedprox", mu_prox=0.5)
         plain = AggregatorConfig("fedavg")
         g = server.global_vector
@@ -224,10 +227,10 @@ class TestLocalTrain:
             )
 
     def test_length_mismatch_rejected(self):
-        model, server, clients, split = make_federation(1)
+        model, server, train, split = make_federation(1)
         with pytest.raises(TransportError):
             train_participants(
-                model, [clients[0]], np.zeros(3), FederationConfig(), AggregatorConfig(),
+                model, train, [0], server.duals, np.zeros(3), FederationConfig(), AggregatorConfig(),
                 LossSpec(), [RngStream(11)],
             )[0]
 
@@ -362,37 +365,37 @@ class TestAggregate:
 
 class TestRunRound:
     def test_single_client_round_is_local_training(self):
-        model, server, clients, split = make_federation(1, seed=20)
+        model, server, train, split = make_federation(1, seed=20)
         fed = FederationConfig(batch_size=8, participation_rate=1.0)
         expected, _ = train_participants(
-            model, [clients[0]], server.global_vector.copy(), fed, AggregatorConfig(),
+            model, train, [0], server.duals, server.global_vector.copy(), fed, AggregatorConfig(),
             LossSpec(), [RngStream(0, 0).child("local", 0, 0)], round_index=0,
         )[0]
-        run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, RngStream(0, 0))
+        run_round(model, server, train, fed, AggregatorConfig(), LossSpec(), 0, RngStream(0, 0))
         assert server.global_vector.tobytes() == expected.tobytes()
 
     def test_serial_matches_parallel(self):
         # every client trains and is evaluated on one shared model, so any
         # state one client leaves behind would change another's result
-        model, server, clients, split = make_federation(6, seed=21, dropout=0.25)
+        model, server, train, split = make_federation(6, seed=21, dropout=0.25)
         fed = FederationConfig(batch_size=8, participation_rate=0.5)
         agg = AggregatorConfig()
         stream = RngStream(42)
         for t in range(3):
             global_before = server.global_vector
-            participants, _ = run_round(model, server, clients, fed, agg, LossSpec(), t, stream)
+            participants, _ = run_round(model, server, train, fed, agg, LossSpec(), t, stream)
             # (a) replaying the participants in reverse order on the same
             # model aggregates to the same bytes
             updates = {}
             for cid in reversed(participants):
                 vec, steps = train_participants(
-                    model, [clients[cid]], global_before, fed, agg, LossSpec(),
+                    model, train, [cid], {}, global_before, fed, agg, LossSpec(),
                     [stream.child("local", t, cid)], round_index=t,
                 )[0]
-                updates[cid] = (vec, clients[cid].train_size, steps)
+                updates[cid] = (vec, train.sizes[cid], steps)
             replay = aggregate(
                 [updates[cid] for cid in participants], global_before, agg,
-                ServerState(global_before, len(clients)),
+                ServerState(global_before, len(train.sizes)),
             )
             assert replay.tobytes() == server.global_vector.tobytes()
             # (b) the reports equal those of a fresh model under the round's vector
@@ -405,12 +408,12 @@ class TestRunRound:
 
     @pytest.mark.parametrize("head", HEAD_KINDS)
     def test_rounds_leave_every_model_array_unchanged(self, head):
-        model, server, clients, split = make_federation(4, head=head, seed=39, dropout=0.25)
+        model, server, train, split = make_federation(4, head=head, seed=39, dropout=0.25)
         before = model_array_bytes(model)
         fed = FederationConfig(batch_size=8, learning_rate=0.05)
         agg, spec, stream = AggregatorConfig("feddyn"), LossSpec("mdca", aux_weight=0.5), RngStream(40)
         for t in range(2):
-            run_round(model, server, clients, fed, agg, spec, t, stream)
+            run_round(model, server, train, fed, agg, spec, t, stream)
             split_logits(model, server.global_vector, split)
         assert model_array_bytes(model) == before
         assert head == "zero_shot" or not np.array_equal(server.global_vector, model.initial)
@@ -422,92 +425,93 @@ class TestRunRound:
         # with batches of 8, the clients' steps mix full batches with ragged
         # tails of 5, 8 (exact fit), 5 and 1 rows; client 3 holds no rows
         sizes = [21, 13, 8, 0, 5, 17]
-        model, server, clients, split = make_federation(len(sizes), head=head, seed=32, dropout=0.25, per_client=sizes)
+        model, server, train, split = make_federation(len(sizes), head=head, seed=32, dropout=0.25, per_client=sizes)
         fed = FederationConfig(batch_size=8, local_epochs=2, learning_rate=0.05, warmup_lr=0.01)
         agg = AggregatorConfig(kind, mu_prox=0.3, alpha_dyn=0.2)
         spec = LossSpec(aux, aux_weight=0.5)
         stream = RngStream(33)
+        ids = list(range(len(sizes)))
         for t in range(2):
             before, dual_mean = server.global_vector, server.dual_mean.copy()
-            duals = [None if c.dual is None else c.dual.copy() for c in clients]
+            duals = [server.duals[cid].copy() if cid in server.duals else None for cid in ids]
             alone = []
-            for cid, client in enumerate(clients):
+            for cid, dual in zip(ids, duals):
                 vec, steps = sequential_local_train(
-                    model, client, before, fed, agg, spec, stream.child("local", t, cid), t
+                    model, train.own(cid), dual, before, fed, agg, spec, stream.child("local", t, cid), t
                 )
                 alone.append((vec, steps, np.linalg.norm(vec - before)))
             want_steps = [0 if head == "zero_shot" else 2 * -(-n // 8) for n in sizes]
             assert [steps for _, steps, _ in alone] == want_steps
 
-            streams = [stream.child("local", t, cid) for cid in range(len(clients))]
-            lockstep = train_participants(model, clients, before, fed, agg, spec, streams, t)
+            streams = [stream.child("local", t, cid) for cid in ids]
+            lockstep = train_participants(model, train, ids, server.duals, before, fed, agg, spec, streams, t)
             for (vec, steps), (want, want_steps, _) in zip(lockstep, alone, strict=True):
                 assert vec.tobytes() == want.tobytes()
                 assert steps == want_steps
 
-            participants, norms = run_round(model, server, clients, fed, agg, spec, t, stream)
-            assert participants == list(range(len(clients)))
-            updates = [(vec, c.train_size, steps) for (vec, steps, _), c in zip(alone, clients)]
-            want = aggregate(updates, before, agg, ServerState(before, len(clients), dual_mean))
+            participants, norms = run_round(model, server, train, fed, agg, spec, t, stream)
+            assert participants == ids
+            updates = [(vec, n, steps) for (vec, steps, _), n in zip(alone, sizes)]
+            want = aggregate(updates, before, agg, ServerState(before, len(sizes), dual_mean))
             assert server.global_vector.tobytes() == want.tobytes()
             assert np.array(norms).tobytes() == np.array([norm for _, _, norm in alone]).tobytes()
-            for client, dual, (vec, _, _) in zip(clients, duals, alone):
-                if kind == "feddyn":
+            if kind == "feddyn":
+                for cid, dual, (vec, _, _) in zip(ids, duals, alone):
                     want_dual = (0.0 if dual is None else dual) - agg.alpha_dyn * (vec - before)
-                    assert client.dual.tobytes() == want_dual.tobytes()
-                else:
-                    assert client.dual is None
+                    assert server.duals[cid].tobytes() == want_dual.tobytes()
+            else:
+                assert server.duals == {}
 
     def test_full_stack_equals_each_client_alone(self):
         # eight clients with 32-row batches fill one stack of STACK_ROWS rows
-        model, server, clients, split = make_federation(8, seed=36, dropout=0.25, per_client=64)
+        model, server, train, split = make_federation(8, seed=36, dropout=0.25, per_client=64)
         fed = FederationConfig(batch_size=32, learning_rate=0.05, warmup_lr=0.01)
         agg, spec, stream = AggregatorConfig(), LossSpec("mdca", aux_weight=0.5), RngStream(37)
+        ids = list(range(8))
         alone = [
-            sequential_local_train(model, c, server.global_vector, fed, agg, spec,
-                                   stream.child("local", 0, c.client_id))
-            for c in clients
+            sequential_local_train(model, train.own(cid), None, server.global_vector, fed, agg, spec,
+                                   stream.child("local", 0, cid))
+            for cid in ids
         ]
         rows = count_forwards(model)
-        streams = [stream.child("local", 0, c.client_id) for c in clients]
-        lockstep = train_participants(model, clients, server.global_vector, fed, agg, spec, streams)
+        streams = [stream.child("local", 0, cid) for cid in ids]
+        lockstep = train_participants(model, train, ids, server.duals, server.global_vector, fed, agg, spec, streams)
         assert rows == [8, 8] and 8 * 32 == STACK_ROWS
         for (vec, steps), (want, want_steps) in zip(lockstep, alone, strict=True):
             assert vec.tobytes() == want.tobytes() and steps == want_steps == 2
 
     def test_non_finite_client_in_a_stack_names_client_round_and_step(self):
-        model, server, clients, split = make_federation(5, seed=34, per_client=16)
+        model, server, train, split = make_federation(5, seed=34, per_client=16)
         fed = FederationConfig(batch_size=8)
         stream = RngStream(35)
-        run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, stream)
+        run_round(model, server, train, fed, AggregatorConfig(), LossSpec(), 0, stream)
         # all five clients share each 8-row step, so client 3 fails inside a stack
-        clients[3].train_x = clients[3].train_x.copy()
-        clients[3].train_x[11, 2] = np.nan
+        train.own(3)[0][11, 2] = np.nan
         order = stream.child("local", 1, 3).child("shuffle", 0).permutation(16)
         step = int(np.flatnonzero(order == 11)[0]) // 8
         with pytest.raises(NumericError, match=rf"on client 3, round 1, step {step}$"):
-            run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 1, stream)
+            run_round(model, server, train, fed, AggregatorConfig(), LossSpec(), 1, stream)
 
     def test_round_reports_cover_all_clients(self):
-        model, server, clients, split = make_federation(5, seed=22)
+        model, server, train, split = make_federation(5, seed=22)
         fed = FederationConfig(batch_size=8, participation_rate=0.4)
-        participants, norms = run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, RngStream(1))
+        participants, norms = run_round(model, server, train, fed, AggregatorConfig(), LossSpec(), 0, RngStream(1))
         assert len(participants) == len(norms) == 2
         per_client = personalized_evaluate(split_probs(model, server.global_vector, split), split)["per_client"]
         assert len(per_client) == 5
         assert all(r is not None for r in per_client)
 
     def test_update_norm_zero_before_any_training(self):
-        model, server, clients, split = make_federation(3, seed=23)
+        model, server, train, split = make_federation(3, seed=23)
         fed = FederationConfig(batch_size=8, local_epochs=0)
-        _, norms = run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, RngStream(2))
+        _, norms = run_round(model, server, train, fed, AggregatorConfig(), LossSpec(), 0, RngStream(2))
         assert norms == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("head", HEAD_KINDS)
     def test_every_trained_head_records_an_update_norm(self, head):
-        model, server, clients, split = make_federation(3, head=head, seed=25)
+        model, server, train, split = make_federation(3, head=head, seed=25)
         fed = FederationConfig(batch_size=8)
-        _, norms = run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 0, RngStream(4))
+        _, norms = run_round(model, server, train, fed, AggregatorConfig(), LossSpec(), 0, RngStream(4))
         assert len(norms) == 3
         if head == "zero_shot":
             assert norms == [0.0, 0.0, 0.0]
@@ -515,46 +519,47 @@ class TestRunRound:
             assert all(norm > 0.0 for norm in norms)
 
     def test_feddyn_round_updates_client_duals(self):
-        model, server, clients, split = make_federation(2, seed=24)
+        model, server, train, split = make_federation(2, seed=24)
         fed = FederationConfig(batch_size=8)
-        run_round(model, server, clients, fed, AggregatorConfig("feddyn"), LossSpec(), 0, RngStream(3))
-        assert any(np.linalg.norm(c.dual) > 0 for c in clients)
+        run_round(model, server, train, fed, AggregatorConfig("feddyn"), LossSpec(), 0, RngStream(3))
+        assert sorted(server.duals) == [0, 1]
+        assert any(np.linalg.norm(dual) > 0 for dual in server.duals.values())
 
     def test_lazy_duals_equal_eager_zero_duals(self):
         # 3 of 10 clients take part in each of 4 rounds, so some take part twice and some
         # never; the eager copy gives every client a zero dual up front, as a dense FedDyn would
-        model, server, clients, split = make_federation(10, seed=38, dropout=0.25, per_client=16)
-        eager_model, eager_server, eager_clients, _ = make_federation(10, seed=38, dropout=0.25, per_client=16)
-        for client in eager_clients:
-            client.dual = np.zeros(eager_model.initial.size)
+        model, server, train, split = make_federation(10, seed=38, dropout=0.25, per_client=16)
+        eager_model, eager_server, eager_train, _ = make_federation(10, seed=38, dropout=0.25, per_client=16)
+        eager_duals = {cid: np.zeros(eager_model.initial.size) for cid in range(10)}
         fed = FederationConfig(batch_size=8, participation_rate=0.3, learning_rate=0.05, warmup_lr=0.01)
         agg, spec, stream = AggregatorConfig("feddyn", alpha_dyn=0.2), LossSpec(), RngStream(39)
         taken = []
         for t in range(4):
-            participants, _ = run_round(model, server, clients, fed, agg, spec, t, stream)
+            participants, _ = run_round(model, server, train, fed, agg, spec, t, stream)
             ids = sample_participants(10, 0.3, stream.child("participants", t)).tolist()
             assert ids == participants
             before, updates = eager_server.global_vector, []
             for cid in ids:
                 vec, steps = sequential_local_train(
-                    eager_model, eager_clients[cid], before, fed, agg, spec, stream.child("local", t, cid), t
+                    eager_model, eager_train.own(cid), eager_duals[cid], before, fed, agg, spec,
+                    stream.child("local", t, cid), t,
                 )
-                updates.append((vec, eager_clients[cid].train_size, steps))
+                updates.append((vec, eager_train.sizes[cid], steps))
             eager_server.global_vector = aggregate(updates, before, agg, eager_server)
             for cid, (vec, _, _) in zip(ids, updates):
-                eager_clients[cid].dual = eager_clients[cid].dual - agg.alpha_dyn * (vec - before)
+                eager_duals[cid] = eager_duals[cid] - agg.alpha_dyn * (vec - before)
             assert server.global_vector.tobytes() == eager_server.global_vector.tobytes()
             for cid in ids:
-                assert clients[cid].dual.tobytes() == eager_clients[cid].dual.tobytes()
+                assert server.duals[cid].tobytes() == eager_duals[cid].tobytes()
             taken += ids
         never = set(range(10)) - set(taken)
         assert never and len(set(taken)) < len(taken)
-        assert all(clients[cid].dual is None for cid in never)
+        assert sorted(server.duals) == sorted(set(taken)) and never.isdisjoint(server.duals)
 
 
 class TestPersonalizedEvaluate:
     def test_identical_clients_average_equals_single(self):
-        model, server, clients, split = make_federation(3, seed=25)
+        model, server, train, split = make_federation(3, seed=25)
         view = split.x[: split.sizes[0]], split.y[: split.sizes[0]]
         split = gather_split([view] * 3)
         out = personalized_evaluate(split_probs(model, server.global_vector, split), split)
@@ -563,7 +568,7 @@ class TestPersonalizedEvaluate:
             assert value == pytest.approx(single[key], abs=1e-12)
 
     def test_mean_accuracy_of_opposite_clients(self):
-        model, server, clients, split = make_federation(2, seed=26)
+        model, server, train, split = make_federation(2, seed=26)
         # force client 0 all-correct and client 1 all-wrong labels
         (x0, _), (x1, _) = held_out_views(split)
         right = model.forward(x0, server.global_vector).argmax(axis=1)
@@ -573,18 +578,18 @@ class TestPersonalizedEvaluate:
         assert out["mean"]["accuracy"] == pytest.approx(0.5)
 
     def test_empty_test_view_excluded_with_flag(self):
-        model, server, clients, split = make_federation(3, seed=27, test_per_client=[12, 0, 12])
+        model, server, train, split = make_federation(3, seed=27, test_per_client=[12, 0, 12])
         out = personalized_evaluate(split_probs(model, server.global_vector, split), split)
         assert out["excluded"] == [1]
         assert out["per_client"][1] is None
 
     def test_every_view_empty_is_rejected(self):
-        model, server, clients, split = make_federation(2, seed=27, test_per_client=0)
+        model, server, train, split = make_federation(2, seed=27, test_per_client=0)
         with pytest.raises(InvalidInputError, match="every client has an empty test view"):
             personalized_evaluate(np.empty((0, 4)), split)
 
     def test_base_new_breakdown_with_harmonic_mean(self):
-        model, server, clients, split = make_federation(2, seed=28)
+        model, server, train, split = make_federation(2, seed=28)
         split = base_new_split(split, [6, 6])
         out = evaluate_base_new(split_probs(model, server.global_vector, split), split)
         assert out["base"] is not None and out["new"] is not None
@@ -640,9 +645,9 @@ def base_new_split(split, base_sizes, new_rows=None):
 
 class TestBlockedEvaluation:
     def trained_federation(self, sizes, seed=30):
-        model, server, clients, split = make_federation(len(sizes), seed=seed, test_per_client=sizes)
+        model, server, train, split = make_federation(len(sizes), seed=seed, test_per_client=sizes)
         fed = FederationConfig(batch_size=8)
-        run_round(model, server, clients, fed, AggregatorConfig(), LossSpec(), 1, RngStream(seed))
+        run_round(model, server, train, fed, AggregatorConfig(), LossSpec(), 1, RngStream(seed))
         return model, server.global_vector, split
 
     @pytest.mark.parametrize("scheme", ["equal_width", "equal_mass"])

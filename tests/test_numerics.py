@@ -104,6 +104,10 @@ class TestRngStream:
             RngStream(0).log_gamma(0.0, 3)
         with pytest.raises(InvalidInputError):
             RngStream(0).log_gamma(-1.0, 3)
+        # an infinite or NaN shape made the Marsaglia-Tsang loop reject every draw forever
+        for alpha in (math.inf, math.nan):
+            with pytest.raises(InvalidInputError, match="finite"):
+                RngStream(0).log_gamma(alpha, 3)
 
     def test_permutation_is_permutation(self):
         p = RngStream(4).permutation(257)

@@ -1,8 +1,12 @@
 """Tests for experiment orchestration, results files, and report emission."""
 
+import hashlib
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -85,7 +89,7 @@ class TestRunSingle:
         cfg = tiny_config(partition={"num_clients": 1}, federation={"rounds": 1})
         res = run_single(cfg)
 
-        from fedcalib.federation import build_clients, init_server, train_participants
+        from fedcalib.federation import init_server, train_participants
         from fedcalib.losses import LossSpec
         from fedcalib.model import zero_shot_init
         from fedcalib.runner import _reconcile_model, client_views
@@ -94,10 +98,10 @@ class TestRunSingle:
         data, protos = build_data(cfg, rng.child("data"))
         plan = build_plan(cfg, data, rng.child("partition"))
         model = zero_shot_init(_reconcile_model(cfg, data), protos, rng.child("init"))
-        clients = build_clients(client_views(data, plan)[0])
+        train, _ = client_views(data, plan)
         server = init_server(model.initial, 1)
         expected, _ = train_participants(
-            model, [clients[0]], server.global_vector, cfg.federation, cfg.aggregator,
+            model, train, [0], server.duals, server.global_vector, cfg.federation, cfg.aggregator,
             LossSpec(), [rng.child("rounds").child("local", 0, 0)], round_index=0,
         )[0]
         assert res["final_global_vector"] == expected.tolist()
@@ -235,6 +239,45 @@ class TestResultsSerialization:
         assert summary_csv([]) == "method,setting,acc,ece,mce,ace,brier,nll\n"
 
 
+# tiny configs whose canonical results bytes are pinned: one per aggregator, feddyn with 3 of 10
+# clients per round for 3 rounds (so some clients never hold a dual), base-to-new with a
+# temperature sweep, and domain generalization
+DIGEST_CONFIGS = {
+    "fedavg": {"aggregator": {"kind": "fedavg"}},
+    "fedprox": {"aggregator": {"kind": "fedprox"}},
+    "fednova": {"aggregator": {"kind": "fednova"}},
+    "feddyn": {"aggregator": {"kind": "feddyn"}, "partition": {"num_clients": 10},
+               "federation": {"rounds": 3, "participation_rate": 0.3}},
+    "base_to_new": {"setting": "base_to_new", "partition": {"kind": "base_to_new"},
+                    "data": {"synthetic": {"class_count": 6, "dim": 16, "samples_per_class": 20}},
+                    "metrics": {"temperatures": [0.5, 2.0]}},
+    "domain": {"setting": "domain_generalization", "partition": {"kind": "domain", "clients_per_domain": 2},
+               "data": {"synthetic": {"class_count": 4, "dim": 16, "samples_per_class": 12, "domain_count": 2}}},
+}
+
+# sha256 of each config's ``results_json`` with ``meta`` stripped, recorded while each client was
+# still an object holding its training rows and FedDyn dual; the same with OPENBLAS_NUM_THREADS=1
+# and unset. A change that moves these bytes on purpose re-records them and says so in CHANGES.md.
+RESULTS_SHA256 = {
+    "fedavg": "92857046a15de030399dc7bcb556564617bd13705ae8da1b89b6f9d2f96fe819",
+    "fedprox": "e0c9632302755ec062947cebbc64431ea5bf5fe11514f4b37d2a728c42d4596a",
+    "fednova": "f7e9147e1895caa487d30ddb24002abf5fdf4c060aa8411ce240c8d5649c9271",
+    "feddyn": "70c1e2cf43b5300867ee5ac7036bcf44e76828928b6e371a8bd91428386f03f7",
+    "base_to_new": "b0a0ded0fdbb7fff35bcc6081efbf0f2434e5a40feaa142b679d9b3188380ae4",
+    "domain": "71bccb2ee87692435351861332a06236d22c7279edd3730268d199be0d206ca5",
+}
+
+
+class TestPinnedResults:
+    @pytest.mark.parametrize("name", sorted(DIGEST_CONFIGS))
+    def test_results_bytes_are_pinned(self, name):
+        res = run_single(tiny_config(**DIGEST_CONFIGS[name]))
+        del res["meta"]
+        if name == "feddyn":
+            assert len({cid for row in res["rounds"] for cid in row["participants"]}) < 10
+        assert hashlib.sha256(results_json(res).encode()).hexdigest() == RESULTS_SHA256[name]
+
+
 class TestOneCopyOfTheData:
     """Memory mechanism of a run, asserted without timings."""
 
@@ -257,59 +300,60 @@ class TestOneCopyOfTheData:
             tracemalloc.stop()
         assert peak < 3 * len(text)
 
-    def run_capturing_clients(self, monkeypatch, config):
-        """Clients and test split as built, and whether the dataset was alive at round 0."""
-        clients, splits, data_refs, alive_at_round_0 = [], [], [], []
-        build_clients, build_data, run_round = runner.build_clients, runner.build_data, runner.run_round
-        client_views = runner.client_views
+    def run_capturing_splits(self, monkeypatch, config):
+        """Training and test splits as built, and whether the dataset was alive at round 0."""
+        splits, data_refs, alive_at_round_0 = [], [], []
+        build_data, client_views, run_round = runner.build_data, runner.client_views, runner.run_round
 
         def capture_data(*args):
             data, protos = build_data(*args)
             data_refs.append(weakref.ref(data))
             return data, protos
 
-        def capture_clients(*args):
-            clients.extend(build_clients(*args))
-            return clients
-
-        def capture_split(*args):
-            views, split = client_views(*args)
-            splits.append(split)
-            return views, split
+        def capture_splits(*args):
+            splits.append(client_views(*args))
+            return splits[-1]
 
         def check_round(*args, **kwargs):
             alive_at_round_0.append(data_refs[0]() is not None)
             return run_round(*args, **kwargs)
 
         monkeypatch.setattr(runner, "build_data", capture_data)
-        monkeypatch.setattr(runner, "build_clients", capture_clients)
-        monkeypatch.setattr(runner, "client_views", capture_split)
+        monkeypatch.setattr(runner, "client_views", capture_splits)
         monkeypatch.setattr(runner, "run_round", check_round)
         run_single(config)
-        return clients, splits[0], alive_at_round_0[0]
+        return *splits[0], alive_at_round_0[0]
 
     @pytest.mark.parametrize("kind", ["fedavg", "feddyn"])
-    def test_set_up_gives_no_client_a_dual(self, kind):
+    def test_server_starts_with_no_duals(self, kind, monkeypatch):
         # a FedDyn dual is made when its client first takes part, whatever the aggregator
-        _, _, _, clients, _ = runner._set_up(tiny_config(aggregator={"kind": kind}), RngStream(11))
-        assert clients and all(c.dual is None for c in clients)
+        held, run_round = [], runner.run_round
+
+        def count_duals(model, server, *args, **kwargs):
+            held.append(len(server.duals))
+            return run_round(model, server, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_round", count_duals)
+        run_single(tiny_config(aggregator={"kind": kind}))
+        assert held[0] == 0
+        assert held[1] == (3 if kind == "feddyn" else 0)
 
     def test_client_views_share_one_gathered_copy_per_split(self, monkeypatch):
-        clients, split, data_alive = self.run_capturing_clients(monkeypatch, tiny_config())
+        train, split, data_alive = self.run_capturing_splits(monkeypatch, tiny_config())
         assert not data_alive
-        for attr in ("train_x", "train_y"):
-            views = [getattr(c, attr) for c in clients]
-            assert views[0].base is not None
-            assert all(v.base is views[0].base for v in views)
-        # the test rows are one gathered copy, with one run of rows per client
-        assert split.x.base is None and split.y.base is None
-        assert len(split.sizes) == len(clients) and split.sizes.sum() == len(split.y) == len(split.x)
-        assert split.shared == 0
+        # each split is one gathered copy, with one run of rows per client; a client's rows are slices of it
+        for rows in (train, split):
+            assert rows.x.base is None and rows.y.base is None
+            assert len(rows.sizes) == 3 and rows.sizes.sum() == len(rows.y) == len(rows.x)
+            assert rows.shared == 0
+            for k in range(3):
+                x, y = rows.own(k)
+                assert x.base is rows.x and y.base is rows.y and len(y) == rows.sizes[k]
 
     def test_base_to_new_split_holds_the_new_class_rows_once(self, monkeypatch):
         # 5 classes: 3 base classes dealt to 3 clients, 2 new classes every view ends with
         config = tiny_config(setting="base_to_new", partition={"kind": "base_to_new"})
-        clients, split, data_alive = self.run_capturing_clients(monkeypatch, config)
+        _, split, data_alive = self.run_capturing_splits(monkeypatch, config)
         assert not data_alive
         own = split.sizes.sum()
         assert split.shared > 0 and len(split.y) == len(split.x) == own + split.shared
@@ -357,10 +401,10 @@ class TestBaseToNewConfig:
         keep = test_y != missing
         write_embeddings(paths["test"], test_x[keep], test_y[keep], np.zeros(keep.sum()))
 
-        _, _, model, clients, split = runner._set_up(config, RngStream(config.seed))
+        _, _, model, train, split = runner._set_up(config, RngStream(config.seed))
         assert split.sizes.tolist() == [5, 0, 5] and split.shared == 15
-        server = init_server(model.initial, len(clients))
-        run_round(model, server, clients, config.federation, config.aggregator, config.loss,
+        server = init_server(model.initial, len(train.sizes))
+        run_round(model, server, train, config.federation, config.aggregator, config.loss,
                   0, RngStream(config.seed).child("rounds"))
         probs = split_probs(model, server.global_vector, split)
         evaluation = personalized_evaluate(probs, split)
@@ -395,10 +439,10 @@ class TestBaseToNewConfig:
         set_up, run_round = runner._set_up, runner.run_round
 
         def counted_set_up(*args):
-            plan, model_config, model, clients, split = set_up(*args)
+            plan, model_config, model, train, split = set_up(*args)
             count_forwards(model, events)
             splits.append(split)
-            return plan, model_config, model, clients, split
+            return plan, model_config, model, train, split
 
         def marked_round(*args, **kwargs):
             events.append("round")
@@ -487,3 +531,25 @@ class TestBenchmarkTracer:
         assert metrics["model.forward_calls"] > 0 and metrics["model.backward_calls"] > 0
         assert metrics["model.forward_rows"] > 0 and metrics["model.text_rows_per_image_row"] > 0
         assert metrics["runner.round_s"] > 0
+
+
+class TestBenchmarkChild:
+    @pytest.mark.parametrize("sweep", [False, True], ids=["selfcheck", "rounds_sweep"])
+    def test_child_reports_rounds_and_set_up_time(self, tmp_path, sweep):
+        # perfbench/child.py patches runner.run_single and runner.run_round to time set-up
+        repo = Path(__file__).resolve().parents[1]
+        config = repo / "perfbench" / "selfcheck.json"
+        if sweep:
+            config = tmp_path / "sweep.json"
+            config.write_text(json.dumps(tiny_payload(sweep={"rounds": [1, 2]})))
+        env = {**os.environ, "PYTHONPATH": str(repo / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        files = {path: path.stat().st_mtime_ns for path in (repo / "perfbench").rglob("*")}
+        child = subprocess.run(
+            [sys.executable, str(repo / "perfbench" / "child.py"), str(config), str(tmp_path / "out"), "test"],
+            cwd=repo, env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        report = json.loads(child.stdout.strip().splitlines()[-1])
+        assert "error" not in report
+        assert report["rounds"] == (3 if sweep else 2)
+        assert report["setup_s"] > 0
+        assert {path: path.stat().st_mtime_ns for path in (repo / "perfbench").rglob("*")} == files
