@@ -6,7 +6,7 @@ Subpackage map:
 - ``numerics``    deterministic RNG streams and stable vector primitives
 - ``model``       frozen dual-encoder classifier with pluggable trainable heads
 - ``losses``      cross-entropy plus DCA/MDCA calibration regularizers
-- ``calibration`` binning, ECE/MCE/ACE/Brier/NLL, temperature scaling
+- ``calibration`` binning, ECE/MCE/ACE/Brier/NLL, one temperature-scaling path
 - ``partition``   non-IID client dataset construction
 - ``federation``  communication rounds, aggregation strategies, evaluation
 - ``datagen``     synthetic embedding datasets and embedding-file ingestion
@@ -19,9 +19,7 @@ __version__ = "0.1.0"
 
 from .calibration import (  # noqa: E402
     CalibrationReport,
-    LogitBatch,
     ProbBatch,
-    TemperatureScaler,
     apply_temperature,
     calibration_report,
     fit_temperature,
@@ -40,13 +38,11 @@ __all__ = [
     "CalibrationReport",
     "ExperimentConfig",
     "FederationConfig",
-    "LogitBatch",
     "LossSpec",
     "ModelConfig",
     "ProbBatch",
     "RngStream",
     "SyntheticSpec",
-    "TemperatureScaler",
     "apply_temperature",
     "calibration_report",
     "derive_id",

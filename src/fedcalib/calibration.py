@@ -5,6 +5,11 @@ ACE), proper scoring rules (Brier, NLL), post-hoc temperature scaling, the
 harmonic-mean summary used for base/new class reporting, and deterministic
 reliability-diagram export (CSV rows + SVG).
 
+A temperature is a plain float and logits a plain n x C array:
+``apply_temperature(logits, tau)`` is the one place logits are divided by a
+temperature, and both the runner's temperature sweep and
+``fit_temperature`` go through it.
+
 Conventions:
 
 - all metrics are fractions in [0, 1] (or [0, 2] for Brier); multiply by 100
@@ -81,28 +86,6 @@ class ProbBatch:
 
 
 @dataclass(frozen=True)
-class LogitBatch:
-    """Raw (pre-softmax) scores plus true labels; input to temperature fitting."""
-
-    logits: np.ndarray  # n x C
-    labels: np.ndarray  # n class indices
-
-    def __post_init__(self):
-        logits = np.asarray(self.logits, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if logits.ndim != 2 or logits.shape[0] == 0 or logits.shape[1] == 0:
-            raise InvalidInputError("logits must be a non-empty n x C matrix")
-        if labels.shape != (logits.shape[0],):
-            raise InvalidInputError("labels must have one entry per row of logits")
-        if not np.all(np.isfinite(logits)):
-            raise InvalidInputError("logits contains non-finite entries")
-        if labels.min() < 0 or labels.max() >= logits.shape[1]:
-            raise InvalidInputError("label out of range for class count")
-        object.__setattr__(self, "logits", logits)
-        object.__setattr__(self, "labels", labels)
-
-
-@dataclass(frozen=True)
 class ReliabilityBins:
     """Per-bin sample counts and mean accuracy/confidence."""
 
@@ -176,17 +159,6 @@ class ReportTable:
         acc[nonempty] = acc_sum[nonempty] / counts[nonempty]
         conf[nonempty] = conf_sum[nonempty] / counts[nonempty]
         return ReliabilityBins(scheme=self.scheme, counts=counts, accuracy=acc, confidence=conf)
-
-
-@dataclass(frozen=True)
-class TemperatureScaler:
-    """Post-hoc scaler dividing logits by a fitted positive temperature."""
-
-    temperature: float
-
-    def __post_init__(self):
-        if not (self.temperature > 0) or not np.isfinite(self.temperature):
-            raise InvalidInputError(f"temperature must be positive, got {self.temperature}")
 
 
 def _check_binning(bins: int, scheme: str) -> None:
@@ -293,34 +265,34 @@ def calibration_report(batch: ProbBatch, bins: int = 15, scheme: str = "equal_wi
     return segmented_reports(batch, [batch.n], bins, scheme).report(0)
 
 
-def negative_log_likelihood(batch: ProbBatch) -> float:
-    """Mean -log of the probability assigned to the true class."""
-    return float(-np.mean(_true_log_probs(batch)))
+def apply_temperature(logits, tau: float) -> np.ndarray:
+    """Softmax rows of ``logits / tau``; preserves each row's argmax exactly.
 
-
-def apply_temperature(logits: LogitBatch, scaler: TemperatureScaler) -> ProbBatch:
-    """Softmax of ``logits / temperature``; preserves per-row argmax exactly."""
-    return ProbBatch(softmax_rows(logits.logits / scaler.temperature), logits.labels)
-
-
-def _nll_at_temperature(logits: LogitBatch, tau: float) -> float:
-    return negative_log_likelihood(apply_temperature(logits, TemperatureScaler(tau)))
+    ``tau`` must be positive and finite; NaN is rejected too.
+    """
+    tau = float(tau)
+    if not 0.0 < tau < np.inf:
+        raise InvalidInputError(f"temperature must be positive and finite, got {tau}")
+    return softmax_rows(np.asarray(logits, dtype=np.float64) / tau)
 
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def fit_temperature(validation: LogitBatch) -> TemperatureScaler:
-    """Fit the NLL-minimizing temperature on a validation logit batch.
+def fit_temperature(logits, labels) -> float:
+    """Fit the NLL-minimizing temperature on validation logits and labels.
 
     Coarse 50-point log grid over [0.05, 10], then golden-section
     refinement between the grid neighbours of the best point down to a
     bracket width of 1e-4. The unit temperature is kept as an explicit
-    candidate so the fitted scaler never has a worse fitting-set NLL than
-    no scaling at all.
+    candidate so the fitted temperature never has a worse fitting-set NLL
+    than no scaling at all.
     """
+    def nll(tau: float) -> float:
+        return float(-np.mean(_true_log_probs(ProbBatch(apply_temperature(logits, tau), labels))))
+
     grid = np.exp(np.linspace(np.log(TEMP_LOWER), np.log(TEMP_UPPER), TEMP_GRID_POINTS))
-    nlls = [_nll_at_temperature(validation, float(t)) for t in grid]
+    nlls = [nll(float(t)) for t in grid]
     best = int(np.argmin(nlls))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, TEMP_GRID_POINTS - 1)]
@@ -329,24 +301,24 @@ def fit_temperature(validation: LogitBatch) -> TemperatureScaler:
     a, b = float(lo), float(hi)
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc = _nll_at_temperature(validation, c)
-    fd = _nll_at_temperature(validation, d)
+    fc = nll(c)
+    fd = nll(d)
     while (b - a) > TEMP_REFINE_TOL:
         # ties keep the left bracket so plateaus (saturated probabilities)
         # resolve toward the smaller temperature
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = _nll_at_temperature(validation, c)
+            fc = nll(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = _nll_at_temperature(validation, d)
+            fd = nll(d)
     fitted = 0.5 * (a + b)
 
-    candidates = [(float(_nll_at_temperature(validation, t)), float(t)) for t in (fitted, 1.0)]
+    candidates = [(nll(t), float(t)) for t in (fitted, 1.0)]
     candidates.sort()
-    return TemperatureScaler(candidates[0][1])
+    return candidates[0][1]
 
 
 def harmonic_mean(base: float, new: float) -> float:

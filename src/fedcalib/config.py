@@ -235,9 +235,6 @@ def parse_config(payload: dict) -> ExperimentConfig:
             raise ConfigError(f"metrics.temperatures[{i}] {tau!r} is too small: logits / tau would overflow")
     if config.partition.kind not in part_kinds:
         raise ConfigError(f"setting {setting!r} requires partition.kind in {part_kinds}")
-    synthetic = config.data.synthetic
-    if synthetic is not None and synthetic.domain_count < 2 and setting == "domain_generalization":
-        raise ConfigError("domain_generalization needs data with at least 2 domains")
     return replace(config, sweep=_parse_sweep(payload.get("sweep", {}), config))
 
 

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import ReliabilityBins, reliability_csv, reliability_svg
+from .calibration import ReliabilityBins, apply_temperature, reliability_csv, reliability_svg
 from .config import ExperimentConfig, config_echo, expand_sweep
 from .datagen import generate_synthetic, load_embeddings
 from .errors import ConfigError, FormatError
@@ -123,15 +123,18 @@ def _temperature_rows(logits: np.ndarray, split: RowSplit, temperatures, bins, s
     """Per-tau client-averaged metrics of ``logits``, one row per row of ``split``."""
     return [
         {"temperature": float(tau),
-         "mean": personalized_evaluate(softmax_rows(logits / float(tau)), split, bins, scheme)["mean"]}
+         "mean": personalized_evaluate(apply_temperature(logits, tau), split, bins, scheme)["mean"]}
         for tau in temperatures
     ]
 
 
 def _data_and_plan(config: ExperimentConfig, rng: RngStream) -> tuple:
     """Dataset, text prototypes and partition plan of one run, drawn from
-    ``rng``'s ``data`` and ``partition`` streams."""
+    ``rng``'s ``data`` and ``partition`` streams. Domain generalization needs
+    at least 2 domains in the loaded data, synthetic or read from files."""
     data, text_protos = build_data(config, rng.child("data"))
+    if config.setting == "domain_generalization" and data.domain_count() < 2:
+        raise ConfigError(f"domain_generalization needs data with at least 2 domains, got {data.domain_count()}")
     return data, text_protos, build_plan(config, data, rng.child("partition"))
 
 
@@ -143,6 +146,8 @@ def _set_up(config: ExperimentConfig, rng: RngStream) -> tuple:
     if not any(map(len, [*plan.test_indices, plan.shared_test])):
         raise ConfigError("no client holds a test sample, so no round can be evaluated "
                           "(synthetic data needs samples_per_class >= 2 for a test split)")
+    if config.loss.aux_kind == "mdca" and data.class_count < 2:
+        raise ConfigError(f"loss.aux_kind 'mdca' needs at least 2 classes, the data has {data.class_count}")
     model_config = _reconcile_model(config, data)
     model = zero_shot_init(model_config, text_protos, rng.child("init"))
     return (plan, model_config, model, *client_views(data, plan))

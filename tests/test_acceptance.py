@@ -12,14 +12,11 @@ import pytest
 
 from fedcalib.bench import run_trend_suite
 from fedcalib.calibration import (
-    LogitBatch,
     ProbBatch,
-    TemperatureScaler,
     apply_temperature,
     calibration_report,
     fit_temperature,
     harmonic_mean,
-    negative_log_likelihood,
 )
 from fedcalib.config import parse_config
 from fedcalib.federation import (
@@ -376,13 +373,16 @@ def test_criterion_08_temperature_scaling():
         labels = logits.argmax(axis=1)
         flips = rng.random(n) < 0.3
         labels[flips] = (rng.u64(n)[flips] % np.uint64(c)).astype(np.int64)
-        lb = LogitBatch(logits, labels)
-        base_acc = calibration_report(apply_temperature(lb, TemperatureScaler(1.0))).accuracy
+
+        def scaled(tau):
+            return calibration_report(ProbBatch(apply_temperature(logits, tau), labels))
+
+        base_acc = scaled(1.0).accuracy
         for tau in taus:
-            assert calibration_report(apply_temperature(lb, TemperatureScaler(tau))).accuracy == base_acc
-        fitted = fit_temperature(lb)
-        nll_fit = negative_log_likelihood(apply_temperature(lb, fitted))
-        nll_one = negative_log_likelihood(apply_temperature(lb, TemperatureScaler(1.0)))
+            assert scaled(tau).accuracy == base_acc
+        fitted = fit_temperature(logits, labels)
+        nll_fit = scaled(fitted).nll
+        nll_one = scaled(1.0).nll
         assert nll_fit <= nll_one
     report(8, "temperature scaling: accuracy invariant, fitted tau never hurts NLL")
 

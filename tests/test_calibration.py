@@ -8,14 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcalib.calibration import (
-    LogitBatch,
     ProbBatch,
-    TemperatureScaler,
     apply_temperature,
     calibration_report,
     fit_temperature,
     harmonic_mean,
-    negative_log_likelihood,
     reliability_csv,
     reliability_rows,
     reliability_svg,
@@ -123,7 +120,7 @@ class TestMetricsAgainstOracle:
     def test_uniform_binary_closed_form(self):
         batch = ProbBatch(np.array([[0.5, 0.5]]), np.array([1]))
         assert calibration_report(batch).brier == pytest.approx(0.5)
-        assert negative_log_likelihood(batch) == pytest.approx(math.log(2.0))
+        assert calibration_report(batch).nll == pytest.approx(math.log(2.0))
 
     def test_oracle_equivalence_100_batches(self):
         rng = RngStream(32)
@@ -177,6 +174,11 @@ class TestMetricsAgainstOracle:
         assert calibration_report(batch).brier == pytest.approx(2.0)
 
 
+def scaled_nll(logits, labels, tau) -> float:
+    """NLL of ``logits`` at temperature ``tau``, through the metric suite."""
+    return calibration_report(ProbBatch(apply_temperature(logits, tau), labels)).nll
+
+
 class TestTemperature:
     def _random_logits(self, seed, n=64, c=6, sharp=3.0, flip=0.25):
         # labels mostly agree with the argmax so the NLL-optimal temperature
@@ -186,63 +188,79 @@ class TestTemperature:
         labels = logits.argmax(axis=1)
         flips = rng.random(n) < flip
         labels[flips] = (rng.u64(n)[flips] % np.uint64(c)).astype(np.int64)
-        return LogitBatch(logits, labels)
+        return logits, labels
 
     def test_tau_one_is_plain_softmax(self):
-        lb = self._random_logits(40)
-        scaled = apply_temperature(lb, TemperatureScaler(1.0))
-        assert np.allclose(scaled.probs, softmax_rows(lb.logits))
+        logits, _ = self._random_logits(40)
+        scaled = apply_temperature(logits, 1.0)
+        assert np.allclose(scaled, softmax_rows(logits))
 
     def test_large_tau_approaches_uniform(self):
-        lb = self._random_logits(41, c=5)
-        scaled = apply_temperature(lb, TemperatureScaler(1e6))
-        assert np.allclose(scaled.probs, 0.2, atol=1e-5)
+        logits, _ = self._random_logits(41, c=5)
+        scaled = apply_temperature(logits, 1e6)
+        assert np.allclose(scaled, 0.2, atol=1e-5)
 
     def test_accuracy_bit_equal_under_scaling(self):
-        lb = self._random_logits(42)
-        base = calibration_report(apply_temperature(lb, TemperatureScaler(1.0))).accuracy
+        logits, labels = self._random_logits(42)
+        base = calibration_report(ProbBatch(apply_temperature(logits, 1.0), labels)).accuracy
         for tau in (0.1, 0.5, 1.0, 2.0, 5.0):
-            scaled = apply_temperature(lb, TemperatureScaler(tau))
+            scaled = ProbBatch(apply_temperature(logits, tau), labels)
             assert calibration_report(scaled).accuracy == base
 
     def test_rejects_nonpositive_tau(self):
-        with pytest.raises(InvalidInputError):
-            TemperatureScaler(0.0)
-        with pytest.raises(InvalidInputError):
-            TemperatureScaler(-2.0)
+        logits, _ = self._random_logits(43)
+        for tau in (0.0, -2.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidInputError):
+                apply_temperature(logits, tau)
 
     def test_fitted_never_worse_than_unit(self):
         for seed in range(10):
-            lb = self._random_logits(50 + seed, sharp=4.0)
-            scaler = fit_temperature(lb)
-            nll_fit = negative_log_likelihood(apply_temperature(lb, scaler))
-            nll_one = negative_log_likelihood(apply_temperature(lb, TemperatureScaler(1.0)))
+            logits, labels = self._random_logits(50 + seed, sharp=4.0)
+            tau = fit_temperature(logits, labels)
+            nll_fit = scaled_nll(logits, labels, tau)
+            nll_one = scaled_nll(logits, labels, 1.0)
             assert nll_fit <= nll_one + 1e-15
 
     def test_refit_of_scaled_logits_is_near_one(self):
-        lb = self._random_logits(60, n=256, sharp=5.0)
-        first = fit_temperature(lb)
-        rescaled = LogitBatch(lb.logits / first.temperature, lb.labels)
-        second = fit_temperature(rescaled)
-        assert abs(second.temperature - 1.0) <= 1e-2
+        logits, labels = self._random_logits(60, n=256, sharp=5.0)
+        first = fit_temperature(logits, labels)
+        second = fit_temperature(logits / first, labels)
+        assert abs(second - 1.0) <= 1e-2
 
     def test_scaling_logits_scales_fitted_tau(self):
-        lb = self._random_logits(61, n=256, sharp=5.0)
-        t1 = fit_temperature(lb).temperature
+        logits, labels = self._random_logits(61, n=256, sharp=5.0)
+        t1 = fit_temperature(logits, labels)
         k = 2.5
-        t2 = fit_temperature(LogitBatch(lb.logits * k, lb.labels)).temperature
+        t2 = fit_temperature(logits * k, labels)
         assert t2 == pytest.approx(k * t1, rel=2e-2)
 
     def test_single_confident_correct_sample_hits_lower_bound(self):
-        lb = LogitBatch(np.array([[4.0, 0.0, 0.0]]), np.array([0]))
-        scaler = fit_temperature(lb)
-        assert scaler.temperature == pytest.approx(0.05, abs=1e-3)
+        tau = fit_temperature(np.array([[4.0, 0.0, 0.0]]), np.array([0]))
+        assert tau == pytest.approx(0.05, abs=1e-3)
 
     def test_sweep_reports_per_tau(self):
-        lb = self._random_logits(62)
-        scaled = [apply_temperature(lb, TemperatureScaler(tau)) for tau in (0.5, 1.0, 2.0)]
+        logits, labels = self._random_logits(62)
+        scaled = [ProbBatch(apply_temperature(logits, tau), labels) for tau in (0.5, 1.0, 2.0)]
         accs = {calibration_report(batch).accuracy for batch in scaled}
         assert len(accs) == 1  # argmax invariance
+
+    # fitted temperatures of seeded batches, keyed by (seed, n, C, sharpness),
+    # as float.hex(); recorded when the fit ran on LogitBatch and
+    # TemperatureScaler, so a change to the grid, the search or the
+    # objective's arithmetic shows here
+    PINNED_TAU = {
+        (70, 64, 6, 3.0): "0x1.89b4dca6a5875p+0",
+        (71, 256, 10, 5.0): "0x1.869a05a0f9bfcp+1",
+        (72, 16, 3, 1.0): "0x1.5a745ce7dd2f2p-1",
+        (73, 128, 4, 8.0): "0x1.4dffed5f8accdp+2",
+        (74, 1, 2, 0.5): "0x1.3fffb8f504d7ap+3",
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED_TAU))
+    def test_fitted_tau_is_pinned(self, key):
+        tau = fit_temperature(*self._random_logits(*key))
+        assert type(tau) is float
+        assert tau.hex() == self.PINNED_TAU[key]
 
 
 SCHEMES = ("equal_width", "equal_mass")

@@ -116,6 +116,33 @@ class TestRunVerb:
         assert rounds == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("verb", ["run", "partition"])
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    def test_domain_generalization_over_one_domain_exits_config(self, tmp_path, capsys, monkeypatch, source, verb):
+        # every row of the CSV set has domain 0; it used to run on 2 clients of one domain
+        rounds = []
+        monkeypatch.setattr(runner, "run_round", lambda *args, **kwargs: rounds.append(args))
+        data = ({"synthetic": {"class_count": 4, "dim": 8, "samples_per_class": 10, "domain_count": 1}}
+                if source == "synthetic" else {"embedding_files": write_embedding_set(tmp_path, "csv")})
+        cfg = write_tiny_config(tmp_path, setting="domain_generalization", partition={"kind": "domain"}, data=data)
+        code = main([verb, "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "domain_generalization needs data with at least 2 domains, got 1" in capsys.readouterr().err
+        assert rounds == []
+        assert not (tmp_path / "out").exists()
+
+    def test_mdca_on_one_class_exits_config_before_training(self, tmp_path, capsys, monkeypatch):
+        # it used to pass set-up and fail in round 0 with exit 1
+        rounds = []
+        monkeypatch.setattr(runner, "run_round", lambda *args, **kwargs: rounds.append(args))
+        cfg = write_tiny_config(tmp_path, loss={"aux_kind": "mdca"},
+                                data={"synthetic": {"class_count": 1, "dim": 8, "samples_per_class": 10}})
+        code = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "loss.aux_kind 'mdca' needs at least 2 classes" in capsys.readouterr().err
+        assert rounds == []
+        assert not (tmp_path / "out").exists()
+
 
 def write_embedding_set(tmp_path, fmt, bad_value=None):
     """Train, test and prototype files of a 3-class, 4-dim set in ``fmt``

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from fedcalib import calibration, federation
-from fedcalib.calibration import (
-    LogitBatch,
-    ProbBatch,
-    TemperatureScaler,
-    apply_temperature,
-    calibration_report,
-)
+from fedcalib.calibration import ProbBatch, apply_temperature, calibration_report
 from fedcalib.errors import ConfigError, InvalidInputError, NumericError, TransportError
 from fedcalib.federation import (
     AggregatorConfig,
@@ -774,7 +768,7 @@ class TestBlockedEvaluation:
         for row, tau in zip(rows, temperatures):
             reports = [
                 calibration_report(
-                    apply_temperature(LogitBatch(model.forward(x, vector), y), TemperatureScaler(tau)),
+                    ProbBatch(apply_temperature(model.forward(x, vector), tau), y),
                     10, "equal_mass",
                 )
                 for x, y in held_out_views(split) if len(y)
