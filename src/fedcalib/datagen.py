@@ -18,6 +18,9 @@ Precomputed embeddings can be ingested from two formats:
   file with header ``label,f0..f{d-1}`` (one row per class, in label order)
 
 Loaded rows are re-normalized to unit length, matching the synthetic path.
+Both sources return a ``LabeledDataset`` whose rows come in blocks from
+``rows()``: a synthetic (domain, class) block is drawn only then, and a
+loaded file's rows are views into its one normalized matrix.
 A file whose content breaks its layout (a bad header or record, a binary
 header that claims more or fewer bytes than the file holds, an unparsable
 or negative label, no data rows or zero records, a non-finite value, a row
@@ -43,6 +46,7 @@ from .partition import LabeledDataset
 DOMAIN_ROTATION_ANGLE = 0.2
 DOMAIN_SHIFT_SCALE = 0.3
 TEXT_PERTURBATION_SCALE = 0.1
+FILE_BLOCK_ROWS = 1024  # rows per block of a loaded embedding file
 
 
 @dataclass(frozen=True)
@@ -84,15 +88,13 @@ def _domain_rotation(dim: int, rng: RngStream) -> list:
     return planes
 
 
-def _apply_rotation(x: np.ndarray, planes: list) -> np.ndarray:
-    out = x.copy()
+def _rotate_rows(x: np.ndarray, planes: list) -> None:
+    """Rotate the rows of ``x`` in place by each (i, j, angle) plane in turn."""
     for i, j, angle in planes:
         c, s = np.cos(angle), np.sin(angle)
-        xi = out[:, i].copy()
-        xj = out[:, j].copy()
-        out[:, i] = c * xi - s * xj
-        out[:, j] = s * xi + c * xj
-    return out
+        xi, xj = x[:, i].copy(), x[:, j].copy()
+        x[:, i] = c * xi - s * xj
+        x[:, j] = s * xi + c * xj
 
 
 def generate_synthetic(spec: SyntheticSpec, rng: RngStream) -> tuple:
@@ -100,7 +102,9 @@ def generate_synthetic(spec: SyntheticSpec, rng: RngStream) -> tuple:
 
     Returns ``(LabeledDataset, text_prototypes)``. The dataset is exactly
     label-balanced (samples_per_class per class per domain) and the
-    train/test split is stratified within every class-domain block.
+    train/test split is stratified within every class-domain block. Its
+    rows are made only when ``rows()`` is iterated: one block per (domain,
+    class), in that order, each drawn from its own streams.
     """
     c, d = spec.class_count, spec.dim
     image_protos = l2_normalize_rows(rng.child("protos").normal(c * d).reshape(c, d))
@@ -112,24 +116,28 @@ def generate_synthetic(spec: SyntheticSpec, rng: RngStream) -> tuple:
     n = spec.samples_per_class
     n_train = int(round(spec.train_fraction * n))
     n_train = min(max(n_train, 1), n - 1) if n > 1 else 1
-    # one row block per (domain, class), in that order, each written once into its slice
-    x = np.empty((spec.domain_count * c * n, d))
-    for dom in range(spec.domain_count):
-        dom_rng = rng.child("domain", dom)
-        planes = _domain_rotation(d, dom_rng.child("rotation"))
-        shift = dom_rng.child("shift").normal(d, scale=DOMAIN_SHIFT_SCALE * spec.noise_sigma)
-        for cls in range(c):
-            noise = rng.child("samples", dom, cls).normal(n * d)
-            raw = image_protos[cls] + spec.noise_sigma * noise.reshape(n, d)
-            start = (dom * c + cls) * n
-            x[start : start + n] = l2_normalize_rows(_apply_rotation(raw, planes) + shift)
+
+    def rows():
+        for dom in range(spec.domain_count):
+            dom_rng = rng.child("domain", dom)
+            planes = _domain_rotation(d, dom_rng.child("rotation"))
+            shift = dom_rng.child("shift").normal(d, scale=DOMAIN_SHIFT_SCALE * spec.noise_sigma)
+            for cls in range(c):
+                # the prototype plus scaled noise, rotated, shifted and normalized, all in one array
+                block = rng.child("samples", dom, cls).normal(n * d).reshape(n, d)
+                block *= spec.noise_sigma
+                block += image_protos[cls]
+                _rotate_rows(block, planes)
+                block += shift
+                yield (dom * c + cls) * n, l2_normalize_rows(block, out=block)
 
     data = LabeledDataset(
-        embeddings=x,
         labels=np.tile(np.repeat(np.arange(c, dtype=np.int64), n), spec.domain_count),
         domains=np.repeat(np.arange(spec.domain_count, dtype=np.int64), c * n),
         class_count=c,
         is_train=np.tile(np.arange(n) < n_train, spec.domain_count * c),
+        dim=d,
+        rows=rows,
     )
     return data, text_protos
 
@@ -286,15 +294,17 @@ def load_embeddings(train_path, test_path, prototypes_path) -> tuple:
         raise FormatError(
             f"prototype file has {protos.shape[0]} classes but labels imply {class_count}"
         )
-    # one matrix for both splits, divided in place by the norms checked above (a row's own)
-    x = np.empty((len(tr_x) + len(te_x), tr_x.shape[1]))
-    x[: len(tr_x)], x[len(tr_x) :] = tr_x, te_x
-    x /= np.concatenate(sample_norms[:2])[:, None]
+    # each file's rows divided in place by the norms checked above (a row's own), then
+    # handed out as views of FILE_BLOCK_ROWS rows, so a block's copies stay small
+    for values, norms in zip((tr_x, te_x), sample_norms):
+        values /= norms[:, None]
     data = LabeledDataset(
-        embeddings=x,
         labels=np.concatenate([tr_y, te_y]),
         domains=np.concatenate([tr_dom, te_dom]),
         class_count=class_count,
         is_train=np.concatenate([np.ones(len(tr_y), bool), np.zeros(len(te_y), bool)]),
+        dim=tr_x.shape[1],
+        rows=lambda: ((start + i, x[i : i + FILE_BLOCK_ROWS]) for start, x in ((0, tr_x), (len(tr_x), te_x))
+                      for i in range(0, len(x), FILE_BLOCK_ROWS)),
     )
     return data, l2_normalize_rows(protos)

@@ -227,13 +227,13 @@ def softmax_rows(logits) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def l2_normalize_rows(m) -> np.ndarray:
-    """Row-wise unit normalization of a 2-D matrix."""
+def l2_normalize_rows(m, out=None) -> np.ndarray:
+    """Row-wise unit normalization of a 2-D matrix, into ``out`` if given."""
     x = np.asarray(m, dtype=np.float64)
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise DegenerateInputError("matrix contains a zero row")
-    return x / norms
+    return np.divide(x, norms, out=out)
 
 
 def dirichlet_sample(alpha: float, dim: int, rng: RngStream) -> np.ndarray:

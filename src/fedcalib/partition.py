@@ -29,6 +29,7 @@ drawn, one stable sort by owner client and one split deal all of them.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -41,34 +42,33 @@ from .numerics import RngStream, dirichlet_sample, multinomial_split
 
 @dataclass
 class LabeledDataset:
-    """Embeddings with labels, domain tags, and a train/test split."""
+    """Labels, domain tags and a train/test split of ``dim``-wide embedding rows.
 
-    embeddings: np.ndarray  # (n x d)
+    The rows are made on demand, and no partitioner reads them: ``rows()``
+    yields ``(start, block)`` pairs, each block the unit rows of the dataset
+    indices from ``start`` on, in index order and each index once.
+    """
+
     labels: np.ndarray  # (n,)
     domains: np.ndarray  # (n,)
     class_count: int
     is_train: np.ndarray  # (n,) bool
+    dim: int
+    rows: Callable[[], Iterator[tuple]]
 
     def __post_init__(self):
-        self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.domains = np.asarray(self.domains, dtype=np.int64)
         self.is_train = np.asarray(self.is_train, dtype=bool)
-        n = self.embeddings.shape[0]
-        if self.embeddings.ndim != 2:
-            raise InvalidInputError("embeddings must be a 2-D matrix")
+        n = len(self.labels)
         if self.labels.shape != (n,) or self.domains.shape != (n,) or self.is_train.shape != (n,):
-            raise InvalidInputError("labels/domains/is_train must align with embeddings rows")
+            raise InvalidInputError("labels/domains/is_train must be aligned 1-D arrays")
         if n and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
             raise InvalidInputError("label out of range for class_count")
 
     @property
     def sample_count(self) -> int:
-        return self.embeddings.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.embeddings.shape[1]
+        return len(self.labels)
 
     def train_indices(self) -> np.ndarray:
         return np.flatnonzero(self.is_train)

@@ -22,16 +22,19 @@ Every verb writes through ``write_outputs``: all file payloads are built in
 memory before anything is written, and a failed write sweeps up whatever it
 had already put on disk.
 
-A run keeps one copy of the data: each split's rows are gathered once, in
-client order, as a ``RowSplit``. A client is an index into both: its
-training rows are a slice of the training split, and its test view a slice
-of the test split, which holds base-to-new's shared new-class rows once and
-which evaluation slices into blocks. FedDyn's per-client duals live on the
-server. The dataset is dropped once both splits are built.
+A run makes each row once: the plan is drawn from the dataset's labels,
+domain and split tags before any row exists, then ``client_views``
+allocates the training and the test ``RowSplit`` and writes each block of
+rows straight into its client-ordered positions, so no dataset matrix sits
+beside the splits. A client is an index into both: its training rows are a
+slice of the training split, and its test view a slice of the test split,
+which holds base-to-new's shared new-class rows once and which evaluation
+slices into blocks. FedDyn's per-client duals live on the server.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import time
@@ -86,15 +89,21 @@ def build_plan(config: ExperimentConfig, data: LabeledDataset, rng: RngStream) -
 
 
 def client_views(data: LabeledDataset, plan: PartitionPlan) -> tuple:
-    """The training and the test rows, each gathered once as a ``RowSplit``:
-    every client's own rows in client order, then, for the test rows, the
-    plan's shared rows."""
-    def gather(per_client, shared=()):
+    """The training and the test rows as two ``RowSplit``s: every client's own
+    rows in client order, then, for the test rows, the plan's shared rows.
+    Both splits are allocated first; each block of ``data.rows()`` is then
+    written once, straight into the positions its rows hold in them."""
+    splits, where = [], np.full((2, data.sample_count), -1)  # a row's position in each split, or -1
+    for dest, per_client, shared in zip(where, (plan.train_indices, plan.test_indices), ((), plan.shared_test)):
         ix = np.concatenate([np.asarray(part, dtype=np.int64) for part in [*per_client, shared]])
+        dest[ix] = np.arange(len(ix))
         sizes = np.array([len(part) for part in per_client])
-        return RowSplit(data.embeddings[ix], data.labels[ix], sizes, len(shared))
-
-    return gather(plan.train_indices), gather(plan.test_indices, plan.shared_test)
+        splits.append(RowSplit(np.empty((len(ix), data.dim)), data.labels[ix], sizes, len(shared)))
+    for start, block in data.rows():
+        for dest, split in zip(where[:, start : start + len(block)], splits):
+            kept = dest >= 0
+            split.x[dest[kept]] = block[kept]
+    return tuple(splits)
 
 
 def _reconcile_model(config: ExperimentConfig, data: LabeledDataset) -> ModelConfig:
@@ -130,8 +139,9 @@ def _temperature_rows(logits: np.ndarray, split: RowSplit, temperatures, bins, s
 
 def _data_and_plan(config: ExperimentConfig, rng: RngStream) -> tuple:
     """Dataset, text prototypes and partition plan of one run, drawn from
-    ``rng``'s ``data`` and ``partition`` streams. Domain generalization needs
-    at least 2 domains in the loaded data, synthetic or read from files."""
+    ``rng``'s ``data`` and ``partition`` streams; no synthetic row is made.
+    Domain generalization needs at least 2 domains in the loaded data,
+    synthetic or read from files."""
     data, text_protos = build_data(config, rng.child("data"))
     if config.setting == "domain_generalization" and data.domain_count() < 2:
         raise ConfigError(f"domain_generalization needs data with at least 2 domains, got {data.domain_count()}")
@@ -140,8 +150,9 @@ def _data_and_plan(config: ExperimentConfig, rng: RngStream) -> tuple:
 
 def _set_up(config: ExperimentConfig, rng: RngStream) -> tuple:
     """Plan, reconciled model config, model, training split and test split of
-    one run; the dataset is dropped on return, so the splits hold the run's
-    only copy."""
+    one run. The plan needs no row, and ``client_views`` makes each row once,
+    in place in the splits; the dataset is dropped on return, so the splits
+    hold the run's only copy of the rows."""
     data, text_protos, plan = _data_and_plan(config, rng)
     if not any(map(len, [*plan.test_indices, plan.shared_test])):
         raise ConfigError("no client holds a test sample, so no round can be evaluated "
@@ -318,6 +329,20 @@ def write_outputs(payloads: dict, out_dir) -> list:
     return sorted(by_path)
 
 
+def _keep_step_memory() -> None:
+    """Have glibc serve arrays below 4 MiB from its heap and keep up to 8 MiB of
+    it freed (no-op without glibc). Its defaults rise only once a large array
+    is freed; a set-up that frees none leaves each step's ~1 MB of temporaries
+    to be returned and faulted back every step (train_heavy: 360k faults)."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     """Run a config and optionally write its outputs.
 
@@ -325,6 +350,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> dict:
     ``runs`` list holds each point's results, in ``expand_sweep`` order, each
     with its ``sweep_point``.
     """
+    _keep_step_memory()
     if not config.sweep:
         results = run_single(config)
     else:

@@ -7,7 +7,10 @@ results dictionary without its volatile ``meta`` section, the bytes the
 determinism contract compares; ``model_array_bytes`` snapshots every array
 a model holds; ``count_forwards`` records what a model forwards;
 ``split_probs`` is a round's evaluation forward as the runner makes it;
-``scalars`` is a report's metrics as the per-client rows of results hold them.
+``scalars`` is a report's metrics as the per-client rows of results hold them;
+``dataset_from_rows`` makes a ``LabeledDataset`` whose rows are one given
+matrix, and ``dataset_rows`` writes a dataset's row blocks into one matrix
+in dataset order.
 """
 
 import csv
@@ -18,7 +21,21 @@ import numpy as np
 
 from fedcalib.federation import split_logits
 from fedcalib.numerics import softmax_rows
-from fedcalib.partition import PartitionPlan
+from fedcalib.partition import LabeledDataset, PartitionPlan
+
+
+def dataset_from_rows(x, labels, domains, class_count, is_train) -> LabeledDataset:
+    """A dataset whose rows are the matrix ``x``, as one block."""
+    x = np.asarray(x, dtype=np.float64)
+    return LabeledDataset(labels, domains, class_count, is_train, x.shape[1], lambda: iter([(0, x)]))
+
+
+def dataset_rows(data: LabeledDataset) -> np.ndarray:
+    """The n x d matrix of ``data``'s rows, each block written at its start index."""
+    x = np.full((data.sample_count, data.dim), np.nan)
+    for start, block in data.rows():
+        x[start : start + len(block)] = block
+    return x
 
 
 def write_embeddings(path, embeddings, labels, domains) -> None:

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from fedcalib.datagen import DOMAIN_SHIFT_SCALE, TEXT_PERTURBATION_SCALE, _apply_rotation, _domain_rotation
+from fedcalib.datagen import DOMAIN_SHIFT_SCALE, TEXT_PERTURBATION_SCALE, _domain_rotation
 from fedcalib.numerics import RngStream, l2_normalize_rows
 from fedcalib.partition import LabeledDataset
 
@@ -246,11 +246,25 @@ def naive_group_by_client(pieces, counts, num_clients):
     return [np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64) for parts in per_client]
 
 
+def naive_apply_rotation(x, planes):
+    """A rotated copy of ``x``: each (i, j, angle) Givens plane in turn."""
+    out = x.copy()
+    for i, j, angle in planes:
+        c, s = np.cos(angle), np.sin(angle)
+        xi = out[:, i].copy()
+        xj = out[:, j].copy()
+        out[:, i] = c * xi - s * xj
+        out[:, j] = s * xi + c * xj
+    return out
+
+
 def naive_generate_synthetic(spec, rng: RngStream):
-    """``datagen.generate_synthetic`` assembled block by block: each
-    (domain, class) block's rows, labels, domains and split tags go into
-    lists that are stacked at the end. It shares the rotation helpers and
-    the row normalization with the package; the assembly is what it pins."""
+    """``datagen.generate_synthetic`` as a dataset-order generator that makes
+    every row up front: each (domain, class) block's rows, labels, domains
+    and split tags go into lists that are stacked at the end, and the
+    dataset's rows are the stacked matrix, as one block. It shares the
+    rotation draw and the row normalization with the package; the
+    arithmetic of each row, out of place, and the assembly are what it pins."""
     c, d = spec.class_count, spec.dim
     image_protos = l2_normalize_rows(rng.child("protos").normal(c * d).reshape(c, d))
     text_noise = rng.child("text-protos").normal(c * d).reshape(c, d)
@@ -265,18 +279,20 @@ def naive_generate_synthetic(spec, rng: RngStream):
         for cls in range(c):
             noise = rng.child("samples", dom, cls).normal(spec.samples_per_class * d)
             raw = image_protos[cls] + spec.noise_sigma * noise.reshape(spec.samples_per_class, d)
-            raw = _apply_rotation(raw, planes) + shift
+            raw = naive_apply_rotation(raw, planes) + shift
             blocks_x.append(l2_normalize_rows(raw))
             blocks_y.append(np.full(spec.samples_per_class, cls, dtype=np.int64))
             blocks_dom.append(np.full(spec.samples_per_class, dom, dtype=np.int64))
             tags = np.zeros(spec.samples_per_class, dtype=bool)
             tags[:n_train] = True
             blocks_train.append(tags)
+    x = np.vstack(blocks_x)
     data = LabeledDataset(
-        embeddings=np.vstack(blocks_x),
         labels=np.concatenate(blocks_y),
         domains=np.concatenate(blocks_dom),
         class_count=c,
         is_train=np.concatenate(blocks_train),
+        dim=d,
+        rows=lambda: iter([(0, x)]),
     )
     return data, text_protos

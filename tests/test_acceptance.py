@@ -31,7 +31,7 @@ from fedcalib.federation import (
 from fedcalib.losses import LossSpec
 from fedcalib.model import ModelConfig, zero_shot_init
 from fedcalib.numerics import RngStream, l2_normalize_rows, softmax_rows
-from fedcalib.partition import LabeledDataset, base_to_new_split, dirichlet_partition, heterogeneity_stats
+from fedcalib.partition import base_to_new_split, dirichlet_partition, heterogeneity_stats
 from fedcalib.runner import (
     build_data,
     build_plan,
@@ -40,7 +40,7 @@ from fedcalib.runner import (
     _reconcile_model,
 )
 
-from fixtures import results_canonical_bytes, split_probs
+from fixtures import dataset_from_rows, dataset_rows, results_canonical_bytes, split_probs
 from oracles import (
     naive_accuracy,
     naive_ace,
@@ -297,8 +297,8 @@ def _balanced_dataset(samples_per_class, class_count):
     n = samples_per_class * class_count
     labels = np.repeat(np.arange(class_count), samples_per_class)
     emb = np.ones((n, 2))
-    return LabeledDataset(emb, labels, np.zeros(n, dtype=np.int64), class_count,
-                          np.ones(n, dtype=bool))
+    return dataset_from_rows(emb, labels, np.zeros(n, dtype=np.int64), class_count,
+                             np.ones(n, dtype=bool))
 
 
 def test_criterion_06_partition_statistics():
@@ -344,7 +344,7 @@ def test_criterion_07_lora_structure_after_training():
     zs_cfg = ModelConfig(**{**model_cfg.__dict__, "head_kind": "zero_shot"})
     zs = zero_shot_init(zs_cfg, protos, RngStream(cfg.seed).child("init"))
     lora = zero_shot_init(model_cfg, protos, RngStream(cfg.seed).child("init"))
-    x = data.embeddings[data.test_indices()]
+    x = dataset_rows(data)[data.test_indices()]
     assert zs.forward(x, zs.initial).tobytes() == lora.forward(x, lora.initial).tobytes()
 
     # rank structure after 50 rounds of federated training
@@ -404,7 +404,7 @@ def test_criterion_10_base_to_new_pipeline():
 
     data_labels = np.repeat(np.arange(12), 10)
     n = len(data_labels)
-    data = LabeledDataset(
+    data = dataset_from_rows(
         np.ones((n, 2)), data_labels, np.zeros(n, dtype=np.int64), 12,
         (np.arange(n) % 10) < 7,
     )

@@ -16,7 +16,7 @@ from fedcalib.errors import ConfigError, FormatError
 from fedcalib.model import ModelConfig, zero_shot_init
 from fedcalib.numerics import RngStream, softmax_rows
 
-from fixtures import write_embedding_csv, write_embeddings, write_prototypes
+from fixtures import dataset_rows, write_embedding_csv, write_embeddings, write_prototypes
 from oracles import naive_generate_synthetic
 
 
@@ -27,7 +27,7 @@ def zs_accuracy(data, protos, seed=0):
         RngStream(seed).child("init"),
     )
     te = data.test_indices()
-    logits = model.forward(data.embeddings[te], model.initial)
+    logits = model.forward(dataset_rows(data)[te], model.initial)
     return calibration_report(ProbBatch(softmax_rows(logits), data.labels[te]), 15).accuracy
 
 
@@ -37,7 +37,7 @@ class TestGenerateSynthetic:
         data, protos = generate_synthetic(spec, RngStream(1))
         assert data.sample_count == 150
         assert np.array_equal(np.bincount(data.labels), [30] * 5)
-        assert np.allclose(np.linalg.norm(data.embeddings, axis=1), 1.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(dataset_rows(data), axis=1), 1.0, atol=1e-12)
         assert np.allclose(np.linalg.norm(protos, axis=1), 1.0, atol=1e-12)
 
     def test_stratified_split(self):
@@ -51,7 +51,7 @@ class TestGenerateSynthetic:
         spec = SyntheticSpec(class_count=3, dim=8, samples_per_class=5)
         a, pa = generate_synthetic(spec, RngStream(3, 77))
         b, pb = generate_synthetic(spec, RngStream(3, 77))
-        assert a.embeddings.tobytes() == b.embeddings.tobytes()
+        assert dataset_rows(a).tobytes() == dataset_rows(b).tobytes()
         assert pa.tobytes() == pb.tobytes()
 
     def test_noiseless_limit_perfect_zero_shot(self):
@@ -77,7 +77,7 @@ class TestGenerateSynthetic:
         means = []
         for dom in range(3):
             mask = (data.domains == dom) & (data.labels == 0)
-            means.append(data.embeddings[mask].mean(axis=0))
+            means.append(dataset_rows(data)[mask].mean(axis=0))
         assert np.linalg.norm(means[0] - means[1]) > 0.01
         assert np.linalg.norm(means[0] - means[2]) > 0.01
 
@@ -93,8 +93,10 @@ class TestGenerateSynthetic:
     def test_matches_block_stacking_oracle(self, spec):
         data, protos = generate_synthetic(spec, RngStream(6, 3))
         want, want_protos = naive_generate_synthetic(spec, RngStream(6, 3))
-        for field in ("embeddings", "labels", "domains", "is_train"):
-            got, expected = getattr(data, field), getattr(want, field)
+        assert data.dim == want.dim
+        for field in ("rows", "labels", "domains", "is_train"):
+            got, expected = (dataset_rows(data), dataset_rows(want)) if field == "rows" else (
+                getattr(data, field), getattr(want, field))
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes(), field
         assert protos.tobytes() == want_protos.tobytes()
@@ -102,14 +104,14 @@ class TestGenerateSynthetic:
     def test_rows_are_written_once(self):
         # block-wise stacking holds every block and the stacked matrix at once (about 2.1x)
         spec = SyntheticSpec(class_count=20, dim=64, samples_per_class=100, domain_count=3)
-        generate_synthetic(spec, RngStream(7))  # warm caches outside the measurement
+        dataset_rows(generate_synthetic(spec, RngStream(7))[0])  # warm caches outside the measurement
         tracemalloc.start()
         try:
-            data, _ = generate_synthetic(spec, RngStream(7))
+            x = dataset_rows(generate_synthetic(spec, RngStream(7))[0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * data.embeddings.nbytes
+        assert peak < 1.5 * x.nbytes
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
@@ -192,7 +194,7 @@ class TestLoadEmbeddings:
         assert data.sample_count == 18
         assert data.train_indices().size == 12
         assert data.class_count == 3
-        assert np.allclose(np.linalg.norm(data.embeddings, axis=1), 1.0, atol=1e-9)
+        assert np.allclose(np.linalg.norm(dataset_rows(data), axis=1), 1.0, atol=1e-9)
         assert np.allclose(np.linalg.norm(protos, axis=1), 1.0, atol=1e-9)
 
     def test_csv_pipeline_counts(self, tmp_path):

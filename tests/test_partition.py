@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from fedcalib.errors import ConfigError, InvalidInputError
 from fedcalib.numerics import RngStream, dirichlet_sample, multinomial_split
 from fedcalib.partition import (
-    LabeledDataset,
     _apportion,
     _enforce_min_one,
     base_to_new_split,
@@ -24,7 +23,7 @@ from fedcalib.partition import (
     sort_and_partition,
 )
 
-from fixtures import plan_from_json
+from fixtures import dataset_from_rows, dataset_rows, plan_from_json
 from oracles import naive_group_by_client
 
 
@@ -40,7 +39,7 @@ def make_dataset(samples_per_class=40, class_count=10, domains=1, test_fraction=
             block = np.flatnonzero((labels == c) & (doms == d))
             is_train[block[:test_per_class]] = False
     emb = RngStream(seed, 5000).normal(n * 4).reshape(n, 4)
-    return LabeledDataset(emb, labels, doms, class_count, is_train)
+    return dataset_from_rows(emb, labels, doms, class_count, is_train)
 
 
 def assert_conservation(plan, data):
@@ -111,8 +110,8 @@ class TestDirichletPartition:
     def test_sample_permutation_keeps_histograms(self):
         data = make_dataset(test_fraction=0.0)
         perm = RngStream(77).permutation(data.sample_count)
-        shuffled = LabeledDataset(
-            data.embeddings[perm], data.labels[perm], data.domains[perm],
+        shuffled = dataset_from_rows(
+            dataset_rows(data)[perm], data.labels[perm], data.domains[perm],
             data.class_count, data.is_train[perm],
         )
         a = dirichlet_partition(data, 6, 0.3, RngStream(11, 36))
@@ -164,8 +163,8 @@ class TestDirichletPartition:
             dirichlet_partition(data, 0, 0.5, RngStream(0))
         with pytest.raises(InvalidInputError):
             dirichlet_partition(data, 3, 0.0, RngStream(0))
-        empty = LabeledDataset(np.zeros((4, 2)), np.zeros(4, dtype=int),
-                               np.zeros(4, dtype=int), 2, np.zeros(4, dtype=bool))
+        empty = dataset_from_rows(np.zeros((4, 2)), np.zeros(4, dtype=int),
+                                  np.zeros(4, dtype=int), 2, np.zeros(4, dtype=bool))
         with pytest.raises(InvalidInputError):
             dirichlet_partition(empty, 2, 0.5, RngStream(0))
 
@@ -554,9 +553,9 @@ def labeled_rows(draw, class_count, groups, min_train_per_group, min_per_class=0
         is_train += [True] * len(train) + [False] * len(test)
     order = draw(st.permutations(range(len(labels))))
     n = len(labels)
-    return LabeledDataset(np.zeros((n, 2)), np.array(labels, dtype=np.int64)[order],
-                          np.array(domains, dtype=np.int64)[order], class_count,
-                          np.array(is_train)[order])
+    return dataset_from_rows(np.zeros((n, 2)), np.array(labels, dtype=np.int64)[order],
+                             np.array(domains, dtype=np.int64)[order], class_count,
+                             np.array(is_train)[order])
 
 
 ALPHAS = st.sampled_from([0.01, 0.1, 0.5, 1.0, 100.0])

@@ -33,8 +33,10 @@ from fedcalib.runner import (
 from fedcalib.numerics import RngStream, softmax_rows
 
 from fixtures import (
-    count_forwards, results_canonical_bytes, scalars, split_probs, write_embeddings, write_prototypes,
+    count_forwards, dataset_rows, results_canonical_bytes, scalars, split_probs, write_embedding_csv,
+    write_embeddings, write_prototypes,
 )
+from oracles import naive_generate_synthetic
 
 
 def tiny_payload(**overrides):
@@ -255,6 +257,30 @@ DIGEST_CONFIGS = {
                "data": {"synthetic": {"class_count": 4, "dim": 16, "samples_per_class": 12, "domain_count": 2}}},
 }
 
+# tiny configs read from embedding files that ``write_file_set`` writes: FEMB samples under
+# domain generalization, CSV samples under base-to-new
+FILE_DIGEST_CONFIGS = {
+    "femb": {"setting": "domain_generalization", "partition": {"kind": "domain", "clients_per_domain": 2}},
+    "csv": {"setting": "base_to_new", "partition": {"kind": "base_to_new"}},
+}
+
+
+def write_file_set(directory, fmt) -> dict:
+    """Train, test and prototype files of 6 classes in 16 dimensions over 2 domains,
+    the samples as FEMB or CSV; returns the config's ``embedding_files``."""
+    rng = RngStream(23)
+    protos = rng.child("protos").normal(6 * 16).reshape(6, 16)
+    paths = {"prototypes": str(directory / "protos.fpro")}
+    write_prototypes(paths["prototypes"], protos)
+    write = write_embeddings if fmt == "femb" else write_embedding_csv
+    for name, per_class in (("train", 10), ("test", 4)):
+        labels, domains = np.tile(np.arange(6), 2 * per_class), np.repeat([0, 1], 6 * per_class)
+        x = protos[labels] + 2.0 * rng.child(name).normal(len(labels) * 16).reshape(-1, 16) + 0.3 * domains[:, None]
+        paths[name] = str(directory / f"{name}.{fmt}")
+        write(paths[name], x, labels, domains)
+    return paths
+
+
 # sha256 of each config's ``results_json`` with ``meta`` stripped, recorded while each client was
 # still an object holding its training rows and FedDyn dual; the same with OPENBLAS_NUM_THREADS=1
 # and unset. A change that moves these bytes on purpose re-records them and says so in CHANGES.md.
@@ -265,6 +291,9 @@ RESULTS_SHA256 = {
     "feddyn": "70c1e2cf43b5300867ee5ac7036bcf44e76828928b6e371a8bd91428386f03f7",
     "base_to_new": "b0a0ded0fdbb7fff35bcc6081efbf0f2434e5a40feaa142b679d9b3188380ae4",
     "domain": "71bccb2ee87692435351861332a06236d22c7279edd3730268d199be0d206ca5",
+    # recorded while the embedding files were read into one dataset matrix and gathered from it
+    "femb": "08d1323b953362ed7fff5efc096030fb533f45f7b1539a54f5031a0eaa16a64a",
+    "csv": "a2024c33a63181a318c54d81d32e4a8f41a5d52b9593af6066be1c31d3e64a49",
 }
 
 
@@ -275,6 +304,15 @@ class TestPinnedResults:
         del res["meta"]
         if name == "feddyn":
             assert len({cid for row in res["rounds"] for cid in row["participants"]}) < 10
+        assert hashlib.sha256(results_json(res).encode()).hexdigest() == RESULTS_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(FILE_DIGEST_CONFIGS))
+    def test_embedding_file_results_bytes_are_pinned(self, name, tmp_path, monkeypatch):
+        # relative paths, so the config echo names no temporary directory
+        monkeypatch.chdir(tmp_path)
+        paths = write_file_set(Path("."), name)
+        res = run_single(parse_config({**tiny_payload(**FILE_DIGEST_CONFIGS[name]), "data": {"embedding_files": paths}}))
+        del res["meta"]
         assert hashlib.sha256(results_json(res).encode()).hexdigest() == RESULTS_SHA256[name]
 
 
@@ -299,6 +337,32 @@ class TestOneCopyOfTheData:
         finally:
             tracemalloc.stop()
         assert peak < 3 * len(text)
+
+    @staticmethod
+    def traced_peak(call):
+        """``call()``'s result and its tracemalloc peak, after one warm-up call."""
+        call()
+        tracemalloc.start()
+        try:
+            out = call()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_set_up_holds_one_copy_of_the_rows(self):
+        # configs/domain_generalization.json: 8,000 rows of 64 floats (4.1 MB); when the
+        # splits were gathered from a dataset matrix, set-up peaked at about 2.1x the splits
+        config = load_config(Path(__file__).resolve().parents[1] / "configs" / "domain_generalization.json")
+        (*_, train, split), peak = self.traced_peak(lambda: runner._set_up(config, RngStream(config.seed)))
+        split_bytes = sum(part.nbytes for rows in (train, split) for part in (rows.x, rows.y))
+        assert len(train.y) + len(split.y) == 8000 and train.x.shape[1] == 64
+        assert peak < 1.25 * split_bytes
+
+    def test_partition_audit_makes_no_rows(self):
+        config = load_config(Path(__file__).resolve().parents[1] / "configs" / "domain_generalization.json")
+        plans, peak = self.traced_peak(lambda: runner.point_plans(config))
+        assert sum(plans[""].histograms.ravel()) + sum(map(len, plans[""].test_indices)) == 8000
+        assert peak < 8000 * 64 * 8  # one n x d float64 matrix
 
     def run_capturing_splits(self, monkeypatch, config):
         """Training and test splits as built, and whether the dataset was alive at round 0."""
@@ -362,6 +426,30 @@ class TestOneCopyOfTheData:
         new = set(split.y[own:].tolist())
         assert [len(labels) for labels in base] == [1, 1, 1] and len(new) == 2
         assert not new & set.union(*base)
+
+
+# a tiny config per partitioner, each split's rows drawn block by block
+ORACLE_CONFIGS = {
+    "dirichlet": {},
+    "sort_partition": {"partition": {"kind": "sort_partition", "num_clients": 5, "classes_per_client": 2}},
+    "domain": DIGEST_CONFIGS["domain"],
+    "base_to_new": DIGEST_CONFIGS["base_to_new"],
+}
+
+
+class TestRowsWrittenIntoTheSplits:
+    @pytest.mark.parametrize("kind", sorted(ORACLE_CONFIGS))
+    def test_split_rows_are_the_dataset_order_rows_gathered_by_the_plan(self, kind):
+        config = tiny_config(**ORACLE_CONFIGS[kind])
+        plan, _, _, train, split = runner._set_up(config, RngStream(config.seed))
+        assert plan.metadata["kind"] == kind
+        want, _ = naive_generate_synthetic(config.data.synthetic, RngStream(config.seed).child("data"))
+        x = dataset_rows(want)
+        for rows, parts in ((train, plan.train_indices), (split, [*plan.test_indices, plan.shared_test])):
+            ix = np.concatenate([np.asarray(part, dtype=np.int64) for part in parts])
+            assert rows.x.dtype == x.dtype and rows.x.shape == (len(ix), x.shape[1])
+            assert rows.x.tobytes() == x[ix].tobytes()
+            assert rows.y.tobytes() == want.labels[ix].tobytes()
 
 
 class TestBaseToNewConfig:
