@@ -19,8 +19,9 @@ Precomputed embeddings can be ingested from two formats:
 
 Loaded rows are re-normalized to unit length, matching the synthetic path.
 Both sources return a ``LabeledDataset`` whose rows come in blocks from
-``rows()``: a synthetic (domain, class) block is drawn only then, and a
-loaded file's rows are views into its one normalized matrix.
+``rows()``: a synthetic block holds consecutive classes of one domain, up
+to ``SYNTHETIC_BLOCK_ROWS`` rows, and is drawn only then; a loaded file's
+rows are views into its one normalized matrix.
 A file whose content breaks its layout (a bad header or record, a binary
 header that claims more or fewer bytes than the file holds, an unparsable
 or negative label, no data rows or zero records, a non-finite value, a row
@@ -47,6 +48,7 @@ DOMAIN_ROTATION_ANGLE = 0.2
 DOMAIN_SHIFT_SCALE = 0.3
 TEXT_PERTURBATION_SCALE = 0.1
 FILE_BLOCK_ROWS = 1024  # rows per block of a loaded embedding file
+SYNTHETIC_BLOCK_ROWS = 256  # row budget of a synthetic block of consecutive classes
 
 
 @dataclass(frozen=True)
@@ -76,23 +78,32 @@ class SyntheticSpec:
 
 
 def _domain_rotation(dim: int, rng: RngStream) -> list:
-    """A fixed mild rotation as a list of (i, j, angle) Givens planes."""
-    planes = []
+    """A fixed mild rotation: ``dim // 2`` Givens planes (i, j, angle), drawn
+    as the angles, then one (i, j) pair of draws per plane, j never equal to i.
+
+    Consecutive planes that share no index commute, so they are returned in
+    runs, each as arrays ``(i, j, cos, sin)`` that ``_rotate_rows`` applies
+    at once.
+    """
     angles = rng.normal(dim // 2, scale=DOMAIN_ROTATION_ANGLE)
-    for k in range(dim // 2):
-        i = int(rng.u64(1)[0] % np.uint64(dim))
-        j = int(rng.u64(1)[0] % np.uint64(dim - 1))
-        if j >= i:
-            j += 1
-        planes.append((i, j, float(angles[k])))
-    return planes
+    draws = rng.u64(2 * (dim // 2))
+    first = draws[0::2] % np.uint64(dim)
+    second = draws[1::2] % np.uint64(dim - 1)
+    second += second >= first
+    runs, used = [], set()
+    for i, j, angle in zip(first.tolist(), second.tolist(), angles.tolist()):
+        if not runs or i in used or j in used:
+            runs.append([])
+            used.clear()
+        runs[-1].append((i, j, np.cos(angle), np.sin(angle)))
+        used.update((i, j))
+    return [tuple(np.array(column) for column in zip(*run)) for run in runs]
 
 
-def _rotate_rows(x: np.ndarray, planes: list) -> None:
-    """Rotate the rows of ``x`` in place by each (i, j, angle) plane in turn."""
-    for i, j, angle in planes:
-        c, s = np.cos(angle), np.sin(angle)
-        xi, xj = x[:, i].copy(), x[:, j].copy()
+def _rotate_rows(x: np.ndarray, runs: list) -> None:
+    """Rotate the rows of ``x`` in place by each run of Givens planes in turn."""
+    for i, j, c, s in runs:
+        xi, xj = x[:, i], x[:, j]
         x[:, i] = c * xi - s * xj
         x[:, j] = s * xi + c * xj
 
@@ -103,8 +114,11 @@ def generate_synthetic(spec: SyntheticSpec, rng: RngStream) -> tuple:
     Returns ``(LabeledDataset, text_prototypes)``. The dataset is exactly
     label-balanced (samples_per_class per class per domain) and the
     train/test split is stratified within every class-domain block. Its
-    rows are made only when ``rows()`` is iterated: one block per (domain,
-    class), in that order, each drawn from its own streams.
+    rows are made only when ``rows()`` is iterated, in (domain, class)
+    order: a block holds consecutive classes of one domain, as many as fit
+    in ``SYNTHETIC_BLOCK_ROWS`` rows (at least one), each class drawn from
+    its own stream, and the block is rotated, shifted and normalized as one
+    array. Rows do not depend on where the blocks break.
     """
     c, d = spec.class_count, spec.dim
     image_protos = l2_normalize_rows(rng.child("protos").normal(c * d).reshape(c, d))
@@ -117,19 +131,25 @@ def generate_synthetic(spec: SyntheticSpec, rng: RngStream) -> tuple:
     n_train = int(round(spec.train_fraction * n))
     n_train = min(max(n_train, 1), n - 1) if n > 1 else 1
 
+    per_block = max(1, SYNTHETIC_BLOCK_ROWS // n)
+
     def rows():
         for dom in range(spec.domain_count):
             dom_rng = rng.child("domain", dom)
-            planes = _domain_rotation(d, dom_rng.child("rotation"))
+            rotation = _domain_rotation(d, dom_rng.child("rotation"))
             shift = dom_rng.child("shift").normal(d, scale=DOMAIN_SHIFT_SCALE * spec.noise_sigma)
-            for cls in range(c):
-                # the prototype plus scaled noise, rotated, shifted and normalized, all in one array
-                block = rng.child("samples", dom, cls).normal(n * d).reshape(n, d)
-                block *= spec.noise_sigma
-                block += image_protos[cls]
-                _rotate_rows(block, planes)
+            for first in range(0, c, per_block):
+                # each class's scaled noise plus its prototype, then the block rotated,
+                # shifted and normalized, all in one array
+                classes = range(first, min(c, first + per_block))
+                noise = np.concatenate([rng.child("samples", dom, cls).normal(n * d) for cls in classes])
+                noise = noise.reshape(len(classes), n, d)
+                noise *= spec.noise_sigma
+                noise += image_protos[first : classes.stop, None]
+                block = noise.reshape(-1, d)
+                _rotate_rows(block, rotation)
                 block += shift
-                yield (dom * c + cls) * n, l2_normalize_rows(block, out=block)
+                yield (dom * c + first) * n, l2_normalize_rows(block, out=block)
 
     data = LabeledDataset(
         labels=np.tile(np.repeat(np.arange(c, dtype=np.int64), n), spec.domain_count),

@@ -61,6 +61,40 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _bits53(z: np.ndarray) -> np.ndarray:
+    """The top 53 bits of each raw u64 output, as doubles (``z`` is shifted in place)."""
+    np.right_shift(z, _S11, out=z)
+    return z.astype(np.float64)
+
+
+def _open_unit(bits: np.ndarray) -> np.ndarray:
+    """``_bits53`` output turned in place into uniforms in (0, 1]."""
+    bits += 1.0
+    bits *= _INV_2_53
+    return bits
+
+
+def _box_muller(bits: np.ndarray) -> np.ndarray:
+    """``_bits53`` output of ``2 * pairs`` draws turned in place into normals.
+
+    The first half gives u1 in (0, 1], the second u2 in [0, 1); pair k
+    yields r cos(theta) at k and r sin(theta) at ``pairs + k``, with
+    r = sqrt(-2 log u1) and theta = 2 pi u2.
+    """
+    pairs = len(bits) // 2
+    r, theta = bits[:pairs], bits[pairs:]
+    np.log(_open_unit(r), out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= _INV_2_53
+    theta *= 2.0 * math.pi
+    cos = np.cos(theta)
+    np.sin(theta, out=theta)
+    theta *= r
+    r *= cos
+    return bits
+
+
 def _encode_part(part) -> int:
     """Map a derivation-path component to a u64."""
     if isinstance(part, (int, np.integer)):
@@ -119,12 +153,14 @@ class RngStream:
             raise InvalidInputError("sample count must be non-negative")
         start = self._counter + 1
         self._counter += n
-        idx = np.arange(start, start + n, dtype=np.uint64)
-        return _mix64_array(np.uint64(self._key) + idx * _NP_GOLDEN)
+        z = np.arange(start, start + n, dtype=np.uint64)
+        z *= _NP_GOLDEN
+        z += np.uint64(self._key)
+        return _mix64_array(z)
 
     def random(self, n: int) -> np.ndarray:
         """Uniform doubles in [0, 1) with 53-bit resolution."""
-        return (self.u64(n) >> _S11).astype(np.float64) * _INV_2_53
+        return _bits53(self.u64(n)) * _INV_2_53
 
     @staticmethod
     def bernoulli_rows(streams: list, n: int, p: float) -> np.ndarray:
@@ -157,19 +193,17 @@ class RngStream:
 
     def random_open(self, n: int) -> np.ndarray:
         """Uniform doubles in (0, 1]; safe as a log() argument."""
-        return ((self.u64(n) >> _S11).astype(np.float64) + 1.0) * _INV_2_53
+        return _open_unit(_bits53(self.u64(n)))
 
     def normal(self, n: int, scale: float = 1.0) -> np.ndarray:
-        """Standard normals via Box-Muller (two uniforms per pair)."""
+        """Standard normals via Box-Muller: ``random_open(pairs)`` then
+        ``random(pairs)`` uniforms, drawn as one block of ``2 * pairs``."""
         if n == 0:
             return np.zeros(0)
-        pairs = (n + 1) // 2
-        u1 = self.random_open(pairs)
-        u2 = self.random(pairs)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * math.pi * u2
-        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        return out * scale if scale != 1.0 else out
+        out = _box_muller(_bits53(self.u64(2 * ((n + 1) // 2))))[:n]
+        if scale != 1.0:
+            out *= scale
+        return out
 
     def _gamma_core_log(self, alpha: float, n: int) -> np.ndarray:
         """log of Gamma(alpha, 1) draws for alpha >= 1 (Marsaglia-Tsang)."""
@@ -178,8 +212,12 @@ class RngStream:
         out = np.empty(n)
         pending = np.arange(n)
         while pending.size:
-            x = self.normal(pending.size)
-            u = self.random_open(pending.size)
+            # the draws of normal(m) then random_open(m), made as one block
+            m = pending.size
+            pairs = (m + 1) // 2
+            bits = _bits53(self.u64(2 * pairs + m))
+            x = _box_muller(bits[: 2 * pairs])[:m]
+            u = _open_unit(bits[2 * pairs :])
             v = (1.0 + c * x) ** 3
             ok = v > 0
             # log-space acceptance test; rejected lanes get logv = -inf

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from fedcalib.datagen import DOMAIN_SHIFT_SCALE, TEXT_PERTURBATION_SCALE, _domain_rotation
+from fedcalib.datagen import DOMAIN_ROTATION_ANGLE, DOMAIN_SHIFT_SCALE, TEXT_PERTURBATION_SCALE
 from fedcalib.numerics import RngStream, l2_normalize_rows
 from fedcalib.partition import LabeledDataset
 
@@ -246,6 +246,59 @@ def naive_group_by_client(pieces, counts, num_clients):
     return [np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64) for parts in per_client]
 
 
+def naive_normal(rng: RngStream, n: int, scale: float = 1.0):
+    """``n`` Box-Muller normals: ``random_open(pairs)`` uniforms u1, then
+    ``random(pairs)`` uniforms u2; pair k gives r cos(theta) at k and
+    r sin(theta) at pairs + k, cut to ``n``."""
+    if n == 0:
+        return np.zeros(0)
+    pairs = (n + 1) // 2
+    u1 = rng.random_open(pairs)
+    u2 = rng.random(pairs)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * math.pi * u2
+    out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+    return out * scale if scale != 1.0 else out
+
+
+def naive_log_gamma(rng: RngStream, alpha: float, n: int):
+    """log Gamma(alpha, 1) draws by Marsaglia-Tsang, one pass per round of
+    rejections: the pending lanes draw ``normal`` then ``random_open``; for
+    alpha < 1 the draws for alpha + 1, then ``random_open(n)`` for the boost
+    ``U^(1/alpha)``."""
+    a = alpha if alpha >= 1.0 else alpha + 1.0
+    d = a - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    out = np.empty(n)
+    pending = np.arange(n)
+    while pending.size:
+        x = naive_normal(rng, pending.size)
+        u = rng.random_open(pending.size)
+        v = (1.0 + c * x) ** 3
+        ok = v > 0
+        logv = np.where(ok, np.log(np.where(ok, v, 1.0)), -np.inf)
+        accept = ok & (np.log(u) < 0.5 * x**2 + d - d * v + d * logv)
+        out[pending[accept]] = math.log(d) + logv[accept]
+        pending = pending[~accept]
+    if alpha < 1.0:
+        out = out + np.log(rng.random_open(n)) / alpha
+    return out
+
+
+def naive_domain_rotation(dim: int, rng: RngStream):
+    """The (i, j, angle) Givens planes of a domain: ``dim // 2`` angles, then
+    per plane one draw for i and one for j, j skipping i."""
+    planes = []
+    angles = naive_normal(rng, dim // 2, scale=DOMAIN_ROTATION_ANGLE)
+    for k in range(dim // 2):
+        i = int(rng.u64(1)[0] % np.uint64(dim))
+        j = int(rng.u64(1)[0] % np.uint64(dim - 1))
+        if j >= i:
+            j += 1
+        planes.append((i, j, float(angles[k])))
+    return planes
+
+
 def naive_apply_rotation(x, planes):
     """A rotated copy of ``x``: each (i, j, angle) Givens plane in turn."""
     out = x.copy()
@@ -262,22 +315,24 @@ def naive_generate_synthetic(spec, rng: RngStream):
     """``datagen.generate_synthetic`` as a dataset-order generator that makes
     every row up front: each (domain, class) block's rows, labels, domains
     and split tags go into lists that are stacked at the end, and the
-    dataset's rows are the stacked matrix, as one block. It shares the
-    rotation draw and the row normalization with the package; the
-    arithmetic of each row, out of place, and the assembly are what it pins."""
+    dataset's rows are the stacked matrix, as one block. Its normals and
+    rotation draws are its own (``naive_normal``, ``naive_domain_rotation``);
+    it shares the row normalization and the stream derivation with the
+    package, and pins the draws, the arithmetic of each row, out of place,
+    and the assembly."""
     c, d = spec.class_count, spec.dim
-    image_protos = l2_normalize_rows(rng.child("protos").normal(c * d).reshape(c, d))
-    text_noise = rng.child("text-protos").normal(c * d).reshape(c, d)
+    image_protos = l2_normalize_rows(naive_normal(rng.child("protos"), c * d).reshape(c, d))
+    text_noise = naive_normal(rng.child("text-protos"), c * d).reshape(c, d)
     text_protos = l2_normalize_rows(image_protos + TEXT_PERTURBATION_SCALE * spec.noise_sigma * text_noise)
     blocks_x, blocks_y, blocks_dom, blocks_train = [], [], [], []
     n_train = int(round(spec.train_fraction * spec.samples_per_class))
     n_train = min(max(n_train, 1), spec.samples_per_class - 1) if spec.samples_per_class > 1 else 1
     for dom in range(spec.domain_count):
         dom_rng = rng.child("domain", dom)
-        planes = _domain_rotation(d, dom_rng.child("rotation"))
-        shift = dom_rng.child("shift").normal(d, scale=DOMAIN_SHIFT_SCALE * spec.noise_sigma)
+        planes = naive_domain_rotation(d, dom_rng.child("rotation"))
+        shift = naive_normal(dom_rng.child("shift"), d, scale=DOMAIN_SHIFT_SCALE * spec.noise_sigma)
         for cls in range(c):
-            noise = rng.child("samples", dom, cls).normal(spec.samples_per_class * d)
+            noise = naive_normal(rng.child("samples", dom, cls), spec.samples_per_class * d)
             raw = image_protos[cls] + spec.noise_sigma * noise.reshape(spec.samples_per_class, d)
             raw = naive_apply_rotation(raw, planes) + shift
             blocks_x.append(l2_normalize_rows(raw))

@@ -87,8 +87,13 @@ class TestGenerateSynthetic:
             SyntheticSpec(class_count=5, dim=16, samples_per_class=30, domain_count=3),
             SyntheticSpec(class_count=3, dim=8, samples_per_class=1, domain_count=2),
             SyntheticSpec(class_count=4, dim=8, samples_per_class=7, domain_count=4, train_fraction=0.3),
+            # blocks hold consecutive classes of a domain up to SYNTHETIC_BLOCK_ROWS (256) rows
+            SyntheticSpec(class_count=3, dim=8, samples_per_class=300, domain_count=3),
+            SyntheticSpec(class_count=7, dim=16, samples_per_class=100, domain_count=3),
+            SyntheticSpec(class_count=10, dim=9, samples_per_class=60, domain_count=3, train_fraction=0.3),
         ],
-        ids=["three_domains", "one_sample_per_class", "four_domains_ragged_split"],
+        ids=["three_domains", "one_sample_per_class", "four_domains_ragged_split",
+             "class_above_block_budget", "two_classes_per_block_odd_count", "four_classes_per_block_odd_dim"],
     )
     def test_matches_block_stacking_oracle(self, spec):
         data, protos = generate_synthetic(spec, RngStream(6, 3))

@@ -15,6 +15,8 @@ from fedcalib.numerics import (
     softmax_rows,
 )
 
+from oracles import naive_log_gamma, naive_normal
+
 
 def gamma(stream, alpha, n):
     """Gamma(alpha, 1) draws from the log-space sampler (may underflow to 0 for tiny alpha)."""
@@ -92,6 +94,21 @@ class TestRngStream:
         z = RngStream(2).normal(200000)
         assert abs(z.mean()) < 0.01
         assert abs(z.std() - 1.0) < 0.01
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("scale", [1.0, 0.3])
+    def test_normal_matches_two_uniform_draws(self, n, scale):
+        # one u64 block of 2 * pairs is the random_open(pairs) then random(pairs) of a twin stream
+        fused, twin = RngStream(12, n), RngStream(12, n)
+        assert fused.normal(n, scale=scale).tobytes() == naive_normal(twin, n, scale=scale).tobytes()
+        assert fused.u64(1)[0] == twin.u64(1)[0]
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.5, 1000.0])
+    def test_log_gamma_matches_per_draw_loop(self, alpha):
+        fused, twin = RngStream(13, 1), RngStream(13, 1)
+        for n in (1, 9, 500):
+            assert fused.log_gamma(alpha, n).tobytes() == naive_log_gamma(twin, alpha, n).tobytes()
+        assert fused.u64(1)[0] == twin.u64(1)[0]
 
     def test_gamma_moments(self):
         for alpha in [0.4, 1.0, 2.5, 9.0]:
