@@ -7,13 +7,13 @@ round proceeds as broadcast -> local training on sampled participants ->
 aggregation, and leaves the new global vector in the ``ServerState``; the
 runner then evaluates that vector once on all clients. A round's
 participants train in lockstep on the run's single model: at each local
-step, the participants whose minibatches have the same row count run one
-stacked forward and backward, each with its own row of a K x P parameter
-matrix (see ``model``). Clients differ only in their rows, their trainable
-vector and, once they have taken part under feddyn, their dual, which the
-server holds by client id. Every client draws from a stream derived from
-(seed, round, client id), so each client's update is the one it would
-compute alone, whatever the grouping or the order.
+step, the participants that take it, ordered by batch row count, run stacked
+steps of at most ``STACK_ROWS // batch_size`` clients, each with its own row
+of a K x P parameter matrix (see ``model``). Clients differ only in their
+rows, their trainable vector and, once they have taken part under feddyn,
+their dual, which the server holds by client id. Every client draws from a
+stream derived from (seed, round, client id), so each client's update is
+the one it would compute alone, whatever the grouping or the order.
 
 Every client holds the same global vector after broadcast, so
 ``split_logits`` forwards the test views of consecutive clients together,
@@ -109,8 +109,8 @@ class ServerState:
     duals: dict = field(default_factory=dict)
 
 
-# rows of one stacked training step: 256 lets eight 32-row batches share a step; up from 192,
-# it raised train_heavy's peak RSS from 45.9 to about 46.7 MB (2-core VM, ru_maxrss)
+# rows of one stacked training step: a stack holds at most STACK_ROWS // batch_size clients
+# (one if a batch is larger), so eight full 32-row batches share a step
 STACK_ROWS = 256
 
 
@@ -143,18 +143,17 @@ def train_participants(
     Every client starts from the broadcast vector and runs its own epochs:
     its shuffle per epoch from ``rngs[i].child("shuffle", epoch)`` and its
     dropout per step from ``rngs[i].child("dropout", epoch, step)``. At each
-    step, the clients whose minibatch has the same row count share one
-    stacked forward and backward (split into near-equal stacks of at most
-    ``STACK_ROWS`` rows); a ragged last batch joins a smaller stack, and a
-    client out of batches drops out. Nothing is padded: BLAS results depend
-    on the row count, so a padded batch would not give the same bits as the
-    client's batch alone. The first round uses the warm-up
-    learning rate, later rounds the main one. FedProx adds
-    ``mu * (w - w_global)`` to each step's gradient; FedDyn adds
+    step, the clients that take it, ordered by batch row count, share stacked
+    forwards and backwards of at most ``max(1, STACK_ROWS // batch_size)``
+    clients; a client out of batches drops out. Nothing is padded, and each
+    run of equal row counts gets its own products: BLAS picks its kernel by
+    the row count, and with OpenBLAS 0.3.31 a row of a 64 -> 128 product of up
+    to 9 rows (18 for 128 -> 64) has other bits than in a 600-row product.
+    The first round uses the warm-up learning rate, later rounds the main one.
+    FedProx adds ``mu * (w - w_global)`` to each step's gradient; FedDyn adds
     ``-h_n + alpha * (w - w_global)``, each with the client's own ``w`` and
     dual ``h_n = duals[id]`` (zeros while the client holds none). So a
-    client's result does not depend on the other clients. The model is not
-    changed.
+    client's result does not depend on the other clients; the model is not changed.
     """
     vectors = np.tile(global_vector, (len(ids), 1))
     views = [train.own(cid) for cid in ids]
@@ -167,36 +166,29 @@ def train_participants(
         zero = np.zeros(global_vector.size)
         dual_rows = np.stack([duals.get(cid, zero) for cid in ids])
     orders = [None] * len(ids)
+    per_stack = max(1, STACK_ROWS // size)  # so that a stack holds at most STACK_ROWS rows
     for step in range(max(total_steps, default=0)):
-        groups: dict = {}
+        members = []
         for i, (_, y) in enumerate(views):
             if step < total_steps[i]:
                 epoch, b = divmod(step, batches[i])
                 if b == 0:
                     orders[i] = rngs[i].child("shuffle", epoch).permutation(len(y))
                 rows = orders[i][b * size : (b + 1) * size]
-                groups.setdefault(len(rows), []).append((i, rows, rngs[i].child("dropout", epoch, step)))
-        for rows, group in groups.items():
-            for members in _stacks(group, rows):
-                stack = [i for i, _, _ in members]
-                w = vectors[stack]
-                g = _stacked_gradient(model, w, views, ids, members, loss_spec, round_index, step)
-                if agg_config.kind == "fedprox":
-                    g += agg_config.mu_prox * (w - global_vector)
-                elif agg_config.kind == "feddyn":
-                    g -= dual_rows[stack]
-                    g += agg_config.alpha_dyn * (w - global_vector)
-                w -= lr * g
-                vectors[stack] = w
+                members.append((i, rows, rngs[i].child("dropout", epoch, step)))
+        members.sort(key=lambda member: -len(member[1]))  # stable: runs of equal row counts
+        for group in (members[start : start + per_stack] for start in range(0, len(members), per_stack)):
+            stack = [i for i, _, _ in group]
+            w = vectors[stack]
+            g = _stacked_gradient(model, w, views, ids, group, loss_spec, round_index, step)
+            if agg_config.kind == "fedprox":
+                g += agg_config.mu_prox * (w - global_vector)
+            elif agg_config.kind == "feddyn":
+                g -= dual_rows[stack]
+                g += agg_config.alpha_dyn * (w - global_vector)
+            w -= lr * g
+            vectors[stack] = w
     return [(vector, steps) for vector, steps in zip(vectors, total_steps)]
-
-
-def _stacks(group: list, rows: int) -> list:
-    """Split a group with ``rows``-row batches into stacks of near-equal size
-    with at most ``STACK_ROWS`` rows each (one client each if its batch is larger)."""
-    count = -(-len(group) * rows // STACK_ROWS)  # ceil: the stacks needed
-    per = -(-len(group) // count)
-    return [group[start : start + per] for start in range(0, len(group), per)]
 
 
 def _stacked_gradient(model, params, views, ids, members, loss_spec, round_index, step) -> np.ndarray:
@@ -207,11 +199,12 @@ def _stacked_gradient(model, params, views, ids, members, loss_spec, round_index
     A non-finite activation or loss raises ``NumericError`` naming the
     client it belongs to, the round and the step.
     """
-    x = np.array([views[i][0][rows] for i, rows, _ in members])
-    y = np.array([views[i][1][rows] for i, rows, _ in members])
+    x = np.concatenate([views[i][0][rows] for i, rows, _ in members])
+    y = np.concatenate([views[i][1][rows] for i, rows, _ in members])
     stack = [ids[i] for i, _, _ in members]
     try:
-        model.forward(x, params, train=True, rng=[stream for _, _, stream in members])
+        model.forward(x, params, train=True, rng=[stream for _, _, stream in members],
+                      counts=[len(rows) for _, rows, _ in members])
         loss, g = model.backward(y, loss_spec)
     except NumericError as err:
         raise _client_error(str(err), stack, err.rows or range(len(stack)), round_index, step) from err

@@ -9,9 +9,11 @@ spurious gradient).
 
 All gradients here are taken with respect to the predicted probabilities;
 the softmax chain is applied downstream by the model's backward pass.
-Every loss takes one batch or a stack of K clients' batches of equal size
-(a leading client axis) and keeps each client's own batch means, so a
-client's slice of a stacked loss equals the loss of its batch alone.
+Every loss takes one batch, a stack of K clients' batches of equal size
+(a leading client axis), or flat rows that ``counts`` split into clients'
+batches back to back. It keeps each client's own batch means, taken with
+the shape of its batch alone, so a client's slice of a stacked loss equals
+the loss of its batch alone.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from .calibration import PROB_CLAMP, ProbBatch
 from .errors import ConfigError, InvalidInputError
+from .numerics import row_runs
 
 AUX_KINDS = ("none", "dca", "mdca")
 
@@ -51,74 +54,79 @@ class LossValue:
     total: float | np.ndarray
     ce_part: float | np.ndarray
     aux_part: float | np.ndarray
-    grad_wrt_probs: np.ndarray  # batch x C (K x batch x C for a stack)
+    grad_wrt_probs: np.ndarray  # shaped like the probabilities
 
 
-def _true_class_entries(batch: ProbBatch) -> tuple:
-    """(row, class) index of each true-class entry, probabilities seen as rows x C."""
-    labels = batch.labels.ravel()
-    return np.arange(labels.size), labels
+def _flat(batch: ProbBatch, counts) -> tuple:
+    """Flat ``(probs, labels, true-class probs, counts, row_runs)`` of the batch,
+    whose clients hold ``counts`` rows each (by default one, or K of n rows)."""
+    probs, labels = batch.probs.reshape(-1, batch.class_count), batch.labels.reshape(-1)
+    counts = np.asarray([batch.n] * (len(batch.probs) if batch.probs.ndim == 3 else 1) if counts is None else counts)
+    return probs, labels, probs[np.arange(len(labels)), labels], counts, row_runs(counts)
 
 
-def _true_class(batch: ProbBatch) -> np.ndarray:
-    """Each row's true-class probability, shaped like the labels."""
-    flat = batch.probs.reshape(-1, batch.class_count)
-    return flat[_true_class_entries(batch)].reshape(batch.labels.shape)
+def _means(values: np.ndarray, runs: list) -> np.ndarray:
+    """Each client's mean of its rows of ``values``, as its batch alone takes it."""
+    parts = [values[rows].reshape(m, n, *values.shape[1:]).mean(axis=1) for _, rows, m, n in runs]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _at_true_class(batch: ProbBatch, values) -> np.ndarray:
-    """Zeros shaped like the probabilities, ``values`` (one per row, or one
-    for all) on the true-class entries."""
-    grad = np.zeros_like(batch.probs)
-    grad.reshape(-1, batch.class_count)[_true_class_entries(batch)] = np.ravel(values)
+def _shaped(batch: ProbBatch, counts, value: np.ndarray):
+    """Per-client ``value``, a scalar for a plain batch."""
+    return value[0] if counts is None and batch.probs.ndim == 2 else value
+
+
+def _at_true_class(probs: np.ndarray, labels: np.ndarray, values) -> np.ndarray:
+    """Zeros like ``probs``, ``values`` (one per row, or one for all) at the true classes."""
+    grad = np.zeros_like(probs)
+    grad[np.arange(len(labels)), labels] = values
     return grad
 
 
-def ce_loss(batch: ProbBatch) -> LossValue:
+def ce_loss(batch: ProbBatch, counts=None) -> LossValue:
     """Mean cross-entropy, probabilities clamped at 1e-12 before the log.
 
     Gradient w.r.t. probabilities is -1/(m * p_true) on true-class entries
     (using the clamped value, so saturated rows stay finite) and 0 elsewhere.
     """
-    m = batch.n
-    p_true = np.maximum(_true_class(batch), PROB_CLAMP)
-    value = -np.mean(np.log(p_true), axis=-1)
-    grad = _at_true_class(batch, -1.0 / (m * p_true))
-    return LossValue(total=value, ce_part=value, aux_part=0.0, grad_wrt_probs=grad)
+    probs, labels, true, sizes, runs = _flat(batch, counts)
+    p_true = np.maximum(true, PROB_CLAMP)
+    value = _shaped(batch, counts, -_means(np.log(p_true), runs))
+    grad = _at_true_class(probs, labels, -1.0 / (np.repeat(sizes, sizes) * p_true))
+    return LossValue(total=value, ce_part=value, aux_part=0.0, grad_wrt_probs=grad.reshape(batch.probs.shape))
 
 
-def dca_loss(batch: ProbBatch) -> LossValue:
+def dca_loss(batch: ProbBatch, counts=None) -> LossValue:
     """|mean correctness - mean true-class confidence| over the minibatch."""
-    m = batch.n
-    correct = (batch.predictions() == batch.labels).astype(np.float64)
-    s = _true_class(batch)
-    gap = correct.mean(axis=-1) - s.mean(axis=-1)
-    value = np.abs(gap)
+    probs, labels, true, sizes, runs = _flat(batch, counts)
+    correct = (probs.argmax(axis=-1) == labels).astype(np.float64)
+    gap = _means(correct, runs) - _means(true, runs)
+    value = _shaped(batch, counts, np.abs(gap))
     # sign(0) = 0; correctness indicators are constants, only s carries gradient
     sign = np.sign(gap)
-    grad = _at_true_class(batch, np.repeat(-sign / m, m))
-    return LossValue(total=value, ce_part=0.0, aux_part=value, grad_wrt_probs=grad)
+    grad = _at_true_class(probs, labels, np.repeat(-sign / sizes, sizes))
+    return LossValue(total=value, ce_part=0.0, aux_part=value, grad_wrt_probs=grad.reshape(batch.probs.shape))
 
 
-def mdca_loss(batch: ProbBatch) -> LossValue:
+def mdca_loss(batch: ProbBatch, counts=None) -> LossValue:
     """Class-wise confidence/accuracy gap, averaged over all classes."""
-    m, num_classes = batch.probs.shape[-2:]
+    probs, labels, _, sizes, runs = _flat(batch, counts)
+    num_classes = probs.shape[-1]
     if num_classes < 2:
         raise InvalidInputError("mdca requires at least 2 classes")
-    onehot = _at_true_class(batch, 1.0)
-    gaps = onehot.mean(axis=-2) - batch.probs.mean(axis=-2)  # per class j
-    value = np.mean(np.abs(gaps), axis=-1)
+    gaps = _means(_at_true_class(probs, labels, 1.0), runs) - _means(probs, runs)  # per client and class j
+    value = _shaped(batch, counts, np.mean(np.abs(gaps), axis=-1))
     signs = np.sign(gaps)
-    grad = (-signs / (num_classes * m))[..., None, :].repeat(m, axis=-2)
-    return LossValue(total=value, ce_part=0.0, aux_part=value, grad_wrt_probs=grad)
+    grad = np.repeat(-signs / (num_classes * sizes[:, None]), sizes, axis=0)
+    return LossValue(total=value, ce_part=0.0, aux_part=value, grad_wrt_probs=grad.reshape(batch.probs.shape))
 
 
-def total_loss(batch: ProbBatch, spec: LossSpec) -> LossValue:
+def total_loss(batch: ProbBatch, spec: LossSpec, counts=None) -> LossValue:
     """Cross-entropy plus the weighted auxiliary term from ``spec``."""
-    ce = ce_loss(batch)
+    ce = ce_loss(batch, counts)
     if spec.aux_kind == "none":
         return ce
-    aux = dca_loss(batch) if spec.aux_kind == "dca" else mdca_loss(batch)
+    aux = (dca_loss if spec.aux_kind == "dca" else mdca_loss)(batch, counts)
     beta = spec.aux_weight
     return LossValue(
         total=ce.ce_part + beta * aux.aux_part,

@@ -35,17 +35,20 @@ as reshaped views of its parameter rows, with a leading client axis (K = 1
 for a vector), so transport costs nothing and no call reads parameters that
 an earlier call was given.
 
-``forward`` takes one batch (n x d) or a stack of K clients' batches of
-equal size (K x n x d). Every activation carries the leading client axis,
-and client k's rows meet only row k of the parameters, through stacked
-``np.matmul``, so a client's slice of a stacked forward and backward is the
-computation of its batch alone. A stack whose input and weights are the
-same for every client (the text stack of a head that does not train it)
-runs once with a leading axis of 1; the text stack's first frozen product
-``prototypes @ W.T`` is made once per model. A training forward draws all
-adapted layers' dropout masks, image layers then text layers, in one
-``bernoulli_rows`` call and records per layer where its relu is positive,
-the dropped adapter input, its mask and ``a_drop @ B.T``.
+``forward`` takes one batch (n x d) or a stack of K clients' batches: rows
+back to back with each client's row count, or K x n x d. Row-local work runs
+once per stack; work that mixes a client's rows (products, bias sums, loss
+means) runs once per run of consecutive clients of equal row count, with the
+shapes of the client's batch alone, as BLAS picks its kernel by the row
+count. So client k's rows meet only row k of the parameters, and its slice
+of a stacked step is the computation of its batch alone. One run's
+activations carry a leading client axis, several runs' are flat. The text
+stack is one run of C rows per client, or of a leading axis of 1 when its
+input and weights are the same for every client (a head that does not train
+it); its first frozen product ``prototypes @ W.T`` is made once per model.
+A training forward draws each run's dropout masks, image layers then text
+layers, and records per layer where its relu is positive, the dropped
+adapter input, its mask and ``a_drop @ B.T``.
 
 ``backward`` computes analytic gradients through softmax, cosine
 normalization, the dense stacks, and the adapter factorization into a new
@@ -69,7 +72,7 @@ from .errors import (
     UsageError,
 )
 from .losses import LossSpec, total_loss
-from .numerics import RngStream, softmax_rows
+from .numerics import RngStream, row_runs, softmax_rows
 
 HEAD_KINDS = ("zero_shot", "prompt", "lora_text", "lora_vision", "lora_both", "bitfit")
 
@@ -165,8 +168,38 @@ def _through_normalization(upstream: np.ndarray, unit: np.ndarray, norms: np.nda
     return (upstream - np.sum(upstream * unit, axis=-1, keepdims=True) * unit) / norms
 
 
+def _matmul(runs: list, a: np.ndarray, b: np.ndarray, out=None, over_rows: bool = False) -> np.ndarray:
+    """``a @ b`` for a stack's activations ``a`` and ``b`` one matrix per client
+    (a leading 1, or none, serves all), run by run, so that each client's
+    product has the shape of its batch alone. With ``over_rows``, ``b`` holds
+    activations too and each client gets ``a.mT @ b`` over its own rows."""
+    if len(runs) == 1:  # activations of one run are (clients x rows x ...): one product
+        return np.matmul(a.mT if over_rows else a, b, out=out)
+    if out is None:
+        out = np.empty((runs[-1][0].stop, a.shape[-1], b.shape[-1]) if over_rows else (len(a), b.shape[-1]))
+    for clients, rows, m, n in runs:
+        part = a[rows].reshape(m, n, -1)
+        if over_rows:
+            np.matmul(part.mT, b[rows].reshape(m, n, -1), out=out[clients])
+        else:
+            np.matmul(part, b[clients] if b.ndim == 3 and len(b) > 1 else b, out=out[rows].reshape(m, n, -1))
+    return out
+
+
+def _by_client(runs: list, acts: np.ndarray, params: np.ndarray) -> list:
+    """Each run's part of a stack's activations and of ``params``, one entry per client."""
+    return [(acts, params)] if len(runs) == 1 else [(acts[rows].reshape(m, n, -1), params[clients])
+                                                    for clients, rows, m, n in runs]
+
+
+def _flagged_clients(runs: list, flags: np.ndarray) -> np.ndarray:
+    """The clients of a stack that hold a row flagged in ``flags``, one per row."""
+    owner = np.concatenate([np.repeat(np.arange(c.start, c.stop), n) for c, _, _, n in runs])
+    return np.unique(owner[flags])
+
+
 def _layer_backward(layer: DenseLayer, params: tuple, grads: tuple, config: ModelConfig, record: tuple,
-                    delta: np.ndarray, input_grad: bool):
+                    delta: np.ndarray, runs: list, input_grad: bool):
     """One layer of ``_stack_backward``: writes the layer's gradient views and
     returns the gradient w.r.t. its input (``None`` unless ``input_grad``).
 
@@ -183,20 +216,21 @@ def _layer_backward(layer: DenseLayer, params: tuple, grads: tuple, config: Mode
     if positive is not None:
         delta *= positive
     if bias_grad is not None:
-        bias_grad[...] = delta.sum(axis=-2, keepdims=True)
+        for part, grad in _by_client(runs, delta, bias_grad):
+            grad[...] = part.sum(axis=-2, keepdims=True)
     if down is None:
-        return delta @ layer.weight if input_grad else None
+        return _matmul(runs, delta, layer.weight) if input_grad else None
     scale = config.lora_scale
-    down_grad[...] = scale * (delta.mT @ a_up)
-    delta_down = delta @ down
-    up_grad[...] = scale * (delta_down.mT @ a_drop)
+    down_grad[...] = scale * _matmul(runs, delta, a_up, over_rows=True)
+    delta_down = _matmul(runs, delta, down)
+    up_grad[...] = scale * _matmul(runs, delta_down, a_drop, over_rows=True)
     if not input_grad:
         return None
-    adapter_back = np.matmul(delta_down, up, out=None if kept is None else a_drop)
+    adapter_back = _matmul(runs, delta_down, up, out=None if kept is None else a_drop)
     adapter_back *= scale
     if kept is not None:
         _drop(adapter_back, kept, config.lora_dropout, out=adapter_back)
-    back = delta @ layer.weight
+    back = _matmul(runs, delta, layer.weight)
     back += adapter_back
     return back
 
@@ -240,21 +274,19 @@ class DualEncoderModel:
         rows = params if params.ndim == 2 else params[None]
         return {key: rows[:, cut].reshape(len(rows), *shape) for key, (cut, shape) in self._slots.items()}
 
-    def _stack_forward(self, stack, x, views, train, masks, first=None):
-        """Run one encoder stack on a (K x rows x in) stack of inputs.
-
-        A leading axis of 1 serves every client when the stack's input and
-        parameters are shared. ``views`` holds the trainable arrays of the
-        forward's parameters. ``first``, if given, is the first layer's
-        frozen product ``x @ W.T``. An adapted layer in training takes its
-        adapter-input mask from ``masks`` (none without dropout). Returns the
-        stack output and, per layer in training (else an empty list), the
-        record ``(positive, a_drop, kept, a_up)``: ``out > 0`` under a relu,
-        the dropped adapter input, its mask and ``a_drop @ up.mT`` (``None``
-        where they do not apply). Each layer adds its bias and adapter term
-        and applies its relu in place, so an evaluation forward holds at most
-        two layers' activations.
-        """
+    def _stack_forward(self, stack, x, views, train, masks, runs, first=None):
+        """Run one encoder stack on the inputs ``x`` of a stack of clients with
+        ``runs`` (see ``row_runs``); a leading axis of 1 serves every client
+        when the stack's input and parameters are shared. ``views`` holds the
+        trainable arrays of the forward's parameters. ``first``, if given, is
+        the first layer's frozen product ``x @ W.T``. An adapted layer in
+        training takes its adapter-input mask from ``masks`` (none without
+        dropout). Returns the stack output and, per layer in training (else an
+        empty list), the record ``(positive, a_drop, kept, a_up)``: ``out > 0``
+        under a relu, the dropped adapter input, its mask and ``a_drop @ up.mT``
+        (``None`` where they do not apply). Each layer adds its bias and adapter
+        term and applies its relu in place, so an evaluation forward holds at
+        most two layers' activations."""
         records = []
         a = x
         last = len(self.layers) - 1
@@ -263,18 +295,22 @@ class DualEncoderModel:
             kept = a_drop = a_up = None
             # overflow here surfaces as the NumericError below, not a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                z = a @ layer.weight.T if i or first is None else first
-                z += layer.bias if bias is None else bias
+                z = _matmul(runs, a, layer.weight.T) if i or first is None else first
+                if bias is None:
+                    z += layer.bias
+                else:
+                    for part, client_bias in _by_client(runs, z, bias):
+                        part += client_bias
                 if down is not None:
                     kept = next(masks, None) if train else None
                     a_drop = a if kept is None else _drop(a, kept, self.config.lora_dropout)
-                    a_up = a_drop @ up.mT
-                    z += self.config.lora_scale * a_up @ down.mT
+                    a_up = _matmul(runs, a_drop, up.mT)
+                    z += _matmul(runs, self.config.lora_scale * a_up, down.mT)
                 # one sum is finite only if every entry is; the exact scan runs on failure
                 finite = np.isfinite(z.sum()) or np.isfinite(z).all()
             if not finite:
-                bad = ~np.isfinite(z).reshape(len(z), -1).all(axis=1)
-                raise NumericError(f"non-finite activation in {stack} layer {i}", np.flatnonzero(bad))
+                bad = ~np.isfinite(z).reshape(-1, z.shape[-1]).all(axis=1)
+                raise NumericError(f"non-finite activation in {stack} layer {i}", _flagged_clients(runs, bad))
             if i < last:
                 np.maximum(z, 0.0, out=z)
             if train:
@@ -284,32 +320,38 @@ class DualEncoderModel:
         return a, records
 
     def _dropout_masks(self, streams, stacks):
-        """Iterator of the (K x rows x in) adapter-input masks of the trained
-        ``(stack, rows)`` stacks, image stack first; empty without dropout.
-        Client k's masks are row k of one ``bernoulli_rows`` draw, cut in
-        layer order, so each is the draw of its layer after those before it.
+        """Iterator of the adapter-input masks of the trained ``(stack, runs)``
+        stacks, image stack first, each shaped like its layer's input; empty
+        without dropout. Each run's clients draw theirs in one ``bernoulli_rows``
+        call, cut in layer order, so each client draws as its batch alone does.
         """
-        shapes = [(rows, layer.weight.shape[1]) for stack, rows in stacks
-                  for i, layer in enumerate(self.layers) if (stack, i, "down") in self._slots]
-        if not shapes or self.config.lora_dropout == 0.0:
-            return iter(())
-        if any(rng is None for rng in streams):
-            raise UsageError("training forward with dropout requires an RngStream")
-        ends = np.cumsum([r * c for r, c in shapes])
-        kept = RngStream.bernoulli_rows(streams, int(ends[-1]), 1.0 - self.config.lora_dropout)
-        return iter([kept[:, e - r * c : e].reshape(len(streams), r, c) for e, (r, c) in zip(ends, shapes)])
+        masks, keep = [], 1.0 - self.config.lora_dropout
+        for stack, runs in stacks:
+            widths = [layer.weight.shape[1] for i, layer in enumerate(self.layers) if (stack, i, "down") in self._slots]
+            if not widths or keep == 1.0:
+                continue
+            if any(rng is None for rng in streams):
+                raise UsageError("training forward with dropout requires an RngStream")
+            parts = []
+            for clients, _, m, n in runs:
+                kept = RngStream.bernoulli_rows(streams[clients], n * sum(widths), keep)
+                parts.append([kept[:, e - n * w : e].reshape(m, n, w) for e, w in zip(n * np.cumsum(widths), widths)])
+            # one run keeps its views; the runs of a flat stack join, layer by layer
+            masks += parts[0] if len(parts) == 1 else [np.concatenate([p.reshape(-1, p.shape[-1]) for p in layer])
+                                                       for layer in zip(*parts)]
+        return iter(masks)
 
     def forward(self, embeddings: np.ndarray, params: np.ndarray, train: bool = False,
-                rng: RngStream | list | None = None) -> np.ndarray:
-        """Logit matrix (batch x C) of scaled cosine similarities.
+                rng: RngStream | list | None = None, counts=None) -> np.ndarray:
+        """Logits (rows x C) of scaled cosine similarities.
 
         ``embeddings`` is one batch (n x d) with a P-entry parameter vector
-        ``params``, or a stack of K clients' batches (K x n x d) with K
-        parameter rows (K x P), which gives K x n x C logits; client k's
-        batch meets only row k. In training mode the adapter-input dropout is
-        live, drawn from ``rng`` (a sequence of K streams for a stack), and
-        the forward state is cached for ``backward``; ``params`` must not
-        change before that ``backward``.
+        ``params``, or a stack of K clients' batches with K parameter rows
+        (K x P): rows back to back with each client's row count in ``counts``,
+        or K x n x d, which gives K x n x C logits; client k's rows meet only
+        row k. In training mode the adapter-input dropout is live, drawn from
+        ``rng`` (a sequence of K streams for a stack), and the forward state is
+        cached for ``backward``; ``params`` must not change before that ``backward``.
         """
         self._cache = None  # frees the previous step's records before this forward builds its own
         x = np.asarray(embeddings, dtype=np.float64)
@@ -318,14 +360,16 @@ class DualEncoderModel:
             raise InvalidInputError(f"embeddings must be (n x {d}) or (K x n x {d}), got {x.shape}")
         params = np.asarray(params, dtype=np.float64)
         views = self._views(params)
-        stacked = x.ndim == 3
-        xs = x if stacked else x[None]
+        if counts is None:
+            counts = [x.shape[1]] * len(x) if x.ndim == 3 else [len(x)]
         k = len(params) if params.ndim == 2 else 1
-        if len(xs) != k:
-            raise UsageError(f"a stack of {len(xs)} batches needs {len(xs)} parameter rows, got {k}")
-        streams = list(rng) if stacked and rng is not None else [rng] * k
+        if len(counts) != k or sum(counts) != x.size // d:
+            raise UsageError(f"a stack of {len(counts)} batches needs {len(counts)} parameter rows, got {k}")
+        streams = [rng] * k if rng is None or isinstance(rng, RngStream) else list(rng)
         if len(streams) != k:
             raise UsageError(f"a stack of {k} batches needs {k} streams, got {len(streams)}")
+        runs = row_runs(counts)
+        xs = x.reshape(-1, d) if len(runs) > 1 else x.reshape(runs[0][2], runs[0][3], d)
         head = self.config.head_kind
         train_img, train_txt = train and "img" in self._trained, train and "txt" in self._trained
         # only a prompt makes the text input differ per client; else layer 0's product is cached
@@ -334,28 +378,27 @@ class DualEncoderModel:
             text = text + views["prompt"].mean(axis=1)[:, None, :]
         else:
             first = np.repeat(self._text_first[None], k if "txt" in self._trained else 1, axis=0)
-        trained = [("img", xs.shape[1])] if train_img else []
-        trained += [("txt", text.shape[1])] if train_txt else []
+        text_runs = row_runs([len(self.prototypes)] * (k if "txt" in self._trained else 1))
+        trained = [("img", runs)] if train_img else []
+        trained += [("txt", text_runs)] if train_txt else []
         masks = self._dropout_masks(streams, trained)
-        fv, img_records = self._stack_forward("img", xs, views, train_img, masks)
-        ft, txt_records = self._stack_forward("txt", text, views, train_txt, masks, first)
+        fv, img_records = self._stack_forward("img", xs, views, train_img, masks, runs)
+        ft, txt_records = self._stack_forward("txt", text, views, train_txt, masks, text_runs, first)
         v_norms = np.linalg.norm(fv, axis=-1, keepdims=True)
         t_norms = np.linalg.norm(ft, axis=-1, keepdims=True)
-        zero = (v_norms == 0).any(axis=(1, 2)) | (t_norms == 0).any(axis=(1, 2))
-        if zero.any():
-            rows = np.flatnonzero(np.broadcast_to(zero, (k,)))
-            raise NumericError("zero-norm encoder output; cannot take cosine", rows)
+        if not (v_norms.all() and t_norms.all()):
+            zero = (t_norms == 0).any(axis=(1, 2)) | np.isin(np.arange(k), _flagged_clients(runs, v_norms.ravel() == 0))
+            raise NumericError("zero-norm encoder output; cannot take cosine", np.flatnonzero(zero))
         u = np.divide(fv, v_norms, out=fv)  # both are this forward's own arrays
         w = np.divide(ft, t_norms, out=ft)
-        logits = self.config.logit_scale * (u @ w.mT)
-        if not stacked:
-            logits = logits[0]
+        logits = self.config.logit_scale * _matmul(runs, u, w.mT)
         if train:
-            self._cache = dict(img=img_records, txt=txt_records, u=u, w=w, v_norms=v_norms, t_norms=t_norms,
-                               logits=logits, views=views, shape=params.shape)
-        return logits
+            self._cache = dict(img=(img_records, runs), txt=(txt_records, text_runs), u=u, w=w, v_norms=v_norms,
+                               t_norms=t_norms, logits=logits, views=views, shape=params.shape,
+                               counts=counts if params.ndim == 2 else None)
+        return logits.reshape(*x.shape[:-1], -1)
 
-    def _stack_backward(self, stack, views, grads, records, delta, input_grad):
+    def _stack_backward(self, stack, views, grads, records, runs, delta, input_grad):
         """Backpropagate ``delta`` (d loss / d stack output) through a stack.
 
         Writes the bias and adapter gradients into their views in ``grads``.
@@ -364,7 +407,7 @@ class DualEncoderModel:
         """
         for i in reversed(range(len(self.layers))):
             delta = _layer_backward(self.layers[i], _layer_views(views, stack, i), _layer_views(grads, stack, i),
-                                    self.config, records[i], delta, input_grad=i > 0 or input_grad)
+                                    self.config, records[i], delta, runs, input_grad=i > 0 or input_grad)
         return delta
 
     def backward(self, labels: np.ndarray, loss_spec: LossSpec) -> tuple:
@@ -380,13 +423,13 @@ class DualEncoderModel:
         if self._cache is None:
             raise UsageError("backward requires a preceding forward(train=True)")
         cache = self._cache
-        logits = cache["logits"]
-        labels = np.asarray(labels, dtype=np.int64)
-        probs = softmax_rows(logits.reshape(-1, logits.shape[-1])).reshape(logits.shape)
-        loss = total_loss(ProbBatch(probs, labels), loss_spec)
+        logits, runs = cache["logits"], cache["img"][1]
+        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+        probs = softmax_rows(logits.reshape(-1, logits.shape[-1]))
+        loss = total_loss(ProbBatch(probs, labels), loss_spec, cache["counts"])
 
         u, w = cache["u"], cache["w"]
-        g = loss.grad_wrt_probs.reshape(len(u), -1, logits.shape[-1])
+        g = loss.grad_wrt_probs.reshape(logits.shape)
         probs = probs.reshape(g.shape)
         # softmax Jacobian, row-wise: dL/dz = p * (g - <g, p>)
         gz = probs * (g - np.sum(g * probs, axis=-1, keepdims=True))
@@ -396,15 +439,15 @@ class DualEncoderModel:
         scale = self.config.logit_scale
         head = self.config.head_kind
         if "txt" in self._trained:
-            dft = _through_normalization(scale * (gz.mT @ u), w, cache["t_norms"])  # (K x C x d)
-            d_text_input = self._stack_backward("txt", views, grads, cache["txt"], dft, input_grad=head == "prompt")
+            dft = _through_normalization(scale * _matmul(runs, gz, u, over_rows=True), w, cache["t_norms"])
+            d_text_input = self._stack_backward("txt", views, grads, *cache["txt"], dft, input_grad=head == "prompt")
             if head == "prompt":
                 # the context mean is added to every class prototype, and each
                 # of the M vectors contributes 1/M of the mean
                 grads["prompt"][...] = (d_text_input.sum(axis=1) / self.config.prompt_length)[:, None, :]
         if "img" in self._trained:
-            dfv = _through_normalization(scale * (gz @ w), u, cache["v_norms"])  # (K x n x d)
-            self._stack_backward("img", views, grads, cache["img"], dfv, input_grad=False)
+            dfv = _through_normalization(scale * _matmul(runs, gz, w), u, cache["v_norms"])  # shaped like u
+            self._stack_backward("img", views, grads, *cache["img"], dfv, input_grad=False)
         self._cache = None  # backward overwrites records it no longer reads
         return loss, grad
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -113,13 +114,16 @@ _golden_steps = np.zeros(0, dtype=np.uint64)  # arange(n) * GOLDEN for the longe
 _DRAW_BLOCK = 1 << 14  # uint64 entries per block of a bernoulli_rows draw
 
 
+_DERIVE_START = _mix64(_GOLDEN)  # every derivation path folds into this
+
+
 def derive_id(*parts) -> int:
     """Fold derivation-path components into a 64-bit stream id.
 
     Order-sensitive, so (round, client) and (client, round) derive
     different streams.
     """
-    h = _mix64(_GOLDEN)
+    h = _DERIVE_START
     for part in parts:
         h = _mix64(h ^ _encode_part(part))
     return h
@@ -251,6 +255,17 @@ class RngStream:
         if not 0 <= k <= n:
             raise InvalidInputError(f"cannot choose {k} of {n}")
         return np.sort(self.permutation(n)[:k])
+
+
+def row_runs(counts) -> list:
+    """``(clients, rows, m, n)`` of each run of ``m`` consecutive clients of ``n``
+    rows each in a stack of ``counts`` rows: slices of its clients and rows."""
+    runs, client, row = [], 0, 0
+    for n, run in itertools.groupby(counts):
+        m = len(list(run))
+        runs.append((slice(client, client + m), slice(row, row + m * n), m, n))
+        client, row = client + m, row + m * n
+    return runs
 
 
 def softmax_rows(logits) -> np.ndarray:

@@ -56,10 +56,10 @@ def make_blob_views(num_clients, d=8, c=4, per_client=24, test_per_client=12, se
     return protos, train, test
 
 
-def make_federation(num_clients, head="lora_both", seed=0, dropout=0.0, logit_scale=10.0, **view_kw):
-    protos, train, test = make_blob_views(num_clients, seed=seed, **view_kw)
+def make_federation(num_clients, head="lora_both", seed=0, dropout=0.0, logit_scale=10.0, d=8, **view_kw):
+    protos, train, test = make_blob_views(num_clients, d=d, seed=seed, **view_kw)
     cfg = ModelConfig(
-        embed_dim=8, class_count=4, head_kind=head, lora_dropout=dropout, logit_scale=logit_scale
+        embed_dim=d, class_count=4, head_kind=head, lora_dropout=dropout, logit_scale=logit_scale
     )
     model = zero_shot_init(cfg, protos, RngStream(seed, 777))
     server = init_server(model.initial, num_clients)
@@ -456,23 +456,59 @@ class TestRunRound:
             else:
                 assert server.duals == {}
 
+    @pytest.mark.parametrize("aux", ["none", "dca", "mdca"])
+    @pytest.mark.parametrize("head", HEAD_KINDS)
+    def test_lockstep_round_across_the_blas_switch(self, head, aux):
+        # 64 -> 128 -> 64 products, where BLAS gives a row of a small batch other bits
+        # than the same row of a larger product; batches of 32 rows end in 1, 9, 9,
+        # 10, 18, 19 and 31 rows beside full ones, so stacks mix runs of every kind
+        sizes = [33, 41, 41, 42, 50, 51, 63, 64, 96, 32]
+        model, server, train, split = make_federation(len(sizes), head=head, seed=40, dropout=0.25, d=64,
+                                                      per_client=sizes, test_per_client=1)
+        fed = FederationConfig(batch_size=32, learning_rate=0.05, warmup_lr=0.01)
+        agg, spec, stream = AggregatorConfig(), LossSpec(aux, aux_weight=0.5), RngStream(41)
+        ids = list(range(len(sizes)))
+        streams = [stream.child("local", 0, cid) for cid in ids]
+        lockstep = train_participants(model, train, ids, server.duals, server.global_vector, fed, agg, spec, streams)
+        for cid, (vec, steps) in zip(ids, lockstep, strict=True):
+            want, want_steps = sequential_local_train(model, train.own(cid), None, server.global_vector, fed, agg,
+                                                      spec, stream.child("local", 0, cid))
+            assert vec.tobytes() == want.tobytes()
+            assert steps == want_steps == (0 if head == "zero_shot" else -(-sizes[cid] // 32))
+
     def test_full_stack_equals_each_client_alone(self):
-        # eight clients with 32-row batches fill one stack of STACK_ROWS rows
-        model, server, train, split = make_federation(8, seed=36, dropout=0.25, per_client=64)
+        # uneven clients: eight 32-row batches fill a stack of STACK_ROWS rows, ragged
+        # batches share stacks with full ones, and a stack holds at most eight clients
+        sizes = [64, 64, 40, 33, 32, 70, 9, 64, 100, 5, 64]
+        model, server, train, split = make_federation(len(sizes), seed=36, dropout=0.25, per_client=sizes,
+                                                      test_per_client=1)
         fed = FederationConfig(batch_size=32, learning_rate=0.05, warmup_lr=0.01)
         agg, spec, stream = AggregatorConfig(), LossSpec("mdca", aux_weight=0.5), RngStream(37)
-        ids = list(range(8))
+        ids = list(range(len(sizes)))
         alone = [
             sequential_local_train(model, train.own(cid), None, server.global_vector, fed, agg, spec,
                                    stream.child("local", 0, cid))
             for cid in ids
         ]
-        rows = count_forwards(model)
+        stacks = []
+        forward = model.forward
+
+        def counted(x, params, *args, **kwargs):
+            stacks.append((len(x), len(params)))
+            return forward(x, params, *args, **kwargs)
+
+        model.forward = counted
         streams = [stream.child("local", 0, cid) for cid in ids]
         lockstep = train_participants(model, train, ids, server.duals, server.global_vector, fed, agg, spec, streams)
-        assert rows == [8, 8] and 8 * 32 == STACK_ROWS
-        for (vec, steps), (want, want_steps) in zip(lockstep, alone, strict=True):
-            assert vec.tobytes() == want.tobytes() and steps == want_steps == 2
+        per_stack = STACK_ROWS // 32
+        assert per_stack == 8 and (STACK_ROWS, 8) in stacks
+        assert all(rows <= STACK_ROWS and clients <= per_stack for rows, clients in stacks)
+        batches = [-(-n // 32) for n in sizes]
+        schedule = [sum(step < b for b in batches) for step in range(max(batches))]
+        assert schedule == [11, 8, 2, 1]
+        assert len(stacks) == sum(-(-active // per_stack) for active in schedule) == 5
+        for (vec, steps), (want, want_steps), b in zip(lockstep, alone, batches, strict=True):
+            assert vec.tobytes() == want.tobytes() and steps == want_steps == b
 
     def test_non_finite_client_in_a_stack_names_client_round_and_step(self):
         model, server, train, split = make_federation(5, seed=34, per_client=16)
@@ -484,6 +520,15 @@ class TestRunRound:
         order = stream.child("local", 1, 3).child("shuffle", 0).permutation(16)
         step = int(np.flatnonzero(order == 11)[0]) // 8
         with pytest.raises(NumericError, match=rf"on client 3, round 1, step {step}$"):
+            run_round(model, server, train, fed, AggregatorConfig(), LossSpec(), 1, stream)
+
+        # clients of 16, 13, 13, 13 and 9 rows: step 1 stacks batches of 8, 5, 5, 5 and 1
+        # rows, and client 3, the last of the run of 5-row batches, fails there
+        model, server, train, split = make_federation(5, seed=34, per_client=[16, 13, 13, 13, 9])
+        run_round(model, server, train, fed, AggregatorConfig(), LossSpec(), 0, stream)
+        order = stream.child("local", 1, 3).child("shuffle", 0).permutation(13)
+        train.own(3)[0][order[10], 2] = np.nan
+        with pytest.raises(NumericError, match=r"on client 3, round 1, step 1$"):
             run_round(model, server, train, fed, AggregatorConfig(), LossSpec(), 1, stream)
 
     def test_round_reports_cover_all_clients(self):

@@ -223,6 +223,22 @@ class TestStackedLosses:
                 assert np.float64(got).tobytes() == np.float64(getattr(alone, part)).tobytes(), part
             assert stacked.grad_wrt_probs[i].tobytes() == alone.grad_wrt_probs.tobytes()
 
+    @pytest.mark.parametrize("kind", ["none", "dca", "mdca"])
+    def test_flat_rows_with_counts_equal_each_batch_alone(self, kind):
+        # clients of 9, 9, 12 and 1 rows, back to back: runs of 9, 12 and 1 rows
+        counts = [9, 9, 12, 1]
+        probs, labels = random_stack(RngStream(92), 1, sum(counts), 6)
+        probs, labels = probs[0], labels[0]
+        stacked = total_loss(ProbBatch(probs, labels), LossSpec(kind), counts)
+        assert stacked.grad_wrt_probs.shape == probs.shape
+        ends = np.cumsum(counts)
+        for i, (start, end) in enumerate(zip(ends - counts, ends)):
+            alone = total_loss(ProbBatch(probs[start:end], labels[start:end]), LossSpec(kind))
+            for part in ("total", "ce_part", "aux_part"):
+                got = np.broadcast_to(getattr(stacked, part), (len(counts),))[i]
+                assert np.float64(got).tobytes() == np.float64(getattr(alone, part)).tobytes(), part
+            assert stacked.grad_wrt_probs[start:end].tobytes() == alone.grad_wrt_probs.tobytes()
+
     def test_oracles_match_single_batches(self):
         rng = RngStream(90)
         for _ in range(20):

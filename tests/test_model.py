@@ -275,6 +275,27 @@ class TestClientStack:
             assert grad[i].tobytes() == grad_i.tobytes()
             assert np.float64(loss.total[i]).tobytes() == np.float64(loss_i.total).tobytes()
 
+    @pytest.mark.parametrize("aux", ["none", "dca", "mdca"])
+    @pytest.mark.parametrize("head", TRAINED_HEADS)
+    def test_flat_stack_of_uneven_batches_equals_each_client_alone(self, head, aux):
+        # runs of 7, 7, 4 and 1 rows: the clients' rows back to back with their counts
+        counts = [7, 7, 4, 1]
+        m = build(head, seed=82, dropout=0.25, logit_scale=10.0)
+        rng = RngStream(83)
+        thetas = perturbed(m, rng, len(counts))
+        x = rng.normal(sum(counts) * 8).reshape(-1, 8)
+        y = (rng.u64(sum(counts)) % np.uint64(4)).astype(np.int64)
+        logits = m.forward(x, thetas, train=True, rng=[RngStream(84, i) for i in range(4)], counts=counts)
+        loss, grad = m.backward(y, LossSpec(aux, aux_weight=0.5))
+        assert logits.shape == (sum(counts), 4) and grad.shape == thetas.shape and loss.total.shape == (4,)
+        ends = np.cumsum(counts)
+        for i, (start, end) in enumerate(zip(ends - counts, ends)):
+            alone = m.forward(x[start:end], thetas[i], train=True, rng=RngStream(84, i))
+            loss_i, grad_i = m.backward(y[start:end], LossSpec(aux, aux_weight=0.5))
+            assert logits[start:end].tobytes() == alone.tobytes()
+            assert grad[i].tobytes() == grad_i.tobytes()
+            assert np.float64(loss.total[i]).tobytes() == np.float64(loss_i.total).tobytes()
+
     @pytest.mark.parametrize("head", TRAINED_HEADS)
     def test_training_forward_matches_naive_oracle(self, head):
         # the oracle cuts each client's arrays at the documented offsets, draws

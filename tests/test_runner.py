@@ -542,14 +542,13 @@ class TestBaseToNewConfig:
         assert len(res["temperature_sweep"]) == 2 and res["final"]["harmonic_mean"] is not None
         (split,) = splits
         assert split.shared > 0
-        # the evaluation forwards from each round's start to the next; training
-        # forwards are stacks (3-D), evaluation forwards slices of the split (2-D)
+        # the evaluation forwards from each round's start to the next: slices of
+        # the split, where a training forward gathers a stack's rows of the training split
         evaluated = []
         for event in events:
             if isinstance(event, str):
                 evaluated.append([])
-            elif event.ndim == 2:
-                assert event.base is split.x
+            elif event.base is split.x:
                 evaluated[-1].append(len(event))
         assert evaluated == [[split.sizes.sum(), split.shared]] * 3
 
