@@ -364,7 +364,8 @@ class DualEncoderModel:
             counts = [x.shape[1]] * len(x) if x.ndim == 3 else [len(x)]
         k = len(params) if params.ndim == 2 else 1
         if len(counts) != k or sum(counts) != x.size // d:
-            raise UsageError(f"a stack of {len(counts)} batches needs {len(counts)} parameter rows, got {k}")
+            raise UsageError(f"a stack of {len(counts)} batches of {sum(counts)} rows got {k} parameter rows "
+                             f"and {x.size // d} rows")
         streams = [rng] * k if rng is None or isinstance(rng, RngStream) else list(rng)
         if len(streams) != k:
             raise UsageError(f"a stack of {k} batches needs {k} streams, got {len(streams)}")
