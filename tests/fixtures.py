@@ -110,17 +110,20 @@ def model_array_bytes(model) -> dict:
     return found
 
 
-def count_forwards(model, arrays=None):
+def count_forwards(model, arrays=None, clients=None):
     """Wrap ``model.forward`` on the instance; returns the list of row counts per call.
-    With ``arrays``, every forwarded array is appended to it."""
+    With ``arrays``, every forwarded array is appended to it; with ``clients``,
+    every call's number of parameter rows (1 for a vector)."""
     calls = []
     original = model.forward
 
-    def counted(x, *args, **kwargs):
+    def counted(x, params, *args, **kwargs):
         calls.append(len(x))
         if arrays is not None:
             arrays.append(x)
-        return original(x, *args, **kwargs)
+        if clients is not None:
+            clients.append(len(params) if np.ndim(params) == 2 else 1)
+        return original(x, params, *args, **kwargs)
 
     model.forward = counted
     return calls

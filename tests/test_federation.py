@@ -490,16 +490,11 @@ class TestRunRound:
                                    stream.child("local", 0, cid))
             for cid in ids
         ]
-        stacks = []
-        forward = model.forward
-
-        def counted(x, params, *args, **kwargs):
-            stacks.append((len(x), len(params)))
-            return forward(x, params, *args, **kwargs)
-
-        model.forward = counted
+        clients = []
+        rows = count_forwards(model, clients=clients)
         streams = [stream.child("local", 0, cid) for cid in ids]
         lockstep = train_participants(model, train, ids, server.duals, server.global_vector, fed, agg, spec, streams)
+        stacks = list(zip(rows, clients, strict=True))
         per_stack = STACK_ROWS // 32
         assert per_stack == 8 and (STACK_ROWS, 8) in stacks
         assert all(rows <= STACK_ROWS and clients <= per_stack for rows, clients in stacks)
