@@ -39,21 +39,17 @@ TEMP_REFINE_TOL = 1e-4
 
 @dataclass(frozen=True)
 class ProbBatch:
-    """Per-sample predicted probability vectors plus true labels.
+    """Per-sample predicted probability vectors plus true labels."""
 
-    The training losses also take a stack of K clients' batches, each of n
-    rows, with a leading client axis; the metrics take one n x C batch.
-    """
-
-    probs: np.ndarray  # n x C (or K x n x C), rows on the simplex
-    labels: np.ndarray  # n (or K x n) class indices
+    probs: np.ndarray  # n x C, rows on the simplex
+    labels: np.ndarray  # n class indices
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
-        if probs.ndim not in (2, 3) or 0 in probs.shape:
-            raise InvalidInputError("probs must be a non-empty n x C matrix or K x n x C stack")
-        if labels.shape != probs.shape[:-1]:
+        if probs.ndim != 2 or 0 in probs.shape:
+            raise InvalidInputError("probs must be a non-empty n x C matrix")
+        if labels.shape != probs.shape[:1]:
             raise InvalidInputError("labels must have one entry per row of probs")
         if not np.all(np.isfinite(probs)):
             raise InvalidInputError("probs contains non-finite entries")

@@ -9,11 +9,10 @@ spurious gradient).
 
 All gradients here are taken with respect to the predicted probabilities;
 the softmax chain is applied downstream by the model's backward pass.
-Every loss takes one batch, a stack of K clients' batches of equal size
-(a leading client axis), or flat rows that ``counts`` split into clients'
-batches back to back. It keeps each client's own batch means, taken with
-the shape of its batch alone, so a client's slice of a stacked loss equals
-the loss of its batch alone.
+Every loss takes one batch, or the rows of a stack of clients' batches back
+to back with each client's row count in ``counts``. It keeps each client's
+own batch means, taken with the shape of its batch alone, so a client's
+slice of a stacked loss equals the loss of its batch alone.
 """
 
 from __future__ import annotations
@@ -58,10 +57,10 @@ class LossValue:
 
 
 def _flat(batch: ProbBatch, counts) -> tuple:
-    """Flat ``(probs, labels, true-class probs, counts, row_runs)`` of the batch,
-    whose clients hold ``counts`` rows each (by default one, or K of n rows)."""
-    probs, labels = batch.probs.reshape(-1, batch.class_count), batch.labels.reshape(-1)
-    counts = np.asarray([batch.n] * (len(batch.probs) if batch.probs.ndim == 3 else 1) if counts is None else counts)
+    """``(probs, labels, true-class probs, counts, row_runs)`` of the batch,
+    whose clients hold ``counts`` rows each (by default one client)."""
+    probs, labels = batch.probs, batch.labels
+    counts = np.asarray([batch.n] if counts is None else counts)
     return probs, labels, probs[np.arange(len(labels)), labels], counts, row_runs(counts)
 
 
@@ -71,9 +70,9 @@ def _means(values: np.ndarray, runs: list) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _shaped(batch: ProbBatch, counts, value: np.ndarray):
+def _shaped(counts, value: np.ndarray):
     """Per-client ``value``, a scalar for a plain batch."""
-    return value[0] if counts is None and batch.probs.ndim == 2 else value
+    return value[0] if counts is None else value
 
 
 def _at_true_class(probs: np.ndarray, labels: np.ndarray, values) -> np.ndarray:
@@ -91,9 +90,9 @@ def ce_loss(batch: ProbBatch, counts=None) -> LossValue:
     """
     probs, labels, true, sizes, runs = _flat(batch, counts)
     p_true = np.maximum(true, PROB_CLAMP)
-    value = _shaped(batch, counts, -_means(np.log(p_true), runs))
+    value = _shaped(counts, -_means(np.log(p_true), runs))
     grad = _at_true_class(probs, labels, -1.0 / (np.repeat(sizes, sizes) * p_true))
-    return LossValue(total=value, ce_part=value, aux_part=0.0, grad_wrt_probs=grad.reshape(batch.probs.shape))
+    return LossValue(total=value, ce_part=value, aux_part=0.0, grad_wrt_probs=grad)
 
 
 def dca_loss(batch: ProbBatch, counts=None) -> LossValue:
@@ -101,11 +100,11 @@ def dca_loss(batch: ProbBatch, counts=None) -> LossValue:
     probs, labels, true, sizes, runs = _flat(batch, counts)
     correct = (probs.argmax(axis=-1) == labels).astype(np.float64)
     gap = _means(correct, runs) - _means(true, runs)
-    value = _shaped(batch, counts, np.abs(gap))
+    value = _shaped(counts, np.abs(gap))
     # sign(0) = 0; correctness indicators are constants, only s carries gradient
     sign = np.sign(gap)
     grad = _at_true_class(probs, labels, np.repeat(-sign / sizes, sizes))
-    return LossValue(total=value, ce_part=0.0, aux_part=value, grad_wrt_probs=grad.reshape(batch.probs.shape))
+    return LossValue(total=value, ce_part=0.0, aux_part=value, grad_wrt_probs=grad)
 
 
 def mdca_loss(batch: ProbBatch, counts=None) -> LossValue:
@@ -115,10 +114,10 @@ def mdca_loss(batch: ProbBatch, counts=None) -> LossValue:
     if num_classes < 2:
         raise InvalidInputError("mdca requires at least 2 classes")
     gaps = _means(_at_true_class(probs, labels, 1.0), runs) - _means(probs, runs)  # per client and class j
-    value = _shaped(batch, counts, np.mean(np.abs(gaps), axis=-1))
+    value = _shaped(counts, np.mean(np.abs(gaps), axis=-1))
     signs = np.sign(gaps)
     grad = np.repeat(-signs / (num_classes * sizes[:, None]), sizes, axis=0)
-    return LossValue(total=value, ce_part=0.0, aux_part=value, grad_wrt_probs=grad.reshape(batch.probs.shape))
+    return LossValue(total=value, ce_part=0.0, aux_part=value, grad_wrt_probs=grad)
 
 
 def total_loss(batch: ProbBatch, spec: LossSpec, counts=None) -> LossValue:

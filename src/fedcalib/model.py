@@ -35,20 +35,20 @@ as reshaped views of its parameter rows, with a leading client axis (K = 1
 for a vector), so transport costs nothing and no call reads parameters that
 an earlier call was given.
 
-``forward`` takes one batch (n x d) or a stack of K clients' batches: rows
-back to back with each client's row count, or K x n x d. Row-local work runs
-once per stack; work that mixes a client's rows (products, bias sums, loss
-means) runs once per run of consecutive clients of equal row count, with the
-shapes of the client's batch alone, as BLAS picks its kernel by the row
-count. So client k's rows meet only row k of the parameters, and its slice
-of a stacked step is the computation of its batch alone. One run's
-activations carry a leading client axis, several runs' are flat. The text
-stack is one run of C rows per client, or of a leading axis of 1 when its
-input and weights are the same for every client (a head that does not train
-it); its first frozen product ``prototypes @ W.T`` is made once per model.
-A training forward draws each run's dropout masks, image layers then text
-layers, and records per layer where its relu is positive, the dropped
-adapter input, its mask and ``a_drop @ B.T``.
+``forward`` takes one batch (n x d), or a stack of K clients' batches: their
+rows back to back, with each client's row count. Row-local work runs once
+per stack; work that mixes a client's rows (products, bias sums, loss means)
+runs once per run of consecutive clients of equal row count, with the shapes
+of the client's batch alone, as BLAS picks its kernel by the row count. So
+client k's rows meet only row k of the parameters, and its slice of a
+stacked step is the computation of its batch alone. Inside a forward, one
+run's activations are views with a leading client axis, several runs' are
+flat. The text stack is one run of C rows per client, or of a leading axis
+of 1 when its input and weights are the same for every client (a head that
+does not train it); its first frozen product ``prototypes @ W.T`` is made
+once per model. A training forward draws each run's dropout masks, image
+layers then text layers, and records per layer where its relu is positive,
+the dropped adapter input, its mask and ``a_drop @ B.T``.
 
 ``backward`` computes analytic gradients through softmax, cosine
 normalization, the dense stacks, and the adapter factorization into a new
@@ -332,13 +332,14 @@ class DualEncoderModel:
                 continue
             if any(rng is None for rng in streams):
                 raise UsageError("training forward with dropout requires an RngStream")
-            parts = []
-            for clients, _, m, n in runs:
+            flat = [np.empty((runs[-1][1].stop, w), dtype=bool) for w in widths] if len(runs) > 1 else []
+            for clients, rows, m, n in runs:
                 kept = RngStream.bernoulli_rows(streams[clients], n * sum(widths), keep)
-                parts.append([kept[:, e - n * w : e].reshape(m, n, w) for e, w in zip(n * np.cumsum(widths), widths)])
-            # one run keeps its views; the runs of a flat stack join, layer by layer
-            masks += parts[0] if len(parts) == 1 else [np.concatenate([p.reshape(-1, p.shape[-1]) for p in layer])
-                                                       for layer in zip(*parts)]
+                layers = [kept[:, e - n * w : e].reshape(m, n, w) for e, w in zip(n * np.cumsum(widths), widths)]
+                # one run keeps its views; each run of a flat stack writes its rows of every layer's mask
+                for mask, part in zip(flat, layers):
+                    mask[rows].reshape(m, n, -1)[...] = part
+            masks += flat or layers
         return iter(masks)
 
     def forward(self, embeddings: np.ndarray, params: np.ndarray, train: bool = False,
@@ -347,30 +348,29 @@ class DualEncoderModel:
 
         ``embeddings`` is one batch (n x d) with a P-entry parameter vector
         ``params``, or a stack of K clients' batches with K parameter rows
-        (K x P): rows back to back with each client's row count in ``counts``,
-        or K x n x d, which gives K x n x C logits; client k's rows meet only
-        row k. In training mode the adapter-input dropout is live, drawn from
-        ``rng`` (a sequence of K streams for a stack), and the forward state is
-        cached for ``backward``; ``params`` must not change before that ``backward``.
+        (K x P): their rows back to back, with each client's row count in
+        ``counts``; client k's rows meet only row k. In training mode the
+        adapter-input dropout is live, drawn from ``rng`` (a sequence of K
+        streams for a stack), and the forward state is cached for
+        ``backward``; ``params`` must not change before that ``backward``.
         """
         self._cache = None  # frees the previous step's records before this forward builds its own
         x = np.asarray(embeddings, dtype=np.float64)
         d = self.config.embed_dim
-        if x.ndim not in (2, 3) or x.shape[-1] != d:
-            raise InvalidInputError(f"embeddings must be (n x {d}) or (K x n x {d}), got {x.shape}")
+        if x.ndim != 2 or x.shape[-1] != d:
+            raise InvalidInputError(f"embeddings must be (n x {d}), got {x.shape}")
         params = np.asarray(params, dtype=np.float64)
         views = self._views(params)
-        if counts is None:
-            counts = [x.shape[1]] * len(x) if x.ndim == 3 else [len(x)]
+        counts = [len(x)] if counts is None else counts
         k = len(params) if params.ndim == 2 else 1
-        if len(counts) != k or sum(counts) != x.size // d:
+        if len(counts) != k or sum(counts) != len(x):
             raise UsageError(f"a stack of {len(counts)} batches of {sum(counts)} rows got {k} parameter rows "
-                             f"and {x.size // d} rows")
+                             f"and {len(x)} rows")
         streams = [rng] * k if rng is None or isinstance(rng, RngStream) else list(rng)
         if len(streams) != k:
             raise UsageError(f"a stack of {k} batches needs {k} streams, got {len(streams)}")
         runs = row_runs(counts)
-        xs = x.reshape(-1, d) if len(runs) > 1 else x.reshape(runs[0][2], runs[0][3], d)
+        xs = x if len(runs) > 1 else x.reshape(runs[0][2], runs[0][3], d)
         head = self.config.head_kind
         train_img, train_txt = train and "img" in self._trained, train and "txt" in self._trained
         # only a prompt makes the text input differ per client; else layer 0's product is cached
@@ -397,7 +397,7 @@ class DualEncoderModel:
             self._cache = dict(img=(img_records, runs), txt=(txt_records, text_runs), u=u, w=w, v_norms=v_norms,
                                t_norms=t_norms, logits=logits, views=views, shape=params.shape,
                                counts=counts if params.ndim == 2 else None)
-        return logits.reshape(*x.shape[:-1], -1)
+        return logits.reshape(len(x), -1)
 
     def _stack_backward(self, stack, views, grads, records, runs, delta, input_grad):
         """Backpropagate ``delta`` (d loss / d stack output) through a stack.
@@ -414,8 +414,8 @@ class DualEncoderModel:
     def backward(self, labels: np.ndarray, loss_spec: LossSpec) -> tuple:
         """Gradients of the training objective for every trainable entry.
 
-        Uses up the cached training forward for the same batch (labels n, or
-        K x n for a stack); a second backward needs a new forward. Returns
+        Uses up the cached training forward for the same rows (one label per
+        row); a second backward needs a new forward. Returns
         ``(LossValue, gradient)``, the gradient a new array shaped like the
         forward's parameters: each client's gradient uses only its own batch
         and parameter row. Only the stacks that hold trainable entries, or

@@ -110,10 +110,11 @@ def model_array_bytes(model) -> dict:
     return found
 
 
-def count_forwards(model, arrays=None, clients=None):
+def count_forwards(model, arrays=None, clients=None, trains=None):
     """Wrap ``model.forward`` on the instance; returns the list of row counts per call.
     With ``arrays``, every forwarded array is appended to it; with ``clients``,
-    every call's number of parameter rows (1 for a vector)."""
+    every call's number of parameter rows (1 for a vector); with ``trains``,
+    every call's ``train`` flag."""
     calls = []
     original = model.forward
 
@@ -123,6 +124,8 @@ def count_forwards(model, arrays=None, clients=None):
             arrays.append(x)
         if clients is not None:
             clients.append(len(params) if np.ndim(params) == 2 else 1)
+        if trains is not None:
+            trains.append(bool(args[0] if args else kwargs.get("train", False)))
         return original(x, params, *args, **kwargs)
 
     model.forward = counted

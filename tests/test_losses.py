@@ -182,11 +182,11 @@ class TestMdcaLoss:
 
 
 def random_stack(rng, k, n, c):
-    """K batches of n probability rows over c classes, with labels."""
-    raw = rng.normal(k * n * c).reshape(k, n, c) * 2.0
+    """K batches of n probability rows over c classes, with labels, back to back."""
+    raw = rng.normal(k * n * c).reshape(k * n, c) * 2.0
     probs = np.exp(raw - raw.max(axis=-1, keepdims=True))
     probs /= probs.sum(axis=-1, keepdims=True)
-    labels = (rng.u64(k * n) % np.uint64(c)).astype(np.int64).reshape(k, n)
+    labels = (rng.u64(k * n) % np.uint64(c)).astype(np.int64)
     return probs, labels
 
 
@@ -199,36 +199,37 @@ class TestStackedLosses:
     @pytest.mark.parametrize("k, n, c", [(1, 1, 2), (1, 7, 3), (4, 1, 5), (5, 9, 4), (10, 32, 20)])
     def test_every_slice_matches_the_oracle(self, loss, oracle, k, n, c):
         probs, labels = random_stack(RngStream(88, k * 1000 + n), k, n, c)
-        stacked = loss(ProbBatch(probs, labels))
+        stacked = loss(ProbBatch(probs, labels), [n] * k)
         assert np.shape(stacked.total) == (k,)
-        assert stacked.grad_wrt_probs.shape == (k, n, c)
+        assert stacked.grad_wrt_probs.shape == (k * n, c)
         for i in range(k):
-            value, grad = oracle(probs[i], labels[i])
+            rows = slice(i * n, (i + 1) * n)
+            value, grad = oracle(probs[rows], labels[rows])
             assert abs(stacked.total[i] - value) <= 1e-12
-            assert np.max(np.abs(stacked.grad_wrt_probs[i] - grad)) <= 1e-12
+            assert np.max(np.abs(stacked.grad_wrt_probs[rows] - grad)) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["none", "dca", "mdca"])
     def test_slices_equal_the_batch_alone_bit_for_bit(self, kind):
         probs, labels = random_stack(RngStream(89), 6, 12, 7)
         # one slice whose DCA gap is exactly 0, so sign(0) is covered
-        probs[2] = 0.0
-        probs[2, :, :2] = 0.5
-        labels[2] = np.repeat([0, 1], 6)
-        stacked = total_loss(ProbBatch(probs, labels), LossSpec(kind))
-        for i in range(len(probs)):
-            alone = total_loss(ProbBatch(probs[i], labels[i]), LossSpec(kind))
+        probs[24:36] = 0.0
+        probs[24:36, :2] = 0.5
+        labels[24:36] = np.repeat([0, 1], 6)
+        stacked = total_loss(ProbBatch(probs, labels), LossSpec(kind), [12] * 6)
+        for i in range(6):
+            rows = slice(12 * i, 12 * i + 12)
+            alone = total_loss(ProbBatch(probs[rows], labels[rows]), LossSpec(kind))
             assert isinstance(alone.total, float)
             for part in ("total", "ce_part", "aux_part"):
-                got = np.broadcast_to(getattr(stacked, part), (len(probs),))[i]
+                got = np.broadcast_to(getattr(stacked, part), (6,))[i]
                 assert np.float64(got).tobytes() == np.float64(getattr(alone, part)).tobytes(), part
-            assert stacked.grad_wrt_probs[i].tobytes() == alone.grad_wrt_probs.tobytes()
+            assert stacked.grad_wrt_probs[rows].tobytes() == alone.grad_wrt_probs.tobytes()
 
     @pytest.mark.parametrize("kind", ["none", "dca", "mdca"])
     def test_flat_rows_with_counts_equal_each_batch_alone(self, kind):
         # clients of 9, 9, 12 and 1 rows, back to back: runs of 9, 12 and 1 rows
         counts = [9, 9, 12, 1]
         probs, labels = random_stack(RngStream(92), 1, sum(counts), 6)
-        probs, labels = probs[0], labels[0]
         stacked = total_loss(ProbBatch(probs, labels), LossSpec(kind), counts)
         assert stacked.grad_wrt_probs.shape == probs.shape
         ends = np.cumsum(counts)
@@ -253,9 +254,12 @@ class TestStackedLosses:
     def test_stack_labels_must_match_rows(self):
         probs, labels = random_stack(RngStream(91), 3, 4, 5)
         with pytest.raises(InvalidInputError):
-            ProbBatch(probs, labels[:, :3])
+            ProbBatch(probs, labels[:-1])
         with pytest.raises(InvalidInputError):
-            ProbBatch(probs, labels.ravel())
+            ProbBatch(probs, labels.reshape(3, 4))
+        # a stack is its rows back to back, never a K x n x C array
+        with pytest.raises(InvalidInputError):
+            ProbBatch(probs.reshape(3, 4, 5), labels.reshape(3, 4))
 
 
 class TestTotalLoss:

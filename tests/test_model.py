@@ -263,15 +263,17 @@ class TestClientStack:
         m = build(head, seed=70, dropout=0.25, logit_scale=10.0)
         rng = RngStream(71)
         thetas = perturbed(m, rng, k)
-        x = rng.normal(k * 5 * 8).reshape(k, 5, 8)
-        y = (rng.u64(k * 5) % np.uint64(4)).astype(np.int64).reshape(k, 5)
-        logits = m.forward(x, thetas, train=True, rng=[RngStream(72, i) for i in range(k)])
+        # one run: K clients of 5 rows each, back to back
+        x = rng.normal(k * 5 * 8).reshape(k * 5, 8)
+        y = (rng.u64(k * 5) % np.uint64(4)).astype(np.int64)
+        logits = m.forward(x, thetas, train=True, rng=[RngStream(72, i) for i in range(k)], counts=[5] * k)
         loss, grad = m.backward(y, LossSpec("mdca"))
-        assert logits.shape == (k, 5, 4) and grad.shape == thetas.shape
+        assert logits.shape == (k * 5, 4) and grad.shape == thetas.shape and loss.total.shape == (k,)
         for i in range(k):
-            alone = m.forward(x[i], thetas[i], train=True, rng=RngStream(72, i))
-            loss_i, grad_i = m.backward(y[i], LossSpec("mdca"))
-            assert logits[i].tobytes() == alone.tobytes()
+            rows = slice(5 * i, 5 * i + 5)
+            alone = m.forward(x[rows], thetas[i], train=True, rng=RngStream(72, i))
+            loss_i, grad_i = m.backward(y[rows], LossSpec("mdca"))
+            assert logits[rows].tobytes() == alone.tobytes()
             assert grad[i].tobytes() == grad_i.tobytes()
             assert np.float64(loss.total[i]).tobytes() == np.float64(loss_i.total).tobytes()
 
@@ -305,25 +307,31 @@ class TestClientStack:
         rng = RngStream(80)
         params = perturbed(m, rng, 3)
         x = rng.normal(3 * 5 * 8).reshape(3, 5, 8)
-        logits = m.forward(x, params, train=True, rng=[RngStream(81, i) for i in range(3)])
+        logits = m.forward(x.reshape(15, 8), params, train=True, rng=[RngStream(81, i) for i in range(3)],
+                           counts=[5] * 3)
         want = naive_train_logits(m, params, x, [RngStream(81, i) for i in range(3)])
-        assert logits.tobytes() == want.tobytes()
+        assert logits.reshape(want.shape).tobytes() == want.tobytes()
 
     def test_stack_size_must_match_parameter_rows(self):
         m = build("lora_both", seed=74)
         params = np.tile(m.initial, (2, 1))
         with pytest.raises(UsageError):
-            m.forward(np.zeros((3, 4, 8)), params)
+            m.forward(np.zeros((12, 8)), params, counts=[4, 4, 4])
         with pytest.raises(UsageError):
             m.forward(np.zeros((4, 8)), params)
-        m.forward(np.zeros((2, 4, 8)) + 0.1, params)
+        with pytest.raises(UsageError):
+            m.forward(np.zeros((8, 8)), params, counts=[4, 3])
+        # a stack is its rows back to back, never a K x n x d array
+        with pytest.raises(InvalidInputError):
+            m.forward(np.zeros((2, 4, 8)), params, counts=[4, 4])
+        m.forward(np.zeros((8, 8)) + 0.1, params, counts=[4, 4])
 
     def test_non_finite_input_names_its_stack_row(self):
         m = build("lora_both", seed=75)
-        x = RngStream(76).normal(4 * 3 * 8).reshape(4, 3, 8)
-        x[2, 1, 5] = np.inf
+        x = RngStream(76).normal(4 * 3 * 8).reshape(4 * 3, 8)
+        x[2 * 3 + 1, 5] = np.inf
         with pytest.raises(NumericError) as info:
-            m.forward(x, np.tile(m.initial, (4, 1)))
+            m.forward(x, np.tile(m.initial, (4, 1)), counts=[3] * 4)
         assert info.value.rows == (2,)
 
     @pytest.mark.parametrize(
@@ -359,10 +367,10 @@ class TestStateless:
         rng = RngStream(57)
         params = perturbed(m, rng, 3)
         kept = params.tobytes()
-        x = rng.normal(3 * 5 * 8).reshape(3, 5, 8)
-        m.forward(x, params, train=True, rng=[RngStream(58, i) for i in range(3)])
-        m.backward(np.zeros((3, 5), dtype=np.int64), LossSpec("mdca"))
-        m.forward(x[0], params[0])
+        x = rng.normal(3 * 5 * 8).reshape(3 * 5, 8)
+        m.forward(x, params, train=True, rng=[RngStream(58, i) for i in range(3)], counts=[5] * 3)
+        m.backward(np.zeros(3 * 5, dtype=np.int64), LossSpec("mdca"))
+        m.forward(x[:5], params[0])
         assert model_array_bytes(m) == before
         assert params.tobytes() == kept
 
@@ -371,13 +379,13 @@ class TestStateless:
         m = build(head, seed=59, dropout=0.25, logit_scale=10.0)
         rng = RngStream(60)
         a, b = perturbed(m, rng, 3), perturbed(m, rng, 3)
-        x = rng.normal(3 * 5 * 8).reshape(3, 5, 8)
-        y = (rng.u64(15) % np.uint64(4)).astype(np.int64).reshape(3, 5)
+        x = rng.normal(3 * 5 * 8).reshape(3 * 5, 8)
+        y = (rng.u64(15) % np.uint64(4)).astype(np.int64)
 
         def step(params):
-            logits = m.forward(x, params, train=True, rng=[RngStream(61, i) for i in range(3)])
+            logits = m.forward(x, params, train=True, rng=[RngStream(61, i) for i in range(3)], counts=[5] * 3)
             _, grad = m.backward(y, LossSpec("mdca"))
-            return logits.tobytes(), grad.tobytes(), m.forward(x[1], params[1]).tobytes()
+            return logits.tobytes(), grad.tobytes(), m.forward(x[5:10], params[1]).tobytes()
 
         first = step(a)
         other = step(b)
@@ -421,11 +429,11 @@ class TestTransport:
         with pytest.raises(TransportError):
             m.forward(x, np.zeros(size + 1))
         with pytest.raises(TransportError):
-            m.forward(x[None], np.zeros((1, 1, size)))
+            m.forward(x, np.zeros((1, 1, size)))
         with pytest.raises(TransportError):
-            m.forward(np.zeros((2, 4, 8)), np.zeros((2, size + 1)))
+            m.forward(np.zeros((8, 8)), np.zeros((2, size + 1)), counts=[4, 4])
         with pytest.raises(TransportError):
-            m.forward(np.zeros((0, 4, 8)), np.zeros((0, size)))
+            m.forward(np.zeros((0, 8)), np.zeros((0, size)), counts=[])
 
     def test_params_change_predictions(self):
         m = build("lora_both", seed=53)

@@ -523,12 +523,12 @@ class TestBaseToNewConfig:
         # reuse the last round's logits, so no evaluation forward follows it
         config = tiny_config(setting="base_to_new", partition={"kind": "base_to_new"},
                              federation={"rounds": 3}, metrics={"temperatures": [0.5, 2.0]})
-        events, splits = [], []
+        events, trains, splits = [], [], []
         set_up, run_round = runner._set_up, runner.run_round
 
         def counted_set_up(*args):
             plan, model_config, model, train, split = set_up(*args)
-            count_forwards(model, events)
+            count_forwards(model, events, trains=trains)
             splits.append(split)
             return plan, model_config, model, train, split
 
@@ -542,14 +542,15 @@ class TestBaseToNewConfig:
         assert len(res["temperature_sweep"]) == 2 and res["final"]["harmonic_mean"] is not None
         (split,) = splits
         assert split.shared > 0
-        # the evaluation forwards from each round's start to the next: slices of
-        # the split, where a training forward gathers a stack's rows of the training split
-        evaluated = []
+        # the evaluation forwards from each round's start to the next, each a slice of the split
+        evaluated, modes = [], iter(trains)
         for event in events:
             if isinstance(event, str):
                 evaluated.append([])
-            elif event.base is split.x:
+            elif not next(modes):
+                assert event.base is split.x
                 evaluated[-1].append(len(event))
+        assert next(modes, None) is None and any(trains)
         assert evaluated == [[split.sizes.sum(), split.shared]] * 3
 
 
