@@ -10,6 +10,14 @@ A temperature is a plain float and logits a plain n x C array:
 temperature, and both the runner's temperature sweep and
 ``fit_temperature`` go through it.
 
+Probabilities are validated once, where they enter from outside the
+program: ``calibration_report`` takes a ``ProbBatch``, and
+``fit_temperature`` builds one from its arguments. Internal stages
+(``segmented_reports``, the losses, the model's backward pass) pass the
+plain ``probs`` and ``labels`` arrays of the program's own softmax.
+Reliability bins have one form, the dict of ``ReportTable.pooled_bins``
+that ``results.json`` stores and the CSV and SVG export read.
+
 Conventions:
 
 - all metrics are fractions in [0, 1] (or [0, 2] for Brier); multiply by 100
@@ -39,7 +47,13 @@ TEMP_REFINE_TOL = 1e-4
 
 @dataclass(frozen=True)
 class ProbBatch:
-    """Per-sample predicted probability vectors plus true labels."""
+    """Per-sample predicted probability vectors plus true labels, validated.
+
+    The public entry for probabilities from outside the program:
+    ``calibration_report`` takes one, and ``fit_temperature`` builds one
+    from its arguments. Internal stages pass the plain ``probs`` and
+    ``labels`` arrays of the program's own softmax.
+    """
 
     probs: np.ndarray  # n x C, rows on the simplex
     labels: np.ndarray  # n class indices
@@ -63,41 +77,6 @@ class ProbBatch:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "labels", labels)
 
-    @property
-    def n(self) -> int:
-        """Rows per batch."""
-        return self.probs.shape[-2]
-
-    @property
-    def class_count(self) -> int:
-        return self.probs.shape[-1]
-
-    def confidences(self) -> np.ndarray:
-        return self.probs.max(axis=-1)
-
-    def predictions(self) -> np.ndarray:
-        # np.argmax breaks ties toward the lowest index, which is the
-        # deterministic tie rule used everywhere in this package
-        return self.probs.argmax(axis=-1)
-
-
-@dataclass(frozen=True)
-class ReliabilityBins:
-    """Per-bin sample counts and mean accuracy/confidence."""
-
-    scheme: str  # "equal_width" | "equal_mass"
-    counts: np.ndarray  # G integers
-    accuracy: np.ndarray  # G floats (0.0 where the bin is empty)
-    confidence: np.ndarray  # G floats (0.0 where the bin is empty)
-
-    @property
-    def bin_count(self) -> int:
-        return len(self.counts)
-
-    def midpoints(self) -> np.ndarray:
-        g = self.bin_count
-        return (np.arange(g) + 0.5) / g
-
 
 @dataclass(frozen=True)
 class CalibrationReport:
@@ -109,7 +88,7 @@ class CalibrationReport:
     ace: float
     brier: float
     nll: float
-    bins: ReliabilityBins = field(repr=False)
+    bins: dict = field(repr=False)  # the ``ReportTable.pooled_bins`` form
 
 
 @dataclass(frozen=True)
@@ -129,7 +108,7 @@ class ReportTable:
     bin_confidence: np.ndarray
 
     def report(self, i: int) -> CalibrationReport:
-        bins = ReliabilityBins(self.scheme, self.counts[i], self.bin_accuracy[i], self.bin_confidence[i])
+        bins = _bins(self.scheme, self.counts[i], self.bin_accuracy[i], self.bin_confidence[i])
         return CalibrationReport(**{key: float(column[i]) for key, column in self.columns.items()}, bins=bins)
 
     def rows(self) -> list:
@@ -140,8 +119,10 @@ class ReportTable:
         """Unweighted mean over the segments of each scalar."""
         return {key: float(np.mean(column)) for key, column in self.columns.items()}
 
-    def pooled_bins(self) -> ReliabilityBins:
-        """The bins of all segments' rows together.
+    def pooled_bins(self) -> dict:
+        """The bins of all segments' rows together, as ``results.json`` holds
+        them: ``scheme`` and per-bin lists of ``counts``, mean ``accuracy``
+        and mean ``confidence`` (0.0 in empty bins).
 
         Counts and count-weighted sums are added in segment order, which
         reproduces the bins of the whole batch exactly.
@@ -154,7 +135,12 @@ class ReportTable:
         conf = np.zeros(counts.size)
         acc[nonempty] = acc_sum[nonempty] / counts[nonempty]
         conf[nonempty] = conf_sum[nonempty] / counts[nonempty]
-        return ReliabilityBins(scheme=self.scheme, counts=counts, accuracy=acc, confidence=conf)
+        return _bins(self.scheme, counts, acc, conf)
+
+
+def _bins(scheme: str, counts: np.ndarray, accuracy: np.ndarray, confidence: np.ndarray) -> dict:
+    return {"scheme": scheme, "counts": counts.tolist(), "accuracy": accuracy.tolist(),
+            "confidence": confidence.tolist()}
 
 
 def _check_binning(bins: int, scheme: str) -> None:
@@ -164,8 +150,8 @@ def _check_binning(bins: int, scheme: str) -> None:
         raise InvalidInputError(f"unknown binning scheme {scheme!r}")
 
 
-def _segment_bins(batch: ProbBatch, sizes, bins: int, scheme: str):
-    """Bin statistics of each consecutive row segment of ``batch``.
+def _segment_bins(probs: np.ndarray, labels: np.ndarray, sizes, bins: int, scheme: str):
+    """Bin statistics of each consecutive row segment of ``(probs, labels)``.
 
     Returns the per-row segment index, the per-row hit vector (1.0 where
     the argmax is the label) and ``segments x bins`` arrays of counts, mean
@@ -179,19 +165,21 @@ def _segment_bins(batch: ProbBatch, sizes, bins: int, scheme: str):
     """
     _check_binning(bins, scheme)
     sizes = np.asarray(sizes, dtype=np.int64)
-    if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.sum() != batch.n:
+    n = len(labels)
+    if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.sum() != n:
         raise InvalidInputError("segment sizes must be positive and sum to the batch size")
     g = sizes.size
     seg = np.repeat(np.arange(g), sizes)
-    conf = batch.confidences()
-    hits = (batch.predictions() == batch.labels).astype(np.float64)
+    conf = probs.max(axis=1)
+    # argmax breaks ties toward the lowest index, the package's tie rule
+    hits = (probs.argmax(axis=1) == labels).astype(np.float64)
     if scheme == "equal_width":
         idx = np.clip(np.ceil(conf * bins).astype(np.int64) - 1, 0, bins - 1)
     else:
         # lexsort is stable and the segments are consecutive, so position in
         # sorted order minus the segment start is the rank within the segment
-        rank = np.empty(batch.n, dtype=np.int64)
-        rank[np.lexsort((conf, seg))] = np.arange(batch.n) - (np.cumsum(sizes) - sizes)[seg]
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.lexsort((conf, seg))] = np.arange(n) - (np.cumsum(sizes) - sizes)[seg]
         base, extra = sizes[seg] // bins, sizes[seg] % bins
         cut = extra * (base + 1)
         idx = np.where(rank < cut, rank // (base + 1), extra + (rank - cut) // np.maximum(base, 1))
@@ -221,27 +209,29 @@ def _gap_metrics(counts: np.ndarray, accuracy: np.ndarray, confidence: np.ndarra
     return ece, mce, ace
 
 
-def _squared_errors(batch: ProbBatch) -> np.ndarray:
+def _squared_errors(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-row squared distance between the probability row and the one-hot label."""
-    err = batch.probs.copy()
-    err[np.arange(batch.n), batch.labels] -= 1.0
+    err = probs.copy()
+    err[np.arange(len(labels)), labels] -= 1.0
     return np.sum(np.square(err, out=err), axis=1)
 
 
-def _true_log_probs(batch: ProbBatch) -> np.ndarray:
+def _true_log_probs(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-row log of the (clamped) probability of the true class."""
-    return np.log(np.maximum(batch.probs[np.arange(batch.n), batch.labels], PROB_CLAMP))
+    return np.log(np.maximum(probs[np.arange(len(labels)), labels], PROB_CLAMP))
 
 
-def segmented_reports(batch: ProbBatch, sizes, bins: int = 15, scheme: str = "equal_width") -> ReportTable:
-    """The ``ReportTable`` of the consecutive segments of ``batch``.
+def segmented_reports(probs: np.ndarray, labels: np.ndarray, sizes, bins: int = 15,
+                      scheme: str = "equal_width") -> ReportTable:
+    """The ``ReportTable`` of the consecutive row segments of the program's own
+    ``probs`` (n x C softmax rows) and ``labels`` (n class indices).
 
     ``sizes`` lists the row count of each segment in order; segments are
-    non-empty and together cover the batch. Every per-segment statistic is
+    non-empty and together cover the rows. Every per-segment statistic is
     one ``np.bincount`` over a segment key, so the cost is that of one
-    report on the whole batch.
+    report on all the rows.
     """
-    seg, hits, counts, acc, confm = _segment_bins(batch, sizes, bins, scheme)
+    seg, hits, counts, acc, confm = _segment_bins(probs, labels, sizes, bins, scheme)
     sizes = counts.sum(axis=1)
     g = sizes.size
     ece, mce, ace = _gap_metrics(counts, acc, confm)
@@ -250,15 +240,15 @@ def segmented_reports(batch: ProbBatch, sizes, bins: int = 15, scheme: str = "eq
         "ece": ece,
         "mce": mce,
         "ace": ace,
-        "brier": np.bincount(seg, weights=_squared_errors(batch), minlength=g) / sizes,
-        "nll": -np.bincount(seg, weights=_true_log_probs(batch), minlength=g) / sizes,
+        "brier": np.bincount(seg, weights=_squared_errors(probs, labels), minlength=g) / sizes,
+        "nll": -np.bincount(seg, weights=_true_log_probs(probs, labels), minlength=g) / sizes,
     }
     return ReportTable(columns, scheme, counts, acc, confm)
 
 
 def calibration_report(batch: ProbBatch, bins: int = 15, scheme: str = "equal_width") -> CalibrationReport:
-    """Compute the full metric suite on one probability batch."""
-    return segmented_reports(batch, [batch.n], bins, scheme).report(0)
+    """Compute the full metric suite on one validated probability batch."""
+    return segmented_reports(batch.probs, batch.labels, [len(batch.labels)], bins, scheme).report(0)
 
 
 def apply_temperature(logits, tau: float) -> np.ndarray:
@@ -284,10 +274,14 @@ def fit_temperature(logits, labels) -> float:
     candidate so the fitted temperature never has a worse fitting-set NLL
     than no scaling at all.
     """
-    def nll(tau: float) -> float:
-        return float(-np.mean(_true_log_probs(ProbBatch(apply_temperature(logits, tau), labels))))
-
     grid = np.exp(np.linspace(np.log(TEMP_LOWER), np.log(TEMP_UPPER), TEMP_GRID_POINTS))
+    # validated once: every temperature tried is at least the grid's first,
+    # so every scaled logit is at most as large as the ones checked here
+    labels = ProbBatch(apply_temperature(logits, float(grid[0])), labels).labels
+
+    def nll(tau: float) -> float:
+        return float(-np.mean(_true_log_probs(apply_temperature(logits, tau), labels)))
+
     nlls = [nll(float(t)) for t in grid]
     best = int(np.argmin(nlls))
     lo = grid[max(best - 1, 0)]
@@ -334,16 +328,20 @@ _SVG_W, _SVG_H = 460, 360
 _PLOT = (60, 20, 420, 320)  # left, top, right, bottom in SVG user units
 
 
-def reliability_rows(bins: ReliabilityBins) -> list:
-    """Per-bin (midpoint, accuracy, confidence, count) rows."""
-    mids = bins.midpoints()
-    return [
-        (float(mids[g]), float(bins.accuracy[g]), float(bins.confidence[g]), int(bins.counts[g]))
-        for g in range(bins.bin_count)
-    ]
+def reliability_rows(bins: dict) -> list:
+    """Per-bin (midpoint, accuracy, confidence, count) rows of ``bins`` in the
+    ``ReportTable.pooled_bins`` form, which needs at least one bin and as many
+    accuracies and confidences as counts."""
+    counts, accuracy, confidence = bins["counts"], bins["accuracy"], bins["confidence"]
+    g = len(counts)
+    if g == 0 or len(accuracy) != g or len(confidence) != g:
+        raise InvalidInputError(f"reliability bins need at least one bin and equally many counts, accuracies "
+                                f"and confidences, got {g}, {len(accuracy)} and {len(confidence)}")
+    return [((i + 0.5) / g, float(acc), float(conf), int(count))
+            for i, (count, acc, conf) in enumerate(zip(counts, accuracy, confidence))]
 
 
-def reliability_csv(bins: ReliabilityBins) -> str:
+def reliability_csv(bins: dict) -> str:
     lines = ["bin_midpoint,accuracy,confidence,count"]
     for mid, acc, conf, count in reliability_rows(bins):
         lines.append(f"{mid:.6f},{acc:.6f},{conf:.6f},{count}")
@@ -360,25 +358,31 @@ def _y(frac: float) -> float:
     return b - frac * (b - t)
 
 
-def reliability_svg(bins: ReliabilityBins, title: str = "reliability") -> str:
+def _escape_text(text: str) -> str:
+    """``text`` as XML character data: what ``xml.sax.saxutils.escape`` gives,
+    without importing that module, which pulls in ``urllib.request`` and
+    adds about 3 MB to a run's peak RSS."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def reliability_svg(bins: dict, title: str = "reliability") -> str:
     """Deterministic SVG reliability diagram.
 
     Accuracy bars in blue, the accuracy-to-confidence gap overlaid in
     translucent red, and the identity diagonal as reference. Empty bins
     render as zero-height bars so the axis is always complete.
     """
-    g = bins.bin_count
-    width = (_PLOT[2] - _PLOT[0]) / g
+    rows = reliability_rows(bins)
+    width = (_PLOT[2] - _PLOT[0]) / len(rows)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect x="0" y="0" width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-        f'<text x="{_x(0.5):.2f}" y="14" text-anchor="middle" font-size="12" font-family="sans-serif">{title}</text>',
+        f'<text x="{_x(0.5):.2f}" y="14" text-anchor="middle" font-size="12" font-family="sans-serif">'
+        f'{_escape_text(title)}</text>',
     ]
-    for i in range(g):
+    for i, (_, acc, conf, _) in enumerate(rows):
         x0 = _PLOT[0] + i * width
-        acc = float(bins.accuracy[i])
-        conf = float(bins.confidence[i])
         parts.append(
             f'<rect x="{x0 + 1:.2f}" y="{_y(acc):.2f}" width="{width - 2:.2f}" '
             f'height="{_y(0.0) - _y(acc):.2f}" fill="#4878cf" stroke="#2a4d8f" stroke-width="0.5"/>'

@@ -49,7 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calibration import ProbBatch, harmonic_mean, segmented_reports
+from .calibration import harmonic_mean, segmented_reports
 from .errors import ConfigError, InvalidInputError, NumericError, TransportError
 from .losses import LossSpec
 from .model import DualEncoderModel
@@ -342,7 +342,7 @@ def _table(probs: np.ndarray, y: np.ndarray, sizes, bins: int, scheme: str):
     """The ``ReportTable`` of the non-empty consecutive views of ``sizes`` rows
     of ``(probs, y)``, or ``None`` when every view is empty."""
     kept = sizes[sizes > 0]
-    return segmented_reports(ProbBatch(probs, y), kept, bins, scheme) if kept.size else None
+    return segmented_reports(probs, y, kept, bins, scheme) if kept.size else None
 
 
 def _with_empty(rows: list, sizes) -> list:

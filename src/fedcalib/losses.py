@@ -9,8 +9,10 @@ spurious gradient).
 
 All gradients here are taken with respect to the predicted probabilities;
 the softmax chain is applied downstream by the model's backward pass.
-Every loss takes one batch, or the rows of a stack of clients' batches back
-to back with each client's row count in ``counts``. It keeps each client's
+Every loss takes the plain arrays of the model's own softmax, ``probs``
+(n x C) and ``labels`` (n class indices), which it does not validate
+again: the rows of one batch, or of a stack of clients' batches back to
+back with each client's row count in ``counts``. It keeps each client's
 own batch means, taken with the shape of its batch alone, so a client's
 slice of a stacked loss equals the loss of its batch alone.
 """
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import PROB_CLAMP, ProbBatch
+from .calibration import PROB_CLAMP
 from .errors import ConfigError, InvalidInputError
 from .numerics import row_runs
 
@@ -56,12 +58,11 @@ class LossValue:
     grad_wrt_probs: np.ndarray  # shaped like the probabilities
 
 
-def _flat(batch: ProbBatch, counts) -> tuple:
-    """``(probs, labels, true-class probs, counts, row_runs)`` of the batch,
-    whose clients hold ``counts`` rows each (by default one client)."""
-    probs, labels = batch.probs, batch.labels
-    counts = np.asarray([batch.n] if counts is None else counts)
-    return probs, labels, probs[np.arange(len(labels)), labels], counts, row_runs(counts)
+def _flat(probs: np.ndarray, labels: np.ndarray, counts) -> tuple:
+    """``(true-class probs, counts, row_runs)`` of the rows, whose clients
+    hold ``counts`` rows each (by default one client)."""
+    counts = np.asarray([len(labels)] if counts is None else counts)
+    return probs[np.arange(len(labels)), labels], counts, row_runs(counts)
 
 
 def _means(values: np.ndarray, runs: list) -> np.ndarray:
@@ -82,22 +83,22 @@ def _at_true_class(probs: np.ndarray, labels: np.ndarray, values) -> np.ndarray:
     return grad
 
 
-def ce_loss(batch: ProbBatch, counts=None) -> LossValue:
+def ce_loss(probs: np.ndarray, labels: np.ndarray, counts=None) -> LossValue:
     """Mean cross-entropy, probabilities clamped at 1e-12 before the log.
 
     Gradient w.r.t. probabilities is -1/(m * p_true) on true-class entries
     (using the clamped value, so saturated rows stay finite) and 0 elsewhere.
     """
-    probs, labels, true, sizes, runs = _flat(batch, counts)
+    true, sizes, runs = _flat(probs, labels, counts)
     p_true = np.maximum(true, PROB_CLAMP)
     value = _shaped(counts, -_means(np.log(p_true), runs))
     grad = _at_true_class(probs, labels, -1.0 / (np.repeat(sizes, sizes) * p_true))
     return LossValue(total=value, ce_part=value, aux_part=0.0, grad_wrt_probs=grad)
 
 
-def dca_loss(batch: ProbBatch, counts=None) -> LossValue:
+def dca_loss(probs: np.ndarray, labels: np.ndarray, counts=None) -> LossValue:
     """|mean correctness - mean true-class confidence| over the minibatch."""
-    probs, labels, true, sizes, runs = _flat(batch, counts)
+    true, sizes, runs = _flat(probs, labels, counts)
     correct = (probs.argmax(axis=-1) == labels).astype(np.float64)
     gap = _means(correct, runs) - _means(true, runs)
     value = _shaped(counts, np.abs(gap))
@@ -107,9 +108,9 @@ def dca_loss(batch: ProbBatch, counts=None) -> LossValue:
     return LossValue(total=value, ce_part=0.0, aux_part=value, grad_wrt_probs=grad)
 
 
-def mdca_loss(batch: ProbBatch, counts=None) -> LossValue:
+def mdca_loss(probs: np.ndarray, labels: np.ndarray, counts=None) -> LossValue:
     """Class-wise confidence/accuracy gap, averaged over all classes."""
-    probs, labels, _, sizes, runs = _flat(batch, counts)
+    _, sizes, runs = _flat(probs, labels, counts)
     num_classes = probs.shape[-1]
     if num_classes < 2:
         raise InvalidInputError("mdca requires at least 2 classes")
@@ -120,12 +121,12 @@ def mdca_loss(batch: ProbBatch, counts=None) -> LossValue:
     return LossValue(total=value, ce_part=0.0, aux_part=value, grad_wrt_probs=grad)
 
 
-def total_loss(batch: ProbBatch, spec: LossSpec, counts=None) -> LossValue:
+def total_loss(probs: np.ndarray, labels: np.ndarray, spec: LossSpec, counts=None) -> LossValue:
     """Cross-entropy plus the weighted auxiliary term from ``spec``."""
-    ce = ce_loss(batch, counts)
+    ce = ce_loss(probs, labels, counts)
     if spec.aux_kind == "none":
         return ce
-    aux = (dca_loss if spec.aux_kind == "dca" else mdca_loss)(batch, counts)
+    aux = (dca_loss if spec.aux_kind == "dca" else mdca_loss)(probs, labels, counts)
     beta = spec.aux_weight
     return LossValue(
         total=ce.ce_part + beta * aux.aux_part,

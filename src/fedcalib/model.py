@@ -53,8 +53,10 @@ the dropped adapter input, its mask and ``a_drop @ B.T``.
 ``backward`` computes analytic gradients through softmax, cosine
 normalization, the dense stacks, and the adapter factorization into a new
 array shaped like the forward's parameters; it is verified against central
-finite differences in the test suite. It backpropagates only through the
-stacks that hold trainable entries or feed the prompt.
+finite differences in the test suite. It hands the losses its own softmax
+rows and the step's labels as plain arrays, which nothing validates again.
+It backpropagates only through the stacks that hold trainable entries or
+feed the prompt.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import ProbBatch
 from .errors import (
     ConfigError,
     InvalidInputError,
@@ -427,7 +428,7 @@ class DualEncoderModel:
         logits, runs = cache["logits"], cache["img"][1]
         labels = np.asarray(labels, dtype=np.int64).reshape(-1)
         probs = softmax_rows(logits.reshape(-1, logits.shape[-1]))
-        loss = total_loss(ProbBatch(probs, labels), loss_spec, cache["counts"])
+        loss = total_loss(probs, labels, loss_spec, cache["counts"])
 
         u, w = cache["u"], cache["w"]
         g = loss.grad_wrt_probs.reshape(logits.shape)

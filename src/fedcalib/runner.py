@@ -43,10 +43,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import ReliabilityBins, apply_temperature, reliability_csv, reliability_svg
+from .calibration import apply_temperature, reliability_csv, reliability_svg
 from .config import ExperimentConfig, config_echo, expand_sweep
 from .datagen import generate_synthetic, load_embeddings
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, InvalidInputError
 from .federation import (
     RowSplit,
     evaluate_base_new,
@@ -108,24 +108,6 @@ def client_views(data: LabeledDataset, plan: PartitionPlan) -> tuple:
 
 def _reconcile_model(config: ExperimentConfig, data: LabeledDataset) -> ModelConfig:
     return replace(config.model, embed_dim=data.dim, class_count=data.class_count)
-
-
-def _bins_dict(bins: ReliabilityBins) -> dict:
-    return {
-        "scheme": bins.scheme,
-        "counts": bins.counts.tolist(),
-        "accuracy": bins.accuracy.tolist(),
-        "confidence": bins.confidence.tolist(),
-    }
-
-
-def _bins_from_dict(payload: dict) -> ReliabilityBins:
-    return ReliabilityBins(
-        scheme=payload["scheme"],
-        counts=np.asarray(payload["counts"], dtype=np.int64),
-        accuracy=np.asarray(payload["accuracy"], dtype=np.float64),
-        confidence=np.asarray(payload["confidence"], dtype=np.float64),
-    )
 
 
 def _temperature_rows(logits: np.ndarray, split: RowSplit, temperatures, bins, scheme) -> list:
@@ -201,7 +183,7 @@ def run_single(config: ExperimentConfig) -> dict:
         "mean": dict(evaluation["mean"]),
         "per_client": evaluation["per_client"],
         "excluded": list(evaluation["excluded"]),
-        "pooled_bins": _bins_dict(evaluation["pooled_bins"]),
+        "pooled_bins": evaluation["pooled_bins"],
     }
     if config.setting == "base_to_new":
         final.update(evaluate_base_new(probs, split, bins, scheme))
@@ -249,8 +231,12 @@ def summary_csv(results_list) -> str:
 
 def _run_dir(index: int, point: dict) -> str:
     """Directory of sweep point ``index``'s outputs, ``run_{index:03d}_{tag}``,
-    where the tag lists the point's axis values by axis name."""
-    return f"run_{index:03d}_" + "_".join(f"{k}-{point[k]}" for k in sorted(point))
+    where the tag lists the point's axis values by axis name; a name that
+    is not one plain path component is an ``InvalidInputError``."""
+    name = f"run_{index:03d}_" + "_".join(f"{k}-{point[k]}" for k in sorted(point))
+    if any(char in name for char in "/\\\0"):
+        raise InvalidInputError(f"sweep point {point} names run directory {name!r}, not one plain path component")
+    return name
 
 
 def render_outputs(results: dict, kinds=("json", "csv", "svg")) -> dict:
@@ -271,7 +257,7 @@ def render_outputs(results: dict, kinds=("json", "csv", "svg")) -> dict:
     if "csv" in kinds:
         out["summary.csv"] = summary_csv([results])
     if "svg" in kinds:
-        bins = _bins_from_dict(results["final"]["pooled_bins"])
+        bins = results["final"]["pooled_bins"]
         title = f"{results['method']} ({results['config']['setting']})"
         out["reliability.svg"] = reliability_svg(bins, title=title)
         out["reliability.csv"] = reliability_csv(bins)

@@ -104,7 +104,7 @@ def _loss_at(model, vec, x, labels, spec):
     from fedcalib.losses import total_loss
 
     logits = model.forward(x, vec, train=True)
-    return total_loss(ProbBatch(softmax_rows(logits), labels), spec).total
+    return total_loss(softmax_rows(logits), labels, spec).total
 
 
 def test_criterion_03_gradient_checks():

@@ -75,3 +75,18 @@ def test_exports_without_a_program_caller_are_listed():
     names, attributes = referenced_names(parsed_modules())
     uncalled = {name for name in fedcalib.__all__ if not name.startswith("__")} - names - attributes
     assert uncalled == EXPORTS_WITHOUT_A_PROGRAM_CALLER
+
+
+def names_imported_from(tree, source: str) -> set:
+    """Every name that ``from .source import ...`` statements of ``tree`` bring in."""
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == source
+            for alias in node.names}
+
+
+def test_training_path_takes_plain_arrays_from_calibration():
+    # the model and the losses pass their own softmax rows on as arrays; only
+    # the public calibration entry points build a validating ProbBatch
+    modules = parsed_modules()
+    assert names_imported_from(modules["model.py"], "calibration") == set()
+    assert names_imported_from(modules["losses.py"], "calibration") == {"PROB_CLAMP"}

@@ -1,6 +1,7 @@
 """Tests for binning, calibration metrics, temperature scaling, and export."""
 
 import math
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -53,46 +54,48 @@ class TestProbBatch:
             ProbBatch(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
     def test_argmax_tie_breaks_low_index(self):
-        b = ProbBatch(np.array([[0.5, 0.5]]), np.array([1]))
-        assert b.predictions()[0] == 0
+        # a tied row predicts class 0: right for label 0, wrong for label 1
+        tied = np.array([[0.5, 0.5]])
+        assert calibration_report(ProbBatch(tied, np.array([0]))).accuracy == 1.0
+        assert calibration_report(ProbBatch(tied, np.array([1]))).accuracy == 0.0
 
 
 class TestBinPredictions:
     def test_single_sample(self):
         b = ProbBatch(np.array([[0.7, 0.3]]), np.array([0]))
-        rb = calibration_report(b, 10).bins
-        nonempty = rb.counts > 0
+        rb = {key: np.array(value) for key, value in calibration_report(b, 10).bins.items()}
+        nonempty = rb["counts"] > 0
         assert nonempty.sum() == 1
-        assert rb.accuracy[nonempty][0] == 1.0
-        assert rb.confidence[nonempty][0] == pytest.approx(0.7)
+        assert rb["accuracy"][nonempty][0] == 1.0
+        assert rb["confidence"][nonempty][0] == pytest.approx(0.7)
 
     def test_two_sample_single_bin(self):
         rb = calibration_report(two_sample_batch(), 1).bins
-        assert rb.counts[0] == 2
-        assert rb.accuracy[0] == pytest.approx(0.5)
-        assert rb.confidence[0] == pytest.approx(0.7)
+        assert rb["counts"][0] == 2
+        assert rb["accuracy"][0] == pytest.approx(0.5)
+        assert rb["confidence"][0] == pytest.approx(0.7)
 
     def test_boundary_confidence_goes_to_lower_bin(self):
         # conf exactly 0.1 with G = 10 belongs to bin 1, interval (0, 0.1]
         probs = np.full((1, 10), 0.1)
         rb = calibration_report(ProbBatch(probs, np.array([0])), 10).bins
-        assert rb.counts[0] == 1
-        assert rb.counts[1:].sum() == 0
+        assert rb["counts"][0] == 1
+        assert sum(rb["counts"][1:]) == 0
 
     def test_counts_sum_to_n(self):
         rng = RngStream(30)
         for i in range(30):
             probs, labels = random_prob_batch(rng)
             rb = calibration_report(ProbBatch(probs, labels), 15).bins
-            assert rb.counts.sum() == len(labels)
+            assert sum(rb["counts"]) == len(labels)
 
     def test_equal_mass_sizes(self):
         rng = RngStream(31)
         probs, labels = random_prob_batch(rng, max_n=103)
-        rb = calibration_report(ProbBatch(probs, labels), 7, scheme="equal_mass").bins
+        counts = calibration_report(ProbBatch(probs, labels), 7, scheme="equal_mass").bins["counts"]
         n = len(labels)
-        assert rb.counts.sum() == n
-        assert rb.counts.max() - rb.counts.min() <= 1
+        assert sum(counts) == n
+        assert max(counts) - min(counts) <= 1
 
     def test_rejects_zero_bins(self):
         with pytest.raises(InvalidInputError):
@@ -162,11 +165,10 @@ class TestMetricsAgainstOracle:
             n = 2
         cut = n // 2
         whole = calibration_report(ProbBatch(probs, labels), 15)
-        pooled = segmented_reports(ProbBatch(probs, labels), [cut, n - cut], 15).pooled_bins()
-        assert np.array_equal(pooled.counts, whole.bins.counts)
-        assert naive_ece_of_bins(pooled.counts, pooled.accuracy, pooled.confidence) == pytest.approx(
-            whole.ece, abs=1e-12
-        )
+        pooled = segmented_reports(probs, labels, [cut, n - cut], 15).pooled_bins()
+        assert pooled["counts"] == whole.bins["counts"]
+        counts, accuracy, confidence = (np.array(pooled[key]) for key in ("counts", "accuracy", "confidence"))
+        assert naive_ece_of_bins(counts, accuracy, confidence) == pytest.approx(whole.ece, abs=1e-12)
 
     def test_brier_range(self):
         # totally wrong confident prediction gives the maximum of 2
@@ -234,6 +236,23 @@ class TestTemperature:
         t2 = fit_temperature(logits * k, labels)
         assert t2 == pytest.approx(k * t1, rel=2e-2)
 
+    @pytest.mark.parametrize("logits, labels", [
+        (np.array([1.0, 2.0]), np.array([0])),  # not a matrix
+        (np.zeros((0, 3)), np.zeros(0, dtype=int)),  # no rows
+        (np.zeros((2, 3)), np.array([0])),  # one label short
+        (np.zeros((2, 3)), np.array([[0], [1]])),  # labels not a vector
+        (np.zeros((2, 3)), np.array([0, 3])),  # label past the class count
+        (np.zeros((2, 3)), np.array([-1, 0])),  # negative label
+        (np.array([[0.0, np.nan, 1.0]]), np.array([0])),
+        (np.array([[0.0, np.inf, 1.0]]), np.array([0])),
+        (np.array([[1e307, 0.0, 1.0]]), np.array([0])),  # finite, but not once divided by the smallest tau
+    ], ids=["vector", "empty", "short_labels", "label_matrix", "label_too_large", "negative_label", "nan", "inf",
+            "overflow_at_smallest_tau"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+    def test_fit_rejects_bad_input(self, logits, labels):
+        with pytest.raises(InvalidInputError):
+            fit_temperature(logits, labels)
+
     def test_single_confident_correct_sample_hits_lower_bound(self):
         tau = fit_temperature(np.array([[4.0, 0.0, 0.0]]), np.array([0]))
         assert tau == pytest.approx(0.05, abs=1e-3)
@@ -297,13 +316,13 @@ def split_rows(probs, labels, sizes):
 
 class TestSegmentedReports:
     def assert_matches_oracle(self, probs, labels, sizes, bins, scheme):
-        table = segmented_reports(ProbBatch(probs, labels), sizes, bins, scheme)
+        table = segmented_reports(probs, labels, sizes, bins, scheme)
         segments = split_rows(probs, labels, sizes)
         assert [len(column) for column in table.columns.values()] == [len(sizes)] * 6
         for i, (p, y) in enumerate(segments):
             rep = table.report(i)
             assert table.rows()[i] == scalars(rep)
-            assert rep.bins.counts.tolist() == [count for count, _, _ in naive_bins(p, y, bins, scheme)]
+            assert rep.bins["counts"] == [count for count, _, _ in naive_bins(p, y, bins, scheme)]
             for key, value in naive_scalars(p, y, bins, scheme).items():
                 assert abs(scalars(rep)[key] - value) <= 1e-12, key
         # the unweighted client mean and the bins pooled over the segments
@@ -313,8 +332,8 @@ class TestSegmentedReports:
         pooled = table.pooled_bins()
         for g in range(bins):
             count = sum(seg[g][0] for seg in per_segment)
-            assert pooled.counts[g] == count
-            for stat, column in ((1, pooled.accuracy), (2, pooled.confidence)):
+            assert pooled["counts"][g] == count
+            for stat, column in ((1, pooled["accuracy"]), (2, pooled["confidence"])):
                 want = sum(seg[g][0] * seg[g][stat] for seg in per_segment) / count if count else 0.0
                 assert abs(column[g] - want) <= 1e-12
 
@@ -349,22 +368,22 @@ class TestSegmentedReports:
         # that no statistic leaks across segment boundaries
         probs, labels = prob_rows(seed, sum(sizes), tied=tied)
         self.assert_matches_oracle(probs, labels, sizes, bins, scheme)
-        table = segmented_reports(ProbBatch(probs, labels), sizes, bins, scheme)
+        table = segmented_reports(probs, labels, sizes, bins, scheme)
         for i, (p, y) in enumerate(split_rows(probs, labels, sizes)):
             rep, ref = table.report(i), calibration_report(ProbBatch(p, y), bins, scheme)
-            assert np.array_equal(rep.bins.counts, ref.bins.counts)
-            assert np.allclose(rep.bins.accuracy, ref.bins.accuracy, rtol=0, atol=1e-12)
-            assert np.allclose(rep.bins.confidence, ref.bins.confidence, rtol=0, atol=1e-12)
+            assert rep.bins["counts"] == ref.bins["counts"]
+            assert np.allclose(rep.bins["accuracy"], ref.bins["accuracy"], rtol=0, atol=1e-12)
+            assert np.allclose(rep.bins["confidence"], ref.bins["confidence"], rtol=0, atol=1e-12)
             for key, value in scalars(ref).items():
                 assert abs(scalars(rep)[key] - value) <= 1e-12, key
 
     def test_rejects_sizes_that_do_not_cover_the_batch(self):
-        batch = ProbBatch(*prob_rows(83, 6))
+        probs, labels = prob_rows(83, 6)
         for sizes in ([2, 3], [2, 5], [3, 0, 3], []):
             with pytest.raises(InvalidInputError):
-                segmented_reports(batch, sizes)
+                segmented_reports(probs, labels, sizes)
         with pytest.raises(InvalidInputError):
-            segmented_reports(batch, [6], scheme="quantile")
+            segmented_reports(probs, labels, [6], scheme="quantile")
 
 
 class TestHarmonicMean:
@@ -406,6 +425,22 @@ class TestReliabilityExport:
         # one accuracy bar and one gap overlay per bin, empty or not
         assert svg.count("<rect") == 1 + 2 * 15
         assert svg.startswith("<svg")
+
+    def test_svg_title_is_escaped(self):
+        svg = reliability_svg(calibration_report(two_sample_batch(), 15).bins, title="a<b & c")
+        title = minidom.parseString(svg).getElementsByTagName("text")[0]
+        assert title.firstChild.data == "a<b & c"
+
+    @pytest.mark.parametrize("counts, accuracy, confidence", [
+        ([], [], []),
+        ([1], [0.5, 0.7], [0.6]),
+        ([1, 2], [0.5, 0.7], [0.6]),
+    ])
+    def test_rejects_empty_or_unequal_bin_lists(self, counts, accuracy, confidence):
+        bins = {"scheme": "equal_width", "counts": counts, "accuracy": accuracy, "confidence": confidence}
+        for export in (reliability_rows, reliability_csv, reliability_svg):
+            with pytest.raises(InvalidInputError):
+                export(bins)
 
 
 class TestReportInvariants:

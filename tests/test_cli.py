@@ -315,6 +315,13 @@ MISSING_RENDERED_KEYS = [json.dumps(payload) for payload in (
     {"runs": [_RUN, {k: v for k, v in _RUN.items() if k != "method"}]},
     {**_RUN, "final": {**_RUN["final"], "harmonic_mean": _MEAN}},
 )]
+# results files that render wrongly: a sweep point whose run directory would
+# leave the output directory, and pooled bins without one bin or of unequal lengths
+MISRENDERED = [json.dumps(payload) for payload in (
+    {"runs": [{**_RUN, "sweep_point": {"k": "/../../outside"}}]},
+    {**_RUN, "final": {"mean": _MEAN, "pooled_bins": {**_BINS, "counts": [], "accuracy": [], "confidence": []}}},
+    {**_RUN, "final": {"mean": _MEAN, "pooled_bins": {**_BINS, "accuracy": [0.5, 0.7]}}},
+)]
 
 
 class TestReportVerb:
@@ -347,16 +354,18 @@ class TestReportVerb:
             assert (tmp_path / "re" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
     @pytest.mark.parametrize("content", ["not json", '{"runs": 3}', "[]", '{"final": 1}', '{"runs": [{}]}', b"\xff\xfe",
-                                         *MISSING_RENDERED_KEYS],
+                                         *MISSING_RENDERED_KEYS, *MISRENDERED],
                              ids=["not_json", "runs_not_a_list", "not_an_object", "final_not_an_object",
                                   "run_without_final", "not_utf8", "no_method", "no_setting", "mean_without_ece",
-                                  "no_pooled_bins", "sweep_run_without_method", "harmonic_mean_without_base"])
+                                  "no_pooled_bins", "sweep_run_without_method", "harmonic_mean_without_base",
+                                  "run_directory_leaves_out_dir", "empty_pooled_bins", "unequal_pooled_bins"])
     def test_malformed_results_exit_format_naming_the_file(self, tmp_path, capsys, content):
         path = tmp_path / "results.json"
         path.write_bytes(content if isinstance(content, bytes) else content.encode())
         assert main(["report", "--results", str(path), "--out-dir", str(tmp_path / "re")]) == EXIT_FORMAT
         assert str(path) in capsys.readouterr().err
         assert not (tmp_path / "re").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["results.json"]  # nothing written anywhere
 
 
 class TestBenchVerb:

@@ -83,7 +83,7 @@ def local_objective(model, rows, vector, global_vector, agg_config, loss_spec, d
     off, penalties included; ``dual`` is the FedDyn dual, ``None`` for zeros."""
     x, y = rows
     probs = softmax_rows(model.forward(x, vector))
-    value = total_loss(ProbBatch(probs, y), loss_spec).total
+    value = total_loss(probs, y, loss_spec).total
     if agg_config.kind == "fedprox":
         diff = vector - global_vector
         value += 0.5 * agg_config.mu_prox * float(diff @ diff)

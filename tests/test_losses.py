@@ -14,25 +14,25 @@ from oracles import naive_ce_loss, naive_dca_loss, naive_mdca_loss, random_prob_
 
 
 def batch(probs, labels):
-    return ProbBatch(np.asarray(probs, dtype=float), np.asarray(labels))
+    return np.asarray(probs, dtype=float), np.asarray(labels)
 
 
 class TestCeLoss:
     def test_perfect_predictions_zero(self):
         b = batch([[1.0, 0.0], [0.0, 1.0]], [0, 1])
-        assert ce_loss(b).total == 0.0
+        assert ce_loss(*b).total == 0.0
 
     def test_uniform_binary_ln2(self):
         b = batch([[0.5, 0.5]], [0])
-        assert ce_loss(b).total == pytest.approx(math.log(2.0), abs=1e-12)
+        assert ce_loss(*b).total == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_hand_value(self):
         b = batch([[0.7, 0.3]], [0])
-        assert ce_loss(b).total == pytest.approx(0.356675, abs=1e-6)
+        assert ce_loss(*b).total == pytest.approx(0.356675, abs=1e-6)
 
     def test_gradient_structure(self):
         b = batch([[0.7, 0.3], [0.2, 0.8]], [0, 1])
-        g = ce_loss(b).grad_wrt_probs
+        g = ce_loss(*b).grad_wrt_probs
         assert g[0, 0] == pytest.approx(-1.0 / (2 * 0.7))
         assert g[0, 1] == 0.0
         assert g[1, 1] == pytest.approx(-1.0 / (2 * 0.8))
@@ -43,16 +43,15 @@ class TestCeLoss:
         # entries); CE depends on p_true alone so this isolates the gradient
         rng = RngStream(80)
         probs, labels = random_prob_batch(rng, max_n=20)
-        b = ProbBatch(probs, labels)
-        g = ce_loss(b).grad_wrt_probs
+        g = ce_loss(probs, labels).grad_wrt_probs
         h = 1e-7
-        for i in range(min(5, b.n)):
+        for i in range(min(5, len(labels))):
             y = labels[i]
             up = probs.copy()
             down = probs.copy()
             up[i, y] += h
             down[i, y] -= h
-            m = b.n
+            m = len(labels)
             f_up = -np.log(np.maximum(up[np.arange(m), labels], 1e-12)).mean()
             f_dn = -np.log(np.maximum(down[np.arange(m), labels], 1e-12)).mean()
             fd = (f_up - f_dn) / (2 * h)
@@ -60,7 +59,7 @@ class TestCeLoss:
 
     def test_saturated_row_clamped(self):
         b = batch([[1.0, 0.0]], [1])
-        value = ce_loss(b)
+        value = ce_loss(*b)
         assert value.total == pytest.approx(-math.log(1e-12))
         assert np.all(np.isfinite(value.grad_wrt_probs))
 
@@ -68,12 +67,12 @@ class TestCeLoss:
 class TestDcaLoss:
     def test_all_correct_full_confidence(self):
         b = batch([[1.0, 0.0], [0.0, 1.0]], [0, 1])
-        assert dca_loss(b).total == 0.0
+        assert dca_loss(*b).total == 0.0
 
     def test_hand_value_two_samples(self):
         # c = (1, 0), s = (0.9, 0.3): |0.5 - 0.6| = 0.1
         b = batch([[0.9, 0.1], [0.7, 0.3]], [0, 1])
-        v = dca_loss(b)
+        v = dca_loss(*b)
         assert v.total == pytest.approx(0.1)
         # sign(0.5 - 0.6) = -1, so the confidence gradient is +1/m
         assert v.grad_wrt_probs[0, 0] == pytest.approx(0.5)
@@ -82,7 +81,7 @@ class TestDcaLoss:
     def test_single_sample_gradient(self):
         # correct with s = 0.6: loss 0.4, gradient w.r.t. s is -1
         b = batch([[0.6, 0.4]], [0])
-        v = dca_loss(b)
+        v = dca_loss(*b)
         assert v.total == pytest.approx(0.4)
         assert v.grad_wrt_probs[0, 0] == pytest.approx(-1.0)
         assert v.grad_wrt_probs[0, 1] == 0.0
@@ -91,7 +90,7 @@ class TestDcaLoss:
         rng = RngStream(81)
         for i in range(100):
             probs, labels = random_prob_batch(rng, max_n=30)
-            assert 0.0 <= dca_loss(ProbBatch(probs, labels)).total <= 1.0
+            assert 0.0 <= dca_loss(probs, labels).total <= 1.0
 
     def test_gradient_matches_detached_surrogate(self):
         # the oracle differentiates sign * (-mean(s)) with the sign frozen,
@@ -99,12 +98,11 @@ class TestDcaLoss:
         rng = RngStream(82)
         for i in range(20):
             probs, labels = random_prob_batch(rng, max_n=25)
-            b = ProbBatch(probs, labels)
-            m = b.n
-            correct = (b.predictions() == b.labels).astype(float)
+            m = len(labels)
+            correct = (probs.argmax(axis=1) == labels).astype(float)
             s = probs[np.arange(m), labels]
             sign = np.sign(correct.mean() - s.mean())
-            g = dca_loss(b).grad_wrt_probs
+            g = dca_loss(probs, labels).grad_wrt_probs
             h = 1e-7
             for j in range(min(3, m)):
                 y = labels[j]
@@ -120,7 +118,7 @@ class TestDcaLoss:
     def test_sign_zero_at_kink(self):
         # balanced batch: mean correctness equals mean confidence exactly
         b = batch([[0.5, 0.5], [0.5, 0.5]], [0, 1])
-        v = dca_loss(b)
+        v = dca_loss(*b)
         assert v.total == 0.0
         assert np.all(v.grad_wrt_probs == 0.0)
 
@@ -128,22 +126,22 @@ class TestDcaLoss:
 class TestMdcaLoss:
     def test_exact_onehot_zero(self):
         b = batch([[1.0, 0.0], [0.0, 1.0]], [0, 1])
-        assert mdca_loss(b).total == 0.0
+        assert mdca_loss(*b).total == 0.0
 
     def test_hand_value_single_sample(self):
         # label 0, s = (0.6, 0.4): (1/2)(|1-0.6| + |0-0.4|) = 0.4
         b = batch([[0.6, 0.4]], [0])
-        assert mdca_loss(b).total == pytest.approx(0.4)
+        assert mdca_loss(*b).total == pytest.approx(0.4)
 
     def test_balanced_uniform_zero(self):
         b = batch([[0.5, 0.5], [0.5, 0.5]], [0, 1])
-        assert mdca_loss(b).total == 0.0
+        assert mdca_loss(*b).total == 0.0
 
     def test_bounded_unit_interval(self):
         rng = RngStream(83)
         for i in range(100):
             probs, labels = random_prob_batch(rng, max_n=30)
-            assert 0.0 <= mdca_loss(ProbBatch(probs, labels)).total <= 1.0
+            assert 0.0 <= mdca_loss(probs, labels).total <= 1.0
 
     def test_gradient_matches_finite_differences(self):
         # away from sign switches the loss is locally linear in each
@@ -152,14 +150,13 @@ class TestMdcaLoss:
         checked = 0
         for i in range(30):
             probs, labels = random_prob_batch(rng, max_n=25)
-            b = ProbBatch(probs, labels)
             m, c = probs.shape
             onehot = np.zeros_like(probs)
             onehot[np.arange(m), labels] = 1.0
             gaps = onehot.mean(axis=0) - probs.mean(axis=0)
             if np.any(np.abs(gaps) <= 1e-3):
                 continue  # too close to a kink for finite differences
-            g = mdca_loss(b).grad_wrt_probs
+            g = mdca_loss(probs, labels).grad_wrt_probs
             h = 1e-6
 
             def loss_of(p):
@@ -178,7 +175,7 @@ class TestMdcaLoss:
 
     def test_rejects_single_class(self):
         with pytest.raises(InvalidInputError):
-            mdca_loss(batch([[1.0]], [0]))
+            mdca_loss(*batch([[1.0]], [0]))
 
 
 def random_stack(rng, k, n, c):
@@ -199,7 +196,7 @@ class TestStackedLosses:
     @pytest.mark.parametrize("k, n, c", [(1, 1, 2), (1, 7, 3), (4, 1, 5), (5, 9, 4), (10, 32, 20)])
     def test_every_slice_matches_the_oracle(self, loss, oracle, k, n, c):
         probs, labels = random_stack(RngStream(88, k * 1000 + n), k, n, c)
-        stacked = loss(ProbBatch(probs, labels), [n] * k)
+        stacked = loss(probs, labels, [n] * k)
         assert np.shape(stacked.total) == (k,)
         assert stacked.grad_wrt_probs.shape == (k * n, c)
         for i in range(k):
@@ -215,10 +212,10 @@ class TestStackedLosses:
         probs[24:36] = 0.0
         probs[24:36, :2] = 0.5
         labels[24:36] = np.repeat([0, 1], 6)
-        stacked = total_loss(ProbBatch(probs, labels), LossSpec(kind), [12] * 6)
+        stacked = total_loss(probs, labels, LossSpec(kind), [12] * 6)
         for i in range(6):
             rows = slice(12 * i, 12 * i + 12)
-            alone = total_loss(ProbBatch(probs[rows], labels[rows]), LossSpec(kind))
+            alone = total_loss(probs[rows], labels[rows], LossSpec(kind))
             assert isinstance(alone.total, float)
             for part in ("total", "ce_part", "aux_part"):
                 got = np.broadcast_to(getattr(stacked, part), (6,))[i]
@@ -230,11 +227,11 @@ class TestStackedLosses:
         # clients of 9, 9, 12 and 1 rows, back to back: runs of 9, 12 and 1 rows
         counts = [9, 9, 12, 1]
         probs, labels = random_stack(RngStream(92), 1, sum(counts), 6)
-        stacked = total_loss(ProbBatch(probs, labels), LossSpec(kind), counts)
+        stacked = total_loss(probs, labels, LossSpec(kind), counts)
         assert stacked.grad_wrt_probs.shape == probs.shape
         ends = np.cumsum(counts)
         for i, (start, end) in enumerate(zip(ends - counts, ends)):
-            alone = total_loss(ProbBatch(probs[start:end], labels[start:end]), LossSpec(kind))
+            alone = total_loss(probs[start:end], labels[start:end], LossSpec(kind))
             for part in ("total", "ce_part", "aux_part"):
                 got = np.broadcast_to(getattr(stacked, part), (len(counts),))[i]
                 assert np.float64(got).tobytes() == np.float64(getattr(alone, part)).tobytes(), part
@@ -244,10 +241,9 @@ class TestStackedLosses:
         rng = RngStream(90)
         for _ in range(20):
             probs, labels = random_prob_batch(rng, max_n=25)
-            b = ProbBatch(probs, labels)
             for loss, oracle in self.LOSSES:
                 value, grad = oracle(probs, labels)
-                got = loss(b)
+                got = loss(probs, labels)
                 assert abs(got.total - value) <= 1e-12
                 assert np.max(np.abs(got.grad_wrt_probs - grad)) <= 1e-12
 
@@ -266,40 +262,37 @@ class TestTotalLoss:
     def test_none_is_pure_ce(self):
         rng = RngStream(85)
         probs, labels = random_prob_batch(rng)
-        b = ProbBatch(probs, labels)
-        t = total_loss(b, LossSpec("none"))
-        c = ce_loss(b)
+        t = total_loss(probs, labels, LossSpec("none"))
+        c = ce_loss(probs, labels)
         assert t.total == c.total
         assert np.array_equal(t.grad_wrt_probs, c.grad_wrt_probs)
 
     def test_zero_weight_reports_aux_but_inert(self):
         b = batch([[0.9, 0.1], [0.7, 0.3]], [0, 1])
-        t = total_loss(b, LossSpec("dca", aux_weight=0.0))
+        t = total_loss(*b, LossSpec("dca", aux_weight=0.0))
         assert t.total == t.ce_part
         assert t.aux_part == pytest.approx(0.1)
-        assert np.array_equal(t.grad_wrt_probs, ce_loss(b).grad_wrt_probs)
+        assert np.array_equal(t.grad_wrt_probs, ce_loss(*b).grad_wrt_probs)
 
     def test_composition_of_hand_values(self):
         b = batch([[0.9, 0.1], [0.7, 0.3]], [0, 1])
-        t = total_loss(b, LossSpec("dca", aux_weight=1.0))
+        t = total_loss(*b, LossSpec("dca", aux_weight=1.0))
         assert t.total == pytest.approx(t.ce_part + 0.1)
 
     def test_total_additive_decomposition(self):
         rng = RngStream(86)
         for kind in ("dca", "mdca"):
             probs, labels = random_prob_batch(rng)
-            b = ProbBatch(probs, labels)
             for beta in (0.5, 1.0, 2.0):
-                t = total_loss(b, LossSpec(kind, aux_weight=beta))
+                t = total_loss(probs, labels, LossSpec(kind, aux_weight=beta))
                 assert t.total == pytest.approx(t.ce_part + beta * t.aux_part, abs=1e-12)
 
     def test_beta_rescales_aux_gradient_linearly(self):
         rng = RngStream(87)
         probs, labels = random_prob_batch(rng)
-        b = ProbBatch(probs, labels)
-        ce_grad = ce_loss(b).grad_wrt_probs
-        g1 = total_loss(b, LossSpec("mdca", aux_weight=1.0)).grad_wrt_probs
-        g3 = total_loss(b, LossSpec("mdca", aux_weight=3.0)).grad_wrt_probs
+        ce_grad = ce_loss(probs, labels).grad_wrt_probs
+        g1 = total_loss(probs, labels, LossSpec("mdca", aux_weight=1.0)).grad_wrt_probs
+        g3 = total_loss(probs, labels, LossSpec("mdca", aux_weight=3.0)).grad_wrt_probs
         aux1 = g1 - ce_grad
         aux3 = g3 - ce_grad
         assert np.allclose(aux3, 3.0 * aux1, atol=1e-15)

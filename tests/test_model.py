@@ -178,11 +178,10 @@ class TestForward:
 
 class TestBackward:
     def _loss_of_vector(self, model, vec, x, labels, spec):
-        from fedcalib.calibration import ProbBatch
         from fedcalib.losses import total_loss
 
         probs = softmax_rows(model.forward(x, vec, train=True))
-        return total_loss(ProbBatch(probs, labels), spec).total
+        return total_loss(probs, labels, spec).total
 
     def _check_gradients(self, model, spec, seed, rel_tol=1e-4):
         rng = RngStream(seed)

@@ -123,6 +123,26 @@ class TestRunSingle:
         expected = 0.0 if b == n == 0 else 2 * b * n / (b + n)
         assert hm == pytest.approx(expected)
 
+    @pytest.mark.parametrize("overrides", [
+        {"model": {"head_kind": "lora_both", "lora_dropout": 0.25}, "loss": {"aux_kind": "mdca"},
+         "metrics": {"temperatures": [0.5, 2.0]}},
+        {"setting": "base_to_new", "partition": {"kind": "base_to_new"}},
+    ], ids=["lora_both_dropout_mdca_temperatures", "base_to_new"])
+    def test_a_run_validates_no_probability_batch(self, monkeypatch, overrides):
+        # the run's probabilities are its own softmax rows: training steps,
+        # losses and reports take them as plain arrays, validated nowhere
+        calls = []
+        post_init = ProbBatch.__post_init__
+
+        def counting(batch):
+            calls.append(1)
+            post_init(batch)
+
+        monkeypatch.setattr(ProbBatch, "__post_init__", counting)
+        res = run_single(tiny_config(**overrides))
+        assert res["rounds"] and res["final"]["pooled_bins"]["counts"]
+        assert calls == []
+
     def test_domain_setting_runs(self):
         cfg = parse_config(
             {
@@ -178,7 +198,7 @@ class TestFinalIsLastRound:
         for key in ("per_client", "mean", "excluded"):
             assert json.dumps(final[key], sort_keys=True) == json.dumps(last[key], sort_keys=True)
         assert len(records) == len(res["rounds"])
-        assert final["pooled_bins"] == runner._bins_dict(records[-1]["pooled_bins"])
+        assert final["pooled_bins"] == records[-1]["pooled_bins"]
 
 
 class TestAggregatorsEndToEnd:
