@@ -7,13 +7,16 @@ round proceeds as broadcast -> local training on sampled participants ->
 aggregation, and leaves the new global vector in the ``ServerState``; the
 runner then evaluates that vector once on all clients. A round's
 participants train in lockstep on the run's single model: at each local
-step, the participants that take it, ordered by batch row count, run stacked
-steps of at most ``STACK_ROWS // batch_size`` clients, each with its own row
-of a K x P parameter matrix (see ``model``). Clients differ only in their
-rows, their trainable vector and, once they have taken part under feddyn,
-their dual, which the server holds by client id. Every client draws from a
-stream derived from (seed, round, client id), so each client's update is
-the one it would compute alone, whatever the grouping or the order.
+step, the participants that take it run stacked steps of at most
+``STACK_ROWS // batch_size`` clients, each with its own row of a K x P
+parameter matrix (see ``model``). Every minibatch is padded to
+``batch_size`` rows by repeating its own rows, so a stack is always K blocks
+of ``batch_size`` rows, and padded rows carry zero loss weight. Clients
+differ only in their rows, their trainable vector and, once they have taken
+part under feddyn, their dual, which the server holds by client id. Every
+client draws from a stream derived from (seed, round, client id), so each
+client's update is the one it would compute alone, whatever the grouping or
+the order.
 
 Every client holds the same global vector after broadcast, so
 ``split_logits`` forwards the test views of consecutive clients together,
@@ -143,13 +146,14 @@ def train_participants(
     Every client starts from the broadcast vector and runs its own epochs:
     its shuffle per epoch from ``rngs[i].child("shuffle", epoch)`` and its
     dropout per step from ``rngs[i].child("dropout", epoch, step)``. At each
-    step, the clients that take it, ordered by batch row count, share stacked
-    forwards and backwards of at most ``max(1, STACK_ROWS // batch_size)``
-    clients; a client out of batches drops out. Nothing is padded, and each
-    run of equal row counts gets its own products: BLAS picks its kernel by
-    the row count, and with OpenBLAS 0.3.31 a row of a 64 -> 128 product of up
-    to 9 rows (18 for 128 -> 64) has other bits than in a 600-row product.
-    The first round uses the warm-up learning rate, later rounds the main one.
+    step, the clients that take it share stacked forwards and backwards of at
+    most ``max(1, STACK_ROWS // batch_size)`` clients; a client out of
+    batches drops out. A minibatch of n < ``batch_size`` rows is padded to
+    ``batch_size`` by repeating its rows in order (row j is row j mod n), and
+    the model gives its padded rows zero masks and zero loss weight. So every
+    product of a client has the shapes of one ``batch_size``-row batch, and
+    this padded step is the definition of one minibatch step. The first
+    round uses the warm-up learning rate, later rounds the main one.
     FedProx adds ``mu * (w - w_global)`` to each step's gradient; FedDyn adds
     ``-h_n + alpha * (w - w_global)``, each with the client's own ``w`` and
     dual ``h_n = duals[id]`` (zeros while the client holds none). So a
@@ -173,12 +177,13 @@ def train_participants(
             if step < total_steps[i]:
                 epoch, b = divmod(step, batches[i])
                 if b == 0:
-                    orders[i] = rngs[i].child("shuffle", epoch).permutation(len(y))
+                    order = rngs[i].child("shuffle", epoch).permutation(len(y))
+                    last = (batches[i] - 1) * size  # the last minibatch repeats its own rows up to size
+                    orders[i] = np.concatenate([order[:last], np.resize(order[last:], size)])
                 rows = orders[i][b * size : (b + 1) * size]
-                members.append((i, rows, rngs[i].child("dropout", epoch, step)))
-        members.sort(key=lambda member: -len(member[1]))  # stable: runs of equal row counts
+                members.append((i, rows, min(size, len(y) - b * size), rngs[i].child("dropout", epoch, step)))
         for group in (members[start : start + per_stack] for start in range(0, len(members), per_stack)):
-            stack = [i for i, _, _ in group]
+            stack = [i for i, _, _, _ in group]
             w = vectors[stack]
             g = _stacked_gradient(model, w, views, ids, group, loss_spec, round_index, step)
             if agg_config.kind == "fedprox":
@@ -193,18 +198,19 @@ def train_participants(
 
 def _stacked_gradient(model, params, views, ids, members, loss_spec, round_index, step) -> np.ndarray:
     """K x P loss gradient of one stacked step at the K x P ``params``;
-    ``members`` are (participant index, rows, dropout stream), ``views[i]``
-    participant i's training rows and ``ids[i]`` its client id.
+    ``members`` are (participant index, padded rows, count of real rows,
+    dropout stream), ``views[i]`` participant i's training rows and ``ids[i]``
+    its client id.
 
     A non-finite activation or loss raises ``NumericError`` naming the
     client it belongs to, the round and the step.
     """
-    x = np.concatenate([views[i][0][rows] for i, rows, _ in members])
-    y = np.concatenate([views[i][1][rows] for i, rows, _ in members])
-    stack = [ids[i] for i, _, _ in members]
+    x = np.concatenate([views[i][0][rows] for i, rows, _, _ in members])
+    y = np.concatenate([views[i][1][rows] for i, rows, _, _ in members])
+    stack = [ids[i] for i, _, _, _ in members]
     try:
-        model.forward(x, params, train=True, rng=[stream for _, _, stream in members],
-                      counts=[len(rows) for _, rows, _ in members])
+        model.forward(x, params, train=True, rng=[stream for *_, stream in members],
+                      counts=[n for _, _, n, _ in members])
         loss, g = model.backward(y, loss_spec)
     except NumericError as err:
         raise _client_error(str(err), stack, err.rows or range(len(stack)), round_index, step) from err

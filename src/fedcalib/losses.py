@@ -11,10 +11,13 @@ All gradients here are taken with respect to the predicted probabilities;
 the softmax chain is applied downstream by the model's backward pass.
 Every loss takes the plain arrays of the model's own softmax, ``probs``
 (n x C) and ``labels`` (n class indices), which it does not validate
-again: the rows of one batch, or of a stack of clients' batches back to
-back with each client's row count in ``counts``. It keeps each client's
-own batch means, taken with the shape of its batch alone, so a client's
-slice of a stacked loss equals the loss of its batch alone.
+again: the rows of one batch, or of a stack of K clients' minibatches of B
+rows each, back to back, with each client's count of real rows in
+``counts``. A client's padded rows follow its real rows; they carry zero
+loss weight and get exactly zero gradient. Each client's mean is the sum
+over its block, padded entries zeroed, divided by its count (for a full
+block, numpy's ``mean`` bit for bit), so a client's slice of a stacked loss
+equals the loss of its padded batch alone.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import numpy as np
 
 from .calibration import PROB_CLAMP
 from .errors import ConfigError, InvalidInputError
-from .numerics import row_runs
 
 AUX_KINDS = ("none", "dca", "mdca")
 
@@ -48,8 +50,8 @@ class LossSpec:
 class LossValue:
     """Total objective with its parts and the gradient w.r.t. probabilities.
 
-    For a stack of K batches, each nonzero part is an array with one entry
-    per client, that client's own batch mean.
+    With ``counts`` (a stack of K batches, K = 1 included), each nonzero
+    part is an array with one entry per client, that client's own batch mean.
     """
 
     total: float | np.ndarray
@@ -59,16 +61,23 @@ class LossValue:
 
 
 def _flat(probs: np.ndarray, labels: np.ndarray, counts) -> tuple:
-    """``(true-class probs, counts, row_runs)`` of the rows, whose clients
-    hold ``counts`` rows each (by default one client)."""
+    """``(true-class probs, counts, real)`` of the rows of K equal blocks whose
+    clients hold ``counts`` real rows each (by default one block of real
+    rows); ``real`` (K x B) marks each block's real rows."""
     counts = np.asarray([len(labels)] if counts is None else counts)
-    return probs[np.arange(len(labels)), labels], counts, row_runs(counts)
+    real = np.arange(len(labels) // len(counts)) < counts[:, None]
+    return probs[np.arange(len(labels)), labels], counts, real
 
 
-def _means(values: np.ndarray, runs: list) -> np.ndarray:
-    """Each client's mean of its rows of ``values``, as its batch alone takes it."""
-    parts = [values[rows].reshape(m, n, *values.shape[1:]).mean(axis=1) for _, rows, m, n in runs]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _on_real_rows(real: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values``, one entry or row per row of the blocks ``real`` marks, with every padded row zeroed."""
+    return np.where(real.reshape(-1, *(1,) * (values.ndim - 1)), values, 0.0)
+
+
+def _means(values: np.ndarray, real: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each client's mean of its real rows of ``values``: the sum over its block, padding zeroed, over its count."""
+    blocks = _on_real_rows(real, values).reshape(*real.shape, *values.shape[1:])
+    return blocks.sum(axis=1) / counts.reshape(-1, *(1,) * (values.ndim - 1))
 
 
 def _shaped(counts, value: np.ndarray):
@@ -89,35 +98,36 @@ def ce_loss(probs: np.ndarray, labels: np.ndarray, counts=None) -> LossValue:
     Gradient w.r.t. probabilities is -1/(m * p_true) on true-class entries
     (using the clamped value, so saturated rows stay finite) and 0 elsewhere.
     """
-    true, sizes, runs = _flat(probs, labels, counts)
+    true, sizes, real = _flat(probs, labels, counts)
     p_true = np.maximum(true, PROB_CLAMP)
-    value = _shaped(counts, -_means(np.log(p_true), runs))
-    grad = _at_true_class(probs, labels, -1.0 / (np.repeat(sizes, sizes) * p_true))
+    value = _shaped(counts, -_means(np.log(p_true), real, sizes))
+    grad = _at_true_class(probs, labels, _on_real_rows(real, -1.0 / (np.repeat(sizes, real.shape[1]) * p_true)))
     return LossValue(total=value, ce_part=value, aux_part=0.0, grad_wrt_probs=grad)
 
 
 def dca_loss(probs: np.ndarray, labels: np.ndarray, counts=None) -> LossValue:
     """|mean correctness - mean true-class confidence| over the minibatch."""
-    true, sizes, runs = _flat(probs, labels, counts)
+    true, sizes, real = _flat(probs, labels, counts)
     correct = (probs.argmax(axis=-1) == labels).astype(np.float64)
-    gap = _means(correct, runs) - _means(true, runs)
+    gap = _means(correct, real, sizes) - _means(true, real, sizes)
     value = _shaped(counts, np.abs(gap))
     # sign(0) = 0; correctness indicators are constants, only s carries gradient
     sign = np.sign(gap)
-    grad = _at_true_class(probs, labels, np.repeat(-sign / sizes, sizes))
+    grad = _at_true_class(probs, labels, _on_real_rows(real, np.repeat(-sign / sizes, real.shape[1])))
     return LossValue(total=value, ce_part=0.0, aux_part=value, grad_wrt_probs=grad)
 
 
 def mdca_loss(probs: np.ndarray, labels: np.ndarray, counts=None) -> LossValue:
     """Class-wise confidence/accuracy gap, averaged over all classes."""
-    _, sizes, runs = _flat(probs, labels, counts)
+    _, sizes, real = _flat(probs, labels, counts)
     num_classes = probs.shape[-1]
     if num_classes < 2:
         raise InvalidInputError("mdca requires at least 2 classes")
-    gaps = _means(_at_true_class(probs, labels, 1.0), runs) - _means(probs, runs)  # per client and class j
+    # per client and class j
+    gaps = _means(_at_true_class(probs, labels, 1.0), real, sizes) - _means(probs, real, sizes)
     value = _shaped(counts, np.mean(np.abs(gaps), axis=-1))
     signs = np.sign(gaps)
-    grad = np.repeat(-signs / (num_classes * sizes[:, None]), sizes, axis=0)
+    grad = _on_real_rows(real, np.repeat(-signs / (num_classes * sizes[:, None]), real.shape[1], axis=0))
     return LossValue(total=value, ce_part=0.0, aux_part=value, grad_wrt_probs=grad)
 
 

@@ -35,20 +35,21 @@ as reshaped views of its parameter rows, with a leading client axis (K = 1
 for a vector), so transport costs nothing and no call reads parameters that
 an earlier call was given.
 
-``forward`` takes one batch (n x d), or a stack of K clients' batches: their
-rows back to back, with each client's row count. Row-local work runs once
-per stack; work that mixes a client's rows (products, bias sums, loss means)
-runs once per run of consecutive clients of equal row count, with the shapes
-of the client's batch alone, as BLAS picks its kernel by the row count. So
-client k's rows meet only row k of the parameters, and its slice of a
-stacked step is the computation of its batch alone. Inside a forward, one
-run's activations are views with a leading client axis, several runs' are
-flat. The text stack is one run of C rows per client, or of a leading axis
-of 1 when its input and weights are the same for every client (a head that
-does not train it); its first frozen product ``prototypes @ W.T`` is made
-once per model. A training forward draws each run's dropout masks, image
-layers then text layers, and records per layer where its relu is positive,
-the dropped adapter input, its mask and ``a_drop @ B.T``.
+``forward`` takes one batch (n x d), or a stack of K clients' minibatches of
+B rows each, back to back, with each client's count of real rows. A client
+with fewer than B real rows comes padded to B (see
+``federation.train_participants``), and its padded rows carry zero dropout
+masks and zero loss weight. Activations keep a leading client axis, and
+every product is one batched ``np.matmul``: one GEMM per client, with the
+shapes of one B-row batch whatever the stack. So client k's rows meet only
+row k of the parameters, and its slice of a stacked step is the computation
+of its padded batch alone. The text stack has C rows per client, or a
+leading axis of 1 when its input and weights are the same for every client
+(a head that does not train it); its first frozen product
+``prototypes @ W.T`` is made once per model. A training forward draws each
+client's dropout masks, image layers then text layers, and records per
+layer where its relu is positive, the dropped adapter input, its mask and
+``a_drop @ B.T``.
 
 ``backward`` computes analytic gradients through softmax, cosine
 normalization, the dense stacks, and the adapter factorization into a new
@@ -61,6 +62,7 @@ feed the prompt.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +75,7 @@ from .errors import (
     UsageError,
 )
 from .losses import LossSpec, total_loss
-from .numerics import RngStream, row_runs, softmax_rows
+from .numerics import RngStream, softmax_rows
 
 HEAD_KINDS = ("zero_shot", "prompt", "lora_text", "lora_vision", "lora_both", "bitfit")
 
@@ -169,38 +171,8 @@ def _through_normalization(upstream: np.ndarray, unit: np.ndarray, norms: np.nda
     return (upstream - np.sum(upstream * unit, axis=-1, keepdims=True) * unit) / norms
 
 
-def _matmul(runs: list, a: np.ndarray, b: np.ndarray, out=None, over_rows: bool = False) -> np.ndarray:
-    """``a @ b`` for a stack's activations ``a`` and ``b`` one matrix per client
-    (a leading 1, or none, serves all), run by run, so that each client's
-    product has the shape of its batch alone. With ``over_rows``, ``b`` holds
-    activations too and each client gets ``a.mT @ b`` over its own rows."""
-    if len(runs) == 1:  # activations of one run are (clients x rows x ...): one product
-        return np.matmul(a.mT if over_rows else a, b, out=out)
-    if out is None:
-        out = np.empty((runs[-1][0].stop, a.shape[-1], b.shape[-1]) if over_rows else (len(a), b.shape[-1]))
-    for clients, rows, m, n in runs:
-        part = a[rows].reshape(m, n, -1)
-        if over_rows:
-            np.matmul(part.mT, b[rows].reshape(m, n, -1), out=out[clients])
-        else:
-            np.matmul(part, b[clients] if b.ndim == 3 and len(b) > 1 else b, out=out[rows].reshape(m, n, -1))
-    return out
-
-
-def _by_client(runs: list, acts: np.ndarray, params: np.ndarray) -> list:
-    """Each run's part of a stack's activations and of ``params``, one entry per client."""
-    return [(acts, params)] if len(runs) == 1 else [(acts[rows].reshape(m, n, -1), params[clients])
-                                                    for clients, rows, m, n in runs]
-
-
-def _flagged_clients(runs: list, flags: np.ndarray) -> np.ndarray:
-    """The clients of a stack that hold a row flagged in ``flags``, one per row."""
-    owner = np.concatenate([np.repeat(np.arange(c.start, c.stop), n) for c, _, _, n in runs])
-    return np.unique(owner[flags])
-
-
 def _layer_backward(layer: DenseLayer, params: tuple, grads: tuple, config: ModelConfig, record: tuple,
-                    delta: np.ndarray, runs: list, input_grad: bool):
+                    delta: np.ndarray, input_grad: bool):
     """One layer of ``_stack_backward``: writes the layer's gradient views and
     returns the gradient w.r.t. its input (``None`` unless ``input_grad``).
 
@@ -217,21 +189,20 @@ def _layer_backward(layer: DenseLayer, params: tuple, grads: tuple, config: Mode
     if positive is not None:
         delta *= positive
     if bias_grad is not None:
-        for part, grad in _by_client(runs, delta, bias_grad):
-            grad[...] = part.sum(axis=-2, keepdims=True)
+        bias_grad[...] = delta.sum(axis=-2, keepdims=True)
     if down is None:
-        return _matmul(runs, delta, layer.weight) if input_grad else None
+        return delta @ layer.weight if input_grad else None
     scale = config.lora_scale
-    down_grad[...] = scale * _matmul(runs, delta, a_up, over_rows=True)
-    delta_down = _matmul(runs, delta, down)
-    up_grad[...] = scale * _matmul(runs, delta_down, a_drop, over_rows=True)
+    down_grad[...] = scale * (delta.mT @ a_up)
+    delta_down = delta @ down
+    up_grad[...] = scale * (delta_down.mT @ a_drop)
     if not input_grad:
         return None
-    adapter_back = _matmul(runs, delta_down, up, out=None if kept is None else a_drop)
+    adapter_back = np.matmul(delta_down, up, out=None if kept is None else a_drop)
     adapter_back *= scale
     if kept is not None:
         _drop(adapter_back, kept, config.lora_dropout, out=adapter_back)
-    back = _matmul(runs, delta, layer.weight)
+    back = delta @ layer.weight
     back += adapter_back
     return back
 
@@ -275,10 +246,10 @@ class DualEncoderModel:
         rows = params if params.ndim == 2 else params[None]
         return {key: rows[:, cut].reshape(len(rows), *shape) for key, (cut, shape) in self._slots.items()}
 
-    def _stack_forward(self, stack, x, views, train, masks, runs, first=None):
-        """Run one encoder stack on the inputs ``x`` of a stack of clients with
-        ``runs`` (see ``row_runs``); a leading axis of 1 serves every client
-        when the stack's input and parameters are shared. ``views`` holds the
+    def _stack_forward(self, stack, x, views, train, masks, first=None):
+        """Run one encoder stack on the inputs ``x`` (clients x rows x d) of a
+        stack of clients; a leading axis of 1 serves every client when the
+        stack's input and parameters are shared. ``views`` holds the
         trainable arrays of the forward's parameters. ``first``, if given, is
         the first layer's frozen product ``x @ W.T``. An adapted layer in
         training takes its adapter-input mask from ``masks`` (none without
@@ -296,22 +267,18 @@ class DualEncoderModel:
             kept = a_drop = a_up = None
             # overflow here surfaces as the NumericError below, not a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                z = _matmul(runs, a, layer.weight.T) if i or first is None else first
-                if bias is None:
-                    z += layer.bias
-                else:
-                    for part, client_bias in _by_client(runs, z, bias):
-                        part += client_bias
+                z = a @ layer.weight.T if i or first is None else first
+                z += layer.bias if bias is None else bias
                 if down is not None:
                     kept = next(masks, None) if train else None
                     a_drop = a if kept is None else _drop(a, kept, self.config.lora_dropout)
-                    a_up = _matmul(runs, a_drop, up.mT)
-                    z += _matmul(runs, self.config.lora_scale * a_up, down.mT)
+                    a_up = a_drop @ up.mT
+                    z += (self.config.lora_scale * a_up) @ down.mT
                 # one sum is finite only if every entry is; the exact scan runs on failure
                 finite = np.isfinite(z.sum()) or np.isfinite(z).all()
             if not finite:
-                bad = ~np.isfinite(z).reshape(-1, z.shape[-1]).all(axis=1)
-                raise NumericError(f"non-finite activation in {stack} layer {i}", _flagged_clients(runs, bad))
+                bad = ~np.isfinite(z).all(axis=(1, 2))
+                raise NumericError(f"non-finite activation in {stack} layer {i}", np.flatnonzero(bad))
             if i < last:
                 np.maximum(z, 0.0, out=z)
             if train:
@@ -321,26 +288,26 @@ class DualEncoderModel:
         return a, records
 
     def _dropout_masks(self, streams, stacks):
-        """Iterator of the adapter-input masks of the trained ``(stack, runs)``
-        stacks, image stack first, each shaped like its layer's input; empty
-        without dropout. Each run's clients draw theirs in one ``bernoulli_rows``
-        call, cut in layer order, so each client draws as its batch alone does.
+        """Iterator of the adapter-input masks of the trained ``(stack, counts,
+        rows)`` stacks, image stack first, each shaped like its layer's input
+        (clients x rows x width); empty without dropout. Client k draws
+        ``counts[k]`` rows of every adapted layer in one ``bernoulli_rows``
+        call, cut in layer order, as its batch alone does; its padded rows
+        keep zero masks.
         """
         masks, keep = [], 1.0 - self.config.lora_dropout
-        for stack, runs in stacks:
+        for stack, counts, rows in stacks:
             widths = [layer.weight.shape[1] for i, layer in enumerate(self.layers) if (stack, i, "down") in self._slots]
             if not widths or keep == 1.0:
                 continue
             if any(rng is None for rng in streams):
                 raise UsageError("training forward with dropout requires an RngStream")
-            flat = [np.empty((runs[-1][1].stop, w), dtype=bool) for w in widths] if len(runs) > 1 else []
-            for clients, rows, m, n in runs:
-                kept = RngStream.bernoulli_rows(streams[clients], n * sum(widths), keep)
-                layers = [kept[:, e - n * w : e].reshape(m, n, w) for e, w in zip(n * np.cumsum(widths), widths)]
-                # one run keeps its views; each run of a flat stack writes its rows of every layer's mask
-                for mask, part in zip(flat, layers):
-                    mask[rows].reshape(m, n, -1)[...] = part
-            masks += flat or layers
+            kept = RngStream.bernoulli_rows(streams, [n * sum(widths) for n in counts], keep)
+            for start, w in zip(itertools.accumulate(widths, initial=0), widths):
+                mask = np.zeros((len(counts), rows, w), dtype=bool)
+                for client, n in enumerate(counts):
+                    mask[client, :n] = kept[client, n * start : n * (start + w)].reshape(n, w)
+                masks.append(mask)
         return iter(masks)
 
     def forward(self, embeddings: np.ndarray, params: np.ndarray, train: bool = False,
@@ -348,9 +315,10 @@ class DualEncoderModel:
         """Logits (rows x C) of scaled cosine similarities.
 
         ``embeddings`` is one batch (n x d) with a P-entry parameter vector
-        ``params``, or a stack of K clients' batches with K parameter rows
-        (K x P): their rows back to back, with each client's row count in
-        ``counts``; client k's rows meet only row k. In training mode the
+        ``params``, or a stack of K clients' minibatches of B rows each with
+        K parameter rows (K x P): their rows back to back, with each
+        client's count of real rows (1 to B) in ``counts``, its padded rows
+        after them; client k's rows meet only row k. In training mode the
         adapter-input dropout is live, drawn from ``rng`` (a sequence of K
         streams for a stack), and the forward state is cached for
         ``backward``; ``params`` must not change before that ``backward``.
@@ -362,16 +330,15 @@ class DualEncoderModel:
             raise InvalidInputError(f"embeddings must be (n x {d}), got {x.shape}")
         params = np.asarray(params, dtype=np.float64)
         views = self._views(params)
-        counts = [len(x)] if counts is None else counts
         k = len(params) if params.ndim == 2 else 1
-        if len(counts) != k or sum(counts) != len(x):
-            raise UsageError(f"a stack of {len(counts)} batches of {sum(counts)} rows got {k} parameter rows "
-                             f"and {len(x)} rows")
+        rows = len(x) // k
+        sizes = [len(x)] if counts is None else counts
+        if len(sizes) != k or len(x) != k * rows or not all(0 < n <= rows for n in sizes):
+            raise UsageError(f"a stack of {k} batches of B rows each, with 1 to B real rows, got {len(x)} rows "
+                             f"and counts {list(sizes)}")
         streams = [rng] * k if rng is None or isinstance(rng, RngStream) else list(rng)
         if len(streams) != k:
             raise UsageError(f"a stack of {k} batches needs {k} streams, got {len(streams)}")
-        runs = row_runs(counts)
-        xs = x if len(runs) > 1 else x.reshape(runs[0][2], runs[0][3], d)
         head = self.config.head_kind
         train_img, train_txt = train and "img" in self._trained, train and "txt" in self._trained
         # only a prompt makes the text input differ per client; else layer 0's product is cached
@@ -380,27 +347,25 @@ class DualEncoderModel:
             text = text + views["prompt"].mean(axis=1)[:, None, :]
         else:
             first = np.repeat(self._text_first[None], k if "txt" in self._trained else 1, axis=0)
-        text_runs = row_runs([len(self.prototypes)] * (k if "txt" in self._trained else 1))
-        trained = [("img", runs)] if train_img else []
-        trained += [("txt", text_runs)] if train_txt else []
+        trained = [("img", sizes, rows)] if train_img else []
+        trained += [("txt", [len(self.prototypes)] * k, len(self.prototypes))] if train_txt else []
         masks = self._dropout_masks(streams, trained)
-        fv, img_records = self._stack_forward("img", xs, views, train_img, masks, runs)
-        ft, txt_records = self._stack_forward("txt", text, views, train_txt, masks, text_runs, first)
+        fv, img_records = self._stack_forward("img", x.reshape(k, rows, d), views, train_img, masks)
+        ft, txt_records = self._stack_forward("txt", text, views, train_txt, masks, first)
         v_norms = np.linalg.norm(fv, axis=-1, keepdims=True)
         t_norms = np.linalg.norm(ft, axis=-1, keepdims=True)
         if not (v_norms.all() and t_norms.all()):
-            zero = (t_norms == 0).any(axis=(1, 2)) | np.isin(np.arange(k), _flagged_clients(runs, v_norms.ravel() == 0))
+            zero = (t_norms == 0).any(axis=(1, 2)) | (v_norms == 0).any(axis=(1, 2))
             raise NumericError("zero-norm encoder output; cannot take cosine", np.flatnonzero(zero))
         u = np.divide(fv, v_norms, out=fv)  # both are this forward's own arrays
         w = np.divide(ft, t_norms, out=ft)
-        logits = self.config.logit_scale * _matmul(runs, u, w.mT)
+        logits = self.config.logit_scale * (u @ w.mT)
         if train:
-            self._cache = dict(img=(img_records, runs), txt=(txt_records, text_runs), u=u, w=w, v_norms=v_norms,
-                               t_norms=t_norms, logits=logits, views=views, shape=params.shape,
-                               counts=counts if params.ndim == 2 else None)
+            self._cache = dict(img=img_records, txt=txt_records, u=u, w=w, v_norms=v_norms, t_norms=t_norms,
+                               logits=logits, views=views, shape=params.shape, counts=counts)
         return logits.reshape(len(x), -1)
 
-    def _stack_backward(self, stack, views, grads, records, runs, delta, input_grad):
+    def _stack_backward(self, stack, views, grads, records, delta, input_grad):
         """Backpropagate ``delta`` (d loss / d stack output) through a stack.
 
         Writes the bias and adapter gradients into their views in ``grads``.
@@ -409,7 +374,7 @@ class DualEncoderModel:
         """
         for i in reversed(range(len(self.layers))):
             delta = _layer_backward(self.layers[i], _layer_views(views, stack, i), _layer_views(grads, stack, i),
-                                    self.config, records[i], delta, runs, input_grad=i > 0 or input_grad)
+                                    self.config, records[i], delta, input_grad=i > 0 or input_grad)
         return delta
 
     def backward(self, labels: np.ndarray, loss_spec: LossSpec) -> tuple:
@@ -425,7 +390,7 @@ class DualEncoderModel:
         if self._cache is None:
             raise UsageError("backward requires a preceding forward(train=True)")
         cache = self._cache
-        logits, runs = cache["logits"], cache["img"][1]
+        logits = cache["logits"]
         labels = np.asarray(labels, dtype=np.int64).reshape(-1)
         probs = softmax_rows(logits.reshape(-1, logits.shape[-1]))
         loss = total_loss(probs, labels, loss_spec, cache["counts"])
@@ -441,15 +406,15 @@ class DualEncoderModel:
         scale = self.config.logit_scale
         head = self.config.head_kind
         if "txt" in self._trained:
-            dft = _through_normalization(scale * _matmul(runs, gz, u, over_rows=True), w, cache["t_norms"])
-            d_text_input = self._stack_backward("txt", views, grads, *cache["txt"], dft, input_grad=head == "prompt")
+            dft = _through_normalization(scale * (gz.mT @ u), w, cache["t_norms"])
+            d_text_input = self._stack_backward("txt", views, grads, cache["txt"], dft, input_grad=head == "prompt")
             if head == "prompt":
                 # the context mean is added to every class prototype, and each
                 # of the M vectors contributes 1/M of the mean
                 grads["prompt"][...] = (d_text_input.sum(axis=1) / self.config.prompt_length)[:, None, :]
         if "img" in self._trained:
-            dfv = _through_normalization(scale * _matmul(runs, gz, w), u, cache["v_norms"])  # shaped like u
-            self._stack_backward("img", views, grads, *cache["img"], dfv, input_grad=False)
+            dfv = _through_normalization(scale * (gz @ w), u, cache["v_norms"])  # shaped like u
+            self._stack_backward("img", views, grads, cache["img"], dfv, input_grad=False)
         self._cache = None  # backward overwrites records it no longer reads
         return loss, grad
 

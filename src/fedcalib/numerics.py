@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import math
 
 import numpy as np
@@ -167,32 +166,38 @@ class RngStream:
         return _bits53(self.u64(n)) * _INV_2_53
 
     @staticmethod
-    def bernoulli_rows(streams: list, n: int, p: float) -> np.ndarray:
-        """Boolean rows, one per stream: row k is ``streams[k].random(n) < p``.
+    def bernoulli_rows(streams: list, counts, p: float) -> np.ndarray:
+        """Boolean rows, one per stream, as long as the longest count: row k
+        starts with ``streams[k].random(counts[k]) < p`` and is False after it.
 
-        Bit for bit, and each stream advances by ``n`` draws as in
+        Bit for bit, and each stream advances by its own count of draws as in
         ``random``; the draws of all streams run together, in column blocks.
         """
+        counts = np.asarray(counts, dtype=np.int64).reshape(len(streams))
         # key + (counter + 1 + j) * GOLDEN, split into a per-stream and a
         # per-draw term; uint64 arithmetic wraps, so the split is exact
         offsets = [(s._key + (s._counter + 1) * _GOLDEN) & _MASK64 for s in streams]
-        for s in streams:
+        for s, n in zip(streams, counts.tolist()):
             s._counter += n
+        n = int(counts.max(initial=0))
         # a draw m * 2**-53 (m = z >> 11) is below p exactly when m < t = ceil(p * 2**53),
         # that is when z < t << 11; every draw is below a t of 2**53 or more
         t = math.ceil(p * (1 << 53))
         if t >= 1 << 53:
-            return np.ones((len(streams), n), dtype=bool)
-        global _golden_steps
-        if len(_golden_steps) < n:
-            _golden_steps = np.arange(n, dtype=np.uint64) * _NP_GOLDEN
-        kept = np.empty((len(streams), n), dtype=bool)
-        base = np.array(offsets, dtype=np.uint64)[:, None]
-        width = max(1, _DRAW_BLOCK // max(1, len(streams)))
-        for start in range(0, n, width):
-            stop = min(n, start + width)
-            z = _mix64_array(base + _golden_steps[start:stop])
-            np.less(z, np.uint64(t << 11), out=kept[:, start:stop])
+            kept = np.ones((len(streams), n), dtype=bool)
+        else:
+            global _golden_steps
+            if len(_golden_steps) < n:
+                _golden_steps = np.arange(n, dtype=np.uint64) * _NP_GOLDEN
+            kept = np.empty((len(streams), n), dtype=bool)
+            base = np.array(offsets, dtype=np.uint64)[:, None]
+            width = max(1, _DRAW_BLOCK // max(1, len(streams)))
+            for start in range(0, n, width):
+                stop = min(n, start + width)
+                z = _mix64_array(base + _golden_steps[start:stop])
+                np.less(z, np.uint64(t << 11), out=kept[:, start:stop])
+        shortest = int(counts.min(initial=n))
+        kept[:, shortest:] &= np.arange(shortest, n) < counts[:, None]  # False past each stream's count
         return kept
 
     def random_open(self, n: int) -> np.ndarray:
@@ -255,17 +260,6 @@ class RngStream:
         if not 0 <= k <= n:
             raise InvalidInputError(f"cannot choose {k} of {n}")
         return np.sort(self.permutation(n)[:k])
-
-
-def row_runs(counts) -> list:
-    """``(clients, rows, m, n)`` of each run of ``m`` consecutive clients of ``n``
-    rows each in a stack of ``counts`` rows: slices of its clients and rows."""
-    runs, client, row = [], 0, 0
-    for n, run in itertools.groupby(counts):
-        m = len(list(run))
-        runs.append((slice(client, client + m), slice(row, row + m * n), m, n))
-        client, row = client + m, row + m * n
-    return runs
 
 
 def softmax_rows(logits) -> np.ndarray:

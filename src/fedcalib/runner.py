@@ -206,12 +206,14 @@ def run_single(config: ExperimentConfig) -> dict:
     return results
 
 
-def summary_csv(results_list) -> str:
-    """Percent-convention summary table, one row per (method, setting) line."""
-    lines = ["method,setting,acc,ece,mce,ace,brier,nll"]
+def summary_csv(results_list, axes=()) -> str:
+    """Percent-convention summary table, one row per (method, setting) line;
+    after the setting, one column per sweep axis in ``axes`` with each run's
+    value from its ``sweep_point``."""
+    lines = [",".join(["method", "setting", *axes, "acc", "ece", "mce", "ace", "brier", "nll"])]
 
     def row(method, setting, scalars):
-        cells = [method, setting] + [
+        cells = [method, setting, *point] + [
             f"{scalars[k] * 100:.2f}" for k in ("accuracy", "ece", "mce", "ace", "brier", "nll")
         ]
         return ",".join(cells)
@@ -219,6 +221,7 @@ def summary_csv(results_list) -> str:
     for results in results_list:
         method = results["method"]
         setting = results["config"]["setting"]
+        point = [f"{results['sweep_point'][axis]}" for axis in axes]
         final = results["final"]
         if final.get("harmonic_mean"):
             lines.append(row(method, f"{setting}:base", final["base"]))
@@ -242,7 +245,8 @@ def _run_dir(index: int, point: dict) -> str:
 def render_outputs(results: dict, kinds=("json", "csv", "svg")) -> dict:
     """Map of relative path -> payload for the outputs of one run, or of a
     sweep's merged results: each point's outputs in its ``_run_dir``, plus
-    ``sweep_summary.csv``."""
+    ``sweep_summary.csv`` with a column per sweep axis, sorted by name as in
+    ``_run_dir``."""
     out = {}
     if "runs" in results:
         for index, run in enumerate(results["runs"]):
@@ -250,7 +254,8 @@ def render_outputs(results: dict, kinds=("json", "csv", "svg")) -> dict:
             for name, payload in render_outputs(run, kinds).items():
                 out[f"{directory}/{name}"] = payload
         if "csv" in kinds:
-            out["sweep_summary.csv"] = summary_csv(results["runs"])
+            axes = sorted({axis for run in results["runs"] for axis in run.get("sweep_point", {})})
+            out["sweep_summary.csv"] = summary_csv(results["runs"], axes)
         return out
     if "json" in kinds:
         out["results.json"] = results_json(results)

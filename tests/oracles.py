@@ -205,14 +205,16 @@ def naive_unpack(model, row):
     return parts
 
 
-def naive_train_logits(model, params, x, streams):
+def naive_train_logits(model, params, x, streams, counts=None):
     """Training-mode logits of a stack of K batches ``x`` (K x n x d) under the
-    K x P ``params``, client by client and layer by layer.
+    K x P ``params``, client by client and layer by layer; batch k's first
+    ``counts[k]`` rows are real (all of them by default), the rest padding.
 
     Client k's arrays are cut from its own row at the documented offsets
     (``naive_unpack``). Every layer is recomputed from scratch as ``a @ W.T``,
-    and each adapted layer draws its dropout mask in turn, image stack first,
-    as ``streams[k].random(size) < keep``.
+    and each adapted layer draws its dropout mask for the real rows in turn,
+    image stack first, as ``streams[k].random(size) < keep``; padded rows
+    get a zero mask.
     """
     keep = 1.0 - model.config.lora_dropout
     scale = model.config.lora_scale
@@ -221,11 +223,14 @@ def naive_train_logits(model, params, x, streams):
         parts = naive_unpack(model, params[k])
         text = model.prototypes + parts["prompt"].mean(axis=0) if "prompt" in parts else model.prototypes
         features = []
-        for stack, a in (("img", x[k]), ("txt", text)):
+        for stack, a, real in (("img", x[k], x.shape[1] if counts is None else counts[k]), ("txt", text, len(text))):
             for i, layer in enumerate(model.layers):
                 z = a @ layer.weight.T + parts.get((stack, i, "bias"), layer.bias)
                 if (stack, i, "A") in parts:
-                    kept = stream.random(a.size).reshape(a.shape) < keep if keep < 1.0 else True
+                    kept = True
+                    if keep < 1.0:
+                        kept = np.zeros(a.shape, dtype=bool)
+                        kept[:real] = stream.random(real * a.shape[1]).reshape(real, -1) < keep
                     a_drop = (a * kept) * (1.0 / keep)
                     z = z + (scale * (a_drop @ parts[stack, i, "B"].T)) @ parts[stack, i, "A"].T
                 a = np.maximum(z, 0.0) if i < len(model.layers) - 1 else z
@@ -244,6 +249,14 @@ def naive_group_by_client(pieces, counts, num_clients):
             if len(part):
                 per_client[client].append(part)
     return [np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64) for parts in per_client]
+
+
+def naive_bernoulli_rows(streams, counts, p):
+    """Row k is ``streams[k].random(counts[k]) < p``, drawn stream by stream,
+    then False up to the longest count."""
+    width = max(counts, default=0)
+    return np.array([np.concatenate([s.random(n) < p, np.zeros(width - n, dtype=bool)])
+                     for s, n in zip(streams, counts)]).reshape(len(streams), width)
 
 
 def naive_normal(rng: RngStream, n: int, scale: float = 1.0):

@@ -338,6 +338,23 @@ class TestReportVerb:
         ).read_bytes()
         assert not (tmp_path / "re" / "reliability.svg").exists()
 
+    def test_sweep_summary_names_each_point_of_a_two_axis_sweep(self, tmp_path):
+        cfg = write_tiny_config(tmp_path, sweep={"rounds": [1, 2], "alpha": [0.1, 1.0]})
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        lines = (tmp_path / "out" / "sweep_summary.csv").read_text().splitlines()
+        # one column per axis after the setting, axes sorted by name as in the run directories
+        assert lines[0] == "method,setting,alpha,rounds,acc,ece,mce,ace,brier,nll"
+        assert [line.split(",")[:4] for line in lines[1:]] == [
+            ["lora_both", "in_distribution", alpha, rounds] for alpha in ("0.1", "1.0") for rounds in ("1", "2")
+        ]
+        # the report of the merged results rebuilds the same file
+        merged = runner.run_experiment(load_config(cfg))
+        (tmp_path / "merged.json").write_text(runner.results_json(merged))
+        assert main(["report", "--results", str(tmp_path / "merged.json"), "--out-dir", str(tmp_path / "re"),
+                     "--kind", "csv"]) == EXIT_OK
+        rebuilt = (tmp_path / "re" / "sweep_summary.csv").read_bytes()
+        assert rebuilt == (tmp_path / "out" / "sweep_summary.csv").read_bytes()
+
     def test_report_rerenders_a_results_file_with_drift_series(self, tmp_path):
         # results written before update norms: drift mean and std per round, and a drift series
         cfg = write_tiny_config(tmp_path)

@@ -97,7 +97,9 @@ def local_objective(model, rows, vector, global_vector, agg_config, loss_spec, d
 def sequential_local_train(model, rows, dual, global_vector, fed_config, agg_config, loss_spec, rng, round_index=0):
     """Plain local SGD of one client on its ``(x, y)`` training ``rows`` from its
     FedDyn ``dual`` (``None`` for zeros), one unstacked forward and backward
-    per minibatch: the reference that lockstep training must reproduce."""
+    per minibatch, a short minibatch padded to ``batch_size`` rows by
+    repeating its own rows: the reference that lockstep training must
+    reproduce."""
     x, y = rows
     n = len(y)
     w = global_vector.copy()
@@ -109,8 +111,9 @@ def sequential_local_train(model, rows, dual, global_vector, fed_config, agg_con
         order = rng.child("shuffle", epoch).permutation(n)
         for start in range(0, n, fed_config.batch_size):
             batch_ix = order[start : start + fed_config.batch_size]
-            model.forward(x[batch_ix], w, train=True, rng=rng.child("dropout", epoch, steps))
-            _, g = model.backward(y[batch_ix], loss_spec)
+            padded = np.resize(batch_ix, fed_config.batch_size)
+            model.forward(x[padded], w, train=True, rng=rng.child("dropout", epoch, steps), counts=[len(batch_ix)])
+            _, g = model.backward(y[padded], loss_spec)
             if agg_config.kind == "fedprox":
                 g += agg_config.mu_prox * (w - global_vector)
             elif agg_config.kind == "feddyn":
@@ -461,7 +464,7 @@ class TestRunRound:
     def test_lockstep_round_across_the_blas_switch(self, head, aux):
         # 64 -> 128 -> 64 products, where BLAS gives a row of a small batch other bits
         # than the same row of a larger product; batches of 32 rows end in 1, 9, 9,
-        # 10, 18, 19 and 31 rows beside full ones, so stacks mix runs of every kind
+        # 10, 18, 19 and 31 real rows, padded to 32 beside full ones in one stack
         sizes = [33, 41, 41, 42, 50, 51, 63, 64, 96, 32]
         model, server, train, split = make_federation(len(sizes), head=head, seed=40, dropout=0.25, d=64,
                                                       per_client=sizes, test_per_client=1)
@@ -497,7 +500,8 @@ class TestRunRound:
         stacks = list(zip(rows, clients, strict=True))
         per_stack = STACK_ROWS // 32
         assert per_stack == 8 and (STACK_ROWS, 8) in stacks
-        assert all(rows <= STACK_ROWS and clients <= per_stack for rows, clients in stacks)
+        # every minibatch is padded to 32 rows, so every stack is K blocks of 32 rows
+        assert all(rows == 32 * clients and clients <= per_stack for rows, clients in stacks)
         batches = [-(-n // 32) for n in sizes]
         schedule = [sum(step < b for b in batches) for step in range(max(batches))]
         assert schedule == [11, 8, 2, 1]
@@ -518,7 +522,7 @@ class TestRunRound:
             run_round(model, server, train, fed, AggregatorConfig(), LossSpec(), 1, stream)
 
         # clients of 16, 13, 13, 13 and 9 rows: step 1 stacks batches of 8, 5, 5, 5 and 1
-        # rows, and client 3, the last of the run of 5-row batches, fails there
+        # real rows, each padded to 8, and client 3 fails there, in its padded rows too
         model, server, train, split = make_federation(5, seed=34, per_client=[16, 13, 13, 13, 9])
         run_round(model, server, train, fed, AggregatorConfig(), LossSpec(), 0, stream)
         order = stream.child("local", 1, 3).child("shuffle", 0).permutation(13)

@@ -223,19 +223,40 @@ class TestStackedLosses:
             assert stacked.grad_wrt_probs[rows].tobytes() == alone.grad_wrt_probs.tobytes()
 
     @pytest.mark.parametrize("kind", ["none", "dca", "mdca"])
-    def test_flat_rows_with_counts_equal_each_batch_alone(self, kind):
-        # clients of 9, 9, 12 and 1 rows, back to back: runs of 9, 12 and 1 rows
-        counts = [9, 9, 12, 1]
+    def test_padded_blocks_equal_each_padded_batch_alone(self, kind):
+        # clients of 9, 9, 12 and 1 real rows, each padded to 12 rows by repeating its own rows
+        counts, size = [9, 9, 12, 1], 12
         probs, labels = random_stack(RngStream(92), 1, sum(counts), 6)
-        stacked = total_loss(probs, labels, LossSpec(kind), counts)
-        assert stacked.grad_wrt_probs.shape == probs.shape
         ends = np.cumsum(counts)
-        for i, (start, end) in enumerate(zip(ends - counts, ends)):
-            alone = total_loss(probs[start:end], labels[start:end], LossSpec(kind))
+        rows = np.concatenate([np.resize(np.arange(start, end), size) for start, end in zip(ends - counts, ends)])
+        stacked = total_loss(probs[rows], labels[rows], LossSpec(kind), counts)
+        assert stacked.grad_wrt_probs.shape == (4 * size, 6)
+        oracle = {"dca": naive_dca_loss, "mdca": naive_mdca_loss}.get(kind)
+        for i, (start, end, n) in enumerate(zip(ends - counts, ends, counts)):
+            block = slice(i * size, (i + 1) * size)
+            alone = total_loss(probs[rows[block]], labels[rows[block]], LossSpec(kind), [n])
             for part in ("total", "ce_part", "aux_part"):
                 got = np.broadcast_to(getattr(stacked, part), (len(counts),))[i]
-                assert np.float64(got).tobytes() == np.float64(getattr(alone, part)).tobytes(), part
-            assert stacked.grad_wrt_probs[start:end].tobytes() == alone.grad_wrt_probs.tobytes()
+                want = np.broadcast_to(getattr(alone, part), (1,))[0]
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), part
+            assert stacked.grad_wrt_probs[block].tobytes() == alone.grad_wrt_probs.tobytes()
+            # padded rows carry zero loss weight; the real rows are the unpadded batch's loss
+            assert not stacked.grad_wrt_probs[block][n:].any()
+            ce_value, ce_grad = naive_ce_loss(probs[start:end], labels[start:end])
+            aux_value, aux_grad = (0.0, 0.0) if kind == "none" else oracle(probs[start:end], labels[start:end])
+            assert abs(stacked.total[i] - (ce_value + aux_value)) <= 1e-12
+            assert np.max(np.abs(stacked.grad_wrt_probs[block][:n] - (ce_grad + aux_grad))) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["none", "dca", "mdca"])
+    def test_a_full_block_is_the_plain_batch(self, kind):
+        # a block without padding takes numpy's mean, so it is the plain batch bit for bit
+        probs, labels = random_stack(RngStream(93), 1, 30, 5)
+        plain = total_loss(probs, labels, LossSpec(kind))
+        block = total_loss(probs, labels, LossSpec(kind), [30])
+        for part in ("total", "ce_part", "aux_part"):
+            got = np.broadcast_to(getattr(block, part), (1,))[0]
+            assert np.float64(got).tobytes() == np.float64(getattr(plain, part)).tobytes(), part
+        assert block.grad_wrt_probs.tobytes() == plain.grad_wrt_probs.tobytes()
 
     def test_oracles_match_single_batches(self):
         rng = RngStream(90)

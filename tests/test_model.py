@@ -262,7 +262,7 @@ class TestClientStack:
         m = build(head, seed=70, dropout=0.25, logit_scale=10.0)
         rng = RngStream(71)
         thetas = perturbed(m, rng, k)
-        # one run: K clients of 5 rows each, back to back
+        # K full blocks: clients of 5 rows each, back to back
         x = rng.normal(k * 5 * 8).reshape(k * 5, 8)
         y = (rng.u64(k * 5) % np.uint64(4)).astype(np.int64)
         logits = m.forward(x, thetas, train=True, rng=[RngStream(72, i) for i in range(k)], counts=[5] * k)
@@ -276,26 +276,48 @@ class TestClientStack:
             assert grad[i].tobytes() == grad_i.tobytes()
             assert np.float64(loss.total[i]).tobytes() == np.float64(loss_i.total).tobytes()
 
+    @pytest.mark.parametrize("size", [8, 16, 32])
     @pytest.mark.parametrize("aux", ["none", "dca", "mdca"])
     @pytest.mark.parametrize("head", TRAINED_HEADS)
-    def test_flat_stack_of_uneven_batches_equals_each_client_alone(self, head, aux):
-        # runs of 7, 7, 4 and 1 rows: the clients' rows back to back with their counts
-        counts = [7, 7, 4, 1]
+    def test_padded_stack_equals_each_padded_batch_alone(self, head, aux, size):
+        # ragged minibatches beside full ones, each padded to ``size`` rows by repeating its own rows
+        counts = [size, size - 1, size // 2 + 1, 1, size]
+        k = len(counts)
         m = build(head, seed=82, dropout=0.25, logit_scale=10.0)
-        rng = RngStream(83)
-        thetas = perturbed(m, rng, len(counts))
+        rng = RngStream(83, size)
+        thetas = perturbed(m, rng, k)
         x = rng.normal(sum(counts) * 8).reshape(-1, 8)
         y = (rng.u64(sum(counts)) % np.uint64(4)).astype(np.int64)
-        logits = m.forward(x, thetas, train=True, rng=[RngStream(84, i) for i in range(4)], counts=counts)
-        loss, grad = m.backward(y, LossSpec(aux, aux_weight=0.5))
-        assert logits.shape == (sum(counts), 4) and grad.shape == thetas.shape and loss.total.shape == (4,)
         ends = np.cumsum(counts)
-        for i, (start, end) in enumerate(zip(ends - counts, ends)):
-            alone = m.forward(x[start:end], thetas[i], train=True, rng=RngStream(84, i))
-            loss_i, grad_i = m.backward(y[start:end], LossSpec(aux, aux_weight=0.5))
-            assert logits[start:end].tobytes() == alone.tobytes()
+        rows = np.concatenate([np.resize(np.arange(start, end), size) for start, end in zip(ends - counts, ends)])
+        spec = LossSpec(aux, aux_weight=0.5)
+        logits = m.forward(x[rows], thetas, train=True, rng=[RngStream(84, i) for i in range(k)], counts=counts)
+        loss, grad = m.backward(y[rows], spec)
+        assert logits.shape == (k * size, 4) and grad.shape == thetas.shape and loss.total.shape == (k,)
+        for i, n in enumerate(counts):
+            block = rows[i * size : (i + 1) * size]
+            alone = m.forward(x[block], thetas[i], train=True, rng=RngStream(84, i), counts=[n])
+            loss_i, grad_i = m.backward(y[block], spec)
+            assert logits[i * size : (i + 1) * size].tobytes() == alone.tobytes()
             assert grad[i].tobytes() == grad_i.tobytes()
-            assert np.float64(loss.total[i]).tobytes() == np.float64(loss_i.total).tobytes()
+            assert np.float64(loss.total[i]).tobytes() == np.float64(loss_i.total[0]).tobytes()
+
+    @pytest.mark.parametrize("head", TRAINED_HEADS)
+    def test_padding_leaves_the_real_rows_alone(self, head):
+        # padded rows carry zero loss weight: the loss and, without dropout, the gradient of
+        # a padded batch are those of its real rows within rounding
+        m = build(head, seed=85, logit_scale=10.0)
+        rng = RngStream(86)
+        theta = perturbed(m, rng)
+        x = rng.normal(5 * 8).reshape(5, 8)
+        y = np.array([0, 1, 2, 3, 1])
+        rows = np.resize(np.arange(5), 8)
+        m.forward(x[rows], theta, train=True, counts=[5])
+        loss, grad = m.backward(y[rows], LossSpec("mdca", aux_weight=0.5))
+        m.forward(x, theta, train=True)
+        want_loss, want_grad = m.backward(y, LossSpec("mdca", aux_weight=0.5))
+        assert abs(loss.total[0] - want_loss.total) <= 1e-12
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12
 
     @pytest.mark.parametrize("head", TRAINED_HEADS)
     def test_training_forward_matches_naive_oracle(self, head):
@@ -311,6 +333,20 @@ class TestClientStack:
         want = naive_train_logits(m, params, x, [RngStream(81, i) for i in range(3)])
         assert logits.reshape(want.shape).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("head", TRAINED_HEADS)
+    def test_padded_training_forward_matches_naive_oracle(self, head):
+        # real rows draw their masks as an unpadded batch does; padded rows get zero masks
+        m = build(head, seed=87, dropout=0.25, logit_scale=10.0)
+        rng = RngStream(88)
+        params = perturbed(m, rng, 3)
+        counts = [5, 2, 1]
+        batches = rng.normal(3 * 5 * 8).reshape(3, 5, 8)
+        x = np.stack([batch[np.resize(np.arange(n), 5)] for batch, n in zip(batches, counts)])
+        logits = m.forward(x.reshape(15, 8), params, train=True, rng=[RngStream(89, i) for i in range(3)],
+                           counts=counts)
+        want = naive_train_logits(m, params, x, [RngStream(89, i) for i in range(3)], counts)
+        assert logits.reshape(want.shape).tobytes() == want.tobytes()
+
     def test_stack_size_must_match_parameter_rows(self):
         m = build("lora_both", seed=74)
         params = np.tile(m.initial, (2, 1))
@@ -318,8 +354,13 @@ class TestClientStack:
             m.forward(np.zeros((12, 8)), params, counts=[4, 4, 4])
         with pytest.raises(UsageError):
             m.forward(np.zeros((4, 8)), params)
+        # a stack is K blocks of B rows, each with 1 to B real rows
+        for rows, counts in ((9, [4, 4]), (7, [3, 3]), (8, [4, 0]), (8, [5, 3]), (8, [0, 0])):
+            with pytest.raises(UsageError):
+                m.forward(np.zeros((rows, 8)) + 0.1, params, counts=counts)
         with pytest.raises(UsageError):
-            m.forward(np.zeros((8, 8)), params, counts=[4, 3])
+            m.forward(np.zeros((4, 8)) + 0.1, m.initial, counts=[5])
+        m.forward(np.zeros((8, 8)) + 0.1, params, counts=[4, 1])
         # a stack is its rows back to back, never a K x n x d array
         with pytest.raises(InvalidInputError):
             m.forward(np.zeros((2, 4, 8)), params, counts=[4, 4])

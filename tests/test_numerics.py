@@ -15,7 +15,7 @@ from fedcalib.numerics import (
     softmax_rows,
 )
 
-from oracles import naive_log_gamma, naive_normal
+from oracles import naive_bernoulli_rows, naive_log_gamma, naive_normal
 
 
 def gamma(stream, alpha, n):
@@ -70,19 +70,36 @@ class TestRngStream:
             for a, b, skip in zip(streams, replay, (0, 3, 0, 11, 1)):
                 a.random(skip)
                 b.random(skip)
-            rows = RngStream.bernoulli_rows(streams, n, p)
+            rows = RngStream.bernoulli_rows(streams, [n] * 5, p)
             assert rows.shape == (5, n) and rows.dtype == bool
             for row, stream in zip(rows, replay):
                 assert np.array_equal(row, stream.random(n) < p)
             # every stream advanced by exactly n draws
             assert [s.u64(2).tobytes() for s in streams] == [s.u64(2).tobytes() for s in replay]
 
+    @pytest.mark.parametrize("p", [0.75, 1e-3, 1.0])
+    def test_bernoulli_rows_with_a_count_per_stream_match_the_oracle(self, p):
+        for counts in ([3, 0, 17, 17, 1], [4096, 5, 0, 4097, 2], [0, 0]):
+            def fresh():
+                streams = [RngStream(2**64 - 3 - i, 2**62 + 5 * i) for i in range(len(counts))]
+                for stream, skip in zip(streams, (0, 2, 9, 0, 1)):
+                    stream.random(skip)
+                return streams
+
+            streams, replay = fresh(), fresh()
+            rows = RngStream.bernoulli_rows(streams, counts, p)
+            want = naive_bernoulli_rows(replay, counts, p)
+            assert rows.dtype == bool and rows.shape == want.shape == (len(counts), max(counts))
+            assert np.array_equal(rows, want)
+            # each stream advanced by its own count
+            assert [s.u64(2).tobytes() for s in streams] == [s.u64(2).tobytes() for s in replay]
+
     def test_bernoulli_threshold_is_exact_at_a_draw(self):
         # p equal to a stream's first draw: that draw is not below p, and the
         # next representable p above it is
         u = RngStream(6, 6).random(1)[0]
-        assert not RngStream.bernoulli_rows([RngStream(6, 6)], 1, u)[0, 0]
-        assert RngStream.bernoulli_rows([RngStream(6, 6)], 1, np.nextafter(u, 1.0))[0, 0]
+        assert not RngStream.bernoulli_rows([RngStream(6, 6)], [1], u)[0, 0]
+        assert RngStream.bernoulli_rows([RngStream(6, 6)], [1], np.nextafter(u, 1.0))[0, 0]
 
     def test_uniform_range(self):
         u = RngStream(1).random(100000)

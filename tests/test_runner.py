@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedcalib import runner
+from fedcalib import federation, runner
 from fedcalib.calibration import ProbBatch, calibration_report
 from fedcalib.config import load_config, parse_config
 from fedcalib.federation import init_server, personalized_evaluate, run_round
@@ -23,6 +23,7 @@ from fedcalib.runner import (
     build_data,
     build_plan,
     load_results,
+    point_plans,
     results_json,
     run_experiment,
     run_single,
@@ -301,18 +302,19 @@ def write_file_set(directory, fmt) -> dict:
     return paths
 
 
-# sha256 of each config's ``results_json`` with ``meta`` stripped, recorded while each client was
-# still an object holding its training rows and FedDyn dual; the same with OPENBLAS_NUM_THREADS=1
-# and unset. A change that moves these bytes on purpose re-records them and says so in CHANGES.md.
+# sha256 of each config's ``results_json`` with ``meta`` stripped; the same with OPENBLAS_NUM_THREADS=1
+# and unset. Recorded once every minibatch was padded to batch_size; base_to_new and csv, which have
+# no ragged minibatch, keep the bytes recorded while each client was still an object holding its
+# training rows and FedDyn dual. A change that moves these bytes on purpose re-records them and says
+# so in CHANGES.md.
 RESULTS_SHA256 = {
-    "fedavg": "92857046a15de030399dc7bcb556564617bd13705ae8da1b89b6f9d2f96fe819",
-    "fedprox": "e0c9632302755ec062947cebbc64431ea5bf5fe11514f4b37d2a728c42d4596a",
-    "fednova": "f7e9147e1895caa487d30ddb24002abf5fdf4c060aa8411ce240c8d5649c9271",
-    "feddyn": "70c1e2cf43b5300867ee5ac7036bcf44e76828928b6e371a8bd91428386f03f7",
+    "fedavg": "c16f388e6f9d03dea91e0d322695bdc1a770a3ae5fba860b1cbd29483fffc278",
+    "fedprox": "346d4f916ad73a0b9d14f3f32ce612c92f1b60e07937beef204ce658bb1f4589",
+    "fednova": "98dc6ad923a5025a5eaa3bbf16c3f1335d8c0f2590220600db47cf641a0bf9f9",
+    "feddyn": "58cdfbad273529eb32e899b398136fa0a78cc18d449e885901a074e891d9fc1a",
     "base_to_new": "b0a0ded0fdbb7fff35bcc6081efbf0f2434e5a40feaa142b679d9b3188380ae4",
-    "domain": "71bccb2ee87692435351861332a06236d22c7279edd3730268d199be0d206ca5",
-    # recorded while the embedding files were read into one dataset matrix and gathered from it
-    "femb": "08d1323b953362ed7fff5efc096030fb533f45f7b1539a54f5031a0eaa16a64a",
+    "domain": "9144dd6f8b44d1e13199c1b3a5b4e701a92f01ecf187ebec3a4a10d6bf81da5a",
+    "femb": "c5394f59a2ae1fa22d56c8f9564851945158f05cc9ecbe9b122b9f7396520e9d",
     "csv": "a2024c33a63181a318c54d81d32e4a8f41a5d52b9593af6066be1c31d3e64a49",
 }
 
@@ -325,6 +327,19 @@ class TestPinnedResults:
         if name == "feddyn":
             assert len({cid for row in res["rounds"] for cid in row["participants"]}) < 10
         assert hashlib.sha256(results_json(res).encode()).hexdigest() == RESULTS_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(DIGEST_CONFIGS))
+    def test_regrouping_clients_moves_no_byte(self, name, monkeypatch):
+        # ragged minibatches of 7 rows, trained in shared stacks and then one client per stack
+        overrides = DIGEST_CONFIGS[name]
+        config = tiny_config(**{**overrides, "federation": {**overrides.get("federation", {}), "batch_size": 7}})
+        size = config.federation.batch_size
+        assert any(len(rows) % size for rows in point_plans(config)[""].train_indices)
+        shared = run_single(config)
+        monkeypatch.setattr(federation, "STACK_ROWS", size)
+        alone = run_single(config)
+        del shared["meta"], alone["meta"]
+        assert results_json(alone) == results_json(shared)
 
     @pytest.mark.parametrize("name", sorted(FILE_DIGEST_CONFIGS))
     def test_embedding_file_results_bytes_are_pinned(self, name, tmp_path, monkeypatch):
