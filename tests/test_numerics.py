@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fedcalib import numerics
 from fedcalib.errors import DegenerateInputError, InvalidInputError
 from fedcalib.numerics import (
     RngStream,
@@ -93,6 +94,30 @@ class TestRngStream:
             assert np.array_equal(rows, want)
             # each stream advanced by its own count
             assert [s.u64(2).tobytes() for s in streams] == [s.u64(2).tobytes() for s in replay]
+
+    @pytest.mark.parametrize("p", [0.9, 1e-3])
+    def test_bernoulli_rows_across_column_blocks_match_the_oracle(self, p):
+        # ragged counts over 1 to 3 full column blocks and into a fourth
+        width = numerics._DRAW_BLOCK // 5
+        counts = [3 * width + 5, width, 0, 2 * width + 1, 7]
+        streams = [RngStream(31 + i, 2**63 + i) for i in range(5)]
+        replay = [RngStream(31 + i, 2**63 + i) for i in range(5)]
+        for a, b, skip in zip(streams, replay, (0, 1, 5, 0, 3)):
+            a.random(skip)
+            b.random(skip)
+        assert np.array_equal(RngStream.bernoulli_rows(streams, counts, p), naive_bernoulli_rows(replay, counts, p))
+        assert [s.u64(2).tobytes() for s in streams] == [s.u64(2).tobytes() for s in replay]
+
+    def test_one_bernoulli_draw_of_a_plus_b_is_a_draw_of_a_then_of_b(self):
+        first, second = [5, 0, 300, 17], [11, 9, 0, 4096]
+        joined = [RngStream(8, 40 + i) for i in range(4)]
+        split = [RngStream(8, 40 + i) for i in range(4)]
+        rows = RngStream.bernoulli_rows(joined, [a + b for a, b in zip(first, second)], 0.75)
+        head = RngStream.bernoulli_rows(split, first, 0.75)
+        tail = RngStream.bernoulli_rows(split, second, 0.75)
+        for row, h, t, a, b in zip(rows, head, tail, first, second):
+            assert np.array_equal(row[: a + b], np.concatenate([h[:a], t[:b]])) and not row[a + b :].any()
+        assert [s.u64(2).tobytes() for s in joined] == [s.u64(2).tobytes() for s in split]
 
     def test_bernoulli_threshold_is_exact_at_a_draw(self):
         # p equal to a stream's first draw: that draw is not below p, and the

@@ -264,7 +264,8 @@ class TestResultsSerialization:
 
 # tiny configs whose canonical results bytes are pinned: one per aggregator, feddyn with 3 of 10
 # clients per round for 3 rounds (so some clients never hold a dual), base-to-new with a
-# temperature sweep, and domain generalization
+# temperature sweep, domain generalization, every trained head but lora_both (image-only and
+# text-only dropout masks, and no mask at all), and lora_both at keep 0.9 with ragged 7-row batches
 DIGEST_CONFIGS = {
     "fedavg": {"aggregator": {"kind": "fedavg"}},
     "fedprox": {"aggregator": {"kind": "fedprox"}},
@@ -276,6 +277,11 @@ DIGEST_CONFIGS = {
                     "metrics": {"temperatures": [0.5, 2.0]}},
     "domain": {"setting": "domain_generalization", "partition": {"kind": "domain", "clients_per_domain": 2},
                "data": {"synthetic": {"class_count": 4, "dim": 16, "samples_per_class": 12, "domain_count": 2}}},
+    "prompt": {"model": {"head_kind": "prompt"}},
+    "lora_text": {"model": {"head_kind": "lora_text"}},
+    "lora_vision": {"model": {"head_kind": "lora_vision"}},
+    "bitfit": {"model": {"head_kind": "bitfit"}},
+    "keep_0.9_ragged": {"model": {"lora_dropout": 0.1}, "federation": {"batch_size": 7}},
 }
 
 # tiny configs read from embedding files that ``write_file_set`` writes: FEMB samples under
@@ -316,6 +322,11 @@ RESULTS_SHA256 = {
     "domain": "9144dd6f8b44d1e13199c1b3a5b4e701a92f01ecf187ebec3a4a10d6bf81da5a",
     "femb": "c5394f59a2ae1fa22d56c8f9564851945158f05cc9ecbe9b122b9f7396520e9d",
     "csv": "a2024c33a63181a318c54d81d32e4a8f41a5d52b9593af6066be1c31d3e64a49",
+    "prompt": "4cee364afc49bd9a2042e1a55e866a4fb882f71eb11e30aed21c883be9aa6d35",
+    "lora_text": "c0efce1c19bbbbe7579ff10c1a48a44e2ecb402ca8cc0ff676a09e7202f07de1",
+    "lora_vision": "d6032d4655288bac960ca9a1bc8be802909c216e34d512f069f0547db0986d7d",
+    "bitfit": "26b3d22e5c64025e4b50ca2c48a7f677d0c9db8fca39a65e7211626274f7e27b",
+    "keep_0.9_ragged": "69c1767f4208460f3041dc9455b8ea011f227faf4f6c5f5abff7eea78b0a0af5",
 }
 
 
