@@ -56,7 +56,7 @@ from .calibration import harmonic_mean, segmented_reports
 from .errors import ConfigError, InvalidInputError, NumericError, TransportError
 from .losses import LossSpec
 from .model import DualEncoderModel
-from .numerics import RngStream
+from .numerics import RngStream, _extend_id, derive_id
 
 AGGREGATOR_KINDS = ("fedavg", "fedprox", "feddyn", "fednova")
 
@@ -145,7 +145,9 @@ def train_participants(
 
     Every client starts from the broadcast vector and runs its own epochs:
     its shuffle per epoch from ``rngs[i].child("shuffle", epoch)`` and its
-    dropout per step from ``rngs[i].child("dropout", epoch, step)``. At each
+    dropout per step from ``rngs[i].child("dropout", epoch, step)``, whose
+    id folds the step into the ``("dropout", epoch)`` prefix derived once
+    per epoch. A stack's rows are one index into ``train``. At each
     step, the clients that take it share stacked forwards and backwards of at
     most ``max(1, STACK_ROWS // batch_size)`` clients; a client out of
     batches drops out. A minibatch of n < ``batch_size`` rows is padded to
@@ -160,32 +162,35 @@ def train_participants(
     client's result does not depend on the other clients; the model is not changed.
     """
     vectors = np.tile(global_vector, (len(ids), 1))
-    views = [train.own(cid) for cid in ids]
+    sizes = [int(train.sizes[cid]) for cid in ids]
+    starts = [int(train.sizes[:cid].sum()) for cid in ids]
     size = fed_config.batch_size
-    batches = [-(-len(y) // size) if global_vector.size else 0 for _, y in views]
+    batches = [-(-n // size) if global_vector.size else 0 for n in sizes]
     total_steps = [fed_config.local_epochs * b for b in batches]
     lr = fed_config.warmup_lr if round_index == 0 else fed_config.learning_rate
     dual_rows = None
     if agg_config.kind == "feddyn" and ids:
         zero = np.zeros(global_vector.size)
         dual_rows = np.stack([duals.get(cid, zero) for cid in ids])
-    orders = [None] * len(ids)
+    orders, dropout = [None] * len(ids), [None] * len(ids)
     per_stack = max(1, STACK_ROWS // size)  # so that a stack holds at most STACK_ROWS rows
     for step in range(max(total_steps, default=0)):
         members = []
-        for i, (_, y) in enumerate(views):
+        for i, n in enumerate(sizes):
             if step < total_steps[i]:
                 epoch, b = divmod(step, batches[i])
                 if b == 0:
-                    order = rngs[i].child("shuffle", epoch).permutation(len(y))
+                    order = rngs[i].child("shuffle", epoch).permutation(n) + starts[i]
                     last = (batches[i] - 1) * size  # the last minibatch repeats its own rows up to size
                     orders[i] = np.concatenate([order[:last], np.resize(order[last:], size)])
+                    dropout[i] = derive_id(rngs[i].stream_id, "dropout", epoch)
                 rows = orders[i][b * size : (b + 1) * size]
-                members.append((i, rows, min(size, len(y) - b * size), rngs[i].child("dropout", epoch, step)))
+                stream = RngStream(rngs[i].seed, _extend_id(dropout[i], step))  # rngs[i].child("dropout", epoch, step)
+                members.append((i, rows, min(size, n - b * size), stream))
         for group in (members[start : start + per_stack] for start in range(0, len(members), per_stack)):
             stack = [i for i, _, _, _ in group]
             w = vectors[stack]
-            g = _stacked_gradient(model, w, views, ids, group, loss_spec, round_index, step)
+            g = _stacked_gradient(model, w, train, ids, group, loss_spec, round_index, step)
             if agg_config.kind == "fedprox":
                 g += agg_config.mu_prox * (w - global_vector)
             elif agg_config.kind == "feddyn":
@@ -196,22 +201,20 @@ def train_participants(
     return [(vector, steps) for vector, steps in zip(vectors, total_steps)]
 
 
-def _stacked_gradient(model, params, views, ids, members, loss_spec, round_index, step) -> np.ndarray:
+def _stacked_gradient(model, params, train, ids, members, loss_spec, round_index, step) -> np.ndarray:
     """K x P loss gradient of one stacked step at the K x P ``params``;
-    ``members`` are (participant index, padded rows, count of real rows,
-    dropout stream), ``views[i]`` participant i's training rows and ``ids[i]``
-    its client id.
+    ``members`` are (participant index, padded rows of ``train``, count of
+    real rows, dropout stream) and ``ids[i]`` participant i's client id.
 
     A non-finite activation or loss raises ``NumericError`` naming the
     client it belongs to, the round and the step.
     """
-    x = np.concatenate([views[i][0][rows] for i, rows, _, _ in members])
-    y = np.concatenate([views[i][1][rows] for i, rows, _, _ in members])
+    rows = np.concatenate([rows for _, rows, _, _ in members])
     stack = [ids[i] for i, _, _, _ in members]
     try:
-        model.forward(x, params, train=True, rng=[stream for *_, stream in members],
+        model.forward(train.x[rows], params, train=True, rng=[stream for *_, stream in members],
                       counts=[n for _, _, n, _ in members])
-        loss, g = model.backward(y, loss_spec)
+        loss, g = model.backward(train.y[rows], loss_spec)
     except NumericError as err:
         raise _client_error(str(err), stack, err.rows or range(len(stack)), round_index, step) from err
     if not np.all(np.isfinite(loss.total)):
@@ -303,12 +306,6 @@ class RowSplit:
     y: np.ndarray
     sizes: np.ndarray
     shared: int = 0
-
-    def own(self, k: int) -> tuple:
-        """Client ``k``'s own rows ``(x, y)``, slices of the split."""
-        start = int(self.sizes[:k].sum())
-        rows = slice(start, start + int(self.sizes[k]))
-        return self.x[rows], self.y[rows]
 
     @property
     def view_sizes(self) -> np.ndarray:

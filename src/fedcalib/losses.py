@@ -63,20 +63,22 @@ class LossValue:
 def _flat(probs: np.ndarray, labels: np.ndarray, counts) -> tuple:
     """``(true-class probs, counts, real)`` of the rows of K equal blocks whose
     clients hold ``counts`` real rows each (by default one block of real
-    rows); ``real`` (K x B) marks each block's real rows."""
-    counts = np.asarray([len(labels)] if counts is None else counts)
-    real = np.arange(len(labels) // len(counts)) < counts[:, None]
-    return probs[np.arange(len(labels)), labels], counts, real
+    rows); ``real`` (K x B) marks each block's real rows, ``None`` when every
+    row is real."""
+    counts = [len(labels)] if counts is None else counts
+    size = len(labels) // len(counts)
+    real = None if min(counts) == size else np.arange(size) < np.asarray(counts)[:, None]
+    return probs[np.arange(len(labels)), labels], np.asarray(counts), real
 
 
-def _on_real_rows(real: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _on_real_rows(real, values: np.ndarray) -> np.ndarray:
     """``values``, one entry or row per row of the blocks ``real`` marks, with every padded row zeroed."""
-    return np.where(real.reshape(-1, *(1,) * (values.ndim - 1)), values, 0.0)
+    return values if real is None else np.where(real.reshape(-1, *(1,) * (values.ndim - 1)), values, 0.0)
 
 
-def _means(values: np.ndarray, real: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _means(values: np.ndarray, real, counts: np.ndarray) -> np.ndarray:
     """Each client's mean of its real rows of ``values``: the sum over its block, padding zeroed, over its count."""
-    blocks = _on_real_rows(real, values).reshape(*real.shape, *values.shape[1:])
+    blocks = _on_real_rows(real, values).reshape(len(counts), -1, *values.shape[1:])
     return blocks.sum(axis=1) / counts.reshape(-1, *(1,) * (values.ndim - 1))
 
 
@@ -101,7 +103,8 @@ def ce_loss(probs: np.ndarray, labels: np.ndarray, counts=None) -> LossValue:
     true, sizes, real = _flat(probs, labels, counts)
     p_true = np.maximum(true, PROB_CLAMP)
     value = _shaped(counts, -_means(np.log(p_true), real, sizes))
-    grad = _at_true_class(probs, labels, _on_real_rows(real, -1.0 / (np.repeat(sizes, real.shape[1]) * p_true)))
+    m = sizes[0] if real is None else np.repeat(sizes, real.shape[1])  # each row's client count
+    grad = _at_true_class(probs, labels, _on_real_rows(real, -1.0 / (m * p_true)))
     return LossValue(total=value, ce_part=value, aux_part=0.0, grad_wrt_probs=grad)
 
 
@@ -113,7 +116,7 @@ def dca_loss(probs: np.ndarray, labels: np.ndarray, counts=None) -> LossValue:
     value = _shaped(counts, np.abs(gap))
     # sign(0) = 0; correctness indicators are constants, only s carries gradient
     sign = np.sign(gap)
-    grad = _at_true_class(probs, labels, _on_real_rows(real, np.repeat(-sign / sizes, real.shape[1])))
+    grad = _at_true_class(probs, labels, _on_real_rows(real, np.repeat(-sign / sizes, len(labels) // len(sizes))))
     return LossValue(total=value, ce_part=0.0, aux_part=value, grad_wrt_probs=grad)
 
 
@@ -127,7 +130,7 @@ def mdca_loss(probs: np.ndarray, labels: np.ndarray, counts=None) -> LossValue:
     gaps = _means(_at_true_class(probs, labels, 1.0), real, sizes) - _means(probs, real, sizes)
     value = _shaped(counts, np.mean(np.abs(gaps), axis=-1))
     signs = np.sign(gaps)
-    grad = _on_real_rows(real, np.repeat(-signs / (num_classes * sizes[:, None]), real.shape[1], axis=0))
+    grad = _on_real_rows(real, np.repeat(-signs / (num_classes * sizes[:, None]), len(labels) // len(sizes), axis=0))
     return LossValue(total=value, ce_part=0.0, aux_part=value, grad_wrt_probs=grad)
 
 

@@ -47,9 +47,9 @@ of its padded batch alone. The text stack has C rows per client, or a
 leading axis of 1 when its input and weights are the same for every client
 (a head that does not train it); its first frozen product
 ``prototypes @ W.T`` is made once per model. A training forward draws each
-client's dropout masks, image layers then text layers, and records per
-layer where its relu is positive, the dropped adapter input, its mask and
-``a_drop @ B.T``.
+client's dropout masks, image layers then text layers, in one draw for the
+whole stack, and records per layer where its relu is positive, the dropped
+adapter input, its mask and ``a_drop @ B.T``.
 
 ``backward`` computes analytic gradients through softmax, cosine
 normalization, the dense stacks, and the adapter factorization into a new
@@ -75,7 +75,7 @@ from .errors import (
     UsageError,
 )
 from .losses import LossSpec, total_loss
-from .numerics import RngStream, softmax_rows
+from .numerics import RngStream, _softmax
 
 HEAD_KINDS = ("zero_shot", "prompt", "lora_text", "lora_vision", "lora_both", "bitfit")
 
@@ -168,7 +168,7 @@ def _drop(x: np.ndarray, kept: np.ndarray, rate: float, out=None) -> np.ndarray:
 
 def _through_normalization(upstream: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """d/dv of v / |v| applied to ``upstream``, row-wise, given v / |v| and |v|."""
-    return (upstream - np.sum(upstream * unit, axis=-1, keepdims=True) * unit) / norms
+    return (upstream - np.add.reduce(upstream * unit, axis=-1, keepdims=True) * unit) / norms
 
 
 def _layer_backward(layer: DenseLayer, params: tuple, grads: tuple, config: ModelConfig, record: tuple,
@@ -262,11 +262,11 @@ class DualEncoderModel:
         records = []
         a = x
         last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            bias, down, up = _layer_views(views, stack, i)
-            kept = a_drop = a_up = None
-            # overflow here surfaces as the NumericError below, not a warning
-            with np.errstate(over="ignore", invalid="ignore"):
+        # overflow here surfaces as the NumericError below, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, layer in enumerate(self.layers):
+                bias, down, up = _layer_views(views, stack, i)
+                kept = a_drop = a_up = None
                 z = a @ layer.weight.T if i or first is None else first
                 z += layer.bias if bias is None else bias
                 if down is not None:
@@ -275,39 +275,45 @@ class DualEncoderModel:
                     a_up = a_drop @ up.mT
                     z += (self.config.lora_scale * a_up) @ down.mT
                 # one sum is finite only if every entry is; the exact scan runs on failure
-                finite = np.isfinite(z.sum()) or np.isfinite(z).all()
-            if not finite:
-                bad = ~np.isfinite(z).all(axis=(1, 2))
-                raise NumericError(f"non-finite activation in {stack} layer {i}", np.flatnonzero(bad))
-            if i < last:
-                np.maximum(z, 0.0, out=z)
-            if train:
-                # backward reads a layer's output only through its relu
-                records.append((z > 0 if i < last else None, a_drop, kept, a_up))
-            a = z
+                if not (np.isfinite(z.sum()) or np.isfinite(z).all()):
+                    bad = ~np.isfinite(z).all(axis=(1, 2))
+                    raise NumericError(f"non-finite activation in {stack} layer {i}", np.flatnonzero(bad))
+                if i < last:
+                    np.maximum(z, 0.0, out=z)
+                if train:
+                    # backward reads a layer's output only through its relu
+                    records.append((z > 0 if i < last else None, a_drop, kept, a_up))
+                a = z
         return a, records
 
     def _dropout_masks(self, streams, stacks):
         """Iterator of the adapter-input masks of the trained ``(stack, counts,
         rows)`` stacks, image stack first, each shaped like its layer's input
-        (clients x rows x width); empty without dropout. Client k draws
-        ``counts[k]`` rows of every adapted layer in one ``bernoulli_rows``
-        call, cut in layer order, as its batch alone does; its padded rows
-        keep zero masks.
+        (clients x rows x width); empty without dropout. Client k draws its
+        masks in one ``bernoulli_rows`` call, ``counts[k]`` rows of every
+        adapted layer in layer order, image layers then text layers, as its
+        batch alone does. In a full stack each mask is a view of that draw;
+        else a client's padded rows keep zero masks.
         """
-        masks, keep = [], 1.0 - self.config.lora_dropout
-        for stack, counts, rows in stacks:
-            widths = [layer.weight.shape[1] for i, layer in enumerate(self.layers) if (stack, i, "down") in self._slots]
-            if not widths or keep == 1.0:
-                continue
-            if any(rng is None for rng in streams):
-                raise UsageError("training forward with dropout requires an RngStream")
-            kept = RngStream.bernoulli_rows(streams, [n * sum(widths) for n in counts], keep)
-            for start, w in zip(itertools.accumulate(widths, initial=0), widths):
-                mask = np.zeros((len(counts), rows, w), dtype=bool)
-                for client, n in enumerate(counts):
-                    mask[client, :n] = kept[client, n * start : n * (start + w)].reshape(n, w)
-                masks.append(mask)
+        layers = [(counts, rows, layer.weight.shape[1]) for stack, counts, rows in stacks
+                  for i, layer in enumerate(self.layers) if (stack, i, "down") in self._slots]
+        keep = 1.0 - self.config.lora_dropout
+        if not layers or keep == 1.0:
+            return iter(())
+        if any(rng is None for rng in streams):
+            raise UsageError("training forward with dropout requires an RngStream")
+        drawn = [np.multiply(counts, w) for counts, _, w in layers]
+        kept = RngStream.bernoulli_rows(streams, sum(drawn), keep)
+        if all(min(counts) == rows for counts, rows, _ in layers):
+            starts = itertools.accumulate((rows * w for _, rows, w in layers), initial=0)
+            return (kept[:, start : start + rows * w].reshape(-1, rows, w) for start, (_, rows, w) in zip(starts, layers))
+        masks, starts = [], np.zeros(len(streams), dtype=np.int64)
+        for (counts, rows, w), size in zip(layers, drawn):
+            mask = np.zeros((len(counts), rows, w), dtype=bool)
+            for client, (n, start) in enumerate(zip(counts, starts)):
+                mask[client, :n] = kept[client, start : start + n * w].reshape(n, w)
+            masks.append(mask)
+            starts += size
         return iter(masks)
 
     def forward(self, embeddings: np.ndarray, params: np.ndarray, train: bool = False,
@@ -352,8 +358,8 @@ class DualEncoderModel:
         masks = self._dropout_masks(streams, trained)
         fv, img_records = self._stack_forward("img", x.reshape(k, rows, d), views, train_img, masks)
         ft, txt_records = self._stack_forward("txt", text, views, train_txt, masks, first)
-        v_norms = np.linalg.norm(fv, axis=-1, keepdims=True)
-        t_norms = np.linalg.norm(ft, axis=-1, keepdims=True)
+        # the arithmetic of np.linalg.norm(f, axis=-1, keepdims=True), bit for bit, without its dispatch
+        v_norms, t_norms = (np.sqrt(np.add.reduce(f * f, axis=-1, keepdims=True)) for f in (fv, ft))
         if not (v_norms.all() and t_norms.all()):
             zero = (t_norms == 0).any(axis=(1, 2)) | (v_norms == 0).any(axis=(1, 2))
             raise NumericError("zero-norm encoder output; cannot take cosine", np.flatnonzero(zero))
@@ -392,7 +398,8 @@ class DualEncoderModel:
         cache = self._cache
         logits = cache["logits"]
         labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-        probs = softmax_rows(logits.reshape(-1, logits.shape[-1]))
+        # the forward's activations are checked finite and its cosines bounded, so are its logits
+        probs = _softmax(logits.reshape(-1, logits.shape[-1]))
         loss = total_loss(probs, labels, loss_spec, cache["counts"])
 
         u, w = cache["u"], cache["w"]

@@ -48,16 +48,18 @@ def _mix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a uint64 array, computed in place in ``z``."""
+def _mix64_array(z: np.ndarray, last: bool = True) -> np.ndarray:
+    """SplitMix64 finalizer over a uint64 array, computed in place in ``z``;
+    without its ``last`` xorshift, which keeps the top 31 bits, if unset."""
     shifted = z >> _S30
     z ^= shifted
     z *= _NP_MIX1
     np.right_shift(z, _S27, out=shifted)
     z ^= shifted
     z *= _NP_MIX2
-    np.right_shift(z, _S31, out=shifted)
-    z ^= shifted
+    if last:
+        np.right_shift(z, _S31, out=shifted)
+        z ^= shifted
     return z
 
 
@@ -110,7 +112,7 @@ def _hash_str(part: str) -> int:
 
 
 _golden_steps = np.zeros(0, dtype=np.uint64)  # arange(n) * GOLDEN for the longest n drawn so far
-_DRAW_BLOCK = 1 << 14  # uint64 entries per block of a bernoulli_rows draw
+_DRAW_BLOCK = 1 << 16  # uint64 entries per block of a bernoulli_rows draw
 
 
 _DERIVE_START = _mix64(_GOLDEN)  # every derivation path folds into this
@@ -122,10 +124,15 @@ def derive_id(*parts) -> int:
     Order-sensitive, so (round, client) and (client, round) derive
     different streams.
     """
-    h = _DERIVE_START
+    return _extend_id(_DERIVE_START, *parts)
+
+
+def _extend_id(prefix: int, *parts) -> int:
+    """Fold more components into a derivation: ``derive_id(*a, *b)`` is
+    ``_extend_id(derive_id(*a), *b)``, so a shared prefix is folded once."""
     for part in parts:
-        h = _mix64(h ^ _encode_part(part))
-    return h
+        prefix = _mix64(prefix ^ _encode_part(part))
+    return prefix
 
 
 class RngStream:
@@ -171,7 +178,9 @@ class RngStream:
         starts with ``streams[k].random(counts[k]) < p`` and is False after it.
 
         Bit for bit, and each stream advances by its own count of draws as in
-        ``random``; the draws of all streams run together, in column blocks.
+        ``random``, so a call of ``a + b`` per stream holds in each row the
+        call of ``a`` and then the call of ``b``. The draws of all streams run
+        together, in column blocks of at most ``_DRAW_BLOCK`` entries.
         """
         counts = np.asarray(counts, dtype=np.int64).reshape(len(streams))
         # key + (counter + 1 + j) * GOLDEN, split into a per-stream and a
@@ -181,8 +190,11 @@ class RngStream:
             s._counter += n
         n = int(counts.max(initial=0))
         # a draw m * 2**-53 (m = z >> 11) is below p exactly when m < t = ceil(p * 2**53),
-        # that is when z < t << 11; every draw is below a t of 2**53 or more
+        # that is when z < t << 11; every draw is below a t of 2**53 or more. When t << 11
+        # ends in 33 zero bits (p = 0.75, say), z's top 31 bits decide, and the finalizer's
+        # last xorshift keeps them
         t = math.ceil(p * (1 << 53))
+        last = t % (1 << 22) != 0
         if t >= 1 << 53:
             kept = np.ones((len(streams), n), dtype=bool)
         else:
@@ -194,10 +206,11 @@ class RngStream:
             width = max(1, _DRAW_BLOCK // max(1, len(streams)))
             for start in range(0, n, width):
                 stop = min(n, start + width)
-                z = _mix64_array(base + _golden_steps[start:stop])
+                z = _mix64_array(base + _golden_steps[start:stop], last)
                 np.less(z, np.uint64(t << 11), out=kept[:, start:stop])
         shortest = int(counts.min(initial=n))
-        kept[:, shortest:] &= np.arange(shortest, n) < counts[:, None]  # False past each stream's count
+        if shortest < n:
+            kept[:, shortest:] &= np.arange(shortest, n) < counts[:, None]  # False past each stream's count
         return kept
 
     def random_open(self, n: int) -> np.ndarray:
@@ -269,9 +282,13 @@ def softmax_rows(logits) -> np.ndarray:
         raise InvalidInputError("softmax_rows expects a non-empty 2-D matrix")
     if not np.all(np.isfinite(z)):
         raise InvalidInputError("softmax_rows input contains non-finite entries")
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return _softmax(z)
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """``softmax_rows`` of a finite float64 matrix the program made itself, unchecked."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def l2_normalize_rows(m, out=None) -> np.ndarray:

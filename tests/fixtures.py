@@ -83,6 +83,13 @@ def plan_from_json(text: str) -> PartitionPlan:
     )
 
 
+def own_rows(split, k: int) -> tuple:
+    """Client ``k``'s own rows ``(x, y)`` of a ``RowSplit``, slices of the split."""
+    start = int(split.sizes[:k].sum())
+    rows = slice(start, start + int(split.sizes[k]))
+    return split.x[rows], split.y[rows]
+
+
 def results_canonical_bytes(results: dict) -> bytes:
     """Serialization with volatile metadata stripped; the determinism surface."""
     stripped = {k: v for k, v in results.items() if k != "meta"}

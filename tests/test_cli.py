@@ -13,7 +13,7 @@ from fedcalib.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_IO, EXIT_NUMERIC, EXIT_O
 from fedcalib.config import expand_sweep, load_config, parse_config
 from fedcalib.numerics import RngStream
 
-from fixtures import write_embedding_csv, write_embeddings, write_prototypes
+from fixtures import own_rows, write_embedding_csv, write_embeddings, write_prototypes
 
 
 def write_tiny_config(tmp_path, **extra):
@@ -78,7 +78,7 @@ class TestRunVerb:
 
         def poisoned(*args):
             train, split = original(*args)
-            train.own(1)[0][0, 0] = float("nan")
+            own_rows(train, 1)[0][0, 0] = float("nan")
             return train, split
 
         monkeypatch.setattr(runner, "client_views", poisoned)

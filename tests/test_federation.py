@@ -26,7 +26,7 @@ from fedcalib.losses import LossSpec, total_loss
 from fedcalib.model import HEAD_KINDS, ModelConfig, zero_shot_init
 from fedcalib.numerics import RngStream, l2_normalize_rows, softmax_rows
 from fedcalib.runner import _temperature_rows
-from fixtures import count_forwards, model_array_bytes, scalars, split_probs
+from fixtures import count_forwards, model_array_bytes, own_rows, scalars, split_probs
 
 
 def make_blob_views(num_clients, d=8, c=4, per_client=24, test_per_client=12, seed=0):
@@ -173,7 +173,7 @@ class TestLocalTrain:
         assert steps == 1
         # replay by hand with the same derived streams
         order = RngStream(7, 100).child("shuffle", 0).permutation(8)
-        x, y = train.own(0)
+        x, y = own_rows(train, 0)
         model.forward(x[order], server.global_vector, train=True)
         _, grad = model.backward(y[order], LossSpec())
         expected = server.global_vector - 1e-3 * grad
@@ -209,7 +209,7 @@ class TestLocalTrain:
 
     def test_fedprox_objective_dominates_plain(self):
         model, server, train, split = make_federation(1)
-        client = train.own(0)
+        client = own_rows(train, 0)
         prox = AggregatorConfig("fedprox", mu_prox=0.5)
         plain = AggregatorConfig("fedavg")
         g = server.global_vector
@@ -434,7 +434,7 @@ class TestRunRound:
             alone = []
             for cid, dual in zip(ids, duals):
                 vec, steps = sequential_local_train(
-                    model, train.own(cid), dual, before, fed, agg, spec, stream.child("local", t, cid), t
+                    model, own_rows(train, cid), dual, before, fed, agg, spec, stream.child("local", t, cid), t
                 )
                 alone.append((vec, steps, np.linalg.norm(vec - before)))
             want_steps = [0 if head == "zero_shot" else 2 * -(-n // 8) for n in sizes]
@@ -474,7 +474,7 @@ class TestRunRound:
         streams = [stream.child("local", 0, cid) for cid in ids]
         lockstep = train_participants(model, train, ids, server.duals, server.global_vector, fed, agg, spec, streams)
         for cid, (vec, steps) in zip(ids, lockstep, strict=True):
-            want, want_steps = sequential_local_train(model, train.own(cid), None, server.global_vector, fed, agg,
+            want, want_steps = sequential_local_train(model, own_rows(train, cid), None, server.global_vector, fed, agg,
                                                       spec, stream.child("local", 0, cid))
             assert vec.tobytes() == want.tobytes()
             assert steps == want_steps == (0 if head == "zero_shot" else -(-sizes[cid] // 32))
@@ -489,7 +489,7 @@ class TestRunRound:
         agg, spec, stream = AggregatorConfig(), LossSpec("mdca", aux_weight=0.5), RngStream(37)
         ids = list(range(len(sizes)))
         alone = [
-            sequential_local_train(model, train.own(cid), None, server.global_vector, fed, agg, spec,
+            sequential_local_train(model, own_rows(train, cid), None, server.global_vector, fed, agg, spec,
                                    stream.child("local", 0, cid))
             for cid in ids
         ]
@@ -515,7 +515,7 @@ class TestRunRound:
         stream = RngStream(35)
         run_round(model, server, train, fed, AggregatorConfig(), LossSpec(), 0, stream)
         # all five clients share each 8-row step, so client 3 fails inside a stack
-        train.own(3)[0][11, 2] = np.nan
+        own_rows(train, 3)[0][11, 2] = np.nan
         order = stream.child("local", 1, 3).child("shuffle", 0).permutation(16)
         step = int(np.flatnonzero(order == 11)[0]) // 8
         with pytest.raises(NumericError, match=rf"on client 3, round 1, step {step}$"):
@@ -526,7 +526,7 @@ class TestRunRound:
         model, server, train, split = make_federation(5, seed=34, per_client=[16, 13, 13, 13, 9])
         run_round(model, server, train, fed, AggregatorConfig(), LossSpec(), 0, stream)
         order = stream.child("local", 1, 3).child("shuffle", 0).permutation(13)
-        train.own(3)[0][order[10], 2] = np.nan
+        own_rows(train, 3)[0][order[10], 2] = np.nan
         with pytest.raises(NumericError, match=r"on client 3, round 1, step 1$"):
             run_round(model, server, train, fed, AggregatorConfig(), LossSpec(), 1, stream)
 
@@ -579,7 +579,7 @@ class TestRunRound:
             before, updates = eager_server.global_vector, []
             for cid in ids:
                 vec, steps = sequential_local_train(
-                    eager_model, eager_train.own(cid), eager_duals[cid], before, fed, agg, spec,
+                    eager_model, own_rows(eager_train, cid), eager_duals[cid], before, fed, agg, spec,
                     stream.child("local", t, cid), t,
                 )
                 updates.append((vec, eager_train.sizes[cid], steps))

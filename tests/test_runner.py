@@ -34,7 +34,7 @@ from fedcalib.runner import (
 from fedcalib.numerics import RngStream, softmax_rows
 
 from fixtures import (
-    count_forwards, dataset_rows, results_canonical_bytes, scalars, split_probs, write_embedding_csv,
+    count_forwards, dataset_rows, own_rows, results_canonical_bytes, scalars, split_probs, write_embedding_csv,
     write_embeddings, write_prototypes,
 )
 from oracles import naive_generate_synthetic
@@ -457,7 +457,7 @@ class TestOneCopyOfTheData:
             assert len(rows.sizes) == 3 and rows.sizes.sum() == len(rows.y) == len(rows.x)
             assert rows.shared == 0
             for k in range(3):
-                x, y = rows.own(k)
+                x, y = own_rows(rows, k)
                 assert x.base is rows.x and y.base is rows.y and len(y) == rows.sizes[k]
 
     def test_base_to_new_split_holds_the_new_class_rows_once(self, monkeypatch):
