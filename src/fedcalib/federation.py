@@ -124,7 +124,6 @@ def sample_participants(num_clients: int, rate: float, rng: RngStream) -> np.nda
     if not 0.0 < rate <= 1.0:
         raise InvalidInputError(f"participation rate must be in (0, 1], got {rate}")
     k = max(1, int(np.floor(rate * num_clients + 0.5)))
-    k = min(k, num_clients)
     return rng.choice(num_clients, k)
 
 

@@ -15,25 +15,26 @@ Trainable heads, selected by ``ModelConfig.head_kind``:
 - ``lora_text``     low-rank adapters on every text-encoder layer
 - ``lora_vision``   low-rank adapters on every image-encoder layer
 - ``lora_both``     adapters on both encoders
-- ``bitfit``        bias terms of both encoders
+- ``bitfit``        a bias on every layer of both encoders, from zero
 
 An adapter adds ``scale * A @ B`` to its frozen weight matrix; ``B`` starts
 at zero so training begins exactly at the zero-shot predictions. Dropout
 regularizes only the adapter input path, never the frozen path.
 
-Between training steps the model holds only frozen state: one layer list
-that both stacks read (every layer but the last applies a relu), the class
-prototypes, the layout of the trainable entries and the initial trainable
-vector ``initial``. A training forward also keeps the step's records in
-``_cache`` until the ``backward`` that uses them up. The trainable
-parameters are passed in on every call: the P-entry vector that clients
-send to the server, or a K x P matrix with one such row per client when K
-clients train in lockstep. The layout of a row: the prompt; else each
-adapted layer's ``A`` then ``B``, image stack first; else each layer's
-bias, image stack first. Each call cuts the prompt, adapter and bias arrays
-as reshaped views of its parameter rows, with a leading client axis (K = 1
-for a vector), so transport costs nothing and no call reads parameters that
-an earlier call was given.
+Between training steps the model holds only frozen state: one list of
+weight matrices that both stacks read (every layer but the last applies a
+relu, and no frozen layer has a bias), the class prototypes, the layout of
+the trainable entries and the initial trainable vector ``initial``. A
+training forward also keeps the step's records in ``_cache`` until the
+``backward`` that uses them up. The trainable parameters are passed in on
+every call: the P-entry vector that clients send to the server, or a K x P
+matrix with one such row per client when K clients train in lockstep. The
+layout of a row: the prompt; else each adapted layer's ``A`` then ``B``,
+image stack first; else each layer's bias, image stack first, which bitfit
+trains per client from zero. Each call cuts the prompt, adapter and bias
+arrays as reshaped views of its parameter rows, with a leading client axis
+(K = 1 for a vector), so transport costs nothing and no call reads
+parameters that an earlier call was given.
 
 ``forward`` takes one batch (n x d), or a stack of K clients' minibatches of
 B rows each, back to back, with each client's count of real rows. A client
@@ -46,10 +47,11 @@ row k of the parameters, and its slice of a stacked step is the computation
 of its padded batch alone. The text stack has C rows per client, or a
 leading axis of 1 when its input and weights are the same for every client
 (a head that does not train it); its first frozen product
-``prototypes @ W.T`` is made once per model. A training forward draws each
-client's dropout masks, image layers then text layers, in one draw for the
-whole stack, and records per layer where its relu is positive, the dropped
-adapter input, its mask and ``a_drop @ B.T``.
+``prototypes @ W.T`` is made once per model and never written: the first
+text layer adds its adapter term or trained bias to it by broadcasting. A
+training forward draws each client's dropout masks, image layers then text
+layers, in one draw for the whole stack, and records per layer where its
+relu is positive, the dropped adapter input, its mask and ``a_drop @ B.T``.
 
 ``backward`` computes analytic gradients through softmax, cosine
 normalization, the dense stacks, and the adapter factorization into a new
@@ -120,13 +122,7 @@ class ModelConfig:
         return self.encoder_widths if self.encoder_widths else (2 * self.embed_dim,)
 
 
-@dataclass
-class DenseLayer:
-    weight: np.ndarray  # (out x in), frozen
-    bias: np.ndarray  # (out,), frozen; bitfit trains a per-stack copy
-
-
-def _slot_layout(config: ModelConfig, layers: list) -> dict:
+def _slot_layout(config: ModelConfig, weights: list) -> dict:
     """Slice of a parameter row and per-client shape of every trainable array,
     keyed ``"prompt"`` or ``(stack, layer, part)``, in transport order."""
     head = config.head_kind
@@ -134,8 +130,8 @@ def _slot_layout(config: ModelConfig, layers: list) -> dict:
     r = config.lora_rank
     shapes = {"prompt": (config.prompt_length, config.embed_dim)} if head == "prompt" else {}
     for stack in ("img", "txt"):
-        for i, layer in enumerate(layers):
-            out_dim, in_dim = layer.weight.shape
+        for i, weight in enumerate(weights):
+            out_dim, in_dim = weight.shape
             if head == "bitfit":
                 # (1 x out) per client, so that a bias broadcasts over batch rows
                 shapes[stack, i, "bias"] = (1, out_dim)
@@ -171,7 +167,7 @@ def _through_normalization(upstream: np.ndarray, unit: np.ndarray, norms: np.nda
     return (upstream - np.add.reduce(upstream * unit, axis=-1, keepdims=True) * unit) / norms
 
 
-def _layer_backward(layer: DenseLayer, params: tuple, grads: tuple, config: ModelConfig, record: tuple,
+def _layer_backward(weight: np.ndarray, params: tuple, grads: tuple, config: ModelConfig, record: tuple,
                     delta: np.ndarray, input_grad: bool):
     """One layer of ``_stack_backward``: writes the layer's gradient views and
     returns the gradient w.r.t. its input (``None`` unless ``input_grad``).
@@ -191,7 +187,7 @@ def _layer_backward(layer: DenseLayer, params: tuple, grads: tuple, config: Mode
     if bias_grad is not None:
         bias_grad[...] = delta.sum(axis=-2, keepdims=True)
     if down is None:
-        return delta @ layer.weight if input_grad else None
+        return delta @ weight if input_grad else None
     scale = config.lora_scale
     down_grad[...] = scale * (delta.mT @ a_up)
     delta_down = delta @ down
@@ -202,7 +198,7 @@ def _layer_backward(layer: DenseLayer, params: tuple, grads: tuple, config: Mode
     adapter_back *= scale
     if kept is not None:
         _drop(adapter_back, kept, config.lora_dropout, out=adapter_back)
-    back = delta @ layer.weight
+    back = delta @ weight
     back += adapter_back
     return back
 
@@ -210,23 +206,22 @@ def _layer_backward(layer: DenseLayer, params: tuple, grads: tuple, config: Mode
 class DualEncoderModel:
     """Frozen state of the classifier; the trainable parameters are passed in."""
 
-    def __init__(self, config: ModelConfig, layers: list, prototypes: np.ndarray, rng: RngStream):
-        """The model over ``layers`` and ``prototypes``, with its initial vector
-        at zero-shot: bitfit starts from the frozen biases, each LoRA ``A``
-        factor is drawn from ``rng.child("lora", stack, layer)``, and the
-        prompt and the ``B`` factors start at zero."""
+    def __init__(self, config: ModelConfig, weights: list, prototypes: np.ndarray, rng: RngStream):
+        """The model over the frozen (out x in) ``weights`` and ``prototypes``,
+        with its initial vector at zero-shot: each LoRA ``A`` factor is drawn
+        from ``rng.child("lora", stack, layer)``, and the prompt, the ``B``
+        factors and bitfit's biases start at zero."""
         self.config = config
-        self.layers = layers  # one frozen list, read by the image and the text stack
+        self.weights = weights  # one frozen list, read by the image and the text stack
         self.prototypes = prototypes  # (C x d) frozen text-side class inputs
-        self._text_first = prototypes @ layers[0].weight.T  # shared by every head but the prompt
-        self._slots = _slot_layout(config, layers)
+        self._text_first = prototypes @ weights[0].T  # shared by every head but the prompt
+        self._text_first.flags.writeable = False
+        self._slots = _slot_layout(config, weights)
         # stacks that hold trainable entries; the prompt counts as the text stack it feeds
         self._trained = {"txt" if key == "prompt" else key[0] for key in self._slots}
         parts = []
         for key, (_, (rows, cols)) in self._slots.items():
-            if key[-1] == "bias":
-                parts.append(layers[key[1]].bias)
-            elif key[-1] == "down":
+            if key[-1] == "down":
                 parts.append(rng.child("lora", *key[:2]).normal(rows * cols) * np.sqrt(1.0 / config.lora_rank))
             else:
                 parts.append(np.zeros(rows * cols))
@@ -251,35 +246,39 @@ class DualEncoderModel:
         stack of clients; a leading axis of 1 serves every client when the
         stack's input and parameters are shared. ``views`` holds the
         trainable arrays of the forward's parameters. ``first``, if given, is
-        the first layer's frozen product ``x @ W.T``. An adapted layer in
-        training takes its adapter-input mask from ``masks`` (none without
-        dropout). Returns the stack output and, per layer in training (else an
-        empty list), the record ``(positive, a_drop, kept, a_up)``: ``out > 0``
-        under a relu, the dropped adapter input, its mask and ``a_drop @ up.mT``
-        (``None`` where they do not apply). Each layer adds its bias and adapter
-        term and applies its relu in place, so an evaluation forward holds at
+        the first layer's frozen product ``x @ W.T``, which is only read. An
+        adapted layer in training takes its adapter-input mask from ``masks``
+        (none without dropout). Returns the stack output and, per layer in
+        training (else an empty list), the record ``(positive, a_drop, kept,
+        a_up)``: ``out > 0`` under a relu, the dropped adapter input, its mask
+        and ``a_drop @ up.mT`` (``None`` where they do not apply). A layer adds
+        its trained bias or adapter term, if it has one, and applies its relu
+        in place on an array of its own, so an evaluation forward holds at
         most two layers' activations."""
         records = []
         a = x
-        last = len(self.layers) - 1
+        last = len(self.weights) - 1
         # overflow here surfaces as the NumericError below, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, layer in enumerate(self.layers):
+            for i, weight in enumerate(self.weights):
                 bias, down, up = _layer_views(views, stack, i)
                 kept = a_drop = a_up = None
-                z = a @ layer.weight.T if i or first is None else first
-                z += layer.bias if bias is None else bias
+                z = a @ weight.T if i or first is None else first
+                if bias is not None:
+                    z = np.add(z, bias, out=None if z is first else z)
                 if down is not None:
                     kept = next(masks, None) if train else None
                     a_drop = a if kept is None else _drop(a, kept, self.config.lora_dropout)
                     a_up = a_drop @ up.mT
-                    z += (self.config.lora_scale * a_up) @ down.mT
+                    # summed into the adapter term, this layer's own array: y + x is x + y bit for bit
+                    adapter = (self.config.lora_scale * a_up) @ down.mT
+                    z = np.add(adapter, z, out=adapter)
                 # one sum is finite only if every entry is; the exact scan runs on failure
                 if not (np.isfinite(z.sum()) or np.isfinite(z).all()):
                     bad = ~np.isfinite(z).all(axis=(1, 2))
                     raise NumericError(f"non-finite activation in {stack} layer {i}", np.flatnonzero(bad))
                 if i < last:
-                    np.maximum(z, 0.0, out=z)
+                    z = np.maximum(z, 0.0, out=None if z is first else z)
                 if train:
                     # backward reads a layer's output only through its relu
                     records.append((z > 0 if i < last else None, a_drop, kept, a_up))
@@ -295,8 +294,8 @@ class DualEncoderModel:
         batch alone does. In a full stack each mask is a view of that draw;
         else a client's padded rows keep zero masks.
         """
-        layers = [(counts, rows, layer.weight.shape[1]) for stack, counts, rows in stacks
-                  for i, layer in enumerate(self.layers) if (stack, i, "down") in self._slots]
+        layers = [(counts, rows, weight.shape[1]) for stack, counts, rows in stacks
+                  for i, weight in enumerate(self.weights) if (stack, i, "down") in self._slots]
         keep = 1.0 - self.config.lora_dropout
         if not layers or keep == 1.0:
             return iter(())
@@ -352,7 +351,7 @@ class DualEncoderModel:
         if head == "prompt":
             text = text + views["prompt"].mean(axis=1)[:, None, :]
         else:
-            first = np.repeat(self._text_first[None], k if "txt" in self._trained else 1, axis=0)
+            first = self._text_first[None]
         trained = [("img", sizes, rows)] if train_img else []
         trained += [("txt", [len(self.prototypes)] * k, len(self.prototypes))] if train_txt else []
         masks = self._dropout_masks(streams, trained)
@@ -378,8 +377,8 @@ class DualEncoderModel:
         Returns the gradient with respect to the stack input when
         ``input_grad`` is set, else ``None`` without computing it.
         """
-        for i in reversed(range(len(self.layers))):
-            delta = _layer_backward(self.layers[i], _layer_views(views, stack, i), _layer_views(grads, stack, i),
+        for i in reversed(range(len(self.weights))):
+            delta = _layer_backward(self.weights[i], _layer_views(views, stack, i), _layer_views(grads, stack, i),
                                     self.config, records[i], delta, input_grad=i > 0 or input_grad)
         return delta
 
@@ -426,24 +425,24 @@ class DualEncoderModel:
         return loss, grad
 
 
-def _init_stack(dims, rng: RngStream):
-    """Weights for one encoder stack: He-scaled for relu layers, zero biases."""
-    layers = []
+def _init_stack(dims, rng: RngStream) -> list:
+    """The (out x in) weight matrices of one encoder stack, He-scaled for relu
+    layers; the frozen layers have no bias."""
+    weights = []
     for i in range(len(dims) - 1):
         fan_in, fan_out = dims[i], dims[i + 1]
         std = np.sqrt((1.0 if i == len(dims) - 2 else 2.0) / fan_in)
-        w = rng.child("enc", i).normal(fan_out * fan_in).reshape(fan_out, fan_in) * std
-        layers.append(DenseLayer(weight=w, bias=np.zeros(fan_out)))
-    return layers
+        weights.append(rng.child("enc", i).normal(fan_out * fan_in).reshape(fan_out, fan_in) * std)
+    return weights
 
 
 def zero_shot_init(config: ModelConfig, class_prototypes: np.ndarray, rng: RngStream) -> DualEncoderModel:
     """Build a model whose initial predictions are the zero-shot reference.
 
-    Encoder weights are drawn once and shared by both modalities (the
-    analogue of a jointly pretrained dual encoder). LoRA ``B`` factors start
-    at zero and prompt vectors start at zero, so every head reproduces the
-    zero-shot logits exactly at initialization.
+    Encoder weight matrices, without biases, are drawn once and shared by
+    both modalities (the analogue of a jointly pretrained dual encoder).
+    LoRA ``B`` factors, prompt vectors and bitfit's biases start at zero, so
+    every head reproduces the zero-shot logits exactly at initialization.
     """
     protos = np.asarray(class_prototypes, dtype=np.float64)
     if protos.ndim != 2 or protos.shape[0] != config.class_count:

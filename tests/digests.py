@@ -3,6 +3,7 @@
 Usage (from the repository root; pytest does not collect this file):
 
     python3 tests/digests.py [--src SRC] [--seeds 0 7] > digests.txt
+    python3 tests/digests.py [--src SRC] --against OTHER_SRC
 
 Runs ``fedcalib run`` and ``fedcalib partition`` on each ``configs/*.json``
 and ``perfbench/workloads/*.json``, at each seed, in a child process with
@@ -10,8 +11,9 @@ and ``perfbench/workloads/*.json``, at each seed, in a child process with
 one line per output file, ``<sha256>  <config>/seed<N>/<command>/<path>``,
 sorted; ``results.json`` is hashed without its ``meta`` (wall-clock times),
 re-serialized with sorted keys. Two trees give the same lines exactly when
-every output keeps its bytes: run the script once with each tree's ``--src``
-and ``diff`` the two listings.
+every output keeps its bytes. With ``--against OTHER_SRC`` the script runs
+both trees and prints only the labels whose sha256 differ (or that only one
+tree writes), and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -49,16 +51,30 @@ def digests(src: Path, config: Path, seed: int, command: str) -> list:
                 for path in sorted(Path(out).rglob("*")) if path.is_file()]
 
 
+def listing(src: Path, seeds: list) -> dict:
+    """sha256 of every output file of every config at every seed, by label."""
+    return {label: sha for config in CONFIGS for seed in seeds for command in ("run", "partition")
+            for sha, label in digests(src.resolve(), config, seed, command)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="the fedcalib source tree to run")
+    parser.add_argument("--against", type=Path,
+                        help="a second source tree: print only the labels whose sha256 differ, exit 1 if any")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 7])
     args = parser.parse_args(argv)
-    lines = [line for config in CONFIGS for seed in args.seeds for command in ("run", "partition")
-             for line in digests(args.src.resolve(), config, seed, command)]
-    for sha, label in sorted(lines, key=lambda line: line[1]):
-        print(f"{sha}  {label}")
-    return 0
+    ours = listing(args.src, args.seeds)
+    if args.against is None:
+        for label in sorted(ours):
+            print(f"{ours[label]}  {label}")
+        return 0
+    theirs = listing(args.against, args.seeds)
+    differ = sorted(label for label in ours.keys() | theirs.keys() if ours.get(label) != theirs.get(label))
+    for label in differ:
+        print(label)
+    print(f"{len(differ)} of {len(ours.keys() | theirs.keys())} outputs differ", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

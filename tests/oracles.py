@@ -212,7 +212,8 @@ def naive_train_logits(model, params, x, streams, counts=None):
 
     Client k's arrays are cut from its own row at the documented offsets
     (``naive_unpack``). Every layer is recomputed from scratch as ``a @ W.T``,
-    and each adapted layer draws its dropout mask for the real rows in turn,
+    plus the bias where bitfit trains one (the frozen layers have none), and
+    each adapted layer draws its dropout mask for the real rows in turn,
     image stack first, as ``streams[k].random(size) < keep``; padded rows
     get a zero mask.
     """
@@ -224,8 +225,10 @@ def naive_train_logits(model, params, x, streams, counts=None):
         text = model.prototypes + parts["prompt"].mean(axis=0) if "prompt" in parts else model.prototypes
         features = []
         for stack, a, real in (("img", x[k], x.shape[1] if counts is None else counts[k]), ("txt", text, len(text))):
-            for i, layer in enumerate(model.layers):
-                z = a @ layer.weight.T + parts.get((stack, i, "bias"), layer.bias)
+            for i, weight in enumerate(model.weights):
+                z = a @ weight.T
+                if (stack, i, "bias") in parts:
+                    z = z + parts[stack, i, "bias"]
                 if (stack, i, "A") in parts:
                     kept = True
                     if keep < 1.0:
@@ -233,7 +236,7 @@ def naive_train_logits(model, params, x, streams, counts=None):
                         kept[:real] = stream.random(real * a.shape[1]).reshape(real, -1) < keep
                     a_drop = (a * kept) * (1.0 / keep)
                     z = z + (scale * (a_drop @ parts[stack, i, "B"].T)) @ parts[stack, i, "A"].T
-                a = np.maximum(z, 0.0) if i < len(model.layers) - 1 else z
+                a = np.maximum(z, 0.0) if i < len(model.weights) - 1 else z
             features.append(a / np.linalg.norm(a, axis=-1, keepdims=True))
         out.append(model.config.logit_scale * (features[0] @ features[1].T))
     return np.array(out)

@@ -354,7 +354,7 @@ def test_criterion_07_lora_structure_after_training():
     r = model_cfg.lora_rank
     checked = 0
     for stack in ("img", "txt"):
-        for i in range(len(trained.layers)):
+        for i in range(len(trained.weights)):
             delta = model_cfg.lora_scale * (parts[stack, i, "A"] @ parts[stack, i, "B"])
             assert np.any(delta != 0.0), "training left an adapter untouched"
             singulars = np.linalg.svd(delta, compute_uv=False)

@@ -13,7 +13,6 @@ from fedcalib.errors import (
 from fedcalib.losses import LossSpec
 from fedcalib.model import (
     HEAD_KINDS,
-    DenseLayer,
     DualEncoderModel,
     ModelConfig,
     zero_shot_init,
@@ -65,8 +64,7 @@ def identity_model(prototypes, logit_scale=1.0, head_kind="zero_shot"):
         logit_scale=logit_scale,
         lora_dropout=0.0,
     )
-    eye = [DenseLayer(np.eye(d), np.zeros(d)), DenseLayer(np.eye(d), np.zeros(d))]
-    return DualEncoderModel(config, eye, protos, RngStream(0))
+    return DualEncoderModel(config, [np.eye(d), np.eye(d)], protos, RngStream(0))
 
 
 class TestZeroShotInit:
@@ -92,14 +90,18 @@ class TestZeroShotInit:
         m = build("lora_vision")
         assert sorted(naive_unpack(m, m.initial)) == [("img", i, p) for i in (0, 1) for p in ("A", "B")]
 
-    def test_bitfit_starts_from_the_frozen_biases(self):
-        layers = [DenseLayer(RngStream(4).normal(16 * 8).reshape(16, 8), RngStream(5).normal(16)),
-                  DenseLayer(RngStream(6).normal(8 * 16).reshape(8, 16), RngStream(7).normal(8))]
-        m = DualEncoderModel(small_config("bitfit"), layers, random_prototypes(8, 4), RngStream(0))
+    def test_bitfit_starts_from_zero_biases_at_the_zero_shot_logits(self):
+        weights = [RngStream(4).normal(16 * 8).reshape(16, 8), RngStream(6).normal(8 * 16).reshape(8, 16)]
+        protos = random_prototypes(8, 4)
+        m = DualEncoderModel(small_config("bitfit"), weights, protos, RngStream(0))
+        zs = DualEncoderModel(small_config("zero_shot"), weights, protos, RngStream(0))
         parts = naive_unpack(m, m.initial)
+        assert sorted(parts) == [(stack, i, "bias") for stack in ("img", "txt") for i in (0, 1)]
         for stack in ("img", "txt"):
-            for i, layer in enumerate(layers):
-                assert parts[stack, i, "bias"].tobytes() == layer.bias.tobytes()
+            for i, weight in enumerate(weights):
+                assert parts[stack, i, "bias"].tobytes() == np.zeros(len(weight)).tobytes()
+        x = RngStream(5).normal(3 * 8).reshape(3, 8)
+        assert m.forward(x, m.initial).tobytes() == zs.forward(x, zs.initial).tobytes()
 
     def test_zero_init_head_preserves_zero_shot_logits(self):
         protos = random_prototypes(8, 4, seed=5)
@@ -403,7 +405,7 @@ class TestStateless:
     def test_forward_and_backward_leave_every_array_unchanged(self, head):
         m = build(head, seed=56, dropout=0.25, logit_scale=10.0)
         before = model_array_bytes(m)
-        assert {"initial", "prototypes", "_text_first", "layers.0.weight", "layers.1.bias"} <= set(before)
+        assert {"initial", "prototypes", "_text_first", "weights.0", "weights.1"} <= set(before)
         rng = RngStream(57)
         params = perturbed(m, rng, 3)
         kept = params.tobytes()
